@@ -468,7 +468,7 @@ fn bench_embedding_scale(quick: bool) -> Vec<EmbedScaleRow> {
     let bundle = Profile::GiantVocab.bundle_with_rows(n_rows, 17);
     let dims = DataDims::of(&bundle.data);
     let train = bundle.split.train.clone();
-    let orig_bucket = (dims.orig_vocab / 6).max(1) as u32;
+    let orig_bucket = (dims.orig_vocab / 6).max(1);
     // The cross store only holds rows for memorized pairs (the M/F/N
     // cycle memorizes every third pair), so size its bucket from that
     // compact key space, not the full cross vocabulary.

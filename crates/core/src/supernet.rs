@@ -538,7 +538,9 @@ impl Supernet {
     }
 
     /// Updates only the architecture parameters α (bi-level search uses
-    /// this on validation batches). Discards pending embedding gradients.
+    /// this on validation batches). Pending network-weight and embedding
+    /// gradients stay where they are; bi-level search drops them with
+    /// [`zero_weight_grads`](Self::zero_weight_grads) after this call.
     pub fn step_arch(&mut self) {
         self.adam_arch.begin_step();
         let mut adam = self.adam_arch;

@@ -85,6 +85,60 @@ pub struct EmbeddingTable {
     /// `LazyCatchUp` bookkeeping: the Adam timestep each row was last
     /// brought up to date at. Lazily allocated to `[vocab]` on first apply.
     last_step: Vec<u32>,
+    /// `LazyCatchUp`: the recent steps' bias corrections the replays read.
+    bias_window: BiasWindow,
+}
+
+/// Steps of Adam bias corrections a [`BiasWindow`] holds. The oldest
+/// catch-up replay measured on the `giant_hashed` benchmark was 392 steps
+/// old (DESIGN.md §14).
+const BIAS_WINDOW_STEPS: u64 = 1024;
+
+/// The bias corrections `adam.bias_corrections_at(s)` of the last
+/// [`BIAS_WINDOW_STEPS`] steps, so a `LazyCatchUp` replay reads its step's
+/// pair instead of calling `powi` twice. Each entry is the value the direct
+/// call returns, so a replay is bitwise the same either way; steps older
+/// than the window fall back to the direct call.
+#[derive(Default)]
+struct BiasWindow {
+    /// `pairs[s % BIAS_WINDOW_STEPS]` holds step `s`'s corrections for every
+    /// `s` in `next - BIAS_WINDOW_STEPS..next`.
+    pairs: Vec<(f32, f32)>,
+    /// One past the newest step filled in.
+    next: u64,
+    /// Bit patterns of the betas the pairs were computed with.
+    betas: (u32, u32),
+}
+
+impl BiasWindow {
+    /// Allocates the window (once, on the first lazy apply).
+    fn ensure(&mut self) {
+        if self.pairs.is_empty() {
+            self.pairs.resize(BIAS_WINDOW_STEPS as usize, (0.0, 0.0));
+        }
+    }
+
+    /// Fills in the steps up to and including `t`.
+    fn advance(&mut self, adam: &Adam, t: u64) {
+        let betas = (adam.config.beta1.to_bits(), adam.config.beta2.to_bits());
+        if betas != self.betas {
+            self.betas = betas;
+            self.next = 0;
+        }
+        for s in self.next.max((t + 1).saturating_sub(BIAS_WINDOW_STEPS))..=t {
+            self.pairs[(s % BIAS_WINDOW_STEPS) as usize] = adam.bias_corrections_at(s);
+        }
+        self.next = self.next.max(t + 1);
+    }
+
+    /// Step `s`'s bias corrections, from the window when it holds them.
+    fn at(&self, adam: &Adam, s: u64) -> (f32, f32) {
+        if s < self.next && self.next - s <= BIAS_WINDOW_STEPS {
+            self.pairs[(s % BIAS_WINDOW_STEPS) as usize]
+        } else {
+            adam.bias_corrections_at(s)
+        }
+    }
 }
 
 impl EmbeddingTable {
@@ -99,6 +153,7 @@ impl EmbeddingTable {
             touched_flags: Vec::new(),
             opt_mode: EmbedOptimizerMode::Sparse,
             last_step: Vec::new(),
+            bias_window: BiasWindow::default(),
         }
     }
 
@@ -113,6 +168,7 @@ impl EmbeddingTable {
             touched_flags: Vec::new(),
             opt_mode: EmbedOptimizerMode::Sparse,
             last_step: Vec::new(),
+            bias_window: BiasWindow::default(),
         }
     }
 
@@ -430,8 +486,7 @@ impl EmbeddingTable {
                 continue;
             }
             let inv = 1.0 / (end - start) as f32;
-            for k in start..end {
-                let idx = values[k];
+            for &idx in &values[start..end] {
                 self.touch(idx);
                 let i = idx as usize;
                 let acc = &mut self.grad_slab[i * dim..(i + 1) * dim];
@@ -461,6 +516,7 @@ impl EmbeddingTable {
         if self.last_step.is_empty() {
             self.last_step.resize(self.vocab(), 0);
         }
+        self.bias_window.ensure();
     }
 
     /// Applies one Adam step according to the active
@@ -557,6 +613,7 @@ impl EmbeddingTable {
         self.ensure_moments();
         self.ensure_last_step();
         let t = adam.timestep().max(1);
+        self.bias_window.advance(adam, t);
         let (bc1, bc2) = adam.bias_corrections();
         let dim = self.dim();
         let mut touched = std::mem::take(&mut self.touched);
@@ -564,29 +621,13 @@ impl EmbeddingTable {
         if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
             for &idx in &touched {
                 let i = idx as usize;
-                let mut s = u64::from(self.last_step[i]) + 1;
-                while s < t {
-                    let (cb1, cb2) = adam.bias_corrections_at(s);
-                    adam.step_row_zero_grad(
-                        self.weight.row_mut(i),
-                        m.row_mut(i),
-                        v.row_mut(i),
-                        weight_decay,
-                        cb1,
-                        cb2,
-                    );
-                    s += 1;
+                let (w, mr, vr) = (self.weight.row_mut(i), m.row_mut(i), v.row_mut(i));
+                for s in u64::from(self.last_step[i]) + 1..t {
+                    let (cb1, cb2) = self.bias_window.at(adam, s);
+                    adam.step_row_zero_grad(w, mr, vr, weight_decay, cb1, cb2);
                 }
                 let grad = &mut self.grad_slab[i * dim..(i + 1) * dim];
-                adam.step_row(
-                    self.weight.row_mut(i),
-                    grad,
-                    m.row_mut(i),
-                    v.row_mut(i),
-                    weight_decay,
-                    bc1,
-                    bc2,
-                );
+                adam.step_row(w, grad, mr, vr, weight_decay, bc1, bc2);
                 grad.fill(0.0);
                 self.touched_flags[i] = false;
                 self.last_step[i] = t as u32;
@@ -611,20 +652,13 @@ impl EmbeddingTable {
         }
         self.ensure_moments();
         self.ensure_last_step();
+        self.bias_window.advance(adam, t);
         if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
             for i in 0..self.weight.rows() {
-                let mut s = u64::from(self.last_step[i]) + 1;
-                while s <= t {
-                    let (cb1, cb2) = adam.bias_corrections_at(s);
-                    adam.step_row_zero_grad(
-                        self.weight.row_mut(i),
-                        m.row_mut(i),
-                        v.row_mut(i),
-                        weight_decay,
-                        cb1,
-                        cb2,
-                    );
-                    s += 1;
+                let (w, mr, vr) = (self.weight.row_mut(i), m.row_mut(i), v.row_mut(i));
+                for s in u64::from(self.last_step[i]) + 1..=t {
+                    let (cb1, cb2) = self.bias_window.at(adam, s);
+                    adam.step_row_zero_grad(w, mr, vr, weight_decay, cb1, cb2);
                 }
                 self.last_step[i] = t as u32;
             }
@@ -920,24 +954,50 @@ mod tests {
         assert_eq!(t.row(0), before.as_slice());
     }
 
+    /// Rows `GAP_ROWS[k].0` are touched exactly at steps `.1` and `.2`: the
+    /// re-touch replays steps up to `.2 - .1 - 1` old, which straddles the
+    /// bias window's edge (gaps 1,023 and 1,024 replay from the window
+    /// only, 1,025 reaches one step past it) and runs far beyond it.
+    const GAP_ROWS: [(u32, u64, u64); 4] = [
+        (5, 100, 1123),
+        (6, 200, 1224),
+        (7, 300, 1325),
+        (8, 60, 2200),
+    ];
+
     /// Drives `steps` Adam steps over a fixed pseudo-random touch/gradient
-    /// sequence (some steps touch nothing at all) and returns the final
-    /// weights. Shared by the mode-equivalence tests below.
-    fn run_mode(mode: EmbedOptimizerMode, weight_decay: f32, steps: u64) -> Vec<f32> {
-        let (vocab, dim) = (13usize, 3usize);
+    /// sequence and returns the final weights. Rows 0..5 take a drifting
+    /// pair most steps (steps 5 and 9 touch nothing at all); the rows of
+    /// [`GAP_ROWS`] come back after long gaps; row 9 is touched at step 0
+    /// only and rows 10..13 never, so `catch_up_all` replays their whole
+    /// history. Shared by the mode-equivalence tests below.
+    fn run_mode(mode: EmbedOptimizerMode, weight_decay: f32, dim: usize, steps: u64) -> Vec<f32> {
+        let vocab = 13usize;
         let mut rng = StdRng::seed_from_u64(41);
         let mut t = EmbeddingTable::new(&mut rng, vocab, dim);
         t.set_optimizer_mode(mode);
         let mut adam = Adam::with_lr_eps(0.02, 1e-8);
+        let mut ids = Vec::new();
         for step in 0..steps {
             adam.begin_step();
-            // Steps 5 and 9 touch no row; the rest touch a drifting pair.
+            ids.clear();
             if step != 5 && step != 9 {
-                let a = ((step * 7 + 3) % vocab as u64) as u32;
-                let b = ((step * 5 + 1) % vocab as u64) as u32;
+                ids.push(((step * 7 + 3) % 5) as u32);
+                ids.push(((step * 3 + 1) % 5) as u32);
+            }
+            for &(row, first, second) in &GAP_ROWS {
+                if step == first || step == second {
+                    ids.push(row);
+                }
+            }
+            if step == 0 {
+                ids.push(9);
+            }
+            if !ids.is_empty() {
                 let g = 0.05 * (step as f32 + 1.0);
-                let grad = Matrix::from_fn(2, dim, |r, c| g * (1.0 + r as f32 + 0.1 * c as f32));
-                t.accumulate_grad(&[a, b], &grad);
+                let grad =
+                    Matrix::from_fn(ids.len(), dim, |r, c| g * (1.0 + r as f32 + 0.1 * c as f32));
+                t.accumulate_grad(&ids, &grad);
             }
             t.apply_adam(&adam, weight_decay);
         }
@@ -947,15 +1007,20 @@ mod tests {
 
     #[test]
     fn lazy_catch_up_matches_dense_apply_bitwise() {
-        for &wd in &[0.0f32, 1e-2] {
-            let dense = run_mode(EmbedOptimizerMode::DenseApply, wd, 17);
-            let lazy = run_mode(EmbedOptimizerMode::LazyCatchUp, wd, 17);
-            for (k, (a, b)) in dense.iter().zip(lazy.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "wd={wd}: element {k} diverges: dense {a} vs lazy {b}"
-                );
+        // 2,600 steps re-touch rows across the bias window's edge and far
+        // past it, so both the window and the direct `powi` fallback are
+        // pinned, at widths below one vector lane, of one and of two lanes.
+        for &dim in &[3usize, 8, 16] {
+            for &wd in &[0.0f32, 1e-2] {
+                let dense = run_mode(EmbedOptimizerMode::DenseApply, wd, dim, 2600);
+                let lazy = run_mode(EmbedOptimizerMode::LazyCatchUp, wd, dim, 2600);
+                for (k, (a, b)) in dense.iter().zip(lazy.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "dim={dim} wd={wd}: element {k} diverges: dense {a} vs lazy {b}"
+                    );
+                }
             }
         }
     }
@@ -965,9 +1030,9 @@ mod tests {
         // With wd = 0, a never-touched row has m = v = 0 and a zero
         // gradient, so even the dense sweep leaves it exactly in place;
         // rows touched at every step agree across all three modes.
-        let dense = run_mode(EmbedOptimizerMode::DenseApply, 0.0, 6);
-        let sparse = run_mode(EmbedOptimizerMode::Sparse, 0.0, 6);
-        let lazy = run_mode(EmbedOptimizerMode::LazyCatchUp, 0.0, 6);
+        let dense = run_mode(EmbedOptimizerMode::DenseApply, 0.0, 3, 6);
+        let sparse = run_mode(EmbedOptimizerMode::Sparse, 0.0, 3, 6);
+        let lazy = run_mode(EmbedOptimizerMode::LazyCatchUp, 0.0, 3, 6);
         assert_eq!(dense.len(), sparse.len());
         // Sparse differs from dense somewhere (momentum carry-over on rows
         // skipped between touches)...

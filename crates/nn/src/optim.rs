@@ -127,6 +127,16 @@ impl Adam {
         )
     }
 
+    /// One update at bias corrections `(bc1, bc2)`.
+    fn update(&self, weight_decay: f32, bc1: f32, bc2: f32) -> AdamUpdate {
+        AdamUpdate {
+            config: self.config,
+            weight_decay,
+            bc1,
+            bc2,
+        }
+    }
+
     /// Applies a lazy Adam update to a single row (used by embedding tables:
     /// only rows touched in the batch are updated).
     #[allow(clippy::too_many_arguments)]
@@ -140,26 +150,16 @@ impl Adam {
         bc1: f32,
         bc2: f32,
     ) {
-        let c = self.config;
-        for i in 0..value.len() {
-            let mut g = grad[i];
-            if weight_decay > 0.0 {
-                g += weight_decay * value[i];
-            }
-            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-        }
+        assert_eq!(grad.len(), value.len(), "step_row: grad width");
+        self.update(weight_decay, bc1, bc2)
+            .apply(value, m, v, grad.iter().copied());
     }
 
     /// One Adam row step with an all-zero gradient — the catch-up step the
     /// lazy embedding optimizer replays for rows skipped while untouched.
-    /// Element-for-element it performs the float operations of
-    /// [`step_row`](Self::step_row) with `grad[i] == 0.0`, so replaying `k`
-    /// zero-grad steps is bitwise identical to `k` live steps on a row whose
-    /// batches never touched it.
+    /// It runs the kernel of [`step_row`](Self::step_row) with every
+    /// gradient `0.0`, so replaying `k` zero-grad steps is bitwise identical
+    /// to `k` live steps on a row whose batches never touched it.
     pub fn step_row_zero_grad(
         &self,
         value: &mut [f32],
@@ -169,17 +169,53 @@ impl Adam {
         bc1: f32,
         bc2: f32,
     ) {
+        self.update(weight_decay, bc1, bc2)
+            .apply(value, m, v, std::iter::repeat(0.0));
+    }
+}
+
+/// One Adam update: hyper-parameters, L2 weight decay and the step's bias
+/// corrections.
+#[derive(Debug, Clone, Copy)]
+struct AdamUpdate {
+    config: AdamConfig,
+    weight_decay: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamUpdate {
+    /// The Adam update — its only copy — over zipped slices, which the
+    /// compiler vectorizes. `grads` yields one gradient per element. Every
+    /// element runs the same IEEE operation sequence whatever the lane
+    /// width (no reciprocal multiply, no fused multiply-add, no
+    /// reordering), and vector division and square root round exactly like
+    /// their scalar forms, so the dense step, a row step and a zero-grad
+    /// replay agree bitwise.
+    #[inline(always)]
+    fn apply(
+        &self,
+        value: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        grads: impl Iterator<Item = f32>,
+    ) {
+        assert!(
+            m.len() == value.len() && v.len() == value.len(),
+            "Adam: moment width differs from the parameter's"
+        );
         let c = self.config;
-        for i in 0..value.len() {
-            let mut g = 0.0f32;
-            if weight_decay > 0.0 {
-                g += weight_decay * value[i];
-            }
-            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+        for (((w, m), v), g) in value.iter_mut().zip(m).zip(v).zip(grads) {
+            let g = if self.weight_decay > 0.0 {
+                g + self.weight_decay * *w
+            } else {
+                g
+            };
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = *m / self.bc1;
+            let v_hat = *v / self.bc2;
+            *w -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
         }
     }
 }
@@ -189,29 +225,21 @@ impl DenseOptimizer for Adam {
         self.t += 1;
     }
 
+    /// Reads each gradient element and zeroes it in the same pass.
     fn step(&mut self, p: &mut Parameter, weight_decay: f32) {
         p.ensure_slots();
         let (bc1, bc2) = self.bias_corrections();
-        let c = self.config;
         let (Some(m), Some(v)) = (p.slot_a.as_mut(), p.slot_b.as_mut()) else {
             unreachable!("ensure_slots allocated both moment slots");
         };
-        let value = p.value.as_mut_slice();
         let grad = p.grad.as_mut_slice();
-        for i in 0..value.len() {
-            let mut g = grad[i];
-            if weight_decay > 0.0 {
-                g += weight_decay * value[i];
-            }
-            let mi = c.beta1 * m.as_slice()[i] + (1.0 - c.beta1) * g;
-            let vi = c.beta2 * v.as_slice()[i] + (1.0 - c.beta2) * g * g;
-            m.as_mut_slice()[i] = mi;
-            v.as_mut_slice()[i] = vi;
-            let m_hat = mi / bc1;
-            let v_hat = vi / bc2;
-            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-        }
-        p.grad.fill_zero();
+        assert_eq!(grad.len(), p.value.len(), "Adam: grad shape");
+        self.update(weight_decay, bc1, bc2).apply(
+            p.value.as_mut_slice(),
+            m.as_mut_slice(),
+            v.as_mut_slice(),
+            grad.iter_mut().map(std::mem::take),
+        );
     }
 }
 
@@ -406,22 +434,52 @@ mod tests {
 
     #[test]
     fn step_row_matches_dense_adam() {
-        // A single-row "embedding" updated via step_row must match a dense
-        // parameter of the same shape updated via step().
-        let mut dense = Parameter::new(Matrix::filled(1, 3, 1.0));
-        dense.grad = Matrix::from_rows(&[&[0.1, -0.2, 0.3]]);
-        let mut opt = Adam::with_lr_eps(0.01, 1e-8);
-        opt.begin_step();
-
-        let mut row_value = [1.0f32; 3];
-        let grad = [0.1f32, -0.2, 0.3];
-        let mut m = [0.0f32; 3];
-        let mut v = [0.0f32; 3];
-        let (bc1, bc2) = opt.bias_corrections();
-        opt.step_row(&mut row_value, &grad, &mut m, &mut v, 0.0, bc1, bc2);
-        opt.step(&mut dense, 0.0);
-        for (rv, dv) in row_value.iter().zip(dense.value.as_slice()) {
-            assert!((rv - dv).abs() < 1e-7);
+        // The dense step, the row step and the zero-grad replay share one
+        // kernel, so they must agree bit for bit: at widths below one vector
+        // lane, of one and of two lanes, and at the search workload's first
+        // dense layer (1,248 x 64), with and without weight decay.
+        fn bits(x: &[f32]) -> Vec<u32> {
+            x.iter().map(|w| w.to_bits()).collect()
+        }
+        for &(rows, cols) in &[(1, 3), (1, 8), (1, 16), (1248, 64)] {
+            for &wd in &[0.0f32, 1e-2] {
+                let init = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37).sin());
+                let mut dense = Parameter::new(init.clone());
+                let mut value = init.as_slice().to_vec();
+                let mut m = vec![0.0f32; rows * cols];
+                let mut v = vec![0.0f32; rows * cols];
+                let mut opt = Adam::with_lr_eps(0.01, 1e-8);
+                for step in 0..3 {
+                    let grad = Matrix::from_fn(rows, cols, |r, c| {
+                        0.1 * ((r * cols + c + 7 * step) as f32 * 0.13).cos()
+                    });
+                    dense.grad = grad.clone();
+                    opt.begin_step();
+                    let (bc1, bc2) = opt.bias_corrections();
+                    opt.step_row(&mut value, grad.as_slice(), &mut m, &mut v, wd, bc1, bc2);
+                    opt.step(&mut dense, wd);
+                    let ctx = format!("{rows}x{cols} wd={wd} step {step}");
+                    assert_eq!(bits(&value), bits(dense.value.as_slice()), "{ctx}: weights");
+                    let (Some(dm), Some(dv)) = (dense.slot_a.as_ref(), dense.slot_b.as_ref())
+                    else {
+                        panic!("{ctx}: dense step allocated no moments");
+                    };
+                    assert_eq!(bits(&m), bits(dm.as_slice()), "{ctx}: first moment");
+                    assert_eq!(bits(&v), bits(dv.as_slice()), "{ctx}: second moment");
+                    assert_eq!(dense.grad.max_abs(), 0.0, "{ctx}: gradient not consumed");
+                }
+                // A zero-grad replay is a row step with an all-zero gradient.
+                let (mut zw, mut zm, mut zv) = (value.clone(), m.clone(), v.clone());
+                opt.begin_step();
+                let (bc1, bc2) = opt.bias_corrections();
+                let zeros = vec![0.0f32; rows * cols];
+                opt.step_row(&mut value, &zeros, &mut m, &mut v, wd, bc1, bc2);
+                opt.step_row_zero_grad(&mut zw, &mut zm, &mut zv, wd, bc1, bc2);
+                let ctx = format!("{rows}x{cols} wd={wd} zero grad");
+                assert_eq!(bits(&value), bits(&zw), "{ctx}: weights");
+                assert_eq!(bits(&m), bits(&zm), "{ctx}: first moment");
+                assert_eq!(bits(&v), bits(&zv), "{ctx}: second moment");
+            }
         }
     }
 }

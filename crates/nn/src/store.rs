@@ -563,14 +563,18 @@ impl StoreKind {
     }
 }
 
+/// Maps a tensor name plus its expected `(rows, cols)` to the stored
+/// matrix; the source [`EmbedStore::import_weights`] reads from.
+pub type WeightFetch<'a> = dyn FnMut(&str, (usize, usize)) -> Result<Matrix, String> + 'a;
+
 /// A concrete store owned by a model: dense or hashed, chosen per
 /// [`StoreKind`]. Inherent methods delegate so model code needs no trait
 /// import and no generics.
 pub enum EmbedStore {
     /// Dense per-key table.
-    Dense(EmbeddingTable),
+    Dense(Box<EmbeddingTable>),
     /// Compositional two-table store.
-    Hashed(HashedEmbedding),
+    Hashed(Box<HashedEmbedding>),
 }
 
 impl EmbedStore {
@@ -585,10 +589,10 @@ impl EmbedStore {
         hash_seed: u64,
     ) -> Self {
         match kind.scheme() {
-            None => EmbedStore::Dense(EmbeddingTable::new(rng, key_space, dim)),
-            Some(scheme) => {
-                EmbedStore::Hashed(HashedEmbedding::new(rng, key_space, dim, scheme, hash_seed))
-            }
+            None => EmbedStore::Dense(Box::new(EmbeddingTable::new(rng, key_space, dim))),
+            Some(scheme) => EmbedStore::Hashed(Box::new(HashedEmbedding::new(
+                rng, key_space, dim, scheme, hash_seed,
+            ))),
         }
     }
 
@@ -759,12 +763,11 @@ impl EmbedStore {
     }
 
     /// Imports trainable tensors exported by
-    /// [`push_weights`](Self::push_weights). `fetch` maps a
-    /// tensor name plus its expected `(rows, cols)` to the stored matrix.
+    /// [`push_weights`](Self::push_weights).
     pub fn import_weights(
         &mut self,
         name: &str,
-        fetch: &mut dyn FnMut(&str, (usize, usize)) -> Result<Matrix, String>,
+        fetch: &mut WeightFetch<'_>,
     ) -> Result<(), String> {
         match self {
             EmbedStore::Dense(t) => {
@@ -795,7 +798,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let h = splitmix64(salt ^ i as u64);
-                if h % 2 == 0 {
+                if h.is_multiple_of(2) {
                     (h % 17) as u32
                 } else {
                     (h % key_space as u64) as u32

@@ -46,7 +46,7 @@ use optinter_tensor::kernels::Backend;
 use optinter_tensor::Matrix;
 use std::fmt;
 use std::io::{Read as _, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic: "OPTSRV" + artifact-format marker + NUL.
 pub const MAGIC: [u8; 8] = *b"OPTSRVA\0";
@@ -624,11 +624,30 @@ impl FrozenModel {
         })
     }
 
-    /// Writes the artifact to a file.
+    /// Writes the artifact to a file, crash-safely: the bytes go to the
+    /// sibling `<path>.tmp`, are synced to disk, and that file is then
+    /// renamed over `path`. A write that fails or is cut short leaves any
+    /// previous artifact at `path` in place.
     pub fn write_file(&self, path: &Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_bytes();
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&bytes)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = std::fs::File::create(&tmp).and_then(|mut f| {
+            f.write_all(&self.to_bytes())?;
+            f.sync_all()
+        });
+        if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+            // Best effort: never leave a partial artifact behind. Fails
+            // harmlessly when no temp file was created.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+        // The rename survives a crash only once its directory is synced.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         Ok(())
     }
 

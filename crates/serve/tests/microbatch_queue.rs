@@ -164,7 +164,9 @@ fn live_serve_delivers_every_request_in_order() {
         let row = k % bundle.data.len();
         batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
         batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
-        scorer.score_into(&batch, &mut probs);
+        scorer
+            .score_into(&batch, &mut probs)
+            .expect("a well-formed row scores");
         assert_eq!(
             probs[0].to_bits(),
             r.prob.to_bits(),

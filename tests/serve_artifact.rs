@@ -89,6 +89,10 @@ fn file_round_trip_preserves_bytes() {
     let path = dir.join("model.osa");
     let model = frozen(Quant::F16);
     model.write_file(&path).expect("write artifact");
+    assert!(
+        !dir.join("model.osa.tmp").exists(),
+        "the staging file must be renamed away"
+    );
     let reloaded = FrozenModel::read_file(&path).expect("read artifact");
     assert_eq!(model.to_bytes(), reloaded.to_bytes());
     std::fs::remove_file(&path).ok();
@@ -97,6 +101,37 @@ fn file_round_trip_preserves_bytes() {
         Err(ArtifactError::Io(_)) => {}
         other => panic!("missing file must be an Io error, got {other:?}"),
     }
+}
+
+#[test]
+fn failed_write_keeps_the_previous_artifact() {
+    let dir = std::env::temp_dir().join("optinter-serve-artifact-test");
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    let path = dir.join("replaced.osa");
+    // `write_file` stages the bytes in `<path>.tmp`.
+    let tmp = dir.join("replaced.osa.tmp");
+    std::fs::remove_dir_all(&tmp).ok();
+    let old = frozen(Quant::F16);
+    old.write_file(&path).expect("write the first artifact");
+
+    // A directory occupying the staging file's name makes the write fail
+    // before `path` is touched.
+    std::fs::create_dir_all(&tmp).expect("block the staging name");
+    let new = frozen(Quant::Int8);
+    match new.write_file(&path) {
+        Err(ArtifactError::Io(_)) => {}
+        other => panic!("a blocked write must be an Io error, got {other:?}"),
+    }
+    let kept = FrozenModel::read_file(&path).expect("previous artifact still decodes");
+    assert_eq!(kept.to_bytes(), old.to_bytes(), "previous artifact changed");
+
+    // Once the name is free, the new artifact replaces the old one.
+    std::fs::remove_dir(&tmp).expect("unblock the staging name");
+    new.write_file(&path).expect("write the second artifact");
+    let replaced = FrozenModel::read_file(&path).expect("read the second artifact");
+    assert_eq!(replaced.to_bytes(), new.to_bytes());
+    assert!(!tmp.exists(), "the staging file must be renamed away");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -192,7 +192,7 @@ fn hashed_store_artifacts_round_trip_and_score_bit_identically() {
     ] {
         let mut net = trained_hashed_net(&bundle, orig_store, cross_store);
         let frozen = freeze(&mut net, &bundle.data, Quant::F32);
-        assert_eq!(frozen.orig_store.is_hashed(), true);
+        assert!(frozen.orig_store.is_hashed());
         assert!(
             frozen.row_map.is_empty(),
             "hashed orig store keeps no row_map"
