@@ -14,6 +14,8 @@
 //!
 //! - [`arch`] — [`arch::Method`] / [`arch::Architecture`]: one choice per pair;
 //! - [`gumbel`] — the Gumbel-softmax relaxation (Eqs. 16–18);
+//! - [`combine`] — the combination block itself, shared by the supernet,
+//!   the fixed-architecture net and the frozen scorer;
 //! - [`config`] — hyper-parameters (Table IV analogue);
 //! - [`supernet`] — the search-stage model: all three candidates computed
 //!   per pair and mixed by relaxed architecture weights, trained jointly
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arch;
+pub mod combine;
 pub mod config;
 pub mod gumbel;
 pub mod net;

@@ -12,6 +12,7 @@
 //! all-naïve is an FNN-style model.
 
 use crate::arch::{Architecture, Method};
+use crate::combine::{Fact, PairLayout};
 use crate::config::{FactFn, OptInterConfig};
 use optinter_data::{Batch, EncodedDataset, PairIndexer};
 use optinter_nn::{
@@ -58,25 +59,12 @@ impl DataDims {
     }
 }
 
-/// Where a pair's embedding lands in the MLP input.
-#[derive(Debug, Clone, Copy)]
-struct PairSlot {
-    method: Method,
-    /// Column offset in the MLP input (meaningless for naïve pairs).
-    input_offset: usize,
-    /// For memorized pairs: slot index among memorized pairs.
-    mem_slot: usize,
-    /// For memorized pairs: row offset in the compact cross table.
-    compact_offset: u32,
-}
-
 /// Fixed-architecture OptInter model.
 pub struct OptInterNet {
     cfg: OptInterConfig,
     dims: DataDims,
     architecture: Architecture,
-    slots: Vec<PairSlot>,
-    num_memorized: usize,
+    layout: PairLayout,
     e_orig: EmbedStore,
     /// Compact cross table: rows only for memorized pairs.
     e_cross: EmbedStore,
@@ -85,7 +73,6 @@ pub struct OptInterNet {
     /// factorization functions.
     fact_weights: Option<Parameter>,
     mlp: Mlp,
-    input_dim: usize,
     adam_net: Adam,
     adam_cross: Adam,
     pool: Pool,
@@ -103,6 +90,8 @@ struct NetScratch {
     input: Matrix,
     logits: Matrix,
     grad_logits: Matrix,
+    d_eo: Matrix,
+    d_em: Matrix,
 }
 
 impl NetScratch {
@@ -114,6 +103,8 @@ impl NetScratch {
             input: Matrix::zeros(0, 0),
             logits: Matrix::zeros(0, 0),
             grad_logits: Matrix::zeros(0, 0),
+            d_eo: Matrix::zeros(0, 0),
+            d_em: Matrix::zeros(0, 0),
         }
     }
 }
@@ -128,33 +119,7 @@ impl OptInterNet {
         );
         let s1 = cfg.orig_dim;
         let s2 = cfg.cross_dim;
-        let mut slots = Vec::with_capacity(dims.num_pairs);
-        let mut input_offset = dims.num_fields * s1;
-        let mut compact_offset = 0u32;
-        let mut mem_slot = 0usize;
-        for p in 0..dims.num_pairs {
-            let method = architecture.method(p);
-            let slot = PairSlot {
-                method,
-                input_offset,
-                mem_slot,
-                compact_offset,
-            };
-            match method {
-                Method::Memorize => {
-                    input_offset += s2;
-                    compact_offset += dims.pair_vocab_sizes[p];
-                    mem_slot += 1;
-                }
-                Method::Factorize => {
-                    input_offset += s1;
-                }
-                Method::Naive => {}
-            }
-            slots.push(slot);
-        }
-        let num_memorized = mem_slot;
-        let input_dim = input_offset;
+        let layout = PairLayout::new(&architecture, &dims, s1, s2);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF17ED);
         // Dense stores draw exactly what `EmbeddingTable::new` always drew
         // here, so `StoreKind::Dense` configs keep historical trajectories.
@@ -168,7 +133,7 @@ impl OptInterNet {
         let mut e_cross = EmbedStore::new(
             cfg.cross_store,
             &mut rng,
-            compact_offset.max(1) as usize,
+            layout.compact_rows(),
             s2,
             cfg.seed ^ 0x0517_0ECA,
         );
@@ -177,7 +142,7 @@ impl OptInterNet {
         let mut mlp = Mlp::new(
             &mut rng,
             &MlpConfig {
-                input_dim,
+                input_dim: layout.input_dim(),
                 hidden: cfg.hidden.clone(),
                 output_dim: 1,
                 layer_norm: cfg.layer_norm,
@@ -195,13 +160,11 @@ impl OptInterNet {
             cfg,
             dims,
             architecture,
-            slots,
-            num_memorized,
+            layout,
             e_orig,
             e_cross,
             fact_weights,
             mlp,
-            input_dim,
             adam_net,
             adam_cross,
             pool,
@@ -229,18 +192,18 @@ impl OptInterNet {
 
     /// MLP input dimension.
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.layout.input_dim()
     }
 
     /// Number of memorized pairs.
     pub fn num_memorized(&self) -> usize {
-        self.num_memorized
+        self.layout.num_memorized()
     }
 
     /// Total trainable parameters. The compact cross table only holds rows
     /// for memorized pairs, so parameter counts track the architecture.
     pub fn num_params(&mut self) -> usize {
-        let cross = if self.num_memorized == 0 {
+        let cross = if self.num_memorized() == 0 {
             0
         } else {
             self.e_cross.num_params()
@@ -255,31 +218,6 @@ impl OptInterNet {
         self.e_orig.num_params() + cross + fact + self.mlp.num_params()
     }
 
-    /// Translates a batch's global cross ids into compact table ids for the
-    /// memorized pairs only, into `out` (cleared first): `[B * num_memorized]`.
-    fn gather_mem_ids_into(&self, batch: &Batch, out: &mut Vec<u32>) {
-        out.clear();
-        if self.num_memorized == 0 {
-            return;
-        }
-        assert!(
-            !batch.cross.is_empty(),
-            "architecture memorizes pairs but the batch has no cross features"
-        );
-        let p_count = self.dims.num_pairs;
-        let b = batch.len();
-        out.reserve(b * self.num_memorized);
-        for r in 0..b {
-            let row = &batch.cross[r * p_count..(r + 1) * p_count];
-            for (p, slot) in self.slots.iter().enumerate() {
-                if slot.method == Method::Memorize {
-                    let local = row[p] - self.dims.pair_offsets[p];
-                    out.push(slot.compact_offset + local);
-                }
-            }
-        }
-    }
-
     /// Forward pass producing `[B, 1]` logits.
     pub fn forward(&mut self, batch: &Batch) -> Matrix {
         self.forward_step(batch);
@@ -290,82 +228,38 @@ impl OptInterNet {
     /// holds the `[B, 1]` logits afterwards. Allocation-free at steady state.
     fn forward_step(&mut self, batch: &Batch) {
         let m = self.dims.num_fields;
-        let s1 = self.cfg.orig_dim;
-        let s2 = self.cfg.cross_dim;
         assert_eq!(batch.num_fields, m, "OptInterNet: field count mismatch");
-        let b = batch.len();
         self.e_orig
             .lookup_fields_pooled_into(&batch.fields, m, &self.pool, &mut self.scr.eo);
-        let mut mem_ids = std::mem::take(&mut self.scr.mem_ids);
-        self.gather_mem_ids_into(batch, &mut mem_ids);
-        self.scr.mem_ids = mem_ids;
-        if self.num_memorized > 0 {
+        let num_memorized = self.num_memorized();
+        assert!(
+            num_memorized == 0 || !batch.cross.is_empty(),
+            "architecture memorizes pairs but the batch has no cross features"
+        );
+        self.layout.gather_mem_ids_into(
+            &batch.cross,
+            &self.dims.pair_offsets,
+            &mut self.scr.mem_ids,
+        );
+        if num_memorized > 0 {
             self.e_cross.lookup_fields_pooled_into(
                 &self.scr.mem_ids,
-                self.num_memorized,
+                num_memorized,
                 &self.pool,
                 &mut self.scr.em,
             );
         } else {
-            self.scr.em.reset(b, 0);
+            self.scr.em.reset(batch.len(), 0);
         }
-        // Assemble the MLP input, sharded over batch rows. Every element is
-        // written exactly once by the job owning its row, so the result is
-        // bit-identical to serial assembly for any thread count.
-        self.scr.input.reset(b, self.input_dim);
-        {
-            let input_dim = self.input_dim;
-            let slots = &self.slots;
-            let pairs = self.dims.pairs();
-            let fact_fn = self.cfg.fact_fn;
-            let fw_val = self.fact_weights.as_ref().map(|fw| &fw.value);
-            let eo_ref = &self.scr.eo;
-            let em_ref = &self.scr.em;
-            self.pool
-                .for_rows(self.scr.input.as_mut_slice(), input_dim, |r, dst_row| {
-                    let eo_row = eo_ref.row(r);
-                    dst_row[..m * s1].copy_from_slice(eo_row);
-                    for (p, slot) in slots.iter().enumerate() {
-                        match slot.method {
-                            Method::Memorize => {
-                                let src =
-                                    &em_ref.row(r)[slot.mem_slot * s2..(slot.mem_slot + 1) * s2];
-                                dst_row[slot.input_offset..slot.input_offset + s2]
-                                    .copy_from_slice(src);
-                            }
-                            Method::Factorize => {
-                                let (i, j) = pairs.pair_at(p);
-                                let (ei_start, ej_start) = (i * s1, j * s1);
-                                match fact_fn {
-                                    FactFn::Hadamard => {
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                eo_row[ei_start + c] * eo_row[ej_start + c];
-                                        }
-                                    }
-                                    FactFn::PointwiseAdd => {
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                eo_row[ei_start + c] + eo_row[ej_start + c];
-                                        }
-                                    }
-                                    FactFn::Generalized => {
-                                        let Some(fw) = fw_val else {
-                                            unreachable!("generalized slot without fact_weights")
-                                        };
-                                        let w = fw.row(p);
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                w[c] * eo_row[ei_start + c] * eo_row[ej_start + c];
-                                        }
-                                    }
-                                }
-                            }
-                            Method::Naive => {}
-                        }
-                    }
-                });
-        }
+        // Assemble the MLP input, sharded over batch rows.
+        let fw = self.fact_weights.as_ref().map(|fw| &fw.value);
+        self.layout.assemble_into(
+            &self.pool,
+            Fact::new(self.cfg.fact_fn, fw),
+            &self.scr.eo,
+            &self.scr.em,
+            &mut self.scr.input,
+        );
         let (input, logits) = (&self.scr.input, &mut self.scr.logits);
         self.mlp.forward_into(input, logits);
     }
@@ -375,124 +269,44 @@ impl OptInterNet {
     /// holds that forward's activations but not the batch itself.
     pub fn backward(&mut self, batch: &Batch, grad_logits: &Matrix) {
         let m = self.dims.num_fields;
-        let s1 = self.cfg.orig_dim;
-        let s2 = self.cfg.cross_dim;
         let b = grad_logits.rows();
         assert_eq!(
             self.scr.input.rows(),
             b,
             "OptInterNet::backward before forward"
         );
-        let mut dinput = self.ws.take(b, self.input_dim);
+        let mut dinput = self.ws.take(b, self.input_dim());
         {
             let input = &self.scr.input;
             self.mlp.backward_into(input, grad_logits, &mut dinput);
         }
-        let mut d_eo = self.ws.take(0, 0);
-        dinput.block_into(0, m * s1, &mut d_eo);
-        let mut d_em = self.ws.take(b, self.num_memorized * s2);
-        let fact_fn = self.cfg.fact_fn;
-        let pairs = self.dims.pairs();
-        let slots = &self.slots;
-        let eo_ref = &self.scr.eo;
-        let dinput_ref = &dinput;
-
-        // Pass A — parallel over pairs (generalized product only): each
-        // factorized pair owns its weight-gradient row, accumulated over
-        // ascending batch rows exactly as the fused serial loop does.
-        if let Some(fw) = self.fact_weights.as_mut() {
-            self.pool.for_rows(fw.grad.as_mut_slice(), s1, |p, dw| {
-                let slot = &slots[p];
-                if slot.method != Method::Factorize {
-                    return;
-                }
-                let (i, j) = pairs.pair_at(p);
-                for r in 0..b {
-                    let eo_row = eo_ref.row(r);
-                    let (ei, ej) = (&eo_row[i * s1..(i + 1) * s1], &eo_row[j * s1..(j + 1) * s1]);
-                    let g_row = dinput_ref.row(r);
-                    for c in 0..s1 {
-                        let g = g_row[slot.input_offset + c];
-                        dw[c] += g * ei[c] * ej[c];
-                    }
-                }
-            });
-        }
-
-        // Pass B — parallel over batch rows: d e^m copies and the d e^o
-        // accumulation. Iterating pairs in ascending order inside each row
-        // job reproduces the fused loop's per-element accumulation order,
-        // so the gradients are bit-identical for any thread count.
-        {
-            let eo_width = m * s1;
-            let em_width = self.num_memorized * s2;
-            let fw_val = self.fact_weights.as_ref().map(|fw| &fw.value);
-            self.pool.for_rows2(
-                d_eo.as_mut_slice(),
-                eo_width,
-                d_em.as_mut_slice(),
-                em_width,
-                |r, d_row, dem_full| {
-                    let eo_row = eo_ref.row(r);
-                    let g_row = dinput_ref.row(r);
-                    for (p, slot) in slots.iter().enumerate() {
-                        match slot.method {
-                            Method::Memorize => {
-                                let src = &g_row[slot.input_offset..slot.input_offset + s2];
-                                dem_full[slot.mem_slot * s2..(slot.mem_slot + 1) * s2]
-                                    .copy_from_slice(src);
-                            }
-                            Method::Factorize => {
-                                let (i, j) = pairs.pair_at(p);
-                                let (ei, ej) =
-                                    (&eo_row[i * s1..(i + 1) * s1], &eo_row[j * s1..(j + 1) * s1]);
-                                match fact_fn {
-                                    FactFn::Hadamard => {
-                                        for c in 0..s1 {
-                                            let g = g_row[slot.input_offset + c];
-                                            d_row[i * s1 + c] += g * ej[c];
-                                            d_row[j * s1 + c] += g * ei[c];
-                                        }
-                                    }
-                                    FactFn::PointwiseAdd => {
-                                        for c in 0..s1 {
-                                            let g = g_row[slot.input_offset + c];
-                                            d_row[i * s1 + c] += g;
-                                            d_row[j * s1 + c] += g;
-                                        }
-                                    }
-                                    FactFn::Generalized => {
-                                        let Some(fw) = fw_val else {
-                                            unreachable!("generalized slot without fact_weights")
-                                        };
-                                        let w = fw.row(p);
-                                        for c in 0..s1 {
-                                            let g = g_row[slot.input_offset + c];
-                                            d_row[i * s1 + c] += g * w[c] * ej[c];
-                                            d_row[j * s1 + c] += g * w[c] * ei[c];
-                                        }
-                                    }
-                                }
-                            }
-                            Method::Naive => {}
-                        }
-                    }
-                },
-            );
-        }
+        // Generalized-weight rows shard over contiguous pair ranges, the
+        // field gradients over batch rows.
+        let (fw, fw_grad) = match self.fact_weights.as_mut() {
+            Some(fw) => (Some(&fw.value), Some(&mut fw.grad)),
+            None => (None, None),
+        };
+        self.layout.assemble_backward_into(
+            &self.pool,
+            Fact::new(self.cfg.fact_fn, fw),
+            &dinput,
+            &self.scr.eo,
+            &mut self.scr.d_eo,
+            &mut self.scr.d_em,
+            fw_grad,
+        );
         self.e_orig
-            .accumulate_grad_fields_pooled(&batch.fields, m, &d_eo, &self.pool);
-        if self.num_memorized > 0 {
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.scr.d_eo, &self.pool);
+        let num_memorized = self.num_memorized();
+        if num_memorized > 0 {
             self.e_cross.accumulate_grad_fields_pooled(
                 &self.scr.mem_ids,
-                self.num_memorized,
-                &d_em,
+                num_memorized,
+                &self.scr.d_em,
                 &self.pool,
             );
         }
         self.ws.recycle(dinput);
-        self.ws.recycle(d_eo);
-        self.ws.recycle(d_em);
     }
 
     /// Applies one Adam step to all weights.
@@ -505,7 +319,7 @@ impl OptInterNet {
         }
         self.adam_net = adam;
         self.e_orig.apply_adam(&self.adam_net, self.cfg.l2_orig);
-        if self.num_memorized > 0 {
+        if self.num_memorized() > 0 {
             self.adam_cross.begin_step();
             self.e_cross.apply_adam(&self.adam_cross, self.cfg.l2_cross);
         }
@@ -516,7 +330,7 @@ impl OptInterNet {
     /// exporting or freezing weights; a no-op for the other modes.
     pub fn catch_up_embeddings(&mut self) {
         self.e_orig.catch_up_all(&self.adam_net, self.cfg.l2_orig);
-        if self.num_memorized > 0 {
+        if self.num_memorized() > 0 {
             self.e_cross
                 .catch_up_all(&self.adam_cross, self.cfg.l2_cross);
         }
@@ -700,7 +514,8 @@ mod tests {
             .next()
             .unwrap();
         let mut ids = Vec::new();
-        net.gather_mem_ids_into(&batch, &mut ids);
+        net.layout
+            .gather_mem_ids_into(&batch.cross, &net.dims.pair_offsets, &mut ids);
         assert_eq!(ids.len(), 64 * net.num_memorized());
         let max = net.e_cross.key_space() as u32;
         assert!(ids.iter().all(|&id| id < max));

@@ -12,20 +12,29 @@
 //! network weights Θ *and* architecture logits α, which are updated
 //! simultaneously by separate Adam instances (the paper's joint scheme).
 //!
+//! The combination block itself lives in [`crate::combine`]; this module
+//! owns the parameters, the Gumbel draws and the optimizer steps.
+//!
 //! # Parallelism
 //!
 //! When `cfg.num_threads > 1` the per-batch work shards across a
 //! [`Pool`] under the owner-computes discipline (see
-//! `optinter_tensor::pool`): the forward pass row-shards candidate and
-//! input assembly, the MLP's matmuls row-block, and the backward pass runs
-//! as two passes — one parallel over *pairs* (each pair owns its `dp_m`,
-//! `dp_f`, architecture-gradient row and generalized-weight row) and one
-//! parallel over *batch rows* (each row owns its slices of `d e^o` and
-//! `d e^m`). Every floating-point accumulator keeps the serial loop's
-//! element-wise accumulation order, so training is bit-identical to the
-//! single-threaded path for any thread count.
+//! `optinter_tensor::pool`): the forward pass row-shards input assembly,
+//! the MLP's matmuls row-block, and the backward pass runs as two passes.
+//! The `α`-gradient pass gives each job a contiguous range of *pairs*,
+//! which owns those pairs' `dp_m`/`dp_f` accumulators (persistent
+//! scratch), generalized-weight rows and architecture-gradient rows; the
+//! job walks the batch rows-outer, so its pairs' reduction chains
+//! interleave. The field-gradient pass is parallel over *batch rows*, each
+//! owning its slices of `d e^o` and `d e^m`, and walks the pairs in their
+//! nested `(i, j)` order. Every floating-point accumulator still adds the
+//! same terms in the same order as the original serial loop — `dp_m` and
+//! `dp_f` in ascending `(r, c)`, each `d e^o` element in ascending pair
+//! order — so training is bit-identical to the single-threaded path for
+//! any thread count, and to the loops this pass order replaced.
 
 use crate::arch::{Architecture, Method};
+use crate::combine::{Fact, Mixed};
 use crate::config::{FactFn, OptInterConfig};
 use crate::gumbel::GumbelSample;
 use crate::net::DataDims;
@@ -66,11 +75,14 @@ pub struct Supernet {
 struct SupScratch {
     eo: Matrix,
     em: Matrix,
-    ef: Matrix,
     input: Matrix,
     logits: Matrix,
     grad_logits: Matrix,
     samples: Vec<GumbelSample>,
+    /// Each pair's `(dp_m, dp_f)` accumulators for the α gradient.
+    dp: Matrix,
+    d_eo: Matrix,
+    d_em: Matrix,
 }
 
 impl SupScratch {
@@ -78,11 +90,13 @@ impl SupScratch {
         Self {
             eo: Matrix::zeros(0, 0),
             em: Matrix::zeros(0, 0),
-            ef: Matrix::zeros(0, 0),
             input: Matrix::zeros(0, 0),
             logits: Matrix::zeros(0, 0),
             grad_logits: Matrix::zeros(0, 0),
             samples: Vec::new(),
+            dp: Matrix::zeros(0, 0),
+            d_eo: Matrix::zeros(0, 0),
+            d_em: Matrix::zeros(0, 0),
         }
     }
 }
@@ -223,62 +237,16 @@ impl Supernet {
     fn forward_step(&mut self, batch: &Batch, tau: f32, train: bool) {
         let m = self.dims.num_fields;
         let p_count = self.dims.num_pairs;
-        let s1 = self.cfg.orig_dim;
-        let s2 = self.cfg.cross_dim;
-        let d = self.cfg.mixed_dim();
         assert_eq!(batch.num_fields, m, "supernet: field count mismatch");
         assert!(
             !batch.cross.is_empty(),
             "supernet needs cross features in the batch"
         );
-        let b = batch.len();
 
         self.e_orig
             .lookup_fields_pooled_into(&batch.fields, m, &self.pool, &mut self.scr.eo);
         self.e_cross
             .lookup_fields_pooled_into(&batch.cross, p_count, &self.pool, &mut self.scr.em);
-
-        // Factorized candidates for all pairs: ef[b, p*s1 + c]. Sharded over
-        // batch rows; each element is a pure function of `eo` (and the pair
-        // weights), so any row split is bit-identical to the serial loop.
-        let fact_fn = self.cfg.fact_fn;
-        let fw_val = self.fact_weights.as_ref().map(|fw| &fw.value);
-        self.scr.ef.reset(b, p_count * s1);
-        {
-            let pairs = &self.pairs;
-            let eo_ref = &self.scr.eo;
-            let ef_width = p_count * s1;
-            self.pool
-                .for_rows(self.scr.ef.as_mut_slice(), ef_width, |r, ef_row| {
-                    let eo_row = eo_ref.row(r);
-                    for (p, &(i, j)) in pairs.iter().enumerate() {
-                        let (ei, ej) =
-                            (&eo_row[i * s1..(i + 1) * s1], &eo_row[j * s1..(j + 1) * s1]);
-                        let dst = &mut ef_row[p * s1..(p + 1) * s1];
-                        match fact_fn {
-                            FactFn::Hadamard => {
-                                for c in 0..s1 {
-                                    dst[c] = ei[c] * ej[c];
-                                }
-                            }
-                            FactFn::PointwiseAdd => {
-                                for c in 0..s1 {
-                                    dst[c] = ei[c] + ej[c];
-                                }
-                            }
-                            FactFn::Generalized => {
-                                let Some(fw) = fw_val else {
-                                    unreachable!("generalized slot without fact_weights")
-                                };
-                                let w = fw.row(p);
-                                for c in 0..s1 {
-                                    dst[c] = w[c] * ei[c] * ej[c];
-                                }
-                            }
-                        }
-                    }
-                });
-        }
 
         // Relaxed method weights per pair. Gumbel noise must come off the
         // shared stream in pair order, so this stays serial.
@@ -295,38 +263,18 @@ impl Supernet {
         }
         self.scr.samples = samples;
 
-        // Assemble the MLP input: [e^o | mixed pair embeddings]. Also
-        // sharded over batch rows under owner-computes.
-        let in_width = m * s1 + p_count * d;
-        self.scr.input.reset(b, in_width);
-        {
-            let eo_ref = &self.scr.eo;
-            let em_ref = &self.scr.em;
-            let ef_ref = &self.scr.ef;
-            let samples = &self.scr.samples;
-            self.pool
-                .for_rows(self.scr.input.as_mut_slice(), in_width, |r, in_row| {
-                    in_row[..m * s1].copy_from_slice(eo_ref.row(r));
-                    for (p, sample) in samples.iter().enumerate() {
-                        let pm = sample.probs[0];
-                        let pf = sample.probs[1];
-                        let base = m * s1 + p * d;
-                        let em_row = &em_ref.row(r)[p * s2..(p + 1) * s2];
-                        let ef_row = &ef_ref.row(r)[p * s1..(p + 1) * s1];
-                        let dst = &mut in_row[base..base + d];
-                        for c in 0..d {
-                            let mut v = 0.0f32;
-                            if c < s2 {
-                                v += pm * em_row[c];
-                            }
-                            if c < s1 {
-                                v += pf * ef_row[c];
-                            }
-                            dst[c] = v;
-                        }
-                    }
-                });
+        // The MLP input [e^o | mixed pair embeddings], sharded over batch
+        // rows.
+        let fw = self.fact_weights.as_ref().map(|fw| &fw.value);
+        Mixed {
+            pairs: &self.pairs,
+            samples: &self.scr.samples,
+            fact: Fact::new(self.cfg.fact_fn, fw),
+            s1: self.cfg.orig_dim,
+            s2: self.cfg.cross_dim,
+            num_fields: m,
         }
+        .mix_into(&self.pool, &self.scr.eo, &self.scr.em, &mut self.scr.input);
 
         let (input, logits) = (&self.scr.input, &mut self.scr.logits);
         self.mlp.forward_into(input, logits);
@@ -340,9 +288,6 @@ impl Supernet {
     pub fn backward(&mut self, batch: &Batch, grad_logits: &Matrix) {
         let m = self.dims.num_fields;
         let p_count = self.dims.num_pairs;
-        let s1 = self.cfg.orig_dim;
-        let s2 = self.cfg.cross_dim;
-        let d = self.cfg.mixed_dim();
         let b = grad_logits.rows();
         assert_eq!(
             self.scr.input.rows(),
@@ -356,154 +301,42 @@ impl Supernet {
             self.mlp.backward_into(input, grad_logits, &mut dinput);
         }
 
-        // Two owner-computes passes replace the serial fused pair loop.
-        // Splitting is safe because the pair-owned accumulators (dp_m, dp_f,
-        // arch grad, generalized weights) and the row-owned ones (d e^o,
-        // d e^m) never alias, and each pass keeps every accumulator's
-        // element-wise accumulation order identical to the fused loop:
-        // ascending `r` per pair in pass A, ascending `p` per row in pass B.
-        let fact_fn = self.cfg.fact_fn;
-
-        // Pass A — parallel over pairs: dp_m/dp_f reductions (ascending r,
-        // exactly as the fused loop accumulated them), the Gumbel backward,
-        // this pair's architecture-gradient row, and for the generalized
-        // product this pair's weight-gradient row.
-        {
-            let pairs = &self.pairs;
-            let eo_ref = &self.scr.eo;
-            let em_ref = &self.scr.em;
-            let ef_ref = &self.scr.ef;
-            let samples = &self.scr.samples;
-            let dinput_ref = &dinput;
-            // The generalized product is the only factorization with its own
-            // weights; for the other two the secondary buffer is empty and
-            // `dw` comes out as a zero-length slice.
-            // lint: allow(hot-path-alloc, reason="zero-capacity sentinel; Vec::new never touches the heap")
-            let mut no_fw: Vec<f32> = Vec::new();
-            let (fw_grad, fw_width): (&mut [f32], usize) = match self.fact_weights.as_mut() {
-                Some(fw) => (fw.grad.as_mut_slice(), s1),
-                None => (&mut no_fw, 0),
-            };
-            self.pool.for_rows2(
-                self.arch.grad.as_mut_slice(),
-                3,
-                fw_grad,
-                fw_width,
-                |p, arow, dw| {
-                    let (i, j) = pairs[p];
-                    let sample = &samples[p];
-                    let pf = sample.probs[1];
-                    let base = m * s1 + p * d;
-                    let mut dpm = 0.0f32;
-                    let mut dpf = 0.0f32;
-                    for r in 0..b {
-                        let g = &dinput_ref.row(r)[base..base + d];
-                        let em_row = &em_ref.row(r)[p * s2..(p + 1) * s2];
-                        let ef_row = &ef_ref.row(r)[p * s1..(p + 1) * s1];
-                        // d p_m, d p_f: inner products with the candidates.
-                        for c in 0..s2.min(d) {
-                            dpm += g[c] * em_row[c];
-                        }
-                        for c in 0..s1.min(d) {
-                            dpf += g[c] * ef_row[c];
-                        }
-                        if fact_fn == FactFn::Generalized {
-                            let eo_row = eo_ref.row(r);
-                            let (ei, ej) =
-                                (&eo_row[i * s1..(i + 1) * s1], &eo_row[j * s1..(j + 1) * s1]);
-                            for c in 0..s1.min(d) {
-                                let def = pf * g[c];
-                                dw[c] += def * ei[c] * ej[c];
-                            }
-                        }
-                    }
-                    // d p_n = 0 (the naive embedding is identically zero).
-                    let dprobs = [dpm, dpf, 0.0];
-                    let mut dlogits = [0.0f32; 3];
-                    sample.backward(&dprobs, &mut dlogits);
-                    for c in 0..3 {
-                        arow[c] += dlogits[c];
-                    }
-                },
-            );
-        }
-
-        // Pass B — parallel over batch rows: d e^m and d e^o. A row of
-        // `d e^o` receives contributions from every pair containing its
-        // fields; iterating pairs in ascending order inside the row job
-        // reproduces the fused loop's per-element accumulation order.
-        let mut d_eo = self.ws.take(0, 0);
-        dinput.block_into(0, m * s1, &mut d_eo);
-        let mut d_em = self.ws.take(b, p_count * s2);
-        {
-            let eo_width = m * s1;
-            let em_width = p_count * s2;
-            let fw_val = self.fact_weights.as_ref().map(|fw| &fw.value);
-            let pairs = &self.pairs;
-            let eo_ref = &self.scr.eo;
-            let samples = &self.scr.samples;
-            let dinput_ref = &dinput;
-            self.pool.for_rows2(
-                d_eo.as_mut_slice(),
-                eo_width,
-                d_em.as_mut_slice(),
-                em_width,
-                |r, deo_row, dem_full| {
-                    let eo_row = eo_ref.row(r);
-                    let din_row = dinput_ref.row(r);
-                    for (p, &(i, j)) in pairs.iter().enumerate() {
-                        let sample = &samples[p];
-                        let (pm, pf) = (sample.probs[0], sample.probs[1]);
-                        let base = m * s1 + p * d;
-                        let g = &din_row[base..base + d];
-                        // d e^m = p_m * g (truncated to s2).
-                        let dem_row = &mut dem_full[p * s2..(p + 1) * s2];
-                        for c in 0..s2.min(d) {
-                            dem_row[c] += pm * g[c];
-                        }
-                        // d e^f = p_f * g; factorization-function backward
-                        // into the two fields.
-                        let (ei, ej) =
-                            (&eo_row[i * s1..(i + 1) * s1], &eo_row[j * s1..(j + 1) * s1]);
-                        match fact_fn {
-                            FactFn::Hadamard => {
-                                for c in 0..s1.min(d) {
-                                    let def = pf * g[c];
-                                    deo_row[i * s1 + c] += def * ej[c];
-                                    deo_row[j * s1 + c] += def * ei[c];
-                                }
-                            }
-                            FactFn::PointwiseAdd => {
-                                for c in 0..s1.min(d) {
-                                    let def = pf * g[c];
-                                    deo_row[i * s1 + c] += def;
-                                    deo_row[j * s1 + c] += def;
-                                }
-                            }
-                            FactFn::Generalized => {
-                                let Some(fw) = fw_val else {
-                                    unreachable!("generalized slot without fact_weights")
-                                };
-                                let w = fw.row(p);
-                                for c in 0..s1.min(d) {
-                                    let def = pf * g[c];
-                                    deo_row[i * s1 + c] += def * w[c] * ej[c];
-                                    deo_row[j * s1 + c] += def * w[c] * ei[c];
-                                }
-                            }
-                        }
-                    }
-                },
-            );
-        }
+        // Two owner-computes passes: one over contiguous ranges of pairs
+        // (each owns its dp_m/dp_f, α-gradient and generalized-weight
+        // rows), one over batch rows (each owns its d e^o and d e^m rows).
+        let (fw, fw_grad) = match self.fact_weights.as_mut() {
+            Some(fw) => (Some(&fw.value), Some(&mut fw.grad)),
+            None => (None, None),
+        };
+        let block = Mixed {
+            pairs: &self.pairs,
+            samples: &self.scr.samples,
+            fact: Fact::new(self.cfg.fact_fn, fw),
+            s1: self.cfg.orig_dim,
+            s2: self.cfg.cross_dim,
+            num_fields: m,
+        };
+        block.backward_arch(
+            &self.pool,
+            &dinput,
+            &self.scr.eo,
+            &self.scr.em,
+            &mut self.scr.dp,
+            &mut self.arch.grad,
+            fw_grad,
+        );
+        let (d_eo, d_em) = (&mut self.scr.d_eo, &mut self.scr.d_em);
+        block.backward_fields(&self.pool, &dinput, &self.scr.eo, d_eo, d_em);
 
         self.e_orig
-            .accumulate_grad_fields_pooled(&batch.fields, m, &d_eo, &self.pool);
-        self.e_cross
-            .accumulate_grad_fields_pooled(&batch.cross, p_count, &d_em, &self.pool);
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.scr.d_eo, &self.pool);
+        self.e_cross.accumulate_grad_fields_pooled(
+            &batch.cross,
+            p_count,
+            &self.scr.d_em,
+            &self.pool,
+        );
         self.ws.recycle(dinput);
-        self.ws.recycle(d_eo);
-        self.ws.recycle(d_em);
     }
 
     /// Applies one simultaneous optimizer step to Θ and α (Algorithm 1).

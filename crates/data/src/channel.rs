@@ -15,7 +15,8 @@
 //! `capacity` slots that can never grow, because senders block while it
 //! is full. Semantics mirror the `std::sync::mpsc` subset the repo uses:
 //! single producer, single consumer, `send`/`recv`/`recv_timeout`, and
-//! hang-free disconnect in both directions when either handle drops.
+//! hang-free disconnect in both directions when either handle drops; one
+//! addition, `try_recv_into`, pops whatever is queued in one lock.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -146,6 +147,20 @@ impl<T> Receiver<T> {
         }
     }
 
+    /// Moves up to `limit` queued values into `out` without waiting, under
+    /// one lock, and returns how many it moved. Never reports a
+    /// disconnect: a later [`recv`](Self::recv) does. Allocation-free when
+    /// `out` has room for them.
+    pub fn try_recv_into(&self, out: &mut Vec<T>, limit: usize) -> usize {
+        let mut st = lock(&self.0.state);
+        let n = st.queue.len().min(limit);
+        out.extend(st.queue.drain(..n));
+        if n > 0 {
+            self.0.not_full.notify_one();
+        }
+        n
+    }
+
     /// [`recv`](Self::recv) with an upper bound on the wait. Spurious
     /// condvar wakeups re-arm with the remaining time, so the total wait
     /// never exceeds `timeout` by more than scheduling noise.
@@ -233,6 +248,40 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn try_recv_into_takes_what_is_queued_up_to_the_limit() {
+        let (tx, rx) = bounded::<u32>(8);
+        let mut out = Vec::with_capacity(8);
+        assert_eq!(rx.try_recv_into(&mut out, 4), 0, "empty channel");
+        for i in 0..5 {
+            tx.send(i).expect("send");
+        }
+        assert_eq!(rx.try_recv_into(&mut out, 3), 3);
+        assert_eq!(out, [0, 1, 2]);
+        assert_eq!(rx.try_recv_into(&mut out, 8), 2);
+        assert_eq!(out, [0, 1, 2, 3, 4]);
+        drop(tx);
+        assert_eq!(rx.try_recv_into(&mut out, 8), 0);
+        assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn try_recv_into_wakes_a_blocked_sender() {
+        let (tx, rx) = bounded::<u32>(2);
+        tx.send(0).expect("send");
+        tx.send(1).expect("send");
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // The channel is full: this send parks until the batch pop.
+                tx.send(2).expect("receiver alive");
+            });
+            let mut out = Vec::new();
+            assert_eq!(rx.try_recv_into(&mut out, 2), 2);
+            assert_eq!(out, [0, 1]);
+            assert_eq!(rx.recv(), Ok(2));
+        });
     }
 
     #[test]

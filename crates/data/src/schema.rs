@@ -59,7 +59,6 @@ pub struct PairIndexer {
 impl PairIndexer {
     /// Creates an indexer over `num_fields` fields.
     pub fn new(num_fields: usize) -> Self {
-        // lint: allow(panic-free, reason="num_fields is validated by FrozenModel::from_bytes before any serve-path PairIndexer is built")
         assert!(num_fields >= 2, "pair indexing needs at least two fields");
         Self { num_fields }
     }
@@ -85,7 +84,6 @@ impl PairIndexer {
 
     /// The pair `(i, j)` at flat index `p`.
     pub fn pair_at(&self, p: usize) -> (usize, usize) {
-        // lint: allow(panic-free, reason="serve callers iterate p over 0..num_pairs of the same indexer the layout was built from")
         assert!(p < self.num_pairs(), "pair index {p} out of range");
         let m = self.num_fields;
         let mut i = 0;

@@ -12,7 +12,9 @@
 //!
 //! Deadline semantics: a batch flushes the moment it holds
 //! [`BatchPolicy::max_batch`] requests, or when the *oldest* request in
-//! it has waited [`BatchPolicy::deadline_ns`], whichever comes first.
+//! it has waited [`BatchPolicy::deadline_ns`], whichever comes first. A
+//! flush takes every request already queued, up to `max_batch`, as
+//! [`simulate`] does.
 //! Dropping the submitter drains everything in flight and flushes the
 //! remainder immediately; thread panics propagate out of [`serve`] via
 //! `std::thread::scope` (nothing hangs).
@@ -236,9 +238,17 @@ pub fn serve<C, G, F>(
                 }
             }
             // Top the batch up until it is full or the oldest request's
-            // deadline arrives.
+            // deadline arrives. Before each decision, take everything
+            // already queued (up to a full batch): an overdue batch must
+            // carry the backlog with it, or every later request, overdue
+            // on arrival, would flush alone.
             let deadline = policy.deadline_for(pending[0].submit_ns);
-            while !policy.should_flush(pending.len(), pending[0].submit_ns, clock.now_ns()) {
+            loop {
+                let room = policy.max_batch - pending.len();
+                full_rx.try_recv_into(&mut pending, room);
+                if policy.should_flush(pending.len(), pending[0].submit_ns, clock.now_ns()) {
+                    break;
+                }
                 let wait = deadline.saturating_sub(clock.now_ns());
                 match full_rx.recv_timeout(Duration::from_nanos(wait)) {
                     Ok(r) => pending.push(r),

@@ -10,8 +10,9 @@
 //!   undone through `row_map`, so identical bytes land in identical
 //!   scratch positions) — and for hashed stores, the same slot functions
 //!   and elementwise product the training store used;
-//! - MLP-input assembly runs the same per-row closure under the same
-//!   owner-computes [`Pool::for_rows`] sharding as `forward_step`;
+//! - MLP-input assembly is the training forward's own function,
+//!   [`PairLayout::assemble_into`], over a layout rebuilt from the frozen
+//!   architecture;
 //! - the classifier is a real [`Mlp`] rebuilt from the frozen weights, so
 //!   the blocked matmul kernels and LayerNorm are literally the training
 //!   code;
@@ -22,6 +23,7 @@
 //! `reset` in place per request.
 
 use crate::artifact::{ArtifactError, FrozenModel, Quant, StoreDesc};
+use optinter_core::combine::{Fact, PairLayout};
 use optinter_core::net::DataDims;
 use optinter_core::{FactFn, Method};
 use optinter_data::Batch;
@@ -130,61 +132,6 @@ impl std::error::Error for ScoreError {}
 /// path writes identical bytes, so this is purely a latency knob.
 const SERIAL_LOOKUP_MIN: usize = 16 * 1024;
 
-/// Where a pair's features land in the MLP input — the same layout
-/// `OptInterNet::new` derives, recomputed from the frozen metadata.
-#[derive(Debug, Clone, Copy)]
-struct PairSlot {
-    method: Method,
-    input_offset: usize,
-    mem_slot: usize,
-    compact_offset: u32,
-}
-
-/// Deterministic serving-side replica of the training-time pair layout.
-#[derive(Debug)]
-struct PairLayout {
-    slots: Vec<PairSlot>,
-    num_memorized: usize,
-    input_dim: usize,
-    cross_rows: usize,
-}
-
-impl PairLayout {
-    fn of(model: &FrozenModel) -> Self {
-        let s1 = model.orig_dim;
-        let s2 = model.cross_dim;
-        let dims = &model.dims;
-        let mut slots = Vec::with_capacity(dims.num_pairs);
-        let mut input_offset = dims.num_fields * s1;
-        let mut compact_offset = 0u32;
-        let mut mem_slot = 0usize;
-        for p in 0..dims.num_pairs {
-            let method = model.arch.method(p);
-            slots.push(PairSlot {
-                method,
-                input_offset,
-                mem_slot,
-                compact_offset,
-            });
-            match method {
-                Method::Memorize => {
-                    input_offset += s2;
-                    compact_offset += dims.pair_vocab_sizes[p];
-                    mem_slot += 1;
-                }
-                Method::Factorize => input_offset += s1,
-                Method::Naive => {}
-            }
-        }
-        Self {
-            slots,
-            num_memorized: mem_slot,
-            input_dim: input_offset,
-            cross_rows: compact_offset.max(1) as usize,
-        }
-    }
-}
-
 /// A frozen embedding table in serving form: either a dense arena (with
 /// an optional hot-first permutation to undo at lookup time) or a
 /// compositional pair of sub-tables whose rows are recomposed per id
@@ -270,8 +217,6 @@ impl ServingTable {
 /// one thread of control; clone-free request scoring after warm-up.
 pub struct FrozenScorer {
     dims: DataDims,
-    orig_dim: usize,
-    cross_dim: usize,
     fact_fn: FactFn,
     quant: Quant,
     /// Kernel backend the scorer dispatches to, captured at load time so
@@ -280,6 +225,7 @@ pub struct FrozenScorer {
     backend: Backend,
     /// Backend recorded in the artifact at freeze time.
     frozen_backend: Backend,
+    /// The training-time pair layout, rebuilt from the frozen metadata.
     layout: PairLayout,
     /// Original-feature table (hot-first arena or hashed sub-tables).
     orig: ServingTable,
@@ -303,10 +249,10 @@ impl FrozenScorer {
     /// Returns [`ArtifactError::Corrupt`] when the model's tensors are
     /// missing or shaped inconsistently with its metadata.
     pub fn new(model: &FrozenModel, num_threads: usize) -> Result<Self, ArtifactError> {
-        let layout = PairLayout::of(model);
         let dims = model.dims.clone();
         let s1 = model.orig_dim;
         let s2 = model.cross_dim;
+        let layout = PairLayout::new(&model.arch, &dims, s1, s2);
 
         let orig = build_table(
             model,
@@ -320,7 +266,7 @@ impl FrozenScorer {
             model,
             "e_cross",
             model.cross_store,
-            layout.cross_rows,
+            layout.compact_rows(),
             s2,
             false,
         )?;
@@ -342,7 +288,7 @@ impl FrozenScorer {
         let mut mlp = Mlp::new(
             &mut rng,
             &MlpConfig {
-                input_dim: layout.input_dim,
+                input_dim: layout.input_dim(),
                 hidden: model.hidden.clone(),
                 output_dim: 1,
                 layer_norm: model.layer_norm,
@@ -381,8 +327,6 @@ impl FrozenScorer {
         mlp.set_pool(&pool);
         Ok(Self {
             dims,
-            orig_dim: s1,
-            cross_dim: s2,
             fact_fn: model.fact_fn,
             quant: model.quant,
             backend: kernels::active(),
@@ -403,7 +347,7 @@ impl FrozenScorer {
 
     /// MLP input dimension (diagnostics).
     pub fn input_dim(&self) -> usize {
-        self.layout.input_dim
+        self.layout.input_dim()
     }
 
     /// Quantization mode of the loaded artifact.
@@ -432,7 +376,7 @@ impl FrozenScorer {
     /// architecture memorizes at least one pair). The micro-batch front
     /// door uses this to validate requests before they are queued.
     pub fn requires_cross(&self) -> bool {
-        self.layout.num_memorized > 0
+        self.layout.num_memorized() > 0
     }
 
     /// Scores a batch of requests into `out` (cleared first): `out[i]` is
@@ -447,80 +391,26 @@ impl FrozenScorer {
         out.clear();
         self.validate(batch)?;
         let m = self.dims.num_fields;
-        let s1 = self.orig_dim;
-        let s2 = self.cross_dim;
-        let b = batch.len();
         self.orig
             .lookup_into(&batch.fields, m, &self.pool, &mut self.eo);
-        self.gather_mem_ids_into(batch);
-        if self.layout.num_memorized > 0 {
-            self.cross.lookup_into(
-                &self.mem_ids,
-                self.layout.num_memorized,
-                &self.pool,
-                &mut self.em,
-            );
+        self.layout
+            .gather_mem_ids_into(&batch.cross, &self.dims.pair_offsets, &mut self.mem_ids);
+        let num_memorized = self.layout.num_memorized();
+        if num_memorized > 0 {
+            self.cross
+                .lookup_into(&self.mem_ids, num_memorized, &self.pool, &mut self.em);
         } else {
-            self.em.reset(b, 0);
+            self.em.reset(batch.len(), 0);
         }
-        // MLP-input assembly: the same per-row closure as
-        // `OptInterNet::forward_step`, sharded owner-computes so any
-        // thread count writes identical bytes.
-        self.input.reset(b, self.layout.input_dim);
-        {
-            let input_dim = self.layout.input_dim;
-            let slots = &self.layout.slots;
-            let pairs = self.dims.pairs();
-            let fact_fn = self.fact_fn;
-            let fw_val = self.fact_weights.as_ref();
-            let eo_ref = &self.eo;
-            let em_ref = &self.em;
-            self.pool
-                .for_rows(self.input.as_mut_slice(), input_dim, |r, dst_row| {
-                    let eo_row = eo_ref.row(r);
-                    dst_row[..m * s1].copy_from_slice(eo_row);
-                    for (p, slot) in slots.iter().enumerate() {
-                        match slot.method {
-                            Method::Memorize => {
-                                let src =
-                                    &em_ref.row(r)[slot.mem_slot * s2..(slot.mem_slot + 1) * s2];
-                                dst_row[slot.input_offset..slot.input_offset + s2]
-                                    .copy_from_slice(src);
-                            }
-                            Method::Factorize => {
-                                let (i, j) = pairs.pair_at(p);
-                                let (ei_start, ej_start) = (i * s1, j * s1);
-                                match fact_fn {
-                                    FactFn::Hadamard => {
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                eo_row[ei_start + c] * eo_row[ej_start + c];
-                                        }
-                                    }
-                                    FactFn::PointwiseAdd => {
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                eo_row[ei_start + c] + eo_row[ej_start + c];
-                                        }
-                                    }
-                                    FactFn::Generalized => {
-                                        let Some(fw) = fw_val else {
-                                            // lint: allow(panic-free, reason="layout construction materializes fact_weights whenever any slot is Generalized")
-                                            unreachable!("generalized slot without fact_weights")
-                                        };
-                                        let w = fw.row(p);
-                                        for c in 0..s1 {
-                                            dst_row[slot.input_offset + c] =
-                                                w[c] * eo_row[ei_start + c] * eo_row[ej_start + c];
-                                        }
-                                    }
-                                }
-                            }
-                            Method::Naive => {}
-                        }
-                    }
-                });
-        }
+        // The training forward's own assembly (`OptInterNet::forward_step`),
+        // sharded owner-computes so any thread count writes identical bytes.
+        self.layout.assemble_into(
+            &self.pool,
+            Fact::new(self.fact_fn, self.fact_weights.as_ref()),
+            &self.eo,
+            &self.em,
+            &mut self.input,
+        );
         self.mlp.forward_into(&self.input, &mut self.logits);
         probabilities_into(&self.logits, out);
         Ok(())
@@ -548,7 +438,7 @@ impl FrozenScorer {
                 });
             }
         }
-        if self.layout.num_memorized == 0 {
+        if self.layout.num_memorized() == 0 {
             return Ok(());
         }
         if batch.cross.is_empty() {
@@ -564,7 +454,7 @@ impl FrozenScorer {
         }
         for r in 0..b {
             let row = &batch.cross[r * p_count..(r + 1) * p_count];
-            for (p, slot) in self.layout.slots.iter().enumerate() {
+            for (p, slot) in self.layout.slots().iter().enumerate() {
                 if slot.method != Method::Memorize {
                     continue;
                 }
@@ -583,28 +473,6 @@ impl FrozenScorer {
             }
         }
         Ok(())
-    }
-
-    /// Translates global cross ids to compact-table ids for memorized
-    /// pairs, exactly as the training path does. Runs after
-    /// [`Self::validate`], so every id is inside its pair's vocab block.
-    fn gather_mem_ids_into(&mut self, batch: &Batch) {
-        self.mem_ids.clear();
-        if self.layout.num_memorized == 0 {
-            return;
-        }
-        let p_count = self.dims.num_pairs;
-        let b = batch.len();
-        self.mem_ids.reserve(b * self.layout.num_memorized);
-        for r in 0..b {
-            let row = &batch.cross[r * p_count..(r + 1) * p_count];
-            for (p, slot) in self.layout.slots.iter().enumerate() {
-                if slot.method == Method::Memorize {
-                    let local = row[p] - self.dims.pair_offsets[p];
-                    self.mem_ids.push(slot.compact_offset + local);
-                }
-            }
-        }
     }
 }
 

@@ -6,8 +6,9 @@
 //! ever lost, duplicated, or reordered, batches respect `max_batch`, and
 //! no request waits past its deadline (except the shutdown drain, which
 //! flushes immediately). Threaded tests then check the live [`serve`]
-//! loop: ordered delivery, clean mid-flight drain on submitter drop, and
-//! panic propagation out of the scope (nothing hangs).
+//! loop: ordered delivery, whole-queue flushes once a deadline has
+//! passed, clean mid-flight drain on submitter drop, and panic
+//! propagation out of the scope (nothing hangs).
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, Method, OptInterConfig, OptInterNet};
@@ -172,6 +173,69 @@ fn live_serve_delivers_every_request_in_order() {
             r.prob.to_bits(),
             "micro-batched probability differs from direct scoring at {k}"
         );
+    }
+}
+
+#[test]
+fn an_overdue_flush_takes_every_queued_request() {
+    // The batcher flushes request 0 alone, then waits inside its
+    // `on_response` until the client has queued `k` more requests and
+    // moved the clock past their deadline. So the queue holds `k` overdue
+    // requests when the loop resumes, whatever the thread timing, and the
+    // next flush must take min(k, max_batch) of them, like `simulate`.
+    const MAX_BATCH: usize = 8;
+    const DEADLINE_NS: u64 = 1_000;
+    let (mut scorer, bundle) = tiny_scorer();
+    let (fields, cross) = (bundle.data.row_fields(0), bundle.data.row_cross(0));
+    for k in [1, 5, MAX_BATCH, MAX_BATCH + 3] {
+        let clock = ManualClock::new();
+        let opts = MicroBatchOptions {
+            queue_slots: 16,
+            max_batch: MAX_BATCH,
+            deadline_ns: DEADLINE_NS,
+        };
+        let (flushed_tx, flushed_rx) = std::sync::mpsc::channel::<()>();
+        let (queued_tx, queued_rx) = std::sync::mpsc::channel::<()>();
+        let mut done_ns = Vec::new();
+        let client_clock = &clock;
+        serve(
+            &mut scorer,
+            &clock,
+            &opts,
+            move |mut submitter| {
+                assert!(submitter.submit(0, fields, cross));
+                flushed_rx.recv().expect("request 0 flushes on its own");
+                for id in 1..=k as u64 {
+                    assert!(submitter.submit(id, fields, cross));
+                }
+                client_clock.set_ns(DEADLINE_NS + 1);
+                queued_tx.send(()).expect("batcher waits for the queue");
+            },
+            |resp| {
+                if resp.id == 0 {
+                    flushed_tx.send(()).expect("client waits for the flush");
+                    queued_rx.recv().expect("client fills the queue");
+                }
+                done_ns.push(resp.done_ns);
+                // A flush reads the clock once, so each flush gets its own
+                // `done_ns` and the sizes can be read back from them.
+                clock.advance_ns(1);
+            },
+        );
+        let mut sizes = Vec::new();
+        for (n, t) in done_ns.iter().enumerate() {
+            if n == 0 || done_ns[n - 1] != *t {
+                sizes.push(0);
+            }
+            *sizes.last_mut().expect("a flush was opened") += 1;
+        }
+        let mut want = vec![1];
+        let mut left = k;
+        while left > 0 {
+            want.push(left.min(MAX_BATCH));
+            left -= left.min(MAX_BATCH);
+        }
+        assert_eq!(sizes, want, "flush sizes with {k} overdue requests queued");
     }
 }
 

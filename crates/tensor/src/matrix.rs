@@ -658,6 +658,16 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Reshapes to `[rows, cols]` for a caller that writes every element:
+    /// unlike [`reset`](Self::reset) it zeroes only storage beyond the old
+    /// length, so a persistent scratch buffer skips one pass over memory
+    /// per use. The other elements keep stale values until overwritten.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Makes `self` an element-for-element copy of `src` (shape included),
     /// reusing the existing allocation when possible.
     pub fn copy_from(&mut self, src: &Matrix) {
