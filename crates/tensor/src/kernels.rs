@@ -8,12 +8,14 @@
 //! * [`ScalarBackend`] — the register-tiled scalar kernels (4x8 tiles,
 //!   16-lane dots) that previously lived in `matrix.rs`. No `unsafe`; they
 //!   rely on autovectorization at `target-cpu=x86-64-v3`.
-//! * [`AvxFmaBackend`] — packed-panel microkernels over explicit
-//!   `core::arch::x86_64` AVX2 + FMA intrinsics (6x16 tiles, two `ymm`
-//!   accumulators per row). This is the only module in the workspace
-//!   besides the pool/embedding arenas allowed to contain `unsafe`
-//!   (lint rule `unsafe-confinement`), and every site carries a SAFETY
-//!   comment.
+//! * [`AvxFmaBackend`] — one microkernel over explicit
+//!   `core::arch::x86_64` AVX2 + FMA intrinsics (up to 6 rows x 16
+//!   columns, two `ymm` accumulators per row) that reads A in place
+//!   through strides and B from zero-padded 16-wide panels; the three
+//!   products differ only in their strides and in how B is packed. This
+//!   is the only module in the workspace besides the pool/embedding
+//!   arenas allowed to contain `unsafe` (lint rule `unsafe-confinement`),
+//!   and every site carries a SAFETY comment.
 //!
 //! **Backend selection.** [`active`] resolves once per process: the
 //! `OPTINTER_KERNEL_BACKEND={scalar,avx2fma}` env var wins if set and
@@ -29,10 +31,14 @@
 //! element's value therefore does not depend on which block shape computed
 //! it, so each backend is invariant under any row regrouping: serial,
 //! pooled with any chunk split, and any thread count produce bit-identical
-//! results. What is *not* promised is bitwise equality *across* backends:
-//! the AVX backend contracts multiply-add pairs into fused FMAs (one
-//! rounding instead of two), so it agrees with `ScalarBackend` and
-//! `tensor::reference` only to relative tolerance. See DESIGN.md §13.
+//! results. The chains differ in one place between the backends: the
+//! scalar `a·bᵀ` splits each dot product into 16 lanes reduced by a fixed
+//! tree, while the AVX `a·bᵀ` is the same ascending-k FMA chain as its
+//! other two products. What is *not* promised is bitwise equality
+//! *across* backends: the AVX backend contracts multiply-add pairs into
+//! fused FMAs (one rounding instead of two), so it agrees with
+//! `ScalarBackend` and `tensor::reference` only to relative tolerance.
+//! See DESIGN.md §13.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -76,20 +82,18 @@ pub trait MatMulKernel: Sync {
     /// `rows x bn`.
     fn mm_abt_rows(&self, a_rows: &[f32], ncols: usize, b: &[f32], bn: usize, out_rows: &mut [f32]);
 
-    /// Pre-sizes, on the calling thread, any thread-local scratch that
-    /// [`mm_acc_rows`](Self::mm_acc_rows) needs for a `k x n` right-hand
-    /// side. Pooled matmuls pass this to
+    /// Pre-sizes, on the calling thread, any thread-local scratch that a
+    /// product with reduction length `k` and `n` output columns needs:
+    /// [`mm_acc_rows`](Self::mm_acc_rows) with a `k x n` right-hand side,
+    /// [`mm_atb_rows`](Self::mm_atb_rows) with `k` = the shared row count
+    /// of A and G, [`mm_abt_rows`](Self::mm_abt_rows) with `k = ncols` and
+    /// `n = bn`. Pooled matmuls pass this to
     /// [`Pool::for_row_chunks_prepared`](crate::Pool::for_row_chunks_prepared)
     /// so every worker's scratch grows on first sight of a shape — not at
     /// the scheduling-dependent moment that worker first wins a chunk
     /// (which could land inside a caller's zero-allocation window).
     /// Backends without scratch keep the default no-op.
     fn warm_acc_scratch(&self, _k: usize, _n: usize) {}
-
-    /// [`warm_acc_scratch`](Self::warm_acc_scratch) for
-    /// [`mm_atb_rows`](Self::mm_atb_rows), whose packing scratch scales
-    /// with the reduction length `m` (the shared row count of A and G).
-    fn warm_atb_scratch(&self, _m: usize) {}
 }
 
 /// Which kernel implementation the process dispatches to.
@@ -697,7 +701,7 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA backend: packed panels, 6x16 FMA microkernels.
+// AVX2 + FMA backend: one R x 16 FMA microkernel over packed panels.
 // ---------------------------------------------------------------------------
 
 /// Packed-panel AVX2 + FMA kernels. Selectable only when the host passes
@@ -770,85 +774,90 @@ impl MatMulKernel for AvxFmaBackend {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (k, n);
     }
-
-    fn warm_atb_scratch(&self, m: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if avx_fma_detected() {
-            avx::warm_atb_scratch(m);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = m;
-    }
 }
 
-// The packed microkernels.
+// One microkernel for all three products.
 //
 // Geometry: output rows in blocks of `MR = 6`, output columns in panels of
 // `NR = 16` (two 8-lane `ymm` accumulators per row: 12 accumulator
 // registers, leaving 4 of the 16 `ymm` for the two loaded B lanes and the
 // broadcast multiplier — and saturating both FMA ports at 2 fused ops per
-// cycle per row-pair).
+// cycle per row-pair). The rows left after the last full block run as one
+// shorter tile of the same kernel.
 //
-// Packing (reused thread-local scratch, so steady-state allocations stay
-// at zero):
-//   * B is packed once per `mm_acc_rows` call into panel-major layout:
-//     panel `p` holds `k` rows of `NR` contiguous floats for absolute
-//     columns `[p*NR, p*NR + NR)`, the tail panel zero-padded. Pad lanes
-//     are computed but never stored.
-//   * The current A row block is packed k-major (`pa[kk*MR + r]`), turning
-//     the per-k broadcast loads into contiguous traffic.
+// The kernel reads A in place through a (row, k) stride pair and B from
+// panel-major scratch: panel `p` holds `k` rows of `NR` contiguous floats
+// for absolute output columns `[p*NR, p*NR + NR)`, the tail panel
+// zero-padded (pad lanes are computed but never stored). The products
+// differ only in strides and packing:
+//   * `x·W` (`mm_acc_rows`): A is x (row stride k, k stride 1); W is packed
+//     by `pack_b_panels`.
+//   * `xᵀ·g` (`mm_atb_rows`): A is x's columns (row stride 1, k stride
+//     acols); g is packed by `pack_b_panels`.
+//   * `g·Wᵀ` (`mm_abt_rows`): A is g (row stride ncols, k stride 1); Wᵀ is
+//     packed by `pack_bt_panels`, and the zeroed output accumulates with
+//     alpha = 1.
+// The panel scratch is one thread-local buffer, so steady-state
+// allocations stay at zero.
 //
 // Determinism: per output element one accumulator chain in ascending `k`
-// (vector FMA lanes); column panels are addressed by *absolute* column
-// index, and each row's accumulators are independent, so pooled row
-// regrouping can change neither the panel an element falls in nor its
-// chain. Remainder columns run scalar `f32::mul_add`, which is the IEEE
-// fusedMultiplyAdd — bit-identical to a vector FMA lane — and remainder
-// handling is also a pure function of absolute position. See DESIGN.md
-// §13.
+// (vector FMA lanes), stored once as `fma(alpha, acc, out)`. Column panels
+// are addressed by *absolute* column index and each row's accumulators are
+// independent, so pooled row regrouping and the tile height can change
+// neither the panel an element falls in nor its chain. Ragged panels
+// store through scalar `f32::mul_add`, which is the IEEE fusedMultiplyAdd —
+// bit-identical to a vector FMA lane. See DESIGN.md §13.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
     use std::cell::RefCell;
 
-    /// Output-row block height of the microkernels.
+    /// Output-row block height of the microkernel.
     const MR: usize = 6;
     /// Output-column panel width (two 8-lane `ymm` registers).
     const NR: usize = 16;
 
     thread_local! {
-        // Packing scratch: grown via `resize` to the per-thread working-set
+        // Panel scratch: grown via `resize` to the per-thread working-set
         // maximum and reused afterwards, so steady-state train steps and
         // serve requests never touch the heap (the counting allocator test
         // covers this; pool worker threads are persistent). Growth must be
         // *deterministic* to honor that: pool job assignment is dynamic, so
         // a worker that sat out every call of a shape during a caller's
         // warm-up would otherwise first grow its scratch at an arbitrary
-        // later win — which is why the pooled matmuls warm every thread via
-        // `Pool::for_row_chunks_prepared` + `warm_*_scratch` below.
+        // later win — which is why every pooled matmul warms every thread
+        // via `Pool::for_row_chunks_prepared` + `warm_acc_scratch` below.
         static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Grows this thread's packing scratch to what [`mm_acc_rows`] will
-    /// `resize` to for a `k x n` right-hand side, so the later resize is
-    /// capacity-neutral. Sizes must stay in lockstep with [`mm_acc_rows`].
+    /// The left operand, read in place: element `(i, kk)` lives at
+    /// `a[i * rs + kk * ks]`.
+    #[derive(Clone, Copy)]
+    struct Lhs<'a> {
+        a: &'a [f32],
+        rs: usize,
+        ks: usize,
+    }
+
+    /// The microkernel's signature, so [`gemm`] picks a tile height once
+    /// per row block.
+    ///
+    /// # Safety
+    /// Calls must meet [`tile`]'s contract.
+    type Tile = unsafe fn(Lhs<'_>, &[f32], &mut [f32], usize, usize, f32);
+
+    /// Grows this thread's panel scratch to what a product with reduction
+    /// length `k` and `n` output columns will `resize` it to, so the later
+    /// resize is capacity-neutral. Sizes must stay in lockstep with
+    /// [`pack_b_panels`] and [`pack_bt_panels`].
     pub(super) fn warm_acc_scratch(k: usize, n: usize) {
         if k == 0 || n == 0 {
             return;
         }
-        let panels = n.div_ceil(NR);
-        PACK_B.with(|pb_cell| pb_cell.borrow_mut().resize(panels * NR * k, 0.0));
-        PACK_A.with(|pa_cell| pa_cell.borrow_mut().resize(MR * k, 0.0));
-    }
-
-    /// [`warm_acc_scratch`] for [`mm_atb_rows`], which packs `MR` A-columns
-    /// of length `m` (the shared A/G row count).
-    pub(super) fn warm_atb_scratch(m: usize) {
-        PACK_A.with(|pa_cell| pa_cell.borrow_mut().resize(m * MR, 0.0));
+        PACK_B.with(|pb_cell| pb_cell.borrow_mut().resize(n.div_ceil(NR) * NR * k, 0.0));
     }
 
     /// `out_rows += alpha * a_rows * b`; AVX twin of
@@ -866,48 +875,138 @@ mod avx {
         }
         debug_assert_eq!(a_rows.len() % k, 0);
         debug_assert_eq!(b.len(), k * n);
-        let panels = n.div_ceil(NR);
+        let lhs = Lhs {
+            a: a_rows,
+            rs: k,
+            ks: 1,
+        };
+        packed_gemm(|pb| pack_b_panels(pb, b, k, n), lhs, k, n, out_rows, alpha);
+    }
+
+    /// `out_chunk += alpha * (A^T G)` rows `k0..`; AVX twin of
+    /// [`super::scalar::mm_atb_rows`]. Output rows are columns
+    /// `k0..` of A, read through strides; G is the packed operand.
+    pub(super) fn mm_atb_rows(
+        a: &[f32],
+        acols: usize,
+        g: &[f32],
+        n: usize,
+        k0: usize,
+        out_chunk: &mut [f32],
+        alpha: f32,
+    ) {
+        if n == 0 || out_chunk.is_empty() {
+            return;
+        }
+        let m = a.len() / acols;
+        debug_assert_eq!(g.len(), m * n);
+        if m == 0 {
+            // The empty sum still takes the store's FMA, as on the scalar
+            // backend.
+            for o in out_chunk.iter_mut() {
+                *o = alpha.mul_add(0.0, *o);
+            }
+            return;
+        }
+        let lhs = Lhs {
+            a: &a[k0..],
+            rs: 1,
+            ks: acols,
+        };
+        packed_gemm(|pb| pack_b_panels(pb, g, m, n), lhs, m, n, out_chunk, alpha);
+    }
+
+    /// `out_rows = a_rows * b^T`; AVX twin of
+    /// [`super::scalar::mm_abt_rows`]: `b^T` is packed into panels and the
+    /// zeroed output accumulates the product, so every element is the same
+    /// ascending-k FMA chain as [`mm_acc_rows`] on an explicit transpose.
+    pub(super) fn mm_abt_rows(
+        a_rows: &[f32],
+        ncols: usize,
+        b: &[f32],
+        bn: usize,
+        out_rows: &mut [f32],
+    ) {
+        out_rows.fill(0.0);
+        if ncols == 0 || bn == 0 {
+            return;
+        }
+        debug_assert_eq!(b.len(), bn * ncols);
+        let lhs = Lhs {
+            a: a_rows,
+            rs: ncols,
+            ks: 1,
+        };
+        packed_gemm(
+            |pb| pack_bt_panels(pb, b, ncols, bn),
+            lhs,
+            ncols,
+            bn,
+            out_rows,
+            1.0,
+        );
+    }
+
+    /// Packs B into this thread's panel scratch with `pack`, then runs
+    /// [`gemm`] over it.
+    fn packed_gemm(
+        pack: impl FnOnce(&mut Vec<f32>),
+        lhs: Lhs<'_>,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        alpha: f32,
+    ) {
         PACK_B.with(|pb_cell| {
             let mut pb = pb_cell.borrow_mut();
-            pack_b_panels(&mut pb, b, k, n, panels);
-            PACK_A.with(|pa_cell| {
-                let mut pa = pa_cell.borrow_mut();
-                pa.resize(MR * k, 0.0);
-                let mut a_blocks = a_rows.chunks_exact(MR * k);
-                let mut o_blocks = out_rows.chunks_exact_mut(MR * n);
-                for (ab, ob) in (&mut a_blocks).zip(&mut o_blocks) {
-                    pack_a_block(&mut pa, ab, k);
-                    for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
-                        let c0 = p * NR;
-                        let w = NR.min(n - c0);
-                        // SAFETY: AVX2+FMA presence is checked by the
-                        // dispatch wrapper (`AvxFmaBackend` falls back to
-                        // scalar when `avx_fma_detected()` is false).
-                        unsafe { acc_6xpanel(&pa, k, panel, ob, n, c0, w, alpha) };
-                    }
-                }
-                for (ar, or) in a_blocks
-                    .remainder()
-                    .chunks_exact(k)
-                    .zip(o_blocks.into_remainder().chunks_exact_mut(n))
-                {
-                    for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
-                        let c0 = p * NR;
-                        let w = NR.min(n - c0);
-                        // SAFETY: as above — only reached behind the
-                        // runtime AVX2+FMA check.
-                        unsafe { acc_1xpanel(ar, panel, or, c0, w, alpha) };
-                    }
-                }
-            });
+            pack(&mut pb);
+            gemm(lhs, k, &pb, n, out, alpha);
         });
+    }
+
+    /// `out += alpha * A·B` for a row-major `out` of stride `n`: A read
+    /// through `lhs`, B from `pb`'s panels of `k` rows. Rows run in
+    /// `MR`-row tiles, the remainder as one shorter tile.
+    fn gemm(lhs: Lhs<'_>, k: usize, pb: &[f32], n: usize, out: &mut [f32], alpha: f32) {
+        debug_assert!(k > 0 && pb.len() == n.div_ceil(NR) * NR * k);
+        debug_assert_eq!(out.len() % n, 0);
+        let rows = out.len() / n;
+        let mut r0 = 0;
+        while r0 < rows {
+            let h = MR.min(rows - r0);
+            let tile: Tile = match h {
+                1 => tile::<1>,
+                2 => tile::<2>,
+                3 => tile::<3>,
+                4 => tile::<4>,
+                5 => tile::<5>,
+                _ => tile::<MR>,
+            };
+            // The tile reads A unchecked, so slice exactly the extent it
+            // covers: a short operand panics here instead.
+            let start = r0 * lhs.rs;
+            let block = Lhs {
+                a: &lhs.a[start..start + (h - 1) * lhs.rs + (k - 1) * lhs.ks + 1],
+                ..lhs
+            };
+            let ob = &mut out[r0 * n..(r0 + h) * n];
+            for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
+                // SAFETY: AVX2+FMA presence is checked by the dispatch
+                // wrapper (`AvxFmaBackend` falls back to scalar without
+                // it); `block` was sliced to hold `h` rows of `k` elements
+                // at its strides, `panel` is `NR * k` floats with `k >= 1`,
+                // and `ob` is `h` rows of `n`.
+                unsafe { tile(block, panel, ob, n, p * NR, alpha) };
+            }
+            r0 += h;
+        }
     }
 
     /// Packs `b` (`k x n`, row-major) into panel-major layout: panel `p`
     /// holds `k` rows of `NR` contiguous floats covering absolute columns
     /// `[p*NR, p*NR + NR)`; the tail panel is zero-padded.
-    fn pack_b_panels(pb: &mut Vec<f32>, b: &[f32], k: usize, n: usize, panels: usize) {
-        pb.resize(panels * NR * k, 0.0);
+    fn pack_b_panels(pb: &mut Vec<f32>, b: &[f32], k: usize, n: usize) {
+        pb.resize(n.div_ceil(NR) * NR * k, 0.0);
         for (p, dst_panel) in pb.chunks_exact_mut(NR * k).enumerate() {
             let c0 = p * NR;
             let w = NR.min(n - c0);
@@ -918,11 +1017,18 @@ mod avx {
         }
     }
 
-    /// Packs an `MR x k` row block of A k-major: `pa[kk*MR + r] = ab[r*k + kk]`.
-    fn pack_a_block(pa: &mut [f32], ab: &[f32], k: usize) {
-        for (r, row) in ab.chunks_exact(k).enumerate() {
-            for (kk, &v) in row.iter().enumerate() {
-                pa[kk * MR + r] = v;
+    /// [`pack_b_panels`] for `b^T`, given `b` (`bn x k`, row-major): panel
+    /// `p` holds, for each `kk`, element `kk` of B rows `[p*NR, p*NR + NR)`.
+    fn pack_bt_panels(pb: &mut Vec<f32>, b: &[f32], k: usize, bn: usize) {
+        pb.resize(bn.div_ceil(NR) * NR * k, 0.0);
+        for (p, dst_panel) in pb.chunks_exact_mut(NR * k).enumerate() {
+            let w = NR.min(bn - p * NR);
+            let rows = &b[p * NR * k..(p * NR + w) * k];
+            for (kk, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
+                for (d, row) in dst.iter_mut().zip(rows.chunks_exact(k)) {
+                    *d = row[kk];
+                }
+                dst[w..].fill(0.0);
             }
         }
     }
@@ -962,410 +1068,364 @@ mod avx {
         }
     }
 
-    /// 6-row x 16-column microkernel over one packed B panel: per row one
-    /// two-`ymm` accumulator chain in ascending `k`.
+    /// The microkernel: `R` rows of A against one packed panel of
+    /// `k = panel.len() / NR` rows, one two-`ymm` accumulator chain per row
+    /// in ascending `k`, stored into columns `[c0, c0 + NR)` of `ob`
+    /// (clipped to `n`).
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `pa.len() == MR * k`,
-    /// `panel.len() == NR * k`, `ob` holds `MR` rows of stride `n`, and
-    /// `c0 + w <= n`.
+    /// Caller must ensure AVX2+FMA are available, `panel.len() == NR * k`
+    /// with `k >= 1`, and `(R - 1) * lhs.rs + (k - 1) * lhs.ks <
+    /// lhs.a.len()`. The stores are bounds-checked (`ob` should hold `R`
+    /// rows of `n`, and `c0 < n`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-    unsafe fn acc_6xpanel(
-        pa: &[f32],
-        k: usize,
+    unsafe fn tile<const R: usize>(
+        lhs: Lhs<'_>,
         panel: &[f32],
         ob: &mut [f32],
         n: usize,
         c0: usize,
-        w: usize,
         alpha: f32,
     ) {
-        debug_assert_eq!(pa.len(), MR * k);
-        debug_assert_eq!(panel.len(), NR * k);
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let pb_ptr = panel.as_ptr();
+        let k = panel.len() / NR;
+        let Lhs { a, rs, ks } = lhs;
+        debug_assert!(k > 0 && panel.len() == NR * k);
+        debug_assert!((R - 1) * rs + (k - 1) * ks < a.len());
+        debug_assert!(c0 < n && ob.len() == R * n);
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        let (ap, bp) = (a.as_ptr(), panel.as_ptr());
         for kk in 0..k {
-            // SAFETY: kk < k, so panel row [kk*NR, kk*NR + 16) is in
-            // bounds of the `NR * k`-float panel.
-            let (b0, b1) = unsafe {
-                (
-                    _mm256_loadu_ps(pb_ptr.add(kk * NR)),
-                    _mm256_loadu_ps(pb_ptr.add(kk * NR + 8)),
-                )
-            };
-            let pav = &pa[kk * MR..kk * MR + MR];
-            for r in 0..MR {
-                let av = _mm256_broadcast_ss(&pav[r]);
-                acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-                acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+            // SAFETY: kk < k, so panel row [kk*NR, kk*NR + 16) is in bounds
+            // of the `NR * k`-float panel, and every A offset
+            // i*rs + kk*ks (i < R) is at most (R-1)*rs + (k-1)*ks, in
+            // bounds per this fn's contract.
+            unsafe {
+                let b0 = _mm256_loadu_ps(bp.add(kk * NR));
+                let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
+                let ak = ap.add(kk * ks);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(&*ak.add(i * rs));
+                    acc[0] = _mm256_fmadd_ps(av, b0, acc[0]);
+                    acc[1] = _mm256_fmadd_ps(av, b1, acc[1]);
+                }
             }
         }
-        for (r, orow) in ob.chunks_exact_mut(n).enumerate() {
+        let w = NR.min(n - c0);
+        for (acc, orow) in acc.iter().zip(ob.chunks_exact_mut(n)) {
             // SAFETY: features are available per this fn's contract and
             // the slice is exactly `w` long.
-            unsafe { store_acc_row(acc[r][0], acc[r][1], &mut orow[c0..c0 + w], w, alpha) };
+            unsafe { store_acc_row(acc[0], acc[1], &mut orow[c0..c0 + w], w, alpha) };
         }
     }
 
-    /// Single-row tail of [`mm_acc_rows`]: identical per-element chain to
-    /// [`acc_6xpanel`] (A values read directly instead of packed — same
-    /// values, same FMA order).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `panel.len() == NR *
-    /// ar.len()`, and `c0 + w <= or.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn acc_1xpanel(
-        ar: &[f32],
-        panel: &[f32],
-        or: &mut [f32],
-        c0: usize,
-        w: usize,
-        alpha: f32,
-    ) {
-        debug_assert_eq!(panel.len(), NR * ar.len());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let pb_ptr = panel.as_ptr();
-        for (kk, x) in ar.iter().enumerate() {
-            let av = _mm256_broadcast_ss(x);
-            // SAFETY: kk < ar.len(), so panel row [kk*NR, kk*NR + 16) is
-            // in bounds.
-            let (b0, b1) = unsafe {
-                (
-                    _mm256_loadu_ps(pb_ptr.add(kk * NR)),
-                    _mm256_loadu_ps(pb_ptr.add(kk * NR + 8)),
-                )
-            };
-            acc0 = _mm256_fmadd_ps(av, b0, acc0);
-            acc1 = _mm256_fmadd_ps(av, b1, acc1);
-        }
-        // SAFETY: features available per this fn's contract; slice is `w`
-        // long.
-        unsafe { store_acc_row(acc0, acc1, &mut or[c0..c0 + w], w, alpha) };
-    }
+    /// The kernels the microkernel replaced, kept as the bit-exact
+    /// reference its tests compare against: the forward's k-major packed
+    /// A blocks with a one-row tail, and the weight gradient's packed A
+    /// columns over unpacked G. Each takes its scratch as a local instead
+    /// of the thread-local.
+    #[cfg(test)]
+    pub(super) mod reference {
+        use super::{pack_b_panels, store_acc_row, MR, NR};
+        use core::arch::x86_64::{
+            _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
+            _mm256_setzero_ps, _mm256_storeu_ps,
+        };
 
-    /// `out_chunk += alpha * (A^T G)` rows `k0..`; AVX twin of
-    /// [`super::scalar::mm_atb_rows`]. Output rows (= A columns) are
-    /// blocked by `MR` with the A column block packed k-major; G rows are
-    /// read directly (they are already contiguous along `n`).
-    pub(super) fn mm_atb_rows(
-        a: &[f32],
-        acols: usize,
-        g: &[f32],
-        n: usize,
-        k0: usize,
-        out_chunk: &mut [f32],
-        alpha: f32,
-    ) {
-        if n == 0 {
-            return;
+        /// The replaced `mm_acc_rows`.
+        pub(in super::super) fn mm_acc_rows(
+            a_rows: &[f32],
+            k: usize,
+            b: &[f32],
+            n: usize,
+            out_rows: &mut [f32],
+            alpha: f32,
+        ) {
+            if k == 0 || n == 0 {
+                return;
+            }
+            let mut pb = Vec::new();
+            pack_b_panels(&mut pb, b, k, n);
+            let mut pa = vec![0.0f32; MR * k];
+            let mut a_blocks = a_rows.chunks_exact(MR * k);
+            let mut o_blocks = out_rows.chunks_exact_mut(MR * n);
+            for (ab, ob) in (&mut a_blocks).zip(&mut o_blocks) {
+                pack_a_block(&mut pa, ab, k);
+                for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
+                    let c0 = p * NR;
+                    let w = NR.min(n - c0);
+                    // SAFETY: the tests call this only behind the runtime
+                    // AVX2+FMA check.
+                    unsafe { acc_6xpanel(&pa, k, panel, ob, n, c0, w, alpha) };
+                }
+            }
+            for (ar, or) in a_blocks
+                .remainder()
+                .chunks_exact(k)
+                .zip(o_blocks.into_remainder().chunks_exact_mut(n))
+            {
+                for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
+                    let c0 = p * NR;
+                    let w = NR.min(n - c0);
+                    // SAFETY: as above.
+                    unsafe { acc_1xpanel(ar, panel, or, c0, w, alpha) };
+                }
+            }
         }
-        debug_assert_eq!(out_chunk.len() % n, 0);
-        let m = a.len() / acols.max(1);
-        debug_assert_eq!(g.len(), m * n);
-        PACK_A.with(|pa_cell| {
-            let mut pa = pa_cell.borrow_mut();
-            pa.resize(m * MR, 0.0);
+
+        /// Packs an `MR x k` row block of A k-major: `pa[kk*MR + r] = ab[r*k + kk]`.
+        fn pack_a_block(pa: &mut [f32], ab: &[f32], k: usize) {
+            for (r, row) in ab.chunks_exact(k).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    pa[kk * MR + r] = v;
+                }
+            }
+        }
+
+        /// 6-row x 16-column kernel over one packed B panel.
+        ///
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available, `pa.len() == MR * k`,
+        /// `panel.len() == NR * k`, `ob` holds `MR` rows of stride `n`, and
+        /// `c0 + w <= n`.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+        unsafe fn acc_6xpanel(
+            pa: &[f32],
+            k: usize,
+            panel: &[f32],
+            ob: &mut [f32],
+            n: usize,
+            c0: usize,
+            w: usize,
+            alpha: f32,
+        ) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+            let pb_ptr = panel.as_ptr();
+            for kk in 0..k {
+                // SAFETY: kk < k, so panel row [kk*NR, kk*NR + 16) is in
+                // bounds of the `NR * k`-float panel.
+                let (b0, b1) = unsafe {
+                    (
+                        _mm256_loadu_ps(pb_ptr.add(kk * NR)),
+                        _mm256_loadu_ps(pb_ptr.add(kk * NR + 8)),
+                    )
+                };
+                let pav = &pa[kk * MR..kk * MR + MR];
+                for r in 0..MR {
+                    let av = _mm256_broadcast_ss(&pav[r]);
+                    acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+                    acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+                }
+            }
+            for (r, orow) in ob.chunks_exact_mut(n).enumerate() {
+                // SAFETY: features are available per this fn's contract and
+                // the slice is exactly `w` long.
+                unsafe { store_acc_row(acc[r][0], acc[r][1], &mut orow[c0..c0 + w], w, alpha) };
+            }
+        }
+
+        /// One-row tail of [`mm_acc_rows`], A read directly.
+        ///
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available, `panel.len() == NR *
+        /// ar.len()`, and `c0 + w <= or.len()`.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn acc_1xpanel(
+            ar: &[f32],
+            panel: &[f32],
+            or: &mut [f32],
+            c0: usize,
+            w: usize,
+            alpha: f32,
+        ) {
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let pb_ptr = panel.as_ptr();
+            for (kk, x) in ar.iter().enumerate() {
+                let av = _mm256_broadcast_ss(x);
+                // SAFETY: kk < ar.len(), so panel row [kk*NR, kk*NR + 16) is
+                // in bounds.
+                let (b0, b1) = unsafe {
+                    (
+                        _mm256_loadu_ps(pb_ptr.add(kk * NR)),
+                        _mm256_loadu_ps(pb_ptr.add(kk * NR + 8)),
+                    )
+                };
+                acc0 = _mm256_fmadd_ps(av, b0, acc0);
+                acc1 = _mm256_fmadd_ps(av, b1, acc1);
+            }
+            // SAFETY: features available per this fn's contract; slice is `w`
+            // long.
+            unsafe { store_acc_row(acc0, acc1, &mut or[c0..c0 + w], w, alpha) };
+        }
+
+        /// The replaced `mm_atb_rows`.
+        pub(in super::super) fn mm_atb_rows(
+            a: &[f32],
+            acols: usize,
+            g: &[f32],
+            n: usize,
+            k0: usize,
+            out_chunk: &mut [f32],
+            alpha: f32,
+        ) {
+            if n == 0 {
+                return;
+            }
+            let m = a.len() / acols.max(1);
+            let mut pa = vec![0.0f32; m * MR];
             let mut col = k0;
             let mut o_blocks = out_chunk.chunks_exact_mut(MR * n);
             for ob in &mut o_blocks {
                 for (r, dst) in pa.chunks_exact_mut(MR).enumerate() {
                     dst.copy_from_slice(&a[r * acols + col..r * acols + col + MR]);
                 }
-                // SAFETY: AVX2+FMA presence is checked by the dispatch
-                // wrapper (`AvxFmaBackend` falls back to scalar without it).
+                // SAFETY: the tests call this only behind the runtime
+                // AVX2+FMA check.
                 unsafe { atb_6(&pa, m, g, n, ob, alpha) };
                 col += MR;
             }
             for or in o_blocks.into_remainder().chunks_exact_mut(n) {
-                // SAFETY: as above — only reached behind the runtime
-                // AVX2+FMA check.
+                // SAFETY: as above.
                 unsafe { atb_1(a, acols, col, g, n, or, alpha) };
                 col += 1;
             }
-        });
-    }
-
-    /// 6-output-row microkernel of [`mm_atb_rows`]: reduces over the `m`
-    /// A/G rows in ascending order, sweeping absolute column panels of 16,
-    /// then 8, then a scalar `mul_add` tail — each element's path is a
-    /// pure function of its absolute column, shared with [`atb_1`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `pa.len() == m * MR`,
-    /// `g.len() == m * n`, and `ob.len() == MR * n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::needless_range_loop)]
-    unsafe fn atb_6(pa: &[f32], m: usize, g: &[f32], n: usize, ob: &mut [f32], alpha: f32) {
-        debug_assert_eq!(pa.len(), m * MR);
-        debug_assert_eq!(ob.len(), MR * n);
-        let g_ptr = g.as_ptr();
-        let mut c = 0;
-        while c + NR <= n {
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-            for r in 0..m {
-                // SAFETY: r < m and c + 16 <= n, so both 8-lane spans of G
-                // row r are in bounds of the `m * n`-float `g`.
-                let (g0, g1) = unsafe {
-                    (
-                        _mm256_loadu_ps(g_ptr.add(r * n + c)),
-                        _mm256_loadu_ps(g_ptr.add(r * n + c + 8)),
-                    )
-                };
-                let pav = &pa[r * MR..r * MR + MR];
-                for i in 0..MR {
-                    let av = _mm256_broadcast_ss(&pav[i]);
-                    acc[i][0] = _mm256_fmadd_ps(av, g0, acc[i][0]);
-                    acc[i][1] = _mm256_fmadd_ps(av, g1, acc[i][1]);
-                }
-            }
-            for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
-                // SAFETY: features available per this fn's contract; the
-                // slice is exactly NR long.
-                unsafe { store_acc_row(acc[i][0], acc[i][1], &mut orow[c..c + NR], NR, alpha) };
-            }
-            c += NR;
         }
-        if c + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for r in 0..m {
-                // SAFETY: c + 8 <= n, so the 8-lane span of G row r is in
-                // bounds.
-                let g0 = unsafe { _mm256_loadu_ps(g_ptr.add(r * n + c)) };
-                let pav = &pa[r * MR..r * MR + MR];
-                for i in 0..MR {
-                    acc[i] = _mm256_fmadd_ps(_mm256_broadcast_ss(&pav[i]), g0, acc[i]);
+
+        /// 6-output-row kernel of [`mm_atb_rows`]: 16-wide panels, then
+        /// one 8-wide panel, then a scalar `mul_add` tail.
+        ///
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available, `pa.len() == m * MR`,
+        /// `g.len() == m * n`, and `ob.len() == MR * n`.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn atb_6(pa: &[f32], m: usize, g: &[f32], n: usize, ob: &mut [f32], alpha: f32) {
+            let g_ptr = g.as_ptr();
+            let mut c = 0;
+            while c + NR <= n {
+                let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+                for r in 0..m {
+                    // SAFETY: r < m and c + 16 <= n, so both 8-lane spans of
+                    // G row r are in bounds of the `m * n`-float `g`.
+                    let (g0, g1) = unsafe {
+                        (
+                            _mm256_loadu_ps(g_ptr.add(r * n + c)),
+                            _mm256_loadu_ps(g_ptr.add(r * n + c + 8)),
+                        )
+                    };
+                    let pav = &pa[r * MR..r * MR + MR];
+                    for i in 0..MR {
+                        let av = _mm256_broadcast_ss(&pav[i]);
+                        acc[i][0] = _mm256_fmadd_ps(av, g0, acc[i][0]);
+                        acc[i][1] = _mm256_fmadd_ps(av, g1, acc[i][1]);
+                    }
                 }
+                for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
+                    // SAFETY: features available per this fn's contract; the
+                    // slice is exactly NR long.
+                    unsafe { store_acc_row(acc[i][0], acc[i][1], &mut orow[c..c + NR], NR, alpha) };
+                }
+                c += NR;
             }
-            let alpha_v = _mm256_set1_ps(alpha);
-            for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
-                let p = orow[c..c + 8].as_mut_ptr();
+            if c + 8 <= n {
+                let mut acc = [_mm256_setzero_ps(); MR];
+                for r in 0..m {
+                    // SAFETY: c + 8 <= n, so the 8-lane span of G row r is in
+                    // bounds.
+                    let g0 = unsafe { _mm256_loadu_ps(g_ptr.add(r * n + c)) };
+                    let pav = &pa[r * MR..r * MR + MR];
+                    for i in 0..MR {
+                        acc[i] = _mm256_fmadd_ps(_mm256_broadcast_ss(&pav[i]), g0, acc[i]);
+                    }
+                }
+                let alpha_v = _mm256_set1_ps(alpha);
+                for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
+                    let p = orow[c..c + 8].as_mut_ptr();
+                    // SAFETY: the 8-lane span [c, c + 8) is in bounds.
+                    unsafe {
+                        let o0 = _mm256_loadu_ps(p);
+                        _mm256_storeu_ps(p, _mm256_fmadd_ps(alpha_v, acc[i], o0));
+                    }
+                }
+                c += 8;
+            }
+            while c < n {
+                for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
+                    let mut t = 0.0f32;
+                    for r in 0..m {
+                        t = pa[r * MR + i].mul_add(g[r * n + c], t);
+                    }
+                    orow[c] = alpha.mul_add(t, orow[c]);
+                }
+                c += 1;
+            }
+        }
+
+        /// One-output-row tail of [`mm_atb_rows`], A column `col` read
+        /// strided.
+        ///
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available, `col < acols`,
+        /// `g.len() == (a.len() / acols) * n`, and `or.len() == n`.
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn atb_1(
+            a: &[f32],
+            acols: usize,
+            col: usize,
+            g: &[f32],
+            n: usize,
+            or: &mut [f32],
+            alpha: f32,
+        ) {
+            let m = a.len() / acols.max(1);
+            let g_ptr = g.as_ptr();
+            let mut c = 0;
+            while c + NR <= n {
+                let mut acc0 = _mm256_setzero_ps();
+                let mut acc1 = _mm256_setzero_ps();
+                for r in 0..m {
+                    let av = _mm256_broadcast_ss(&a[r * acols + col]);
+                    // SAFETY: r < m and c + 16 <= n — both 8-lane spans in
+                    // bounds of `g`.
+                    let (g0, g1) = unsafe {
+                        (
+                            _mm256_loadu_ps(g_ptr.add(r * n + c)),
+                            _mm256_loadu_ps(g_ptr.add(r * n + c + 8)),
+                        )
+                    };
+                    acc0 = _mm256_fmadd_ps(av, g0, acc0);
+                    acc1 = _mm256_fmadd_ps(av, g1, acc1);
+                }
+                // SAFETY: features available per this fn's contract; slice
+                // is NR long.
+                unsafe { store_acc_row(acc0, acc1, &mut or[c..c + NR], NR, alpha) };
+                c += NR;
+            }
+            if c + 8 <= n {
+                let mut acc0 = _mm256_setzero_ps();
+                for r in 0..m {
+                    let av = _mm256_broadcast_ss(&a[r * acols + col]);
+                    // SAFETY: c + 8 <= n — the 8-lane span is in bounds.
+                    let g0 = unsafe { _mm256_loadu_ps(g_ptr.add(r * n + c)) };
+                    acc0 = _mm256_fmadd_ps(av, g0, acc0);
+                }
+                let alpha_v = _mm256_set1_ps(alpha);
+                let p = or[c..c + 8].as_mut_ptr();
                 // SAFETY: the 8-lane span [c, c + 8) is in bounds.
                 unsafe {
                     let o0 = _mm256_loadu_ps(p);
-                    _mm256_storeu_ps(p, _mm256_fmadd_ps(alpha_v, acc[i], o0));
+                    _mm256_storeu_ps(p, _mm256_fmadd_ps(alpha_v, acc0, o0));
                 }
+                c += 8;
             }
-            c += 8;
-        }
-        while c < n {
-            for (i, orow) in ob.chunks_exact_mut(n).enumerate() {
+            while c < n {
                 let mut t = 0.0f32;
                 for r in 0..m {
-                    t = pa[r * MR + i].mul_add(g[r * n + c], t);
+                    t = a[r * acols + col].mul_add(g[r * n + c], t);
                 }
-                orow[c] = alpha.mul_add(t, orow[c]);
-            }
-            c += 1;
-        }
-    }
-
-    /// Single-output-row tail of [`mm_atb_rows`]: reads A column `col`
-    /// strided; same per-element chain and panel decomposition as
-    /// [`atb_6`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `col < acols`,
-    /// `g.len() == (a.len() / acols) * n`, and `or.len() == n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn atb_1(
-        a: &[f32],
-        acols: usize,
-        col: usize,
-        g: &[f32],
-        n: usize,
-        or: &mut [f32],
-        alpha: f32,
-    ) {
-        let m = a.len() / acols.max(1);
-        debug_assert_eq!(or.len(), n);
-        let g_ptr = g.as_ptr();
-        let mut c = 0;
-        while c + NR <= n {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for r in 0..m {
-                let av = _mm256_broadcast_ss(&a[r * acols + col]);
-                // SAFETY: r < m and c + 16 <= n — both 8-lane spans in
-                // bounds of `g`.
-                let (g0, g1) = unsafe {
-                    (
-                        _mm256_loadu_ps(g_ptr.add(r * n + c)),
-                        _mm256_loadu_ps(g_ptr.add(r * n + c + 8)),
-                    )
-                };
-                acc0 = _mm256_fmadd_ps(av, g0, acc0);
-                acc1 = _mm256_fmadd_ps(av, g1, acc1);
-            }
-            // SAFETY: features available per this fn's contract; slice is
-            // NR long.
-            unsafe { store_acc_row(acc0, acc1, &mut or[c..c + NR], NR, alpha) };
-            c += NR;
-        }
-        if c + 8 <= n {
-            let mut acc0 = _mm256_setzero_ps();
-            for r in 0..m {
-                let av = _mm256_broadcast_ss(&a[r * acols + col]);
-                // SAFETY: c + 8 <= n — the 8-lane span is in bounds.
-                let g0 = unsafe { _mm256_loadu_ps(g_ptr.add(r * n + c)) };
-                acc0 = _mm256_fmadd_ps(av, g0, acc0);
-            }
-            let alpha_v = _mm256_set1_ps(alpha);
-            let p = or[c..c + 8].as_mut_ptr();
-            // SAFETY: the 8-lane span [c, c + 8) is in bounds.
-            unsafe {
-                let o0 = _mm256_loadu_ps(p);
-                _mm256_storeu_ps(p, _mm256_fmadd_ps(alpha_v, acc0, o0));
-            }
-            c += 8;
-        }
-        while c < n {
-            let mut t = 0.0f32;
-            for r in 0..m {
-                t = a[r * acols + col].mul_add(g[r * n + c], t);
-            }
-            or[c] = alpha.mul_add(t, or[c]);
-            c += 1;
-        }
-    }
-
-    /// `out_rows = a_rows * b^T`; AVX twin of
-    /// [`super::scalar::mm_abt_rows`]. Every element is the same
-    /// [`dot_avx`] chain, so the 4-row blocking cannot affect results.
-    pub(super) fn mm_abt_rows(
-        a_rows: &[f32],
-        ncols: usize,
-        b: &[f32],
-        bn: usize,
-        out_rows: &mut [f32],
-    ) {
-        if bn == 0 {
-            return;
-        }
-        if ncols == 0 {
-            out_rows.fill(0.0);
-            return;
-        }
-        const BR: usize = 4;
-        let mut a_blocks = a_rows.chunks_exact(BR * ncols);
-        let mut o_blocks = out_rows.chunks_exact_mut(BR * bn);
-        for (ab, ob) in (&mut a_blocks).zip(&mut o_blocks) {
-            // SAFETY: AVX2+FMA presence is checked by the dispatch wrapper
-            // (`AvxFmaBackend` falls back to scalar without it).
-            unsafe { abt_4(ab, ncols, b, bn, ob) };
-        }
-        for (ar, or) in a_blocks
-            .remainder()
-            .chunks_exact(ncols)
-            .zip(o_blocks.into_remainder().chunks_exact_mut(bn))
-        {
-            for (c, brow) in b.chunks_exact(ncols).enumerate() {
-                // SAFETY: as above — only reached behind the runtime
-                // AVX2+FMA check.
-                or[c] = unsafe { dot_avx(ar, brow) };
-            }
-        }
-    }
-
-    /// Reduces a two-`ymm` accumulator pair plus a scalar tail in a fixed
-    /// order: lanewise `acc0 + acc1`, then the same pairwise tree as the
-    /// scalar backend's `reduce_lanes`, then `+ tail`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn reduce_dot(acc0: __m256, acc1: __m256, tail: f32) -> f32 {
-        let v = _mm256_add_ps(acc0, acc1);
-        let mut lanes = [0.0f32; 8];
-        // SAFETY: `lanes` is exactly 8 floats.
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
-        let q0 = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        let q1 = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
-        (q0 + q1) + tail
-    }
-
-    /// FMA dot product: 16 elements per step on two independent `ymm`
-    /// accumulators, scalar `mul_add` tail, fixed reduction order.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available and `a.len() == b.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let whole = n - n % NR;
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i < whole {
-            // SAFETY: i + 16 <= whole <= n, so all four 8-lane spans are
-            // in bounds of `a` and `b`.
-            unsafe {
-                let x0 = _mm256_loadu_ps(ap.add(i));
-                let y0 = _mm256_loadu_ps(bp.add(i));
-                let x1 = _mm256_loadu_ps(ap.add(i + 8));
-                let y1 = _mm256_loadu_ps(bp.add(i + 8));
-                acc0 = _mm256_fmadd_ps(x0, y0, acc0);
-                acc1 = _mm256_fmadd_ps(x1, y1, acc1);
-            }
-            i += NR;
-        }
-        let mut tail = 0.0f32;
-        for j in whole..n {
-            tail = a[j].mul_add(b[j], tail);
-        }
-        // SAFETY: features available per this fn's contract.
-        unsafe { reduce_dot(acc0, acc1, tail) }
-    }
-
-    /// Four rows against a shared `b^T`, loading each B row's panel once
-    /// per step; each row's chain is bitwise identical to [`dot_avx`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `ab` holds 4 rows of
-    /// `ncols`, `b` holds `bn` rows of `ncols`, and `ob` holds 4 rows of
-    /// `bn`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn abt_4(ab: &[f32], ncols: usize, b: &[f32], bn: usize, ob: &mut [f32]) {
-        let (a0, rest) = ab.split_at(ncols);
-        let (a1, rest) = rest.split_at(ncols);
-        let (a2, a3) = rest.split_at(ncols);
-        let whole = ncols - ncols % NR;
-        for (c, brow) in b.chunks_exact(ncols).enumerate() {
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let bp = brow.as_ptr();
-            let (p0, p1, p2, p3) = (a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr());
-            let mut i = 0;
-            while i < whole {
-                // SAFETY: i + 16 <= whole <= ncols, so every 8-lane span
-                // below is in bounds of its `ncols`-float row.
-                unsafe {
-                    let y0 = _mm256_loadu_ps(bp.add(i));
-                    let y1 = _mm256_loadu_ps(bp.add(i + 8));
-                    acc[0][0] = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i)), y0, acc[0][0]);
-                    acc[0][1] = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i + 8)), y1, acc[0][1]);
-                    acc[1][0] = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i)), y0, acc[1][0]);
-                    acc[1][1] = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i + 8)), y1, acc[1][1]);
-                    acc[2][0] = _mm256_fmadd_ps(_mm256_loadu_ps(p2.add(i)), y0, acc[2][0]);
-                    acc[2][1] = _mm256_fmadd_ps(_mm256_loadu_ps(p2.add(i + 8)), y1, acc[2][1]);
-                    acc[3][0] = _mm256_fmadd_ps(_mm256_loadu_ps(p3.add(i)), y0, acc[3][0]);
-                    acc[3][1] = _mm256_fmadd_ps(_mm256_loadu_ps(p3.add(i + 8)), y1, acc[3][1]);
-                }
-                i += NR;
-            }
-            let mut tails = [0.0f32; 4];
-            for j in whole..ncols {
-                tails[0] = a0[j].mul_add(brow[j], tails[0]);
-                tails[1] = a1[j].mul_add(brow[j], tails[1]);
-                tails[2] = a2[j].mul_add(brow[j], tails[2]);
-                tails[3] = a3[j].mul_add(brow[j], tails[3]);
-            }
-            for (r, &t) in tails.iter().enumerate() {
-                // SAFETY: features available per this fn's contract.
-                ob[r * bn + c] = unsafe { reduce_dot(acc[r][0], acc[r][1], t) };
+                or[c] = alpha.mul_add(t, or[c]);
+                c += 1;
             }
         }
     }
@@ -1386,6 +1446,132 @@ mod tests {
 
     fn rel_close(x: f32, y: f32, tol: f32) -> bool {
         (x - y).abs() <= tol * x.abs().max(y.abs()).max(1.0)
+    }
+
+    /// [`salted`] values with exact `-0.0`/`+0.0` scattered through and a
+    /// NaN, `+Inf` and `-Inf` in rows 1, 3 and 4 when those rows exist.
+    fn with_specials(rows: usize, cols: usize, salt: u64) -> Vec<f32> {
+        let mut v = salted(rows, cols, salt);
+        for (i, x) in v.iter_mut().enumerate() {
+            match (i as u64 * 7 + salt) % 11 {
+                0 => *x = -0.0,
+                1 => *x = 0.0,
+                _ => {}
+            }
+        }
+        for (r, special) in [(1, f32::NAN), (3, f32::INFINITY), (4, f32::NEG_INFINITY)] {
+            if r < rows {
+                v[r * cols + (r * 5 + salt as usize) % cols] = special;
+            }
+        }
+        v
+    }
+
+    /// Shapes of the bit-exactness tests: `m` covers every remainder of
+    /// the 6-row tile, `k` runs from one step to many cache lines, and `n`
+    /// sits on and around the 8- and 16-lane edges.
+    const BIT_MAX_M: usize = 13;
+    const BIT_KS: [usize; 4] = [1, 7, 64, 420];
+    const BIT_NS: [usize; 8] = [1, 7, 8, 15, 16, 17, 33, 64];
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} at {i}: {x} vs {y}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn backend_avx_forward_matches_reference_kernel_bits() {
+        if !Backend::AvxFma.is_supported() {
+            return;
+        }
+        let kern = kernel_for(Backend::AvxFma);
+        for k in BIT_KS {
+            let a_all = with_specials(BIT_MAX_M, k, 1);
+            for n in BIT_NS {
+                let b = with_specials(k, n, 2);
+                let seed_all = with_specials(BIT_MAX_M, n, 3);
+                for m in 1..=BIT_MAX_M {
+                    let a = &a_all[..m * k];
+                    for alpha in [1.0, 0.5] {
+                        let mut want = seed_all[..m * n].to_vec();
+                        avx::reference::mm_acc_rows(a, k, &b, n, &mut want, alpha);
+                        let mut got = seed_all[..m * n].to_vec();
+                        kern.mm_acc_rows(a, k, &b, n, &mut got, alpha);
+                        assert_bits(&got, &want, &format!("mm_acc {m}x{k}x{n} alpha {alpha}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn backend_avx_weight_grad_matches_reference_kernel_bits() {
+        if !Backend::AvxFma.is_supported() {
+            return;
+        }
+        let kern = kernel_for(Backend::AvxFma);
+        for k in BIT_KS {
+            for m in 1..=BIT_MAX_M {
+                // A is `rows x acols`: `acols` output rows reduced over `rows`.
+                for (rows, acols) in [(m, k), (k, m)] {
+                    let a = with_specials(rows, acols, 4);
+                    for n in BIT_NS {
+                        let g = with_specials(rows, n, 5);
+                        let seed = with_specials(acols, n, 6);
+                        for alpha in [1.0, 0.5] {
+                            let mut want = seed.clone();
+                            avx::reference::mm_atb_rows(&a, acols, &g, n, 0, &mut want, alpha);
+                            // Whole, and in 7-row chunks so k0 > 0 runs too.
+                            for chunk_rows in [acols, 7] {
+                                let mut got = seed.clone();
+                                for (c, chunk) in got.chunks_mut(chunk_rows * n).enumerate() {
+                                    kern.mm_atb_rows(
+                                        &a,
+                                        acols,
+                                        &g,
+                                        n,
+                                        c * chunk_rows,
+                                        chunk,
+                                        alpha,
+                                    );
+                                }
+                                let what = format!(
+                                    "mm_atb {rows}x{acols}x{n} alpha {alpha} chunks of {chunk_rows}"
+                                );
+                                assert_bits(&got, &want, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backend_avx_abt_equals_acc_on_explicit_transpose() {
+        if !Backend::AvxFma.is_supported() {
+            return;
+        }
+        let kern = kernel_for(Backend::AvxFma);
+        for k in BIT_KS {
+            let a_all = with_specials(BIT_MAX_M, k, 7);
+            for n in BIT_NS {
+                let b = with_specials(n, k, 8);
+                let bt: Vec<f32> = (0..k * n).map(|i| b[(i % n) * k + i / n]).collect();
+                for m in 1..=BIT_MAX_M {
+                    let a = &a_all[..m * k];
+                    let mut want = vec![0.0f32; m * n];
+                    kern.mm_acc_rows(a, k, &bt, n, &mut want, 1.0);
+                    let mut got = vec![f32::NAN; m * n];
+                    kern.mm_abt_rows(a, k, &b, n, &mut got);
+                    assert_bits(&got, &want, &format!("mm_abt {m}x{k}x{n}"));
+                }
+            }
+        }
     }
 
     #[test]

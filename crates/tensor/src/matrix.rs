@@ -482,11 +482,12 @@ impl Matrix {
         }
         let n = other.cols;
         let kern = crate::kernels::active_kernel();
-        // Same deterministic scratch warming as matmul_accumulate_pooled.
+        // Same deterministic scratch warming as matmul_accumulate_pooled,
+        // for a product that reduces over this matrix's rows.
         pool.for_row_chunks_prepared(
             &mut out.data,
             n,
-            || kern.warm_atb_scratch(self.rows),
+            || kern.warm_acc_scratch(self.rows, n),
             |k0, out_chunk| {
                 kern.mm_atb_rows(&self.data, self.cols, &other.data, n, k0, out_chunk, alpha);
             },
@@ -521,11 +522,18 @@ impl Matrix {
         let bn = other.rows;
         let ncols = self.cols;
         let kern = crate::kernels::active_kernel();
-        pool.for_row_chunks(&mut out.data, bn, |r0, out_chunk| {
-            let rows_in = out_chunk.len() / bn;
-            let a_chunk = &self.data[r0 * ncols..(r0 + rows_in) * ncols];
-            kern.mm_abt_rows(a_chunk, ncols, &other.data, bn, out_chunk);
-        });
+        // Same deterministic scratch warming as matmul_accumulate_pooled,
+        // for a product that reduces over `ncols` into `bn` columns.
+        pool.for_row_chunks_prepared(
+            &mut out.data,
+            bn,
+            || kern.warm_acc_scratch(ncols, bn),
+            |r0, out_chunk| {
+                let rows_in = out_chunk.len() / bn;
+                let a_chunk = &self.data[r0 * ncols..(r0 + rows_in) * ncols];
+                kern.mm_abt_rows(a_chunk, ncols, &other.data, bn, out_chunk);
+            },
+        );
     }
 
     /// Element-wise `self += other`.
