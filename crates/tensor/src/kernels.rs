@@ -9,20 +9,26 @@
 //!   16-lane dots) that previously lived in `matrix.rs`. No `unsafe`; they
 //!   rely on autovectorization at `target-cpu=x86-64-v3`.
 //! * [`AvxFmaBackend`] — one microkernel over explicit
-//!   `core::arch::x86_64` AVX2 + FMA intrinsics (up to 6 rows x 16
-//!   columns, two `ymm` accumulators per row) that reads A in place
-//!   through strides and B from zero-padded 16-wide panels; the three
-//!   products differ only in their strides and in how B is packed. This
-//!   is the only module in the workspace besides the pool/embedding
-//!   arenas allowed to contain `unsafe` (lint rule `unsafe-confinement`),
-//!   and every site carries a SAFETY comment.
+//!   `core::arch::x86_64` intrinsics, two accumulators per row: up to 12
+//!   rows x 32 columns in `zmm` registers where the host has AVX-512F,
+//!   else up to 6 rows x 16 columns in AVX2 + FMA `ymm` registers. It
+//!   reads A in place through strides, and B one panel at a time through
+//!   a k-stride: where it lies for `x·W` and `xᵀ·g`, save a ragged last
+//!   panel copied into zero-padded scratch, and from packed panels of `Wᵀ`
+//!   for `g·Wᵀ`. The three products differ only in their strides and in
+//!   what they pack. This is the only module in the workspace besides the
+//!   pool/embedding arenas allowed to contain `unsafe` (lint rule
+//!   `unsafe-confinement`), and every site carries a SAFETY comment.
 //!
 //! **Backend selection.** [`active`] resolves once per process: the
 //! `OPTINTER_KERNEL_BACKEND={scalar,avx2fma}` env var wins if set and
 //! supported, otherwise runtime feature detection
 //! (`is_x86_feature_detected!("avx2")` + `"fma"`) picks `avx2fma` when the
 //! host supports it and `scalar` otherwise. The choice is logged to stderr
-//! once. CLI `--backend` flags call [`set_active`] before any matmul runs.
+//! once, with the AVX tile's width (`avx2fma, 512-bit tile`). That width
+//! is no option: `is_x86_feature_detected!("avx512f")` picks it, and it
+//! moves no bits, so `avx2fma` names the numeric contract on either width.
+//! CLI `--backend` flags call [`set_active`] before any matmul runs.
 //!
 //! **Determinism contract (per backend).** Every output element is
 //! produced by exactly one accumulator chain that walks the reduction
@@ -31,14 +37,17 @@
 //! element's value therefore does not depend on which block shape computed
 //! it, so each backend is invariant under any row regrouping: serial,
 //! pooled with any chunk split, and any thread count produce bit-identical
-//! results. The chains differ in one place between the backends: the
-//! scalar `a·bᵀ` splits each dot product into 16 lanes reduced by a fixed
-//! tree, while the AVX `a·bᵀ` is the same ascending-k FMA chain as its
-//! other two products. What is *not* promised is bitwise equality
-//! *across* backends: the AVX backend contracts multiply-add pairs into
-//! fused FMAs (one rounding instead of two), so it agrees with
-//! `ScalarBackend` and `tensor::reference` only to relative tolerance.
-//! See DESIGN.md §13.
+//! results. On the AVX backend neither the register width nor where B was
+//! read from changes a chain either, so both tiles give the same bits as
+//! the packed kernels they replaced (the `backend_avx_*` tests run every
+//! width the host has against those). The chains differ
+//! in one place between the backends: the scalar `a·bᵀ` splits each dot
+//! product into 16 lanes reduced by a fixed tree, while the AVX `a·bᵀ` is
+//! the same ascending-k FMA chain as its other two products. What is *not*
+//! promised is bitwise equality *across* backends: the AVX backend
+//! contracts multiply-add pairs into fused FMAs (one rounding instead of
+//! two), so it agrees with `ScalarBackend` and `tensor::reference` only to
+//! relative tolerance. See DESIGN.md §13.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -85,15 +94,19 @@ pub trait MatMulKernel: Sync {
     /// Pre-sizes, on the calling thread, any thread-local scratch that a
     /// product with reduction length `k` and `n` output columns needs:
     /// [`mm_acc_rows`](Self::mm_acc_rows) with a `k x n` right-hand side,
-    /// [`mm_atb_rows`](Self::mm_atb_rows) with `k` = the shared row count
-    /// of A and G, [`mm_abt_rows`](Self::mm_abt_rows) with `k = ncols` and
-    /// `n = bn`. Pooled matmuls pass this to
+    /// or [`mm_atb_rows`](Self::mm_atb_rows) with `k` = the shared row
+    /// count of A and G. Pooled matmuls pass this to
     /// [`Pool::for_row_chunks_prepared`](crate::Pool::for_row_chunks_prepared)
     /// so every worker's scratch grows on first sight of a shape — not at
     /// the scheduling-dependent moment that worker first wins a chunk
     /// (which could land inside a caller's zero-allocation window).
     /// Backends without scratch keep the default no-op.
     fn warm_acc_scratch(&self, _k: usize, _n: usize) {}
+
+    /// [`warm_acc_scratch`](Self::warm_acc_scratch) for
+    /// [`mm_abt_rows`](Self::mm_abt_rows) with a `bn x ncols` right-hand
+    /// side.
+    fn warm_abt_scratch(&self, _ncols: usize, _bn: usize) {}
 }
 
 /// Which kernel implementation the process dispatches to.
@@ -223,10 +236,24 @@ pub fn active() -> Backend {
                     .compare_exchange(0, b.tag() + 1, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
-                    eprintln!("[optinter-tensor] kernel backend: {}", b.name());
+                    eprintln!(
+                        "[optinter-tensor] kernel backend: {}{}",
+                        b.name(),
+                        tile_note(b)
+                    );
                 }
             }
         }
+    }
+}
+
+/// The AVX backend's tile width, for the backend log line: CPU detection
+/// picks it with no option, and its name and artifact tag do not say it.
+fn tile_note(b: Backend) -> &'static str {
+    match b {
+        #[cfg(target_arch = "x86_64")]
+        Backend::AvxFma if avx_fma_detected() => avx::Width::detect().log_note(),
+        _ => "",
     }
 }
 
@@ -244,7 +271,11 @@ pub fn set_active(b: Backend) -> Backend {
         b.name()
     );
     let prev = ACTIVE.swap(b.tag() + 1, Ordering::Relaxed);
-    eprintln!("[optinter-tensor] kernel backend: {} (forced)", b.name());
+    eprintln!(
+        "[optinter-tensor] kernel backend: {}{} (forced)",
+        b.name(),
+        tile_note(b)
+    );
     backend_from_code(prev).unwrap_or(b)
 }
 
@@ -701,14 +732,14 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA backend: one R x 16 FMA microkernel over packed panels.
+// AVX backend: one FMA microkernel per register width, B read in place.
 // ---------------------------------------------------------------------------
 
-/// Packed-panel AVX2 + FMA kernels. Selectable only when the host passes
-/// the runtime feature check ([`Backend::is_supported`]); on other
-/// architectures (or if a caller constructs it anyway on a host without
-/// AVX2) every method falls back to the scalar kernels, so the type is
-/// safe to instantiate unconditionally.
+/// AVX2 + FMA kernels, on a 512-bit tile where the host has AVX-512F.
+/// Selectable only when the host passes the runtime feature check
+/// ([`Backend::is_supported`]); on other architectures (or if a caller
+/// constructs it anyway on a host without AVX2) every method falls back to
+/// the scalar kernels, so the type is safe to instantiate unconditionally.
 pub struct AvxFmaBackend;
 
 #[allow(clippy::too_many_arguments)]
@@ -728,7 +759,7 @@ impl MatMulKernel for AvxFmaBackend {
     ) {
         #[cfg(target_arch = "x86_64")]
         if avx_fma_detected() {
-            return avx::mm_acc_rows(a_rows, k, b, n, out_rows, alpha);
+            return avx::mm_acc_rows(avx::Width::detect(), a_rows, k, b, n, out_rows, alpha);
         }
         scalar::mm_acc_rows(a_rows, k, b, n, out_rows, alpha);
     }
@@ -745,7 +776,8 @@ impl MatMulKernel for AvxFmaBackend {
     ) {
         #[cfg(target_arch = "x86_64")]
         if avx_fma_detected() {
-            return avx::mm_atb_rows(a, acols, g, n, k0, out_chunk, alpha);
+            let w = avx::Width::detect();
+            return avx::mm_atb_rows(w, a, acols, g, n, k0, out_chunk, alpha);
         }
         scalar::mm_atb_rows(a, acols, g, n, k0, out_chunk, alpha);
     }
@@ -760,7 +792,7 @@ impl MatMulKernel for AvxFmaBackend {
     ) {
         #[cfg(target_arch = "x86_64")]
         if avx_fma_detected() {
-            return avx::mm_abt_rows(a_rows, ncols, b, bn, out_rows);
+            return avx::mm_abt_rows(avx::Width::detect(), a_rows, ncols, b, bn, out_rows);
         }
         scalar::mm_abt_rows(a_rows, ncols, b, bn, out_rows);
     }
@@ -774,63 +806,133 @@ impl MatMulKernel for AvxFmaBackend {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (k, n);
     }
+
+    fn warm_abt_scratch(&self, ncols: usize, bn: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if avx_fma_detected() {
+            avx::warm_abt_scratch(ncols, bn);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (ncols, bn);
+    }
 }
 
-// One microkernel for all three products.
+// One microkernel per register width, shared by all three products.
 //
-// Geometry: output rows in blocks of `MR = 6`, output columns in panels of
-// `NR = 16` (two 8-lane `ymm` accumulators per row: 12 accumulator
-// registers, leaving 4 of the 16 `ymm` for the two loaded B lanes and the
-// broadcast multiplier — and saturating both FMA ports at 2 fused ops per
-// cycle per row-pair). The rows left after the last full block run as one
-// shorter tile of the same kernel.
+// Geometry: output rows in blocks of `mr`, output columns in panels of
+// `nr`, two accumulators per row. With AVX-512F the tile is 12 rows x 32
+// columns in `zmm`: 24 accumulators, 2 B loads and 1 broadcast use 27 of the
+// 32 registers. Without it the tile is 6 x 16 in `ymm`: 12 + 2 + 1 of 16.
+// Either saturates both FMA ports. `Width::detect` picks the width per call
+// from CPU detection alone. The rows left after the last full block run as
+// one shorter tile of the same kernel.
 //
-// The kernel reads A in place through a (row, k) stride pair and B from
-// panel-major scratch: panel `p` holds `k` rows of `NR` contiguous floats
-// for absolute output columns `[p*NR, p*NR + NR)`, the tail panel
-// zero-padded (pad lanes are computed but never stored). The products
-// differ only in strides and packing:
-//   * `x·W` (`mm_acc_rows`): A is x (row stride k, k stride 1); W is packed
-//     by `pack_b_panels`.
+// The kernel reads A in place through a (row, k) stride pair and one
+// `nr`-column panel of B through a k-stride. The products differ only in
+// their strides and in which panels of B are copied first:
+//   * `x·W` (`mm_acc_rows`): A is x (row stride k, k stride 1); W's
+//     full-width panels are read where they lie, at k-stride n.
 //   * `xᵀ·g` (`mm_atb_rows`): A is x's columns (row stride 1, k stride
-//     acols); g is packed by `pack_b_panels`.
+//     acols); g's full-width panels are read in place, at k-stride n.
 //   * `g·Wᵀ` (`mm_abt_rows`): A is g (row stride ncols, k stride 1); Wᵀ is
 //     packed by `pack_bt_panels`, and the zeroed output accumulates with
 //     alpha = 1.
-// The panel scratch is one thread-local buffer, so steady-state
+// A ragged last panel of `x·W` and `xᵀ·g`, and every panel of `Wᵀ`, is
+// copied into panel-major scratch: panel `p` holds `k` rows of `nr`
+// contiguous floats for absolute output columns `[p*nr, p*nr + nr)`, the
+// ragged one zero-padded (pad lanes are computed but never stored). The
+// scratch is one thread-local buffer that only grows, so steady-state
 // allocations stay at zero.
 //
 // Determinism: per output element one accumulator chain in ascending `k`
-// (vector FMA lanes), stored once as `fma(alpha, acc, out)`. Column panels
-// are addressed by *absolute* column index and each row's accumulators are
-// independent, so pooled row regrouping and the tile height can change
-// neither the panel an element falls in nor its chain. Ragged panels
-// store through scalar `f32::mul_add`, which is the IEEE fusedMultiplyAdd —
-// bit-identical to a vector FMA lane. See DESIGN.md §13.
+// (vector FMA lanes) from +0, stored once as `fma(alpha, acc, out)`. Column
+// panels are addressed by *absolute* column index and each row's
+// accumulators are independent, so neither pooled row regrouping, the tile
+// height, the register width, nor where a panel of B was read from can
+// change an element's chain. Ragged panels store through scalar
+// `f32::mul_add`, which is the IEEE fusedMultiplyAdd — bit-identical to a
+// vector FMA lane. See DESIGN.md §13.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use core::arch::x86_64::{
-        __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, __m512, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps,
     };
     use std::cell::RefCell;
 
-    /// Output-row block height of the microkernel.
-    const MR: usize = 6;
-    /// Output-column panel width (two 8-lane `ymm` registers).
-    const NR: usize = 16;
-
     thread_local! {
         // Panel scratch: grown via `resize` to the per-thread working-set
-        // maximum and reused afterwards, so steady-state train steps and
-        // serve requests never touch the heap (the counting allocator test
-        // covers this; pool worker threads are persistent). Growth must be
+        // maximum and never shrunk, so steady-state train steps and serve
+        // requests never touch the heap (the counting allocator test covers
+        // this; pool worker threads are persistent). Growth must be
         // *deterministic* to honor that: pool job assignment is dynamic, so
         // a worker that sat out every call of a shape during a caller's
         // warm-up would otherwise first grow its scratch at an arbitrary
         // later win — which is why every pooled matmul warms every thread
-        // via `Pool::for_row_chunks_prepared` + `warm_acc_scratch` below.
+        // via `Pool::for_row_chunks_prepared` + the `warm_*_scratch` fns
+        // below.
         static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The microkernel's register width, which fixes its tile: 6 x 16 in
+    /// `ymm` or 12 x 32 in `zmm`. Only [`Width::detect`] and
+    /// [`Width::wide`] make the 512-bit one, so it never runs without
+    /// AVX-512F.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Width {
+        /// Rows per full tile.
+        mr: usize,
+        /// Columns per panel: two registers' lanes.
+        nr: usize,
+    }
+
+    impl Width {
+        /// The 256-bit tile (the AVX2 + FMA check is the caller's).
+        pub(super) const NARROW: Width = Width { mr: 6, nr: 16 };
+
+        /// The 512-bit tile, if this host has AVX-512F.
+        pub(super) fn wide() -> Option<Width> {
+            std::arch::is_x86_feature_detected!("avx512f").then_some(Width { mr: 12, nr: 32 })
+        }
+
+        /// The widest tile this host runs.
+        pub(super) fn detect() -> Width {
+            Width::wide().unwrap_or(Width::NARROW)
+        }
+
+        /// Suffix for the one-time backend log line.
+        pub(super) fn log_note(self) -> &'static str {
+            if self == Width::NARROW {
+                ", 256-bit tile"
+            } else {
+                ", 512-bit tile"
+            }
+        }
+
+        /// The `h`-row tile, `1 <= h <= self.mr`.
+        fn tile(self, h: usize) -> Tile {
+            match (self == Width::NARROW, h) {
+                (true, 1) => tile256::<1>,
+                (true, 2) => tile256::<2>,
+                (true, 3) => tile256::<3>,
+                (true, 4) => tile256::<4>,
+                (true, 5) => tile256::<5>,
+                (true, _) => tile256::<6>,
+                (false, 1) => tile512::<1>,
+                (false, 2) => tile512::<2>,
+                (false, 3) => tile512::<3>,
+                (false, 4) => tile512::<4>,
+                (false, 5) => tile512::<5>,
+                (false, 6) => tile512::<6>,
+                (false, 7) => tile512::<7>,
+                (false, 8) => tile512::<8>,
+                (false, 9) => tile512::<9>,
+                (false, 10) => tile512::<10>,
+                (false, 11) => tile512::<11>,
+                (false, _) => tile512::<12>,
+            }
+        }
     }
 
     /// The left operand, read in place: element `(i, kk)` lives at
@@ -842,27 +944,60 @@ mod avx {
         ks: usize,
     }
 
-    /// The microkernel's signature, so [`gemm`] picks a tile height once
-    /// per row block.
+    /// One panel of B, read through a k-stride: element `(kk, j)` of the
+    /// panel lives at `b[kk * ks + j]`.
+    #[derive(Clone, Copy)]
+    struct Rhs<'a> {
+        b: &'a [f32],
+        ks: usize,
+    }
+
+    /// Where [`gemm`] finds the panels of a `k x n` B: panels `p < full` in
+    /// place in the row-major `b`, at k-stride `n`; the rest in `packed`,
+    /// panel-major from panel `full` on, at k-stride `nr`.
+    #[derive(Clone, Copy)]
+    struct Panels<'a> {
+        b: &'a [f32],
+        full: usize,
+        packed: &'a [f32],
+    }
+
+    /// The microkernel's signature, so [`gemm`] picks a tile once per row
+    /// block.
     ///
     /// # Safety
-    /// Calls must meet [`tile`]'s contract.
-    type Tile = unsafe fn(Lhs<'_>, &[f32], &mut [f32], usize, usize, f32);
+    /// Calls must meet [`tile256`]'s or [`tile512`]'s contract.
+    type Tile = unsafe fn(Lhs<'_>, Rhs<'_>, usize, &mut [f32], usize, usize, f32);
 
-    /// Grows this thread's panel scratch to what a product with reduction
-    /// length `k` and `n` output columns will `resize` it to, so the later
-    /// resize is capacity-neutral. Sizes must stay in lockstep with
-    /// [`pack_b_panels`] and [`pack_bt_panels`].
+    /// Grows this thread's panel scratch to what `x·W` or `xᵀ·g` with
+    /// reduction length `k` and `n` output columns packs on this host's
+    /// tile: the ragged last panel, if any. Must stay in lockstep with
+    /// [`gemm_row_major_b`].
     pub(super) fn warm_acc_scratch(k: usize, n: usize) {
-        if k == 0 || n == 0 {
-            return;
-        }
-        PACK_B.with(|pb_cell| pb_cell.borrow_mut().resize(n.div_ceil(NR) * NR * k, 0.0));
+        let nr = Width::detect().nr;
+        warm_scratch((n.div_ceil(nr) - n / nr) * nr * k);
+    }
+
+    /// Grows this thread's panel scratch to what `g·Wᵀ` packs: all of
+    /// `Wᵀ`, `bn` columns reduced over `ncols`. Must stay in lockstep with
+    /// [`pack_bt_panels`].
+    pub(super) fn warm_abt_scratch(ncols: usize, bn: usize) {
+        let nr = Width::detect().nr;
+        warm_scratch(bn.div_ceil(nr) * nr * ncols);
+    }
+
+    /// Grows this thread's panel scratch to `len` floats, so a product's
+    /// own growth is a no-op.
+    fn warm_scratch(len: usize) {
+        PACK_B.with(|pb_cell| {
+            scratch(&mut pb_cell.borrow_mut(), len);
+        });
     }
 
     /// `out_rows += alpha * a_rows * b`; AVX twin of
     /// [`super::scalar::mm_acc_rows`].
     pub(super) fn mm_acc_rows(
+        w: Width,
         a_rows: &[f32],
         k: usize,
         b: &[f32],
@@ -880,13 +1015,15 @@ mod avx {
             rs: k,
             ks: 1,
         };
-        packed_gemm(|pb| pack_b_panels(pb, b, k, n), lhs, k, n, out_rows, alpha);
+        gemm_row_major_b(w, lhs, k, b, n, out_rows, alpha);
     }
 
     /// `out_chunk += alpha * (A^T G)` rows `k0..`; AVX twin of
     /// [`super::scalar::mm_atb_rows`]. Output rows are columns
-    /// `k0..` of A, read through strides; G is the packed operand.
+    /// `k0..` of A, read through strides; G is the right-hand side.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn mm_atb_rows(
+        w: Width,
         a: &[f32],
         acols: usize,
         g: &[f32],
@@ -913,7 +1050,7 @@ mod avx {
             rs: 1,
             ks: acols,
         };
-        packed_gemm(|pb| pack_b_panels(pb, g, m, n), lhs, m, n, out_chunk, alpha);
+        gemm_row_major_b(w, lhs, m, g, n, out_chunk, alpha);
     }
 
     /// `out_rows = a_rows * b^T`; AVX twin of
@@ -921,6 +1058,7 @@ mod avx {
     /// zeroed output accumulates the product, so every element is the same
     /// ascending-k FMA chain as [`mm_acc_rows`] on an explicit transpose.
     pub(super) fn mm_abt_rows(
+        w: Width,
         a_rows: &[f32],
         ncols: usize,
         b: &[f32],
@@ -937,100 +1075,148 @@ mod avx {
             rs: ncols,
             ks: 1,
         };
-        packed_gemm(
-            |pb| pack_bt_panels(pb, b, ncols, bn),
-            lhs,
-            ncols,
-            bn,
-            out_rows,
-            1.0,
-        );
+        PACK_B.with(|pb_cell| {
+            let mut pb = pb_cell.borrow_mut();
+            let packed = pack_bt_panels(&mut pb, w.nr, b, ncols, bn);
+            let src = Panels {
+                b: &[],
+                full: 0,
+                packed,
+            };
+            gemm(w, lhs, ncols, src, bn, out_rows, 1.0);
+        });
     }
 
-    /// Packs B into this thread's panel scratch with `pack`, then runs
-    /// [`gemm`] over it.
-    fn packed_gemm(
-        pack: impl FnOnce(&mut Vec<f32>),
+    /// [`gemm`] for a row-major `k x n` B: its full-width panels read where
+    /// they lie, a ragged last panel packed into this thread's scratch
+    /// first.
+    fn gemm_row_major_b(
+        w: Width,
         lhs: Lhs<'_>,
         k: usize,
+        b: &[f32],
         n: usize,
         out: &mut [f32],
         alpha: f32,
     ) {
+        let nr = w.nr;
+        let full = n / nr;
+        let run = |packed: &[f32], out: &mut [f32]| {
+            let src = Panels { b, full, packed };
+            gemm(w, lhs, k, src, n, out, alpha);
+        };
+        if full * nr == n {
+            return run(&[], out);
+        }
         PACK_B.with(|pb_cell| {
             let mut pb = pb_cell.borrow_mut();
-            pack(&mut pb);
-            gemm(lhs, k, &pb, n, out, alpha);
+            run(pack_b_panels(&mut pb, nr, b, k, n, full), out);
         });
     }
 
     /// `out += alpha * A·B` for a row-major `out` of stride `n`: A read
-    /// through `lhs`, B from `pb`'s panels of `k` rows. Rows run in
-    /// `MR`-row tiles, the remainder as one shorter tile.
-    fn gemm(lhs: Lhs<'_>, k: usize, pb: &[f32], n: usize, out: &mut [f32], alpha: f32) {
-        debug_assert!(k > 0 && pb.len() == n.div_ceil(NR) * NR * k);
-        debug_assert_eq!(out.len() % n, 0);
+    /// through `lhs`, B's panels from `src`. Rows run in `w.mr`-row
+    /// tiles, the remainder as one shorter tile.
+    fn gemm(
+        w: Width,
+        lhs: Lhs<'_>,
+        k: usize,
+        src: Panels<'_>,
+        n: usize,
+        out: &mut [f32],
+        alpha: f32,
+    ) {
+        let (mr, nr) = (w.mr, w.nr);
+        debug_assert!(k > 0 && n > 0 && out.len().is_multiple_of(n));
         let rows = out.len() / n;
         let mut r0 = 0;
         while r0 < rows {
-            let h = MR.min(rows - r0);
-            let tile: Tile = match h {
-                1 => tile::<1>,
-                2 => tile::<2>,
-                3 => tile::<3>,
-                4 => tile::<4>,
-                5 => tile::<5>,
-                _ => tile::<MR>,
-            };
-            // The tile reads A unchecked, so slice exactly the extent it
-            // covers: a short operand panics here instead.
+            let h = mr.min(rows - r0);
+            let tile = w.tile(h);
+            // The tile reads A and B unchecked, so slice exactly the extents
+            // it covers: a short operand panics here instead.
             let start = r0 * lhs.rs;
             let block = Lhs {
                 a: &lhs.a[start..start + (h - 1) * lhs.rs + (k - 1) * lhs.ks + 1],
                 ..lhs
             };
             let ob = &mut out[r0 * n..(r0 + h) * n];
-            for (p, panel) in pb.chunks_exact(NR * k).enumerate() {
+            for p in 0..n.div_ceil(nr) {
+                let (b, off, ks) = if p < src.full {
+                    (src.b, p * nr, n)
+                } else {
+                    (src.packed, (p - src.full) * nr * k, nr)
+                };
+                let rhs = Rhs {
+                    b: &b[off..off + (k - 1) * ks + nr],
+                    ks,
+                };
                 // SAFETY: AVX2+FMA presence is checked by the dispatch
                 // wrapper (`AvxFmaBackend` falls back to scalar without
-                // it); `block` was sliced to hold `h` rows of `k` elements
-                // at its strides, `panel` is `NR * k` floats with `k >= 1`,
-                // and `ob` is `h` rows of `n`.
-                unsafe { tile(block, panel, ob, n, p * NR, alpha) };
+                // it), and AVX-512F by `Width` (only detection makes a
+                // 512-bit one); `block` and `rhs` were sliced to hold `h`
+                // rows and one panel of `k >= 1` elements at their strides,
+                // and `ob` is `h` rows of `n` with `p * nr < n`.
+                unsafe { tile(block, rhs, k, ob, n, p * nr, alpha) };
             }
             r0 += h;
         }
     }
 
-    /// Packs `b` (`k x n`, row-major) into panel-major layout: panel `p`
-    /// holds `k` rows of `NR` contiguous floats covering absolute columns
-    /// `[p*NR, p*NR + NR)`; the tail panel is zero-padded.
-    fn pack_b_panels(pb: &mut Vec<f32>, b: &[f32], k: usize, n: usize) {
-        pb.resize(n.div_ceil(NR) * NR * k, 0.0);
-        for (p, dst_panel) in pb.chunks_exact_mut(NR * k).enumerate() {
-            let c0 = p * NR;
-            let w = NR.min(n - c0);
-            for (kk, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
+    /// The first `len` floats of this thread's scratch `pb`, which only
+    /// grows, so resizes stop allocating (or zeroing) after warm-up.
+    fn scratch(pb: &mut Vec<f32>, len: usize) -> &mut [f32] {
+        if pb.len() < len {
+            pb.resize(len, 0.0);
+        }
+        &mut pb[..len]
+    }
+
+    /// Packs panels `from..` of `b` (`k x n`, row-major) into `pb`,
+    /// panel-major: each holds `k` rows of `nr` contiguous floats covering
+    /// absolute columns `[p*nr, p*nr + nr)`; the ragged one is zero-padded.
+    fn pack_b_panels<'a>(
+        pb: &'a mut Vec<f32>,
+        nr: usize,
+        b: &[f32],
+        k: usize,
+        n: usize,
+        from: usize,
+    ) -> &'a [f32] {
+        let packed = scratch(pb, (n.div_ceil(nr) - from) * nr * k);
+        for (p, dst_panel) in packed.chunks_exact_mut(nr * k).enumerate() {
+            let c0 = (from + p) * nr;
+            let w = nr.min(n - c0);
+            for (kk, dst) in dst_panel.chunks_exact_mut(nr).enumerate() {
                 dst[..w].copy_from_slice(&b[kk * n + c0..kk * n + c0 + w]);
                 dst[w..].fill(0.0);
             }
         }
+        packed
     }
 
-    /// [`pack_b_panels`] for `b^T`, given `b` (`bn x k`, row-major): panel
-    /// `p` holds, for each `kk`, element `kk` of B rows `[p*NR, p*NR + NR)`.
-    fn pack_bt_panels(pb: &mut Vec<f32>, b: &[f32], k: usize, bn: usize) {
-        pb.resize(bn.div_ceil(NR) * NR * k, 0.0);
-        for (p, dst_panel) in pb.chunks_exact_mut(NR * k).enumerate() {
-            let w = NR.min(bn - p * NR);
-            let rows = &b[p * NR * k..(p * NR + w) * k];
-            for (kk, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
+    /// [`pack_b_panels`] for all of `b^T`, given `b` (`bn x k`, row-major):
+    /// panel `p` holds, for each `kk`, element `kk` of B rows
+    /// `[p*nr, p*nr + nr)`.
+    fn pack_bt_panels<'a>(
+        pb: &'a mut Vec<f32>,
+        nr: usize,
+        b: &[f32],
+        k: usize,
+        bn: usize,
+    ) -> &'a [f32] {
+        let packed = scratch(pb, bn.div_ceil(nr) * nr * k);
+        for (p, dst_panel) in packed.chunks_exact_mut(nr * k).enumerate() {
+            let w = nr.min(bn - p * nr);
+            let rows = &b[p * nr * k..(p * nr + w) * k];
+            for (kk, dst) in dst_panel.chunks_exact_mut(nr).enumerate() {
                 for (d, row) in dst.iter_mut().zip(rows.chunks_exact(k)) {
                     *d = row[kk];
                 }
                 dst[w..].fill(0.0);
             }
         }
+        packed
     }
 
     /// Applies `orow[j] = fma(alpha, lane_j, orow[j])` for the `w`
@@ -1040,15 +1226,15 @@ mod avx {
     /// an element's result does not depend on which path stored it.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available and `orow.len() == w <= NR`.
+    /// Caller must ensure AVX2+FMA are available and `orow.len() == w <= 16`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn store_acc_row(acc0: __m256, acc1: __m256, orow: &mut [f32], w: usize, alpha: f32) {
         debug_assert_eq!(orow.len(), w);
-        if w == NR {
+        if w == 16 {
             let alpha_v = _mm256_set1_ps(alpha);
             let p = orow.as_mut_ptr();
-            // SAFETY: w == NR == 16, so both 8-lane spans [0, 8) and
-            // [8, 16) are in bounds of `orow`.
+            // SAFETY: w == 16, so both 8-lane spans [0, 8) and [8, 16) are
+            // in bounds of `orow`.
             unsafe {
                 let o0 = _mm256_loadu_ps(p);
                 _mm256_storeu_ps(p, _mm256_fmadd_ps(alpha_v, acc0, o0));
@@ -1056,7 +1242,7 @@ mod avx {
                 _mm256_storeu_ps(p.add(8), _mm256_fmadd_ps(alpha_v, acc1, o1));
             }
         } else {
-            let mut lanes = [0.0f32; NR];
+            let mut lanes = [0.0f32; 16];
             // SAFETY: `lanes` is 16 floats, exactly two 8-lane stores.
             unsafe {
                 _mm256_storeu_ps(lanes.as_mut_ptr(), acc0);
@@ -1068,40 +1254,72 @@ mod avx {
         }
     }
 
-    /// The microkernel: `R` rows of A against one packed panel of
-    /// `k = panel.len() / NR` rows, one two-`ymm` accumulator chain per row
-    /// in ascending `k`, stored into columns `[c0, c0 + NR)` of `ob`
-    /// (clipped to `n`).
+    /// [`store_acc_row`] for a two-`zmm` accumulator pair: 32 lanes, the
+    /// `orow.len()` in-bounds ones stored.
     ///
     /// # Safety
-    /// Caller must ensure AVX2+FMA are available, `panel.len() == NR * k`
-    /// with `k >= 1`, and `(R - 1) * lhs.rs + (k - 1) * lhs.ks <
-    /// lhs.a.len()`. The stores are bounds-checked (`ob` should hold `R`
-    /// rows of `n`, and `c0 < n`).
+    /// Caller must ensure AVX-512F is available and `orow.len() <= 32`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_acc_row512(acc0: __m512, acc1: __m512, orow: &mut [f32], alpha: f32) {
+        debug_assert!(orow.len() <= 32);
+        if orow.len() == 32 {
+            let alpha_v = _mm512_set1_ps(alpha);
+            let p = orow.as_mut_ptr();
+            // SAFETY: the row is 32 floats, so both 16-lane spans [0, 16)
+            // and [16, 32) are in bounds.
+            unsafe {
+                let o0 = _mm512_loadu_ps(p);
+                _mm512_storeu_ps(p, _mm512_fmadd_ps(alpha_v, acc0, o0));
+                let o1 = _mm512_loadu_ps(p.add(16));
+                _mm512_storeu_ps(p.add(16), _mm512_fmadd_ps(alpha_v, acc1, o1));
+            }
+        } else {
+            let mut lanes = [0.0f32; 32];
+            // SAFETY: `lanes` is 32 floats, exactly two 16-lane stores.
+            unsafe {
+                _mm512_storeu_ps(lanes.as_mut_ptr(), acc0);
+                _mm512_storeu_ps(lanes.as_mut_ptr().add(16), acc1);
+            }
+            for (o, &t) in orow.iter_mut().zip(lanes.iter()) {
+                *o = alpha.mul_add(t, *o);
+            }
+        }
+    }
+
+    /// The 256-bit microkernel: `R` rows of A against one 16-column panel
+    /// of B over `k` steps, one two-`ymm` accumulator chain per row in
+    /// ascending `k`, stored into columns `[c0, c0 + 16)` of `ob` (clipped
+    /// to `n`).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available, `k >= 1`,
+    /// `(R - 1) * lhs.rs + (k - 1) * lhs.ks < lhs.a.len()` and
+    /// `(k - 1) * rhs.ks + 16 <= rhs.b.len()`. The stores are
+    /// bounds-checked (`ob` should hold `R` rows of `n`, and `c0 < n`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile<const R: usize>(
+    unsafe fn tile256<const R: usize>(
         lhs: Lhs<'_>,
-        panel: &[f32],
+        rhs: Rhs<'_>,
+        k: usize,
         ob: &mut [f32],
         n: usize,
         c0: usize,
         alpha: f32,
     ) {
-        let k = panel.len() / NR;
-        let Lhs { a, rs, ks } = lhs;
-        debug_assert!(k > 0 && panel.len() == NR * k);
-        debug_assert!((R - 1) * rs + (k - 1) * ks < a.len());
+        let (Lhs { a, rs, ks }, Rhs { b, ks: bks }) = (lhs, rhs);
+        debug_assert!(k > 0 && (R - 1) * rs + (k - 1) * ks < a.len());
+        debug_assert!((k - 1) * bks + 16 <= b.len());
         debug_assert!(c0 < n && ob.len() == R * n);
         let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        let (ap, bp) = (a.as_ptr(), panel.as_ptr());
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
         for kk in 0..k {
-            // SAFETY: kk < k, so panel row [kk*NR, kk*NR + 16) is in bounds
-            // of the `NR * k`-float panel, and every A offset
-            // i*rs + kk*ks (i < R) is at most (R-1)*rs + (k-1)*ks, in
-            // bounds per this fn's contract.
+            // SAFETY: kk < k, so B's span [kk*bks, kk*bks + 16) and every
+            // A offset i*rs + kk*ks (i < R) are in bounds per this fn's
+            // contract.
             unsafe {
-                let b0 = _mm256_loadu_ps(bp.add(kk * NR));
-                let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
+                let bk = bp.add(kk * bks);
+                let b0 = _mm256_loadu_ps(bk);
+                let b1 = _mm256_loadu_ps(bk.add(8));
                 let ak = ap.add(kk * ks);
                 for (i, acc) in acc.iter_mut().enumerate() {
                     let av = _mm256_broadcast_ss(&*ak.add(i * rs));
@@ -1110,11 +1328,59 @@ mod avx {
                 }
             }
         }
-        let w = NR.min(n - c0);
+        let w = 16.min(n - c0);
         for (acc, orow) in acc.iter().zip(ob.chunks_exact_mut(n)) {
             // SAFETY: features are available per this fn's contract and
             // the slice is exactly `w` long.
             unsafe { store_acc_row(acc[0], acc[1], &mut orow[c0..c0 + w], w, alpha) };
+        }
+    }
+
+    /// The 512-bit microkernel: [`tile256`] with two `zmm` accumulators per
+    /// row, so one 32-column panel per call.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F is available, `k >= 1`,
+    /// `(R - 1) * lhs.rs + (k - 1) * lhs.ks < lhs.a.len()` and
+    /// `(k - 1) * rhs.ks + 32 <= rhs.b.len()`. The stores are
+    /// bounds-checked (`ob` should hold `R` rows of `n`, and `c0 < n`).
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile512<const R: usize>(
+        lhs: Lhs<'_>,
+        rhs: Rhs<'_>,
+        k: usize,
+        ob: &mut [f32],
+        n: usize,
+        c0: usize,
+        alpha: f32,
+    ) {
+        let (Lhs { a, rs, ks }, Rhs { b, ks: bks }) = (lhs, rhs);
+        debug_assert!(k > 0 && (R - 1) * rs + (k - 1) * ks < a.len());
+        debug_assert!((k - 1) * bks + 32 <= b.len());
+        debug_assert!(c0 < n && ob.len() == R * n);
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        for kk in 0..k {
+            // SAFETY: kk < k, so B's span [kk*bks, kk*bks + 32) and every
+            // A offset i*rs + kk*ks (i < R) are in bounds per this fn's
+            // contract.
+            unsafe {
+                let bk = bp.add(kk * bks);
+                let b0 = _mm512_loadu_ps(bk);
+                let b1 = _mm512_loadu_ps(bk.add(16));
+                let ak = ap.add(kk * ks);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*ak.add(i * rs));
+                    acc[0] = _mm512_fmadd_ps(av, b0, acc[0]);
+                    acc[1] = _mm512_fmadd_ps(av, b1, acc[1]);
+                }
+            }
+        }
+        let w = 32.min(n - c0);
+        for (acc, orow) in acc.iter().zip(ob.chunks_exact_mut(n)) {
+            // SAFETY: features are available per this fn's contract and
+            // the slice is `w <= 32` long.
+            unsafe { store_acc_row512(acc[0], acc[1], &mut orow[c0..c0 + w], alpha) };
         }
     }
 
@@ -1125,11 +1391,15 @@ mod avx {
     /// of the thread-local.
     #[cfg(test)]
     pub(super) mod reference {
-        use super::{pack_b_panels, store_acc_row, MR, NR};
+        use super::{pack_b_panels, store_acc_row};
         use core::arch::x86_64::{
             _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps,
             _mm256_setzero_ps, _mm256_storeu_ps,
         };
+
+        /// The replaced kernels' tile: 6 rows x 16 columns.
+        const MR: usize = 6;
+        const NR: usize = 16;
 
         /// The replaced `mm_acc_rows`.
         pub(in super::super) fn mm_acc_rows(
@@ -1144,7 +1414,7 @@ mod avx {
                 return;
             }
             let mut pb = Vec::new();
-            pack_b_panels(&mut pb, b, k, n);
+            pack_b_panels(&mut pb, NR, b, k, n, 0);
             let mut pa = vec![0.0f32; MR * k];
             let mut a_blocks = a_rows.chunks_exact(MR * k);
             let mut o_blocks = out_rows.chunks_exact_mut(MR * n);
@@ -1468,11 +1738,11 @@ mod tests {
     }
 
     /// Shapes of the bit-exactness tests: `m` covers every remainder of
-    /// the 6-row tile, `k` runs from one step to many cache lines, and `n`
-    /// sits on and around the 8- and 16-lane edges.
-    const BIT_MAX_M: usize = 13;
+    /// the 6- and 12-row tiles, `k` runs from one step to many cache lines,
+    /// and `n` sits on and around the 8-, 16- and 32-lane edges.
+    const BIT_MAX_M: usize = 25;
     const BIT_KS: [usize; 4] = [1, 7, 64, 420];
-    const BIT_NS: [usize; 8] = [1, 7, 8, 15, 16, 17, 33, 64];
+    const BIT_NS: [usize; 11] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 64, 65];
 
     fn assert_bits(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len());
@@ -1481,13 +1751,45 @@ mod tests {
         }
     }
 
+    /// Runs `f(first_row, out_chunk)` over a copy of `seed` (`n` columns)
+    /// in one chunk, and over another copy in 7-row chunks; returns both.
+    #[cfg(target_arch = "x86_64")]
+    fn whole_and_chunked(
+        seed: &[f32],
+        n: usize,
+        mut f: impl FnMut(usize, &mut [f32]),
+    ) -> [(Vec<f32>, &'static str); 2] {
+        [(seed.len() / n, "whole"), (7, "7-row chunks")].map(|(chunk_rows, how)| {
+            let mut out = seed.to_vec();
+            for (c, chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
+                f(c * chunk_rows, chunk);
+            }
+            (out, how)
+        })
+    }
+
+    /// Every tile width this host runs: the 256-bit one, and the 512-bit
+    /// one where the host has AVX-512F. Says so when it has not, since the
+    /// bit tests then cover only the 256-bit tile.
+    #[cfg(target_arch = "x86_64")]
+    fn tile_widths(test: &str) -> Vec<avx::Width> {
+        let wide = avx::Width::wide();
+        if wide.is_none() {
+            eprintln!("{test}: no avx512f, so the 512-bit tile was not checked");
+        }
+        [Some(avx::Width::NARROW), wide]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn backend_avx_forward_matches_reference_kernel_bits() {
         if !Backend::AvxFma.is_supported() {
             return;
         }
-        let kern = kernel_for(Backend::AvxFma);
+        let widths = tile_widths("backend_avx_forward_matches_reference_kernel_bits");
         for k in BIT_KS {
             let a_all = with_specials(BIT_MAX_M, k, 1);
             for n in BIT_NS {
@@ -1495,12 +1797,19 @@ mod tests {
                 let seed_all = with_specials(BIT_MAX_M, n, 3);
                 for m in 1..=BIT_MAX_M {
                     let a = &a_all[..m * k];
+                    let seed = &seed_all[..m * n];
                     for alpha in [1.0, 0.5] {
-                        let mut want = seed_all[..m * n].to_vec();
+                        let mut want = seed.to_vec();
                         avx::reference::mm_acc_rows(a, k, &b, n, &mut want, alpha);
-                        let mut got = seed_all[..m * n].to_vec();
-                        kern.mm_acc_rows(a, k, &b, n, &mut got, alpha);
-                        assert_bits(&got, &want, &format!("mm_acc {m}x{k}x{n} alpha {alpha}"));
+                        for &w in &widths {
+                            for (got, how) in whole_and_chunked(seed, n, |r0, out| {
+                                let a_rows = &a[r0 * k..(r0 + out.len() / n) * k];
+                                avx::mm_acc_rows(w, a_rows, k, &b, n, out, alpha);
+                            }) {
+                                let what = format!("mm_acc {m}x{k}x{n} alpha {alpha} {w:?} {how}");
+                                assert_bits(&got, &want, &what);
+                            }
+                        }
                     }
                 }
             }
@@ -1513,7 +1822,7 @@ mod tests {
         if !Backend::AvxFma.is_supported() {
             return;
         }
-        let kern = kernel_for(Backend::AvxFma);
+        let widths = tile_widths("backend_avx_weight_grad_matches_reference_kernel_bits");
         for k in BIT_KS {
             for m in 1..=BIT_MAX_M {
                 // A is `rows x acols`: `acols` output rows reduced over `rows`.
@@ -1525,24 +1834,16 @@ mod tests {
                         for alpha in [1.0, 0.5] {
                             let mut want = seed.clone();
                             avx::reference::mm_atb_rows(&a, acols, &g, n, 0, &mut want, alpha);
-                            // Whole, and in 7-row chunks so k0 > 0 runs too.
-                            for chunk_rows in [acols, 7] {
-                                let mut got = seed.clone();
-                                for (c, chunk) in got.chunks_mut(chunk_rows * n).enumerate() {
-                                    kern.mm_atb_rows(
-                                        &a,
-                                        acols,
-                                        &g,
-                                        n,
-                                        c * chunk_rows,
-                                        chunk,
-                                        alpha,
+                            // In 7-row chunks, k0 > 0 runs too.
+                            for &w in &widths {
+                                for (got, how) in whole_and_chunked(&seed, n, |k0, out| {
+                                    avx::mm_atb_rows(w, &a, acols, &g, n, k0, out, alpha);
+                                }) {
+                                    let what = format!(
+                                        "mm_atb {rows}x{acols}x{n} alpha {alpha} {w:?} {how}"
                                     );
+                                    assert_bits(&got, &want, &what);
                                 }
-                                let what = format!(
-                                    "mm_atb {rows}x{acols}x{n} alpha {alpha} chunks of {chunk_rows}"
-                                );
-                                assert_bits(&got, &want, &what);
                             }
                         }
                     }
@@ -1551,12 +1852,13 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn backend_avx_abt_equals_acc_on_explicit_transpose() {
         if !Backend::AvxFma.is_supported() {
             return;
         }
-        let kern = kernel_for(Backend::AvxFma);
+        let widths = tile_widths("backend_avx_abt_equals_acc_on_explicit_transpose");
         for k in BIT_KS {
             let a_all = with_specials(BIT_MAX_M, k, 7);
             for n in BIT_NS {
@@ -1565,10 +1867,15 @@ mod tests {
                 for m in 1..=BIT_MAX_M {
                     let a = &a_all[..m * k];
                     let mut want = vec![0.0f32; m * n];
-                    kern.mm_acc_rows(a, k, &bt, n, &mut want, 1.0);
-                    let mut got = vec![f32::NAN; m * n];
-                    kern.mm_abt_rows(a, k, &b, n, &mut got);
-                    assert_bits(&got, &want, &format!("mm_abt {m}x{k}x{n}"));
+                    avx::reference::mm_acc_rows(a, k, &bt, n, &mut want, 1.0);
+                    for &w in &widths {
+                        for (got, how) in whole_and_chunked(&vec![f32::NAN; m * n], n, |r0, out| {
+                            let a_rows = &a[r0 * k..(r0 + out.len() / n) * k];
+                            avx::mm_abt_rows(w, a_rows, k, &b, n, out);
+                        }) {
+                            assert_bits(&got, &want, &format!("mm_abt {m}x{k}x{n} {w:?} {how}"));
+                        }
+                    }
                 }
             }
         }

@@ -527,7 +527,7 @@ impl Matrix {
         pool.for_row_chunks_prepared(
             &mut out.data,
             bn,
-            || kern.warm_acc_scratch(ncols, bn),
+            || kern.warm_abt_scratch(ncols, bn),
             |r0, out_chunk| {
                 let rows_in = out_chunk.len() / bn;
                 let a_chunk = &self.data[r0 * ncols..(r0 + rows_in) * ncols];
