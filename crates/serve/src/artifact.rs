@@ -51,8 +51,8 @@ use std::path::{Path, PathBuf};
 /// File magic: "OPTSRV" + artifact-format marker + NUL.
 pub const MAGIC: [u8; 8] = *b"OPTSRVA\0";
 /// Current artifact format version. Version 2 added the `backend` byte
-/// (the kernel backend active when the model was frozen, for
-/// reproducibility of the freeze-time numerics). Version 3 added the
+/// (the kernel backend active when the model was frozen; informational,
+/// since every backend computes the same bits). Version 3 added the
 /// per-table store descriptors (dense vs compositional hashed) and made
 /// `row_map` conditional on the original table being dense. Older
 /// versions are rejected rather than silently defaulted: the version
@@ -356,10 +356,10 @@ pub struct FrozenModel {
     pub layer_norm: bool,
     /// Factorization function baked into the architecture.
     pub fact_fn: FactFn,
-    /// Kernel backend active when the model was frozen. Recorded for
-    /// reproducibility (an FMA backend rounds differently from the scalar
-    /// one); loading does NOT force it — the scorer dispatches through the
-    /// process-wide selection and reports both.
+    /// Kernel backend active when the model was frozen. Informational
+    /// only: every backend computes the same bits, so loading does NOT
+    /// force it — the scorer dispatches through the process-wide selection
+    /// and reports both.
     pub backend: Backend,
     /// Quantization applied to the embedding tables.
     pub quant: Quant,

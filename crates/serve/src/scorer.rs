@@ -220,8 +220,8 @@ pub struct FrozenScorer {
     fact_fn: FactFn,
     quant: Quant,
     /// Kernel backend the scorer dispatches to, captured at load time so
-    /// the serving tier can report it (and compare it to the freeze-time
-    /// backend recorded in the artifact).
+    /// the serving tier can report it next to the freeze-time backend
+    /// recorded in the artifact.
     backend: Backend,
     /// Backend recorded in the artifact at freeze time.
     frozen_backend: Backend,
@@ -360,9 +360,9 @@ impl FrozenScorer {
         self.backend
     }
 
-    /// Kernel backend recorded in the artifact at freeze time. When it
-    /// differs from [`Self::backend`], f32 scores can differ from the
-    /// freeze-time numerics in the last bits (FMA vs separate mul+add).
+    /// Kernel backend recorded in the artifact at freeze time. Whether or
+    /// not it matches [`Self::backend`], f32 scores carry the freeze-time
+    /// bits: every backend computes the same ones.
     pub fn frozen_backend(&self) -> Backend {
         self.frozen_backend
     }

@@ -8,6 +8,7 @@
 //! serial per-row loop — so they are bit-identical to the serial kernels
 //! for any thread count.
 
+use crate::kernels::{self, Tile};
 use crate::pool::Pool;
 use std::fmt;
 
@@ -305,7 +306,8 @@ impl Matrix {
             out.cols, other.cols,
             "matmul_accumulate: output col count mismatch"
         );
-        crate::kernels::active_kernel().mm_acc_rows(
+        kernels::mm_acc_rows(
+            Tile::active(),
             &self.data,
             self.cols,
             &other.data,
@@ -336,7 +338,8 @@ impl Matrix {
             out.cols, other.cols,
             "matmul_at_b: output col count mismatch"
         );
-        crate::kernels::active_kernel().mm_atb_rows(
+        kernels::mm_atb_rows(
+            Tile::active(),
             &self.data,
             self.cols,
             &other.data,
@@ -368,7 +371,8 @@ impl Matrix {
             out.cols, other.rows,
             "matmul_a_bt: output col count mismatch"
         );
-        crate::kernels::active_kernel().mm_abt_rows(
+        kernels::mm_abt_rows(
+            Tile::active(),
             &self.data,
             self.cols,
             &other.data,
@@ -429,18 +433,18 @@ impl Matrix {
         }
         let n = other.cols;
         let kdim = self.cols;
-        let kern = crate::kernels::active_kernel();
+        let t = Tile::active();
         // The prepare hook sizes every participating thread's packing
         // scratch before it can win a chunk, keeping scratch growth
         // deterministic (see Pool::for_row_chunks_prepared).
         pool.for_row_chunks_prepared(
             &mut out.data,
             n,
-            || kern.warm_acc_scratch(kdim, n),
+            || kernels::warm_acc_scratch(t, kdim, n),
             |r0, out_chunk| {
                 let rows_in = out_chunk.len() / n;
                 let a_chunk = &self.data[r0 * kdim..(r0 + rows_in) * kdim];
-                kern.mm_acc_rows(a_chunk, kdim, &other.data, n, out_chunk, alpha);
+                kernels::mm_acc_rows(t, a_chunk, kdim, &other.data, n, out_chunk, alpha);
             },
         );
     }
@@ -481,15 +485,24 @@ impl Matrix {
             return self.matmul_at_b_accumulate(other, out, alpha);
         }
         let n = other.cols;
-        let kern = crate::kernels::active_kernel();
+        let t = Tile::active();
         // Same deterministic scratch warming as matmul_accumulate_pooled,
         // for a product that reduces over this matrix's rows.
         pool.for_row_chunks_prepared(
             &mut out.data,
             n,
-            || kern.warm_acc_scratch(self.rows, n),
+            || kernels::warm_acc_scratch(t, self.rows, n),
             |k0, out_chunk| {
-                kern.mm_atb_rows(&self.data, self.cols, &other.data, n, k0, out_chunk, alpha);
+                kernels::mm_atb_rows(
+                    t,
+                    &self.data,
+                    self.cols,
+                    &other.data,
+                    n,
+                    k0,
+                    out_chunk,
+                    alpha,
+                );
             },
         );
     }
@@ -521,17 +534,17 @@ impl Matrix {
         }
         let bn = other.rows;
         let ncols = self.cols;
-        let kern = crate::kernels::active_kernel();
+        let t = Tile::active();
         // Same deterministic scratch warming as matmul_accumulate_pooled,
         // for a product that reduces over `ncols` into `bn` columns.
         pool.for_row_chunks_prepared(
             &mut out.data,
             bn,
-            || kern.warm_abt_scratch(ncols, bn),
+            || kernels::warm_abt_scratch(t, ncols, bn),
             |r0, out_chunk| {
                 let rows_in = out_chunk.len() / bn;
                 let a_chunk = &self.data[r0 * ncols..(r0 + rows_in) * ncols];
-                kern.mm_abt_rows(a_chunk, ncols, &other.data, bn, out_chunk);
+                kernels::mm_abt_rows(t, a_chunk, ncols, &other.data, bn, out_chunk);
             },
         );
     }
@@ -804,7 +817,7 @@ mod tests {
         let got = a.matmul_at_b(&b);
         assert_eq!(got.shape(), expected.shape());
         for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((g - e).abs() < 1e-6);
+            assert_eq!(g.to_bits(), e.to_bits(), "{g} vs {e}");
         }
     }
 
@@ -816,7 +829,7 @@ mod tests {
         let got = a.matmul_a_bt(&b);
         assert_eq!(got.shape(), expected.shape());
         for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((g - e).abs() < 1e-6);
+            assert_eq!(g.to_bits(), e.to_bits(), "{g} vs {e}");
         }
     }
 

@@ -1,19 +1,20 @@
-//! Property-based tests for the blocked matmul microkernels.
+//! Property-based tests for the matmul tiles.
 //!
-//! Two families of invariants:
+//! Two families of invariants, both bitwise:
 //!
-//! 1. **Accuracy** — the register-tiled kernels in [`crate::matrix`] must
-//!    match the naive triple-loop kernels in [`crate::reference`] within a
-//!    `1e-4` relative tolerance on arbitrary shapes, including K/N that are
-//!    not multiples of the 4/8/16 tile edges (the remainder paths are the
+//! 1. **One numeric contract** — every tile the host runs, and the
+//!    dispatched [`Matrix`] entry points, must give the bits of the naive
+//!    chains in [`crate::reference`] on arbitrary shapes, including K/N
+//!    that are not multiples of the tile edges (the remainder paths are the
 //!    easiest place for a blocking bug to hide).
-//! 2. **Determinism** — the pooled variants must be *bit-identical* to the
-//!    serial kernels for any thread count, because owner-computes
-//!    row-blocking runs the same microkernel over the same reduction order.
+//! 2. **Determinism** — the pooled variants must be bit-identical to the
+//!    serial kernels for any thread count, and a block of output rows
+//!    computed in several calls to one call, because each element is one
+//!    chain anchored at absolute row and column origins.
 
 #![cfg(test)]
 
-use crate::kernels::{self, Backend, MatMulKernel};
+use crate::kernels::{self, Tile};
 use crate::matrix::Matrix;
 use crate::pool::Pool;
 use crate::reference;
@@ -27,82 +28,26 @@ fn salted(rows: usize, cols: usize, salt: u64) -> Matrix {
     })
 }
 
-/// Relative mismatch check: `|x - y| <= tol * max(1, |x|, |y|)`.
-fn rel_close(x: f32, y: f32, tol: f32) -> bool {
-    (x - y).abs() <= tol * x.abs().max(y.abs()).max(1.0)
+/// Every tile the host runs, called directly on slices, so the
+/// process-wide backend selection is never mutated from parallel test
+/// threads.
+fn tiles() -> Vec<Tile> {
+    Tile::all("tensor proptests")
+}
+
+/// Plain `assert!`s still fail (and shrink) the enclosing property.
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits(),
+            "{what} not bitwise at {i}: {x} vs {y}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn blocked_matmul_accumulate_matches_reference(
-        m in 1usize..37,
-        k in 1usize..90,
-        n in 1usize..70,
-        salt in 0u64..1000,
-        alpha in -2.0f32..2.0,
-    ) {
-        let a = salted(m, k, salt);
-        let b = salted(k, n, salt ^ 0x5a);
-        let seed = salted(m, n, salt ^ 0xc3);
-        let mut blocked = seed.clone();
-        let mut naive = seed;
-        a.matmul_accumulate(&b, &mut blocked, alpha);
-        reference::matmul_accumulate(&a, &b, &mut naive, alpha);
-        for (i, (x, y)) in blocked.as_slice().iter().zip(naive.as_slice()).enumerate() {
-            prop_assert!(
-                rel_close(*x, *y, 1e-4),
-                "matmul_accumulate {m}x{k}x{n} alpha={alpha} diverged at {i}: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_at_b_accumulate_matches_reference(
-        m in 1usize..50,
-        k in 1usize..37,
-        n in 1usize..70,
-        salt in 0u64..1000,
-        alpha in -2.0f32..2.0,
-    ) {
-        // out[k, n] += alpha * a[m, k]^T * b[m, n]
-        let a = salted(m, k, salt);
-        let b = salted(m, n, salt ^ 0x5a);
-        let seed = salted(k, n, salt ^ 0xc3);
-        let mut blocked = seed.clone();
-        let mut naive = seed;
-        a.matmul_at_b_accumulate(&b, &mut blocked, alpha);
-        reference::matmul_at_b_accumulate(&a, &b, &mut naive, alpha);
-        for (i, (x, y)) in blocked.as_slice().iter().zip(naive.as_slice()).enumerate() {
-            prop_assert!(
-                rel_close(*x, *y, 1e-4),
-                "matmul_at_b_accumulate {m}x{k}x{n} alpha={alpha} diverged at {i}: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_a_bt_matches_reference(
-        m in 1usize..37,
-        k in 1usize..90,
-        n in 1usize..37,
-        salt in 0u64..1000,
-    ) {
-        // out[m, n] = a[m, k] * b[n, k]^T
-        let a = salted(m, k, salt);
-        let b = salted(n, k, salt ^ 0x5a);
-        let mut blocked = Matrix::zeros(m, n);
-        let mut naive = Matrix::zeros(m, n);
-        a.matmul_a_bt_into(&b, &mut blocked);
-        reference::matmul_a_bt_into(&a, &b, &mut naive);
-        for (i, (x, y)) in blocked.as_slice().iter().zip(naive.as_slice()).enumerate() {
-            prop_assert!(
-                rel_close(*x, *y, 1e-4),
-                "matmul_a_bt {m}x{k}x{n} diverged at {i}: {x} vs {y}"
-            );
-        }
-    }
 
     #[test]
     fn pooled_tiled_kernels_bitwise_equal_serial(
@@ -150,18 +95,6 @@ proptest! {
     }
 }
 
-/// Kernel objects for every backend the host supports (scalar always,
-/// AVX2+FMA when detected) — called directly on slices, so the
-/// process-wide backend selection is never mutated from parallel test
-/// threads.
-fn backends() -> Vec<&'static dyn MatMulKernel> {
-    let mut v: Vec<&'static dyn MatMulKernel> = vec![kernels::kernel_for(Backend::Scalar)];
-    if Backend::AvxFma.is_supported() {
-        v.push(kernels::kernel_for(Backend::AvxFma));
-    }
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -171,25 +104,23 @@ proptest! {
         k in 1usize..90,
         n in 1usize..70,
         salt in 0u64..1000,
+        alpha in -2.0f32..2.0,
     ) {
         let a = salted(m, k, salt);
         let b = salted(k, n, salt ^ 0x5a);
         let seed = salted(m, n, salt ^ 0xc3);
-        let mut expect = seed.clone();
-        reference::matmul_accumulate(&a, &b, &mut expect, 0.5);
-        for kern in backends() {
+        let mut want = seed.clone();
+        reference::matmul_accumulate(&a, &b, &mut want, alpha);
+        let mut dispatched = seed.clone();
+        a.matmul_accumulate(&b, &mut dispatched, alpha);
+        let what = format!("matmul_accumulate {m}x{k}x{n} alpha={alpha}");
+        assert_bits(dispatched.as_slice(), want.as_slice(), &what);
+        for t in tiles() {
             let mut got = seed.as_slice().to_vec();
-            kern.mm_acc_rows(a.as_slice(), k, b.as_slice(), n, &mut got, 0.5);
-            for (i, (x, y)) in got.iter().zip(expect.as_slice()).enumerate() {
-                prop_assert!(
-                    rel_close(*x, *y, 1e-4),
-                    "{} mm_acc {m}x{k}x{n} diverged at {i}: {x} vs {y}",
-                    kern.name()
-                );
-            }
+            kernels::mm_acc_rows(t, a.as_slice(), k, b.as_slice(), n, &mut got, alpha);
+            assert_bits(&got, want.as_slice(), &format!("{t:?} mm_acc {m}x{k}x{n} alpha={alpha}"));
         }
     }
-
 }
 
 proptest! {
@@ -197,29 +128,28 @@ proptest! {
 
     #[test]
     fn backend_mm_atb_matches_reference(
-        m in 1usize..37,
+        m in 1usize..50,
         k in 1usize..70,
         n in 1usize..70,
         salt in 0u64..1000,
+        alpha in -2.0f32..2.0,
     ) {
+        // out[k, n] += alpha * a[m, k]^T * g[m, n]
         let a = salted(m, k, salt);
         let g = salted(m, n, salt ^ 0x5a);
         let seed = salted(k, n, salt ^ 0xc3);
-        let mut expect = seed.clone();
-        reference::matmul_at_b_accumulate(&a, &g, &mut expect, -0.75);
-        for kern in backends() {
+        let mut want = seed.clone();
+        reference::matmul_at_b_accumulate(&a, &g, &mut want, alpha);
+        let mut dispatched = seed.clone();
+        a.matmul_at_b_accumulate(&g, &mut dispatched, alpha);
+        let what = format!("matmul_at_b_accumulate {m}x{k}x{n} alpha={alpha}");
+        assert_bits(dispatched.as_slice(), want.as_slice(), &what);
+        for t in tiles() {
             let mut got = seed.as_slice().to_vec();
-            kern.mm_atb_rows(a.as_slice(), k, g.as_slice(), n, 0, &mut got, -0.75);
-            for (i, (x, y)) in got.iter().zip(expect.as_slice()).enumerate() {
-                prop_assert!(
-                    rel_close(*x, *y, 1e-4),
-                    "{} mm_atb {m}x{k}x{n} diverged at {i}: {x} vs {y}",
-                    kern.name()
-                );
-            }
+            kernels::mm_atb_rows(t, a.as_slice(), k, g.as_slice(), n, 0, &mut got, alpha);
+            assert_bits(&got, want.as_slice(), &format!("{t:?} mm_atb {m}x{k}x{n} alpha={alpha}"));
         }
     }
-
 }
 
 proptest! {
@@ -232,23 +162,21 @@ proptest! {
         n in 1usize..37,
         salt in 0u64..1000,
     ) {
+        // out[m, n] = a[m, k] * b[n, k]^T
         let a = salted(m, k, salt);
         let b = salted(n, k, salt ^ 0x5a);
-        let mut expect = Matrix::zeros(m, n);
-        reference::matmul_a_bt_into(&a, &b, &mut expect);
-        for kern in backends() {
-            let mut got = vec![0.0f32; m * n];
-            kern.mm_abt_rows(a.as_slice(), k, b.as_slice(), n, &mut got);
-            for (i, (x, y)) in got.iter().zip(expect.as_slice()).enumerate() {
-                prop_assert!(
-                    rel_close(*x, *y, 1e-4),
-                    "{} mm_abt {m}x{k}x{n} diverged at {i}: {x} vs {y}",
-                    kern.name()
-                );
-            }
+        let mut want = Matrix::zeros(m, n);
+        reference::matmul_a_bt_into(&a, &b, &mut want);
+        let mut dispatched = Matrix::filled(m, n, f32::NAN);
+        a.matmul_a_bt_into(&b, &mut dispatched);
+        let what = format!("matmul_a_bt_into {m}x{k}x{n}");
+        assert_bits(dispatched.as_slice(), want.as_slice(), &what);
+        for t in tiles() {
+            let mut got = vec![f32::NAN; m * n];
+            kernels::mm_abt_rows(t, a.as_slice(), k, b.as_slice(), n, &mut got);
+            assert_bits(&got, want.as_slice(), &format!("{t:?} mm_abt {m}x{k}x{n}"));
         }
     }
-
 }
 
 proptest! {
@@ -256,7 +184,7 @@ proptest! {
 
     // Emulates arbitrary pooled chunk boundaries at the kernel-call
     // level: computing a block of output rows in several contiguous calls
-    // must be bit-identical to one call, for every backend — this is the
+    // must be bit-identical to one call, for every tile — this is the
     // property the owner-computes pool paths rely on.
     #[test]
     fn backend_row_regrouping_is_bitwise_invariant(
@@ -270,10 +198,9 @@ proptest! {
     }
 }
 
-/// Non-finite inputs must propagate identically on every backend: the
-/// packed kernels compute zero-padded tail lanes but never store them, and
-/// no backend has a skip-zero fast path, so NaN/Inf classification must
-/// agree with the reference exactly.
+/// Non-finite inputs must propagate bit for bit on every tile: the AVX
+/// tiles compute zero-padded tail lanes but never store them, and no tile
+/// has a skip-zero fast path.
 #[test]
 fn nan_inf_propagation_parity_across_backends() {
     let (m, k, n) = (9, 21, 13);
@@ -285,12 +212,10 @@ fn nan_inf_propagation_parity_across_backends() {
     let seed = salted(m, n, 11);
     let mut expect = seed.clone();
     reference::matmul_accumulate(&a, &b, &mut expect, 1.0);
-    for kern in backends() {
+    for t in tiles() {
         let mut got = seed.as_slice().to_vec();
-        kern.mm_acc_rows(a.as_slice(), k, b.as_slice(), n, &mut got, 1.0);
-        for (i, (x, y)) in got.iter().zip(expect.as_slice()).enumerate() {
-            check_parity(*x, *y, kern.name(), "mm_acc", i);
-        }
+        kernels::mm_acc_rows(t, a.as_slice(), k, b.as_slice(), n, &mut got, 1.0);
+        assert_bits(&got, expect.as_slice(), &format!("{t:?} mm_acc"));
     }
     // A^T G with non-finite entries in G.
     let a = salted(m, k, 13);
@@ -300,12 +225,10 @@ fn nan_inf_propagation_parity_across_backends() {
     let seed_t = salted(k, n, 17);
     let mut expect_t = seed_t.clone();
     reference::matmul_at_b_accumulate(&a, &g, &mut expect_t, 1.0);
-    for kern in backends() {
+    for t in tiles() {
         let mut got = seed_t.as_slice().to_vec();
-        kern.mm_atb_rows(a.as_slice(), k, g.as_slice(), n, 0, &mut got, 1.0);
-        for (i, (x, y)) in got.iter().zip(expect_t.as_slice()).enumerate() {
-            check_parity(*x, *y, kern.name(), "mm_atb", i);
-        }
+        kernels::mm_atb_rows(t, a.as_slice(), k, g.as_slice(), n, 0, &mut got, 1.0);
+        assert_bits(&got, expect_t.as_slice(), &format!("{t:?} mm_atb"));
     }
     // A B^T with non-finite entries in B.
     let mut bt = salted(n, k, 19);
@@ -313,51 +236,31 @@ fn nan_inf_propagation_parity_across_backends() {
     bt.set(10, 0, f32::NAN);
     let mut expect_bt = Matrix::zeros(m, n);
     reference::matmul_a_bt_into(&a, &bt, &mut expect_bt);
-    for kern in backends() {
+    for t in tiles() {
         let mut got = vec![0.0f32; m * n];
-        kern.mm_abt_rows(a.as_slice(), k, bt.as_slice(), n, &mut got);
-        for (i, (x, y)) in got.iter().zip(expect_bt.as_slice()).enumerate() {
-            check_parity(*x, *y, kern.name(), "mm_abt", i);
-        }
-    }
-}
-
-fn check_parity(x: f32, y: f32, backend: &str, op: &str, i: usize) {
-    if y.is_nan() {
-        assert!(x.is_nan(), "{backend} {op} at {i}: expected NaN, got {x}");
-    } else if y.is_infinite() {
-        assert_eq!(x, y, "{backend} {op} at {i}: expected {y}, got {x}");
-    } else {
-        assert!(rel_close(x, y, 1e-4), "{backend} {op} at {i}: {x} vs {y}");
+        kernels::mm_abt_rows(t, a.as_slice(), k, bt.as_slice(), n, &mut got);
+        assert_bits(&got, expect_bt.as_slice(), &format!("{t:?} mm_abt"));
     }
 }
 
 /// Body of `backend_row_regrouping_is_bitwise_invariant`, extracted so the
-/// `proptest!` macro expansion stays within the recursion limit; plain
-/// `assert!` still fails (and shrinks) the enclosing property.
+/// `proptest!` macro expansion stays within the recursion limit.
 fn check_row_regrouping(m: usize, k: usize, n: usize, raw_split: usize, salt: u64) {
     let a = salted(m, k, salt);
     let b = salted(k, n, salt ^ 0x11);
     let g = salted(m, n, salt ^ 0x22);
     let bt = salted(n, k, salt ^ 0x33);
-    let bitwise = |full: &[f32], parts: &[f32], name: &str, op: &str, split: usize| {
-        for (i, (x, y)) in full.iter().zip(parts.iter()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "{name} {op} {m}x{k}x{n} split {split} not bitwise at {i}: {x} vs {y}"
-            );
-        }
-    };
-    for kern in backends() {
+    for t in tiles() {
         // out += alpha * A B, split over output rows.
         let mut full = vec![0.5f32; m * n];
-        kern.mm_acc_rows(a.as_slice(), k, b.as_slice(), n, &mut full, 0.75);
+        kernels::mm_acc_rows(t, a.as_slice(), k, b.as_slice(), n, &mut full, 0.75);
         let split = 1 + raw_split % m;
         let mut parts = vec![0.5f32; m * n];
         let mut r0 = 0;
         while r0 < m {
             let rows = split.min(m - r0);
-            kern.mm_acc_rows(
+            kernels::mm_acc_rows(
+                t,
                 &a.as_slice()[r0 * k..(r0 + rows) * k],
                 k,
                 b.as_slice(),
@@ -367,16 +270,18 @@ fn check_row_regrouping(m: usize, k: usize, n: usize, raw_split: usize, salt: u6
             );
             r0 += rows;
         }
-        bitwise(&full, &parts, kern.name(), "mm_acc", split);
+        let what = format!("{t:?} mm_acc {m}x{k}x{n} split {split}");
+        assert_bits(&parts, &full, &what);
         // out += alpha * A^T G, split over output rows (= A columns).
         let mut full_t = vec![-0.25f32; k * n];
-        kern.mm_atb_rows(a.as_slice(), k, g.as_slice(), n, 0, &mut full_t, -0.5);
+        kernels::mm_atb_rows(t, a.as_slice(), k, g.as_slice(), n, 0, &mut full_t, -0.5);
         let split = 1 + raw_split % k;
         let mut parts_t = vec![-0.25f32; k * n];
         let mut k0 = 0;
         while k0 < k {
             let rows = split.min(k - k0);
-            kern.mm_atb_rows(
+            kernels::mm_atb_rows(
+                t,
                 a.as_slice(),
                 k,
                 g.as_slice(),
@@ -387,16 +292,18 @@ fn check_row_regrouping(m: usize, k: usize, n: usize, raw_split: usize, salt: u6
             );
             k0 += rows;
         }
-        bitwise(&full_t, &parts_t, kern.name(), "mm_atb", split);
+        let what = format!("{t:?} mm_atb {m}x{k}x{n} split {split}");
+        assert_bits(&parts_t, &full_t, &what);
         // out = A B^T, split over output rows.
         let mut full_bt = vec![0.0f32; m * n];
-        kern.mm_abt_rows(a.as_slice(), k, bt.as_slice(), n, &mut full_bt);
+        kernels::mm_abt_rows(t, a.as_slice(), k, bt.as_slice(), n, &mut full_bt);
         let split = 1 + raw_split % m;
         let mut parts_bt = vec![0.0f32; m * n];
         let mut r0 = 0;
         while r0 < m {
             let rows = split.min(m - r0);
-            kern.mm_abt_rows(
+            kernels::mm_abt_rows(
+                t,
                 &a.as_slice()[r0 * k..(r0 + rows) * k],
                 k,
                 bt.as_slice(),
@@ -405,6 +312,7 @@ fn check_row_regrouping(m: usize, k: usize, n: usize, raw_split: usize, salt: u6
             );
             r0 += rows;
         }
-        bitwise(&full_bt, &parts_bt, kern.name(), "mm_abt", split);
+        let what = format!("{t:?} mm_abt {m}x{k}x{n} split {split}");
+        assert_bits(&parts_bt, &full_bt, &what);
     }
 }

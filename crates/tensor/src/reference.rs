@@ -1,19 +1,28 @@
-//! Naive reference matmul kernels.
+//! Naive reference matmul kernels: the bit oracle of the tiled ones.
 //!
-//! These are the straightforward triple-loop implementations the optimized
-//! kernels in [`crate::matrix`] are validated against. They are kept out of
-//! the hot path on purpose: proptests compare the blocked kernels to these
-//! within tolerance, and the `perf` benchmark binary times both so the
-//! blocked-vs-naive gap stays visible in the committed trajectory.
+//! Each spells out, one output element at a time, the chain every tile in
+//! [`crate::kernels`] computes: `acc = fma(a, b, acc)` over ascending k
+//! from +0, then `out = fma(alpha, acc, out)`. The kernel tests and
+//! proptests hold every tile to these bits, including ±0, NaN and ±Inf.
+//! They stay naive on purpose: checking one tile against another would let
+//! a stride bug in the driver they share pass. The `perf` benchmark binary
+//! times them too, so the tiled-vs-naive gap stays visible.
 //!
-//! Unlike the pre-blocking production kernels, these have no
-//! `if scaled == 0.0 { continue }` fast-path: skipping a zero multiplier is
-//! not IEEE-neutral (`0.0 * inf` must produce NaN, and `-0.0 + 0.0` must
-//! produce `0.0`), so the reference spells out every multiply-add.
+//! There is no `if a == 0.0 { continue }` fast-path: skipping a zero
+//! multiplier is not IEEE-neutral (`0.0 * inf` must produce NaN, and
+//! `-0.0 + 0.0` must produce `0.0`), so every multiply-add is spelled out.
 
 use crate::matrix::Matrix;
 
-/// `out += alpha * a * b` — naive `i-k-j` loop.
+/// `out = fma(alpha, acc, out)` per element: the one store of each chain.
+fn store(out: &mut Matrix, acc: &Matrix, alpha: f32) {
+    for (o, &s) in out.as_mut_slice().iter_mut().zip(acc.as_slice()) {
+        *o = alpha.mul_add(s, *o);
+    }
+}
+
+/// `out += alpha * a * b`. Element `(r, c)`'s chain runs over `kk`
+/// ascending, in the `kk` loop.
 ///
 /// # Panics
 /// Panics on any dimension mismatch.
@@ -33,22 +42,20 @@ pub fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix, alpha: f32) {
         b.cols(),
         "reference matmul: output col count mismatch"
     );
-    let n = b.cols();
+    let mut acc = Matrix::zeros(out.rows(), out.cols());
     for r in 0..a.rows() {
-        let a_row = a.row(r);
-        let out_row = out.row_mut(r);
-        for (k, &a_rk) in a_row.iter().enumerate() {
-            let scaled = alpha * a_rk;
-            let b_row = &b.as_slice()[k * n..(k + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += scaled * bv;
+        for kk in 0..a.cols() {
+            let x = a.get(r, kk);
+            for (s, &y) in acc.row_mut(r).iter_mut().zip(b.row(kk)) {
+                *s = x.mul_add(y, *s);
             }
         }
     }
+    store(out, &acc, alpha);
 }
 
-/// `out += alpha * a^T * b` — naive loop, `r` outermost so each output
-/// element accumulates its `r` contributions in ascending order.
+/// `out += alpha * a^T * b`. Element `(i, c)`'s chain runs over the rows
+/// `r` of `a` and `b` ascending, in the `r` loop.
 ///
 /// # Panics
 /// Panics on any dimension mismatch.
@@ -68,21 +75,21 @@ pub fn matmul_at_b_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix, alpha: f
         b.cols(),
         "reference matmul_at_b: output col count mismatch"
     );
-    let n = b.cols();
+    let mut acc = Matrix::zeros(out.rows(), out.cols());
     for r in 0..a.rows() {
-        let a_row = a.row(r);
-        let b_row = &b.as_slice()[r * n..(r + 1) * n];
-        for (k, &a_rk) in a_row.iter().enumerate() {
-            let scaled = alpha * a_rk;
-            let out_row = out.row_mut(k);
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += scaled * bv;
+        for i in 0..a.cols() {
+            let x = a.get(r, i);
+            for (s, &y) in acc.row_mut(i).iter_mut().zip(b.row(r)) {
+                *s = x.mul_add(y, *s);
             }
         }
     }
+    store(out, &acc, alpha);
 }
 
-/// `out = a * b^T` — naive per-element ascending-`k` dot products.
+/// `out = a * b^T`: element `(r, c)`'s chain runs over `kk` ascending
+/// along rows `r` of `a` and `c` of `b`, and is stored into a zeroed `out`
+/// with alpha = 1, as the tiles do.
 ///
 /// # Panics
 /// Panics on any dimension mismatch.
@@ -102,18 +109,18 @@ pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         b.rows(),
         "reference matmul_a_bt: output col count mismatch"
     );
+    let mut acc = Matrix::zeros(out.rows(), out.cols());
     for r in 0..a.rows() {
-        let a_row = a.row(r);
-        let out_row = out.row_mut(r);
-        for (c, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(c);
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
+        for c in 0..b.rows() {
+            let mut s = 0.0f32;
+            for (&x, &y) in a.row(r).iter().zip(b.row(c)) {
+                s = x.mul_add(y, s);
             }
-            *o = acc;
+            acc.set(r, c, s);
         }
     }
+    out.fill_zero();
+    store(out, &acc, 1.0);
 }
 
 #[cfg(test)]
@@ -132,7 +139,7 @@ mod tests {
         let mut out = Matrix::zeros(7, 9);
         matmul_accumulate(&a, &b, &mut out, 1.0);
         for (x, y) in out.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
 

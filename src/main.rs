@@ -21,7 +21,7 @@ use optinter::core::{
 };
 use optinter::data::{DatasetBundle, Profile};
 use optinter::metrics::expected_calibration_error;
-use optinter::tensor::kernels::{self, Backend};
+use optinter::tensor::kernels;
 
 use optinter::serve::{
     freeze_gated, run_zipf_load, FrozenModel, FrozenScorer, LoadSpec, MicroBatchOptions,
@@ -81,11 +81,9 @@ USAGE:
   optinter freeze   --profile <name> [--rows N] [--seed S]
                     --load model.bin [--arch-file f | --arch MFN..]
                     --out model.osa [--quant f32|f16|int8] [--max-auc-delta 0.001]
-                    [--backend scalar|avx2fma]
   optinter serve    --profile <name> [--rows N] [--seed S]
                     --load-artifact model.osa [--threads N] [--requests N]
                     [--zipf S] [--max-batch N] [--deadline-us U]
-                    [--backend scalar|avx2fma]
 
 PROFILES: criteo_like, avazu_like, ipinyou_like, private_like, tiny";
 
@@ -285,24 +283,6 @@ fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `--backend` (forcing the process-wide kernel backend) and
-/// returns the selection in effect. Without the flag the default stands:
-/// the `OPTINTER_KERNEL_BACKEND` env override or CPU detection.
-fn apply_backend_flag(opts: &Options) -> Result<Backend, String> {
-    match opts.get("backend") {
-        None => Ok(kernels::active()),
-        Some(name) => {
-            let b = Backend::parse(name)
-                .ok_or_else(|| format!("unknown --backend `{name}` (scalar|avx2fma)"))?;
-            if !b.is_supported() {
-                return Err(format!("--backend {name} is not supported on this host"));
-            }
-            kernels::set_active(b);
-            Ok(b)
-        }
-    }
-}
-
 fn cmd_freeze(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
     let mut net = load_trained_net(opts, &bundle)?;
@@ -319,11 +299,10 @@ fn cmd_freeze(opts: &Options) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("bad --max-auc-delta `{s}`"))?,
     };
-    let backend = apply_backend_flag(opts)?;
     eprintln!(
         "freezing ({} rows of held-out eval data, {} kernels)...",
         bundle.split.test.len(),
-        backend.name()
+        kernels::active().name()
     );
     let (frozen, delta) = freeze_gated(
         &mut net,
@@ -378,7 +357,6 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         None => 1.05,
         Some(s) => s.parse().map_err(|_| format!("bad --zipf `{s}`"))?,
     };
-    apply_backend_flag(opts)?;
     let mut scorer = FrozenScorer::new(&frozen, threads).map_err(|e| e.to_string())?;
     let clock = MonotonicClock::new();
     let mb = MicroBatchOptions {

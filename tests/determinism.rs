@@ -1,9 +1,11 @@
-//! Thread-count determinism: the data-parallel execution layer must be
-//! bit-identical to the serial path for any worker count. These tests train
-//! the search-stage supernet and a fixed-architecture network with 1, 2 and
-//! 4 threads from the same seed and compare predicted probabilities,
+//! Thread-count and backend determinism: the data-parallel execution layer
+//! must be bit-identical to the serial path for any worker count, and every
+//! kernel backend must compute the same bits. These tests train the
+//! search-stage supernet and a fixed-architecture network with 1, 2 and 4
+//! threads from the same seed and compare predicted probabilities,
 //! architecture probabilities and the final AUC **bitwise** — not within a
-//! tolerance. See `optinter_tensor::pool` and DESIGN.md for why this holds.
+//! tolerance. See `optinter_tensor::pool`, `optinter_tensor::kernels` and
+//! DESIGN.md for why this holds.
 
 use optinter_core::net::DataDims;
 use optinter_core::{
@@ -13,19 +15,8 @@ use optinter_core::{
 use optinter_data::{Batch, BatchIter, BatchStream, DatasetBundle, Profile};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
 use optinter_tensor::kernels::{self, Backend};
-use std::sync::Mutex;
 
 const THREADS: [usize; 3] = [1, 2, 4];
-
-/// Every test in this binary takes this lock: the backend-parameterized
-/// test below mutates the process-wide kernel backend with
-/// `kernels::set_active`, and the bitwise comparisons in all the other
-/// tests assume the backend stays fixed while they run.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
-    BACKEND_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 fn bundle() -> DatasetBundle {
     Profile::Tiny.bundle_with_rows(1_500, 23)
@@ -65,7 +56,6 @@ fn train_supernet(bundle: &DatasetBundle, threads: usize) -> (Vec<f32>, Vec<[f32
 
 #[test]
 fn supernet_training_is_bit_identical_across_thread_counts() {
-    let _guard = backend_lock();
     let bundle = bundle();
     let (ref_probs, ref_alpha, ref_auc) = train_supernet(&bundle, THREADS[0]);
     assert!(ref_auc > 0.5, "reference run did not learn: AUC {ref_auc}");
@@ -117,7 +107,6 @@ fn train_fixed_arch(bundle: &DatasetBundle, threads: usize) -> Vec<f32> {
 
 #[test]
 fn fixed_architecture_training_is_bit_identical_across_thread_counts() {
-    let _guard = backend_lock();
     let bundle = bundle();
     let reference = train_fixed_arch(&bundle, THREADS[0]);
     for &threads in &THREADS[1..] {
@@ -167,7 +156,6 @@ fn train_fixed_stores(
 
 #[test]
 fn hashed_stores_and_lazy_adam_are_bit_identical_across_thread_counts() {
-    let _guard = backend_lock();
     let bundle = bundle();
     // Every store kind × optimizer-mode combination the config exposes
     // must satisfy the same owner-computes contract as the dense path:
@@ -240,7 +228,6 @@ fn train_fixed_stream(
 
 #[test]
 fn fixed_arch_prefetch_toggle_is_bit_identical_across_thread_counts() {
-    let _guard = backend_lock();
     let bundle = bundle();
     for &threads in &THREADS {
         let (loss_off, probs_off) = train_fixed_stream(&bundle, threads, false);
@@ -288,7 +275,6 @@ fn train_supernet_stream(
 
 #[test]
 fn supernet_prefetch_toggle_is_bit_identical_across_thread_counts() {
-    let _guard = backend_lock();
     let bundle = bundle();
     for &threads in &THREADS {
         let (loss_off, probs_off, alpha_off) = train_supernet_stream(&bundle, threads, false);
@@ -317,7 +303,6 @@ fn supernet_prefetch_toggle_is_bit_identical_across_thread_counts() {
 /// the public `search_architecture` entry point.
 #[test]
 fn search_is_bit_identical_with_and_without_prefetching() {
-    let _guard = backend_lock();
     let bundle = bundle();
     for strategy in [SearchStrategy::Joint, SearchStrategy::BiLevel] {
         let cfg = OptInterConfig {
@@ -339,59 +324,49 @@ fn search_is_bit_identical_with_and_without_prefetching() {
     }
 }
 
-/// Per-backend thread-count determinism: for each kernel backend the host
-/// supports, 1/2/4-thread training runs must be bitwise identical — the
-/// owner-computes contract holds *per backend*. Results differ *across*
-/// backends (the AVX backend fuses multiply-add pairs), which is exactly
-/// why the comparison is grouped by backend here.
+/// One numeric contract: every kernel backend the host supports, at 1, 2
+/// and 4 threads, trains to the bits of the scalar backend at 1 thread.
+/// The other tests in this binary run concurrently with the backend
+/// switches below, which is sound only because no switch changes a bit.
 #[test]
-fn training_is_bit_identical_across_thread_counts_per_backend() {
-    let _guard = backend_lock();
+fn training_is_bit_identical_across_backends_and_thread_counts() {
     let bundle = bundle();
     let mut backends = vec![Backend::Scalar];
     if Backend::AvxFma.is_supported() {
         backends.push(Backend::AvxFma);
+    } else {
+        eprintln!("no avx2fma on this host: checked the scalar backend only");
     }
-    let prev = kernels::set_active(backends[0]);
+    let prev = kernels::set_active(Backend::Scalar);
+    let (ref_probs, ref_alpha, ref_auc) = train_supernet(&bundle, THREADS[0]);
+    assert!(ref_auc > 0.5, "reference run did not learn: AUC {ref_auc}");
+    let fixed_ref = train_fixed_arch(&bundle, THREADS[0]);
     for &backend in &backends {
         kernels::set_active(backend);
-        let (ref_probs, ref_alpha, ref_auc) = train_supernet(&bundle, THREADS[0]);
-        assert!(
-            ref_auc > 0.5,
-            "[{}] reference run did not learn: AUC {ref_auc}",
-            backend.name()
-        );
-        for &threads in &THREADS[1..] {
+        let name = backend.name();
+        for threads in THREADS {
             let (probs, alpha, auc) = train_supernet(&bundle, threads);
             assert_eq!(
                 bits(&ref_probs),
                 bits(&probs),
-                "[{}] supernet logits diverge at {threads} threads",
-                backend.name()
+                "[{name}] supernet logits diverge at {threads} threads"
             );
             for (p, (a, b)) in ref_alpha.iter().zip(alpha.iter()).enumerate() {
                 assert_eq!(
                     bits(a),
                     bits(b),
-                    "[{}] alpha probabilities diverge at pair {p}, {threads} threads",
-                    backend.name()
+                    "[{name}] alpha probabilities diverge at pair {p}, {threads} threads"
                 );
             }
             assert_eq!(
                 ref_auc.to_bits(),
                 auc.to_bits(),
-                "[{}] final AUC diverges at {threads} threads",
-                backend.name()
+                "[{name}] final AUC diverges at {threads} threads"
             );
-        }
-        let fixed_ref = train_fixed_arch(&bundle, THREADS[0]);
-        for &threads in &THREADS[1..] {
-            let probs = train_fixed_arch(&bundle, threads);
             assert_eq!(
                 bits(&fixed_ref),
-                bits(&probs),
-                "[{}] fixed-arch predictions diverge at {threads} threads",
-                backend.name()
+                bits(&train_fixed_arch(&bundle, threads)),
+                "[{name}] fixed-arch predictions diverge at {threads} threads"
             );
         }
     }

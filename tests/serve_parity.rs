@@ -4,13 +4,15 @@
 //!
 //! This is the contract that makes the serving tier trustworthy: an
 //! artifact that scores even one ULP differently from the trainer would
-//! make offline AUC numbers meaningless for the deployed model.
+//! make offline AUC numbers meaningless for the deployed model. It holds
+//! across kernel backends too, since both compute one numeric contract.
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, FactFn, Method, OptInterConfig, OptInterNet};
 use optinter_data::{Batch, BatchIter, DatasetBundle, Profile};
 use optinter_nn::StoreKind;
 use optinter_serve::{freeze, freeze_gated, FreezeError, FrozenModel, FrozenScorer, Quant};
+use optinter_tensor::kernels::{self, Backend};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -82,6 +84,56 @@ fn frozen_f32_scorer_is_bit_identical_to_training_forward() {
     assert_bit_parity(&mut net, &bundle, 400);
     assert_bit_parity(&mut net, &bundle, 32);
     assert_bit_parity(&mut net, &bundle, 1);
+}
+
+/// Trains and freezes under one kernel backend, then scores under the
+/// other, both ways: every batch must carry the training forward's bits.
+/// The other tests in this binary run concurrently with the backend
+/// switches, which is sound only because no switch changes a bit.
+#[test]
+fn frozen_scorer_is_bit_identical_across_kernel_backends() {
+    let bundle = bundle();
+    let pairs = if Backend::AvxFma.is_supported() {
+        vec![
+            (Backend::AvxFma, Backend::Scalar),
+            (Backend::Scalar, Backend::AvxFma),
+        ]
+    } else {
+        eprintln!("no avx2fma on this host: trained, froze and scored under scalar only");
+        vec![(Backend::Scalar, Backend::Scalar)]
+    };
+    let prev = kernels::set_active(pairs[0].0);
+    for (train_with, score_with) in pairs {
+        kernels::set_active(train_with);
+        let mut net = trained_net(&bundle, FactFn::Generalized);
+        let frozen = freeze(&mut net, &bundle.data, Quant::F32);
+        let mut iter = BatchIter::new(&bundle.data, 1_000..1_400, 32, None);
+        let mut batch = Batch::empty();
+        let mut batches = Vec::new();
+        while iter.next_into(&mut batch) {
+            batches.push((batch.clone(), net.predict(&batch)));
+        }
+        assert!(!batches.is_empty());
+        kernels::set_active(score_with);
+        for &threads in &THREADS {
+            let mut scorer = FrozenScorer::new(&frozen, threads).expect("frozen model loads");
+            let mut probs = Vec::new();
+            for (i, (batch, expected)) in batches.iter().enumerate() {
+                scorer
+                    .score_into(batch, &mut probs)
+                    .expect("valid batch scores");
+                assert_eq!(
+                    bits(expected),
+                    bits(&probs),
+                    "frozen under {} and scored under {} diverges from the training forward \
+                     (threads {threads}, batch {i})",
+                    train_with.name(),
+                    score_with.name()
+                );
+            }
+        }
+    }
+    kernels::set_active(prev);
 }
 
 #[test]
