@@ -103,7 +103,11 @@ fn injected_unwrap_reachable_from_serve_roots_fails_the_lint() {
         "diagnostic should cite the serve-score root:\n{hits:#?}"
     );
     assert!(
-        report.panic_free.get("serve-score").copied().unwrap_or(0) > 0,
+        report.counts["panic-free"]
+            .get("serve-score")
+            .copied()
+            .unwrap_or(0)
+            > 0,
         "serve-score count should include the injected site"
     );
 }
@@ -255,14 +259,13 @@ fn injected_clock_two_hops_under_train_batch_fails_the_determinism_cone() {
         "witness should run from train_batch down to stable_bce: {witness}"
     );
     assert!(
-        report
-            .determinism_cone
+        report.counts["determinism-cone"]
             .get("optinter-train")
             .copied()
             .unwrap_or(0)
             > 0,
         "optinter-train count should include the injected site: {:?}",
-        report.determinism_cone
+        report.counts["determinism-cone"]
     );
 }
 
@@ -301,14 +304,13 @@ fn injected_lock_under_score_into_fails_the_no_blocking_cone() {
         "witness should start from the score_into root: {witness}"
     );
     assert!(
-        report
-            .no_blocking_cone
+        report.counts["no-blocking-cone"]
             .get("serve-score")
             .copied()
             .unwrap_or(0)
             > 0,
         "serve-score count should include the injected site: {:?}",
-        report.no_blocking_cone
+        report.counts["no-blocking-cone"]
     );
 }
 
@@ -333,7 +335,10 @@ fn cone_root_summaries_are_reported() {
         serve.contains("Blocks"),
         "waived pool hand-off still shows in the summary: {serve}"
     );
-    assert_eq!(report.no_blocking_cone.get("serve-score"), Some(&0));
+    assert_eq!(
+        report.counts["no-blocking-cone"].get("serve-score"),
+        Some(&0)
+    );
 }
 
 // ---- fixture fire / suppress / waiver coverage for the cone rules ----
@@ -391,8 +396,8 @@ fn fixture_cones_fire_on_reachable_effects() {
         "cone should flag the lock under score_into:\n{:#?}",
         report.diagnostics
     );
-    assert_eq!(report.determinism_cone.get("train"), Some(&1));
-    assert_eq!(report.no_blocking_cone.get("score"), Some(&1));
+    assert_eq!(report.counts["determinism-cone"].get("train"), Some(&1));
+    assert_eq!(report.counts["no-blocking-cone"].get("score"), Some(&1));
 }
 
 #[test]
@@ -418,8 +423,8 @@ fn fixture_cones_ignore_unreachable_effects() {
         "unreachable effects must not trip the cones:\n{:#?}",
         report.diagnostics
     );
-    assert_eq!(report.determinism_cone.get("train"), Some(&0));
-    assert_eq!(report.no_blocking_cone.get("score"), Some(&0));
+    assert_eq!(report.counts["determinism-cone"].get("train"), Some(&0));
+    assert_eq!(report.counts["no-blocking-cone"].get("score"), Some(&0));
 }
 
 #[test]
@@ -446,8 +451,8 @@ fn fixture_cone_waivers_suppress_and_count_as_used() {
         "waived sites must pass, and used waivers must not be flagged:\n{:#?}",
         report.diagnostics
     );
-    assert_eq!(report.determinism_cone.get("train"), Some(&0));
-    assert_eq!(report.no_blocking_cone.get("score"), Some(&0));
+    assert_eq!(report.counts["determinism-cone"].get("train"), Some(&0));
+    assert_eq!(report.counts["no-blocking-cone"].get("score"), Some(&0));
 }
 
 #[test]
@@ -474,5 +479,5 @@ fn fixture_wall_clock_waiver_does_not_shield_the_cone() {
         "wall-clock waiver alone must not shield the determinism cone:\n{:#?}",
         report.diagnostics
     );
-    assert_eq!(report.determinism_cone.get("train"), Some(&1));
+    assert_eq!(report.counts["determinism-cone"].get("train"), Some(&1));
 }

@@ -45,8 +45,7 @@ pub use mlp::{Mlp, MlpConfig};
 pub use optim::{Adam, AdamConfig, DenseOptimizer, Grda, GrdaConfig, Sgd};
 pub use param::Parameter;
 pub use store::{
-    double_hash_slots, qr_slots, splitmix64, EmbedStore, EmbeddingStore, HashScheme,
-    HashedEmbedding, StoreKind,
+    double_hash_slots, qr_slots, splitmix64, EmbedStore, HashScheme, HashedEmbedding, StoreKind,
 };
 pub use workspace::Workspace;
 

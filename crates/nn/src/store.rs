@@ -3,8 +3,8 @@
 //! Production CTR vocabularies run to 10⁷–10⁸ keys; a dense
 //! [`EmbeddingTable`] at that scale spends hundreds of megabytes per field
 //! group and dominates both memory and optimizer time. This module makes
-//! the storage scheme a first-class choice behind the [`EmbeddingStore`]
-//! trait:
+//! the storage scheme a first-class choice behind the [`EmbedStore`]
+//! enum:
 //!
 //! - [`EmbeddingTable`] — one row per key, exact, the default;
 //! - [`HashedEmbedding`] — a compositional table in the quotient-remainder
@@ -14,7 +14,7 @@
 //!   at the optimal bucket) or any chosen budget (double-hash), at the cost
 //!   of parameter sharing between colliding keys.
 //!
-//! Both impls keep the substrate contracts: `*_into` lookup and
+//! Both stores keep the substrate contracts: `*_into` lookup and
 //! lane-sharded gradient paths are allocation-free at steady state, and all
 //! parallel work is owner-computes over pool rows/lanes, so results are
 //! bit-identical at 1, 2 and 4 threads.
@@ -80,111 +80,6 @@ pub enum HashScheme {
     /// injective, but the memory budget is chosen freely and collisions in
     /// both slots at once are ~`1/rows²`.
     DoubleHash { rows: u32 },
-}
-
-/// Uniform interface over embedding storage schemes.
-///
-/// Lookups take `&mut self` because compositional stores stage sub-table
-/// results in owned scratch (the zero-alloc contract forbids temporaries).
-/// The gradient/optimizer half mirrors [`EmbeddingTable`]'s touched-row
-/// arena protocol: accumulate per batch, apply once per step, and
-/// [`catch_up_all`](Self::catch_up_all) to flush lazy tails before
-/// exporting weights.
-pub trait EmbeddingStore {
-    /// Number of distinct key ids the store accepts (`0..key_space`).
-    fn key_space(&self) -> usize;
-    /// Embedding width per key.
-    fn dim(&self) -> usize;
-    /// Trainable parameter count (what the store actually allocates).
-    fn num_params(&self) -> usize;
-    /// Multi-field batched lookup into a caller-owned buffer.
-    fn lookup_fields_into(&mut self, flat: &[u32], num_fields: usize, out: &mut Matrix);
-    /// [`lookup_fields_into`](Self::lookup_fields_into) with batch rows
-    /// sharded across `pool`; bit-identical to the serial path.
-    fn lookup_fields_pooled_into(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        pool: &Pool,
-        out: &mut Matrix,
-    );
-    /// Accumulates gradients for the most recent batch shape (inverse of
-    /// the lookup), lane-sharded deterministically across `pool`.
-    fn accumulate_grad_fields_pooled(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        grad: &Matrix,
-        pool: &Pool,
-    );
-    /// Applies one Adam step under the configured optimizer mode.
-    fn apply_adam(&mut self, adam: &Adam, weight_decay: f32);
-    /// Applies one SGD step under the configured optimizer mode.
-    fn apply_sgd(&mut self, lr: f32, weight_decay: f32);
-    /// Replays deferred lazy-Adam zero-grad steps on every row.
-    fn catch_up_all(&mut self, adam: &Adam, weight_decay: f32);
-    /// Drops accumulated gradients without applying them.
-    fn clear_grads(&mut self);
-    /// Selects sparse / dense-apply / lazy optimizer behavior.
-    fn set_optimizer_mode(&mut self, mode: EmbedOptimizerMode);
-}
-
-impl EmbeddingStore for EmbeddingTable {
-    fn key_space(&self) -> usize {
-        self.vocab()
-    }
-
-    fn dim(&self) -> usize {
-        EmbeddingTable::dim(self)
-    }
-
-    fn num_params(&self) -> usize {
-        EmbeddingTable::num_params(self)
-    }
-
-    fn lookup_fields_into(&mut self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
-        EmbeddingTable::lookup_fields_into(self, flat, num_fields, out);
-    }
-
-    fn lookup_fields_pooled_into(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        pool: &Pool,
-        out: &mut Matrix,
-    ) {
-        EmbeddingTable::lookup_fields_pooled_into(self, flat, num_fields, pool, out);
-    }
-
-    fn accumulate_grad_fields_pooled(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        grad: &Matrix,
-        pool: &Pool,
-    ) {
-        EmbeddingTable::accumulate_grad_fields_pooled(self, flat, num_fields, grad, pool);
-    }
-
-    fn apply_adam(&mut self, adam: &Adam, weight_decay: f32) {
-        EmbeddingTable::apply_adam(self, adam, weight_decay);
-    }
-
-    fn apply_sgd(&mut self, lr: f32, weight_decay: f32) {
-        EmbeddingTable::apply_sgd(self, lr, weight_decay);
-    }
-
-    fn catch_up_all(&mut self, adam: &Adam, weight_decay: f32) {
-        EmbeddingTable::catch_up_all(self, adam, weight_decay);
-    }
-
-    fn clear_grads(&mut self) {
-        EmbeddingTable::clear_grads(self);
-    }
-
-    fn set_optimizer_mode(&mut self, mode: EmbedOptimizerMode) {
-        EmbeddingTable::set_optimizer_mode(self, mode);
-    }
 }
 
 /// Compositional embedding table: `embed(id) = t1[slot1(id)] ⊙ t2[slot2(id)]`.
@@ -478,64 +373,6 @@ impl HashedEmbedding {
     pub fn clear_grads(&mut self) {
         self.t1.clear_grads();
         self.t2.clear_grads();
-    }
-}
-
-impl EmbeddingStore for HashedEmbedding {
-    fn key_space(&self) -> usize {
-        HashedEmbedding::key_space(self)
-    }
-
-    fn dim(&self) -> usize {
-        HashedEmbedding::dim(self)
-    }
-
-    fn num_params(&self) -> usize {
-        HashedEmbedding::num_params(self)
-    }
-
-    fn lookup_fields_into(&mut self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
-        HashedEmbedding::lookup_fields_into(self, flat, num_fields, out);
-    }
-
-    fn lookup_fields_pooled_into(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        pool: &Pool,
-        out: &mut Matrix,
-    ) {
-        HashedEmbedding::lookup_fields_pooled_into(self, flat, num_fields, pool, out);
-    }
-
-    fn accumulate_grad_fields_pooled(
-        &mut self,
-        flat: &[u32],
-        num_fields: usize,
-        grad: &Matrix,
-        pool: &Pool,
-    ) {
-        HashedEmbedding::accumulate_grad_fields_pooled(self, flat, num_fields, grad, pool);
-    }
-
-    fn apply_adam(&mut self, adam: &Adam, weight_decay: f32) {
-        HashedEmbedding::apply_adam(self, adam, weight_decay);
-    }
-
-    fn apply_sgd(&mut self, lr: f32, weight_decay: f32) {
-        HashedEmbedding::apply_sgd(self, lr, weight_decay);
-    }
-
-    fn catch_up_all(&mut self, adam: &Adam, weight_decay: f32) {
-        HashedEmbedding::catch_up_all(self, adam, weight_decay);
-    }
-
-    fn clear_grads(&mut self) {
-        HashedEmbedding::clear_grads(self);
-    }
-
-    fn set_optimizer_mode(&mut self, mode: EmbedOptimizerMode) {
-        HashedEmbedding::set_optimizer_mode(self, mode);
     }
 }
 
