@@ -34,6 +34,7 @@ use crate::arch::{Architecture, Method};
 use crate::config::FactFn;
 use crate::gumbel::GumbelSample;
 use crate::net::DataDims;
+use optinter_nn::Parameter;
 use optinter_tensor::{Matrix, Pool};
 
 #[cfg(test)]
@@ -51,20 +52,7 @@ pub enum Fact<'a> {
     Generalized(&'a Matrix),
 }
 
-impl<'a> Fact<'a> {
-    /// Resolves `fact_fn` against a model's generalized-product weights,
-    /// which every model holds exactly when `fact_fn` is
-    /// [`FactFn::Generalized`]. The weights start at one, where the
-    /// generalized product is the Hadamard product, so that is what a
-    /// model without them computes.
-    pub fn new(fact_fn: FactFn, weights: Option<&'a Matrix>) -> Self {
-        match (fact_fn, weights) {
-            (FactFn::PointwiseAdd, _) => Fact::PointwiseAdd,
-            (FactFn::Generalized, Some(w)) => Fact::Generalized(w),
-            (FactFn::Hadamard | FactFn::Generalized, _) => Fact::Hadamard,
-        }
-    }
-
+impl Fact<'_> {
     /// `dst = f(e_i, e_j)` for pair `p`.
     #[inline]
     pub fn factorize(self, p: usize, ei: &[f32], ej: &[f32], dst: &mut [f32]) {
@@ -149,6 +137,58 @@ impl<'a> Fact<'a> {
                     *dj += dw * a;
                 }
             }
+        }
+    }
+}
+
+/// A model's factorization function, holding the generalized product's
+/// trainable weights, so a generalized model always has them.
+pub enum Factorizer {
+    /// `e_i ⊙ e_j`.
+    Hadamard,
+    /// `e_i + e_j`.
+    PointwiseAdd,
+    /// `w_(i,j) ⊙ e_i ⊙ e_j` with its `[num_pairs, s1]` weights.
+    Generalized(Parameter),
+}
+
+impl Factorizer {
+    /// `fact_fn` over `num_pairs` pairs of width `s1`. Generalized weights
+    /// start at one, where the product is the Hadamard product.
+    pub fn new(fact_fn: FactFn, num_pairs: usize, s1: usize) -> Self {
+        match fact_fn {
+            FactFn::Hadamard => Factorizer::Hadamard,
+            FactFn::PointwiseAdd => Factorizer::PointwiseAdd,
+            FactFn::Generalized => {
+                Factorizer::Generalized(Parameter::new(Matrix::filled(num_pairs, s1, 1.0)))
+            }
+        }
+    }
+
+    /// The kernels' view of the function.
+    pub fn fact(&self) -> Fact<'_> {
+        match self {
+            Factorizer::Hadamard => Fact::Hadamard,
+            Factorizer::PointwiseAdd => Fact::PointwiseAdd,
+            Factorizer::Generalized(w) => Fact::Generalized(&w.value),
+        }
+    }
+
+    /// The kernels' view plus the generalized weights' gradient, for a
+    /// backward pass.
+    pub fn with_grad(&mut self) -> (Fact<'_>, Option<&mut Matrix>) {
+        match self {
+            Factorizer::Generalized(w) => (Fact::Generalized(&w.value), Some(&mut w.grad)),
+            Factorizer::Hadamard => (Fact::Hadamard, None),
+            Factorizer::PointwiseAdd => (Fact::PointwiseAdd, None),
+        }
+    }
+
+    /// The generalized product's weights, if this is it.
+    pub fn weights_mut(&mut self) -> Option<&mut Parameter> {
+        match self {
+            Factorizer::Generalized(w) => Some(w),
+            Factorizer::Hadamard | Factorizer::PointwiseAdd => None,
         }
     }
 }
@@ -596,6 +636,15 @@ mod tests {
         Matrix::filled(rows, cols, f32::NAN)
     }
 
+    /// The kernels' view of `fact_fn`, weighted by `w` when generalized.
+    fn fact_of(fact_fn: FactFn, w: &Matrix) -> Fact<'_> {
+        match fact_fn {
+            FactFn::Hadamard => Fact::Hadamard,
+            FactFn::PointwiseAdd => Fact::PointwiseAdd,
+            FactFn::Generalized => Fact::Generalized(w),
+        }
+    }
+
     fn assert_bits(what: &str, case: &str, got: &Matrix, want: &Matrix) {
         assert_eq!(got.shape(), want.shape(), "{what} shape, {case}");
         for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -674,7 +723,7 @@ mod tests {
             let block = Mixed {
                 pairs: &pairs,
                 samples: &samples,
-                fact: Fact::new(fact_fn, fw_val),
+                fact: fact_of(fact_fn, &fw),
                 s1,
                 s2,
                 num_fields: FIELDS,
@@ -751,7 +800,7 @@ mod tests {
                 fw_val.map(|_| &mut fw_grad_ref),
             );
 
-            let fact = Fact::new(fact_fn, fw_val);
+            let fact = fact_of(fact_fn, &fw);
             let mut input = stale(b, layout.input_dim());
             layout.assemble_into(pool, fact, &eo, &em, &mut input);
             let mut fw_grad = fw_grad0.clone();

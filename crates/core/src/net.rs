@@ -10,14 +10,18 @@
 //! `OptInterNet` with a uniform architecture realises the fixed baselines:
 //! all-memorize = **OptInter-M**, all-factorize = **OptInter-F**, and
 //! all-naïve is an FNN-style model.
+//!
+//! [`FixedForward`] holds the model's weights and runs its forward pass.
+//! `OptInterNet` trains one; the frozen scorer in `optinter-serve` loads
+//! one from an artifact, so serving computes what training did.
 
 use crate::arch::{Architecture, Method};
-use crate::combine::{Fact, PairLayout};
-use crate::config::{FactFn, OptInterConfig};
+use crate::combine::{Factorizer, PairLayout};
+use crate::config::OptInterConfig;
 use optinter_data::{Batch, EncodedDataset, PairIndexer};
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, MlpConfig, Parameter,
-    Workspace,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, MlpConfig,
+    WeightFetch, Workspace,
 };
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
@@ -59,54 +63,202 @@ impl DataDims {
     }
 }
 
-/// Fixed-architecture OptInter model.
-pub struct OptInterNet {
-    cfg: OptInterConfig,
+/// Hash seeds of a network's `E^o` and `E^m` stores.
+fn store_seeds(seed: u64) -> [u64; 2] {
+    [seed ^ 0x0517_0E0A, seed ^ 0x0517_0ECA]
+}
+
+/// A fixed architecture's weights and its forward pass (Eq. 19): the
+/// original-feature lookup, the memorized pairs' compact cross lookup,
+/// the combination block and the MLP.
+pub struct FixedForward {
     dims: DataDims,
-    architecture: Architecture,
     layout: PairLayout,
     e_orig: EmbedStore,
     /// Compact cross table: rows only for memorized pairs.
     e_cross: EmbedStore,
-    /// Per-pair weights for the generalized product (one row per pair,
-    /// only rows of factorized pairs are used). `None` for the other
-    /// factorization functions.
-    fact_weights: Option<Parameter>,
+    fact: Factorizer,
     mlp: Mlp,
-    adam_net: Adam,
-    adam_cross: Adam,
-    pool: Pool,
-    scr: NetScratch,
-    ws: Workspace,
-}
-
-/// Persistent per-step buffers. Each forward overwrites them in full, so a
-/// steady-state train step reuses their capacity instead of reallocating;
-/// `backward` reads the activations the matching forward left behind.
-struct NetScratch {
+    // The last forward's activations. Each forward overwrites them in
+    // full, reusing their capacity; `OptInterNet::backward` reads them.
     mem_ids: Vec<u32>,
     eo: Matrix,
     em: Matrix,
     input: Matrix,
     logits: Matrix,
-    grad_logits: Matrix,
-    d_eo: Matrix,
-    d_em: Matrix,
 }
 
-impl NetScratch {
-    fn new() -> Self {
+impl FixedForward {
+    /// Freshly initialised weights for `arch`, drawn from `cfg.seed`.
+    fn new(cfg: &OptInterConfig, dims: DataDims, arch: &Architecture, pool: &Pool) -> Self {
+        let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
+        let layout = PairLayout::new(arch, &dims, s1, s2);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF17ED);
+        let [orig_seed, cross_seed] = store_seeds(cfg.seed);
+        // Dense stores draw exactly what `EmbeddingTable::new` always drew
+        // here, so `StoreKind::Dense` configs keep historical trajectories.
+        let orig_rows = dims.orig_vocab as usize;
+        let e_orig = EmbedStore::new(cfg.orig_store, &mut rng, orig_rows, s1, orig_seed);
+        let cross_rows = layout.compact_rows();
+        let e_cross = EmbedStore::new(cfg.cross_store, &mut rng, cross_rows, s2, cross_seed);
+        let mlp = Mlp::new(&mut rng, &mlp_config(cfg, layout.input_dim()));
+        let fact = Factorizer::new(cfg.fact_fn, dims.num_pairs, s1);
+        Self::from_parts(cfg, dims, layout, [e_orig, e_cross], fact, mlp, pool)
+    }
+
+    /// Loads the weights [`OptInterNet::export_weights`] names (`e_orig*`,
+    /// `e_cross*`, `fact_weights`, `mlp.{i}`) through `fetch` into the
+    /// model `cfg`'s widths, stores, factorization and classifier
+    /// describe, with the stores hashed by `hash_seeds`. The tables are
+    /// built from the fetched matrices, never drawn first.
+    ///
+    /// # Errors
+    /// Whatever `fetch` returns for a missing or misshapen weight, or why a
+    /// store kind in `cfg` describes no table.
+    pub fn from_weights(
+        cfg: &OptInterConfig,
+        dims: DataDims,
+        arch: &Architecture,
+        hash_seeds: [u64; 2],
+        pool: &Pool,
+        fetch: &mut WeightFetch<'_>,
+    ) -> Result<Self, String> {
+        let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
+        let layout = PairLayout::new(arch, &dims, s1, s2);
+        let orig_rows = dims.orig_vocab as usize;
+        let e_orig = EmbedStore::from_weights(
+            cfg.orig_store,
+            orig_rows,
+            s1,
+            hash_seeds[0],
+            "e_orig",
+            fetch,
+        )?;
+        let cross_rows = layout.compact_rows();
+        let e_cross = EmbedStore::from_weights(
+            cfg.cross_store,
+            cross_rows,
+            s2,
+            hash_seeds[1],
+            "e_cross",
+            fetch,
+        )?;
+        // The factorization weights and the classifier are small next to
+        // the tables, so they are initialised and then overwritten.
+        let mut fact = Factorizer::new(cfg.fact_fn, dims.num_pairs, s1);
+        if let Some(w) = fact.weights_mut() {
+            w.value = fetch("fact_weights", w.value.shape())?;
+        }
+        let mut mlp = Mlp::new(
+            &mut StdRng::seed_from_u64(0),
+            &mlp_config(cfg, layout.input_dim()),
+        );
+        let (mut idx, mut fetched) = (0usize, Ok(()));
+        mlp.visit_params(&mut |p| {
+            if fetched.is_ok() {
+                fetched = fetch(&format!("mlp.{idx}"), p.value.shape()).map(|m| p.value = m);
+            }
+            idx += 1;
+        });
+        fetched?;
+        let stores = [e_orig, e_cross];
+        Ok(Self::from_parts(cfg, dims, layout, stores, fact, mlp, pool))
+    }
+
+    fn from_parts(
+        cfg: &OptInterConfig,
+        dims: DataDims,
+        layout: PairLayout,
+        [mut e_orig, mut e_cross]: [EmbedStore; 2],
+        fact: Factorizer,
+        mut mlp: Mlp,
+        pool: &Pool,
+    ) -> Self {
+        e_orig.set_optimizer_mode(cfg.embed_opt);
+        e_cross.set_optimizer_mode(cfg.embed_opt);
+        mlp.set_pool(pool);
         Self {
+            dims,
+            layout,
+            e_orig,
+            e_cross,
+            fact,
+            mlp,
             mem_ids: Vec::new(),
             eo: Matrix::zeros(0, 0),
             em: Matrix::zeros(0, 0),
             input: Matrix::zeros(0, 0),
             logits: Matrix::zeros(0, 0),
-            grad_logits: Matrix::zeros(0, 0),
-            d_eo: Matrix::zeros(0, 0),
-            d_em: Matrix::zeros(0, 0),
         }
     }
+
+    /// Dataset dimensions the model was built for.
+    pub fn dims(&self) -> &DataDims {
+        &self.dims
+    }
+
+    /// Where each pair's embedding lands in the MLP input.
+    pub fn layout(&self) -> &PairLayout {
+        &self.layout
+    }
+
+    /// The forward pass over row-major ids: `fields` holds each row's
+    /// `dims().num_fields` original-feature ids as `E^o` indexes them,
+    /// `cross` each row's `num_pairs` global cross ids (it may be empty
+    /// when no pair is memorized). Returns the `[rows, 1]` logits.
+    /// Allocation-free at steady state.
+    pub fn forward_ids_into(&mut self, pool: &Pool, fields: &[u32], cross: &[u32]) -> &Matrix {
+        let m = self.dims.num_fields;
+        self.e_orig
+            .lookup_fields_pooled_into(fields, m, pool, &mut self.eo);
+        self.layout
+            .gather_mem_ids_into(cross, &self.dims.pair_offsets, &mut self.mem_ids);
+        let num_memorized = self.layout.num_memorized();
+        if num_memorized > 0 {
+            self.e_cross.lookup_fields_pooled_into(
+                &self.mem_ids,
+                num_memorized,
+                pool,
+                &mut self.em,
+            );
+        } else {
+            self.em.reset(self.eo.rows(), 0);
+        }
+        // Sharded over batch rows, owner-computes, so any thread count
+        // writes the same bytes.
+        let fact = self.fact.fact();
+        self.layout
+            .assemble_into(pool, fact, &self.eo, &self.em, &mut self.input);
+        self.mlp.forward_into(&self.input, &mut self.logits);
+        &self.logits
+    }
+}
+
+/// The classifier `cfg` names over an `input_dim`-wide input.
+pub(crate) fn mlp_config(cfg: &OptInterConfig, input_dim: usize) -> MlpConfig {
+    MlpConfig {
+        input_dim,
+        hidden: cfg.hidden.clone(),
+        output_dim: 1,
+        layer_norm: cfg.layer_norm,
+        ln_eps: 1e-5,
+    }
+}
+
+/// Fixed-architecture OptInter model.
+pub struct OptInterNet {
+    cfg: OptInterConfig,
+    architecture: Architecture,
+    fwd: FixedForward,
+    adam_net: Adam,
+    adam_cross: Adam,
+    pool: Pool,
+    // Backward buffers, reused across steps so a steady-state train step
+    // does not reallocate.
+    grad_logits: Matrix,
+    d_eo: Matrix,
+    d_em: Matrix,
+    ws: Workspace,
 }
 
 impl OptInterNet {
@@ -117,58 +269,20 @@ impl OptInterNet {
             dims.num_pairs,
             "architecture does not match dataset pair count"
         );
-        let s1 = cfg.orig_dim;
-        let s2 = cfg.cross_dim;
-        let layout = PairLayout::new(&architecture, &dims, s1, s2);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF17ED);
-        // Dense stores draw exactly what `EmbeddingTable::new` always drew
-        // here, so `StoreKind::Dense` configs keep historical trajectories.
-        let mut e_orig = EmbedStore::new(
-            cfg.orig_store,
-            &mut rng,
-            dims.orig_vocab as usize,
-            s1,
-            cfg.seed ^ 0x0517_0E0A,
-        );
-        let mut e_cross = EmbedStore::new(
-            cfg.cross_store,
-            &mut rng,
-            layout.compact_rows(),
-            s2,
-            cfg.seed ^ 0x0517_0ECA,
-        );
-        e_orig.set_optimizer_mode(cfg.embed_opt);
-        e_cross.set_optimizer_mode(cfg.embed_opt);
-        let mut mlp = Mlp::new(
-            &mut rng,
-            &MlpConfig {
-                input_dim: layout.input_dim(),
-                hidden: cfg.hidden.clone(),
-                output_dim: 1,
-                layer_norm: cfg.layer_norm,
-                ln_eps: 1e-5,
-            },
-        );
         let pool = Pool::new(cfg.num_threads);
-        mlp.set_pool(&pool);
+        let fwd = FixedForward::new(&cfg, dims, &architecture, &pool);
         let adam_net = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
         let adam_cross = Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps);
-        // Generalized-product weights start at 1: it reduces to Hadamard.
-        let fact_weights = (cfg.fact_fn == FactFn::Generalized)
-            .then(|| Parameter::new(Matrix::filled(dims.num_pairs, s1, 1.0)));
         Self {
             cfg,
-            dims,
             architecture,
-            layout,
-            e_orig,
-            e_cross,
-            fact_weights,
-            mlp,
+            fwd,
             adam_net,
             adam_cross,
             pool,
-            scr: NetScratch::new(),
+            grad_logits: Matrix::zeros(0, 0),
+            d_eo: Matrix::zeros(0, 0),
+            d_em: Matrix::zeros(0, 0),
             ws: Workspace::new(),
         }
     }
@@ -187,17 +301,17 @@ impl OptInterNet {
     /// serving freezer reads their storage kind and hash seed to record
     /// matching store descriptors in the artifact).
     pub fn embedding_stores(&self) -> (&EmbedStore, &EmbedStore) {
-        (&self.e_orig, &self.e_cross)
+        (&self.fwd.e_orig, &self.fwd.e_cross)
     }
 
     /// MLP input dimension.
     pub fn input_dim(&self) -> usize {
-        self.layout.input_dim()
+        self.fwd.layout.input_dim()
     }
 
     /// Number of memorized pairs.
     pub fn num_memorized(&self) -> usize {
-        self.layout.num_memorized()
+        self.fwd.layout.num_memorized()
     }
 
     /// Total trainable parameters. The compact cross table only holds rows
@@ -206,103 +320,69 @@ impl OptInterNet {
         let cross = if self.num_memorized() == 0 {
             0
         } else {
-            self.e_cross.num_params()
+            self.fwd.e_cross.num_params()
         };
         // Generalized-product weights: only factorized pairs' rows are live.
-        let fact = if self.fact_weights.is_some() {
+        let fact = if let Factorizer::Generalized(_) = self.fwd.fact {
             let factorized = self.architecture.counts()[Method::Factorize.index()];
             factorized * self.cfg.orig_dim
         } else {
             0
         };
-        self.e_orig.num_params() + cross + fact + self.mlp.num_params()
+        self.fwd.e_orig.num_params() + cross + fact + self.fwd.mlp.num_params()
     }
 
     /// Forward pass producing `[B, 1]` logits.
     pub fn forward(&mut self, batch: &Batch) -> Matrix {
         self.forward_step(batch);
-        self.scr.logits.clone()
+        self.fwd.logits.clone()
     }
 
-    /// Forward pass into the persistent scratch buffers; `self.scr.logits`
+    /// Forward pass into the persistent scratch buffers; `self.fwd.logits`
     /// holds the `[B, 1]` logits afterwards. Allocation-free at steady state.
     fn forward_step(&mut self, batch: &Batch) {
-        let m = self.dims.num_fields;
-        assert_eq!(batch.num_fields, m, "OptInterNet: field count mismatch");
-        self.e_orig
-            .lookup_fields_pooled_into(&batch.fields, m, &self.pool, &mut self.scr.eo);
-        let num_memorized = self.num_memorized();
+        assert_eq!(
+            batch.num_fields, self.fwd.dims.num_fields,
+            "OptInterNet: field count mismatch"
+        );
         assert!(
-            num_memorized == 0 || !batch.cross.is_empty(),
+            self.num_memorized() == 0 || !batch.cross.is_empty(),
             "architecture memorizes pairs but the batch has no cross features"
         );
-        self.layout.gather_mem_ids_into(
-            &batch.cross,
-            &self.dims.pair_offsets,
-            &mut self.scr.mem_ids,
-        );
-        if num_memorized > 0 {
-            self.e_cross.lookup_fields_pooled_into(
-                &self.scr.mem_ids,
-                num_memorized,
-                &self.pool,
-                &mut self.scr.em,
-            );
-        } else {
-            self.scr.em.reset(batch.len(), 0);
-        }
-        // Assemble the MLP input, sharded over batch rows.
-        let fw = self.fact_weights.as_ref().map(|fw| &fw.value);
-        self.layout.assemble_into(
-            &self.pool,
-            Fact::new(self.cfg.fact_fn, fw),
-            &self.scr.eo,
-            &self.scr.em,
-            &mut self.scr.input,
-        );
-        let (input, logits) = (&self.scr.input, &mut self.scr.logits);
-        self.mlp.forward_into(input, logits);
+        self.fwd
+            .forward_ids_into(&self.pool, &batch.fields, &batch.cross);
     }
 
     /// Backward pass from logit gradients. `batch` must be the one the
     /// matching [`forward`](Self::forward) saw — the persistent scratch
     /// holds that forward's activations but not the batch itself.
     pub fn backward(&mut self, batch: &Batch, grad_logits: &Matrix) {
-        let m = self.dims.num_fields;
+        let fwd = &mut self.fwd;
+        let m = fwd.dims.num_fields;
         let b = grad_logits.rows();
-        assert_eq!(
-            self.scr.input.rows(),
-            b,
-            "OptInterNet::backward before forward"
-        );
-        let mut dinput = self.ws.take(b, self.input_dim());
-        {
-            let input = &self.scr.input;
-            self.mlp.backward_into(input, grad_logits, &mut dinput);
-        }
+        assert_eq!(fwd.input.rows(), b, "OptInterNet::backward before forward");
+        let mut dinput = self.ws.take(b, fwd.layout.input_dim());
+        fwd.mlp.backward_into(&fwd.input, grad_logits, &mut dinput);
         // Generalized-weight rows shard over contiguous pair ranges, the
         // field gradients over batch rows.
-        let (fw, fw_grad) = match self.fact_weights.as_mut() {
-            Some(fw) => (Some(&fw.value), Some(&mut fw.grad)),
-            None => (None, None),
-        };
-        self.layout.assemble_backward_into(
+        let (fact, fw_grad) = fwd.fact.with_grad();
+        fwd.layout.assemble_backward_into(
             &self.pool,
-            Fact::new(self.cfg.fact_fn, fw),
+            fact,
             &dinput,
-            &self.scr.eo,
-            &mut self.scr.d_eo,
-            &mut self.scr.d_em,
+            &fwd.eo,
+            &mut self.d_eo,
+            &mut self.d_em,
             fw_grad,
         );
-        self.e_orig
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.scr.d_eo, &self.pool);
-        let num_memorized = self.num_memorized();
+        fwd.e_orig
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_eo, &self.pool);
+        let num_memorized = fwd.layout.num_memorized();
         if num_memorized > 0 {
-            self.e_cross.accumulate_grad_fields_pooled(
-                &self.scr.mem_ids,
+            fwd.e_cross.accumulate_grad_fields_pooled(
+                &fwd.mem_ids,
                 num_memorized,
-                &self.scr.d_em,
+                &self.d_em,
                 &self.pool,
             );
         }
@@ -313,15 +393,17 @@ impl OptInterNet {
     pub fn step(&mut self) {
         self.adam_net.begin_step();
         let mut adam = self.adam_net;
-        self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        if let Some(fw) = self.fact_weights.as_mut() {
+        self.fwd.mlp.visit_params(&mut |p| adam.step(p, 0.0));
+        if let Some(fw) = self.fwd.fact.weights_mut() {
             adam.step(fw, 0.0);
         }
         self.adam_net = adam;
-        self.e_orig.apply_adam(&self.adam_net, self.cfg.l2_orig);
+        self.fwd.e_orig.apply_adam(&self.adam_net, self.cfg.l2_orig);
         if self.num_memorized() > 0 {
             self.adam_cross.begin_step();
-            self.e_cross.apply_adam(&self.adam_cross, self.cfg.l2_cross);
+            self.fwd
+                .e_cross
+                .apply_adam(&self.adam_cross, self.cfg.l2_cross);
         }
     }
 
@@ -329,9 +411,12 @@ impl OptInterNet {
     /// deferred, bringing every row up to the current timestep. Call before
     /// exporting or freezing weights; a no-op for the other modes.
     pub fn catch_up_embeddings(&mut self) {
-        self.e_orig.catch_up_all(&self.adam_net, self.cfg.l2_orig);
+        self.fwd
+            .e_orig
+            .catch_up_all(&self.adam_net, self.cfg.l2_orig);
         if self.num_memorized() > 0 {
-            self.e_cross
+            self.fwd
+                .e_cross
                 .catch_up_all(&self.adam_cross, self.cfg.l2_cross);
         }
     }
@@ -344,13 +429,13 @@ impl OptInterNet {
     pub fn export_weights(&mut self) -> Vec<(String, Matrix)> {
         self.catch_up_embeddings();
         let mut out = Vec::new();
-        self.e_orig.push_weights("e_orig", &mut out);
-        self.e_cross.push_weights("e_cross", &mut out);
-        if let Some(fw) = self.fact_weights.as_ref() {
+        self.fwd.e_orig.push_weights("e_orig", &mut out);
+        self.fwd.e_cross.push_weights("e_cross", &mut out);
+        if let Factorizer::Generalized(fw) = &self.fwd.fact {
             out.push(("fact_weights".to_string(), fw.value.clone()));
         }
         let mut idx = 0usize;
-        self.mlp.visit_params(&mut |p| {
+        self.fwd.mlp.visit_params(&mut |p| {
             out.push((format!("mlp.{idx}"), p.value.clone()));
             idx += 1;
         });
@@ -361,11 +446,12 @@ impl OptInterNet {
     /// [`export_weights`](Self::export_weights). Optimizer state is reset.
     ///
     /// # Errors
-    /// Returns an error when a name is missing or a shape mismatches.
+    /// Returns an error when a name is missing or a shape mismatches; the
+    /// network is then unchanged.
     pub fn import_weights(&mut self, weights: &[(String, Matrix)]) -> Result<(), String> {
         use std::collections::HashMap;
         let map: HashMap<&str, &Matrix> = weights.iter().map(|(n, m)| (n.as_str(), m)).collect();
-        let fetch = |name: &str, expect: (usize, usize)| -> Result<Matrix, String> {
+        let mut fetch = |name: &str, expect: (usize, usize)| -> Result<Matrix, String> {
             let m = map
                 .get(name)
                 .ok_or_else(|| format!("missing weight `{name}`"))?;
@@ -378,46 +464,26 @@ impl OptInterNet {
             }
             Ok((*m).clone())
         };
-        self.e_orig
-            .import_weights("e_orig", &mut |name, shape| fetch(name, shape))?;
-        self.e_cross
-            .import_weights("e_cross", &mut |name, shape| fetch(name, shape))?;
-        if let Some(fw) = self.fact_weights.as_mut() {
-            fw.value = fetch("fact_weights", fw.value.shape())?;
-            fw.reset_opt_state();
-        }
-        let mut idx = 0usize;
-        let mut err: Option<String> = None;
-        self.mlp.visit_params(&mut |p| {
-            if err.is_some() {
-                return;
-            }
-            match fetch(&format!("mlp.{idx}"), p.value.shape()) {
-                Ok(m) => {
-                    p.value = m;
-                    p.grad.fill_zero();
-                    p.reset_opt_state();
-                }
-                Err(e) => err = Some(e),
-            }
-            idx += 1;
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        // Poison the scratch so a stale backward cannot pair old activations
-        // with the imported weights.
-        self.scr.input.reset(0, 0);
+        // The new forward holds no activations, so a stale backward cannot
+        // pair old activations with the imported weights.
+        self.fwd = FixedForward::from_weights(
+            &self.cfg,
+            self.fwd.dims.clone(),
+            &self.architecture,
+            store_seeds(self.cfg.seed),
+            &self.pool,
+            &mut fetch,
+        )?;
         Ok(())
     }
 
     /// One training step; returns the mean batch loss.
     pub fn train_batch(&mut self, batch: &Batch) -> f32 {
         self.forward_step(batch);
-        let mut grad = std::mem::replace(&mut self.scr.grad_logits, Matrix::zeros(0, 0));
-        let loss_value = bce_with_logits_into(&self.scr.logits, &batch.labels, &mut grad);
+        let mut grad = std::mem::replace(&mut self.grad_logits, Matrix::zeros(0, 0));
+        let loss_value = bce_with_logits_into(&self.fwd.logits, &batch.labels, &mut grad);
         self.backward(batch, &grad);
-        self.scr.grad_logits = grad;
+        self.grad_logits = grad;
         self.step();
         loss_value
     }
@@ -425,7 +491,7 @@ impl OptInterNet {
     /// Predicted probabilities.
     pub fn predict(&mut self, batch: &Batch) -> Vec<f32> {
         self.forward_step(batch);
-        loss::probabilities(&self.scr.logits)
+        loss::probabilities(&self.fwd.logits)
     }
 }
 
@@ -514,10 +580,11 @@ mod tests {
             .next()
             .unwrap();
         let mut ids = Vec::new();
-        net.layout
-            .gather_mem_ids_into(&batch.cross, &net.dims.pair_offsets, &mut ids);
+        net.fwd
+            .layout
+            .gather_mem_ids_into(&batch.cross, &net.fwd.dims.pair_offsets, &mut ids);
         assert_eq!(ids.len(), 64 * net.num_memorized());
-        let max = net.e_cross.key_space() as u32;
+        let max = net.fwd.e_cross.key_space() as u32;
         assert!(ids.iter().all(|&id| id < max));
     }
 

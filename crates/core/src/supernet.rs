@@ -34,14 +34,13 @@
 //! any thread count, and to the loops this pass order replaced.
 
 use crate::arch::{Architecture, Method};
-use crate::combine::{Fact, Mixed};
-use crate::config::{FactFn, OptInterConfig};
+use crate::combine::{Factorizer, Mixed};
+use crate::config::OptInterConfig;
 use crate::gumbel::GumbelSample;
-use crate::net::DataDims;
+use crate::net::{mlp_config, DataDims};
 use optinter_data::Batch;
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, MlpConfig, Parameter,
-    Workspace,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, Parameter, Workspace,
 };
 use optinter_tensor::{ops, Matrix, Pool};
 use rand::rngs::StdRng;
@@ -56,8 +55,9 @@ pub struct Supernet {
     mlp: Mlp,
     /// Architecture logits, one row per pair, columns `[mem, fac, naive]`.
     arch: Parameter,
-    /// Per-pair weights for the generalized product (`None` otherwise).
-    fact_weights: Option<Parameter>,
+    /// The factorization function, with the generalized product's
+    /// per-pair weights.
+    fact: Factorizer,
     adam_net: Adam,
     adam_cross: Adam,
     adam_arch: Adam,
@@ -110,16 +110,7 @@ impl Supernet {
         let d = cfg.mixed_dim();
         let input_dim = dims.num_fields * s1 + dims.num_pairs * d;
         let pool = Pool::new(cfg.num_threads);
-        let mut mlp = Mlp::new(
-            &mut rng,
-            &MlpConfig {
-                input_dim,
-                hidden: cfg.hidden.clone(),
-                output_dim: 1,
-                layer_norm: cfg.layer_norm,
-                ln_eps: 1e-5,
-            },
-        );
+        let mut mlp = Mlp::new(&mut rng, &mlp_config(&cfg, input_dim));
         mlp.set_pool(&pool);
         // Dense stores draw exactly what `EmbeddingTable::new` always drew
         // here, so `StoreKind::Dense` configs keep historical trajectories.
@@ -141,9 +132,7 @@ impl Supernet {
         e_cross.set_optimizer_mode(cfg.embed_opt);
         // Architecture logits start at zero: uniform prior over methods.
         let arch = Parameter::zeros(dims.num_pairs, 3);
-        // Generalized-product weights start at 1: reduces to Hadamard.
-        let fact_weights = (cfg.fact_fn == FactFn::Generalized)
-            .then(|| Parameter::new(Matrix::filled(dims.num_pairs, s1, 1.0)));
+        let fact = Factorizer::new(cfg.fact_fn, dims.num_pairs, s1);
         let adam_net = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
         let adam_cross = Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps);
         let adam_arch = Adam::with_lr_eps(cfg.lr_arch, cfg.adam_eps);
@@ -156,7 +145,7 @@ impl Supernet {
             e_cross,
             mlp,
             arch,
-            fact_weights,
+            fact,
             adam_net,
             adam_cross,
             adam_arch,
@@ -180,7 +169,10 @@ impl Supernet {
 
     /// Total trainable parameters (embeddings + MLP + architecture).
     pub fn num_params(&mut self) -> usize {
-        let fact = self.fact_weights.as_ref().map_or(0, |fw| fw.len());
+        let fact = match &self.fact {
+            Factorizer::Generalized(fw) => fw.len(),
+            Factorizer::Hadamard | Factorizer::PointwiseAdd => 0,
+        };
         self.e_orig.num_params()
             + self.e_cross.num_params()
             + self.mlp.num_params()
@@ -265,11 +257,10 @@ impl Supernet {
 
         // The MLP input [e^o | mixed pair embeddings], sharded over batch
         // rows.
-        let fw = self.fact_weights.as_ref().map(|fw| &fw.value);
         Mixed {
             pairs: &self.pairs,
             samples: &self.scr.samples,
-            fact: Fact::new(self.cfg.fact_fn, fw),
+            fact: self.fact.fact(),
             s1: self.cfg.orig_dim,
             s2: self.cfg.cross_dim,
             num_fields: m,
@@ -304,14 +295,11 @@ impl Supernet {
         // Two owner-computes passes: one over contiguous ranges of pairs
         // (each owns its dp_m/dp_f, α-gradient and generalized-weight
         // rows), one over batch rows (each owns its d e^o and d e^m rows).
-        let (fw, fw_grad) = match self.fact_weights.as_mut() {
-            Some(fw) => (Some(&fw.value), Some(&mut fw.grad)),
-            None => (None, None),
-        };
+        let (fact, fw_grad) = self.fact.with_grad();
         let block = Mixed {
             pairs: &self.pairs,
             samples: &self.scr.samples,
-            fact: Fact::new(self.cfg.fact_fn, fw),
+            fact,
             s1: self.cfg.orig_dim,
             s2: self.cfg.cross_dim,
             num_fields: m,
@@ -352,7 +340,7 @@ impl Supernet {
         let l2 = self.cfg.l2_orig;
         let mut adam = self.adam_net;
         self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        if let Some(fw) = self.fact_weights.as_mut() {
+        if let Some(fw) = self.fact.weights_mut() {
             adam.step(fw, 0.0);
         }
         self.adam_net = adam;
@@ -391,7 +379,7 @@ impl Supernet {
     /// step the validation batch's Θ gradients must be dropped).
     pub fn zero_weight_grads(&mut self) {
         self.mlp.zero_grads();
-        if let Some(fw) = self.fact_weights.as_mut() {
+        if let Some(fw) = self.fact.weights_mut() {
             fw.grad.fill_zero();
         }
         self.e_orig.clear_grads();
@@ -402,7 +390,7 @@ impl Supernet {
     pub fn discard_grads(&mut self) {
         self.mlp.zero_grads();
         self.arch.grad.fill_zero();
-        if let Some(fw) = self.fact_weights.as_mut() {
+        if let Some(fw) = self.fact.weights_mut() {
             fw.grad.fill_zero();
         }
         self.e_orig.clear_grads();
@@ -431,6 +419,7 @@ impl Supernet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FactFn;
     use optinter_data::{BatchIter, Profile};
     use optinter_nn::bce_with_logits;
 

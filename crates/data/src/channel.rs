@@ -21,7 +21,6 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-// lint: allow(wall-clock, reason="recv_timeout measures elapsed real time by definition; never used on training paths")
 use std::time::Instant;
 
 /// Error returned by [`Sender::send`] when the receiver is gone; carries

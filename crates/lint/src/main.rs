@@ -453,8 +453,7 @@ orphan = 0
 serve = 0
 "#;
 
-    const GOLDEN_LINES: &str = r#"crates/alpha/src/lib.rs:3: [wall-clock] `Instant` reads wall-clock time or OS entropy, which makes runs unreproducible; only the bench crate may do this (or waive with `// lint: allow(wall-clock, reason="...")`)
-crates/alpha/src/lib.rs:34: [wall-clock] `Instant` reads wall-clock time or OS entropy, which makes runs unreproducible; only the bench crate may do this (or waive with `// lint: allow(wall-clock, reason="...")`)
+    const GOLDEN_LINES: &str = r#"crates/alpha/src/lib.rs:34: [wall-clock] `Instant` reads wall-clock time or OS entropy, which makes runs unreproducible; only the bench crate may do this (or waive with `// lint: allow(wall-clock, reason="...")`)
 crates/alpha/src/lib.rs:38: [unsafe-confinement] `unsafe` outside the audited kernel allowlist (crates/tensor/src/pool.rs, crates/tensor/src/kernels.rs, crates/nn/src/embedding.rs, tests/alloc_steady_state.rs); use the safe pool APIs (Pool::for_rows and friends) or move the code into an allowlisted module
 lint-baseline.toml:0: [lint-config] [hot-path-roots] `ghost` = "alpha::missing_hot" matches no workspace fn; fix the path or delete the root
 lint-baseline.toml:0: [lint-config] [panic-free-roots] `ghost` = "alpha::missing_decode" matches no workspace fn; fix the path or delete the root
@@ -476,7 +475,6 @@ crates/alpha/src/lib.rs:15: [no-blocking-cone] `.lock()` (Blocks) is reachable f
 
     const GOLDEN_JSON: &str = r#"{
   "diagnostics": [
-    {"path": "crates/alpha/src/lib.rs", "line": 3, "rule": "wall-clock", "message": "`Instant` reads wall-clock time or OS entropy, which makes runs unreproducible; only the bench crate may do this (or waive with `// lint: allow(wall-clock, reason=\"...\")`)"},
     {"path": "crates/alpha/src/lib.rs", "line": 34, "rule": "wall-clock", "message": "`Instant` reads wall-clock time or OS entropy, which makes runs unreproducible; only the bench crate may do this (or waive with `// lint: allow(wall-clock, reason=\"...\")`)"},
     {"path": "crates/alpha/src/lib.rs", "line": 38, "rule": "unsafe-confinement", "message": "`unsafe` outside the audited kernel allowlist (crates/tensor/src/pool.rs, crates/tensor/src/kernels.rs, crates/nn/src/embedding.rs, tests/alloc_steady_state.rs); use the safe pool APIs (Pool::for_rows and friends) or move the code into an allowlisted module"},
     {"path": "lint-baseline.toml", "line": 0, "rule": "lint-config", "message": "[hot-path-roots] `ghost` = \"alpha::missing_hot\" matches no workspace fn; fix the path or delete the root"},

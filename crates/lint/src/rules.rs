@@ -1000,16 +1000,33 @@ pub(crate) struct RawSite {
 }
 
 /// Clock-reading and entropy-reaching identifier sites, in token order.
+/// A name inside a `use` item only imports it and is skipped, unless the
+/// import renames it: calls through the alias would go unseen.
 pub(crate) fn clock_entropy_sites(
     tokens: &[Token],
     code: &[usize],
 ) -> (Vec<RawSite>, Vec<RawSite>) {
+    let tok = |ci: usize| code.get(ci).map(|&ti| &tokens[ti].tok);
     let mut clock = Vec::new();
     let mut entropy = Vec::new();
+    let mut in_use = false;
     for (ci, &ti) in code.iter().enumerate() {
-        let Tok::Ident(name) = &tokens[ti].tok else {
-            continue;
+        let name = match &tokens[ti].tok {
+            // `use<'a>` is a precise-capturing bound, not an import.
+            Tok::Ident(kw) if kw == "use" => {
+                in_use = tok(ci + 1) != Some(&Tok::Punct('<'));
+                continue;
+            }
+            Tok::Punct(';') => {
+                in_use = false;
+                continue;
+            }
+            Tok::Ident(name) => name,
+            _ => continue,
         };
+        if in_use && !matches!(tok(ci + 1), Some(Tok::Ident(a)) if a == "as") {
+            continue;
+        }
         if CLOCK_IDENTS.contains(&name.as_str()) {
             clock.push(RawSite {
                 ci,
@@ -1711,19 +1728,24 @@ mod tests {
 
     #[test]
     fn wall_clock_fires_outside_bench_and_not_inside() {
+        // The import is not a read; the call is.
         let src = r#"
             use std::time::Instant;
             pub fn f() -> u64 { let t = Instant::now(); t.elapsed().as_nanos() as u64 }
         "#;
         let a = analyze("crates/core/src/fixture.rs", "core", src);
-        assert_eq!(
-            rules_of(&a),
-            vec![Rule::WallClock, Rule::WallClock],
-            "{:?}",
-            a.diagnostics
-        );
+        assert_eq!(rules_of(&a), vec![Rule::WallClock], "{:?}", a.diagnostics);
+        assert_eq!(a.diagnostics[0].line, 3, "{:?}", a.diagnostics);
         let b = analyze("crates/bench/src/fixture.rs", "bench", src);
         assert!(b.diagnostics.is_empty());
+        // A renaming import fires: reads through `T` name no clock.
+        let renamed = r#"
+            use std::time::{Duration, Instant as T};
+            pub fn f() -> u64 { T::now().elapsed().as_nanos() as u64 }
+        "#;
+        let c = analyze("crates/core/src/fixture.rs", "core", renamed);
+        assert_eq!(rules_of(&c), vec![Rule::WallClock], "{:?}", c.diagnostics);
+        assert_eq!(c.diagnostics[0].line, 2, "{:?}", c.diagnostics);
     }
 
     #[test]

@@ -134,28 +134,41 @@ fn injected_unwrap_inside_a_root_fn_fails_the_lint() {
 
 #[test]
 fn injected_panics_in_validation_and_table_lookup_fail_the_lint() {
-    // The typed-error contract: request validation and the (dense or
-    // hashed) embedding-table lookup both sit inside the serve-score
-    // cone, so a panic site in either must fail the lint. This is the
+    // The typed-error contract: request validation and the dense and
+    // hashed embedding-table lookups all sit inside the serve-score cone,
+    // so a panic site in any of them must fail the lint. This is the
     // static witness that out-of-range ids stay typed errors — the
     // runtime half lives in tests/serve_errors.rs.
-    for anchor in [
-        "        let key_space = self.dims.orig_vocab;", // FrozenScorer::validate
-        "        let fill_row = |r: usize, dst: &mut [f32]| {", // ServingTable::lookup_into
+    for (path, anchor) in [
+        // FrozenScorer::validate
+        (
+            "crates/serve/src/scorer.rs",
+            "        let key_space = dims.orig_vocab;",
+        ),
+        // EmbeddingTable::lookup_fields_into
+        (
+            "crates/nn/src/embedding.rs",
+            "        out.reset(batch, num_fields * dim);",
+        ),
+        // HashedEmbedding::hash_into
+        (
+            "crates/nn/src/store.rs",
+            "            let (s1, s2) = self.slots(id);",
+        ),
     ] {
         let (mut files, baseline) = load();
         inject(
             &mut files,
-            "crates/serve/src/scorer.rs",
+            path,
             anchor,
             &format!("{anchor}\n    std::env::var(\"INJECTED\").unwrap();"),
         );
         let report = analyze(&files, &baseline);
         assert!(
             report.diagnostics.iter().any(|d| d.rule == Rule::PanicFree
-                && d.path.ends_with("scorer.rs")
+                && path.ends_with(&d.path)
                 && d.message.contains("serve-score")),
-            "anchor {anchor:?}: expected a serve-score diagnostic in scorer.rs:\n{:#?}",
+            "anchor {anchor:?}: expected a serve-score diagnostic in {path}:\n{:#?}",
             report.diagnostics
         );
     }
@@ -272,23 +285,23 @@ fn injected_clock_two_hops_under_train_batch_fails_the_determinism_cone() {
 #[test]
 fn injected_lock_under_score_into_fails_the_no_blocking_cone() {
     let (mut files, baseline) = load();
-    // Inside ServingTable::lookup_into, one hop below score_into.
+    // Inside FixedForward::forward_ids_into, one hop below score_into.
     inject(
         &mut files,
-        "crates/serve/src/scorer.rs",
-        "        let fill_row = |r: usize, dst: &mut [f32]| {",
-        "        let _injected = std::sync::Mutex::new(0u32).lock();\n        let fill_row = |r: usize, dst: &mut [f32]| {",
+        "crates/core/src/net.rs",
+        "        self.mlp.forward_into(&self.input, &mut self.logits);",
+        "        let _injected = std::sync::Mutex::new(0u32).lock();\n        self.mlp.forward_into(&self.input, &mut self.logits);",
     );
     let report = analyze(&files, &baseline);
     assert!(!report.is_clean(), "injected lock should fail the lint");
     let hits: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule == Rule::NoBlockingCone && d.path.ends_with("scorer.rs"))
+        .filter(|d| d.rule == Rule::NoBlockingCone && d.path.ends_with("net.rs"))
         .collect();
     assert!(
         !hits.is_empty(),
-        "expected a no-blocking-cone diagnostic in scorer.rs, got:\n{:#?}",
+        "expected a no-blocking-cone diagnostic in net.rs, got:\n{:#?}",
         report.diagnostics
     );
     assert!(

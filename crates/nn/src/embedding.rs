@@ -144,23 +144,19 @@ impl BiasWindow {
 impl EmbeddingTable {
     /// Creates a Xavier-initialised table with `vocab` rows of size `dim`.
     pub fn new(rng: &mut impl Rng, vocab: usize, dim: usize) -> Self {
-        Self {
-            weight: init::xavier_embedding(rng, vocab, dim),
-            m: None,
-            v: None,
-            grad_slab: Vec::new(),
-            touched: Vec::new(),
-            touched_flags: Vec::new(),
-            opt_mode: EmbedOptimizerMode::Sparse,
-            last_step: Vec::new(),
-            bias_window: BiasWindow::default(),
-        }
+        Self::from_weight(init::xavier_embedding(rng, vocab, dim))
     }
 
     /// Creates a zero-initialised table (useful for tests).
     pub fn zeros(vocab: usize, dim: usize) -> Self {
+        Self::from_weight(Matrix::zeros(vocab, dim))
+    }
+
+    /// Wraps a `[vocab, dim]` weight matrix as a table with fresh optimizer
+    /// state.
+    pub fn from_weight(weight: Matrix) -> Self {
         Self {
-            weight: Matrix::zeros(vocab, dim),
+            weight,
             m: None,
             v: None,
             grad_slab: Vec::new(),
@@ -259,7 +255,9 @@ impl EmbeddingTable {
     /// [`lookup_fields`](Self::lookup_fields) into a caller-owned buffer
     /// (reshaped as needed) — the allocation-free form.
     pub fn lookup_fields_into(&self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
+        // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
         assert!(num_fields > 0, "lookup_fields: need at least one field");
+        // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
         assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
         let batch = flat.len() / num_fields;
         let dim = self.dim();
@@ -291,7 +289,9 @@ impl EmbeddingTable {
         pool: &Pool,
         out: &mut Matrix,
     ) {
+        // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
         assert!(num_fields > 0, "lookup_fields: need at least one field");
+        // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
         assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
         let dim = self.dim();
         if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {

@@ -46,6 +46,7 @@ pub use optim::{Adam, AdamConfig, DenseOptimizer, Grda, GrdaConfig, Sgd};
 pub use param::Parameter;
 pub use store::{
     double_hash_slots, qr_slots, splitmix64, EmbedStore, HashScheme, HashedEmbedding, StoreKind,
+    WeightFetch,
 };
 pub use workspace::Workspace;
 

@@ -124,14 +124,31 @@ impl HashedEmbedding {
         scheme: HashScheme,
         seed: u64,
     ) -> Self {
-        let (rows1, rows2) = Self::sub_rows(key_space, scheme);
+        let (rows1, rows2) = match Self::sub_rows(key_space, scheme) {
+            Ok(rows) => rows,
+            Err(why) => panic!("HashedEmbedding: {why}"),
+        };
+        let t1 = EmbeddingTable::new(rng, rows1, dim);
+        let t2 = EmbeddingTable::new(rng, rows2, dim);
+        Self::with_tables(key_space, scheme, seed, t1, t2)
+    }
+
+    /// A store over `key_space` ids composed from two sub-tables of the
+    /// shapes [`sub_rows`](Self::sub_rows) gives.
+    fn with_tables(
+        key_space: usize,
+        scheme: HashScheme,
+        seed: u64,
+        t1: EmbeddingTable,
+        t2: EmbeddingTable,
+    ) -> Self {
         Self {
             key_space,
-            dim,
+            dim: t1.dim(),
             seed,
             scheme,
-            t1: EmbeddingTable::new(rng, rows1, dim),
-            t2: EmbeddingTable::new(rng, rows2, dim),
+            t1,
+            t2,
             idx1: Vec::new(),
             idx2: Vec::new(),
             rows1: Matrix::zeros(0, 0),
@@ -141,22 +158,22 @@ impl HashedEmbedding {
         }
     }
 
-    /// Row counts of the two sub-tables implied by `(key_space, scheme)`.
-    pub fn sub_rows(key_space: usize, scheme: HashScheme) -> (usize, usize) {
-        assert!(key_space > 0, "HashedEmbedding: empty key space");
-        assert!(
-            key_space - 1 <= u32::MAX as usize,
-            "HashedEmbedding: ids must fit in u32"
-        );
+    /// Row counts of the two sub-tables implied by `(key_space, scheme)`,
+    /// or why that pair describes no store.
+    pub fn sub_rows(key_space: usize, scheme: HashScheme) -> Result<(usize, usize), &'static str> {
+        if key_space == 0 {
+            return Err("empty key space");
+        }
+        if key_space - 1 > u32::MAX as usize {
+            return Err("ids must fit in u32");
+        }
         match scheme {
+            HashScheme::QuotientRemainder { bucket: 0 } => Err("bucket must be positive"),
+            HashScheme::DoubleHash { rows: 0 } => Err("rows must be positive"),
             HashScheme::QuotientRemainder { bucket } => {
-                assert!(bucket > 0, "HashedEmbedding: bucket must be positive");
-                (key_space.div_ceil(bucket as usize), bucket as usize)
+                Ok((key_space.div_ceil(bucket as usize), bucket as usize))
             }
-            HashScheme::DoubleHash { rows } => {
-                assert!(rows > 0, "HashedEmbedding: rows must be positive");
-                (rows as usize, rows as usize)
-            }
+            HashScheme::DoubleHash { rows } => Ok((rows as usize, rows as usize)),
         }
     }
 
@@ -195,11 +212,6 @@ impl HashedEmbedding {
         &self.t2
     }
 
-    /// Mutable sub-table access (weight import when thawing artifacts).
-    pub fn tables_mut(&mut self) -> (&mut EmbeddingTable, &mut EmbeddingTable) {
-        (&mut self.t1, &mut self.t2)
-    }
-
     /// Slot pair for one id under the configured scheme — pure in
     /// `(seed, scheme, id)`.
     #[inline]
@@ -227,10 +239,7 @@ impl HashedEmbedding {
                 "HashedEmbedding: id {id} outside key space {}",
                 self.key_space
             );
-            let (s1, s2) = match self.scheme {
-                HashScheme::QuotientRemainder { bucket } => qr_slots(bucket, id),
-                HashScheme::DoubleHash { rows } => double_hash_slots(self.seed, rows, id),
-            };
+            let (s1, s2) = self.slots(id);
             self.idx1[k] = s1;
             self.idx2[k] = s2;
         }
@@ -273,7 +282,9 @@ impl HashedEmbedding {
         pool: &Pool,
         out: &mut Matrix,
     ) {
+        // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
         assert!(num_fields > 0, "lookup_fields: need at least one field");
+        // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
         assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
         let batch = flat.len() / num_fields;
         let width = num_fields * self.dim;
@@ -401,7 +412,7 @@ impl StoreKind {
 }
 
 /// Maps a tensor name plus its expected `(rows, cols)` to the stored
-/// matrix; the source [`EmbedStore::import_weights`] reads from.
+/// matrix; the source [`EmbedStore::from_weights`] reads from.
 pub type WeightFetch<'a> = dyn FnMut(&str, (usize, usize)) -> Result<Matrix, String> + 'a;
 
 /// A concrete store owned by a model: dense or hashed, chosen per
@@ -486,24 +497,8 @@ impl EmbedStore {
         }
     }
 
-    /// Mutable form of [`as_dense`](Self::as_dense).
-    pub fn as_dense_mut(&mut self) -> Option<&mut EmbeddingTable> {
-        match self {
-            EmbedStore::Dense(t) => Some(t),
-            EmbedStore::Hashed(_) => None,
-        }
-    }
-
     /// The hashed store, if this store is compositional.
     pub fn as_hashed(&self) -> Option<&HashedEmbedding> {
-        match self {
-            EmbedStore::Dense(_) => None,
-            EmbedStore::Hashed(h) => Some(h),
-        }
-    }
-
-    /// Mutable form of [`as_hashed`](Self::as_hashed).
-    pub fn as_hashed_mut(&mut self) -> Option<&mut HashedEmbedding> {
         match self {
             EmbedStore::Dense(_) => None,
             EmbedStore::Hashed(h) => Some(h),
@@ -599,28 +594,33 @@ impl EmbedStore {
         }
     }
 
-    /// Imports trainable tensors exported by
-    /// [`push_weights`](Self::push_weights).
-    pub fn import_weights(
-        &mut self,
+    /// Builds a store of `kind` over `key_space` ids of width `dim` from
+    /// the tensors [`push_weights`](Self::push_weights) exported under
+    /// `name`. Nothing is drawn at random, so loading a table holds one
+    /// copy of it.
+    ///
+    /// # Errors
+    /// Whatever `fetch` returns, or why `kind` describes no store over
+    /// `key_space` ids.
+    pub fn from_weights(
+        kind: StoreKind,
+        key_space: usize,
+        dim: usize,
+        hash_seed: u64,
         name: &str,
         fetch: &mut WeightFetch<'_>,
-    ) -> Result<(), String> {
-        match self {
-            EmbedStore::Dense(t) => {
-                let shape = t.weight().shape();
-                *t.weight_mut() = fetch(name, shape)?;
-                Ok(())
-            }
-            EmbedStore::Hashed(h) => {
-                let (t1, t2) = h.tables_mut();
-                let shape1 = t1.weight().shape();
-                *t1.weight_mut() = fetch(&format!("{name}.t1"), shape1)?;
-                let shape2 = t2.weight().shape();
-                *t2.weight_mut() = fetch(&format!("{name}.t2"), shape2)?;
-                Ok(())
-            }
-        }
+    ) -> Result<Self, String> {
+        let Some(scheme) = kind.scheme() else {
+            let table = EmbeddingTable::from_weight(fetch(name, (key_space, dim))?);
+            return Ok(EmbedStore::Dense(Box::new(table)));
+        };
+        let (rows1, rows2) = HashedEmbedding::sub_rows(key_space, scheme)
+            .map_err(|why| format!("`{name}`: hashed store: {why}"))?;
+        let t1 = EmbeddingTable::from_weight(fetch(&format!("{name}.t1"), (rows1, dim))?);
+        let t2 = EmbeddingTable::from_weight(fetch(&format!("{name}.t2"), (rows2, dim))?);
+        Ok(EmbedStore::Hashed(Box::new(HashedEmbedding::with_tables(
+            key_space, scheme, hash_seed, t1, t2,
+        ))))
     }
 }
 
@@ -815,17 +815,23 @@ mod tests {
         assert_eq!(tensors[0].0, "e_orig.t1");
         assert_eq!(tensors[1].0, "e_orig.t2");
 
-        let mut rng2 = StdRng::seed_from_u64(999);
-        let mut fresh = EmbedStore::new(StoreKind::HashedQr { bucket: 8 }, &mut rng2, 64, 4, 2);
-        fresh
-            .import_weights("e_orig", &mut |name, shape| {
+        let fresh = EmbedStore::from_weights(
+            StoreKind::HashedQr { bucket: 8 },
+            64,
+            4,
+            2,
+            "e_orig",
+            &mut |name, shape| {
                 tensors
                     .iter()
                     .find(|(n, m)| n == name && m.shape() == shape)
                     .map(|(_, m)| m.clone())
                     .ok_or_else(|| format!("missing {name}"))
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
+        assert_eq!(fresh.kind(), s.kind());
+        assert_eq!(fresh.hash_seed(), s.hash_seed());
         let (h, f) = (s.as_hashed().unwrap(), fresh.as_hashed().unwrap());
         assert_eq!(
             h.table1().weight().as_slice(),

@@ -27,10 +27,10 @@
 //! parameters: tag 1 (hashed quotient-remainder) and tag 2 (hashed
 //! double-hash) carry `param u32` (bucket / rows) then `seed u64`. A
 //! dense table stores one tensor under its base name (`e_orig`); a
-//! hashed table stores its two sub-tables as `<name>.t1` / `<name>.t2`
-//! and the scorer recomposes rows at lookup time with the same slot
-//! functions training used ([`optinter_nn::qr_slots`] /
-//! [`optinter_nn::double_hash_slots`]), so f32 serving stays bit-exact.
+//! hashed table stores its two sub-tables as `<name>.t1` / `<name>.t2`.
+//! The scorer loads them into the store type training used
+//! ([`optinter_nn::EmbedStore`]) and looks rows up through it, so f32
+//! serving stays bit-exact.
 //!
 //! Decoding is total: every malformed input — truncation, a flipped bit,
 //! an unknown version — maps to a typed [`ArtifactError`]; nothing in
@@ -42,6 +42,7 @@ use crate::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8};
 use optinter_core::net::DataDims;
 use optinter_core::persist::{architecture_from_string, architecture_to_string};
 use optinter_core::{Architecture, FactFn};
+use optinter_nn::StoreKind;
 use optinter_tensor::kernels::Backend;
 use optinter_tensor::Matrix;
 use std::fmt;
@@ -145,78 +146,63 @@ impl Quant {
     }
 }
 
-/// How an embedding table is stored in the artifact — the serving-side
-/// mirror of `optinter_nn::StoreKind`, plus the hash seed the training
-/// store used (the scorer must hash identically to recompose rows).
+/// How an embedding table is stored in the artifact: the training
+/// store's kind, plus the hash seed a hashed store derives its slots from
+/// (0 for a dense store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreDesc {
-    /// One dense tensor, one row per id.
-    Dense,
-    /// Quotient-remainder compositional table: two sub-tables of
-    /// `ceil(key_space / bucket)` and `bucket` rows, recomposed as the
-    /// elementwise product of rows `id / bucket` and `id % bucket`.
-    HashedQr {
-        /// Remainder-table size (must be nonzero).
-        bucket: u32,
-        /// Hash seed carried for format symmetry (QR slots ignore it).
-        seed: u64,
-    },
-    /// Double-hash compositional table: two sub-tables of `rows` rows
-    /// each, recomposed via two seeded multiply-shift hashes.
-    HashedDouble {
-        /// Rows in each sub-table (must be nonzero).
-        rows: u32,
-        /// Seed of the multiply-shift hash pair.
-        seed: u64,
-    },
+pub struct StoreDesc {
+    /// Dense, or the hashed scheme and its sub-table size.
+    pub kind: StoreKind,
+    /// Slot-hash seed of a hashed store.
+    pub seed: u64,
 }
 
 impl StoreDesc {
     /// Whether the table is stored as two composable sub-tensors.
     pub fn is_hashed(self) -> bool {
-        !matches!(self, StoreDesc::Dense)
+        self.kind != StoreKind::Dense
     }
 
     fn write(self, out: &mut Vec<u8>) {
-        match self {
-            StoreDesc::Dense => out.push(0),
-            StoreDesc::HashedQr { bucket, seed } => {
-                out.push(1);
-                put_u32(out, bucket);
-                out.extend_from_slice(&seed.to_le_bytes());
+        let (tag, param) = match self.kind {
+            StoreKind::Dense => {
+                out.push(0);
+                return;
             }
-            StoreDesc::HashedDouble { rows, seed } => {
-                out.push(2);
-                put_u32(out, rows);
-                out.extend_from_slice(&seed.to_le_bytes());
-            }
-        }
+            StoreKind::HashedQr { bucket } => (1, bucket),
+            StoreKind::HashedDouble { rows } => (2, rows),
+        };
+        out.push(tag);
+        put_u32(out, param);
+        out.extend_from_slice(&self.seed.to_le_bytes());
     }
 
     fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ArtifactError> {
-        match r.u8(what)? {
-            0 => Ok(StoreDesc::Dense),
-            tag @ (1 | 2) => {
-                let param = r.u32(what)?;
-                let seed = r.u64(what)?;
-                if param == 0 {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "{what}: hashed store with zero-row sub-table"
-                    )));
-                }
-                Ok(if tag == 1 {
-                    StoreDesc::HashedQr {
-                        bucket: param,
-                        seed,
-                    }
-                } else {
-                    StoreDesc::HashedDouble { rows: param, seed }
-                })
-            }
-            other => Err(ArtifactError::Corrupt(format!(
-                "{what}: unknown store tag {other}"
-            ))),
+        let tag = r.u8(what)?;
+        if tag == 0 {
+            return Ok(StoreDesc {
+                kind: StoreKind::Dense,
+                seed: 0,
+            });
         }
+        if tag > 2 {
+            return Err(ArtifactError::Corrupt(format!(
+                "{what}: unknown store tag {tag}"
+            )));
+        }
+        let param = r.u32(what)?;
+        let seed = r.u64(what)?;
+        if param == 0 {
+            return Err(ArtifactError::Corrupt(format!(
+                "{what}: hashed store with zero-row sub-table"
+            )));
+        }
+        let kind = if tag == 1 {
+            StoreKind::HashedQr { bucket: param }
+        } else {
+            StoreKind::HashedDouble { rows: param }
+        };
+        Ok(StoreDesc { kind, seed })
     }
 }
 
@@ -413,7 +399,7 @@ impl FrozenModel {
         payload.extend_from_slice(architecture_to_string(&self.arch).as_bytes());
         self.orig_store.write(&mut payload);
         self.cross_store.write(&mut payload);
-        if self.orig_store == StoreDesc::Dense {
+        if !self.orig_store.is_hashed() {
             for &v in &self.row_map {
                 put_u32(&mut payload, v);
             }
@@ -526,7 +512,7 @@ impl FrozenModel {
             .map_err(|e| ArtifactError::Corrupt(format!("bad architecture: {e}")))?;
         let orig_store = StoreDesc::read(&mut r, "orig_store")?;
         let cross_store = StoreDesc::read(&mut r, "cross_store")?;
-        let row_map = if orig_store == StoreDesc::Dense {
+        let row_map = if !orig_store.is_hashed() {
             let map = r.u32_vec(orig_vocab as usize, "row_map")?;
             validate_permutation(&map, orig_vocab)?;
             map

@@ -9,7 +9,6 @@
 //! module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-// lint: allow(wall-clock, reason="MonotonicClock is the one sanctioned real-time source for serving deadlines; everything else uses ManualClock")
 use std::time::Instant;
 
 /// Monotonic nanosecond clock. Implementations must never go backwards.

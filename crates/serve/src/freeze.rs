@@ -23,7 +23,6 @@ use optinter_core::net::DataDims;
 use optinter_core::OptInterNet;
 use optinter_data::{Batch, BatchIter, EncodedDataset};
 use optinter_metrics::auc;
-use optinter_nn::{EmbedStore, StoreKind};
 use optinter_tensor::kernels;
 use optinter_tensor::Matrix;
 use std::fmt;
@@ -102,16 +101,6 @@ pub fn hot_first_row_map(field_offsets: &[u32], orig_vocab: u32) -> Vec<u32> {
     map
 }
 
-/// The artifact descriptor matching a training-time embedding store.
-fn store_desc(store: &EmbedStore) -> StoreDesc {
-    let seed = store.hash_seed().unwrap_or(0);
-    match store.kind() {
-        StoreKind::Dense => StoreDesc::Dense,
-        StoreKind::HashedQr { bucket } => StoreDesc::HashedQr { bucket, seed },
-        StoreKind::HashedDouble { rows } => StoreDesc::HashedDouble { rows, seed },
-    }
-}
-
 /// Applies a row permutation: `out.row(map[g]) = weights.row(g)`.
 fn permute_rows(weights: &Matrix, map: &[u32]) -> Matrix {
     let (rows, cols) = weights.shape();
@@ -139,12 +128,17 @@ pub fn freeze(net: &mut OptInterNet, data: &EncodedDataset, quant: Quant) -> Fro
         "freeze: architecture/dataset mismatch"
     );
 
-    let (orig, cross) = net.embedding_stores();
-    let (orig_store, cross_store) = (store_desc(orig), store_desc(cross));
+    let [orig_store, cross_store] = {
+        let (orig, cross) = net.embedding_stores();
+        [orig, cross].map(|store| StoreDesc {
+            kind: store.kind(),
+            seed: store.hash_seed().unwrap_or(0),
+        })
+    };
     // The hot-first reorder only makes sense for a dense per-id arena; a
     // hashed store's sub-table rows are shared across ids, so they are
     // frozen verbatim and recomposed at lookup time.
-    let row_map = if orig_store == StoreDesc::Dense {
+    let row_map = if !orig_store.is_hashed() {
         hot_first_row_map(&data.field_offsets, data.orig_vocab)
     } else {
         Vec::new()

@@ -8,8 +8,9 @@
 //!   hot-first, weights flattened into contiguous arenas, optional
 //!   f16/int8 row quantization accepted only behind an AUC-delta gate.
 //! - [`FrozenScorer`] is the zero-alloc single-request/small-batch
-//!   scorer: it replays the training forward pass bit-for-bit over the
-//!   frozen arenas (parity proved by `tests/serve_parity.rs`).
+//!   scorer: it loads the frozen weights into the training forward
+//!   (`optinter_core::net::FixedForward`) and runs it, so its scores are
+//!   training's bit for bit (parity proved by `tests/serve_parity.rs`).
 //! - [`serve`] is the micro-batching front door: a bounded request queue
 //!   with deadline flush on the prefetch ring idiom, driven by the
 //!   Zipf-hot open-loop load generator in [`loadgen`].

@@ -8,7 +8,6 @@
 
 use optinter::core::{search_architecture, train_fixed, OptInterConfig, SearchStrategy};
 use optinter::data::Profile;
-// lint: allow(wall-clock, reason="example prints wall-clock timings for the reader; nothing reproducible depends on them")
 use std::time::Instant;
 
 fn main() {

@@ -119,6 +119,40 @@ fn assert_zero_alloc_epoch(
     }
 }
 
+/// Warms `scorer`'s scratch buffers on a few single-row requests, then
+/// asserts that each of the next 64 performs zero heap acquisitions.
+fn assert_zero_alloc_requests(
+    name: &str,
+    scorer: &mut FrozenScorer,
+    bundle: &DatasetBundle,
+    batch: &mut Batch,
+) {
+    let mut probs = Vec::new();
+    for row in 0..8 {
+        batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
+        batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
+        scorer
+            .score_into(batch, &mut probs)
+            .expect("valid batch scores");
+    }
+    for row in 0..64 {
+        batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
+        batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        scorer
+            .score_into(batch, &mut probs)
+            .expect("valid batch scores");
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: request {row} performed {} heap \
+             allocation(s); serving must not touch the heap",
+            after - before
+        );
+    }
+}
+
 #[test]
 fn steady_state_training_performs_zero_heap_allocations() {
     // Sanity: the counter actually observes allocations.
@@ -222,36 +256,27 @@ fn steady_state_training_performs_zero_heap_allocations() {
         fact_fn: FactFn::Generalized,
         ..OptInterConfig::test_small()
     };
-    let mut net = OptInterNet::new(cfg, dims.clone(), arch);
+    let mut net = OptInterNet::new(cfg.clone(), dims.clone(), arch.clone());
     let frozen = freeze(&mut net, &bundle.data, Quant::F32);
     let mut scorer = FrozenScorer::new(&frozen, 2).expect("frozen model loads");
-
-    // Single-request scorer: warm the scratch buffers, then count.
     let mut batch = Batch::empty();
-    let mut probs = Vec::new();
-    for row in 0..8 {
-        batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
-        batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
-        scorer
-            .score_into(&batch, &mut probs)
-            .expect("valid batch scores");
-    }
-    for row in 0..64 {
-        batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
-        batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        scorer
-            .score_into(&batch, &mut probs)
-            .expect("valid batch scores");
-        let after = ALLOCS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "single-request scorer: request {row} performed {} heap \
-             allocation(s); serving must not touch the heap",
-            after - before
-        );
-    }
+    assert_zero_alloc_requests("single-request scorer", &mut scorer, &bundle, &mut batch);
+
+    // Hashed stores stage their sub-table rows in the store's own scratch,
+    // which must also reach its working size during warm-up.
+    let hashed_cfg = cfg.with_stores(
+        StoreKind::HashedQr { bucket: 13 },
+        StoreKind::HashedDouble { rows: 37 },
+    );
+    let mut hashed_net = OptInterNet::new(hashed_cfg, dims.clone(), arch);
+    let hashed = freeze(&mut hashed_net, &bundle.data, Quant::F32);
+    let mut hashed_scorer = FrozenScorer::new(&hashed, 2).expect("hashed model loads");
+    assert_zero_alloc_requests(
+        "hashed single-request scorer",
+        &mut hashed_scorer,
+        &bundle,
+        &mut batch,
+    );
 
     // Mutation control: the counter must catch an allocation on this very
     // path — scoring into a *fresh* (capacity-0) output vector has to

@@ -55,11 +55,17 @@ fn hashed_store_artifacts_round_trip_and_reject_corruption() {
     );
     assert!(matches!(
         model.orig_store,
-        StoreDesc::HashedQr { bucket: 9, .. }
+        StoreDesc {
+            kind: StoreKind::HashedQr { bucket: 9 },
+            ..
+        }
     ));
     assert!(matches!(
         model.cross_store,
-        StoreDesc::HashedDouble { rows: 23, .. }
+        StoreDesc {
+            kind: StoreKind::HashedDouble { rows: 23 },
+            ..
+        }
     ));
     assert!(model.row_map.is_empty());
     let bytes = model.to_bytes();

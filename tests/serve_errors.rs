@@ -8,8 +8,10 @@ use optinter_core::{Architecture, Method, OptInterConfig, OptInterNet};
 use optinter_data::{Batch, DatasetBundle, Profile};
 use optinter_nn::StoreKind;
 use optinter_serve::{
-    freeze, serve, FrozenScorer, MicroBatchOptions, MonotonicClock, Quant, ScoreError,
+    freeze, serve, ArtifactError, FrozenModel, FrozenScorer, MicroBatchOptions, MonotonicClock,
+    Quant, ScoreError, TensorData,
 };
+use optinter_tensor::Matrix;
 
 fn bundle() -> DatasetBundle {
     Profile::Tiny.bundle_with_rows(600, 5)
@@ -20,6 +22,15 @@ fn scorer_for(
     orig_store: StoreKind,
     cross_store: StoreKind,
 ) -> FrozenScorer {
+    let frozen = frozen_for(bundle, orig_store, cross_store);
+    FrozenScorer::new(&frozen, 1).expect("frozen model loads")
+}
+
+fn frozen_for(
+    bundle: &DatasetBundle,
+    orig_store: StoreKind,
+    cross_store: StoreKind,
+) -> FrozenModel {
     let dims = DataDims::of(&bundle.data);
     let arch = Architecture::new(
         (0..dims.num_pairs)
@@ -32,8 +43,7 @@ fn scorer_for(
     }
     .with_stores(orig_store, cross_store);
     let mut net = OptInterNet::new(cfg, dims, arch);
-    let frozen = freeze(&mut net, &bundle.data, Quant::F32);
-    FrozenScorer::new(&frozen, 1).expect("frozen model loads")
+    freeze(&mut net, &bundle.data, Quant::F32)
 }
 
 fn stores() -> [(StoreKind, StoreKind); 2] {
@@ -114,6 +124,31 @@ fn cross_id_outside_its_pair_block_is_a_typed_error() {
 }
 
 #[test]
+fn hashed_store_over_an_empty_key_space_is_a_typed_error_not_a_panic() {
+    // Decode accepts a hashed original store over zero ids with a 0-row
+    // first sub-table; loading it must answer with an error.
+    let bundle = bundle();
+    let mut frozen = frozen_for(
+        &bundle,
+        StoreKind::HashedQr { bucket: 11 },
+        StoreKind::HashedDouble { rows: 17 },
+    );
+    frozen.dims.orig_vocab = 0;
+    let (_, t1) = frozen
+        .tensors
+        .iter_mut()
+        .find(|(name, _)| name == "e_orig.t1")
+        .expect("a hashed original store has a first sub-table");
+    *t1 = TensorData::F32(Matrix::zeros(0, frozen.orig_dim));
+    let model = FrozenModel::from_bytes(&frozen.to_bytes()).expect("the artifact decodes");
+    match FrozenScorer::new(&model, 1) {
+        Err(ArtifactError::Corrupt(why)) => assert!(why.contains("empty key space"), "{why}"),
+        Err(other) => panic!("expected a corrupt-artifact error, got {other}"),
+        Ok(_) => panic!("a hashed store over no ids loaded"),
+    }
+}
+
+#[test]
 fn missing_cross_and_bad_arity_are_typed_errors() {
     let bundle = bundle();
     let mut scorer = scorer_for(&bundle, StoreKind::Dense, StoreKind::Dense);
@@ -136,6 +171,19 @@ fn missing_cross_and_bad_arity_are_typed_errors() {
         scorer.score_into(&batch, &mut probs),
         Err(ScoreError::FieldCountMismatch {
             got: bundle.data.num_fields + 1,
+            expected: bundle.data.num_fields,
+        })
+    );
+
+    // Field ids for a row and a half.
+    let mut batch = Batch::empty();
+    batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
+    batch.push_row(bundle.data.row_fields(0), bundle.data.row_cross(0), 0.0);
+    batch.fields.extend_from_slice(&bundle.data.row_fields(1)[..2]);
+    assert_eq!(
+        scorer.score_into(&batch, &mut probs),
+        Err(ScoreError::FieldCountMismatch {
+            got: 2,
             expected: bundle.data.num_fields,
         })
     );

@@ -13,8 +13,13 @@ use optinter_data::{Batch, BatchIter, DatasetBundle, Profile};
 use optinter_nn::StoreKind;
 use optinter_serve::{freeze, freeze_gated, FreezeError, FrozenModel, FrozenScorer, Quant};
 use optinter_tensor::kernels::{self, Backend};
+use std::ops::Range;
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Held-out rows scored as one batch big enough to pool the embedding
+/// lookups and the hashed compose.
+const POOLED_ROWS: Range<usize> = 1_000..1_500;
 
 fn bundle() -> DatasetBundle {
     Profile::Tiny.bundle_with_rows(1_500, 23)
@@ -51,11 +56,16 @@ fn bits(probs: &[f32]) -> Vec<u32> {
 
 /// Scores `rows` through the training path and through a frozen scorer at
 /// each thread count, asserting bitwise equality batch by batch.
-fn assert_bit_parity(net: &mut OptInterNet, bundle: &DatasetBundle, batch_size: usize) {
+fn assert_bit_parity(
+    net: &mut OptInterNet,
+    bundle: &DatasetBundle,
+    rows: Range<usize>,
+    batch_size: usize,
+) {
     let frozen = freeze(net, &bundle.data, Quant::F32);
     for &threads in &THREADS {
         let mut scorer = FrozenScorer::new(&frozen, threads).expect("frozen model loads");
-        let mut iter = BatchIter::new(&bundle.data, 1_000..1_400, batch_size, None);
+        let mut iter = BatchIter::new(&bundle.data, rows.clone(), batch_size, None);
         let mut batch = Batch::empty();
         let mut probs = Vec::new();
         let mut batches = 0;
@@ -81,9 +91,12 @@ fn frozen_f32_scorer_is_bit_identical_to_training_forward() {
     let bundle = bundle();
     let mut net = trained_net(&bundle, FactFn::Generalized);
     // Large batches, micro-batch-sized batches, and single requests.
-    assert_bit_parity(&mut net, &bundle, 400);
-    assert_bit_parity(&mut net, &bundle, 32);
-    assert_bit_parity(&mut net, &bundle, 1);
+    assert_bit_parity(&mut net, &bundle, 1_000..1_400, 400);
+    assert_bit_parity(&mut net, &bundle, 1_000..1_400, 32);
+    assert_bit_parity(&mut net, &bundle, 1_000..1_400, 1);
+    // 500 rows of 6 fields x 6 dims cross the lookups' pooling threshold
+    // (16,384 scalars), so the pooled lookup runs at 2 and 4 threads.
+    assert_bit_parity(&mut net, &bundle, POOLED_ROWS, POOLED_ROWS.len());
 }
 
 /// Trains and freezes under one kernel backend, then scores under the
@@ -141,7 +154,7 @@ fn parity_holds_for_hadamard_and_pointwise_add_factorization() {
     let bundle = bundle();
     for fact_fn in [FactFn::Hadamard, FactFn::PointwiseAdd] {
         let mut net = trained_net(&bundle, fact_fn);
-        assert_bit_parity(&mut net, &bundle, 64);
+        assert_bit_parity(&mut net, &bundle, 1_000..1_400, 64);
     }
 }
 
@@ -254,23 +267,26 @@ fn hashed_store_artifacts_round_trip_and_score_bit_identically() {
         assert_eq!(bytes, reloaded.to_bytes(), "byte round trip");
         for &threads in &THREADS {
             let mut scorer = FrozenScorer::new(&reloaded, threads).expect("scorer loads");
-            let mut iter = BatchIter::new(&bundle.data, 1_000..1_400, 64, None);
-            let mut batch = Batch::empty();
-            let mut probs = Vec::new();
-            let mut batches = 0;
-            while iter.next_into(&mut batch) {
-                let expected = net.predict(&batch);
-                scorer
-                    .score_into(&batch, &mut probs)
-                    .expect("in-vocab batch scores");
-                assert_eq!(
-                    bits(&expected),
-                    bits(&probs),
-                    "hashed frozen scorer diverges ({orig_store:?}/{cross_store:?}, threads {threads})"
-                );
-                batches += 1;
+            for (rows, batch_size) in [(1_000..1_400, 64), (POOLED_ROWS, POOLED_ROWS.len())] {
+                let mut iter = BatchIter::new(&bundle.data, rows, batch_size, None);
+                let mut batch = Batch::empty();
+                let mut probs = Vec::new();
+                let mut batches = 0;
+                while iter.next_into(&mut batch) {
+                    let expected = net.predict(&batch);
+                    scorer
+                        .score_into(&batch, &mut probs)
+                        .expect("in-vocab batch scores");
+                    assert_eq!(
+                        bits(&expected),
+                        bits(&probs),
+                        "hashed frozen scorer diverges ({orig_store:?}/{cross_store:?}, \
+                         threads {threads}, batch_size {batch_size})"
+                    );
+                    batches += 1;
+                }
+                assert!(batches > 0);
             }
-            assert!(batches > 0);
         }
     }
 }
