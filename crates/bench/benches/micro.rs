@@ -20,24 +20,26 @@ fn bench_matmul(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
     let mut rng = StdRng::seed_from_u64(0);
+    let serial = Pool::serial();
     for &(m, k, n) in &[(128usize, 256usize, 64usize), (256, 720, 64)] {
         let a = init::uniform(&mut rng, m, k, -1.0, 1.0);
         let b = init::uniform(&mut rng, k, n, -1.0, 1.0);
         group.bench_function(format!("matmul_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(m, n);
-            bench.iter(|| a.matmul_into(&b, &mut out));
+            bench.iter(|| a.matmul_into_pooled(&b, &mut out, &serial));
         });
         for threads in [2usize, 4] {
             let pool = Pool::new(threads);
             group.bench_function(format!("matmul_{m}x{k}x{n}_t{threads}"), |bench| {
-                bench.iter(|| a.matmul_pooled(&b, &pool));
+                let mut out = Matrix::zeros(m, n);
+                bench.iter(|| a.matmul_into_pooled(&b, &mut out, &pool));
             });
         }
         // Blocked (production) vs naive (reference) kernels, same shapes:
         // keeps the microkernel speedup visible as a ratio in every run.
         group.bench_function(format!("matmul_blocked_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(m, n);
-            bench.iter(|| a.matmul_accumulate(&b, &mut out, 1.0));
+            bench.iter(|| a.matmul_accumulate_pooled(&b, &mut out, 1.0, &serial));
         });
         group.bench_function(format!("matmul_naive_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(m, n);
@@ -46,7 +48,7 @@ fn bench_matmul(c: &mut Criterion) {
         let g = init::uniform(&mut rng, m, n, -1.0, 1.0);
         group.bench_function(format!("matmul_at_b_blocked_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(k, n);
-            bench.iter(|| a.matmul_at_b_accumulate(&g, &mut out, 1.0));
+            bench.iter(|| a.matmul_at_b_accumulate_pooled(&g, &mut out, 1.0, &serial));
         });
         group.bench_function(format!("matmul_at_b_naive_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(k, n);
@@ -55,7 +57,7 @@ fn bench_matmul(c: &mut Criterion) {
         let bt = init::uniform(&mut rng, n, k, -1.0, 1.0);
         group.bench_function(format!("matmul_a_bt_blocked_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(m, n);
-            bench.iter(|| a.matmul_a_bt_into(&bt, &mut out));
+            bench.iter(|| a.matmul_a_bt_into_pooled(&bt, &mut out, &serial));
         });
         group.bench_function(format!("matmul_a_bt_naive_{m}x{k}x{n}"), |bench| {
             let mut out = Matrix::zeros(m, n);
@@ -79,14 +81,16 @@ fn bench_embedding(c: &mut Criterion) {
     let ids: Vec<u32> = (0..batch * fields)
         .map(|i| (i * 37 % table_size) as u32)
         .collect();
+    let serial = Pool::serial();
     group.bench_function("lookup_fields_128x12x16", |b| {
-        b.iter(|| table.lookup_fields(&ids, fields));
+        let mut out = Matrix::zeros(0, 0);
+        b.iter(|| table.lookup_fields_pooled_into(&ids, fields, &serial, &mut out));
     });
     let grad = Matrix::filled(batch, fields * dim, 0.01);
     let adam = Adam::with_lr_eps(1e-3, 1e-8);
     group.bench_function("accumulate_and_sparse_adam", |b| {
         b.iter(|| {
-            table.accumulate_grad_fields(&ids, fields, &grad);
+            table.accumulate_grad_fields_pooled(&ids, fields, &grad, &serial);
             table.apply_adam(&adam, 1e-4);
         });
     });
@@ -101,7 +105,7 @@ fn bench_embedding(c: &mut Criterion) {
     let mut table = EmbeddingTable::new(&mut rng, table_size, dim);
     group.bench_function("serial_128x12x16", |b| {
         b.iter(|| {
-            table.accumulate_grad_fields(&ids, fields, &grad);
+            table.accumulate_grad_fields_pooled(&ids, fields, &grad, &serial);
             table.clear_grads();
         });
     });

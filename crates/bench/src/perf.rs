@@ -333,7 +333,9 @@ fn bench_embedding(quick: bool) -> Vec<EmbeddingRow> {
     });
     let mut rows = Vec::new();
     let lookup_ns = time_ns(samples, || {
-        std::hint::black_box(table.lookup_fields(&ids, fields));
+        let mut out = Matrix::zeros(0, 0);
+        table.lookup_fields_pooled_into(&ids, fields, &Pool::serial(), &mut out);
+        std::hint::black_box(out);
     });
     rows.push(EmbeddingRow {
         op: "lookup_fields".to_string(),
@@ -342,7 +344,7 @@ fn bench_embedding(quick: bool) -> Vec<EmbeddingRow> {
     });
     let adam = Adam::with_lr_eps(1e-3, 1e-8);
     let acc_ns = time_ns(samples, || {
-        table.accumulate_grad_fields(&ids, fields, &grad);
+        table.accumulate_grad_fields_pooled(&ids, fields, &grad, &Pool::serial());
         table.apply_adam(&adam, 1e-4);
     });
     rows.push(EmbeddingRow {
@@ -444,8 +446,8 @@ fn bench_embedding_scale(quick: bool) -> Vec<EmbedScaleRow> {
         let mut out = Matrix::zeros(0, 0);
         let ns = time_ns(apply_samples, || {
             adam.begin_step();
-            table.lookup_fields_into(&ids, fields, &mut out);
-            table.accumulate_grad_fields(&ids, fields, &grad);
+            table.lookup_fields_pooled_into(&ids, fields, &Pool::serial(), &mut out);
+            table.accumulate_grad_fields_pooled(&ids, fields, &grad, &Pool::serial());
             table.apply_adam(&adam, 1e-4);
         });
         std::hint::black_box(out.as_slice());

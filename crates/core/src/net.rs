@@ -20,8 +20,8 @@ use crate::combine::{Factorizer, PairLayout};
 use crate::config::OptInterConfig;
 use optinter_data::{Batch, EncodedDataset, PairIndexer};
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, MlpConfig,
-    WeightFetch, Workspace,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Mlp, MlpConfig, WeightFetch,
+    Workspace,
 };
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;

@@ -40,7 +40,7 @@ use crate::gumbel::GumbelSample;
 use crate::net::{mlp_config, DataDims};
 use optinter_data::Batch;
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Layer, Mlp, Parameter, Workspace,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Mlp, Parameter, Workspace,
 };
 use optinter_tensor::{ops, Matrix, Pool};
 use rand::rngs::StdRng;

@@ -145,10 +145,10 @@ fn injected_panics_in_validation_and_table_lookup_fail_the_lint() {
             "crates/serve/src/scorer.rs",
             "        let key_space = dims.orig_vocab;",
         ),
-        // EmbeddingTable::lookup_fields_into
+        // EmbeddingTable::lookup_fields_pooled_into
         (
             "crates/nn/src/embedding.rs",
-            "        out.reset(batch, num_fields * dim);",
+            "        out.reset(batch, width);",
         ),
         // HashedEmbedding::hash_into
         (

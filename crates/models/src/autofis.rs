@@ -13,10 +13,10 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::{Batch, DatasetBundle, PairIndexer};
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Grda, GrdaConfig, Layer, Mlp,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Grda, GrdaConfig, Mlp,
     MlpConfig, Parameter,
 };
-use optinter_tensor::Matrix;
+use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,7 +87,7 @@ impl AutoFis {
                 ln_eps: 1e-5,
             },
         );
-        mlp.set_pool(&optinter_tensor::Pool::new(cfg.num_threads));
+        mlp.set_pool(&Pool::new(cfg.num_threads));
         // Search mode: gates start at 0 so GRDA's dual accumulator starts
         // at the pruning threshold — gates that receive consistent signal
         // escape it, idle gates stay exactly zero (directional pruning).
@@ -126,7 +126,7 @@ impl AutoFis {
         let np = self.pairs.num_pairs();
         let b = batch.len();
         self.emb
-            .lookup_fields_into(&batch.fields, m, &mut self.emb_buf);
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
         self.input.reset(b, m * k + np);
         self.input.copy_block_from(&self.emb_buf, 0);
         self.raw_ips.clear();
@@ -237,7 +237,7 @@ impl CtrModel for AutoFis {
             }
         }
         self.emb
-            .accumulate_grad_fields(&batch.fields, m, &self.d_emb);
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
         self.adam.begin_step();
         let mut adam = self.adam;
         self.mlp.visit_params(&mut |p| adam.step(p, 0.0));

@@ -4,8 +4,8 @@
 
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::Batch;
-use optinter_nn::{loss, Adam, DenseOptimizer, EmbeddingTable, Layer, Mlp, MlpConfig, Parameter};
-use optinter_tensor::{numerics, Matrix};
+use optinter_nn::{loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig, Parameter};
+use optinter_tensor::{numerics, Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,7 +46,7 @@ impl DeepFm {
                 ln_eps: 1e-5,
             },
         );
-        mlp.set_pool(&optinter_tensor::Pool::new(cfg.num_threads));
+        mlp.set_pool(&Pool::new(cfg.num_threads));
         Self {
             linear: EmbeddingTable::zeros(orig_vocab as usize, 1),
             emb,
@@ -115,7 +115,7 @@ impl CtrModel for DeepFm {
         let k = self.dim;
         let b = batch.len();
         self.emb
-            .lookup_fields_into(&batch.fields, m, &mut self.emb_buf);
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
         self.mlp.forward_into(&self.emb_buf, &mut self.deep_logits);
         let mut fm = std::mem::take(&mut self.fm);
         self.fm_logits_into(batch, &mut fm);
@@ -157,10 +157,15 @@ impl CtrModel for DeepFm {
         for f in 0..m {
             self.ids.clear();
             self.ids.extend((0..b).map(|r| batch.fields[r * m + f]));
-            self.linear.accumulate_grad(&self.ids, &self.grad_rows);
+            self.linear.accumulate_grad_fields_pooled(
+                &self.ids,
+                1,
+                &self.grad_rows,
+                &Pool::serial(),
+            );
         }
         self.emb
-            .accumulate_grad_fields(&batch.fields, m, &self.d_emb);
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
         self.bias.grad.set(0, 0, dbias);
         self.adam.begin_step();
         let mut adam = self.adam;
@@ -173,8 +178,12 @@ impl CtrModel for DeepFm {
     }
 
     fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.emb
-            .lookup_fields_into(&batch.fields, self.num_fields, &mut self.emb_buf);
+        self.emb.lookup_fields_pooled_into(
+            &batch.fields,
+            self.num_fields,
+            &Pool::serial(),
+            &mut self.emb_buf,
+        );
         self.mlp.forward_into(&self.emb_buf, &mut self.deep_logits);
         let mut fm = std::mem::take(&mut self.fm);
         self.fm_logits_into(batch, &mut fm);

@@ -11,7 +11,7 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::{Batch, PairIndexer};
 use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Parameter};
-use optinter_tensor::{numerics, Matrix};
+use optinter_tensor::{numerics, Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,7 +81,9 @@ impl FmFamily {
         let m = self.num_fields;
         let k = self.dim;
         let b = batch.len();
-        let emb = self.emb.lookup_fields(&batch.fields, m);
+        let mut emb = Matrix::zeros(0, 0);
+        self.emb
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut emb);
         let bias = self.bias.value.get(0, 0);
         // lint: allow(hot-path-alloc, reason="offline baseline model: per-batch buffer beside train_batch's other allocations; measured by the alloc-counter harness, not the serving path")
         let mut logits = Vec::with_capacity(b);
@@ -233,9 +235,15 @@ impl CtrModel for FmFamily {
             self.ids_scratch.clear();
             self.ids_scratch
                 .extend((0..b).map(|r| batch.fields[r * m + f]));
-            self.linear.accumulate_grad(&self.ids_scratch, &grad_rows);
+            self.linear.accumulate_grad_fields_pooled(
+                &self.ids_scratch,
+                1,
+                &grad_rows,
+                &Pool::serial(),
+            );
         }
-        self.emb.accumulate_grad_fields(&batch.fields, m, &d_emb);
+        self.emb
+            .accumulate_grad_fields_pooled(&batch.fields, m, &d_emb, &Pool::serial());
         self.bias.grad.set(0, 0, dbias);
         self.adam.begin_step();
         self.linear.apply_adam(&self.adam, 0.0);

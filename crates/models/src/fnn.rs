@@ -4,9 +4,9 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::Batch;
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Layer, Mlp, MlpConfig,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig,
 };
-use optinter_tensor::Matrix;
+use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +40,7 @@ impl Fnn {
                 ln_eps: 1e-5,
             },
         );
-        mlp.set_pool(&optinter_tensor::Pool::new(cfg.num_threads));
+        mlp.set_pool(&Pool::new(cfg.num_threads));
         Self {
             emb,
             mlp,
@@ -72,13 +72,13 @@ impl CtrModel for Fnn {
     fn train_batch(&mut self, batch: &Batch) -> f32 {
         let m = self.num_fields;
         self.emb
-            .lookup_fields_into(&batch.fields, m, &mut self.input);
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.input);
         self.mlp.forward_into(&self.input, &mut self.logits);
         let loss_value = bce_with_logits_into(&self.logits, &batch.labels, &mut self.grad);
         self.mlp
             .backward_into(&self.input, &self.grad, &mut self.dinput);
         self.emb
-            .accumulate_grad_fields(&batch.fields, m, &self.dinput);
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.dinput, &Pool::serial());
         self.adam.begin_step();
         let mut adam = self.adam;
         self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
@@ -88,8 +88,12 @@ impl CtrModel for Fnn {
     }
 
     fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.emb
-            .lookup_fields_into(&batch.fields, self.num_fields, &mut self.input);
+        self.emb.lookup_fields_pooled_into(
+            &batch.fields,
+            self.num_fields,
+            &Pool::serial(),
+            &mut self.input,
+        );
         self.mlp.forward_into(&self.input, &mut self.logits);
         loss::probabilities(&self.logits)
     }

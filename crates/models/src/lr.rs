@@ -4,7 +4,7 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::Batch;
 use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Parameter};
-use optinter_tensor::{numerics, Matrix};
+use optinter_tensor::{numerics, Matrix, Pool};
 
 /// Logistic regression over one-hot original features.
 pub struct Lr {
@@ -96,8 +96,12 @@ impl CtrModel for Lr {
             self.ids_scratch.clear();
             self.ids_scratch
                 .extend((0..b).map(|r| batch.fields[r * m + f]));
-            self.weights
-                .accumulate_grad(&self.ids_scratch, &self.grad_rows);
+            self.weights.accumulate_grad_fields_pooled(
+                &self.ids_scratch,
+                1,
+                &self.grad_rows,
+                &Pool::serial(),
+            );
         }
         self.bias.grad.set(0, 0, dbias);
         self.adam.begin_step();

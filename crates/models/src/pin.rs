@@ -7,9 +7,9 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::{Batch, PairIndexer};
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Layer, Mlp, MlpConfig,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig,
 };
-use optinter_tensor::Matrix;
+use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,7 +55,7 @@ impl Pin {
         let pairs = PairIndexer::new(num_fields);
         let sub_hidden: Vec<usize> = cfg.subnet[..cfg.subnet.len() - 1].to_vec();
         let sub_out = *cfg.subnet.last().expect("subnet non-empty");
-        let pool = optinter_tensor::Pool::new(cfg.num_threads);
+        let pool = Pool::new(cfg.num_threads);
         let subnets: Vec<Mlp> = (0..pairs.num_pairs())
             .map(|_| {
                 let mut sub = Mlp::new(
@@ -121,7 +121,7 @@ impl Pin {
         let k = self.dim;
         let b = batch.len();
         self.emb
-            .lookup_fields_into(&batch.fields, m, &mut self.emb_buf);
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
         self.input
             .reset(b, m * k + self.pairs.num_pairs() * self.sub_out);
         self.input.copy_block_from(&self.emb_buf, 0);
@@ -188,7 +188,7 @@ impl CtrModel for Pin {
             }
         }
         self.emb
-            .accumulate_grad_fields(&batch.fields, m, &self.d_emb);
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
         self.adam.begin_step();
         let mut adam = self.adam;
         self.top.visit_params(&mut |p| adam.step(p, 0.0));

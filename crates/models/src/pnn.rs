@@ -11,9 +11,9 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::{Batch, PairIndexer};
 use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Layer, Mlp, MlpConfig,
+    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig,
 };
-use optinter_tensor::Matrix;
+use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,7 +66,7 @@ impl Pnn {
                 ln_eps: 1e-5,
             },
         );
-        mlp.set_pool(&optinter_tensor::Pool::new(cfg.num_threads));
+        mlp.set_pool(&Pool::new(cfg.num_threads));
         Self {
             kind,
             emb,
@@ -94,7 +94,7 @@ impl Pnn {
         let k = self.dim;
         let b = batch.len();
         self.emb
-            .lookup_fields_into(&batch.fields, m, &mut self.emb_buf);
+            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
         let product_dim = match self.kind {
             ProductKind::Inner => {
                 self.pooled.reset(0, 0);
@@ -212,8 +212,12 @@ impl CtrModel for Pnn {
         self.mlp
             .backward_into(&self.input, &self.grad, &mut self.dinput);
         self.backward_products(batch);
-        self.emb
-            .accumulate_grad_fields(&batch.fields, self.num_fields, &self.d_emb);
+        self.emb.accumulate_grad_fields_pooled(
+            &batch.fields,
+            self.num_fields,
+            &self.d_emb,
+            &Pool::serial(),
+        );
         self.adam.begin_step();
         let mut adam = self.adam;
         self.mlp.visit_params(&mut |p| adam.step(p, 0.0));

@@ -5,7 +5,7 @@
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::Batch;
 use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Parameter};
-use optinter_tensor::{numerics, Matrix};
+use optinter_tensor::{numerics, Matrix, Pool};
 
 /// Degree-2 polynomial logistic regression.
 pub struct Poly2 {
@@ -97,13 +97,23 @@ impl CtrModel for Poly2 {
             self.ids_scratch.clear();
             self.ids_scratch
                 .extend((0..b).map(|r| batch.fields[r * m + f]));
-            self.linear.accumulate_grad(&self.ids_scratch, &grad_rows);
+            self.linear.accumulate_grad_fields_pooled(
+                &self.ids_scratch,
+                1,
+                &grad_rows,
+                &Pool::serial(),
+            );
         }
         for k in 0..p {
             self.ids_scratch.clear();
             self.ids_scratch
                 .extend((0..b).map(|r| batch.cross[r * p + k]));
-            self.cross.accumulate_grad(&self.ids_scratch, &grad_rows);
+            self.cross.accumulate_grad_fields_pooled(
+                &self.ids_scratch,
+                1,
+                &grad_rows,
+                &Pool::serial(),
+            );
         }
         self.bias.grad.set(0, 0, dbias);
         self.adam.begin_step();

@@ -175,11 +175,6 @@ impl EmbeddingTable {
         self.opt_mode = mode;
     }
 
-    /// The active optimizer row-visiting policy.
-    pub fn optimizer_mode(&self) -> EmbedOptimizerMode {
-        self.opt_mode
-    }
-
     /// Vocabulary size (number of rows).
     pub fn vocab(&self) -> usize {
         self.weight.rows()
@@ -230,58 +225,14 @@ impl EmbeddingTable {
         }
     }
 
-    /// Looks up a batch of single indices, producing `[B, dim]`.
-    pub fn lookup(&self, indices: &[u32]) -> Matrix {
-        let dim = self.dim();
-        let mut out = Matrix::zeros(indices.len(), dim);
-        for (r, &idx) in indices.iter().enumerate() {
-            out.row_mut(r)
-                .copy_from_slice(self.weight.row(idx as usize));
-        }
-        out
-    }
-
-    /// Looks up a flattened multi-field batch.
+    /// Looks up a flattened multi-field batch into a caller-owned buffer
+    /// (reshaped as needed), with the batch rows sharded across `pool`.
     ///
     /// `flat` is row-major `[B * num_fields]`: example `b`'s field `f` index
-    /// lives at `flat[b * num_fields + f]`. Output is `[B, num_fields*dim]`
-    /// with field blocks concatenated in order — the paper's Eq. 7 layout.
-    pub fn lookup_fields(&self, flat: &[u32], num_fields: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.lookup_fields_into(flat, num_fields, &mut out);
-        out
-    }
-
-    /// [`lookup_fields`](Self::lookup_fields) into a caller-owned buffer
-    /// (reshaped as needed) — the allocation-free form.
-    pub fn lookup_fields_into(&self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
-        // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
-        assert!(num_fields > 0, "lookup_fields: need at least one field");
-        // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
-        assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
-        let batch = flat.len() / num_fields;
-        let dim = self.dim();
-        out.reset(batch, num_fields * dim);
-        for b in 0..batch {
-            let row = out.row_mut(b);
-            for f in 0..num_fields {
-                let idx = flat[b * num_fields + f] as usize;
-                row[f * dim..(f + 1) * dim].copy_from_slice(self.weight.row(idx));
-            }
-        }
-    }
-
-    /// [`lookup_fields`](Self::lookup_fields) with the batch rows sharded
-    /// across `pool`. Pure row copies, so trivially bit-identical to the
-    /// serial lookup for any thread count.
-    pub fn lookup_fields_pooled(&self, flat: &[u32], num_fields: usize, pool: &Pool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.lookup_fields_pooled_into(flat, num_fields, pool, &mut out);
-        out
-    }
-
-    /// [`lookup_fields_pooled`](Self::lookup_fields_pooled) into a
-    /// caller-owned buffer (reshaped as needed).
+    /// lives at `flat[b * num_fields + f]`. `out` becomes
+    /// `[B, num_fields*dim]` with field blocks concatenated in order — the
+    /// paper's Eq. 7 layout. Pure row copies, so the result is the same for
+    /// any thread count.
     pub fn lookup_fields_pooled_into(
         &self,
         flat: &[u32],
@@ -290,102 +241,42 @@ impl EmbeddingTable {
         out: &mut Matrix,
     ) {
         // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
-        assert!(num_fields > 0, "lookup_fields: need at least one field");
+        assert!(
+            num_fields > 0,
+            "lookup_fields_pooled_into: need at least one field"
+        );
         // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
-        assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
+        assert_eq!(
+            flat.len() % num_fields,
+            0,
+            "lookup_fields_pooled_into: ragged batch"
+        );
         let dim = self.dim();
-        if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
-            self.lookup_fields_into(flat, num_fields, out);
-            return;
-        }
         let batch = flat.len() / num_fields;
         let width = num_fields * dim;
         out.reset(batch, width);
-        pool.for_rows(out.as_mut_slice(), width, |b, row| {
+        let copy_row = |b: usize, row: &mut [f32]| {
             for f in 0..num_fields {
                 let idx = flat[b * num_fields + f] as usize;
                 row[f * dim..(f + 1) * dim].copy_from_slice(self.weight.row(idx));
             }
-        });
-    }
-
-    /// Mean-pooled lookup for multivalent features (paper Sec. II-B2) in
-    /// flat CSR form: example `r`'s value set is
-    /// `values[offsets[r]..offsets[r + 1]]`, so a whole ragged batch is two
-    /// borrowed slices — no per-example `Vec`. Each set's embeddings are
-    /// averaged into `out` row `r` (reshaped to `[offsets.len()-1, dim]`);
-    /// empty sets produce a zero vector. Allocation-free at steady state.
-    pub fn lookup_mean_into(&self, values: &[u32], offsets: &[usize], out: &mut Matrix) {
-        assert!(
-            !offsets.is_empty(),
-            "lookup_mean: offsets needs a final end"
-        );
-        assert_eq!(
-            *offsets.last().unwrap_or(&0),
-            values.len(),
-            "lookup_mean: offsets do not cover values"
-        );
-        let dim = self.dim();
-        let batch = offsets.len() - 1;
-        out.reset(batch, dim);
-        for r in 0..batch {
-            let (start, end) = (offsets[r], offsets[r + 1]);
-            assert!(start <= end, "lookup_mean: offsets must be monotone");
-            if start == end {
-                continue;
+        };
+        if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
+            for b in 0..batch {
+                copy_row(b, out.row_mut(b));
             }
-            let row = out.row_mut(r);
-            for &idx in &values[start..end] {
-                for (o, &w) in row.iter_mut().zip(self.weight.row(idx as usize).iter()) {
-                    *o += w;
-                }
-            }
-            let inv = 1.0 / (end - start) as f32;
-            for o in row.iter_mut() {
-                *o *= inv;
-            }
-        }
-    }
-
-    /// Accumulates gradients for a single-index lookup (inverse of
-    /// [`lookup`](Self::lookup)). `grad` has shape `[B, dim]`.
-    pub fn accumulate_grad(&mut self, indices: &[u32], grad: &Matrix) {
-        assert_eq!(
-            grad.rows(),
-            indices.len(),
-            "accumulate_grad: batch mismatch"
-        );
-        assert_eq!(grad.cols(), self.dim(), "accumulate_grad: dim mismatch");
-        self.ensure_arena();
-        let dim = self.dim();
-        for (r, &idx) in indices.iter().enumerate() {
-            self.touch(idx);
-            let i = idx as usize;
-            let acc = &mut self.grad_slab[i * dim..(i + 1) * dim];
-            for (a, &g) in acc.iter_mut().zip(grad.row(r).iter()) {
-                *a += g;
-            }
+        } else {
+            pool.for_rows(out.as_mut_slice(), width, copy_row);
         }
     }
 
     /// Accumulates gradients for a multi-field lookup (inverse of
-    /// [`lookup_fields`](Self::lookup_fields)). `grad` has shape
-    /// `[B, num_fields*dim]`.
-    ///
-    /// Contributions add into each row's arena slot in `(b, f)` scan order —
-    /// the same association the lane-sharded
-    /// [`accumulate_grad_fields_pooled`](Self::accumulate_grad_fields_pooled)
-    /// path uses, so the two are bit-identical for any thread count.
-    pub fn accumulate_grad_fields(&mut self, flat: &[u32], num_fields: usize, grad: &Matrix) {
-        self.accumulate_grad_fields_pooled(flat, num_fields, grad, &Pool::serial());
-    }
-
-    /// Lane-sharded parallel version of
-    /// [`accumulate_grad_fields`](Self::accumulate_grad_fields).
+    /// [`lookup_fields_pooled_into`](Self::lookup_fields_pooled_into)),
+    /// lane-sharded across `pool`. `grad` has shape `[B, num_fields*dim]`.
     ///
     /// Each lane owns the arena rows with `idx % lanes == lane` and scans
     /// the whole batch in `(b, f)` order, so a given row's pending sum is
-    /// built in exactly the serial accumulation order no matter how many
+    /// built in exactly the one-lane accumulation order no matter how many
     /// lanes run. Lanes touch disjoint rows (enforced by
     /// [`Pool::for_lane_rows`]), so no cross-thread floating-point
     /// reduction happens at all.
@@ -400,14 +291,18 @@ impl EmbeddingTable {
         assert_eq!(
             flat.len() % num_fields,
             0,
-            "accumulate_grad_fields: ragged batch"
+            "accumulate_grad_fields_pooled: ragged batch"
         );
         let batch = flat.len() / num_fields;
-        assert_eq!(grad.rows(), batch, "accumulate_grad_fields: batch mismatch");
+        assert_eq!(
+            grad.rows(),
+            batch,
+            "accumulate_grad_fields_pooled: batch mismatch"
+        );
         assert_eq!(
             grad.cols(),
             num_fields * dim,
-            "accumulate_grad_fields: dim mismatch"
+            "accumulate_grad_fields_pooled: dim mismatch"
         );
         self.ensure_arena();
         // Touched-id registration is a cheap serial scan; the FP work below
@@ -415,12 +310,7 @@ impl EmbeddingTable {
         for &idx in flat {
             self.touch(idx);
         }
-        let lanes = if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
-            1
-        } else {
-            pool.threads()
-        };
-        if lanes == 1 {
+        if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
             for b in 0..batch {
                 let grow = grad.row(b);
                 for f in 0..num_fields {
@@ -432,7 +322,7 @@ impl EmbeddingTable {
                 }
             }
         } else {
-            pool.for_lane_rows(&mut self.grad_slab, dim, lanes, |_, mut lane| {
+            pool.for_lane_rows(&mut self.grad_slab, dim, pool.threads(), |_, mut lane| {
                 for b in 0..batch {
                     let grow = grad.row(b);
                     for f in 0..num_fields {
@@ -447,53 +337,6 @@ impl EmbeddingTable {
                     }
                 }
             });
-        }
-    }
-
-    /// Accumulates gradients for a mean-pooled lookup (inverse of
-    /// [`lookup_mean_into`](Self::lookup_mean_into)), in the same flat CSR
-    /// form: `grad` row `r` is split evenly over
-    /// `values[offsets[r]..offsets[r + 1]]`. Allocation-free.
-    pub fn accumulate_grad_mean(&mut self, values: &[u32], offsets: &[usize], grad: &Matrix) {
-        assert!(
-            !offsets.is_empty(),
-            "accumulate_grad_mean: offsets needs a final end"
-        );
-        assert_eq!(
-            *offsets.last().unwrap_or(&0),
-            values.len(),
-            "accumulate_grad_mean: offsets do not cover values"
-        );
-        assert_eq!(
-            grad.rows(),
-            offsets.len() - 1,
-            "accumulate_grad_mean: batch mismatch"
-        );
-        assert_eq!(
-            grad.cols(),
-            self.dim(),
-            "accumulate_grad_mean: dim mismatch"
-        );
-        self.ensure_arena();
-        let dim = self.dim();
-        for r in 0..offsets.len() - 1 {
-            let (start, end) = (offsets[r], offsets[r + 1]);
-            assert!(
-                start <= end,
-                "accumulate_grad_mean: offsets must be monotone"
-            );
-            if start == end {
-                continue;
-            }
-            let inv = 1.0 / (end - start) as f32;
-            for &idx in &values[start..end] {
-                self.touch(idx);
-                let i = idx as usize;
-                let acc = &mut self.grad_slab[i * dim..(i + 1) * dim];
-                for (a, &g) in acc.iter_mut().zip(grad.row(r).iter()) {
-                    *a += g * inv;
-                }
-            }
         }
     }
 
@@ -734,6 +577,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `flat`'s rows through the pooled lookup on a serial pool.
+    fn rows_of(t: &EmbeddingTable, flat: &[u32], num_fields: usize) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        t.lookup_fields_pooled_into(flat, num_fields, &Pool::serial(), &mut out);
+        out
+    }
+
+    /// Scatters row `r` of `grad` onto `ids[r]` on a serial pool.
+    fn scatter(t: &mut EmbeddingTable, ids: &[u32], grad: &Matrix) {
+        t.accumulate_grad_fields_pooled(ids, 1, grad, &Pool::serial());
+    }
+
     fn small_table() -> EmbeddingTable {
         let mut t = EmbeddingTable::zeros(4, 2);
         for r in 0..4 {
@@ -747,7 +602,7 @@ mod tests {
     #[test]
     fn lookup_copies_rows() {
         let t = small_table();
-        let out = t.lookup(&[2, 0, 2]);
+        let out = rows_of(&t, &[2, 0, 2], 1);
         assert_eq!(out.row(0), &[4.0, 5.0]);
         assert_eq!(out.row(1), &[0.0, 1.0]);
         assert_eq!(out.row(2), &[4.0, 5.0]);
@@ -758,48 +613,26 @@ mod tests {
         let t = small_table();
         // 2 examples x 2 fields
         let flat = [0u32, 1, 2, 3];
-        let out = t.lookup_fields(&flat, 2);
+        let out = rows_of(&t, &flat, 2);
         assert_eq!(out.shape(), (2, 4));
         assert_eq!(out.row(0), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(out.row(1), &[4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]
-    fn lookup_fields_into_reuses_buffer() {
+    fn lookup_reshapes_a_reused_buffer() {
         let t = small_table();
         let mut out = Matrix::zeros(7, 3);
-        t.lookup_fields_into(&[0u32, 1, 2, 3], 2, &mut out);
+        t.lookup_fields_pooled_into(&[0u32, 1, 2, 3], 2, &Pool::serial(), &mut out);
         assert_eq!(out.shape(), (2, 4));
         assert_eq!(out.row(0), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn lookup_mean_pools() {
-        let t = small_table();
-        // CSR batch: {0, 2}, {}, {3}.
-        let values = [0u32, 2, 3];
-        let offsets = [0usize, 2, 2, 3];
-        let mut out = Matrix::zeros(0, 0);
-        t.lookup_mean_into(&values, &offsets, &mut out);
-        assert_eq!(out.shape(), (3, 2));
-        assert_eq!(out.row(0), &[2.0, 3.0]); // mean of [0,1] and [4,5]
-        assert_eq!(out.row(1), &[0.0, 0.0]);
-        assert_eq!(out.row(2), &[6.0, 7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "offsets do not cover values")]
-    fn lookup_mean_rejects_uncovering_offsets() {
-        let t = small_table();
-        let mut out = Matrix::zeros(0, 0);
-        t.lookup_mean_into(&[0u32, 1], &[0usize, 1], &mut out);
     }
 
     #[test]
     fn grad_accumulation_sums_repeated_indices() {
         let mut t = small_table();
         let grad = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]);
-        t.accumulate_grad(&[1, 1], &grad);
+        scatter(&mut t, &[1, 1], &grad);
         assert_eq!(t.touched_rows(), 1);
         t.apply_sgd(1.0, 0.0);
         // Row 1 started [2,3]; grad sum [3,3] -> [−1, 0]
@@ -812,34 +645,10 @@ mod tests {
         let mut t = small_table();
         let flat = [0u32, 1];
         let grad = Matrix::from_rows(&[&[0.5, 0.5, 1.5, 1.5]]);
-        t.accumulate_grad_fields(&flat, 2, &grad);
+        t.accumulate_grad_fields_pooled(&flat, 2, &grad, &Pool::serial());
         t.apply_sgd(1.0, 0.0);
         assert_eq!(t.row(0), &[-0.5, 0.5]);
         assert_eq!(t.row(1), &[0.5, 1.5]);
-    }
-
-    #[test]
-    fn mean_grad_splits_evenly() {
-        let mut t = small_table();
-        // CSR batch: one example with value set {0, 1}.
-        let grad = Matrix::from_rows(&[&[2.0, 2.0]]);
-        t.accumulate_grad_mean(&[0u32, 1], &[0usize, 2], &grad);
-        t.apply_sgd(1.0, 0.0);
-        // Each of rows 0 and 1 receives grad 1.0.
-        assert_eq!(t.row(0), &[-1.0, 0.0]);
-        assert_eq!(t.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn mean_roundtrip_skips_empty_sets() {
-        let mut t = small_table();
-        // Batch of two: {} then {3}; the empty set neither reads nor
-        // writes any row.
-        let grad = Matrix::from_rows(&[&[5.0, 5.0], &[1.0, 1.0]]);
-        t.accumulate_grad_mean(&[3u32], &[0usize, 0, 1], &grad);
-        assert_eq!(t.touched_rows(), 1);
-        t.apply_sgd(1.0, 0.0);
-        assert_eq!(t.row(3), &[5.0, 6.0]);
     }
 
     #[test]
@@ -847,10 +656,10 @@ mod tests {
         // A second step touching the same row must start from a clean slab
         // row, not the previous step's gradient.
         let mut t = small_table();
-        t.accumulate_grad(&[2], &Matrix::from_rows(&[&[1.0, 0.0]]));
+        scatter(&mut t, &[2], &Matrix::from_rows(&[&[1.0, 0.0]]));
         t.apply_sgd(1.0, 0.0);
         assert_eq!(t.row(2), &[3.0, 5.0]);
-        t.accumulate_grad(&[2], &Matrix::from_rows(&[&[0.0, 2.0]]));
+        scatter(&mut t, &[2], &Matrix::from_rows(&[&[0.0, 2.0]]));
         t.apply_sgd(1.0, 0.0);
         assert_eq!(t.row(2), &[3.0, 3.0]);
     }
@@ -858,12 +667,12 @@ mod tests {
     #[test]
     fn clear_grads_rezeroes_touched_arena_rows() {
         let mut t = small_table();
-        t.accumulate_grad(&[0], &Matrix::filled(1, 2, 1.0));
+        scatter(&mut t, &[0], &Matrix::filled(1, 2, 1.0));
         t.clear_grads();
         assert_eq!(t.touched_rows(), 0);
         let before = t.row(0).to_vec();
         // A fresh accumulate must not see the discarded gradient.
-        t.accumulate_grad(&[0], &Matrix::filled(1, 2, 0.0));
+        scatter(&mut t, &[0], &Matrix::filled(1, 2, 0.0));
         t.apply_sgd(1.0, 0.0);
         assert_eq!(t.row(0), before.as_slice());
     }
@@ -875,7 +684,7 @@ mod tests {
         let before_row9 = t.row(9).to_vec();
         let mut adam = Adam::with_lr_eps(0.01, 1e-8);
         let grad = Matrix::filled(1, 4, 1.0);
-        t.accumulate_grad(&[3], &grad);
+        scatter(&mut t, &[3], &grad);
         adam.begin_step();
         t.apply_adam(&adam, 0.0);
         assert_eq!(t.row(9), before_row9.as_slice());
@@ -894,7 +703,7 @@ mod tests {
         for step in 0..20 {
             let g = 0.1 * (step as f32 + 1.0);
             let grad = Matrix::filled(1, 3, g);
-            table.accumulate_grad(&[0], &grad);
+            scatter(&mut table, &[0], &grad);
             dense.grad = grad.clone();
             adam.begin_step();
             table.apply_adam(&adam, 0.0);
@@ -923,10 +732,11 @@ mod tests {
             ((r * 31 + c) as f32 * 0.01).sin()
         });
         let pool = optinter_tensor::Pool::new(4);
-        let lookup_serial = serial_t.lookup_fields(&flat, fields);
-        let lookup_pooled = pooled_t.lookup_fields_pooled(&flat, fields, &pool);
+        let lookup_serial = rows_of(&serial_t, &flat, fields);
+        let mut lookup_pooled = Matrix::zeros(0, 0);
+        pooled_t.lookup_fields_pooled_into(&flat, fields, &pool, &mut lookup_pooled);
         assert_eq!(lookup_serial.as_slice(), lookup_pooled.as_slice());
-        serial_t.accumulate_grad_fields(&flat, fields, &grad);
+        serial_t.accumulate_grad_fields_pooled(&flat, fields, &grad, &Pool::serial());
         pooled_t.accumulate_grad_fields_pooled(&flat, fields, &grad, &pool);
         serial_t.apply_sgd(1.0, 0.0);
         pooled_t.apply_sgd(1.0, 0.0);
@@ -947,7 +757,7 @@ mod tests {
     #[test]
     fn clear_grads_discards_pending() {
         let mut t = small_table();
-        t.accumulate_grad(&[0], &Matrix::filled(1, 2, 1.0));
+        scatter(&mut t, &[0], &Matrix::filled(1, 2, 1.0));
         t.clear_grads();
         let before = t.row(0).to_vec();
         t.apply_sgd(1.0, 0.0);
@@ -997,7 +807,7 @@ mod tests {
                 let g = 0.05 * (step as f32 + 1.0);
                 let grad =
                     Matrix::from_fn(ids.len(), dim, |r, c| g * (1.0 + r as f32 + 0.1 * c as f32));
-                t.accumulate_grad(&ids, &grad);
+                scatter(&mut t, &ids, &grad);
             }
             t.apply_adam(&adam, weight_decay);
         }
@@ -1052,7 +862,7 @@ mod tests {
         t.set_optimizer_mode(EmbedOptimizerMode::DenseApply);
         let mut adam = Adam::with_lr_eps(0.1, 1e-8);
         adam.begin_step();
-        t.accumulate_grad(&[0], &Matrix::filled(1, 2, 1.0));
+        scatter(&mut t, &[0], &Matrix::filled(1, 2, 1.0));
         t.apply_adam(&adam, 0.5);
         // Row 3 was never touched but decays under the dense sweep.
         assert!(

@@ -2,7 +2,6 @@
 //! normalisation (paper Eqs. 9–11).
 
 use crate::param::Parameter;
-use crate::Layer;
 use optinter_tensor::{init, Matrix, Pool};
 use rand::Rng;
 
@@ -17,7 +16,6 @@ pub struct Dense {
     pub w: Parameter,
     /// Bias row vector, shape `[1, out_dim]`.
     pub b: Parameter,
-    cached_input: Option<Matrix>,
     pool: Pool,
 }
 
@@ -27,7 +25,6 @@ impl Dense {
         Self {
             w: Parameter::new(init::xavier_uniform(rng, in_dim, out_dim)),
             b: Parameter::zeros(1, out_dim),
-            cached_input: None,
             pool: Pool::serial(),
         }
     }
@@ -47,9 +44,14 @@ impl Dense {
         self.pool = pool;
     }
 
-    /// Writes `x W + b` into `y` (reshaped as needed) without touching the
-    /// layer's cached state — the allocation-free path [`crate::Mlp`] uses
-    /// with workspace buffers.
+    /// Visits `W` then `b` (for optimizer steps / zeroing).
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        f(&mut self.w);
+        f(&mut self.b);
+    }
+
+    /// Writes `x W + b` into `y` (reshaped as needed) — the allocation-free
+    /// path [`crate::Mlp`] uses with workspace buffers.
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
         // lint: allow(panic-free, reason="input width is pinned at FrozenScorer construction: weights and workspace are sized from the same artifact dims")
         assert_eq!(x.cols(), self.in_dim(), "Dense: input dim mismatch");
@@ -82,31 +84,6 @@ impl Dense {
         // dx = g W^T
         dx.reset(grad_out.rows(), self.in_dim());
         grad_out.matmul_a_bt_into_pooled(&self.w.value, dx, &self.pool);
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut y);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = match self.cached_input.take() {
-            Some(x) => x,
-            None => panic!("Dense::backward called before forward"),
-        };
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(&x, grad_out, &mut dx);
-        self.cached_input = Some(x);
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        f(&mut self.w);
-        f(&mut self.b);
     }
 }
 
@@ -146,23 +123,6 @@ impl Relu {
     }
 }
 
-impl Layer for Relu {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.clone();
-        self.forward_inplace(&mut y);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // lint: allow(hot-path-alloc, reason="allocating convenience Layer API; the training loop calls backward_inplace")
-        let mut dx = grad_out.clone();
-        self.backward_inplace(&mut dx);
-        dx
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Parameter)) {}
-}
-
 /// Layer normalisation over the feature dimension (paper Eq. 11):
 /// `LN(z) = gamma * (z - E[z]) / sqrt(Var[z] + eps) + beta`, per row.
 pub struct LayerNorm {
@@ -190,6 +150,12 @@ impl LayerNorm {
     /// Normalised feature dimension.
     pub fn dim(&self) -> usize {
         self.gamma.value.cols()
+    }
+
+    /// Visits `gamma` then `beta` (for optimizer steps / zeroing).
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 
     /// Writes `LN(x)` into `y` (reshaped as needed). The normalised
@@ -266,25 +232,6 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut dx);
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +245,8 @@ mod tests {
         d.w.value = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         d.b.value = Matrix::from_rows(&[&[0.5, -0.5]]);
         let x = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let y = d.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        d.forward_into(&x, &mut y);
         assert_eq!(y.as_slice(), &[3.5, 7.5]);
     }
 
@@ -306,7 +254,9 @@ mod tests {
     fn dense_param_count() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut d = Dense::new(&mut rng, 5, 7);
-        assert_eq!(d.num_params(), 5 * 7 + 7);
+        let mut n = 0;
+        d.visit_params(&mut |p| n += p.value.len());
+        assert_eq!(n, 5 * 7 + 7);
     }
 
     #[test]
@@ -314,20 +264,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut d = Dense::new(&mut rng, 3, 2);
         let x = Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.1);
-        let _ = d.forward(&x);
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        d.forward_into(&x, &mut y);
         let g = Matrix::filled(4, 2, 1.0);
-        let _ = d.backward(&g);
+        d.backward_into(&x, &g, &mut dx);
         assert_eq!(d.b.grad.as_slice(), &[4.0, 4.0]);
     }
 
     #[test]
     fn relu_masks_negatives() {
         let mut relu = Relu::new();
-        let x = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
-        let y = relu.forward(&x);
+        let mut y = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
+        relu.forward_inplace(&mut y);
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
-        let g = Matrix::filled(2, 2, 5.0);
-        let dx = relu.backward(&g);
+        let mut dx = Matrix::filled(2, 2, 5.0);
+        relu.backward_inplace(&mut dx);
         assert_eq!(dx.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -335,7 +286,8 @@ mod tests {
     fn layernorm_output_is_normalised() {
         let mut ln = LayerNorm::new(4, 1e-5);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[10.0, 10.0, 10.0, 10.1]]);
-        let y = ln.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        ln.forward_into(&x, &mut y);
         for r in 0..y.rows() {
             let (mean, var) = optinter_tensor::ops::row_mean_var(y.row(r));
             assert!(mean.abs() < 1e-3, "row {r} mean {mean}");
@@ -349,21 +301,23 @@ mod tests {
         ln.gamma.value = Matrix::from_rows(&[&[2.0, 2.0]]);
         ln.beta.value = Matrix::from_rows(&[&[1.0, 1.0]]);
         let x = Matrix::from_rows(&[&[0.0, 2.0]]);
-        let y = ln.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        ln.forward_into(&x, &mut y);
         // xhat = [-1, 1] -> y = [-1, 3]
         assert!((y.get(0, 0) + 1.0).abs() < 1e-4);
         assert!((y.get(0, 1) - 3.0).abs() < 1e-4);
     }
 
     #[test]
-    fn layer_trait_zero_grads() {
+    fn dense_zero_grads_through_visit_params() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut d = Dense::new(&mut rng, 2, 2);
         let x = Matrix::filled(1, 2, 1.0);
-        let _ = d.forward(&x);
-        let _ = d.backward(&Matrix::filled(1, 2, 1.0));
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        d.forward_into(&x, &mut y);
+        d.backward_into(&x, &Matrix::filled(1, 2, 1.0), &mut dx);
         assert!(d.w.grad.max_abs() > 0.0);
-        d.zero_grads();
+        d.visit_params(&mut |p| p.grad.fill_zero());
         assert_eq!(d.w.grad.max_abs(), 0.0);
         assert_eq!(d.b.grad.max_abs(), 0.0);
     }

@@ -7,7 +7,7 @@
 //!
 //! - [`param::Parameter`] — a value/gradient pair with optimizer slots;
 //! - [`layers`] — [`layers::Dense`], [`layers::Relu`], [`layers::LayerNorm`],
-//!   each caching what its backward pass needs;
+//!   each with an allocation-free forward and backward into caller buffers;
 //! - [`mlp::Mlp`] — the paper's classifier stack `LN(relu(Wx + b))`;
 //! - [`embedding::EmbeddingTable`] — sparse-gradient lookup tables for
 //!   original features `E^o` and cross-product features `E^m`;
@@ -17,8 +17,9 @@
 //! - [`gradcheck`] — finite-difference gradient checking used by the test
 //!   suite to validate every backward pass.
 //!
-//! All layers implement the [`Layer`] trait, so models compose them freely
-//! while owning their own interaction-specific forward/backward logic.
+//! Models compose these pieces through their `_into` methods and own their
+//! interaction-specific forward/backward logic; [`Mlp::visit_params`] hands
+//! the classifier's parameters to an optimizer.
 
 // Kernel-adjacent crate: `unsafe` is permitted only in `embedding` (the
 // optinter-lint allowlist) and currently unused; unsafe operations inside
@@ -49,34 +50,3 @@ pub use store::{
     WeightFetch,
 };
 pub use workspace::Workspace;
-
-use optinter_tensor::Matrix;
-
-/// A differentiable layer with cached state for one forward/backward cycle.
-///
-/// Contract: `backward` must be called at most once after each `forward`,
-/// with an upstream gradient of the same shape as the forward output; it
-/// accumulates parameter gradients and returns the gradient with respect to
-/// the forward input.
-pub trait Layer {
-    /// Computes the layer output for a batch (rows = examples).
-    fn forward(&mut self, x: &Matrix) -> Matrix;
-
-    /// Propagates the upstream gradient, accumulating parameter gradients.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
-
-    /// Visits every trainable parameter (for optimizer steps / zeroing).
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter));
-
-    /// Total number of trainable scalar parameters.
-    fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.len());
-        n
-    }
-
-    /// Zeroes all accumulated parameter gradients.
-    fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.grad.fill_zero());
-    }
-}

@@ -4,7 +4,6 @@
 use crate::layers::{Dense, LayerNorm, Relu};
 use crate::param::Parameter;
 use crate::workspace::Workspace;
-use crate::Layer;
 use optinter_tensor::Matrix;
 use rand::Rng;
 
@@ -44,12 +43,10 @@ struct HiddenBlock {
 
 /// Multi-layer perceptron with ReLU activations and optional LayerNorm.
 ///
-/// The allocation-free entry points are [`forward_into`](Self::forward_into)
-/// and [`backward_into`](Self::backward_into): the MLP owns its activation
-/// chain in [`Workspace`]-recycled buffers and the caller owns the input, so
-/// a steady-state forward/backward cycle touches the heap zero times. The
-/// [`Layer`] trait impl delegates to the same code (cloning the input so the
-/// trait's self-contained `backward` contract still holds).
+/// The entry points are [`forward_into`](Self::forward_into) and
+/// [`backward_into`](Self::backward_into): the MLP owns its activation chain
+/// in [`Workspace`]-recycled buffers and the caller owns the input, so a
+/// steady-state forward/backward cycle touches the heap zero times.
 pub struct Mlp {
     blocks: Vec<HiddenBlock>,
     output: Dense,
@@ -58,9 +55,6 @@ pub struct Mlp {
     /// Output of each hidden block from the last `forward_into`, held until
     /// `backward_into` consumes them as the dense layers' inputs.
     acts: Vec<Matrix>,
-    /// Input clone for the [`Layer`] trait path only; `forward_into` never
-    /// touches it.
-    cached_input: Option<Matrix>,
 }
 
 impl Mlp {
@@ -85,7 +79,6 @@ impl Mlp {
             input_dim: config.input_dim,
             ws: Workspace::new(),
             acts: Vec::new(),
-            cached_input: None,
         }
     }
 
@@ -97,6 +90,30 @@ impl Mlp {
     /// Number of hidden blocks.
     pub fn depth(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// Visits every trainable parameter, input layer first (for optimizer
+    /// steps / zeroing).
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        for block in self.blocks.iter_mut() {
+            block.dense.visit_params(f);
+            if let Some(norm) = block.norm.as_mut() {
+                norm.visit_params(f);
+            }
+        }
+        self.output.visit_params(f);
+    }
+
+    /// Total number of trainable scalar parameters.
+    pub fn num_params(&mut self) -> usize {
+        let mut n = 0;
+        self.visit_params(&mut |p| n += p.value.len());
+        n
+    }
+
+    /// Zeroes all accumulated parameter gradients.
+    pub fn zero_grads(&mut self) {
+        self.visit_params(&mut |p| p.grad.fill_zero());
     }
 
     /// Runs every dense layer's matmuls on `pool` from now on. Results stay
@@ -187,36 +204,6 @@ impl Mlp {
     }
 }
 
-impl Layer for Mlp {
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut out);
-        self.cached_input = Some(x.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = match self.cached_input.take() {
-            Some(x) => x,
-            None => panic!("Mlp::backward called before forward"),
-        };
-        let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(&x, grad_out, &mut dx);
-        self.cached_input = Some(x);
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        for block in self.blocks.iter_mut() {
-            block.dense.visit_params(f);
-            if let Some(norm) = block.norm.as_mut() {
-                norm.visit_params(f);
-            }
-        }
-        self.output.visit_params(f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +217,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(&mut rng, &MlpConfig::classifier(6, vec![8, 4]));
         let x = Matrix::zeros(5, 6);
-        let y = mlp.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        mlp.forward_into(&x, &mut y);
         assert_eq!(y.shape(), (5, 1));
     }
 
@@ -261,11 +249,12 @@ mod tests {
         let labels = [0.0, 1.0, 1.0, 0.0];
         let mut opt = Adam::with_lr_eps(0.02, 1e-8);
         let mut final_loss = f32::MAX;
+        let (mut logits, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         for _ in 0..800 {
-            let logits = mlp.forward(&x);
+            mlp.forward_into(&x, &mut logits);
             let (loss, grad) = bce_with_logits(&logits, &labels);
             final_loss = loss;
-            mlp.backward(&grad);
+            mlp.backward_into(&x, &grad, &mut dx);
             opt.begin_step();
             mlp.visit_params(&mut |p| opt.step(p, 0.0));
         }
@@ -285,11 +274,12 @@ mod tests {
         let mut mlp = Mlp::new(&mut rng, &cfg);
         let x = Matrix::from_rows(&[&[0.3, -0.5, 0.9], &[1.1, 0.2, -0.7]]);
         let labels = [1.0, 0.0];
-        let logits = mlp.forward(&x);
+        let (mut logits, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        mlp.forward_into(&x, &mut logits);
         let (_, grad) = bce_with_logits(&logits, &labels);
-        let dx = mlp.backward(&grad);
+        mlp.backward_into(&x, &grad, &mut dx);
         crate::gradcheck::assert_grad_matches(&x, &dx, 5e-3, 3e-2, |xp| {
-            let logits = mlp.forward(xp);
+            mlp.forward_into(xp, &mut logits);
             let mut loss = 0.0;
             for (i, &y) in labels.iter().enumerate() {
                 loss += optinter_tensor::numerics::stable_bce(logits.get(i, 0), y);
@@ -310,10 +300,11 @@ mod tests {
         };
         let mut mlp = Mlp::new(&mut rng, &cfg);
         let x = Matrix::filled(2, 4, 0.5);
-        let y = mlp.forward(&x);
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        mlp.forward_into(&x, &mut y);
         assert_eq!(y.shape(), (2, 1));
         let g = Matrix::filled(2, 1, 1.0);
-        let dx = mlp.backward(&g);
+        mlp.backward_into(&x, &g, &mut dx);
         assert_eq!(dx.shape(), (2, 4));
     }
 }

@@ -11,8 +11,7 @@ use crate::loss::bce_with_logits;
 use crate::optim::{Adam, DenseOptimizer, Grda, GrdaConfig};
 use crate::param::Parameter;
 use crate::store::{double_hash_slots, qr_slots, HashScheme, HashedEmbedding};
-use crate::Layer;
-use optinter_tensor::Matrix;
+use optinter_tensor::{Matrix, Pool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,10 +30,14 @@ proptest! {
         let mut layer = Dense::new(&mut rng, in_dim, out_dim);
         let x = optinter_tensor::init::uniform(&mut rng, batch, in_dim, -1.0, 1.0);
         // Scalar objective: sum of outputs.
-        let y = layer.forward(&x);
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        layer.forward_into(&x, &mut y);
         let ones = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let dx = layer.backward(&ones);
-        let report = check_grad_matrix(&x, &dx, 1e-3, |xp| layer.forward(xp).sum());
+        layer.backward_into(&x, &ones, &mut dx);
+        let report = check_grad_matrix(&x, &dx, 1e-3, |xp| {
+            layer.forward_into(xp, &mut y);
+            y.sum()
+        });
         prop_assert!(report.passes(1e-2), "{report:?}");
     }
 
@@ -49,13 +52,13 @@ proptest! {
         // Weighted-sum objective to exercise off-diagonal terms.
         let weights = optinter_tensor::init::uniform(&mut rng, batch, dim, -1.0, 1.0);
         let x = optinter_tensor::init::uniform(&mut rng, batch, dim, -1.0, 1.0);
-        let y = layer.forward(&x);
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        layer.forward_into(&x, &mut y);
         let dy = weights.clone();
-        let dx = layer.backward(&dy);
-        let _ = y;
+        layer.backward_into(&dy, &mut dx);
         let report = check_grad_matrix(&x, &dx, 1e-3, |xp| {
-            let out = layer.forward(xp);
-            out.hadamard(&weights).sum()
+            layer.forward_into(xp, &mut y);
+            y.hadamard(&weights).sum()
         });
         prop_assert!(report.passes(3e-2), "{report:?}");
     }
@@ -70,11 +73,13 @@ proptest! {
             .collect();
         let x = Matrix::from_vec(3, 4, data);
         let mut relu = Relu::new();
-        let _ = relu.forward(&x);
-        let dx = relu.backward(&Matrix::filled(3, 4, 1.0));
+        relu.forward_inplace(&mut x.clone());
+        let mut dx = Matrix::filled(3, 4, 1.0);
+        relu.backward_inplace(&mut dx);
         let report = check_grad_matrix(&x, &dx, 1e-3, |xp| {
-            let mut r = Relu::new();
-            r.forward(xp).sum()
+            let mut y = xp.clone();
+            Relu::new().forward_inplace(&mut y);
+            y.sum()
         });
         prop_assert!(report.passes(1e-2), "{report:?}");
     }
@@ -179,8 +184,8 @@ proptest! {
             &mut StdRng::seed_from_u64(init_seed), 300, 4, scheme, hash_seed);
         let flat = [id];
         let (mut out_a, mut out_b) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        a.lookup_fields_into(&flat, 1, &mut out_a);
-        b.lookup_fields_into(&flat, 1, &mut out_b);
+        a.lookup_fields_pooled_into(&flat, 1, &Pool::serial(), &mut out_a);
+        b.lookup_fields_pooled_into(&flat, 1, &Pool::serial(), &mut out_b);
         let (s1, s2) = a.slots(id);
         for d in 0..4 {
             prop_assert_eq!(out_a.row(0)[d].to_bits(), out_b.row(0)[d].to_bits());

@@ -268,13 +268,8 @@ impl HashedEmbedding {
     }
 
     /// Multi-field batched lookup into a caller-owned buffer (`out` becomes
-    /// `[batch, num_fields*dim]`). Allocation-free at steady state.
-    pub fn lookup_fields_into(&mut self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
-        self.lookup_fields_pooled_into(flat, num_fields, &Pool::serial(), out);
-    }
-
-    /// [`lookup_fields_into`](Self::lookup_fields_into) with the sub-table
-    /// lookups and the compose pass sharded across `pool`.
+    /// `[batch, num_fields*dim]`), with the sub-table lookups and the
+    /// compose pass sharded across `pool`. Allocation-free at steady state.
     pub fn lookup_fields_pooled_into(
         &mut self,
         flat: &[u32],
@@ -283,9 +278,16 @@ impl HashedEmbedding {
         out: &mut Matrix,
     ) {
         // lint: allow(panic-free, reason="scoring reaches this only after FrozenScorer::validate, with the artifact's field count (decode requires two or more) or a nonzero memorized-pair count")
-        assert!(num_fields > 0, "lookup_fields: need at least one field");
+        assert!(
+            num_fields > 0,
+            "lookup_fields_pooled_into: need at least one field"
+        );
         // lint: allow(panic-free, reason="FrozenScorer::validate splits the field ids into whole rows; cross ids come from gather_mem_ids_into in whole rows")
-        assert_eq!(flat.len() % num_fields, 0, "lookup_fields: ragged batch");
+        assert_eq!(
+            flat.len() % num_fields,
+            0,
+            "lookup_fields_pooled_into: ragged batch"
+        );
         let batch = flat.len() / num_fields;
         let width = num_fields * self.dim;
         self.hash_into(flat);
@@ -312,17 +314,25 @@ impl HashedEmbedding {
     ) {
         assert!(
             num_fields > 0,
-            "accumulate_grad_fields: need at least one field"
+            "accumulate_grad_fields_pooled: need at least one field"
         );
         assert_eq!(
             flat.len() % num_fields,
             0,
-            "accumulate_grad_fields: ragged batch"
+            "accumulate_grad_fields_pooled: ragged batch"
         );
         let batch = flat.len() / num_fields;
         let width = num_fields * self.dim;
-        assert_eq!(grad.rows(), batch, "accumulate_grad_fields: batch mismatch");
-        assert_eq!(grad.cols(), width, "accumulate_grad_fields: dim mismatch");
+        assert_eq!(
+            grad.rows(),
+            batch,
+            "accumulate_grad_fields_pooled: batch mismatch"
+        );
+        assert_eq!(
+            grad.cols(),
+            width,
+            "accumulate_grad_fields_pooled: dim mismatch"
+        );
         self.hash_into(flat);
         self.t1
             .lookup_fields_pooled_into(&self.idx1, num_fields, pool, &mut self.rows1);
@@ -354,12 +364,6 @@ impl HashedEmbedding {
             .accumulate_grad_fields_pooled(&self.idx1, num_fields, &self.g1, pool);
         self.t2
             .accumulate_grad_fields_pooled(&self.idx2, num_fields, &self.g2, pool);
-    }
-
-    /// Serial convenience form of
-    /// [`accumulate_grad_fields_pooled`](Self::accumulate_grad_fields_pooled).
-    pub fn accumulate_grad_fields(&mut self, flat: &[u32], num_fields: usize, grad: &Matrix) {
-        self.accumulate_grad_fields_pooled(flat, num_fields, grad, &Pool::serial());
     }
 
     /// Applies one Adam step to both sub-tables (shared timestep).
@@ -505,15 +509,8 @@ impl EmbedStore {
         }
     }
 
-    /// Multi-field batched lookup into a caller-owned buffer.
-    pub fn lookup_fields_into(&mut self, flat: &[u32], num_fields: usize, out: &mut Matrix) {
-        match self {
-            EmbedStore::Dense(t) => t.lookup_fields_into(flat, num_fields, out),
-            EmbedStore::Hashed(h) => h.lookup_fields_into(flat, num_fields, out),
-        }
-    }
-
-    /// Pooled multi-field lookup; bit-identical to the serial path.
+    /// Multi-field batched lookup into a caller-owned buffer, sharded
+    /// across `pool`; the same bits for any thread count.
     pub fn lookup_fields_pooled_into(
         &mut self,
         flat: &[u32],
@@ -679,7 +676,7 @@ mod tests {
         );
         let flat = [5u32, 21, 199, 0, 16, 17];
         let mut out = Matrix::zeros(0, 0);
-        h.lookup_fields_into(&flat, 3, &mut out);
+        h.lookup_fields_pooled_into(&flat, 3, &Pool::serial(), &mut out);
         assert_eq!((out.rows(), out.cols()), (2, 12));
         for (k, &id) in flat.iter().enumerate() {
             let (s1, s2) = h.slots(id);
@@ -708,13 +705,13 @@ mod tests {
 
             let mut out_s = Matrix::zeros(0, 0);
             let mut out_p = Matrix::zeros(0, 0);
-            serial.lookup_fields_into(&flat, 8, &mut out_s);
+            serial.lookup_fields_pooled_into(&flat, 8, &Pool::serial(), &mut out_s);
             pooled.lookup_fields_pooled_into(&flat, 8, &pool, &mut out_p);
             for (a, b) in out_s.as_slice().iter().zip(out_p.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
 
-            serial.accumulate_grad_fields(&flat, 8, &grad);
+            serial.accumulate_grad_fields_pooled(&flat, 8, &grad, &Pool::serial());
             pooled.accumulate_grad_fields_pooled(&flat, 8, &grad, &pool);
             let adam = Adam::with_lr_eps(0.01, 1e-8);
             serial.apply_adam(&adam, 0.0);
@@ -755,7 +752,7 @@ mod tests {
         let flat = [7u32, 7, 13];
         // grad rows: batch=3, one field, dim=2.
         let grad = Matrix::from_fn(3, 2, |r, c| (r as f32 + 1.0) * 0.1 + c as f32 * 0.01);
-        h.accumulate_grad_fields(&flat, 1, &grad);
+        h.accumulate_grad_fields_pooled(&flat, 1, &grad, &Pool::serial());
         // Expected t1-slot gradient for id 7 (appears twice: rows 0 and 1).
         let (s1, s2) = h.slots(7);
         let t2row: Vec<f32> = h.table2().weight().row(s2 as usize).to_vec();

@@ -505,6 +505,13 @@ impl FrozenModel {
         let cross_vocab = r.u32("cross_vocab")?;
         let pair_offsets = r.u32_vec(num_pairs, "pair_offsets")?;
         let pair_vocab_sizes = r.u32_vec(num_pairs, "pair_vocab_sizes")?;
+        for (p, (&offset, &size)) in pair_offsets.iter().zip(&pair_vocab_sizes).enumerate() {
+            if offset.checked_add(size).is_none_or(|end| end > cross_vocab) {
+                return Err(ArtifactError::Corrupt(format!(
+                    "pair {p}'s cross block {offset}+{size} exceeds cross_vocab {cross_vocab}"
+                )));
+            }
+        }
         let arch_bytes = r.take(num_pairs, "architecture")?;
         let arch_str = std::str::from_utf8(arch_bytes)
             .map_err(|_| ArtifactError::Corrupt("architecture is not UTF-8".to_string()))?;

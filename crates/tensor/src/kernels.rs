@@ -1,10 +1,10 @@
 //! The dense-layer matmul kernels: one GEMM driver over three register
 //! tiles, with one numeric contract.
 //!
-//! The three product families ([`Matrix::matmul_into`],
-//! [`Matrix::matmul_at_b_accumulate`], [`Matrix::matmul_a_bt_into`] and
-//! their pooled variants) call `mm_acc_rows`, `mm_atb_rows` and
-//! `mm_abt_rows` on blocks of output rows. One driver runs all three: it
+//! The three products ([`Matrix::matmul_accumulate_pooled`],
+//! [`Matrix::matmul_at_b_accumulate_pooled`] and
+//! [`Matrix::matmul_a_bt_into_pooled`]) call `mm_acc_rows`, `mm_atb_rows`
+//! and `mm_abt_rows` on blocks of output rows. One driver runs all three: it
 //! reads A in place through a (row, k) stride pair and B one panel at a
 //! time through a k-stride, so the products differ only in their strides
 //! and in what they pack (see `gemm`). It feeds one `Tile`:
@@ -29,9 +29,9 @@
 //! [`crate::reference`], which spells the chain out naively and is the
 //! oracle every tile is tested against. See DESIGN.md §13.
 //!
-//! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
-//! [`Matrix::matmul_at_b_accumulate`]: crate::Matrix::matmul_at_b_accumulate
-//! [`Matrix::matmul_a_bt_into`]: crate::Matrix::matmul_a_bt_into
+//! [`Matrix::matmul_accumulate_pooled`]: crate::Matrix::matmul_accumulate_pooled
+//! [`Matrix::matmul_at_b_accumulate_pooled`]: crate::Matrix::matmul_at_b_accumulate_pooled
+//! [`Matrix::matmul_a_bt_into_pooled`]: crate::Matrix::matmul_a_bt_into_pooled
 //!
 //! **Backend selection.** [`active`] resolves once per process: the
 //! `OPTINTER_KERNEL_BACKEND={scalar,avx2fma}` env var wins if set and

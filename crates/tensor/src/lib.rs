@@ -1,9 +1,11 @@
 //! Dense linear-algebra substrate for the OptInter reproduction.
 //!
 //! This crate provides the minimal numerical kernel every other crate builds
-//! on: a row-major [`Matrix`] of `f32`, the handful of BLAS-like operations
-//! needed by manual backpropagation ([`Matrix::matmul`],
-//! [`Matrix::matmul_at_b`], [`Matrix::matmul_a_bt`], AXPY-style updates),
+//! on: a row-major [`Matrix`] of `f32`, the three matmul products manual
+//! backpropagation needs ([`Matrix::matmul_into_pooled`] and
+//! [`Matrix::matmul_accumulate_pooled`] for `x·W`,
+//! [`Matrix::matmul_at_b_accumulate_pooled`] for `xᵀ·g`,
+//! [`Matrix::matmul_a_bt_into_pooled`] for `g·Wᵀ`), AXPY-style updates,
 //! numerically stable scalar functions ([`numerics`]), weight initialisation
 //! ([`init`]), and small statistics helpers ([`stats`]).
 //!
@@ -12,20 +14,21 @@
 //! written so LLVM can auto-vectorise them (inner loops over contiguous row
 //! slices, no bounds checks in the `k`-loop thanks to slice re-borrows).
 //!
-//! Optional intra-batch data parallelism comes from [`pool::Pool`]: the
-//! `*_pooled` matmul variants row-block the kernels across a worker pool
-//! under an owner-computes discipline, so their results are bit-identical
-//! to the serial path for any thread count (see the [`pool`] module docs
-//! for the determinism contract).
+//! Optional intra-batch data parallelism comes from [`pool::Pool`]: each
+//! matmul row-blocks its kernel across the pool it is given under an
+//! owner-computes discipline, so its result is bit-identical for any thread
+//! count, [`Pool::serial`] included (see the [`pool`] module docs for the
+//! determinism contract).
 //!
 //! # Example
 //!
 //! ```
-//! use optinter_tensor::Matrix;
+//! use optinter_tensor::{Matrix, Pool};
 //!
 //! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 //! let b = Matrix::eye(2);
-//! let c = a.matmul(&b);
+//! let mut c = Matrix::zeros(2, 2);
+//! a.matmul_into_pooled(&b, &mut c, &Pool::serial());
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! ```
 

@@ -1,12 +1,12 @@
-//! Row-major dense `f32` matrix and the matmul variants used by backprop.
+//! Row-major dense `f32` matrix and the three matmul products backprop
+//! needs.
 //!
-//! Every matmul kernel comes in two flavours: the plain serial method and a
-//! `*_pooled` variant that row-blocks the same loops across a
-//! [`Pool`](crate::pool::Pool). The pooled variants follow the
-//! owner-computes discipline described in the [`pool`](crate::pool) module
-//! docs — each output row is produced by exactly one job running the exact
-//! serial per-row loop — so they are bit-identical to the serial kernels
-//! for any thread count.
+//! Each product has one entry point, `*_pooled`, that row-blocks the kernel
+//! across a [`Pool`](crate::pool::Pool) under the owner-computes discipline
+//! described in the [`pool`](crate::pool) module docs: each output row is
+//! produced by exactly one job, so the result is bit-identical for any
+//! thread count. A serial pool, or a product below `POOL_MIN_FLOPS`, calls
+//! the kernel once on the whole output with no dispatch.
 
 use crate::kernels::{self, Tile};
 use crate::pool::Pool;
@@ -171,11 +171,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -204,11 +199,6 @@ impl Matrix {
         debug_assert!(r < self.rows);
         let c = self.cols;
         &mut self.data[r * c..(r + 1) * c]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Copies the contents of column `c` into a new vector.
@@ -263,17 +253,9 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * other`, allocating the output.
-    ///
-    /// # Panics
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// Matrix product `self * other` written into `out` (overwriting it).
+    /// `self * other` written into `out` (overwriting it), row-blocked
+    /// across `pool`: [`matmul_accumulate_pooled`](Self::matmul_accumulate_pooled)
+    /// into a zeroed `out`.
     ///
     /// Dispatches through the active kernel backend (see
     /// [`crate::kernels`]); see `reference::matmul_accumulate` for the
@@ -281,131 +263,16 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on any dimension mismatch.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimensions differ");
-        assert_eq!(out.rows, self.rows, "matmul: output row count mismatch");
-        assert_eq!(out.cols, other.cols, "matmul: output col count mismatch");
-        out.fill_zero();
-        self.matmul_accumulate(other, out, 1.0);
-    }
-
-    /// `out += alpha * self * other`.
-    pub fn matmul_accumulate(&self, other: &Matrix, out: &mut Matrix, alpha: f32) {
-        // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul_accumulate: inner dimensions differ"
-        );
-        // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
-        assert_eq!(
-            out.rows, self.rows,
-            "matmul_accumulate: output row count mismatch"
-        );
-        // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
-        assert_eq!(
-            out.cols, other.cols,
-            "matmul_accumulate: output col count mismatch"
-        );
-        kernels::mm_acc_rows(
-            Tile::active(),
-            &self.data,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-            alpha,
-        );
-    }
-
-    /// `self^T * other`, allocating the output.
-    ///
-    /// This is the weight-gradient shape in backprop:
-    /// `dW = X^T * dY` for `Y = X W`.
-    pub fn matmul_at_b(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_at_b_accumulate(other, &mut out, 1.0);
-        out
-    }
-
-    /// `out += alpha * self^T * other`.
-    pub fn matmul_at_b_accumulate(&self, other: &Matrix, out: &mut Matrix, alpha: f32) {
-        assert_eq!(self.rows, other.rows, "matmul_at_b: row counts differ");
-        assert_eq!(
-            out.rows, self.cols,
-            "matmul_at_b: output row count mismatch"
-        );
-        assert_eq!(
-            out.cols, other.cols,
-            "matmul_at_b: output col count mismatch"
-        );
-        kernels::mm_atb_rows(
-            Tile::active(),
-            &self.data,
-            self.cols,
-            &other.data,
-            other.cols,
-            0,
-            &mut out.data,
-            alpha,
-        );
-    }
-
-    /// `self * other^T`, allocating the output.
-    ///
-    /// This is the input-gradient shape in backprop:
-    /// `dX = dY * W^T` for `Y = X W`.
-    pub fn matmul_a_bt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_a_bt_into(other, &mut out);
-        out
-    }
-
-    /// `self * other^T` written into `out` (overwriting it).
-    pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_a_bt: col counts differ");
-        assert_eq!(
-            out.rows, self.rows,
-            "matmul_a_bt: output row count mismatch"
-        );
-        assert_eq!(
-            out.cols, other.rows,
-            "matmul_a_bt: output col count mismatch"
-        );
-        kernels::mm_abt_rows(
-            Tile::active(),
-            &self.data,
-            self.cols,
-            &other.data,
-            other.rows,
-            &mut out.data,
-        );
-    }
-
-    /// Matrix product `self * other` row-blocked across `pool`, allocating.
-    ///
-    /// Bit-identical to [`Matrix::matmul`] for any thread count.
-    pub fn matmul_pooled(&self, other: &Matrix, pool: &Pool) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into_pooled(other, &mut out, pool);
-        out
-    }
-
-    /// `self * other` written into `out`, row-blocked across `pool`.
-    ///
-    /// Bit-identical to [`Matrix::matmul_into`] for any thread count.
     pub fn matmul_into_pooled(&self, other: &Matrix, out: &mut Matrix, pool: &Pool) {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimensions differ");
-        assert_eq!(out.rows, self.rows, "matmul: output row count mismatch");
-        assert_eq!(out.cols, other.cols, "matmul: output col count mismatch");
         out.fill_zero();
         self.matmul_accumulate_pooled(other, out, 1.0, pool);
     }
 
     /// `out += alpha * self * other`, row-blocked across `pool`.
     ///
-    /// Each job owns a contiguous block of output rows and runs the serial
-    /// per-row loop on it, so the result is bit-identical to
-    /// [`Matrix::matmul_accumulate`] for any thread count.
+    /// Each job owns a contiguous block of output rows and runs the kernel
+    /// on it. Every element is one chain anchored at its absolute row and
+    /// column, so the result is bit-identical for any thread count.
     pub fn matmul_accumulate_pooled(
         &self,
         other: &Matrix,
@@ -416,24 +283,25 @@ impl Matrix {
         // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
         assert_eq!(
             self.cols, other.rows,
-            "matmul_accumulate: inner dimensions differ"
+            "matmul_accumulate_pooled: inner dimensions differ"
         );
         // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
         assert_eq!(
             out.rows, self.rows,
-            "matmul_accumulate: output row count mismatch"
+            "matmul_accumulate_pooled: output row count mismatch"
         );
         // lint: allow(panic-free, reason="operand shapes are pinned by Dense::forward_into's reset against frozen layer dims")
         assert_eq!(
             out.cols, other.cols,
-            "matmul_accumulate: output col count mismatch"
+            "matmul_accumulate_pooled: output col count mismatch"
         );
-        if pool.is_serial() || self.rows * self.cols * other.cols < POOL_MIN_FLOPS {
-            return self.matmul_accumulate(other, out, alpha);
-        }
         let n = other.cols;
         let kdim = self.cols;
         let t = Tile::active();
+        if pool.is_serial() || self.rows * kdim * n < POOL_MIN_FLOPS {
+            kernels::mm_acc_rows(t, &self.data, kdim, &other.data, n, &mut out.data, alpha);
+            return;
+        }
         // The prepare hook sizes every participating thread's packing
         // scratch before it can win a chunk, keeping scratch growth
         // deterministic (see Pool::for_row_chunks_prepared).
@@ -449,22 +317,13 @@ impl Matrix {
         );
     }
 
-    /// `self^T * other` row-blocked across `pool`, allocating.
-    ///
-    /// Bit-identical to [`Matrix::matmul_at_b`] for any thread count.
-    pub fn matmul_at_b_pooled(&self, other: &Matrix, pool: &Pool) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_at_b_accumulate_pooled(other, &mut out, 1.0, pool);
-        out
-    }
-
     /// `out += alpha * self^T * other`, blocked over output rows.
     ///
-    /// The serial kernel iterates `r` outermost, so output element `(k, j)`
-    /// receives its `r` contributions in ascending order. Here each job owns
-    /// a block of output rows `k` and replays the same ascending-`r`
-    /// accumulation per row, which keeps the result bit-identical to
-    /// [`Matrix::matmul_at_b_accumulate`] for any thread count.
+    /// This is the weight-gradient shape in backprop: `dW = X^T * dY` for
+    /// `Y = X W`. Output element `(k, j)` receives its `r` contributions in
+    /// ascending order; each job owns a block of output rows `k` and
+    /// replays the same ascending-`r` chain per row, which keeps the result
+    /// bit-identical for any thread count.
     pub fn matmul_at_b_accumulate_pooled(
         &self,
         other: &Matrix,
@@ -472,20 +331,33 @@ impl Matrix {
         alpha: f32,
         pool: &Pool,
     ) {
-        assert_eq!(self.rows, other.rows, "matmul_at_b: row counts differ");
+        assert_eq!(
+            self.rows, other.rows,
+            "matmul_at_b_accumulate_pooled: row counts differ"
+        );
         assert_eq!(
             out.rows, self.cols,
-            "matmul_at_b: output row count mismatch"
+            "matmul_at_b_accumulate_pooled: output row count mismatch"
         );
         assert_eq!(
             out.cols, other.cols,
-            "matmul_at_b: output col count mismatch"
+            "matmul_at_b_accumulate_pooled: output col count mismatch"
         );
-        if pool.is_serial() || self.rows * self.cols * other.cols < POOL_MIN_FLOPS {
-            return self.matmul_at_b_accumulate(other, out, alpha);
-        }
         let n = other.cols;
         let t = Tile::active();
+        if pool.is_serial() || self.rows * self.cols * n < POOL_MIN_FLOPS {
+            kernels::mm_atb_rows(
+                t,
+                &self.data,
+                self.cols,
+                &other.data,
+                n,
+                0,
+                &mut out.data,
+                alpha,
+            );
+            return;
+        }
         // Same deterministic scratch warming as matmul_accumulate_pooled,
         // for a product that reduces over this matrix's rows.
         pool.for_row_chunks_prepared(
@@ -507,34 +379,31 @@ impl Matrix {
         );
     }
 
-    /// `self * other^T` row-blocked across `pool`, allocating.
+    /// `self * other^T` written into `out` (overwriting it), row-blocked
+    /// across `pool`.
     ///
-    /// Bit-identical to [`Matrix::matmul_a_bt`] for any thread count.
-    pub fn matmul_a_bt_pooled(&self, other: &Matrix, pool: &Pool) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_a_bt_into_pooled(other, &mut out, pool);
-        out
-    }
-
-    /// `self * other^T` written into `out`, row-blocked across `pool`.
-    ///
-    /// Bit-identical to [`Matrix::matmul_a_bt_into`] for any thread count.
+    /// This is the input-gradient shape in backprop: `dX = dY * W^T` for
+    /// `Y = X W`.
     pub fn matmul_a_bt_into_pooled(&self, other: &Matrix, out: &mut Matrix, pool: &Pool) {
-        assert_eq!(self.cols, other.cols, "matmul_a_bt: col counts differ");
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_a_bt_into_pooled: col counts differ"
+        );
         assert_eq!(
             out.rows, self.rows,
-            "matmul_a_bt: output row count mismatch"
+            "matmul_a_bt_into_pooled: output row count mismatch"
         );
         assert_eq!(
             out.cols, other.rows,
-            "matmul_a_bt: output col count mismatch"
+            "matmul_a_bt_into_pooled: output col count mismatch"
         );
-        if pool.is_serial() || self.rows * self.cols * other.rows < POOL_MIN_FLOPS {
-            return self.matmul_a_bt_into(other, out);
-        }
         let bn = other.rows;
         let ncols = self.cols;
         let t = Tile::active();
+        if pool.is_serial() || self.rows * ncols * bn < POOL_MIN_FLOPS {
+            kernels::mm_abt_rows(t, &self.data, ncols, &other.data, bn, &mut out.data);
+            return;
+        }
         // Same deterministic scratch warming as matmul_accumulate_pooled,
         // for a product that reduces over `ncols` into `bn` columns.
         pool.for_row_chunks_prepared(
@@ -585,13 +454,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data,
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for a in self.data.iter_mut() {
-            *a = f(*a);
         }
     }
 
@@ -689,15 +551,6 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Makes `self` an element-for-element copy of `src` (shape included),
-    /// reusing the existing allocation when possible.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-        self.rows = src.rows;
-        self.cols = src.cols;
-    }
-
     /// Extracts the column block `[col_offset, col_offset + width)` into
     /// `out`, resizing it as needed — the allocation-free form of
     /// [`block`](Self::block).
@@ -753,6 +606,27 @@ pub fn axpy_slice(alpha: f32, x: &[f32], y: &mut [f32]) {
 mod tests {
     use super::*;
 
+    /// `a * b` through the pooled entry point on a serial pool.
+    fn mm(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        a.matmul_into_pooled(b, &mut out, &Pool::serial());
+        out
+    }
+
+    /// `a^T * b` through the pooled entry point on `pool`.
+    fn mm_at_b(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        a.matmul_at_b_accumulate_pooled(b, &mut out, 1.0, pool);
+        out
+    }
+
+    /// `a * b^T` through the pooled entry point on `pool`.
+    fn mm_a_bt(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        a.matmul_a_bt_into_pooled(b, &mut out, pool);
+        out
+    }
+
     #[test]
     fn construction_and_access() {
         let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
@@ -787,15 +661,15 @@ mod tests {
     fn identity_matmul_is_noop() {
         let a = Matrix::from_fn(3, 3, |r, c| (r + c) as f32);
         let i = Matrix::eye(3);
-        assert_eq!(a.matmul(&i).as_slice(), a.as_slice());
-        assert_eq!(i.matmul(&a).as_slice(), a.as_slice());
+        assert_eq!(mm(&a, &i).as_slice(), a.as_slice());
+        assert_eq!(mm(&i, &a).as_slice(), a.as_slice());
     }
 
     #[test]
     fn matmul_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = mm(&a, &b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -803,7 +677,7 @@ mod tests {
     fn matmul_rectangular() {
         let a = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f32);
         let b = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
-        let c = a.matmul(&b);
+        let c = mm(&a, &b);
         assert_eq!(c.shape(), (2, 3));
         // Row 0 of a: [0,1,2,3]; col 0 of b: [0,3,6,9] -> 0+3+12+27 = 42.
         assert_eq!(c.get(0, 0), 42.0);
@@ -813,8 +687,8 @@ mod tests {
     fn matmul_at_b_matches_explicit_transpose() {
         let a = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32 * 0.5);
         let b = Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.25);
-        let expected = a.transpose().matmul(&b);
-        let got = a.matmul_at_b(&b);
+        let expected = mm(&a.transpose(), &b);
+        let got = mm_at_b(&a, &b, &Pool::serial());
         assert_eq!(got.shape(), expected.shape());
         for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
             assert_eq!(g.to_bits(), e.to_bits(), "{g} vs {e}");
@@ -825,8 +699,8 @@ mod tests {
     fn matmul_a_bt_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
         let b = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 * 0.3);
-        let expected = a.matmul(&b.transpose());
-        let got = a.matmul_a_bt(&b);
+        let expected = mm(&a, &b.transpose());
+        let got = mm_a_bt(&a, &b, &Pool::serial());
         assert_eq!(got.shape(), expected.shape());
         for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
             assert_eq!(g.to_bits(), e.to_bits(), "{g} vs {e}");
@@ -891,17 +765,19 @@ mod tests {
         // Same row count as `a`, as `matmul_at_b` requires.
         let g = Matrix::from_fn(96, 48, |r, c| ((r * 5 + c * 11) as f32 * 0.019).sin());
         let bt = Matrix::from_fn(48, 64, |r, c| ((r * 7 + c * 3) as f32 * 0.011).sin());
+        let serial = Pool::serial();
         for threads in [1, 2, 3, 4, 7] {
             let pool = Pool::new(threads);
-            let ab = a.matmul(&b);
-            let ab_p = a.matmul_pooled(&b, &pool);
-            assert_bits_eq(&ab, &ab_p, "matmul", threads);
-            let atb = a.matmul_at_b(&g);
-            let atb_p = a.matmul_at_b_pooled(&g, &pool);
-            assert_bits_eq(&atb, &atb_p, "matmul_at_b", threads);
-            let abt = a.matmul_a_bt(&bt);
-            let abt_p = a.matmul_a_bt_pooled(&bt, &pool);
-            assert_bits_eq(&abt, &abt_p, "matmul_a_bt", threads);
+            let ab = mm(&a, &b);
+            let mut ab_p = Matrix::zeros(96, 48);
+            a.matmul_into_pooled(&b, &mut ab_p, &pool);
+            assert_bits_eq(&ab, &ab_p, "matmul_into_pooled", threads);
+            let atb = mm_at_b(&a, &g, &serial);
+            let atb_p = mm_at_b(&a, &g, &pool);
+            assert_bits_eq(&atb, &atb_p, "matmul_at_b_accumulate_pooled", threads);
+            let abt = mm_a_bt(&a, &bt, &serial);
+            let abt_p = mm_a_bt(&a, &bt, &pool);
+            assert_bits_eq(&abt, &abt_p, "matmul_a_bt_into_pooled", threads);
         }
     }
 
@@ -912,15 +788,15 @@ mod tests {
         let pool = Pool::new(4);
         let mut serial = Matrix::filled(80, 40, 0.5);
         let mut pooled = Matrix::filled(80, 40, 0.5);
-        a.matmul_accumulate(&b, &mut serial, -1.25);
+        a.matmul_accumulate_pooled(&b, &mut serial, -1.25, &Pool::serial());
         a.matmul_accumulate_pooled(&b, &mut pooled, -1.25, &pool);
-        assert_bits_eq(&serial, &pooled, "matmul_accumulate", 4);
+        assert_bits_eq(&serial, &pooled, "matmul_accumulate_pooled", 4);
         let g = Matrix::from_fn(80, 40, |r, c| ((r + 7 * c) as f32 * 0.03).sin());
         let mut serial_t = Matrix::filled(64, 40, -0.25);
         let mut pooled_t = Matrix::filled(64, 40, -0.25);
-        a.matmul_at_b_accumulate(&g, &mut serial_t, 0.75);
+        a.matmul_at_b_accumulate_pooled(&g, &mut serial_t, 0.75, &Pool::serial());
         a.matmul_at_b_accumulate_pooled(&g, &mut pooled_t, 0.75, &pool);
-        assert_bits_eq(&serial_t, &pooled_t, "matmul_at_b_accumulate", 4);
+        assert_bits_eq(&serial_t, &pooled_t, "matmul_at_b_accumulate_pooled", 4);
     }
 
     fn assert_bits_eq(serial: &Matrix, pooled: &Matrix, kernel: &str, threads: usize) {
@@ -939,7 +815,7 @@ mod tests {
         let a = Matrix::eye(2);
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let mut out = Matrix::filled(2, 2, 1.0);
-        a.matmul_accumulate(&b, &mut out, 3.0);
+        a.matmul_accumulate_pooled(&b, &mut out, 3.0, &Pool::serial());
         assert_eq!(out.as_slice(), &[4.0, 1.0, 1.0, 4.0]);
     }
 
@@ -955,7 +831,7 @@ mod tests {
         b.row_mut(2)[3] = f32::INFINITY;
         b.row_mut(4)[6] = f32::NAN;
         let mut out = Matrix::zeros(3, 7);
-        a.matmul_accumulate(&b, &mut out, 1.0);
+        a.matmul_accumulate_pooled(&b, &mut out, 1.0, &Pool::serial());
         // Row 1 of `a` is all zeros: col 3 hits 0*inf, col 6 hits 0*NaN.
         assert!(
             out.get(1, 3).is_nan(),
@@ -981,7 +857,7 @@ mod tests {
         let mut b = Matrix::zeros(3, 4);
         b.row_mut(1)[2] = f32::INFINITY;
         let mut out = Matrix::zeros(2, 4);
-        a.matmul_accumulate(&b, &mut out, 0.0);
+        a.matmul_accumulate_pooled(&b, &mut out, 0.0, &Pool::serial());
         assert!(out.get(0, 2).is_nan(), "alpha=0 times inf must be NaN");
         assert_eq!(out.get(0, 0), 0.0);
     }

@@ -3,14 +3,14 @@
 //! Two families of invariants, both bitwise:
 //!
 //! 1. **One numeric contract** — every tile the host runs, and the
-//!    dispatched [`Matrix`] entry points, must give the bits of the naive
-//!    chains in [`crate::reference`] on arbitrary shapes, including K/N
-//!    that are not multiples of the tile edges (the remainder paths are the
-//!    easiest place for a blocking bug to hide).
-//! 2. **Determinism** — the pooled variants must be bit-identical to the
-//!    serial kernels for any thread count, and a block of output rows
-//!    computed in several calls to one call, because each element is one
-//!    chain anchored at absolute row and column origins.
+//!    dispatched [`Matrix`] entry points on a serial pool, must give the
+//!    bits of the naive chains in [`crate::reference`] on arbitrary shapes,
+//!    including K/N that are not multiples of the tile edges (the remainder
+//!    paths are the easiest place for a blocking bug to hide).
+//! 2. **Determinism** — the matmuls must be bit-identical on a serial pool
+//!    and on any thread count, and a block of output rows computed in
+//!    several calls to one call, because each element is one chain
+//!    anchored at absolute row and column origins.
 
 #![cfg(test)]
 
@@ -62,34 +62,34 @@ proptest! {
         let b = salted(k, n, salt ^ 0x11);
         let mut serial = salted(m, n, salt ^ 0x22);
         let mut pooled = serial.clone();
-        a.matmul_accumulate(&b, &mut serial, 0.75);
+        a.matmul_accumulate_pooled(&b, &mut serial, 0.75, &Pool::serial());
         a.matmul_accumulate_pooled(&b, &mut pooled, 0.75, &pool);
         for (i, (s, p)) in serial.as_slice().iter().zip(pooled.as_slice()).enumerate() {
             prop_assert!(
                 s.to_bits() == p.to_bits(),
-                "matmul_accumulate {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
+                "matmul_accumulate_pooled {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
             );
         }
         let g = salted(m, n, salt ^ 0x33);
         let mut serial_t = salted(k, n, salt ^ 0x44);
         let mut pooled_t = serial_t.clone();
-        a.matmul_at_b_accumulate(&g, &mut serial_t, -0.5);
+        a.matmul_at_b_accumulate_pooled(&g, &mut serial_t, -0.5, &Pool::serial());
         a.matmul_at_b_accumulate_pooled(&g, &mut pooled_t, -0.5, &pool);
         for (i, (s, p)) in serial_t.as_slice().iter().zip(pooled_t.as_slice()).enumerate() {
             prop_assert!(
                 s.to_bits() == p.to_bits(),
-                "matmul_at_b {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
+                "matmul_at_b_accumulate_pooled {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
             );
         }
         let bt = salted(n, k, salt ^ 0x55);
         let mut serial_bt = Matrix::zeros(m, n);
         let mut pooled_bt = Matrix::zeros(m, n);
-        a.matmul_a_bt_into(&bt, &mut serial_bt);
+        a.matmul_a_bt_into_pooled(&bt, &mut serial_bt, &Pool::serial());
         a.matmul_a_bt_into_pooled(&bt, &mut pooled_bt, &pool);
         for (i, (s, p)) in serial_bt.as_slice().iter().zip(pooled_bt.as_slice()).enumerate() {
             prop_assert!(
                 s.to_bits() == p.to_bits(),
-                "matmul_a_bt {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
+                "matmul_a_bt_into_pooled {m}x{k}x{n} t={threads} not bitwise at {i}: {s} vs {p}"
             );
         }
     }
@@ -112,8 +112,8 @@ proptest! {
         let mut want = seed.clone();
         reference::matmul_accumulate(&a, &b, &mut want, alpha);
         let mut dispatched = seed.clone();
-        a.matmul_accumulate(&b, &mut dispatched, alpha);
-        let what = format!("matmul_accumulate {m}x{k}x{n} alpha={alpha}");
+        a.matmul_accumulate_pooled(&b, &mut dispatched, alpha, &Pool::serial());
+        let what = format!("matmul_accumulate_pooled {m}x{k}x{n} alpha={alpha}");
         assert_bits(dispatched.as_slice(), want.as_slice(), &what);
         for t in tiles() {
             let mut got = seed.as_slice().to_vec();
@@ -141,8 +141,8 @@ proptest! {
         let mut want = seed.clone();
         reference::matmul_at_b_accumulate(&a, &g, &mut want, alpha);
         let mut dispatched = seed.clone();
-        a.matmul_at_b_accumulate(&g, &mut dispatched, alpha);
-        let what = format!("matmul_at_b_accumulate {m}x{k}x{n} alpha={alpha}");
+        a.matmul_at_b_accumulate_pooled(&g, &mut dispatched, alpha, &Pool::serial());
+        let what = format!("matmul_at_b_accumulate_pooled {m}x{k}x{n} alpha={alpha}");
         assert_bits(dispatched.as_slice(), want.as_slice(), &what);
         for t in tiles() {
             let mut got = seed.as_slice().to_vec();
@@ -168,8 +168,8 @@ proptest! {
         let mut want = Matrix::zeros(m, n);
         reference::matmul_a_bt_into(&a, &b, &mut want);
         let mut dispatched = Matrix::filled(m, n, f32::NAN);
-        a.matmul_a_bt_into(&b, &mut dispatched);
-        let what = format!("matmul_a_bt_into {m}x{k}x{n}");
+        a.matmul_a_bt_into_pooled(&b, &mut dispatched, &Pool::serial());
+        let what = format!("matmul_a_bt_into_pooled {m}x{k}x{n}");
         assert_bits(dispatched.as_slice(), want.as_slice(), &what);
         for t in tiles() {
             let mut got = vec![f32::NAN; m * n];

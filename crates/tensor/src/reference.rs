@@ -131,11 +131,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn reference_matmul_matches_allocating_matmul() {
+    fn reference_matmul_matches_dispatched_matmul() {
         let mut rng = StdRng::seed_from_u64(11);
         let a = init::uniform(&mut rng, 7, 5, -1.0, 1.0);
         let b = init::uniform(&mut rng, 5, 9, -1.0, 1.0);
-        let expected = a.matmul(&b);
+        let mut expected = Matrix::zeros(7, 9);
+        a.matmul_into_pooled(&b, &mut expected, &crate::Pool::serial());
         let mut out = Matrix::zeros(7, 9);
         matmul_accumulate(&a, &b, &mut out, 1.0);
         for (x, y) in out.as_slice().iter().zip(expected.as_slice()) {

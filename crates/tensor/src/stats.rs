@@ -17,11 +17,6 @@ pub fn sample_variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn sample_std(xs: &[f64]) -> f64 {
-    sample_variance(xs).sqrt()
-}
-
 /// Minimum and maximum of a slice.
 ///
 /// # Panics

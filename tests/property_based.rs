@@ -16,6 +16,20 @@ fn salted_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
     })
 }
 
+/// `a * b` on `pool`, into a fresh output.
+fn product(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    a.matmul_into_pooled(b, &mut out, pool);
+    out
+}
+
+/// `a^T * g` on `pool`, into a fresh output.
+fn product_at_b(a: &Matrix, g: &Matrix, pool: &Pool) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), g.cols());
+    a.matmul_at_b_accumulate_pooled(g, &mut out, 1.0, pool);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -28,8 +42,9 @@ proptest! {
         let ma = Matrix::from_vec(2, 3, a);
         let mb = Matrix::from_vec(3, 2, b);
         let mc = Matrix::from_vec(2, 3, c);
-        let left = ma.matmul(&mb).matmul(&mc);
-        let right = ma.matmul(&mb.matmul(&mc));
+        let serial = Pool::serial();
+        let left = product(&product(&ma, &mb, &serial), &mc, &serial);
+        let right = product(&ma, &product(&mb, &mc, &serial), &serial);
         for (l, r) in left.as_slice().iter().zip(right.as_slice()) {
             prop_assert!((l - r).abs() < 1e-3, "{l} vs {r}");
         }
@@ -118,8 +133,8 @@ proptest! {
         let a = salted_matrix(m, k, salt);
         let b = salted_matrix(k, n, salt.wrapping_add(1));
         let pool = Pool::new(threads);
-        let serial = a.matmul(&b);
-        let pooled = a.matmul_pooled(&b, &pool);
+        let serial = product(&a, &b, &Pool::serial());
+        let pooled = product(&a, &b, &pool);
         prop_assert_eq!(serial.shape(), pooled.shape());
         for (s, p) in serial.as_slice().iter().zip(pooled.as_slice()) {
             prop_assert_eq!(s.to_bits(), p.to_bits(), "{} vs {}", s, p);
@@ -137,8 +152,8 @@ proptest! {
         let a = salted_matrix(rows, m, salt);
         let g = salted_matrix(rows, n, salt.wrapping_add(2));
         let pool = Pool::new(threads);
-        let serial = a.matmul_at_b(&g);
-        let pooled = a.matmul_at_b_pooled(&g, &pool);
+        let serial = product_at_b(&a, &g, &Pool::serial());
+        let pooled = product_at_b(&a, &g, &pool);
         prop_assert_eq!(serial.shape(), pooled.shape());
         for (s, p) in serial.as_slice().iter().zip(pooled.as_slice()) {
             prop_assert_eq!(s.to_bits(), p.to_bits(), "{} vs {}", s, p);

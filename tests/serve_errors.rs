@@ -149,6 +149,22 @@ fn hashed_store_over_an_empty_key_space_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn pair_block_past_the_cross_id_space_is_a_corrupt_artifact() {
+    // A pair block at offset u32::MAX - 1 wraps `offset + size`; decode
+    // must reject it rather than hand the scorer a block it cannot check
+    // ids against.
+    let bundle = bundle();
+    let mut frozen = frozen_for(&bundle, StoreKind::Dense, StoreKind::Dense);
+    assert!(frozen.dims.pair_vocab_sizes[0] >= 2);
+    frozen.dims.pair_offsets[0] = u32::MAX - 1;
+    match FrozenModel::from_bytes(&frozen.to_bytes()) {
+        Err(ArtifactError::Corrupt(why)) => assert!(why.contains("pair 0"), "{why}"),
+        Err(other) => panic!("expected a corrupt-artifact error, got {other}"),
+        Ok(_) => panic!("a pair block past u32::MAX decoded"),
+    }
+}
+
+#[test]
 fn missing_cross_and_bad_arity_are_typed_errors() {
     let bundle = bundle();
     let mut scorer = scorer_for(&bundle, StoreKind::Dense, StoreKind::Dense);
@@ -179,7 +195,9 @@ fn missing_cross_and_bad_arity_are_typed_errors() {
     let mut batch = Batch::empty();
     batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
     batch.push_row(bundle.data.row_fields(0), bundle.data.row_cross(0), 0.0);
-    batch.fields.extend_from_slice(&bundle.data.row_fields(1)[..2]);
+    batch
+        .fields
+        .extend_from_slice(&bundle.data.row_fields(1)[..2]);
     assert_eq!(
         scorer.score_into(&batch, &mut probs),
         Err(ScoreError::FieldCountMismatch {
