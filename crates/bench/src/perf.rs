@@ -332,10 +332,10 @@ fn bench_embedding(quick: bool) -> Vec<EmbeddingRow> {
         ((r * 31 + c) as f32 * 0.01).sin()
     });
     let mut rows = Vec::new();
+    let mut out = Matrix::zeros(0, 0);
     let lookup_ns = time_ns(samples, || {
-        let mut out = Matrix::zeros(0, 0);
         table.lookup_fields_pooled_into(&ids, fields, &Pool::serial(), &mut out);
-        std::hint::black_box(out);
+        std::hint::black_box(out.as_slice());
     });
     rows.push(EmbeddingRow {
         op: "lookup_fields".to_string(),

@@ -2,6 +2,7 @@
 //! normalisation (paper Eqs. 9–11).
 
 use crate::param::Parameter;
+use optinter_tensor::ops::{Lanes, LANES};
 use optinter_tensor::{init, Matrix, Pool};
 use rand::Rng;
 
@@ -125,6 +126,11 @@ impl Relu {
 
 /// Layer normalisation over the feature dimension (paper Eq. 11):
 /// `LN(z) = gamma * (z - E[z]) / sqrt(Var[z] + eps) + beta`, per row.
+///
+/// Rows run in blocks of [`LANES`]: each block's row statistics are eight
+/// chains side by side in [`optinter_tensor::ops`], one row per lane, each with its row's
+/// seed and column order, and the element passes are zipped slice loops.
+/// A partial last block runs the same code with its spare lanes ignored.
 pub struct LayerNorm {
     /// Scale vector gamma, shape `[1, dim]`, initialised to 1.
     pub gamma: Parameter,
@@ -133,6 +139,10 @@ pub struct LayerNorm {
     eps: f32,
     cached_xhat: Option<Matrix>,
     cached_inv_std: Vec<f32>,
+    /// Column-major copy of one block for the lane reductions: `dim`
+    /// entries forward and `2 * dim` backward, grown once by the first
+    /// forward.
+    lanes: Vec<Lanes>,
 }
 
 impl LayerNorm {
@@ -144,6 +154,7 @@ impl LayerNorm {
             eps,
             cached_xhat: None,
             cached_inv_std: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -164,25 +175,44 @@ impl LayerNorm {
     pub fn forward_into(&mut self, x: &Matrix, y: &mut Matrix) {
         // lint: allow(panic-free, reason="input width is pinned at FrozenScorer construction: weights and workspace are sized from the same artifact dims")
         assert_eq!(x.cols(), self.dim(), "LayerNorm: dim mismatch");
-        let n = x.cols();
+        let (rows, n) = x.shape();
         let xhat = self.cached_xhat.get_or_insert_with(|| Matrix::zeros(0, 0));
-        xhat.reset(x.rows(), n);
-        self.cached_inv_std.clear();
-        self.cached_inv_std.reserve(x.rows());
-        y.reset(x.rows(), n);
+        xhat.reshape_for_overwrite(rows, n);
+        y.reshape_for_overwrite(rows, n);
+        self.cached_inv_std.resize(rows, 0.0);
+        if n == 0 {
+            return;
+        }
+        self.lanes.resize(2 * n, [0.0; LANES]);
         let gamma = self.gamma.value.row(0);
         let beta = self.beta.value.row(0);
-        for r in 0..x.rows() {
-            let (mean, var) = optinter_tensor::ops::row_mean_var(x.row(r));
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            self.cached_inv_std.push(inv_std);
-            let xh_row = xhat.row_mut(r);
-            for (c, &v) in x.row(r).iter().enumerate() {
-                xh_row[c] = (v - mean) * inv_std;
-            }
-            let y_row = y.row_mut(r);
-            for c in 0..n {
-                y_row[c] = gamma[c] * xh_row[c] + beta[c];
+        let block = LANES * n;
+        for (((x_b, xh_b), y_b), inv_b) in x
+            .as_slice()
+            .chunks(block)
+            .zip(xhat.as_mut_slice().chunks_mut(block))
+            .zip(y.as_mut_slice().chunks_mut(block))
+            .zip(self.cached_inv_std.chunks_mut(LANES))
+        {
+            let (means, vars) = optinter_tensor::ops::block_mean_var(x_b, n, &mut self.lanes);
+            let inv_stds = vars.map(|v| 1.0 / (v + self.eps).sqrt());
+            for ((((x_row, xh_row), y_row), inv_out), (&mean, &inv_std)) in x_b
+                .chunks_exact(n)
+                .zip(xh_b.chunks_exact_mut(n))
+                .zip(y_b.chunks_exact_mut(n))
+                .zip(inv_b.iter_mut())
+                .zip(means.iter().zip(&inv_stds))
+            {
+                *inv_out = inv_std;
+                for (((xh, y), &v), (&g, &b)) in xh_row
+                    .iter_mut()
+                    .zip(y_row.iter_mut())
+                    .zip(x_row)
+                    .zip(gamma.iter().zip(beta))
+                {
+                    *xh = (v - mean) * inv_std;
+                    *y = g * *xh + b;
+                }
             }
         }
     }
@@ -199,34 +229,47 @@ impl LayerNorm {
             xhat.shape(),
             "LayerNorm: grad shape mismatch"
         );
-        let n = xhat.cols();
+        let (rows, n) = xhat.shape();
+        dx.reshape_for_overwrite(rows, n);
+        if n == 0 {
+            return;
+        }
         let n_f = n as f32;
         let gamma = self.gamma.value.row(0);
         let dgamma = self.gamma.grad.row_mut(0);
         let dbeta = self.beta.grad.row_mut(0);
-        dx.reset(xhat.rows(), n);
-        for r in 0..xhat.rows() {
-            let g = grad_out.row(r);
-            let xh = xhat.row(r);
-            let inv_std = self.cached_inv_std[r];
-            // Parameter grads.
-            for c in 0..n {
-                dgamma[c] += g[c] * xh[c];
-                dbeta[c] += g[c];
-            }
-            // dxhat = g * gamma; dx via the standard LN backward:
-            // dx = (inv_std / n) * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-            let mut sum_dxhat = 0.0f32;
-            let mut sum_dxhat_xhat = 0.0f32;
-            for c in 0..n {
-                let dxh = g[c] * gamma[c];
-                sum_dxhat += dxh;
-                sum_dxhat_xhat += dxh * xh[c];
-            }
-            let dx_row = dx.row_mut(r);
-            for c in 0..n {
-                let dxh = g[c] * gamma[c];
-                dx_row[c] = inv_std / n_f * (n_f * dxh - sum_dxhat - xh[c] * sum_dxhat_xhat);
+        let block = LANES * n;
+        for (((g_b, xh_b), dx_b), inv_b) in grad_out
+            .as_slice()
+            .chunks(block)
+            .zip(xhat.as_slice().chunks(block))
+            .zip(dx.as_mut_slice().chunks_mut(block))
+            .zip(self.cached_inv_std.chunks(LANES))
+        {
+            let (sums_dxhat, sums_dxhat_xhat) =
+                optinter_tensor::ops::block_norm_grad_sums(g_b, xh_b, gamma, &mut self.lanes);
+            for ((((g, xh), dx_row), &inv_std), (&s1, &s2)) in g_b
+                .chunks_exact(n)
+                .zip(xh_b.chunks_exact(n))
+                .zip(dx_b.chunks_exact_mut(n))
+                .zip(inv_b)
+                .zip(sums_dxhat.iter().zip(&sums_dxhat_xhat))
+            {
+                // Parameter grads, accumulated in row order per column.
+                for ((dg, db), (&gv, &xv)) in dgamma
+                    .iter_mut()
+                    .zip(dbeta.iter_mut())
+                    .zip(g.iter().zip(xh))
+                {
+                    *dg += gv * xv;
+                    *db += gv;
+                }
+                // dxhat = g * gamma; dx via the standard LN backward:
+                // dx = (inv_std / n) * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
+                for ((d, &gv), (&xv, &gm)) in dx_row.iter_mut().zip(g).zip(xh.iter().zip(gamma)) {
+                    let dxh = gv * gm;
+                    *d = inv_std / n_f * (n_f * dxh - s1 - xv * s2);
+                }
             }
         }
     }
@@ -306,6 +349,163 @@ mod tests {
         // xhat = [-1, 1] -> y = [-1, 3]
         assert!((y.get(0, 0) + 1.0).abs() < 1e-4);
         assert!((y.get(0, 1) - 3.0).abs() < 1e-4);
+    }
+
+    /// The per-row LayerNorm forward the block path replaced, kept as its
+    /// bit oracle: one row at a time through `row_mean_var`. Returns `y`,
+    /// `x̂` and the per-row `1 / sqrt(var + eps)`.
+    fn reference_forward(
+        x: &Matrix,
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+    ) -> (Matrix, Matrix, Vec<f32>) {
+        let n = x.cols();
+        let mut y = Matrix::zeros(x.rows(), n);
+        let mut xhat = Matrix::zeros(x.rows(), n);
+        let mut inv_stds = Vec::new();
+        for r in 0..x.rows() {
+            let (mean, var) = optinter_tensor::ops::row_mean_var(x.row(r));
+            let inv_std = 1.0 / (var + eps).sqrt();
+            inv_stds.push(inv_std);
+            let xh_row = xhat.row_mut(r);
+            for (c, &v) in x.row(r).iter().enumerate() {
+                xh_row[c] = (v - mean) * inv_std;
+            }
+            let y_row = y.row_mut(r);
+            for c in 0..n {
+                y_row[c] = gamma[c] * xh_row[c] + beta[c];
+            }
+        }
+        (y, xhat, inv_stds)
+    }
+
+    /// The per-row LayerNorm backward the block path replaced: accumulates
+    /// into `dgamma`/`dbeta` and returns `dx`.
+    fn reference_backward(
+        g: &Matrix,
+        xhat: &Matrix,
+        inv_stds: &[f32],
+        gamma: &[f32],
+        dgamma: &mut [f32],
+        dbeta: &mut [f32],
+    ) -> Matrix {
+        let n = xhat.cols();
+        let n_f = n as f32;
+        let mut dx = Matrix::zeros(xhat.rows(), n);
+        for (r, &inv_std) in inv_stds.iter().enumerate() {
+            let (g, xh) = (g.row(r), xhat.row(r));
+            for c in 0..n {
+                dgamma[c] += g[c] * xh[c];
+                dbeta[c] += g[c];
+            }
+            let mut sum_dxhat = 0.0f32;
+            let mut sum_dxhat_xhat = 0.0f32;
+            for c in 0..n {
+                let dxh = g[c] * gamma[c];
+                sum_dxhat += dxh;
+                sum_dxhat_xhat += dxh * xh[c];
+            }
+            let dx_row = dx.row_mut(r);
+            for c in 0..n {
+                let dxh = g[c] * gamma[c];
+                dx_row[c] = inv_std / n_f * (n_f * dxh - sum_dxhat - xh[c] * sum_dxhat_xhat);
+            }
+        }
+        dx
+    }
+
+    fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} at {i}: {a} vs {b}");
+        }
+    }
+
+    /// Runs `ln` forward then backward and holds `y`, `dx`, `dgamma` and
+    /// `dbeta` to the per-row reference bit for bit. The outputs start as
+    /// NaN, so an element the layer fails to write shows.
+    fn assert_matches_reference(ln: &mut LayerNorm, x: &Matrix, g: &Matrix, what: &str) {
+        let gamma = ln.gamma.value.row(0).to_vec();
+        let beta = ln.beta.value.row(0).to_vec();
+        let (want_y, want_xhat, inv_stds) = reference_forward(x, &gamma, &beta, ln.eps);
+        let mut want_dgamma = ln.gamma.grad.row(0).to_vec();
+        let mut want_dbeta = ln.beta.grad.row(0).to_vec();
+        let want_dx = reference_backward(
+            g,
+            &want_xhat,
+            &inv_stds,
+            &gamma,
+            &mut want_dgamma,
+            &mut want_dbeta,
+        );
+        let mut y = Matrix::filled(x.rows(), x.cols(), f32::NAN);
+        let mut dx = Matrix::filled(x.rows(), x.cols(), f32::NAN);
+        ln.forward_into(x, &mut y);
+        ln.backward_into(g, &mut dx);
+        assert_bits(&format!("{what}: y"), y.as_slice(), want_y.as_slice());
+        assert_bits(&format!("{what}: dx"), dx.as_slice(), want_dx.as_slice());
+        assert_bits(
+            &format!("{what}: dgamma"),
+            ln.gamma.grad.as_slice(),
+            &want_dgamma,
+        );
+        assert_bits(
+            &format!("{what}: dbeta"),
+            ln.beta.grad.as_slice(),
+            &want_dbeta,
+        );
+    }
+
+    #[test]
+    fn layernorm_bits_match_per_row_reference_on_grid() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for n in [1, 2, 7, 8, 32, 64, 65] {
+            let mut ln = LayerNorm::new(n, 1e-5);
+            ln.gamma.value = init::uniform(&mut rng, 1, n, 0.5, 1.5);
+            ln.beta.value = init::uniform(&mut rng, 1, n, -0.5, 0.5);
+            ln.gamma.grad = init::uniform(&mut rng, 1, n, -1.0, 1.0);
+            ln.beta.grad = init::uniform(&mut rng, 1, n, -1.0, 1.0);
+            // One layer for every batch size, largest first, so partial
+            // blocks run over lanes and buffers left by earlier batches.
+            for rows in [129, 1, 7, 8, 9, 15, 16, 17, 128] {
+                let x = init::uniform(&mut rng, rows, n, -3.0, 3.0);
+                let g = init::uniform(&mut rng, rows, n, -1.0, 1.0);
+                assert_matches_reference(&mut ln, &x, &g, &format!("{rows} x {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn layernorm_bits_match_per_row_reference_on_edge_rows() {
+        for n in [1, 2, 8, 9] {
+            let mut ln = LayerNorm::new(n, 1e-5);
+            // With beta = -0.0, an all -0.0 row gives y = +0.0 only when the
+            // mean's fold starts from -0.0, as `Sum for f32` does.
+            ln.beta.value = Matrix::filled(1, n, -0.0);
+            let edge = |r: usize, c: usize| match r {
+                0 => -0.0,
+                1 => 3.5,
+                2 if c == 0 => f32::INFINITY,
+                3 if c == n - 1 => f32::NEG_INFINITY,
+                4 if c == n / 2 => f32::NAN,
+                _ => (r * 7 + c * 3) as f32 * 0.25 - 2.0,
+            };
+            // Eleven rows: one full block with every edge row, then three
+            // ordinary rows in a partial one.
+            let x = Matrix::from_fn(11, n, edge);
+            let g = Matrix::from_fn(11, n, |r, c| ((r + 2 * c) % 5) as f32 - 2.0);
+            assert_matches_reference(&mut ln, &x, &g, &format!("edge rows x {n}"));
+        }
+    }
+
+    #[test]
+    fn layernorm_bits_width_zero_is_empty_not_a_panic() {
+        let mut ln = LayerNorm::new(0, 1e-5);
+        let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        ln.forward_into(&Matrix::zeros(5, 0), &mut y);
+        ln.backward_into(&Matrix::zeros(5, 0), &mut dx);
+        assert_eq!((y.shape(), dx.shape()), ((5, 0), (5, 0)));
     }
 
     #[test]

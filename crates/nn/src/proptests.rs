@@ -42,25 +42,41 @@ proptest! {
     }
 
     #[test]
-    fn layernorm_input_gradient_matches_fd(
+    fn layernorm_gradients_match_fd(
         seed in 0u64..1000,
-        batch in 1usize..3,
+        batch in 1usize..20,
         dim in 2usize..6,
     ) {
+        // Up to 19 rows: two full eight-row blocks and a partial one.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = LayerNorm::new(dim, 1e-2);
+        layer.gamma.value = optinter_tensor::init::uniform(&mut rng, 1, dim, 0.5, 1.5);
+        layer.beta.value = optinter_tensor::init::uniform(&mut rng, 1, dim, -0.5, 0.5);
         // Weighted-sum objective to exercise off-diagonal terms.
         let weights = optinter_tensor::init::uniform(&mut rng, batch, dim, -1.0, 1.0);
         let x = optinter_tensor::init::uniform(&mut rng, batch, dim, -1.0, 1.0);
         let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         layer.forward_into(&x, &mut y);
-        let dy = weights.clone();
-        layer.backward_into(&dy, &mut dx);
-        let report = check_grad_matrix(&x, &dx, 1e-3, |xp| {
-            layer.forward_into(xp, &mut y);
+        layer.backward_into(&weights, &mut dx);
+        let (dgamma, dbeta) = (layer.gamma.grad.clone(), layer.beta.grad.clone());
+        let (gamma, beta) = (layer.gamma.value.clone(), layer.beta.value.clone());
+        let mut objective = |layer: &mut LayerNorm, x: &Matrix| {
+            layer.forward_into(x, &mut y);
             y.hadamard(&weights).sum()
+        };
+        let report = check_grad_matrix(&x, &dx, 1e-3, |xp| objective(&mut layer, xp));
+        prop_assert!(report.passes(3e-2), "dx: {report:?}");
+        let report = check_grad_matrix(&gamma, &dgamma, 1e-3, |gp| {
+            layer.gamma.value = gp.clone();
+            objective(&mut layer, &x)
         });
-        prop_assert!(report.passes(3e-2), "{report:?}");
+        prop_assert!(report.passes(3e-2), "dgamma: {report:?}");
+        layer.gamma.value = gamma;
+        let report = check_grad_matrix(&beta, &dbeta, 1e-3, |bp| {
+            layer.beta.value = bp.clone();
+            objective(&mut layer, &x)
+        });
+        prop_assert!(report.passes(3e-2), "dbeta: {report:?}");
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Row-wise tensor operations: softmax, log-softmax, and reductions used by
 //! the Gumbel-softmax combination block and by layer normalisation.
+//!
+//! Layer normalisation's row statistics run eight rows at a time, one row
+//! per vector lane ([`block_mean_var`], [`block_norm_grad_sums`]). The loop
+//! order is free but each row's chain is not: a lane runs exactly the
+//! chain of its row (seed, column order, division), so the results equal
+//! the one-row oracle [`row_mean_var`] bit for bit.
 
 use crate::Matrix;
 
@@ -86,7 +92,10 @@ pub fn argmax(x: &[f32]) -> usize {
     best
 }
 
-/// Row-wise mean and (biased) variance, as used by layer normalisation.
+/// Mean and (biased) variance of one row: the one-row oracle of
+/// [`block_mean_var`]. Each statistic is one add chain over ascending
+/// columns seeded with `Sum for f32`'s −0.0, divided by the width; an empty
+/// row gives `(0, 0)`.
 pub fn row_mean_var(row: &[f32]) -> (f32, f32) {
     let n = row.len() as f32;
     if row.is_empty() {
@@ -95,6 +104,93 @@ pub fn row_mean_var(row: &[f32]) -> (f32, f32) {
     let mean = row.iter().sum::<f32>() / n;
     let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
     (mean, var)
+}
+
+/// Rows the block reductions run side by side, one row per lane: one
+/// 256-bit vector of `f32` under the workspace's `x86-64-v3` target.
+pub const LANES: usize = 8;
+
+/// One `f32` per lane: a statistic of each row of a block, or one column
+/// of a block copied column-major.
+pub type Lanes = [f32; LANES];
+
+/// [`row_mean_var`] of every row of `block`, up to [`LANES`] rows of width
+/// `n` stored row-major, eight chains at a time: lane `l` of each result
+/// is row `l`'s statistic with the oracle's bits, because the lane runs
+/// exactly the row's chain (seed, order, division). Lanes past the block's
+/// rows hold leftovers for the caller to ignore, so a partial block runs
+/// the same code as a full one.
+///
+/// `lanes` is scratch of at least `n` entries: the block is copied into it
+/// column-major (`lanes[c][l]` is row `l`, column `c`), so each step of
+/// the eight chains is one vector add over contiguous memory.
+pub fn block_mean_var(block: &[f32], n: usize, lanes: &mut [Lanes]) -> (Lanes, Lanes) {
+    if n == 0 {
+        return ([0.0; LANES], [0.0; LANES]);
+    }
+    let lanes = to_lanes(block, &mut lanes[..n]);
+    let n_f = n as f32;
+    let mut sum = [-0.0f32; LANES];
+    for col in lanes.iter() {
+        for (s, &v) in sum.iter_mut().zip(col) {
+            *s += v;
+        }
+    }
+    let mean = sum.map(|s| s / n_f);
+    let mut sq = [-0.0f32; LANES];
+    for col in lanes.iter() {
+        for ((s, &v), &m) in sq.iter_mut().zip(col).zip(&mean) {
+            *s += (v - m) * (v - m);
+        }
+    }
+    (mean, sq.map(|s| s / n_f))
+}
+
+/// The two row sums of the layer-norm input gradient, for every row of a
+/// block laid out as in [`block_mean_var`] with width `gamma.len()`: lane
+/// `l` holds `Σ_c g·γ` and `Σ_c (g·γ)·x̂` over row `l`, each one add chain
+/// from +0.0 over ascending columns. `lanes` is scratch of at least twice
+/// the width (`g` and `x̂` column-major, side by side).
+pub fn block_norm_grad_sums(
+    g: &[f32],
+    xhat: &[f32],
+    gamma: &[f32],
+    lanes: &mut [Lanes],
+) -> (Lanes, Lanes) {
+    let n = gamma.len();
+    let mut sum_dxhat = [0.0f32; LANES];
+    let mut sum_dxhat_xhat = [0.0f32; LANES];
+    if n == 0 {
+        return (sum_dxhat, sum_dxhat_xhat);
+    }
+    let (g_lanes, xh_lanes) = lanes[..2 * n].split_at_mut(n);
+    let g_lanes = to_lanes(g, g_lanes);
+    let xh_lanes = to_lanes(xhat, xh_lanes);
+    for ((g_col, xh_col), &gm) in g_lanes.iter().zip(xh_lanes.iter()).zip(gamma) {
+        for (((s1, s2), &gv), &xh) in sum_dxhat
+            .iter_mut()
+            .zip(sum_dxhat_xhat.iter_mut())
+            .zip(g_col)
+            .zip(xh_col)
+        {
+            let dxh = gv * gm;
+            *s1 += dxh;
+            *s2 += dxh * xh;
+        }
+    }
+    (sum_dxhat, sum_dxhat_xhat)
+}
+
+/// Copies the rows of `block` (width `lanes.len()`, at most [`LANES`] of
+/// them) into `lanes` column-major and returns it; lanes past the block's
+/// rows keep their old values. The width must be non-zero.
+fn to_lanes<'a>(block: &[f32], lanes: &'a mut [Lanes]) -> &'a [Lanes] {
+    for (row, l) in block.chunks_exact(lanes.len()).zip(0..LANES) {
+        for (col, &v) in lanes.iter_mut().zip(row) {
+            col[l] = v;
+        }
+    }
+    lanes
 }
 
 #[cfg(test)]
