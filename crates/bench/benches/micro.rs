@@ -95,30 +95,6 @@ fn bench_embedding(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    // Arena-path accumulation in isolation (no optimizer): the flat-slab
-    // gradient store is the whole point, so time it serial and pooled.
-    let mut group = c.benchmark_group("embedding_accumulate_grad");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(3));
-    let mut table = EmbeddingTable::new(&mut rng, table_size, dim);
-    group.bench_function("serial_128x12x16", |b| {
-        b.iter(|| {
-            table.accumulate_grad_fields_pooled(&ids, fields, &grad, &serial);
-            table.clear_grads();
-        });
-    });
-    for threads in [2usize, 4] {
-        let pool = Pool::new(threads);
-        group.bench_function(format!("pooled_128x12x16_t{threads}"), |b| {
-            b.iter(|| {
-                table.accumulate_grad_fields_pooled(&ids, fields, &grad, &pool);
-                table.clear_grads();
-            });
-        });
-    }
-    group.finish();
 }
 
 fn bench_gumbel_and_auc(c: &mut Criterion) {

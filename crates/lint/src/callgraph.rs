@@ -37,7 +37,7 @@
 //! fuzzed decode) backstop these gaps.
 
 use crate::lexer::{Tok, Token};
-use crate::parser::Tree;
+use crate::parser::{body_open, Tree};
 use crate::rules::FileMeta;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -550,19 +550,11 @@ fn read_type_path(
     (last, None)
 }
 
-/// The block opened by the first `{` at or after code index `from`.
+/// The body block of the item whose header runs from code index `from`
+/// (see [`body_open`]).
 fn body_block(tokens: &[Token], code: &[usize], tree: &Tree, from: usize) -> Option<usize> {
-    let n = code.len();
     let tok = |ci: usize| &tokens[code[ci]].tok;
-    let mut j = from;
-    while j < n {
-        match tok(j) {
-            Tok::Punct('{') => return tree.block_at_open(code[j]),
-            Tok::Punct(';') => return None,
-            _ => j += 1,
-        }
-    }
-    None
+    body_open(tok, from, code.len()).and_then(|j| tree.block_at_open(code[j]))
 }
 
 /// The `impl`/`trait` container of the innermost enclosing block of raw

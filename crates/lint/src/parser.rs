@@ -10,8 +10,10 @@
 //!   over-approximating "block" is fine and keeps the parser trivial);
 //! - a list of **`fn` items** with their name, attributes, visibility and
 //!   body block, recognised the same way `fn_spans` in `rules.rs` does
-//!   (`fn` + identifier; the first `{` before a `;` opens the body, since
-//!   where-clauses cannot contain `{`).
+//!   (`fn` + identifier; [`body_open`] finds the body: the first `{`
+//!   outside brackets, unless a `;` outside brackets ends the signature
+//!   first; where-clauses cannot contain `{`, and bracket depth skips the
+//!   `;` of an array type such as `[u8; N]`).
 //!
 //! The parser is deliberately *lossless*: [`Tree::flatten`] walks the tree
 //! and re-emits every raw token index in order. The proptest in
@@ -183,19 +185,7 @@ impl Tree {
                 continue;
             };
             let name = name.clone();
-            // First `{` before a `;` opens the body.
-            let mut j = ci + 1;
-            let mut body = None;
-            while j < n {
-                match tok(j) {
-                    Tok::Punct('{') => {
-                        body = self.block_at_open(code[j]);
-                        break;
-                    }
-                    Tok::Punct(';') => break,
-                    _ => j += 1,
-                }
-            }
+            let body = body_open(tok, ci + 1, n).and_then(|j| self.block_at_open(code[j]));
             let (attrs, is_test, is_pub) = Self::signature_head(tokens, &code, ci);
             self.fns.push(FnItem {
                 name,
@@ -308,6 +298,29 @@ impl Tree {
     }
 }
 
+/// Code index of the `{` that opens the body of an item (`fn`, `impl`,
+/// `trait`) whose header runs from code index `from`, or `None` when a `;`
+/// ends the header first (a bodiless declaration). Only tokens outside
+/// `(...)` and `[...]` count, so neither the `;` of an array type
+/// (`[u8; N]`, `[[f32; L]; R]`) nor a `{` in its length ends the header.
+pub(crate) fn body_open<'t>(
+    tok: impl Fn(usize) -> &'t Tok,
+    from: usize,
+    n: usize,
+) -> Option<usize> {
+    let mut depth = 0usize;
+    for j in from..n {
+        match tok(j) {
+            Tok::Punct('(' | '[') => depth += 1,
+            Tok::Punct(')' | ']') => depth = depth.saturating_sub(1),
+            Tok::Punct('{') if depth == 0 => return Some(j),
+            Tok::Punct(';') if depth == 0 => return None,
+            _ => {}
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +385,35 @@ mod tests {
         assert!(!tree.fns[1].is_pub);
         assert!(tree.fns[2].body.is_none(), "trait decl has no body");
         assert!(tree.fns[3].is_test);
+    }
+
+    #[test]
+    fn array_types_in_a_signature_keep_the_body() {
+        let src = r#"
+            fn le_bytes(b: &[u8]) -> [u8; 4] { [b[0], b[1], b[2], b[3]] }
+            fn store(acc: &[[f32; 4]; 2], out: &mut [f32]) where f32: Copy { out[0] = acc[0][0]; }
+            fn sized(x: [u8; { 2 + 2 }]) -> u8 { x[0] }
+            trait T { fn raw(&self) -> [u8; 4]; fn next(&self) {} }
+        "#;
+        let tree = parse(src);
+        let bodies: Vec<(&str, bool)> = tree
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.body.is_some()))
+            .collect();
+        assert_eq!(
+            bodies,
+            vec![
+                ("le_bytes", true),
+                ("store", true),
+                ("sized", true),
+                ("raw", false),
+                ("next", true)
+            ]
+        );
+        // Blocks in opening order: le_bytes, store, the length `{ 2 + 2 }`,
+        // then sized's own body.
+        assert_eq!(tree.fns[2].body, Some(3), "the length's block is no body");
     }
 
     #[test]

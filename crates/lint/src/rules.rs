@@ -33,7 +33,7 @@
 //! a reason is itself an error — the reason is the audit trail.
 
 use crate::lexer::{Tok, Token};
-use crate::parser::Tree;
+use crate::parser::{body_open, Tree};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -646,9 +646,9 @@ fn collect_allows(meta: &FileMeta, tokens: &[Token]) -> Allows {
     }
 }
 
-/// Code-index ranges (inclusive, in `code` space) of every `fn` body.
-/// Where-clauses cannot contain `{`, so the first brace after the `fn`
-/// keyword opens the body; a `;` first means a bodiless declaration.
+/// Code-index ranges (inclusive, in `code` space) of every `fn` body,
+/// found by [`body_open`]; a signature without one is a bodiless
+/// declaration.
 fn fn_spans(tokens: &[Token], code: &[usize]) -> Vec<(usize, usize)> {
     let n = code.len();
     let tok = |ci: usize| &tokens[code[ci]].tok;
@@ -662,19 +662,9 @@ fn fn_spans(tokens: &[Token], code: &[usize]) -> Vec<(usize, usize)> {
         if ci + 1 >= n || !matches!(tok(ci + 1), Tok::Ident(_)) {
             continue;
         }
-        let mut j = ci + 1;
-        let mut open = None;
-        while j < n {
-            match tok(j) {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => j += 1,
-            }
-        }
-        let Some(open) = open else { continue };
+        let Some(open) = body_open(tok, ci + 1, n) else {
+            continue;
+        };
         let mut depth = 0usize;
         let mut k = open;
         while k < n {

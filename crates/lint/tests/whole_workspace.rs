@@ -494,3 +494,32 @@ fn fixture_wall_clock_waiver_does_not_shield_the_cone() {
     );
     assert_eq!(report.counts["determinism-cone"].get("train"), Some(&1));
 }
+
+#[test]
+fn fixture_panic_inside_a_fn_with_an_array_signature_is_reported() {
+    // The `;` of `[u8; 4]` must not end `le_bytes`'s signature: a fn left
+    // without a body has no call edges and no sites, so the unwrap below
+    // would be invisible to the cone of `decode`.
+    let files = fixture_files(
+        r#"
+        pub fn decode(bytes: &[u8]) -> u32 { u32::from_le_bytes(le_bytes(bytes)) }
+        fn le_bytes(b: &[u8]) -> [u8; 4] { widen(b).try_into().unwrap() }
+        fn widen(b: &[u8]) -> [[u8; 2]; 2] { [[b[0], b[1]], [b[2], b[3]]] }
+        "#,
+    );
+    let baseline = r#"
+[panic-free-roots]
+decode = "alpha::decode"
+[panic-free]
+decode = 0
+"#;
+    let report = analyze(&files, baseline);
+    assert!(
+        report.diagnostics.iter().any(|d| d.rule == Rule::PanicFree
+            && d.message.contains("decode")
+            && d.message.contains("unwrap")),
+        "the unwrap in le_bytes should fail the decode cone:\n{:#?}",
+        report.diagnostics
+    );
+    assert_eq!(report.counts["panic-free"].get("decode"), Some(&1));
+}

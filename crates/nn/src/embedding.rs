@@ -2,22 +2,23 @@
 //!
 //! The embedding layer (paper Sec. II-B2) maps one-hot encoded categorical
 //! features to dense vectors: `e_i = E x_i`. Because each mini-batch touches
-//! only a tiny fraction of the vocabulary, gradients are accumulated
-//! per-touched-row and the Adam update is applied lazily to exactly those
+//! only a tiny fraction of the vocabulary, gradients are kept for the
+//! touched rows only and the Adam update is applied lazily to exactly those
 //! rows — the standard "sparse Adam" used by production CTR trainers.
 //!
-//! # Gradient arena
+//! # Pending gradients
 //!
-//! Pending gradients live in a flat arena: a contiguous `[vocab * dim]`
-//! slab (allocated lazily, once) plus a vector of touched row ids and a
-//! per-row touched flag. Accumulation is a bounds-checked slab add — no
-//! hashing, no per-row boxing — and the apply step sorts the touched ids so
-//! rows update in ascending order, which keeps the update loop deterministic
-//! by construction (each row's Adam step only reads its own slab row, so the
-//! order cannot change any float, but a fixed order keeps traces and
-//! diagnostics stable too). Touched slab rows are re-zeroed on apply/clear;
-//! untouched rows are never written, so the slab stays clean without a
-//! `vocab`-sized sweep.
+//! A backward pass appends its ids and gradient rows to a pending list in
+//! arrival order: one sequential copy per call, with no random access and
+//! no buffer sized by the vocabulary, so a table's gradient memory is
+//! O(batch · fields · dim), not O(vocab · dim). An apply groups the list
+//! by id with a stable LSD radix sort (ids ascending, each id's rows in
+//! arrival order), sums each id's rows from `+0.0` in that order and runs
+//! the mode's row step. That sum is the chain a `[vocab, dim]` accumulator
+//! would build with `+=` in `(call, b, f)` order, and every row's step reads
+//! only its own sum, so grouping moves no bit. The radix digit is at most
+//! [`RADIX_BITS`] wide and the pass count follows from the row count: one
+//! pass while every id fits in one digit. `clear_grads` empties the list.
 //!
 //! # Optimizer modes
 //!
@@ -64,6 +65,10 @@ pub enum EmbedOptimizerMode {
 /// stay serial; the fallback never changes results.
 pub(crate) const POOL_MIN_WORK: usize = 16 * 1024;
 
+/// Widest digit of the pending-gradient radix sort, in bits: its 2,048
+/// bucket counts take 8 KB of stack.
+const RADIX_BITS: u32 = 11;
+
 /// An embedding table of shape `[vocab, dim]` with sparse gradients.
 pub struct EmbeddingTable {
     weight: Matrix,
@@ -71,15 +76,8 @@ pub struct EmbeddingTable {
     m: Option<Matrix>,
     /// Lazily allocated Adam second-moment state.
     v: Option<Matrix>,
-    /// Flat gradient arena: row `idx` of the slab accumulates the pending
-    /// gradient of weight row `idx`. Lazily allocated to `[vocab * dim]` on
-    /// first use; rows not in `touched` are all-zero by invariant.
-    grad_slab: Vec<f32>,
-    /// Ids with pending gradient, each listed exactly once (in first-touch
-    /// order until [`apply_adam`](Self::apply_adam) sorts them).
-    touched: Vec<u32>,
-    /// `touched_flags[idx]` mirrors membership of `idx` in `touched`.
-    touched_flags: Vec<bool>,
+    /// Gradient rows accumulated since the last apply or clear.
+    pending: PendingGrads,
     /// Optimizer row-visiting policy (see [`EmbedOptimizerMode`]).
     opt_mode: EmbedOptimizerMode,
     /// `LazyCatchUp` bookkeeping: the Adam timestep each row was last
@@ -87,6 +85,132 @@ pub struct EmbeddingTable {
     last_step: Vec<u32>,
     /// `LazyCatchUp`: the recent steps' bias corrections the replays read.
     bias_window: BiasWindow,
+}
+
+/// Gradient rows waiting for the next apply, in arrival order, and the
+/// scratch that groups them by id. Every buffer is sized by the rows
+/// appended since the last drain, never by the vocabulary, and keeps its
+/// capacity across steps.
+#[derive(Default)]
+struct PendingGrads {
+    /// One key `id << 32 | arrival` per pending row; sorted by id in place
+    /// at drain.
+    keys: Vec<u64>,
+    /// The pending gradient rows, `dim` floats each, in arrival order.
+    rows: Vec<f32>,
+    /// The radix passes' second key buffer.
+    spare: Vec<u64>,
+    /// The distinct pending ids, ascending.
+    ids: Vec<u32>,
+    /// `dim` zeros, then the summed gradient of each of `ids`.
+    sums: Vec<f32>,
+}
+
+impl PendingGrads {
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.rows.clear();
+    }
+
+    /// Sorts `keys` by id (their high half), ascending and stable, in LSD
+    /// radix passes over the bits an id below `vocab` can set: as few
+    /// passes of at most [`RADIX_BITS`] bits as cover them, one digit width
+    /// for all. Arrival order breaks ties, as each pass is stable.
+    fn radix_sort(&mut self, vocab: usize) {
+        let bits = usize::BITS - vocab.saturating_sub(1).leading_zeros();
+        if bits == 0 {
+            return;
+        }
+        let passes = bits.div_ceil(RADIX_BITS);
+        let width = bits.div_ceil(passes);
+        let mask = (1u64 << width) - 1;
+        self.spare.resize(self.keys.len(), 0);
+        let mut buckets = [0u32; 1 << RADIX_BITS];
+        for pass in 0..passes {
+            let shift = 32 + pass * width;
+            let (keys, spare) = (&self.keys[..], &mut self.spare[..]);
+            // Counts per digit, then each digit's first slot.
+            let counts = &mut buckets[..1 << width];
+            counts.fill(0);
+            for &key in keys {
+                counts[((key >> shift) & mask) as usize] += 1;
+            }
+            let mut start = 0;
+            for c in counts.iter_mut() {
+                start += std::mem::replace(c, start);
+            }
+            for &key in keys {
+                let slot = &mut counts[((key >> shift) & mask) as usize];
+                spare[*slot as usize] = key;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.spare);
+        }
+    }
+
+    /// Calls `step(id, grad)` once per id with pending rows, ids ascending,
+    /// where `grad` sums that id's rows from `+0.0` in arrival order. With
+    /// `every_row`, every other id in `0..vocab` steps too, with a `+0.0`
+    /// gradient. Then empties the list.
+    ///
+    /// All sums are formed before the first step, so the loop over `ids`
+    /// has no data-dependent branch and the scattered row reads of
+    /// consecutive steps overlap.
+    fn drain_sums(
+        &mut self,
+        vocab: usize,
+        dim: usize,
+        every_row: bool,
+        mut step: impl FnMut(usize, &[f32]),
+    ) {
+        self.radix_sort(vocab);
+        // Each key's id starts a new sum or adds to the last one; counting
+        // the sums first lets one zero-fill seed them all, so the loop
+        // below has no data-dependent branch.
+        let mut distinct = 0;
+        let mut prev = u64::MAX;
+        for &key in &self.keys {
+            distinct += usize::from(key >> 32 != prev);
+            prev = key >> 32;
+        }
+        self.ids.clear();
+        self.ids.resize(distinct, 0);
+        self.sums.clear();
+        self.sums.resize(dim * (distinct + 1), 0.0);
+        let (mut u, mut prev) = (usize::MAX, u64::MAX);
+        for &key in &self.keys {
+            u = u.wrapping_add(usize::from(key >> 32 != prev));
+            prev = key >> 32;
+            self.ids[u] = prev as u32;
+            let a = (key & u64::from(u32::MAX)) as usize;
+            let sum = &mut self.sums[(u + 1) * dim..(u + 2) * dim];
+            for (s, &g) in sum.iter_mut().zip(&self.rows[a * dim..(a + 1) * dim]) {
+                *s += g;
+            }
+        }
+        let (zeros, sums) = self.sums.split_at(dim);
+        let mut next = 0;
+        for (u, &id) in self.ids.iter().enumerate() {
+            let id = id as usize;
+            if every_row {
+                for i in next..id {
+                    step(i, zeros);
+                }
+                next = id + 1;
+            }
+            step(id, &sums[u * dim..(u + 1) * dim]);
+        }
+        if every_row {
+            for i in next..vocab {
+                step(i, zeros);
+            }
+        }
+        self.clear();
+    }
 }
 
 /// Steps of Adam bias corrections a [`BiasWindow`] holds. The oldest
@@ -159,9 +283,7 @@ impl EmbeddingTable {
             weight,
             m: None,
             v: None,
-            grad_slab: Vec::new(),
-            touched: Vec::new(),
-            touched_flags: Vec::new(),
+            pending: PendingGrads::default(),
             opt_mode: EmbedOptimizerMode::Sparse,
             last_step: Vec::new(),
             bias_window: BiasWindow::default(),
@@ -203,26 +325,6 @@ impl EmbeddingTable {
     /// Immutable access to the raw weight matrix.
     pub fn weight(&self) -> &Matrix {
         &self.weight
-    }
-
-    /// Ensures the gradient arena is allocated (one-time cost per table).
-    fn ensure_arena(&mut self) {
-        if self.grad_slab.is_empty() && !self.weight.is_empty() {
-            self.grad_slab.resize(self.weight.len(), 0.0);
-        }
-        if self.touched_flags.is_empty() {
-            self.touched_flags.resize(self.vocab(), false);
-        }
-    }
-
-    /// Registers `idx` as touched (idempotent).
-    #[inline]
-    fn touch(&mut self, idx: u32) {
-        let i = idx as usize;
-        if !self.touched_flags[i] {
-            self.touched_flags[i] = true;
-            self.touched.push(idx);
-        }
     }
 
     /// Looks up a flattened multi-field batch into a caller-owned buffer
@@ -271,21 +373,23 @@ impl EmbeddingTable {
     }
 
     /// Accumulates gradients for a multi-field lookup (inverse of
-    /// [`lookup_fields_pooled_into`](Self::lookup_fields_pooled_into)),
-    /// lane-sharded across `pool`. `grad` has shape `[B, num_fields*dim]`.
+    /// [`lookup_fields_pooled_into`](Self::lookup_fields_pooled_into)).
+    /// `grad` has shape `[B, num_fields*dim]`.
     ///
-    /// Each lane owns the arena rows with `idx % lanes == lane` and scans
-    /// the whole batch in `(b, f)` order, so a given row's pending sum is
-    /// built in exactly the one-lane accumulation order no matter how many
-    /// lanes run. Lanes touch disjoint rows (enforced by
-    /// [`Pool::for_lane_rows`]), so no cross-thread floating-point
-    /// reduction happens at all.
+    /// Appends the ids and their gradient rows to the pending list in
+    /// `(b, f)` order, one sequential copy; the next apply sums each id's
+    /// rows (see the module doc). The copy needs no threads, so `_pool` is
+    /// unused.
+    ///
+    /// # Panics
+    /// Panics on a ragged batch, a `grad` of the wrong shape, or an id
+    /// outside `0..vocab`.
     pub fn accumulate_grad_fields_pooled(
         &mut self,
         flat: &[u32],
         num_fields: usize,
         grad: &Matrix,
-        pool: &Pool,
+        _pool: &Pool,
     ) {
         let dim = self.dim();
         assert_eq!(
@@ -304,45 +408,26 @@ impl EmbeddingTable {
             num_fields * dim,
             "accumulate_grad_fields_pooled: dim mismatch"
         );
-        self.ensure_arena();
-        // Touched-id registration is a cheap serial scan; the FP work below
-        // is what shards.
-        for &idx in flat {
-            self.touch(idx);
+        let vocab = self.vocab();
+        if let Some(id) = flat
+            .iter()
+            .copied()
+            .max()
+            .filter(|&id| id as usize >= vocab)
+        {
+            panic!("accumulate_grad_fields_pooled: id {id} is outside the table's {vocab} rows");
         }
-        if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
-            for b in 0..batch {
-                let grow = grad.row(b);
-                for f in 0..num_fields {
-                    let i = flat[b * num_fields + f] as usize;
-                    let acc = &mut self.grad_slab[i * dim..(i + 1) * dim];
-                    for (a, &g) in acc.iter_mut().zip(grow[f * dim..(f + 1) * dim].iter()) {
-                        *a += g;
-                    }
-                }
-            }
-        } else {
-            pool.for_lane_rows(&mut self.grad_slab, dim, pool.threads(), |_, mut lane| {
-                for b in 0..batch {
-                    let grow = grad.row(b);
-                    for f in 0..num_fields {
-                        let idx = flat[b * num_fields + f] as usize;
-                        if !lane.owns(idx) {
-                            continue;
-                        }
-                        let acc = lane.row_mut(idx);
-                        for (a, &g) in acc.iter_mut().zip(grow[f * dim..(f + 1) * dim].iter()) {
-                            *a += g;
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    /// Number of rows with pending gradient accumulation.
-    pub fn touched_rows(&self) -> usize {
-        self.touched.len()
+        let pending = &mut self.pending;
+        let arrivals = pending.keys.len() as u64..;
+        let keys = flat.iter().zip(arrivals);
+        pending
+            .keys
+            .extend(keys.map(|(&id, a)| (u64::from(id) << 32) | a));
+        pending.rows.extend_from_slice(grad.as_slice());
+        assert!(
+            u32::try_from(pending.keys.len()).is_ok(),
+            "accumulate_grad_fields_pooled: more pending rows than a u32 counts"
+        );
     }
 
     /// Ensures the Adam moment matrices exist.
@@ -365,119 +450,47 @@ impl EmbeddingTable {
     /// Applies one Adam step according to the active
     /// [`EmbedOptimizerMode`], then clears the accumulated gradients.
     ///
-    /// - `Sparse`: touched rows only, ascending-id order, weight decay on
-    ///   touched rows only.
-    /// - `DenseApply`: every row in `0..vocab` order (untouched rows see a
-    ///   zero gradient, so momentum and weight decay still move them).
-    /// - `LazyCatchUp`: touched rows only, ascending-id order, but each row
-    ///   first replays the steps it skipped as zero-gradient updates — the
-    ///   visited-row count is `O(touched)` per step while the resulting
-    ///   weights track the `DenseApply` trajectory exactly (bitwise, once
-    ///   [`catch_up_all`](Self::catch_up_all) flushes the tail).
+    /// - `Sparse`: rows with pending gradients only, ascending-id order,
+    ///   weight decay on those rows only.
+    /// - `DenseApply`: every row in `0..vocab` order (rows without pending
+    ///   gradients see a zero gradient, so momentum and weight decay still
+    ///   move them).
+    /// - `LazyCatchUp`: rows with pending gradients only, ascending-id
+    ///   order, but each row first replays the steps it skipped as
+    ///   zero-gradient updates — the visited-row count is `O(touched)` per
+    ///   step while the resulting weights track the `DenseApply` trajectory
+    ///   exactly (bitwise, once [`catch_up_all`](Self::catch_up_all)
+    ///   flushes the tail).
     pub fn apply_adam(&mut self, adam: &Adam, weight_decay: f32) {
-        match self.opt_mode {
-            EmbedOptimizerMode::Sparse => self.apply_adam_sparse(adam, weight_decay),
-            EmbedOptimizerMode::DenseApply => self.apply_adam_dense(adam, weight_decay),
-            EmbedOptimizerMode::LazyCatchUp => self.apply_adam_lazy(adam, weight_decay),
-        }
-    }
-
-    /// The historical touched-rows-only step (mode `Sparse`).
-    fn apply_adam_sparse(&mut self, adam: &Adam, weight_decay: f32) {
-        if self.touched.is_empty() {
+        let every_row = self.opt_mode == EmbedOptimizerMode::DenseApply;
+        if self.pending.is_empty() && !every_row {
             return;
         }
         self.ensure_moments();
-        let (bc1, bc2) = adam.bias_corrections();
-        let dim = self.dim();
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
-            for &idx in &touched {
-                let i = idx as usize;
-                let grad = &mut self.grad_slab[i * dim..(i + 1) * dim];
-                adam.step_row(
-                    self.weight.row_mut(i),
-                    grad,
-                    m.row_mut(i),
-                    v.row_mut(i),
-                    weight_decay,
-                    bc1,
-                    bc2,
-                );
-                grad.fill(0.0);
-                self.touched_flags[i] = false;
-            }
-        }
-        touched.clear();
-        self.touched = touched;
-    }
-
-    /// Full-sweep dense Adam (mode `DenseApply`): the O(vocab·dim) wall the
-    /// lazy path exists to avoid, kept as its bitwise reference.
-    fn apply_adam_dense(&mut self, adam: &Adam, weight_decay: f32) {
-        if self.weight.is_empty() {
-            return;
-        }
-        self.ensure_arena();
-        self.ensure_moments();
-        let (bc1, bc2) = adam.bias_corrections();
-        let dim = self.dim();
-        if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
-            for i in 0..self.weight.rows() {
-                let grad = &self.grad_slab[i * dim..(i + 1) * dim];
-                adam.step_row(
-                    self.weight.row_mut(i),
-                    grad,
-                    m.row_mut(i),
-                    v.row_mut(i),
-                    weight_decay,
-                    bc1,
-                    bc2,
-                );
-            }
-        }
-        for &idx in &self.touched {
-            let i = idx as usize;
-            self.grad_slab[i * dim..(i + 1) * dim].fill(0.0);
-            self.touched_flags[i] = false;
-        }
-        self.touched.clear();
-    }
-
-    /// Lazy dense-equivalent Adam (mode `LazyCatchUp`): visits the sorted
-    /// touched index only; each visited row first replays its skipped steps
-    /// as zero-gradient updates with the bias corrections those steps would
-    /// have used, then takes the live step.
-    fn apply_adam_lazy(&mut self, adam: &Adam, weight_decay: f32) {
-        if self.touched.is_empty() {
-            return;
-        }
-        self.ensure_moments();
-        self.ensure_last_step();
+        let lazy = self.opt_mode == EmbedOptimizerMode::LazyCatchUp;
         let t = adam.timestep().max(1);
-        self.bias_window.advance(adam, t);
+        if lazy {
+            self.ensure_last_step();
+            self.bias_window.advance(adam, t);
+        }
         let (bc1, bc2) = adam.bias_corrections();
-        let dim = self.dim();
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
-            for &idx in &touched {
-                let i = idx as usize;
-                let (w, mr, vr) = (self.weight.row_mut(i), m.row_mut(i), v.row_mut(i));
-                for s in u64::from(self.last_step[i]) + 1..t {
-                    let (cb1, cb2) = self.bias_window.at(adam, s);
+        let (vocab, dim) = (self.vocab(), self.dim());
+        let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) else {
+            return;
+        };
+        let (weight, last_step, window) =
+            (&mut self.weight, &mut self.last_step, &self.bias_window);
+        self.pending.drain_sums(vocab, dim, every_row, |i, grad| {
+            let (w, mr, vr) = (weight.row_mut(i), m.row_mut(i), v.row_mut(i));
+            if lazy {
+                for s in u64::from(last_step[i]) + 1..t {
+                    let (cb1, cb2) = window.at(adam, s);
                     adam.step_row_zero_grad(w, mr, vr, weight_decay, cb1, cb2);
                 }
-                let grad = &mut self.grad_slab[i * dim..(i + 1) * dim];
-                adam.step_row(w, grad, mr, vr, weight_decay, bc1, bc2);
-                grad.fill(0.0);
-                self.touched_flags[i] = false;
-                self.last_step[i] = t as u32;
+                last_step[i] = t as u32;
             }
-        }
-        touched.clear();
-        self.touched = touched;
+            adam.step_row(w, grad, mr, vr, weight_decay, bc1, bc2);
+        });
     }
 
     /// Replays every row's outstanding zero-gradient steps up to `adam`'s
@@ -508,65 +521,26 @@ impl EmbeddingTable {
         }
     }
 
-    /// Applies plain SGD (tests / ablations), then clears. Touched rows in
-    /// ascending-id order, except in `DenseApply` mode, which sweeps every
-    /// row so weight decay hits the whole table. `LazyCatchUp` behaves like
-    /// `Sparse` here: with zero gradient and no decay an SGD step is a
-    /// no-op, so there is nothing to catch up on the production (wd = 0)
-    /// path, and the lazy machinery is Adam-specific.
+    /// Applies plain SGD (tests / ablations), then clears. Rows with
+    /// pending gradients in ascending-id order, except in `DenseApply`
+    /// mode, which sweeps every row so weight decay hits the whole table.
+    /// `LazyCatchUp` behaves like `Sparse` here: with zero gradient and no
+    /// decay an SGD step is a no-op, so there is nothing to catch up on the
+    /// production (wd = 0) path, and the lazy machinery is Adam-specific.
     pub fn apply_sgd(&mut self, lr: f32, weight_decay: f32) {
-        if self.opt_mode == EmbedOptimizerMode::DenseApply {
-            self.apply_sgd_dense(lr, weight_decay);
-            return;
-        }
-        let dim = self.dim();
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        for &idx in &touched {
-            let i = idx as usize;
-            let grad = &mut self.grad_slab[i * dim..(i + 1) * dim];
-            let row = self.weight.row_mut(i);
-            for (w, &g) in row.iter_mut().zip(grad.iter()) {
+        let every_row = self.opt_mode == EmbedOptimizerMode::DenseApply;
+        let (vocab, dim) = (self.vocab(), self.dim());
+        let weight = &mut self.weight;
+        self.pending.drain_sums(vocab, dim, every_row, |i, grad| {
+            for (w, &g) in weight.row_mut(i).iter_mut().zip(grad) {
                 *w -= lr * (g + weight_decay * *w);
             }
-            grad.fill(0.0);
-            self.touched_flags[i] = false;
-        }
-        touched.clear();
-        self.touched = touched;
-    }
-
-    /// Full-sweep SGD (mode `DenseApply`).
-    fn apply_sgd_dense(&mut self, lr: f32, weight_decay: f32) {
-        if self.weight.is_empty() {
-            return;
-        }
-        self.ensure_arena();
-        let dim = self.dim();
-        for i in 0..self.weight.rows() {
-            let grad = &self.grad_slab[i * dim..(i + 1) * dim];
-            let row = self.weight.row_mut(i);
-            for (w, &g) in row.iter_mut().zip(grad.iter()) {
-                *w -= lr * (g + weight_decay * *w);
-            }
-        }
-        for &idx in &self.touched {
-            let i = idx as usize;
-            self.grad_slab[i * dim..(i + 1) * dim].fill(0.0);
-            self.touched_flags[i] = false;
-        }
-        self.touched.clear();
+        });
     }
 
     /// Discards pending gradients without applying them.
     pub fn clear_grads(&mut self) {
-        let dim = self.dim();
-        for &idx in &self.touched {
-            let i = idx as usize;
-            self.grad_slab[i * dim..(i + 1) * dim].fill(0.0);
-            self.touched_flags[i] = false;
-        }
-        self.touched.clear();
+        self.pending.clear();
     }
 }
 
@@ -633,11 +607,16 @@ mod tests {
         let mut t = small_table();
         let grad = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]);
         scatter(&mut t, &[1, 1], &grad);
-        assert_eq!(t.touched_rows(), 1);
         t.apply_sgd(1.0, 0.0);
         // Row 1 started [2,3]; grad sum [3,3] -> [−1, 0]
         assert_eq!(t.row(1), &[-1.0, 0.0]);
-        assert_eq!(t.touched_rows(), 0);
+        // The apply consumed the gradient: a second one moves nothing.
+        t.apply_sgd(1.0, 0.0);
+        assert_eq!(t.row(1), &[-1.0, 0.0]);
+        assert_eq!(
+            t.weight().as_slice(),
+            &[0.0, 1.0, -1.0, 0.0, 4.0, 5.0, 6.0, 7.0]
+        );
     }
 
     #[test]
@@ -652,9 +631,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_rows_are_rezeroed_after_apply() {
-        // A second step touching the same row must start from a clean slab
-        // row, not the previous step's gradient.
+    fn pending_rows_are_dropped_after_apply() {
+        // A second step touching the same row must start from a clean sum,
+        // not the previous step's gradient.
         let mut t = small_table();
         scatter(&mut t, &[2], &Matrix::from_rows(&[&[1.0, 0.0]]));
         t.apply_sgd(1.0, 0.0);
@@ -665,11 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_grads_rezeroes_touched_arena_rows() {
+    fn clear_grads_leaves_nothing_for_the_next_sum() {
         let mut t = small_table();
         scatter(&mut t, &[0], &Matrix::filled(1, 2, 1.0));
         t.clear_grads();
-        assert_eq!(t.touched_rows(), 0);
         let before = t.row(0).to_vec();
         // A fresh accumulate must not see the discarded gradient.
         scatter(&mut t, &[0], &Matrix::filled(1, 2, 0.0));
@@ -715,8 +693,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_lookup_and_sharded_grads_match_serial_bitwise() {
-        // Large enough to clear POOL_MIN_WORK so the parallel paths run.
+    fn pooled_lookup_and_grads_match_serial_bitwise() {
+        // Large enough to clear POOL_MIN_WORK so the parallel lookup runs.
         let (batch, fields, dim, vocab) = (256, 8, 8, 37);
         let mut rng = StdRng::seed_from_u64(12);
         let mut serial_t = EmbeddingTable::new(&mut rng, vocab, dim);
@@ -749,7 +727,7 @@ mod tests {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "sharded grads diverged: {a} vs {b}"
+                "pooled grads diverged: {a} vs {b}"
             );
         }
     }
@@ -870,5 +848,447 @@ mod tests {
             "untouched row did not decay: {:?}",
             t.row(3)
         );
+    }
+
+    /// The `[vocab, dim]` gradient arena the pending list replaced, kept as
+    /// its reference: `+=` into a dense buffer from `+0.0` in `(call, b, f)`
+    /// order, touched ids listed once and sorted ascending at apply, and the
+    /// per-mode row steps that read the buffer. Lazy replays call
+    /// `Adam::bias_corrections_at`, whose bits the table's window returns.
+    struct Arena {
+        mode: EmbedOptimizerMode,
+        weight: Matrix,
+        m: Matrix,
+        v: Matrix,
+        last_step: Vec<u32>,
+        slab: Vec<f32>,
+        touched: Vec<u32>,
+        flags: Vec<bool>,
+    }
+
+    impl Arena {
+        fn new(t: &EmbeddingTable, mode: EmbedOptimizerMode) -> Self {
+            let (vocab, dim) = (t.vocab(), t.dim());
+            Self {
+                mode,
+                weight: t.weight().clone(),
+                m: Matrix::zeros(vocab, dim),
+                v: Matrix::zeros(vocab, dim),
+                last_step: vec![0; vocab],
+                slab: vec![0.0; vocab * dim],
+                touched: Vec::new(),
+                flags: vec![false; vocab],
+            }
+        }
+
+        fn accumulate(&mut self, flat: &[u32], num_fields: usize, grad: &Matrix) {
+            let dim = self.weight.cols();
+            for b in 0..flat.len() / num_fields {
+                for f in 0..num_fields {
+                    let i = flat[b * num_fields + f] as usize;
+                    if !self.flags[i] {
+                        self.flags[i] = true;
+                        self.touched.push(i as u32);
+                    }
+                    let g = &grad.row(b)[f * dim..(f + 1) * dim];
+                    for (a, &g) in self.slab[i * dim..(i + 1) * dim].iter_mut().zip(g) {
+                        *a += g;
+                    }
+                }
+            }
+        }
+
+        /// The rows an apply visits, ascending: every row in `DenseApply`
+        /// mode, else the touched ones.
+        fn visited(&mut self) -> Vec<usize> {
+            self.touched.sort_unstable();
+            match self.mode {
+                EmbedOptimizerMode::DenseApply => (0..self.weight.rows()).collect(),
+                _ => self.touched.iter().map(|&i| i as usize).collect(),
+            }
+        }
+
+        fn apply_adam(&mut self, adam: &Adam, wd: f32) {
+            let dim = self.weight.cols();
+            let (bc1, bc2) = adam.bias_corrections();
+            let t = adam.timestep().max(1);
+            for i in self.visited() {
+                let (w, m, v) = (self.weight.row_mut(i), self.m.row_mut(i), self.v.row_mut(i));
+                if self.mode == EmbedOptimizerMode::LazyCatchUp {
+                    for s in u64::from(self.last_step[i]) + 1..t {
+                        let (cb1, cb2) = adam.bias_corrections_at(s);
+                        adam.step_row_zero_grad(w, m, v, wd, cb1, cb2);
+                    }
+                    self.last_step[i] = t as u32;
+                }
+                let g = &self.slab[i * dim..(i + 1) * dim];
+                adam.step_row(w, g, m, v, wd, bc1, bc2);
+            }
+            self.discard();
+        }
+
+        fn apply_sgd(&mut self, lr: f32, wd: f32) {
+            let dim = self.weight.cols();
+            for i in self.visited() {
+                let g = &self.slab[i * dim..(i + 1) * dim];
+                for (w, &g) in self.weight.row_mut(i).iter_mut().zip(g) {
+                    *w -= lr * (g + wd * *w);
+                }
+            }
+            self.discard();
+        }
+
+        fn discard(&mut self) {
+            let dim = self.weight.cols();
+            for &i in &self.touched {
+                let i = i as usize;
+                self.slab[i * dim..(i + 1) * dim].fill(0.0);
+                self.flags[i] = false;
+            }
+            self.touched.clear();
+        }
+    }
+
+    /// A table and its arena reference, driven through the same calls.
+    struct Twin {
+        list: EmbeddingTable,
+        arena: Arena,
+        adam: Adam,
+    }
+
+    impl Twin {
+        /// Xavier weights, except that row [`neg_zero_id`] is all `-0.0`:
+        /// an SGD step on it tells a `+0.0` gradient from a `-0.0` one.
+        fn new(vocab: usize, dim: usize, mode: EmbedOptimizerMode) -> Self {
+            let mut rng = StdRng::seed_from_u64(vocab as u64 ^ 0x5EED);
+            let mut list = EmbeddingTable::new(&mut rng, vocab, dim);
+            list.weight_mut().row_mut(neg_zero_id(vocab)).fill(-0.0);
+            list.set_optimizer_mode(mode);
+            let arena = Arena::new(&list, mode);
+            let adam = Adam::with_lr_eps(0.02, 1e-8);
+            Self { list, arena, adam }
+        }
+
+        fn accumulate(&mut self, flat: &[u32], num_fields: usize, grad: &Matrix) {
+            let serial = Pool::serial();
+            self.list
+                .accumulate_grad_fields_pooled(flat, num_fields, grad, &serial);
+            self.arena.accumulate(flat, num_fields, grad);
+        }
+
+        fn adam_step(&mut self, wd: f32) {
+            self.adam.begin_step();
+            self.list.apply_adam(&self.adam, wd);
+            self.arena.apply_adam(&self.adam, wd);
+            self.assert_bits(&format!("adam step {}", self.adam.timestep()));
+        }
+
+        fn sgd_step(&mut self, lr: f32, wd: f32) {
+            self.list.apply_sgd(lr, wd);
+            self.arena.apply_sgd(lr, wd);
+            self.assert_bits("sgd step");
+        }
+
+        fn discard(&mut self) {
+            self.list.clear_grads();
+            self.arena.discard();
+        }
+
+        /// Weights and both Adam moments equal the arena's, bit for bit.
+        fn assert_bits(&self, when: &str) {
+            let (vocab, dim) = (self.list.vocab(), self.list.dim());
+            let unset = Matrix::zeros(0, 0);
+            let moment = |m: &Option<Matrix>| m.as_ref().unwrap_or(&unset).as_slice().to_vec();
+            let zeros = vec![0.0; vocab * dim];
+            let (m, v) = (moment(&self.list.m), moment(&self.list.v));
+            let blocks = [
+                (
+                    "weight",
+                    self.list.weight().as_slice(),
+                    self.arena.weight.as_slice(),
+                ),
+                (
+                    "m",
+                    if m.is_empty() { &zeros } else { &m },
+                    self.arena.m.as_slice(),
+                ),
+                (
+                    "v",
+                    if v.is_empty() { &zeros } else { &v },
+                    self.arena.v.as_slice(),
+                ),
+            ];
+            for (name, got, want) in blocks {
+                assert_eq!(got.len(), want.len(), "{when}: {name} size");
+                let same = got
+                    .iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                if !same {
+                    let k = (0..got.len()).find(|&k| got[k].to_bits() != want[k].to_bits());
+                    let k = k.unwrap_or_default();
+                    panic!(
+                        "{when} (vocab {vocab}, dim {dim}, {:?}): {name} row {} col {}: list {:e} vs arena {:e}",
+                        self.arena.mode,
+                        k / dim,
+                        k % dim,
+                        got[k],
+                        want[k]
+                    );
+                }
+            }
+        }
+    }
+
+    /// The row whose only gradient is ever `-0.0`, and whose weights start
+    /// at `-0.0`.
+    fn neg_zero_id(vocab: usize) -> usize {
+        vocab / 3
+    }
+
+    /// The rows that receive NaN, +Inf and -Inf gradients (besides finite
+    /// ones), one kind each so no sum meets two NaN payloads.
+    fn special_ids(vocab: usize) -> [(usize, f32); 3] {
+        let base = vocab / 3 + 1;
+        [
+            (base, f32::NAN),
+            (base + 1, f32::INFINITY),
+            (base + 2, f32::NEG_INFINITY),
+        ]
+    }
+
+    /// The row whose arrivals `1, 1e8, -1e8` sum to `0` in arrival order
+    /// and to `1` backwards, so a grouping that reorders them shows.
+    fn order_id(vocab: usize) -> usize {
+        vocab / 2
+    }
+
+    /// Rows no random draw hits: the lazy test touches them only after
+    /// long gaps.
+    fn gap_ids(vocab: usize) -> [usize; 3] {
+        let base = vocab / 4;
+        [base, base + 1, base + 2]
+    }
+
+    /// Whether `id` is one of the rows the fixtures above reserve.
+    fn reserved(vocab: usize, id: usize) -> bool {
+        id == neg_zero_id(vocab)
+            || id == order_id(vocab)
+            || special_ids(vocab).iter().any(|&(s, _)| s == id)
+            || gap_ids(vocab).contains(&id)
+    }
+
+    /// One `rows x fields` batch for `vocab` rows of width `dim`: ids drawn
+    /// from a few hot rows (so they repeat within a row and across fields)
+    /// and from the whole table, ids `0` and `vocab - 1` in the first row,
+    /// and rows 1 to 4 carrying the `-0.0`, NaN/Inf and order-sensitive
+    /// gradients of [`neg_zero_id`], [`special_ids`] and [`order_id`].
+    /// Row 4's fields from 1 on hold id 0, free for a test to overwrite.
+    fn batch(
+        rng: &mut StdRng,
+        vocab: usize,
+        rows: usize,
+        fields: usize,
+        dim: usize,
+    ) -> (Vec<u32>, Matrix) {
+        assert!(
+            rows >= 5 && fields >= 3,
+            "batch: too small for the fixtures"
+        );
+        let hot = [0, 1, 7 % vocab, vocab - 1];
+        let mut flat: Vec<u32> = (0..rows * fields)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => hot[rng.gen_range(0..hot.len())],
+                _ => rng.gen_range(0..vocab),
+            })
+            .map(|id| if reserved(vocab, id) { 1 } else { id as u32 })
+            .collect();
+        let mut grad = Matrix::from_fn(rows, fields * dim, |_, _| rng.gen_range(-1.0..1.0));
+        flat[..3].copy_from_slice(&[0, 0, (vocab - 1) as u32]);
+        // Row 1: the -0.0 row twice, fields 0 and 2.
+        for f in [0, 2] {
+            flat[fields + f] = neg_zero_id(vocab) as u32;
+            grad.row_mut(1)[f * dim..(f + 1) * dim].fill(-0.0);
+        }
+        // Row 2: one special value per field.
+        for (f, &(id, g)) in special_ids(vocab).iter().enumerate() {
+            flat[2 * fields + f] = id as u32;
+            grad.row_mut(2)[f * dim] = g;
+        }
+        // Rows 3 and 4: 1 and 1e8 in row 3, then -1e8 in row 4.
+        for (b, f, g) in [(3, 0, 1.0), (3, 1, 1e8), (4, 0, -1e8)] {
+            flat[b * fields + f] = order_id(vocab) as u32;
+            grad.row_mut(b)[f * dim..(f + 1) * dim].fill(g);
+        }
+        flat[4 * fields + 1..5 * fields].fill(0);
+        (flat, grad)
+    }
+
+    /// Vocabularies at the one-pass edge (2^11 - 1, 2^11) and just past it,
+    /// with the width each runs at.
+    const EDGE_VOCABS: [(usize, usize); 3] = [(2047, 3), (2048, 8), (2049, 16)];
+
+    /// Six Adam steps: two accumulate calls before some applies, a
+    /// `clear_grads` between calls on one, one step with nothing pending.
+    fn adam_script(mode: EmbedOptimizerMode, wd: f32) {
+        for (vocab, dim) in EDGE_VOCABS {
+            let mut rng = StdRng::seed_from_u64(vocab as u64);
+            let mut twin = Twin::new(vocab, dim, mode);
+            for step in 0..6 {
+                let (flat, grad) = batch(&mut rng, vocab, 32, 5, dim);
+                twin.accumulate(&flat, 5, &grad);
+                if step % 2 == 1 {
+                    let (flat, grad) = batch(&mut rng, vocab, 8, 3, dim);
+                    twin.accumulate(&flat, 3, &grad);
+                }
+                if step == 4 {
+                    twin.discard();
+                    let (flat, grad) = batch(&mut rng, vocab, 5, 4, dim);
+                    twin.accumulate(&flat, 4, &grad);
+                }
+                twin.adam_step(wd);
+            }
+            twin.adam_step(wd);
+        }
+    }
+
+    #[test]
+    fn list_bits_match_arena_sparse_adam() {
+        adam_script(EmbedOptimizerMode::Sparse, 0.0);
+        adam_script(EmbedOptimizerMode::Sparse, 1e-2);
+    }
+
+    #[test]
+    fn list_bits_match_arena_dense_adam() {
+        adam_script(EmbedOptimizerMode::DenseApply, 0.0);
+        adam_script(EmbedOptimizerMode::DenseApply, 1e-2);
+    }
+
+    #[test]
+    fn list_bits_match_arena_lazy_adam_across_the_bias_window() {
+        adam_script(EmbedOptimizerMode::LazyCatchUp, 1e-2);
+        // Rows re-touched after gaps of 1,023, 1,024 and 1,025 steps replay
+        // from the window's edge and one step past it.
+        for (vocab, dim) in EDGE_VOCABS {
+            let mut rng = StdRng::seed_from_u64(vocab as u64 + 1);
+            let mut twin = Twin::new(vocab, dim, EmbedOptimizerMode::LazyCatchUp);
+            let gaps = gap_ids(vocab).into_iter().zip([1023, 1024, 1025]);
+            let gaps: Vec<(usize, u64)> = gaps.collect();
+            for step in 0..1030u64 {
+                let (mut flat, grad) = batch(&mut rng, vocab, 5, 4, dim);
+                for (k, &(id, gap)) in gaps.iter().enumerate() {
+                    if step == 2 || step == 2 + gap {
+                        flat[4 * 4 + 1 + k] = id as u32;
+                    }
+                }
+                twin.accumulate(&flat, 4, &grad);
+                twin.adam_step(1e-2);
+            }
+        }
+    }
+
+    #[test]
+    fn list_bits_match_arena_sgd_in_every_mode() {
+        for mode in [
+            EmbedOptimizerMode::Sparse,
+            EmbedOptimizerMode::LazyCatchUp,
+            EmbedOptimizerMode::DenseApply,
+        ] {
+            for (vocab, dim) in EDGE_VOCABS {
+                for wd in [0.0, 1e-2] {
+                    let mut rng = StdRng::seed_from_u64(vocab as u64 + 2);
+                    let mut twin = Twin::new(vocab, dim, mode);
+                    for step in 0..4 {
+                        let (flat, grad) = batch(&mut rng, vocab, 16, 4, dim);
+                        twin.accumulate(&flat, 4, &grad);
+                        if step == 1 {
+                            let (flat, grad) = batch(&mut rng, vocab, 5, 3, dim);
+                            twin.accumulate(&flat, 3, &grad);
+                        }
+                        twin.sgd_step(0.5, wd);
+                    }
+                    // The -0.0 row kept its -0.0 weights: its gradient sum
+                    // started at +0.0.
+                    let row = twin.list.row(neg_zero_id(vocab) as u32);
+                    if wd == 0.0 {
+                        assert!(row.iter().all(|w| w.to_bits() == (-0.0f32).to_bits()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn list_bits_match_arena_at_three_radix_passes() {
+        // 2^22 + 1 rows: id 2^22 needs 23 bits, three passes of eight.
+        let vocab = (1 << 22) + 1;
+        for mode in [
+            EmbedOptimizerMode::Sparse,
+            EmbedOptimizerMode::LazyCatchUp,
+            EmbedOptimizerMode::DenseApply,
+        ] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut twin = Twin::new(vocab, 1, mode);
+            for _ in 0..2 {
+                let (flat, grad) = batch(&mut rng, vocab, 64, 4, 1);
+                twin.accumulate(&flat, 4, &grad);
+                let (flat, grad) = batch(&mut rng, vocab, 8, 3, 1);
+                twin.accumulate(&flat, 3, &grad);
+                twin.adam_step(1e-2);
+            }
+            let (flat, grad) = batch(&mut rng, vocab, 64, 4, 1);
+            twin.accumulate(&flat, 4, &grad);
+            twin.sgd_step(0.5, 0.0);
+        }
+    }
+
+    #[test]
+    fn list_bits_radix_sort_is_stable_at_every_pass_count() {
+        // Row counts at each pass-count edge; keys carry their arrival
+        // index, so a stable sort by id is the only correct output.
+        let mut rng = StdRng::seed_from_u64(11);
+        for vocab in [1usize, 2, 2047, 2048, 2049, 1 << 22, (1 << 22) + 1, 1 << 32] {
+            let mut pending = PendingGrads::default();
+            let top = (vocab - 1) as u32;
+            let ids: Vec<u32> = (0..3000)
+                .map(|k| match k % 4 {
+                    0 => top,
+                    1 => rng.gen_range(0..vocab.min(8) as u32),
+                    _ => (rng.gen::<u64>() % vocab as u64) as u32,
+                })
+                .collect();
+            pending.keys = ids
+                .iter()
+                .zip(0u64..)
+                .map(|(&id, a)| (u64::from(id) << 32) | a)
+                .collect();
+            let mut want = pending.keys.clone();
+            want.sort_by_key(|k| k >> 32);
+            pending.radix_sort(vocab);
+            assert_eq!(pending.keys, want, "vocab {vocab}");
+        }
+    }
+
+    #[test]
+    fn list_bits_clear_grads_drops_pending_rows() {
+        let mut twin = Twin::new(2049, 4, EmbedOptimizerMode::Sparse);
+        let mut rng = StdRng::seed_from_u64(5);
+        let (flat, grad) = batch(&mut rng, 2049, 8, 3, 4);
+        twin.accumulate(&flat, 3, &grad);
+        twin.discard();
+        // Nothing is pending, so the apply visits no row.
+        twin.adam_step(1e-2);
+        assert!(twin.list.m.is_none(), "an empty apply allocated moments");
+        let (flat, grad) = batch(&mut rng, 2049, 8, 3, 4);
+        twin.accumulate(&flat, 3, &grad);
+        twin.adam_step(1e-2);
+    }
+
+    #[test]
+    #[should_panic(expected = "id 2049 is outside the table's 2049 rows")]
+    fn list_bits_id_past_vocab_panics_in_accumulate() {
+        let mut t = EmbeddingTable::zeros(2049, 2);
+        let grad = Matrix::zeros(2, 4);
+        t.accumulate_grad_fields_pooled(&[0, 5, 2048, 2049], 2, &grad, &Pool::serial());
     }
 }

@@ -14,10 +14,10 @@
 //!   at the optimal bucket) or any chosen budget (double-hash), at the cost
 //!   of parameter sharing between colliding keys.
 //!
-//! Both stores keep the substrate contracts: `*_into` lookup and
-//! lane-sharded gradient paths are allocation-free at steady state, and all
-//! parallel work is owner-computes over pool rows/lanes, so results are
-//! bit-identical at 1, 2 and 4 threads.
+//! Both stores keep the substrate contracts: `*_into` lookup and gradient
+//! paths are allocation-free at steady state, and all parallel work is
+//! owner-computes over pool rows, so results are bit-identical at 1, 2 and
+//! 4 threads.
 //!
 //! # Hashing
 //!
@@ -90,9 +90,9 @@ pub enum HashScheme {
 /// rare among few hot keys), while the long tail shares capacity.
 ///
 /// Backward recomputes the sub-lookups, so a step is self-contained:
-/// `∂L/∂t1[s1] += grad ⊙ t2[s2]` and symmetrically for `t2`, both through
-/// the sub-tables' lane-sharded arena path (deterministic for any thread
-/// count). Call the usual `apply_*`/`clear_grads` once per step.
+/// `∂L/∂t1[s1] += grad ⊙ t2[s2]` and symmetrically for `t2`, both
+/// appended to the sub-tables' pending gradient lists (deterministic for
+/// any thread count). Call the usual `apply_*`/`clear_grads` once per step.
 pub struct HashedEmbedding {
     key_space: usize,
     dim: usize,
@@ -303,8 +303,8 @@ impl HashedEmbedding {
     ///
     /// Recomputes the sub-lookups (weights are unchanged between a step's
     /// forward and backward), forms `g1 = grad ⊙ t2-rows` and
-    /// `g2 = grad ⊙ t1-rows` with row-owned pooled writes, then feeds each
-    /// through the sub-table's lane-sharded arena accumulation.
+    /// `g2 = grad ⊙ t1-rows` with row-owned pooled writes, then appends
+    /// each to its sub-table's pending gradients.
     pub fn accumulate_grad_fields_pooled(
         &mut self,
         flat: &[u32],
@@ -524,7 +524,7 @@ impl EmbedStore {
         }
     }
 
-    /// Lane-sharded gradient accumulation (inverse of the lookup).
+    /// Gradient accumulation (inverse of the lookup).
     pub fn accumulate_grad_fields_pooled(
         &mut self,
         flat: &[u32],

@@ -607,45 +607,6 @@ impl Pool {
         });
     }
 
-    /// Lane-sharded scattered-row writes: runs `lanes` jobs, each receiving
-    /// a [`LaneRows`] view of `out` that can mutably borrow any row `r`
-    /// with `r % lanes == lane`. Ownership is enforced by an assert in
-    /// [`LaneRows::row_mut`], so two lanes can never write the same row.
-    ///
-    /// This is the safe face of owner-computes for *scattered* writes (the
-    /// sparse embedding-gradient arena: each lane scans the whole batch and
-    /// accumulates only into the slab rows it owns). Results are
-    /// bit-identical for any thread count as long as each lane visits its
-    /// rows' contributions in the same order the serial code would.
-    ///
-    /// # Panics
-    /// Panics when `row_len == 0`, `lanes == 0`, or `out.len()` is not a
-    /// multiple of `row_len`.
-    pub fn for_lane_rows<T, F>(&self, out: &mut [T], row_len: usize, lanes: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, LaneRows<'_, T>) + Sync,
-    {
-        assert!(row_len > 0, "for_lane_rows: row_len must be positive");
-        assert!(lanes > 0, "for_lane_rows: need at least one lane");
-        assert_eq!(out.len() % row_len, 0, "for_lane_rows: ragged buffer");
-        let rows = out.len() / row_len;
-        let ptr = SendPtr(out.as_mut_ptr());
-        self.run(lanes, |lane| {
-            f(
-                lane,
-                LaneRows {
-                    ptr,
-                    rows,
-                    row_len,
-                    lane,
-                    lanes,
-                    _borrow: std::marker::PhantomData,
-                },
-            );
-        });
-    }
-
     /// Element-sharded parallel loop: calls `f(i, &mut items[i])` once per
     /// element, one job per element. Safe for the same reason as
     /// [`for_rows`](Self::for_rows): every element is owned by exactly one
@@ -667,61 +628,6 @@ impl Pool {
             let item = unsafe { &mut *ptr.add(i) };
             f(i, item);
         });
-    }
-}
-
-/// One lane's view of a row-structured buffer inside
-/// [`Pool::for_lane_rows`]: grants mutable access to exactly the rows the
-/// lane owns (`r % lanes == lane`).
-pub struct LaneRows<'a, T> {
-    ptr: SendPtr<T>,
-    rows: usize,
-    row_len: usize,
-    lane: usize,
-    lanes: usize,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> LaneRows<'_, T> {
-    /// This lane's index.
-    #[inline]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Total number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Whether this lane owns row `r`.
-    #[inline]
-    pub fn owns(&self, r: usize) -> bool {
-        r % self.lanes == self.lane
-    }
-
-    /// Mutably borrows row `r`.
-    ///
-    /// # Panics
-    /// Panics when `r` is out of bounds or not owned by this lane.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        // lint: allow(panic-free, reason="ownership asserts back the SAFETY contract of the unsafe disjoint write; removing them trades a panic for UB")
-        assert!(r < self.rows, "LaneRows: row {r} out of bounds");
-        // lint: allow(panic-free, reason="ownership asserts back the SAFETY contract of the unsafe disjoint write; removing them trades a panic for UB")
-        assert!(
-            self.owns(r),
-            "LaneRows: row {r} is not owned by lane {} of {}",
-            self.lane,
-            self.lanes
-        );
-        // SAFETY: the asserts above guarantee `r` is in bounds and owned by
-        // exactly this lane (rows are partitioned by `r % lanes`), the
-        // caller of `for_lane_rows` holds `&mut out` for the whole `run`,
-        // and `&mut self` prevents this lane from holding two overlapping
-        // row borrows at once.
-        unsafe { self.ptr.slice(r * self.row_len, self.row_len) }
     }
 }
 
@@ -894,40 +800,6 @@ mod tests {
                 assert_eq!(v, i as u32, "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn for_lane_rows_partitions_rows_by_modulus() {
-        for threads in [1usize, 3] {
-            let pool = Pool::new(threads);
-            let mut out = vec![0u32; 13 * 4];
-            pool.for_lane_rows(&mut out, 4, 3, |lane, mut rows| {
-                assert_eq!(rows.lanes(), 3);
-                assert_eq!(rows.lane(), lane);
-                for r in 0..13 {
-                    if rows.owns(r) {
-                        rows.row_mut(r).fill(lane as u32 + 1);
-                    }
-                }
-            });
-            for r in 0..13 {
-                let expect = (r % 3) as u32 + 1;
-                assert!(
-                    out[r * 4..(r + 1) * 4].iter().all(|&v| v == expect),
-                    "threads={threads} row={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not owned")]
-    fn lane_rows_rejects_foreign_rows() {
-        Pool::serial().for_lane_rows(&mut [0u32; 8], 2, 2, |lane, mut rows| {
-            if lane == 0 {
-                rows.row_mut(1);
-            }
-        });
     }
 
     #[test]
