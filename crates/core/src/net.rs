@@ -361,7 +361,7 @@ impl OptInterNet {
         let m = fwd.dims.num_fields;
         let b = grad_logits.rows();
         assert_eq!(fwd.input.rows(), b, "OptInterNet::backward before forward");
-        let mut dinput = self.ws.take(b, fwd.layout.input_dim());
+        let mut dinput = self.ws.take_for_overwrite(b, fwd.layout.input_dim());
         fwd.mlp.backward_into(&fwd.input, grad_logits, &mut dinput);
         // Generalized-weight rows shard over contiguous pair ranges, the
         // field gradients over batch rows.

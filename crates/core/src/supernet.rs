@@ -286,7 +286,7 @@ impl Supernet {
             "Supernet::backward before forward"
         );
 
-        let mut dinput = self.ws.take(b, self.scr.input.cols());
+        let mut dinput = self.ws.take_for_overwrite(b, self.scr.input.cols());
         {
             let input = &self.scr.input;
             self.mlp.backward_into(input, grad_logits, &mut dinput);

@@ -38,7 +38,7 @@
 
 use crate::lexer::{Tok, Token};
 use crate::parser::{body_open, Tree};
-use crate::rules::FileMeta;
+use crate::rules::{test_mask_for, FileMeta};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One analyzed file, borrowed from the workspace pipeline.
@@ -192,8 +192,11 @@ impl CallGraph {
     fn index_file(&mut self, f: &FileSource<'_>) {
         let module = module_path(&f.meta.rel_path, &f.meta.crate_key);
         let containers = container_blocks(f.tokens, f.code, f.tree);
+        // A fn is test code when it carries a test attribute itself or sits
+        // inside a test item, such as a helper in a `#[cfg(test)] mod`.
+        let in_test_item = test_mask_for(f.tokens, f.code, f.meta.is_test_file);
         for (fn_idx, item) in f.tree.fns.iter().enumerate() {
-            let is_test = item.is_test || f.meta.is_test_file;
+            let is_test = item.is_test || in_test_item[item.fn_tok];
             let (self_type, impl_trait) = enclosing_container(f.tree, item.fn_tok, &containers)
                 .map(|(t, tr)| (Some(t), tr))
                 .unwrap_or((None, None));
@@ -824,6 +827,37 @@ mod tests {
             "#,
         )]);
         assert_eq!(quals_called_by(&g, "alpha::entry"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn helpers_inside_test_modules_are_never_targets() {
+        // Neither helper carries a test attribute of its own: the module's
+        // `#[cfg(test)]` makes them test code, so the production call by
+        // name reaches only production fns.
+        let (g, _) = graph_of(&[(
+            "crates/alpha/src/lib.rs",
+            "alpha",
+            r#"
+            pub struct Buf;
+            impl Buf { pub fn clear(&mut self) {} }
+            pub fn entry(b: &mut Buf) { b.clear(); helper(); }
+            #[cfg(test)]
+            mod tests {
+                struct Arena;
+                impl Arena { fn clear(&mut self) {} }
+                fn helper() {}
+            }
+            "#,
+        )]);
+        assert_eq!(
+            quals_called_by(&g, "alpha::entry"),
+            vec!["alpha::Buf::clear"]
+        );
+        assert!(g
+            .nodes
+            .iter()
+            .filter(|n| n.name == "helper" || n.qual.ends_with("Arena::clear"))
+            .all(|n| n.is_test));
     }
 
     #[test]

@@ -348,9 +348,9 @@ pub fn analyze_file(meta: &FileMeta, tokens: &[Token]) -> FileAnalysis {
     ctx.finish()
 }
 
-/// Crate-public entry to [`test_mask`] for the effect-inference seeding
-/// pass, which builds its own [`crate::effects::SeedSource`]s.
-#[cfg_attr(not(test), allow(dead_code))]
+/// Crate-public entry to [`test_mask`] for the call graph, which marks
+/// every fn inside a test item as test code, and for the effect-inference
+/// seeding tests, which build their own [`crate::effects::SeedSource`]s.
 pub(crate) fn test_mask_for(tokens: &[Token], code: &[usize], whole_file: bool) -> Vec<bool> {
     test_mask(tokens, code, whole_file)
 }

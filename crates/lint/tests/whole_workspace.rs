@@ -148,7 +148,7 @@ fn injected_panics_in_validation_and_table_lookup_fail_the_lint() {
         // EmbeddingTable::lookup_fields_pooled_into
         (
             "crates/nn/src/embedding.rs",
-            "        out.reset(batch, width);",
+            "        out.reshape_for_overwrite(batch, width);",
         ),
         // HashedEmbedding::hash_into
         (
@@ -522,4 +522,100 @@ decode = 0
         report.diagnostics
     );
     assert_eq!(report.counts["panic-free"].get("decode"), Some(&1));
+}
+
+#[test]
+fn fixture_test_module_helper_does_not_bridge_the_decode_cone() {
+    // The witness chain a test helper once opened from the decode root:
+    // `FrozenModel::from_bytes -> Workspace::take -> Matrix::reset ->
+    // nn::embedding::Arena::clear -> Batch::fill`. `reset`'s `Vec::clear`
+    // resolves by name to every method `clear`, and `Arena::clear` sits in
+    // a `#[cfg(test)] mod` without a test attribute of its own. Test code
+    // is never a call target, so `Batch::fill`'s index sites stay out of
+    // the `+index` cone.
+    let file = |rel: &str, crate_key: &str, body: &str| {
+        let meta = FileMeta {
+            rel_path: rel.to_string(),
+            crate_key: crate_key.to_string(),
+            is_test_file: false,
+        };
+        (meta, body.to_string())
+    };
+    let files = vec![
+        file(
+            "crates/serve/src/artifact.rs",
+            "serve",
+            r#"
+            pub struct FrozenModel;
+            impl FrozenModel {
+                pub fn from_bytes(ws: &mut Workspace) -> Matrix { ws.take(1, 2) }
+            }
+            "#,
+        ),
+        file(
+            "crates/nn/src/workspace.rs",
+            "nn",
+            r#"
+            pub struct Workspace;
+            impl Workspace {
+                pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+                    let mut m = Matrix::empty();
+                    m.reset(rows, cols);
+                    m
+                }
+            }
+            "#,
+        ),
+        file(
+            "crates/tensor/src/matrix.rs",
+            "tensor",
+            r#"
+            pub struct Matrix { data: Vec<f32> }
+            impl Matrix {
+                pub fn empty() -> Self { Matrix { data: Vec::new() } }
+                pub fn reset(&mut self, rows: usize, cols: usize) {
+                    self.data.clear();
+                    self.data.resize(rows * cols, 0.0);
+                }
+            }
+            "#,
+        ),
+        file(
+            "crates/nn/src/embedding.rs",
+            "nn",
+            r#"
+            pub fn rows() -> usize { 0 }
+            #[cfg(test)]
+            mod tests {
+                struct Arena { slab: Vec<f32> }
+                impl Arena {
+                    fn clear(&mut self) { self.slab.fill(0.0); }
+                }
+            }
+            "#,
+        ),
+        file(
+            "crates/data/src/batch.rs",
+            "data",
+            r#"
+            pub struct Batch { fields: Vec<u32> }
+            impl Batch {
+                pub fn fill(&mut self, row: usize, ids: &[u32]) { self.fields[row] = ids[0]; }
+            }
+            "#,
+        ),
+    ];
+    let baseline = r#"
+[panic-free-roots]
+artifact-decode = "serve::artifact::FrozenModel::from_bytes +index"
+[panic-free]
+artifact-decode = 0
+"#;
+    let report = analyze(&files, baseline);
+    assert!(
+        report.is_clean(),
+        "a test-module helper must not bridge the decode cone:\n{:#?}",
+        report.diagnostics
+    );
+    assert_eq!(report.counts["panic-free"].get("artifact-decode"), Some(&0));
 }

@@ -20,6 +20,26 @@
 //! [`RADIX_BITS`] wide and the pass count follows from the row count: one
 //! pass while every id fits in one digit. `clear_grads` empties the list.
 //!
+//! # Row width
+//!
+//! The lookup's row copies, the apply's row sums and its Adam row steps
+//! are each one generic fn over a [`Width`], picked once per call from
+//! `dim` by `by_width!`: a constant for widths 4, 8 and 16, so a row is a
+//! fixed number of vector registers and a row copy or add is a few vector
+//! moves with no loop and no `memcpy` call, and the runtime width for any
+//! other, through the same source. The lookup copies rows in `flat` order,
+//! which is the row-major order of its output. `Sparse` and `LazyCatchUp`
+//! Adam take the distinct ids [`BLOCK_ROWS`] at a time: they gather the
+//! block's weight, `m` and `v` rows into scratch the table owns
+//! (`3 · BLOCK_ROWS · dim` floats), run each row's lazy replays there, take
+//! one `step_row` over the block against its ids' sums, which lie side by
+//! side in the same order, and scatter the rows back. The Adam update is
+//! elementwise, so every element gets the operations a step of its row
+//! alone gives it, in the same order, and no bit moves. Stepping the same
+//! rows in place, one `step_row` per row as `DenseApply` does, measured
+//! slower on a table whose rows miss cache (DESIGN.md §8). `apply_sgd`,
+//! which no workload calls, runs at the runtime width for every `dim`.
+//!
 //! # Optimizer modes
 //!
 //! [`EmbedOptimizerMode`] selects what `apply_adam` visits per step:
@@ -69,6 +89,79 @@ pub(crate) const POOL_MIN_WORK: usize = 16 * 1024;
 /// bucket counts take 8 KB of stack.
 const RADIX_BITS: u32 = 11;
 
+/// Distinct ids a `Sparse` or `LazyCatchUp` Adam step gathers, steps and
+/// scatters together.
+const BLOCK_ROWS: usize = 16;
+
+/// A row width the row loops are compiled for: a constant the compiler
+/// sees ([`Fixed`]) or the table's width at run time ([`Runtime`]).
+trait Width: Copy {
+    /// Floats per row.
+    fn get(self) -> usize;
+}
+
+/// A width known at compile time, so a row is a fixed number of vector
+/// registers and a row copy or add needs no loop and no `memcpy` call.
+#[derive(Clone, Copy)]
+struct Fixed<const N: usize>;
+
+impl<const N: usize> Width for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
+    }
+}
+
+/// Any other width, read at run time.
+#[derive(Clone, Copy)]
+struct Runtime(usize);
+
+impl Width for Runtime {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// Evaluates `$body` with `$w` bound to `$dim` as a [`Width`]: [`Fixed`]
+/// for 4, 8 and 16, [`Runtime`] for every other width. Each row loop is
+/// one generic fn, so all widths run the same source.
+macro_rules! by_width {
+    ($dim:expr, $w:ident => $body:expr) => {
+        match $dim {
+            4 => {
+                let $w = Fixed::<4>;
+                $body
+            }
+            8 => {
+                let $w = Fixed::<8>;
+                $body
+            }
+            16 => {
+                let $w = Fixed::<16>;
+                $body
+            }
+            dim => {
+                let $w = Runtime(dim);
+                $body
+            }
+        }
+    };
+}
+
+/// Copies row `ids[k]` of the row-major `table` into the `k`th row of
+/// `out`, for every row `out` holds.
+///
+/// # Panics
+/// Panics on an id past the table.
+fn gather_rows<W: Width>(w: W, table: &[f32], ids: &[u32], out: &mut [f32]) {
+    let n = w.get();
+    for (dst, &id) in out.chunks_exact_mut(n).zip(ids) {
+        let at = id as usize * n;
+        dst.copy_from_slice(&table[at..at + n]);
+    }
+}
+
 /// An embedding table of shape `[vocab, dim]` with sparse gradients.
 pub struct EmbeddingTable {
     weight: Matrix,
@@ -85,6 +178,9 @@ pub struct EmbeddingTable {
     last_step: Vec<u32>,
     /// `LazyCatchUp`: the recent steps' bias corrections the replays read.
     bias_window: BiasWindow,
+    /// The weight, `m` and `v` rows of one sparse Adam block, gathered:
+    /// `3 · BLOCK_ROWS · dim` floats, grown by the first apply.
+    block: Vec<f32>,
 }
 
 /// Gradient rows waiting for the next apply, in arrival order, and the
@@ -152,25 +248,17 @@ impl PendingGrads {
         }
     }
 
-    /// Calls `step(id, grad)` once per id with pending rows, ids ascending,
-    /// where `grad` sums that id's rows from `+0.0` in arrival order. With
-    /// `every_row`, every other id in `0..vocab` steps too, with a `+0.0`
-    /// gradient. Then empties the list.
+    /// Groups the list by id: afterwards `ids` holds the distinct pending
+    /// ids, ascending, and `sums` holds `w` zeros and then each id's sum,
+    /// formed from `+0.0` over its rows in arrival order. The list itself
+    /// stays until [`clear`](Self::clear).
     ///
-    /// All sums are formed before the first step, so the loop over `ids`
-    /// has no data-dependent branch and the scattered row reads of
-    /// consecutive steps overlap.
-    fn drain_sums(
-        &mut self,
-        vocab: usize,
-        dim: usize,
-        every_row: bool,
-        mut step: impl FnMut(usize, &[f32]),
-    ) {
+    /// Each key's id starts a new sum or adds to the last one; counting the
+    /// sums first lets one zero-fill seed them all, so the summing loop has
+    /// no data-dependent branch.
+    fn reduce<W: Width>(&mut self, w: W, vocab: usize) {
+        let n = w.get();
         self.radix_sort(vocab);
-        // Each key's id starts a new sum or adds to the last one; counting
-        // the sums first lets one zero-fill seed them all, so the loop
-        // below has no data-dependent branch.
         let mut distinct = 0;
         let mut prev = u64::MAX;
         for &key in &self.keys {
@@ -180,21 +268,38 @@ impl PendingGrads {
         self.ids.clear();
         self.ids.resize(distinct, 0);
         self.sums.clear();
-        self.sums.resize(dim * (distinct + 1), 0.0);
+        self.sums.resize(n * (distinct + 1), 0.0);
         let (mut u, mut prev) = (usize::MAX, u64::MAX);
         for &key in &self.keys {
             u = u.wrapping_add(usize::from(key >> 32 != prev));
             prev = key >> 32;
             self.ids[u] = prev as u32;
-            let a = (key & u64::from(u32::MAX)) as usize;
-            let sum = &mut self.sums[(u + 1) * dim..(u + 2) * dim];
-            for (s, &g) in sum.iter_mut().zip(&self.rows[a * dim..(a + 1) * dim]) {
+            let (a, at) = ((key & u64::from(u32::MAX)) as usize * n, (u + 1) * n);
+            for (s, &g) in self.sums[at..at + n].iter_mut().zip(&self.rows[a..a + n]) {
                 *s += g;
             }
         }
-        let (zeros, sums) = self.sums.split_at(dim);
+    }
+
+    /// [`reduce`](Self::reduce)s, then calls `step(id, grad)` once per id
+    /// with pending rows, ids ascending, with its sum as `grad`. With
+    /// `every_row`, every other id in `0..vocab` steps too, in order, with
+    /// a `+0.0` gradient. Then empties the list.
+    ///
+    /// All sums are formed before the first step, so the loop over `ids`
+    /// has no data-dependent branch and the scattered row reads of
+    /// consecutive steps overlap.
+    fn drain_sums<W: Width>(
+        &mut self,
+        w: W,
+        vocab: usize,
+        every_row: bool,
+        mut step: impl FnMut(usize, &[f32]),
+    ) {
+        self.reduce(w, vocab);
+        let (zeros, sums) = self.sums.split_at(w.get());
         let mut next = 0;
-        for (u, &id) in self.ids.iter().enumerate() {
+        for (&id, grad) in self.ids.iter().zip(sums.chunks_exact(w.get())) {
             let id = id as usize;
             if every_row {
                 for i in next..id {
@@ -202,7 +307,7 @@ impl PendingGrads {
                 }
                 next = id + 1;
             }
-            step(id, &sums[u * dim..(u + 1) * dim]);
+            step(id, grad);
         }
         if every_row {
             for i in next..vocab {
@@ -287,6 +392,7 @@ impl EmbeddingTable {
             opt_mode: EmbedOptimizerMode::Sparse,
             last_step: Vec::new(),
             bias_window: BiasWindow::default(),
+            block: Vec::new(),
         }
     }
 
@@ -333,8 +439,9 @@ impl EmbeddingTable {
     /// `flat` is row-major `[B * num_fields]`: example `b`'s field `f` index
     /// lives at `flat[b * num_fields + f]`. `out` becomes
     /// `[B, num_fields*dim]` with field blocks concatenated in order — the
-    /// paper's Eq. 7 layout. Pure row copies, so the result is the same for
-    /// any thread count.
+    /// paper's Eq. 7 layout, which is `flat` order, one row per id. Pure
+    /// row copies that overwrite every element, so the result is the same
+    /// for any thread count.
     pub fn lookup_fields_pooled_into(
         &self,
         flat: &[u32],
@@ -356,20 +463,20 @@ impl EmbeddingTable {
         let dim = self.dim();
         let batch = flat.len() / num_fields;
         let width = num_fields * dim;
-        out.reset(batch, width);
-        let copy_row = |b: usize, row: &mut [f32]| {
-            for f in 0..num_fields {
-                let idx = flat[b * num_fields + f] as usize;
-                row[f * dim..(f + 1) * dim].copy_from_slice(self.weight.row(idx));
-            }
-        };
-        if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
-            for b in 0..batch {
-                copy_row(b, out.row_mut(b));
-            }
-        } else {
-            pool.for_rows(out.as_mut_slice(), width, copy_row);
+        out.reshape_for_overwrite(batch, width);
+        if dim == 0 {
+            return;
         }
+        let table = self.weight.as_slice();
+        by_width!(dim, w => {
+            if pool.is_serial() || flat.len() * dim < POOL_MIN_WORK {
+                gather_rows(w, table, flat, out.as_mut_slice());
+            } else {
+                pool.for_row_chunks(out.as_mut_slice(), width, |b0, rows| {
+                    gather_rows(w, table, &flat[b0 * num_fields..], rows);
+                });
+            }
+        })
     }
 
     /// Accumulates gradients for a multi-field lookup (inverse of
@@ -473,24 +580,82 @@ impl EmbeddingTable {
             self.ensure_last_step();
             self.bias_window.advance(adam, t);
         }
+        if self.dim() == 0 {
+            self.pending.clear();
+            return;
+        }
+        by_width!(self.dim(), w => self.adam_rows(w, adam, weight_decay, t))
+    }
+
+    /// [`apply_adam`](Self::apply_adam)'s row loop at width `w`, once the
+    /// moments (and, in `LazyCatchUp` mode, the step bookkeeping) exist:
+    /// `DenseApply` steps each row of `0..vocab` in place, in order;
+    /// `Sparse` and `LazyCatchUp` step the ascending distinct ids
+    /// [`BLOCK_ROWS`] at a time on their rows gathered into `block` (see
+    /// the module doc's "Row width").
+    fn adam_rows<W: Width>(&mut self, w: W, adam: &Adam, weight_decay: f32, t: u64) {
+        let (n, vocab) = (w.get(), self.vocab());
         let (bc1, bc2) = adam.bias_corrections();
-        let (vocab, dim) = (self.vocab(), self.dim());
         let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) else {
             return;
         };
-        let (weight, last_step, window) =
-            (&mut self.weight, &mut self.last_step, &self.bias_window);
-        self.pending.drain_sums(vocab, dim, every_row, |i, grad| {
-            let (w, mr, vr) = (weight.row_mut(i), m.row_mut(i), v.row_mut(i));
-            if lazy {
-                for s in u64::from(last_step[i]) + 1..t {
-                    let (cb1, cb2) = window.at(adam, s);
-                    adam.step_row_zero_grad(w, mr, vr, weight_decay, cb1, cb2);
+        let (weight, m, v) = (
+            self.weight.as_mut_slice(),
+            m.as_mut_slice(),
+            v.as_mut_slice(),
+        );
+        if self.opt_mode == EmbedOptimizerMode::DenseApply {
+            self.pending.drain_sums(w, vocab, true, |i, grad| {
+                let at = i * n;
+                let (wr, mr, vr) = (
+                    &mut weight[at..at + n],
+                    &mut m[at..at + n],
+                    &mut v[at..at + n],
+                );
+                adam.step_row(wr, grad, mr, vr, weight_decay, bc1, bc2);
+            });
+            return;
+        }
+        let lazy = self.opt_mode == EmbedOptimizerMode::LazyCatchUp;
+        let pending = &mut self.pending;
+        pending.reduce(w, vocab);
+        let (last_step, window) = (&mut self.last_step, &self.bias_window);
+        self.block.resize(3 * BLOCK_ROWS * n, 0.0);
+        let (block_w, block_mv) = self.block.split_at_mut(BLOCK_ROWS * n);
+        let (block_m, block_v) = block_mv.split_at_mut(BLOCK_ROWS * n);
+        let ids = pending.ids.chunks(BLOCK_ROWS);
+        for (ids, grads) in ids.zip(pending.sums[n..].chunks(BLOCK_ROWS * n)) {
+            let len = grads.len();
+            let (bw, bm, bv) = (
+                &mut block_w[..len],
+                &mut block_m[..len],
+                &mut block_v[..len],
+            );
+            let rows = bw.chunks_exact_mut(n).zip(bm.chunks_exact_mut(n));
+            for ((&id, (wr, mr)), vr) in ids.iter().zip(rows).zip(bv.chunks_exact_mut(n)) {
+                let at = id as usize * n;
+                wr.copy_from_slice(&weight[at..at + n]);
+                mr.copy_from_slice(&m[at..at + n]);
+                vr.copy_from_slice(&v[at..at + n]);
+                if lazy {
+                    let last = &mut last_step[id as usize];
+                    for s in u64::from(*last) + 1..t {
+                        let (cb1, cb2) = window.at(adam, s);
+                        adam.step_row_zero_grad(wr, mr, vr, weight_decay, cb1, cb2);
+                    }
+                    *last = t as u32;
                 }
-                last_step[i] = t as u32;
             }
-            adam.step_row(w, grad, mr, vr, weight_decay, bc1, bc2);
-        });
+            adam.step_row(bw, grads, bm, bv, weight_decay, bc1, bc2);
+            let rows = bw.chunks_exact(n).zip(bm.chunks_exact(n));
+            for ((&id, (wr, mr)), vr) in ids.iter().zip(rows).zip(bv.chunks_exact(n)) {
+                let at = id as usize * n;
+                weight[at..at + n].copy_from_slice(wr);
+                m[at..at + n].copy_from_slice(mr);
+                v[at..at + n].copy_from_slice(vr);
+            }
+        }
+        pending.clear();
     }
 
     /// Replays every row's outstanding zero-gradient steps up to `adam`'s
@@ -530,12 +695,17 @@ impl EmbeddingTable {
     pub fn apply_sgd(&mut self, lr: f32, weight_decay: f32) {
         let every_row = self.opt_mode == EmbedOptimizerMode::DenseApply;
         let (vocab, dim) = (self.vocab(), self.dim());
-        let weight = &mut self.weight;
-        self.pending.drain_sums(vocab, dim, every_row, |i, grad| {
-            for (w, &g) in weight.row_mut(i).iter_mut().zip(grad) {
-                *w -= lr * (g + weight_decay * *w);
-            }
-        });
+        if dim == 0 {
+            self.pending.clear();
+            return;
+        }
+        let weight = self.weight.as_mut_slice();
+        self.pending
+            .drain_sums(Runtime(dim), vocab, every_row, |i, grad| {
+                for (w, &g) in weight[i * dim..(i + 1) * dim].iter_mut().zip(grad) {
+                    *w -= lr * (g + weight_decay * *w);
+                }
+            });
     }
 
     /// Discards pending gradients without applying them.
@@ -797,8 +967,8 @@ mod tests {
     fn lazy_catch_up_matches_dense_apply_bitwise() {
         // 2,600 steps re-touch rows across the bias window's edge and far
         // past it, so both the window and the direct `powi` fallback are
-        // pinned, at widths below one vector lane, of one and of two lanes.
-        for &dim in &[3usize, 8, 16] {
+        // pinned, at the runtime width 3 and every constant row width.
+        for &dim in &[3usize, 4, 8, 16] {
             for &wd in &[0.0f32, 1e-2] {
                 let dense = run_mode(EmbedOptimizerMode::DenseApply, wd, dim, 2600);
                 let lazy = run_mode(EmbedOptimizerMode::LazyCatchUp, wd, dim, 2600);
@@ -1125,8 +1295,9 @@ mod tests {
     }
 
     /// Vocabularies at the one-pass edge (2^11 - 1, 2^11) and just past it,
-    /// with the width each runs at.
-    const EDGE_VOCABS: [(usize, usize); 3] = [(2047, 3), (2048, 8), (2049, 16)];
+    /// with the widths each runs at: every constant width of `by_width!`
+    /// (4, 8 and 16) and the runtime width 3.
+    const EDGE_VOCABS: [(usize, usize); 4] = [(2047, 3), (2047, 4), (2048, 8), (2049, 16)];
 
     /// Six Adam steps: two accumulate calls before some applies, a
     /// `clear_grads` between calls on one, one step with nothing pending.
@@ -1183,6 +1354,82 @@ mod tests {
                 }
                 twin.accumulate(&flat, 4, &grad);
                 twin.adam_step(1e-2);
+            }
+        }
+    }
+
+    #[test]
+    fn list_bits_match_arena_in_full_and_partial_blocks() {
+        // 15, 16, 17 and 33 distinct ids leave the last block of
+        // BLOCK_ROWS ids short, full, one id long and one id long after two
+        // full blocks. Id `k` of the final step was last touched at step
+        // `k % 5`, so a lazy block replays a different count on each row.
+        let vocab = 2049;
+        for mode in [
+            EmbedOptimizerMode::Sparse,
+            EmbedOptimizerMode::LazyCatchUp,
+            EmbedOptimizerMode::DenseApply,
+        ] {
+            for (_, dim) in EDGE_VOCABS {
+                for distinct in [15usize, 16, 17, 33] {
+                    let mut rng = StdRng::seed_from_u64((distinct * dim) as u64);
+                    let mut twin = Twin::new(vocab, dim, mode);
+                    let ids: Vec<u32> = (0..distinct).map(|k| (k * 61 % vocab) as u32).collect();
+                    for step in 0..8 {
+                        let flat: Vec<u32> = match step {
+                            0..=4 => ids.iter().copied().skip(step).step_by(5).collect(),
+                            5 | 6 => Vec::new(),
+                            // Descending arrivals, half of the ids twice.
+                            _ => ids
+                                .iter()
+                                .rev()
+                                .chain(&ids[..distinct / 2])
+                                .copied()
+                                .collect(),
+                        };
+                        let grad =
+                            Matrix::from_fn(flat.len(), dim, |_, _| rng.gen_range(-1.0..1.0));
+                        twin.accumulate(&flat, 1, &grad);
+                        twin.adam_step(1e-2);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_bits_match_naive_row_copies() {
+        // 509 rows x 12 fields clear POOL_MIN_WORK at every width, so the
+        // 2-thread pool shards the lookup, in two uneven chunks.
+        let (vocab, rows, fields) = (301, 509, 12);
+        for (_, dim) in EDGE_VOCABS {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let mut t = EmbeddingTable::new(&mut rng, vocab, dim);
+            for (id, v) in [(7, -0.0), (8, f32::NAN), (9, f32::NEG_INFINITY)] {
+                t.weight_mut().row_mut(id).fill(v);
+            }
+            let flat: Vec<u32> = (0..rows * fields)
+                .map(|_| rng.gen_range(0..vocab as u32))
+                .collect();
+            let mut want = Matrix::zeros(rows, fields * dim);
+            for b in 0..rows {
+                for f in 0..fields {
+                    let row = t.row(flat[b * fields + f]);
+                    want.row_mut(b)[f * dim..(f + 1) * dim].copy_from_slice(row);
+                }
+            }
+            for pool in [Pool::serial(), Pool::new(2)] {
+                // A stale buffer, longer than the result: every element
+                // must be overwritten.
+                let mut got = Matrix::filled(rows, fields * dim + 1, 9.0);
+                t.lookup_fields_pooled_into(&flat, fields, &pool, &mut got);
+                assert_eq!(got.shape(), want.shape());
+                let same = got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "dim {dim}, {} threads", pool.threads());
             }
         }
     }

@@ -82,8 +82,8 @@ impl Dense {
                 *d += g;
             }
         }
-        // dx = g W^T
-        dx.reset(grad_out.rows(), self.in_dim());
+        // dx = g W^T, which overwrites every element
+        dx.reshape_for_overwrite(grad_out.rows(), self.in_dim());
         grad_out.matmul_a_bt_into_pooled(&self.w.value, dx, &self.pool);
     }
 }

@@ -137,14 +137,16 @@ impl Mlp {
             self.ws.recycle(a);
         }
         for i in 0..self.blocks.len() {
-            let mut z = self.ws.take(x.rows(), self.blocks[i].dense.out_dim());
+            let mut z = self
+                .ws
+                .take_for_overwrite(x.rows(), self.blocks[i].dense.out_dim());
             {
                 let input: &Matrix = if i == 0 { x } else { &self.acts[i - 1] };
                 self.blocks[i].dense.forward_into(input, &mut z);
             }
             self.blocks[i].relu.forward_inplace(&mut z);
             let z = if let Some(norm) = self.blocks[i].norm.as_mut() {
-                let mut y = self.ws.take(z.rows(), z.cols());
+                let mut y = self.ws.take_for_overwrite(z.rows(), z.cols());
                 norm.forward_into(&z, &mut y);
                 self.ws.recycle(z);
                 y
@@ -177,12 +179,12 @@ impl Mlp {
         }
         let rows = grad_out.rows();
         let nb = self.blocks.len();
-        let mut g = self.ws.take(rows, self.output.in_dim());
+        let mut g = self.ws.take_for_overwrite(rows, self.output.in_dim());
         self.output
             .backward_into(&self.acts[nb - 1], grad_out, &mut g);
         for i in (0..nb).rev() {
             if let Some(norm) = self.blocks[i].norm.as_mut() {
-                let mut t = self.ws.take(rows, g.cols());
+                let mut t = self.ws.take_for_overwrite(rows, g.cols());
                 norm.backward_into(&g, &mut t);
                 self.ws.recycle(std::mem::replace(&mut g, t));
             }
@@ -190,7 +192,9 @@ impl Mlp {
             if i == 0 {
                 self.blocks[i].dense.backward_into(x, &g, dx);
             } else {
-                let mut t = self.ws.take(rows, self.blocks[i].dense.in_dim());
+                let mut t = self
+                    .ws
+                    .take_for_overwrite(rows, self.blocks[i].dense.in_dim());
                 self.blocks[i]
                     .dense
                     .backward_into(&self.acts[i - 1], &g, &mut t);

@@ -249,7 +249,7 @@ impl HashedEmbedding {
     /// Row-owned writes only, so pooled and serial results are bitwise
     /// equal.
     fn compose_into(&self, batch: usize, width: usize, pool: &Pool, out: &mut Matrix) {
-        out.reset(batch, width);
+        out.reshape_for_overwrite(batch, width);
         let (r1, r2) = (&self.rows1, &self.rows2);
         if pool.is_serial() || batch * width < POOL_MIN_WORK {
             for b in 0..batch {
@@ -338,8 +338,8 @@ impl HashedEmbedding {
             .lookup_fields_pooled_into(&self.idx1, num_fields, pool, &mut self.rows1);
         self.t2
             .lookup_fields_pooled_into(&self.idx2, num_fields, pool, &mut self.rows2);
-        self.g1.reset(batch, width);
-        self.g2.reset(batch, width);
+        self.g1.reshape_for_overwrite(batch, width);
+        self.g2.reshape_for_overwrite(batch, width);
         {
             let (r1, r2) = (&self.rows1, &self.rows2);
             let serial = pool.is_serial() || batch * width < POOL_MIN_WORK;

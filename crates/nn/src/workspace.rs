@@ -18,8 +18,10 @@
 //! - Buffers that must survive from forward to backward (cached
 //!   activations, assembled inputs) are *held*, not recycled, until the
 //!   backward pass has consumed them.
-//! - `take` returns a zeroed matrix of the exact requested shape, so a
-//!   recycled buffer can never leak values between steps or call sites.
+//! - [`take_for_overwrite`](Workspace::take_for_overwrite) reshapes a
+//!   buffer without filling it, so it may hold an earlier step's values:
+//!   every taker writes each element before it reads it. A dense layer's
+//!   forward accumulates, so it zero-fills its output itself.
 
 use optinter_tensor::Matrix;
 
@@ -35,13 +37,16 @@ impl Workspace {
         Self::default()
     }
 
-    /// Takes a zeroed `[rows, cols]` matrix, reusing a recycled buffer's
-    /// allocation when one is available.
+    /// Takes a `[rows, cols]` matrix for a caller that writes every element
+    /// before reading it, reusing a recycled buffer's allocation when one is
+    /// available. Only storage past the buffer's old length is zeroed; the
+    /// rest keeps stale values (see
+    /// [`Matrix::reshape_for_overwrite`]).
     ///
     /// Prefers the free buffer whose capacity already fits the request so
     /// mixed-size call patterns converge to zero allocations instead of
     /// repeatedly growing whichever buffer happens to be on top.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+    pub fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Matrix {
         let need = rows * cols;
         let slot = self
             .free
@@ -52,11 +57,12 @@ impl Workspace {
             Some(_) => self.free.swap_remove(slot),
             None => Matrix::zeros(0, 0),
         };
-        m.reset(rows, cols);
+        m.reshape_for_overwrite(rows, cols);
         m
     }
 
-    /// Returns a buffer to the pool for reuse by a later [`take`](Self::take).
+    /// Returns a buffer to the pool for reuse by a later
+    /// [`take_for_overwrite`](Self::take_for_overwrite).
     pub fn recycle(&mut self, m: Matrix) {
         self.free.push(m);
     }
@@ -72,28 +78,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn take_returns_zeroed_exact_shape() {
+    fn take_returns_exact_shape_and_zeroes_only_new_storage() {
         let mut ws = Workspace::new();
-        let mut a = ws.take(3, 4);
+        let mut a = ws.take_for_overwrite(3, 4);
         assert_eq!(a.shape(), (3, 4));
+        assert!(a.as_slice().iter().all(|&v| v == 0.0), "fresh storage");
         a.fill_with(7.0);
         ws.recycle(a);
-        let b = ws.take(2, 5);
-        assert_eq!(b.shape(), (2, 5));
-        assert!(
-            b.as_slice().iter().all(|&v| v == 0.0),
-            "recycled buffer leaked"
-        );
+        // The recycled buffer comes back unfilled: its first 12 elements
+        // keep their values, the two past them are new and zero.
+        let b = ws.take_for_overwrite(2, 7);
+        assert_eq!(b.shape(), (2, 7));
+        assert!(b.as_slice()[..12].iter().all(|&v| v == 7.0));
+        assert_eq!(&b.as_slice()[12..], &[0.0, 0.0]);
     }
 
     #[test]
     fn recycled_capacity_is_reused() {
         let mut ws = Workspace::new();
-        let a = ws.take(16, 16);
+        let a = ws.take_for_overwrite(16, 16);
         let ptr = a.as_slice().as_ptr();
         ws.recycle(a);
         // Same size request must come back on the same allocation.
-        let b = ws.take(16, 16);
+        let b = ws.take_for_overwrite(16, 16);
         assert_eq!(b.as_slice().as_ptr(), ptr);
         assert_eq!(ws.free_buffers(), 0);
     }
@@ -101,14 +108,14 @@ mod tests {
     #[test]
     fn take_prefers_fitting_buffer() {
         let mut ws = Workspace::new();
-        let small = ws.take(2, 2);
-        let big = ws.take(32, 32);
+        let small = ws.take_for_overwrite(2, 2);
+        let big = ws.take_for_overwrite(32, 32);
         let big_ptr = big.as_slice().as_ptr();
         ws.recycle(small);
         ws.recycle(big);
         // A large request should land on the large buffer even though the
         // small one was recycled first.
-        let c = ws.take(32, 32);
+        let c = ws.take_for_overwrite(32, 32);
         assert_eq!(c.as_slice().as_ptr(), big_ptr);
     }
 }

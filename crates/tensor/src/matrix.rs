@@ -529,11 +529,10 @@ impl Matrix {
     }
 
     /// Reshapes to `[rows, cols]` and zeroes every element, reusing the
-    /// existing allocation whenever it is large enough. This is the
-    /// workhorse of the scratch-buffer (`Workspace`) paths: a recycled
-    /// matrix of any prior shape becomes a fresh zeroed one without
-    /// touching the heap once its capacity has grown to the working-set
-    /// maximum.
+    /// existing allocation whenever it is large enough: the start of a
+    /// scratch buffer that a caller accumulates into. A recycled matrix of
+    /// any prior shape becomes a fresh zeroed one without touching the
+    /// heap once its capacity has grown to the working-set maximum.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
