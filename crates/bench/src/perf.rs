@@ -21,6 +21,7 @@ use optinter_tensor::{init, Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use serde_json::Value;
 use std::time::Instant;
 
 /// Options for a perf run.
@@ -37,9 +38,11 @@ pub struct PerfOptions {
     /// labelled `stream_serial` instead of `prefetch`).
     pub prefetch: bool,
     /// Path to a committed trajectory to regression-check against: the
-    /// run fails if any train-step `rows_per_sec` drops more than
-    /// [`REGRESSION_TOLERANCE`] below the matching `(model, threads)` row
-    /// of that file's last entry.
+    /// run fails if a gated row's `rows_per_sec` (`GATED`) drops more
+    /// than [`REGRESSION_TOLERANCE`] ([`OVERSUBSCRIBED_TOLERANCE`] for
+    /// rows whose threads exceed the cores) below the row with the same
+    /// section, key and threads in that file's last entry, in the run and
+    /// in its one re-measure.
     pub check_against: Option<String>,
     /// Kernel backend forced for the train/input/serve sections
     /// (`--backend scalar|avx2fma`); `None` keeps the process default
@@ -48,7 +51,7 @@ pub struct PerfOptions {
     pub backend: Option<String>,
 }
 
-/// Allowed fractional train-step throughput drop before
+/// Allowed fractional throughput drop of a gated row before
 /// `--check-against` fails the run.
 pub const REGRESSION_TOLERANCE: f64 = 0.10;
 
@@ -956,8 +959,8 @@ fn bench_serve(quick: bool) -> Vec<ServeRow> {
 
 /// Appends `entry` to the JSON trajectory array at `path`, creating the
 /// file (and `results/`) when missing. The existing file is spliced
-/// textually — the serde shim has no parser — so entries written by older
-/// kernel versions are preserved byte-for-byte.
+/// textually rather than parsed and re-rendered, so the entries already
+/// in it keep their bytes.
 fn append_entry(path: &str, entry: &PerfEntry) {
     let rendered = match serde_json::to_string_pretty(entry) {
         Ok(j) => j,
@@ -995,327 +998,207 @@ fn append_entry(path: &str, entry: &PerfEntry) {
     }
 }
 
-/// A `(model, threads, rows_per_sec)` train-step baseline row recovered
-/// from a committed trajectory file.
-type BaselineRow = (String, usize, f64);
+/// One entry section's rows that `--check-against` gates.
+struct Gated {
+    /// The [`PerfEntry`] field holding the rows.
+    section: &'static str,
+    /// Fields whose values, joined with `/`, name a row in its section.
+    key: &'static [&'static str],
+    /// Whether rows carry a `threads` field; rows without one count as
+    /// one thread.
+    threaded: bool,
+    /// Key prefixes of the gated rows; empty gates every row.
+    ops: &'static [&'static str],
+}
 
-/// Extracts the train-step rows of the *last* entry in a committed
-/// trajectory JSON (the output format of [`append_entry`]). Hand-rolled:
-/// the serde_json shim only serializes, and the three fields we need sit
-/// in flat objects. Returns an error when the file or the expected keys
-/// are missing — a silent pass on malformed input would defeat the gate.
-pub fn last_train_step_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
-    let key = "\"train_step\"";
-    let at = text
-        .rfind(key)
-        .ok_or_else(|| "no \"train_step\" key in trajectory file".to_string())?;
-    let rest = &text[at + key.len()..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| "\"train_step\" is not an array".to_string())?;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
+/// The gated rows, compared on `rows_per_sec`.
+///
+/// - Every train step is gated.
+/// - Of the serve rows only `single_request`: the open-loop `micro_batch`
+///   front door runs a submitter thread and the batcher beside the scorer
+///   pool, so on a small runner its rows/sec measures the OS scheduler
+///   (2x run-to-run swings on one core).
+/// - Of the embedding-scale rows only `lookup_grad@` and `adam_apply@`:
+///   a `train_step@` row is one epoch-scale sample whose spread on a
+///   shared runner dwarfs the tolerance (its AUC is what matters). The
+///   scale suffix in the key (`@2e5` quick, `@1e7` full) keeps a quick
+///   run from ever matching a full-scale baseline: rows with no baseline
+///   counterpart pass.
+const GATED: [Gated; 3] = [
+    Gated {
+        section: "train_step",
+        key: &["model"],
+        threaded: true,
+        ops: &[],
+    },
+    Gated {
+        section: "serve",
+        key: &["op"],
+        threaded: true,
+        ops: &["single_request"],
+    },
+    Gated {
+        section: "embedding_scale",
+        key: &["op", "variant"],
+        threaded: false,
+        ops: &["lookup_grad@", "adam_apply@"],
+    },
+];
+
+/// One gated row of an entry, as [`gated_rows`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+struct GateRow {
+    /// A [`GATED`] section.
+    section: &'static str,
+    /// The row's key fields joined with `/`.
+    key: String,
+    /// Worker threads (1 for unthreaded sections).
+    threads: usize,
+    rows_per_sec: f64,
+}
+
+impl GateRow {
+    /// What a baseline row must share with a measured one to compare.
+    fn id(&self) -> (&str, &str, usize) {
+        (self.section, &self.key, self.threads)
     }
-    let end = end.ok_or_else(|| "unterminated \"train_step\" array".to_string())?;
-    let body = &rest[open + 1..end];
+}
+
+/// Reads the [`GATED`] rows of one trajectory entry: a parsed baseline
+/// entry, or a measured [`PerfEntry`]'s `to_json_value()`. Every row of a
+/// gated section must carry its key fields, `threads` where the section
+/// is threaded, and a numeric `rows_per_sec`; a missing section is an
+/// error too.
+fn gated_rows(entry: &Value) -> Result<Vec<GateRow>, String> {
     let mut rows = Vec::new();
-    // Objects in the array are flat (no nested braces), so splitting on
-    // '}' yields one object body per chunk.
-    for obj in body.split('}') {
-        let Some(brace) = obj.find('{') else { continue };
-        let obj = &obj[brace + 1..];
-        let model = extract_json_string(obj, "model")?;
-        let threads = extract_json_number(obj, "threads")? as usize;
-        let rows_per_sec = extract_json_number(obj, "rows_per_sec")?;
-        rows.push((model, threads, rows_per_sec));
-    }
-    if rows.is_empty() {
-        return Err("last \"train_step\" array holds no rows".to_string());
+    for gated in &GATED {
+        let section = gated.section;
+        let items = entry
+            .get(section)
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("no \"{section}\" array"))?;
+        for item in items {
+            let field = |name: &str| {
+                item.get(name)
+                    .ok_or_else(|| format!("a \"{section}\" row has no \"{name}\""))
+            };
+            let number = |name: &str| {
+                field(name)?
+                    .as_f64()
+                    .ok_or_else(|| format!("a \"{section}\" row's \"{name}\" is not a number"))
+            };
+            let key = gated
+                .key
+                .iter()
+                .map(|&name| {
+                    field(name)?
+                        .as_str()
+                        .ok_or_else(|| format!("a \"{section}\" row's \"{name}\" is not a string"))
+                })
+                .collect::<Result<Vec<_>, _>>()?
+                .join("/");
+            let threads = if gated.threaded {
+                number("threads")? as usize
+            } else {
+                1
+            };
+            let rows_per_sec = number("rows_per_sec")?;
+            if gated.ops.is_empty() || gated.ops.iter().any(|op| key.starts_with(op)) {
+                rows.push(GateRow {
+                    section,
+                    key,
+                    threads,
+                    rows_per_sec,
+                });
+            }
+        }
     }
     Ok(rows)
 }
 
-fn extract_json_string(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing key \"{key}\""))?;
-    let rest = &obj[at + pat.len()..];
-    let colon = rest
-        .find(':')
-        .ok_or_else(|| format!("malformed \"{key}\""))?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("\"{key}\" is not a string"))?;
-    let close = rest
-        .find('"')
-        .ok_or_else(|| format!("unterminated \"{key}\""))?;
-    Ok(rest[..close].to_string())
-}
-
-fn extract_json_number(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing key \"{key}\""))?;
-    let rest = &obj[at + pat.len()..];
-    let colon = rest
-        .find(':')
-        .ok_or_else(|| format!("malformed \"{key}\""))?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("\"{key}\" is not a number: {e}"))
-}
-
-/// Extracts the serve rows `(op, threads, rows_per_sec)` of the most
-/// recent entry carrying a `"serve"` section. Entries written before the
-/// serving path existed have none — that is not an error; an empty
-/// baseline simply disables the serve gate for the transition run.
-pub fn last_serve_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
-    let key = "\"serve\"";
-    let Some(at) = text.rfind(key) else {
-        return Ok(Vec::new());
-    };
-    let rest = &text[at + key.len()..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| "\"serve\" is not an array".to_string())?;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let end = end.ok_or_else(|| "unterminated \"serve\" array".to_string())?;
-    let body = &rest[open + 1..end];
-    let mut rows = Vec::new();
-    for obj in body.split('}') {
-        let Some(brace) = obj.find('{') else { continue };
-        let obj = &obj[brace + 1..];
-        let op = extract_json_string(obj, "op")?;
-        let threads = extract_json_number(obj, "threads")? as usize;
-        let rows_per_sec = extract_json_number(obj, "rows_per_sec")?;
-        rows.push((op, threads, rows_per_sec));
-    }
-    Ok(rows)
-}
-
-/// Extracts `(op/variant, 1, rows_per_sec)` keys from the most recent
-/// entry carrying an `"embedding_scale"` section. Entries written before
-/// the giant-vocab axis existed have none — an empty baseline disables
-/// the gate for the transition run, exactly like the serve section.
-pub fn last_embed_scale_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
-    let key = "\"embedding_scale\"";
-    let Some(at) = text.rfind(key) else {
-        return Ok(Vec::new());
-    };
-    let rest = &text[at + key.len()..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| "\"embedding_scale\" is not an array".to_string())?;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let end = end.ok_or_else(|| "unterminated \"embedding_scale\" array".to_string())?;
-    let body = &rest[open + 1..end];
-    let mut rows = Vec::new();
-    for obj in body.split('}') {
-        let Some(brace) = obj.find('{') else { continue };
-        let obj = &obj[brace + 1..];
-        let op = extract_json_string(obj, "op")?;
-        let variant = extract_json_string(obj, "variant")?;
-        let rows_per_sec = extract_json_number(obj, "rows_per_sec")?;
-        rows.push((format!("{op}/{variant}"), 1, rows_per_sec));
-    }
-    Ok(rows)
-}
-
-/// Embedding-scale ops whose throughput the gate ratchets, by prefix.
-/// `train_step@` rows are reported but not gated: they are a single
-/// epoch-scale sample whose variance on a shared runner dwarfs the
-/// tolerance (the AUC column is the invariant that matters there).
-/// The scale suffix keeps quick-mode keys (`@2e5`) from ever matching a
-/// committed full-scale (`@1e7`) baseline — absent keys pass.
-const GATED_EMBED_OPS: &[&str] = &["lookup_grad@", "adam_apply@"];
-
-/// Compares measured embedding-scale rows against a committed baseline,
-/// keyed by `op/variant` on `rows_per_sec`. Messages are prefixed
-/// `embed` so retain-keys never collide with the other sections.
-pub fn embed_scale_regressions(
-    measured: &[EmbedScaleRow],
-    baseline: &[BaselineRow],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for row in measured {
-        if !GATED_EMBED_OPS.iter().any(|p| row.op.starts_with(p)) {
-            continue;
-        }
-        let key = format!("{}/{}", row.op, row.variant);
-        let Some((_, _, base_rps)) = baseline.iter().find(|(k, _, _)| *k == key) else {
-            continue;
-        };
-        if *base_rps <= 0.0 {
-            continue;
-        }
-        let ratio = row.rows_per_sec / base_rps;
-        if ratio < 1.0 - tolerance {
-            problems.push(format!(
-                "embed {key}: {:.0} rows/s vs committed {:.0} ({:+.1}%), below the \
-                 {:.0}% regression tolerance",
-                row.rows_per_sec,
-                base_rps,
-                (ratio - 1.0) * 100.0,
-                tolerance * 100.0,
-            ));
-        }
-    }
-    problems
-}
-
-/// Per-row gate tolerance: `tolerance` where the row's thread count fits
-/// the machine, [`OVERSUBSCRIBED_TOLERANCE`] where it does not.
-fn row_tolerance(tolerance: f64, threads: usize, cores: usize) -> f64 {
-    if threads > cores {
-        tolerance.max(OVERSUBSCRIBED_TOLERANCE)
-    } else {
-        tolerance
+/// The gated rows of the last entry of a trajectory file's text (the
+/// array [`append_entry`] writes). Each [`GATED`] section must hold a
+/// gated row: a baseline that gates nothing would pass every run.
+fn baseline_rows(text: &str) -> Result<Vec<GateRow>, String> {
+    let doc = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let entry = doc
+        .as_array()
+        .and_then(|entries| entries.last())
+        .ok_or_else(|| "not a non-empty array of entries".to_string())?;
+    let rows = gated_rows(entry)?;
+    match GATED
+        .iter()
+        .find(|g| !rows.iter().any(|r| r.section == g.section))
+    {
+        Some(g) => Err(format!(
+            "the last entry's \"{}\" section has no gated row",
+            g.section
+        )),
+        None => Ok(rows),
     }
 }
 
-/// Serve ops whose throughput the gate ratchets. `micro_batch` rows are
-/// reported in the results file but never gated: the open-loop front
-/// door always runs a submitter thread plus the batcher alongside the
-/// scorer pool, so on a small CI runner its rows/sec measures the OS
-/// scheduler, not the scoring kernels — 2x run-to-run swings were
-/// observed on one core. `single_request` isolates the kernels and is
-/// stable enough to ratchet.
-const GATED_SERVE_OPS: &[&str] = &["single_request"];
-
-/// Compares measured serve rows against a committed baseline, keyed by
-/// `(op, threads)` on `rows_per_sec`. Only [`GATED_SERVE_OPS`] rows are
-/// gated; pairs absent from the baseline pass; rows oversubscribing
-/// `cores` get the wider tolerance. Messages are prefixed `serve` so
-/// their retain-keys never collide with train-step model names.
-pub fn serve_regressions(
-    measured: &[ServeRow],
-    baseline: &[BaselineRow],
-    tolerance: f64,
+/// Compares `measured` with the `baseline` row of the same section, key
+/// and thread count and returns one message per regression: a row whose
+/// rows/sec fell more than [`REGRESSION_TOLERANCE`] below its baseline
+/// ([`OVERSUBSCRIBED_TOLERANCE`] when its threads exceed `cores`). Rows
+/// with no baseline counterpart, or a baseline at or below zero, pass.
+///
+/// A single median can sink below the tolerance from outside noise alone
+/// (shared runners, oversubscribed rows), so when any row is flagged this
+/// calls `remeasure` once and keeps only the rows both measurements flag:
+/// one-off noise passes, a real regression reproduces.
+fn regressions(
+    measured: &[GateRow],
+    baseline: &[GateRow],
     cores: usize,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for row in measured {
-        if !GATED_SERVE_OPS.contains(&row.op.as_str()) {
-            continue;
-        }
-        let Some((_, _, base_rps)) = baseline
-            .iter()
-            .find(|(op, t, _)| *op == row.op && *t == row.threads)
-        else {
-            continue;
-        };
-        if *base_rps <= 0.0 {
-            continue;
-        }
-        let tolerance = row_tolerance(tolerance, row.threads, cores);
-        let ratio = row.rows_per_sec / base_rps;
-        if ratio < 1.0 - tolerance {
-            problems.push(format!(
-                "serve {} t{}: {:.0} rows/s vs committed {:.0} ({:+.1}%), below the \
-                 {:.0}% regression tolerance",
-                row.op,
-                row.threads,
-                row.rows_per_sec,
-                base_rps,
-                (ratio - 1.0) * 100.0,
-                tolerance * 100.0,
-            ));
-        }
+    remeasure: impl FnOnce() -> Result<Vec<GateRow>, String>,
+) -> Result<Vec<String>, String> {
+    fn flag<'a>(
+        rows: &'a [GateRow],
+        baseline: &[GateRow],
+        cores: usize,
+    ) -> Vec<(&'a GateRow, String)> {
+        rows.iter()
+            .filter_map(|row| {
+                let committed = baseline.iter().find(|b| b.id() == row.id())?.rows_per_sec;
+                let tolerance = if row.threads > cores {
+                    OVERSUBSCRIBED_TOLERANCE
+                } else {
+                    REGRESSION_TOLERANCE
+                };
+                let ratio = row.rows_per_sec / committed;
+                (committed > 0.0 && ratio < 1.0 - tolerance).then(|| {
+                    let message = format!(
+                        "{} {} t{}: {:.0} rows/s vs committed {committed:.0} ({:+.1}%), \
+                         below the {:.0}% regression tolerance",
+                        row.section,
+                        row.key,
+                        row.threads,
+                        row.rows_per_sec,
+                        (ratio - 1.0) * 100.0,
+                        tolerance * 100.0,
+                    );
+                    (row, message)
+                })
+            })
+            .collect()
     }
-    problems
-}
-
-/// Compares measured train-step rows against a committed baseline.
-/// Returns one message per `(model, threads)` pair whose throughput
-/// dropped more than the row's tolerance (`tolerance`, widened for rows
-/// oversubscribing `cores`); pairs absent from the baseline pass.
-pub fn train_step_regressions(
-    measured: &[TrainRow],
-    baseline: &[BaselineRow],
-    tolerance: f64,
-    cores: usize,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for row in measured {
-        let Some((_, _, base_rps)) = baseline
-            .iter()
-            .find(|(m, t, _)| *m == row.model && *t == row.threads)
-        else {
-            continue;
-        };
-        if *base_rps <= 0.0 {
-            continue;
-        }
-        let tolerance = row_tolerance(tolerance, row.threads, cores);
-        let ratio = row.rows_per_sec / base_rps;
-        if ratio < 1.0 - tolerance {
-            problems.push(format!(
-                "{} t{}: {:.0} rows/s vs committed {:.0} ({:+.1}%), below the {:.0}% \
-                 regression tolerance",
-                row.model,
-                row.threads,
-                row.rows_per_sec,
-                base_rps,
-                (ratio - 1.0) * 100.0,
-                tolerance * 100.0,
-            ));
-        }
+    let mut flagged = flag(measured, baseline, cores);
+    if !flagged.is_empty() {
+        println!("perf: throughput regression suspected; re-measuring to confirm");
+        let retry = remeasure()?;
+        let again = flag(&retry, baseline, cores);
+        flagged.retain(|(row, _)| again.iter().any(|(r, _)| r.id() == row.id()));
     }
-    problems
+    Ok(flagged.into_iter().map(|(_, message)| message).collect())
 }
 
 /// Runs the fixed workload and appends a labelled entry to the trajectory.
-/// With `check_against` set, returns `Err` when any train-step throughput
-/// regressed beyond [`REGRESSION_TOLERANCE`] (the entry is still written
-/// first, so the failing numbers are inspectable).
+/// With `check_against` set, the file's last entry is read before any
+/// measurement (a malformed file fails the run at once), and the run
+/// returns `Err` when `regressions` confirms a gated row regressed; the
+/// entry is written first, so the failing numbers are inspectable.
 pub fn run(opts: &PerfOptions) -> Result<(), String> {
     if let Some(name) = &opts.backend {
         let b = Backend::parse(name)
@@ -1327,6 +1210,18 @@ pub fn run(opts: &PerfOptions) -> Result<(), String> {
         }
         kernels::set_active(b);
     }
+    // Read the baseline before measuring, so a malformed file fails at
+    // once, and before appending: with the default `--out` the trajectory
+    // and the baseline are the same file.
+    let baseline = match &opts.check_against {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("check-against: cannot read {path}: {e}"))?;
+            let rows = baseline_rows(&text).map_err(|e| format!("check-against: {path}: {e}"))?;
+            Some((path, rows))
+        }
+        None => None,
+    };
     let backend = kernels::active().name().to_string();
     println!(
         "perf: label={} quick={} out={} backend={backend}",
@@ -1385,91 +1280,34 @@ pub fn run(opts: &PerfOptions) -> Result<(), String> {
         input,
         serve,
     };
-    // Snapshot the baseline BEFORE appending: with the default `--out` the
-    // trajectory and the baseline are the same file, and reading afterwards
-    // would compare the new entry against itself.
-    let baseline = match &opts.check_against {
-        Some(baseline_path) => {
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("check-against: cannot read {baseline_path}: {e}"))?;
-            let train = last_train_step_rows(&text)
-                .map_err(|e| format!("check-against: {baseline_path}: {e}"))?;
-            let serve = last_serve_rows(&text)
-                .map_err(|e| format!("check-against: {baseline_path}: {e}"))?;
-            let embed = last_embed_scale_rows(&text)
-                .map_err(|e| format!("check-against: {baseline_path}: {e}"))?;
-            Some((train, serve, embed))
-        }
-        None => None,
-    };
     append_entry(&opts.out, &entry);
-    if let (Some(baseline_path), Some((train_baseline, serve_baseline, embed_baseline))) =
-        (&opts.check_against, baseline)
-    {
-        let cores = machine_cores();
-        let mut problems = train_step_regressions(
-            &entry.train_step,
-            &train_baseline,
-            REGRESSION_TOLERANCE,
-            cores,
-        );
-        problems.extend(serve_regressions(
-            &entry.serve,
-            &serve_baseline,
-            REGRESSION_TOLERANCE,
-            cores,
+    let Some((path, baseline)) = baseline else {
+        return Ok(());
+    };
+    let problems = regressions(
+        &gated_rows(&entry.to_json_value())?,
+        &baseline,
+        machine_cores(),
+        || {
+            let retry = PerfEntry {
+                train_step: bench_train_steps(opts.quick),
+                serve: bench_serve(opts.quick),
+                embedding_scale: bench_embedding_scale(opts.quick),
+                ..entry
+            };
+            gated_rows(&retry.to_json_value())
+        },
+    )?;
+    if !problems.is_empty() {
+        return Err(format!(
+            "throughput regressed vs {path}:\n  {}",
+            problems.join("\n  ")
         ));
-        problems.extend(embed_scale_regressions(
-            &entry.embedding_scale,
-            &embed_baseline,
-            REGRESSION_TOLERANCE,
-        ));
-        if !problems.is_empty() {
-            // A single median can sink below the tolerance from external
-            // noise alone (shared CI runners; oversubscribed t2/t4 rows on
-            // small machines). Re-measure once and fail only the rows that
-            // regress in BOTH measurements: one-off noise passes, a real
-            // regression reproduces.
-            println!("perf: throughput regression suspected; re-measuring to confirm");
-            let retry = bench_train_steps(opts.quick);
-            let mut confirmed =
-                train_step_regressions(&retry, &train_baseline, REGRESSION_TOLERANCE, cores);
-            let retry_serve = bench_serve(opts.quick);
-            confirmed.extend(serve_regressions(
-                &retry_serve,
-                &serve_baseline,
-                REGRESSION_TOLERANCE,
-                cores,
-            ));
-            let retry_embed = bench_embedding_scale(opts.quick);
-            confirmed.extend(embed_scale_regressions(
-                &retry_embed,
-                &embed_baseline,
-                REGRESSION_TOLERANCE,
-            ));
-            let confirmed_rows: Vec<&str> = confirmed
-                .iter()
-                .filter_map(|p| p.split(':').next())
-                .collect();
-            problems.retain(|p| {
-                p.split(':')
-                    .next()
-                    .is_some_and(|k| confirmed_rows.contains(&k))
-            });
-        }
-        if problems.is_empty() {
-            println!(
-                "perf: train-step, serve and embedding-scale throughput within {:.0}% of \
-                 {baseline_path}",
-                REGRESSION_TOLERANCE * 100.0
-            );
-        } else {
-            return Err(format!(
-                "throughput regressed vs {baseline_path}:\n  {}",
-                problems.join("\n  ")
-            ));
-        }
     }
+    println!(
+        "perf: train-step, serve and embedding-scale throughput within {:.0}% of {path}",
+        REGRESSION_TOLERANCE * 100.0
+    );
     Ok(())
 }
 
@@ -1477,243 +1315,427 @@ pub fn run(opts: &PerfOptions) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn trajectory(rps_a: f64, rps_b: f64) -> String {
-        // Two entries: the extractor must pick the LAST one.
+    /// A trajectory entry with the given gated sections; `None` leaves a
+    /// section out.
+    fn entry_json(
+        label: &str,
+        train: Option<&str>,
+        serve: Option<&str>,
+        embed: Option<&str>,
+    ) -> String {
+        let mut fields = vec![format!("\"label\": \"{label}\"")];
+        for (name, rows) in [
+            ("train_step", train),
+            ("serve", serve),
+            ("embedding_scale", embed),
+        ] {
+            if let Some(rows) = rows {
+                fields.push(format!("\"{name}\": [{rows}]"));
+            }
+        }
+        format!("{{{}}}", fields.join(",\n  "))
+    }
+
+    fn train_json(model: &str, threads: usize, rps: f64) -> String {
         format!(
-            r#"[
-{{
-  "label": "old",
-  "train_step": [
-    {{"model": "supernet", "threads": 1, "ns_per_step": 1.0, "rows_per_sec": 1.0, "last_loss": 0.1}}
-  ]
-}}
-,
-{{
-  "label": "new",
-  "train_step": [
-    {{"model": "supernet", "threads": 1, "ns_per_step": 1.0, "rows_per_sec": {rps_a}, "last_loss": 0.1}},
-    {{"model": "optinternet", "threads": 2, "ns_per_step": 1.0, "rows_per_sec": {rps_b}, "last_loss": 0.2}}
-  ]
-}}
-]"#
+            r#"{{"model": "{model}", "threads": {threads}, "ns_per_step": 1.0, "rows_per_sec": {rps}, "last_loss": 0.1}}"#
         )
     }
 
-    fn measured(model: &str, threads: usize, rows_per_sec: f64) -> TrainRow {
-        TrainRow {
-            model: model.to_string(),
+    fn serve_json(op: &str, threads: usize, rps: f64) -> String {
+        format!(
+            r#"{{"op": "{op}", "threads": {threads}, "p50_ns": 10.0, "p99_ns": 20.0, "p999_ns": 30.0, "rows_per_sec": {rps}}}"#
+        )
+    }
+
+    fn embed_json(op: &str, variant: &str, rps: f64) -> String {
+        format!(
+            r#"{{"op": "{op}", "variant": "{variant}", "bytes_per_row": 192.0, "ns_per_call": 1.0, "rows_per_sec": {rps}, "auc": 0.0}}"#
+        )
+    }
+
+    /// Baseline: supernet t1 1000, optinternet t2 2000; single_request
+    /// t1 5000, t4 8000, micro_batch t4 9000; lookup_grad@1e7/dense 5000,
+    /// adam_apply@1e7/lazy 9000, train_step@1e7/hashed_qr 4000. An older
+    /// entry comes first.
+    fn baseline() -> Vec<GateRow> {
+        let old = entry_json(
+            "old",
+            Some(&train_json("supernet", 1, 1.0)),
+            Some(&serve_json("single_request", 1, 1.0)),
+            Some(&embed_json("lookup_grad@1e7", "dense", 1.0)),
+        );
+        let new = entry_json(
+            "new",
+            Some(
+                &[
+                    train_json("supernet", 1, 1000.0),
+                    train_json("optinternet", 2, 2000.0),
+                ]
+                .join(","),
+            ),
+            Some(
+                &[
+                    serve_json("single_request", 1, 5000.0),
+                    serve_json("single_request", 4, 8000.0),
+                    serve_json("micro_batch", 4, 9000.0),
+                ]
+                .join(","),
+            ),
+            Some(
+                &[
+                    embed_json("lookup_grad@1e7", "dense", 5000.0),
+                    embed_json("adam_apply@1e7", "lazy", 9000.0),
+                    embed_json("train_step@1e7", "hashed_qr", 4000.0),
+                ]
+                .join(","),
+            ),
+        );
+        baseline_rows(&format!("[\n{old}\n,\n{new}\n]\n")).expect("parse")
+    }
+
+    fn row(section: &'static str, key: &str, threads: usize, rows_per_sec: f64) -> GateRow {
+        GateRow {
+            section,
+            key: key.to_string(),
             threads,
-            ns_per_step: 0.0,
             rows_per_sec,
-            last_loss: 0.0,
         }
     }
 
+    /// The gated rows of a measured entry, read the way `run` reads them:
+    /// through the entry's `Serialize` value.
+    fn measured(
+        train: &[(&str, usize, f64)],
+        serve: &[(&str, usize, f64)],
+        embed: &[(&str, &str, f64)],
+    ) -> Vec<GateRow> {
+        let entry = PerfEntry {
+            label: "measured".to_string(),
+            quick: true,
+            backend: "scalar".to_string(),
+            matmul: Vec::new(),
+            embedding: Vec::new(),
+            embedding_scale: embed
+                .iter()
+                .map(|&(op, variant, rows_per_sec)| EmbedScaleRow {
+                    op: op.to_string(),
+                    variant: variant.to_string(),
+                    bytes_per_row: 0.0,
+                    ns_per_call: 0.0,
+                    rows_per_sec,
+                    auc: 0.0,
+                })
+                .collect(),
+            train_step: train
+                .iter()
+                .map(|&(model, threads, rows_per_sec)| TrainRow {
+                    model: model.to_string(),
+                    threads,
+                    ns_per_step: 0.0,
+                    rows_per_sec,
+                    last_loss: 0.0,
+                })
+                .collect(),
+            input: Vec::new(),
+            serve: serve
+                .iter()
+                .map(|&(op, threads, rows_per_sec)| ServeRow {
+                    op: op.to_string(),
+                    threads,
+                    p50_ns: 0.0,
+                    p99_ns: 0.0,
+                    p999_ns: 0.0,
+                    rows_per_sec,
+                })
+                .collect(),
+        };
+        gated_rows(&entry.to_json_value()).expect("a measured entry reads")
+    }
+
+    /// The gate's verdict with no re-measure to fall back on: a test that
+    /// reaches `remeasure` measured a regression, so the retry repeats it.
+    fn verdict(rows: &[GateRow], cores: usize) -> Vec<String> {
+        regressions(rows, &baseline(), cores, || Ok(rows.to_vec())).expect("no retry error")
+    }
+
     #[test]
-    fn extractor_reads_the_last_entry() {
-        let rows = last_train_step_rows(&trajectory(1000.0, 2000.0)).expect("parse");
+    fn baseline_reads_the_gated_rows_of_the_last_entry() {
         assert_eq!(
-            rows,
+            baseline(),
             vec![
-                ("supernet".to_string(), 1, 1000.0),
-                ("optinternet".to_string(), 2, 2000.0),
+                row("train_step", "supernet", 1, 1000.0),
+                row("train_step", "optinternet", 2, 2000.0),
+                row("serve", "single_request", 1, 5000.0),
+                row("serve", "single_request", 4, 8000.0),
+                row("embedding_scale", "lookup_grad@1e7/dense", 1, 5000.0),
+                row("embedding_scale", "adam_apply@1e7/lazy", 1, 9000.0),
             ]
         );
     }
 
     #[test]
-    fn extractor_rejects_malformed_input() {
-        assert!(last_train_step_rows("{}").is_err());
-        assert!(last_train_step_rows("{\"train_step\": 3}").is_err());
-        assert!(last_train_step_rows("{\"train_step\": []}").is_err());
-        assert!(last_train_step_rows("{\"train_step\": [{\"model\": \"x\"}]}").is_err());
-    }
-
-    fn serve_trajectory(rps: f64) -> String {
-        format!(
-            r#"[
-{{
-  "label": "new",
-  "train_step": [
-    {{"model": "supernet", "threads": 1, "ns_per_step": 1.0, "rows_per_sec": 1.0, "last_loss": 0.1}}
-  ],
-  "serve": [
-    {{"op": "single_request", "threads": 1, "p50_ns": 10.0, "p99_ns": 20.0, "p999_ns": 30.0, "rows_per_sec": {rps}}},
-    {{"op": "single_request", "threads": 4, "p50_ns": 10.0, "p99_ns": 20.0, "p999_ns": 30.0, "rows_per_sec": 8000.0}},
-    {{"op": "micro_batch", "threads": 4, "p50_ns": 10.0, "p99_ns": 20.0, "p999_ns": 30.0, "rows_per_sec": 9000.0}}
-  ]
-}}
-]"#
-        )
-    }
-
-    fn measured_serve(op: &str, threads: usize, rows_per_sec: f64) -> ServeRow {
-        ServeRow {
-            op: op.to_string(),
-            threads,
-            p50_ns: 0.0,
-            p99_ns: 0.0,
-            p999_ns: 0.0,
-            rows_per_sec,
+    fn baseline_rejects_malformed_input() {
+        let train = train_json("supernet", 1, 1.0);
+        let serve = serve_json("single_request", 1, 1.0);
+        let embed = embed_json("lookup_grad@1e7", "dense", 1.0);
+        let entry = |t: Option<&str>, s: Option<&str>, e: Option<&str>| entry_json("x", t, s, e);
+        let one =
+            |t: Option<&str>, s: Option<&str>, e: Option<&str>| format!("[{}]", entry(t, s, e));
+        let good = one(Some(&train), Some(&serve), Some(&embed));
+        assert_eq!(baseline_rows(&good).map(|rows| rows.len()), Ok(3));
+        for (bad, why) in [
+            (String::new(), "EOF while parsing a value"),
+            (
+                "[{\"train_step\": [".to_string(),
+                "EOF while parsing a value",
+            ),
+            (good.replace("\"x\"", "x"), "expected value"),
+            ("{}".to_string(), "not a non-empty array"),
+            ("[]".to_string(), "not a non-empty array"),
+            // A gated section that is not an array, or holds no gated row.
+            (
+                good.replace(&format!("[{train}]"), "3"),
+                "no \"train_step\" array",
+            ),
+            (
+                one(Some(""), Some(&serve), Some(&embed)),
+                "\"train_step\" section has no gated row",
+            ),
+            (
+                one(Some(&train), Some(""), Some(&embed)),
+                "\"serve\" section has no gated row",
+            ),
+            (
+                one(
+                    Some(&train),
+                    Some(&serve_json("micro_batch", 1, 1.0)),
+                    Some(&embed),
+                ),
+                "\"serve\" section has no gated row",
+            ),
+            (
+                one(
+                    Some(&train),
+                    Some(&serve),
+                    Some(&embed_json("train_step@1e7", "dense", 1.0)),
+                ),
+                "\"embedding_scale\" section has no gated row",
+            ),
+            // A gated section's row without its key, threads or rows/sec.
+            (
+                one(Some("{\"model\": \"x\"}"), Some(&serve), Some(&embed)),
+                "row has no \"threads\"",
+            ),
+            (
+                one(Some(&train), Some("{\"op\": \"x\"}"), Some(&embed)),
+                "row has no \"threads\"",
+            ),
+            (
+                one(Some(&train), Some(&serve), Some("{\"op\": \"x\"}")),
+                "row has no \"variant\"",
+            ),
+            (
+                good.replace("\"model\"", "\"name\""),
+                "row has no \"model\"",
+            ),
+            (
+                good.replace("\"supernet\"", "7"),
+                "\"model\" is not a string",
+            ),
+            (
+                good.replace("\"threads\": 1,", "\"threads\": \"1\","),
+                "\"threads\" is not a number",
+            ),
+            (
+                good.replace("\"rows_per_sec\": 1,", "\"rows_per_sec\": null,"),
+                "\"rows_per_sec\" is not a number",
+            ),
+            // A gated section missing from the last entry: an older entry
+            // that has it is not read.
+            (
+                one(None, Some(&serve), Some(&embed)),
+                "no \"train_step\" array",
+            ),
+            (
+                format!(
+                    "[{}, {}]",
+                    entry(Some(&train), Some(&serve), Some(&embed)),
+                    entry(Some(&train), None, Some(&embed))
+                ),
+                "no \"serve\" array",
+            ),
+            (
+                format!(
+                    "[{}, {}]",
+                    entry(Some(&train), Some(&serve), Some(&embed)),
+                    entry(Some(&train), Some(&serve), None)
+                ),
+                "no \"embedding_scale\" array",
+            ),
+        ] {
+            match baseline_rows(&bad) {
+                Err(e) => assert!(e.contains(why), "{bad}: {e:?} lacks {why:?}"),
+                Ok(rows) => panic!("accepted {bad}: {rows:?}"),
+            }
         }
     }
 
     #[test]
-    fn serve_extractor_tolerates_pre_serving_trajectories() {
-        // Entries written before the serving path have no "serve" section:
-        // that must be an empty baseline, not an error.
-        assert_eq!(
-            last_serve_rows(&trajectory(1.0, 2.0)).expect("tolerated"),
-            Vec::new()
+    fn committed_trajectory_gates_every_section() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_substrate.json"
         );
-        let rows = last_serve_rows(&serve_trajectory(5000.0)).expect("parse");
-        assert_eq!(
-            rows,
-            vec![
-                ("single_request".to_string(), 1, 5000.0),
-                ("single_request".to_string(), 4, 8000.0),
-                ("micro_batch".to_string(), 4, 9000.0),
-            ]
+        let text = std::fs::read_to_string(path).expect("the committed trajectory");
+        let rows = baseline_rows(&text).expect("the committed baseline reads");
+        // What perf writes: two models at 1, 2 and 4 threads, the
+        // single-request scorer at 1, 2 and 4 threads, and lookup_grad@
+        // for three stores plus adam_apply@ for two optimizer modes.
+        let count = |section: &str| rows.iter().filter(|r| r.section == section).count();
+        assert_eq!(count("train_step"), 6, "{rows:?}");
+        assert_eq!(count("serve"), 3, "{rows:?}");
+        assert_eq!(count("embedding_scale"), 5, "{rows:?}");
+        assert!(rows.iter().all(|r| r.rows_per_sec > 0.0), "{rows:?}");
+    }
+
+    #[test]
+    fn train_gate_fires_only_beyond_tolerance() {
+        // Within tolerance (and even faster) passes.
+        let ok = measured(
+            &[("supernet", 1, 950.0), ("optinternet", 2, 2500.0)],
+            &[],
+            &[],
         );
-        // A present-but-broken section still fails loudly.
-        assert!(last_serve_rows("{\"serve\": [{\"op\": \"x\"}]}").is_err());
+        assert!(verdict(&ok, usize::MAX).is_empty());
+        // An 11% drop fails, and names the offending row.
+        let bad = measured(
+            &[("supernet", 1, 890.0), ("optinternet", 2, 2000.0)],
+            &[],
+            &[],
+        );
+        let problems = verdict(&bad, usize::MAX);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].starts_with("train_step supernet t1:"),
+            "{problems:?}"
+        );
+        // Rows with no committed counterpart are skipped, not failed.
+        assert!(verdict(&measured(&[("fm", 4, 1.0)], &[], &[]), usize::MAX).is_empty());
     }
 
     #[test]
     fn serve_gate_fires_only_beyond_tolerance() {
-        let baseline = last_serve_rows(&serve_trajectory(5000.0)).expect("parse");
-        let ok = [
-            measured_serve("single_request", 1, 4800.0),
-            measured_serve("single_request", 4, 20000.0),
-        ];
-        assert!(serve_regressions(&ok, &baseline, 0.10, usize::MAX).is_empty());
-        let bad = [measured_serve("single_request", 1, 4000.0)];
-        let problems = serve_regressions(&bad, &baseline, 0.10, usize::MAX);
+        let ok = measured(
+            &[],
+            &[
+                ("single_request", 1, 4800.0),
+                ("single_request", 4, 20000.0),
+            ],
+            &[],
+        );
+        assert!(verdict(&ok, usize::MAX).is_empty());
+        let bad = measured(&[], &[("single_request", 1, 4000.0)], &[]);
+        let problems = verdict(&bad, usize::MAX);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(
-            problems[0].starts_with("serve single_request t1"),
+            problems[0].starts_with("serve single_request t1:"),
             "{problems:?}"
         );
         // Unknown (op, threads) pairs are skipped, not failed.
-        let unknown = [measured_serve("single_request", 9, 1.0)];
-        assert!(serve_regressions(&unknown, &baseline, 0.10, usize::MAX).is_empty());
-        // micro_batch rows are never gated, however bad: the open-loop
-        // front door's throughput is scheduler noise on a small machine.
-        let micro = [measured_serve("micro_batch", 4, 1.0)];
-        assert!(serve_regressions(&micro, &baseline, 0.10, usize::MAX).is_empty());
-    }
-
-    #[test]
-    fn oversubscribed_rows_get_the_wider_tolerance() {
-        // Baseline: single_request t1 = 5000 and t4 = 8000.
-        let baseline = last_serve_rows(&serve_trajectory(5000.0)).expect("parse");
-        // A 20% drop on a t4 row: fails on a 4-core machine, passes on a
-        // 1-core machine where t4 medians are scheduling noise.
-        let dropped = [measured_serve("single_request", 4, 6400.0)];
-        assert_eq!(serve_regressions(&dropped, &baseline, 0.10, 4).len(), 1);
-        assert!(serve_regressions(&dropped, &baseline, 0.10, 1).is_empty());
-        // Even on 1 core, a drop beyond OVERSUBSCRIBED_TOLERANCE fails.
-        let collapsed = [measured_serve("single_request", 4, 4000.0)];
-        assert_eq!(serve_regressions(&collapsed, &baseline, 0.10, 1).len(), 1);
-        // Fitting rows keep the strict tolerance regardless of cores.
-        let t1_dropped = [measured_serve("single_request", 1, 4000.0)];
-        assert_eq!(serve_regressions(&t1_dropped, &baseline, 0.10, 1).len(), 1);
-        // Train rows widen the same way.
-        let train_baseline = last_train_step_rows(&trajectory(1000.0, 2000.0)).expect("parse");
-        let t2_dropped = [measured("optinternet", 2, 1700.0)];
-        assert_eq!(
-            train_step_regressions(&t2_dropped, &train_baseline, 0.10, 2).len(),
-            1
-        );
-        assert!(train_step_regressions(&t2_dropped, &train_baseline, 0.10, 1).is_empty());
-    }
-
-    fn embed_trajectory(rps: f64) -> String {
-        format!(
-            r#"[
-{{
-  "label": "new",
-  "embedding_scale": [
-    {{"op": "lookup_grad@1e7", "variant": "dense", "bytes_per_row": 192.0, "ns_per_call": 1.0, "rows_per_sec": {rps}, "auc": 0.0}},
-    {{"op": "adam_apply@1e7", "variant": "lazy", "bytes_per_row": 192.0, "ns_per_call": 1.0, "rows_per_sec": 9000.0, "auc": 0.0}},
-    {{"op": "train_step@1e7", "variant": "hashed_qr", "bytes_per_row": 30.0, "ns_per_call": 1.0, "rows_per_sec": 4000.0, "auc": 0.79}}
-  ]
-}}
-]"#
+        assert!(verdict(
+            &measured(&[], &[("single_request", 9, 1.0)], &[]),
+            usize::MAX
         )
-    }
-
-    fn measured_embed(op: &str, variant: &str, rows_per_sec: f64) -> EmbedScaleRow {
-        EmbedScaleRow {
-            op: op.to_string(),
-            variant: variant.to_string(),
-            bytes_per_row: 0.0,
-            ns_per_call: 0.0,
-            rows_per_sec,
-            auc: 0.0,
-        }
-    }
-
-    #[test]
-    fn embed_extractor_tolerates_pre_scale_trajectories() {
-        // Entries written before the giant-vocab axis have no
-        // "embedding_scale" section: empty baseline, not an error.
-        assert_eq!(
-            last_embed_scale_rows(&trajectory(1.0, 2.0)).expect("tolerated"),
-            Vec::new()
-        );
-        let rows = last_embed_scale_rows(&embed_trajectory(5000.0)).expect("parse");
-        assert_eq!(
-            rows,
-            vec![
-                ("lookup_grad@1e7/dense".to_string(), 1, 5000.0),
-                ("adam_apply@1e7/lazy".to_string(), 1, 9000.0),
-                ("train_step@1e7/hashed_qr".to_string(), 1, 4000.0),
-            ]
-        );
-        assert!(last_embed_scale_rows("{\"embedding_scale\": [{\"op\": \"x\"}]}").is_err());
+        .is_empty());
+        // micro_batch rows are never gated, however bad: the reader drops
+        // them from the measured entry as it does from the baseline.
+        let micro = measured(&[], &[("micro_batch", 4, 1.0)], &[]);
+        assert!(micro.is_empty(), "{micro:?}");
+        assert!(verdict(&micro, usize::MAX).is_empty());
     }
 
     #[test]
     fn embed_gate_fires_only_on_gated_ops_beyond_tolerance() {
-        let baseline = last_embed_scale_rows(&embed_trajectory(5000.0)).expect("parse");
-        let ok = [measured_embed("lookup_grad@1e7", "dense", 4800.0)];
-        assert!(embed_scale_regressions(&ok, &baseline, 0.10).is_empty());
-        let bad = [measured_embed("lookup_grad@1e7", "dense", 4000.0)];
-        let problems = embed_scale_regressions(&bad, &baseline, 0.10);
+        let ok = measured(&[], &[], &[("lookup_grad@1e7", "dense", 4800.0)]);
+        assert!(verdict(&ok, usize::MAX).is_empty());
+        let bad = measured(&[], &[], &[("lookup_grad@1e7", "dense", 4000.0)]);
+        let problems = verdict(&bad, usize::MAX);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(
-            problems[0].starts_with("embed lookup_grad@1e7/dense"),
+            problems[0].starts_with("embedding_scale lookup_grad@1e7/dense t1:"),
             "{problems:?}"
         );
         // Quick-mode keys carry a different scale suffix and never match
         // a committed full-scale baseline.
-        let quick = [measured_embed("lookup_grad@2e5", "dense", 1.0)];
-        assert!(embed_scale_regressions(&quick, &baseline, 0.10).is_empty());
+        let quick = measured(&[], &[], &[("lookup_grad@2e5", "dense", 1.0)]);
+        assert_eq!(
+            quick,
+            vec![row("embedding_scale", "lookup_grad@2e5/dense", 1, 1.0)]
+        );
+        assert!(verdict(&quick, usize::MAX).is_empty());
         // train_step rows are reported, never gated.
-        let train = [measured_embed("train_step@1e7", "hashed_qr", 1.0)];
-        assert!(embed_scale_regressions(&train, &baseline, 0.10).is_empty());
+        let train = measured(&[], &[], &[("train_step@1e7", "hashed_qr", 1.0)]);
+        assert!(train.is_empty(), "{train:?}");
     }
 
     #[test]
-    fn regression_gate_fires_only_beyond_tolerance() {
-        let baseline = last_train_step_rows(&trajectory(1000.0, 2000.0)).expect("parse");
-        // Within tolerance (and even faster) passes.
-        let ok = [
-            measured("supernet", 1, 950.0),
-            measured("optinternet", 2, 2500.0),
-        ];
-        assert!(train_step_regressions(&ok, &baseline, 0.10, usize::MAX).is_empty());
-        // An 11% drop fails, and names the offending pair.
-        let bad = [
-            measured("supernet", 1, 890.0),
-            measured("optinternet", 2, 2000.0),
-        ];
-        let problems = train_step_regressions(&bad, &baseline, 0.10, usize::MAX);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("supernet t1"), "{problems:?}");
-        // Pairs with no committed counterpart are skipped, not failed.
-        let unknown = [measured("fm", 4, 1.0)];
-        assert!(train_step_regressions(&unknown, &baseline, 0.10, usize::MAX).is_empty());
+    fn oversubscribed_rows_get_the_wider_tolerance() {
+        // Baseline: single_request t1 = 5000 and t4 = 8000. A 20% drop on
+        // a t4 row fails on a 4-core machine and passes on a 1-core one,
+        // where t4 medians are scheduling noise.
+        let dropped = measured(&[], &[("single_request", 4, 6400.0)], &[]);
+        assert_eq!(verdict(&dropped, 4).len(), 1);
+        assert!(verdict(&dropped, 1).is_empty());
+        // Even on 1 core, a drop beyond OVERSUBSCRIBED_TOLERANCE fails.
+        let collapsed = measured(&[], &[("single_request", 4, 4000.0)], &[]);
+        assert_eq!(verdict(&collapsed, 1).len(), 1);
+        // Fitting rows keep the strict tolerance regardless of cores.
+        let t1_dropped = measured(&[], &[("single_request", 1, 4000.0)], &[]);
+        assert_eq!(verdict(&t1_dropped, 1).len(), 1);
+        // Train rows widen the same way.
+        let t2_dropped = measured(&[("optinternet", 2, 1700.0)], &[], &[]);
+        assert_eq!(verdict(&t2_dropped, 2).len(), 1);
+        assert!(verdict(&t2_dropped, 1).is_empty());
+    }
+
+    #[test]
+    fn retry_keeps_only_the_rows_both_measurements_flag() {
+        let first = measured(
+            &[("supernet", 1, 500.0), ("optinternet", 2, 100.0)],
+            &[("single_request", 1, 100.0)],
+            &[("lookup_grad@1e7", "dense", 100.0)],
+        );
+        // The retry recovers the train rows, still regresses the serve and
+        // embedding rows, and flags a row the first run did not.
+        let retry = measured(
+            &[("supernet", 1, 1000.0), ("optinternet", 2, 1900.0)],
+            &[("single_request", 1, 200.0), ("single_request", 4, 1.0)],
+            &[("lookup_grad@1e7", "dense", 1.0)],
+        );
+        let problems = regressions(&first, &baseline(), usize::MAX, || Ok(retry)).expect("verdict");
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        // The first measurement's numbers are the ones reported.
+        assert!(
+            problems[0].starts_with("serve single_request t1: 100 rows/s"),
+            "{problems:?}"
+        );
+        assert!(
+            problems[1].starts_with("embedding_scale lookup_grad@1e7/dense t1: 100 rows/s"),
+            "{problems:?}"
+        );
+        // Nothing flagged: no re-measure. A failing re-measure fails.
+        let ok = measured(&[("supernet", 1, 1000.0)], &[], &[]);
+        let never = || -> Result<Vec<GateRow>, String> { panic!("re-measured a passing run") };
+        assert!(regressions(&ok, &baseline(), usize::MAX, never)
+            .expect("verdict")
+            .is_empty());
+        let broken = regressions(
+            &first,
+            &baseline(),
+            usize::MAX,
+            || Err("broken".to_string()),
+        );
+        assert_eq!(broken, Err("broken".to_string()));
     }
 }

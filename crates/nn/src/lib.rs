@@ -11,7 +11,7 @@
 //! - [`mlp::Mlp`] — the paper's classifier stack `LN(relu(Wx + b))`;
 //! - [`embedding::EmbeddingTable`] — sparse-gradient lookup tables for
 //!   original features `E^o` and cross-product features `E^m`;
-//! - [`optim`] — SGD, Adam (dense + lazy sparse-row updates) and GRDA (the
+//! - [`optim`] — Adam (dense + lazy sparse-row updates) and GRDA (the
 //!   directional-pruning optimizer AutoFIS uses for its gates);
 //! - [`loss`] — fused sigmoid + binary-cross-entropy (paper Eq. 12–13);
 //! - [`gradcheck`] — finite-difference gradient checking used by the test
@@ -43,7 +43,7 @@ pub use embedding::{EmbedOptimizerMode, EmbeddingTable};
 pub use layers::{Dense, LayerNorm, Relu};
 pub use loss::{bce_with_logits, bce_with_logits_into, probabilities_into};
 pub use mlp::{Mlp, MlpConfig};
-pub use optim::{Adam, AdamConfig, DenseOptimizer, Grda, GrdaConfig, Sgd};
+pub use optim::{Adam, AdamConfig, DenseOptimizer, Grda, GrdaConfig};
 pub use param::Parameter;
 pub use store::{
     double_hash_slots, qr_slots, splitmix64, EmbedStore, HashScheme, HashedEmbedding, StoreKind,

@@ -1,4 +1,4 @@
-//! Optimizers: SGD, Adam (paper Sec. III-A4) and GRDA (the directional
+//! Optimizers: Adam (paper Sec. III-A4) and GRDA (the directional
 //! pruning optimizer AutoFIS uses for its gate parameters).
 //!
 //! Adam keeps its first/second-moment state inside each
@@ -17,41 +17,6 @@ pub trait DenseOptimizer {
     fn begin_step(&mut self);
     /// Applies one update to `p` with the given L2 weight decay.
     fn step(&mut self, p: &mut Parameter, weight_decay: f32);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-}
-
-impl DenseOptimizer for Sgd {
-    fn begin_step(&mut self) {}
-
-    fn step(&mut self, p: &mut Parameter, weight_decay: f32) {
-        let lr = self.lr;
-        if weight_decay > 0.0 {
-            let wd = weight_decay;
-            for (g, &w) in p
-                .grad
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.value.as_slice().iter())
-            {
-                *g += wd * w;
-            }
-        }
-        p.value.axpy(-lr, &p.grad);
-        p.grad.fill_zero();
-    }
 }
 
 /// Adam hyper-parameters.
@@ -332,18 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Parameter::new(Matrix::filled(1, 4, 0.0));
-        let mut opt = Sgd::new(0.3);
-        for _ in 0..100 {
-            p.grad = quad_grad(&p);
-            opt.begin_step();
-            opt.step(&mut p, 0.0);
-        }
-        assert!(p.value.as_slice().iter().all(|&w| (w - 3.0).abs() < 1e-3));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut p = Parameter::new(Matrix::filled(1, 4, 10.0));
         let mut opt = Adam::with_lr_eps(0.1, 1e-8);
@@ -388,7 +341,8 @@ mod tests {
     fn weight_decay_pulls_towards_zero() {
         let mut with_wd = Parameter::new(Matrix::filled(1, 1, 5.0));
         let mut without = Parameter::new(Matrix::filled(1, 1, 5.0));
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::with_lr_eps(0.1, 1e-8);
+        opt.begin_step();
         // Zero task gradient: only decay acts.
         opt.step(&mut with_wd, 0.5);
         opt.step(&mut without, 0.0);

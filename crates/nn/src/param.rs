@@ -59,12 +59,6 @@ impl Parameter {
             self.slot_b = Some(Matrix::zeros(r, c));
         }
     }
-
-    /// Drops optimizer state (used when re-training from scratch).
-    pub fn reset_opt_state(&mut self) {
-        self.slot_a = None;
-        self.slot_b = None;
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +83,5 @@ mod tests {
         p.slot_a.as_mut().unwrap().set(0, 0, 9.0);
         p.ensure_slots();
         assert_eq!(p.slot_a.as_ref().unwrap().get(0, 0), 9.0);
-    }
-
-    #[test]
-    fn reset_opt_state_clears_slots() {
-        let mut p = Parameter::zeros(1, 1);
-        p.ensure_slots();
-        p.reset_opt_state();
-        assert!(p.slot_a.is_none() && p.slot_b.is_none());
     }
 }

@@ -89,10 +89,12 @@ pub enum HashScheme {
 /// head of a CTR vocabulary keeps effectively-private rows (collisions are
 /// rare among few hot keys), while the long tail shares capacity.
 ///
-/// Backward recomputes the sub-lookups, so a step is self-contained:
-/// `∂L/∂t1[s1] += grad ⊙ t2[s2]` and symmetrically for `t2`, both
-/// appended to the sub-tables' pending gradient lists (deterministic for
-/// any thread count). Call the usual `apply_*`/`clear_grads` once per step.
+/// The lookup stages each id's slots and both sub-rows; the backward
+/// reads them back, so it must follow the lookup of the same ids with no
+/// apply in between: `∂L/∂t1[s1] += grad ⊙ t2[s2]` and symmetrically for
+/// `t2`, both appended to the sub-tables' pending gradient lists
+/// (deterministic for any thread count). Call the usual
+/// `apply_*`/`clear_grads` once per step.
 pub struct HashedEmbedding {
     key_space: usize,
     dim: usize,
@@ -100,10 +102,10 @@ pub struct HashedEmbedding {
     scheme: HashScheme,
     t1: EmbeddingTable,
     t2: EmbeddingTable,
-    /// Per-batch slot scratch (lazily grown, then reused).
+    /// The last lookup's slots (lazily grown, then reused).
     idx1: Vec<u32>,
     idx2: Vec<u32>,
-    /// Per-batch sub-lookup / sub-gradient scratch.
+    /// The last lookup's sub-rows, and the backward's sub-gradients.
     rows1: Matrix,
     rows2: Matrix,
     g1: Matrix,
@@ -301,10 +303,15 @@ impl HashedEmbedding {
     /// Accumulates gradients for a composed lookup (inverse of
     /// [`lookup_fields_pooled_into`](Self::lookup_fields_pooled_into)).
     ///
-    /// Recomputes the sub-lookups (weights are unchanged between a step's
-    /// forward and backward), forms `g1 = grad ⊙ t2-rows` and
+    /// Call it after the lookup of the same `flat` ids and before any
+    /// apply: it reads the slots and sub-rows that lookup staged instead
+    /// of hashing and gathering again. It forms `g1 = grad ⊙ t2-rows` and
     /// `g2 = grad ⊙ t1-rows` with row-owned pooled writes, then appends
     /// each to its sub-table's pending gradients.
+    ///
+    /// # Panics
+    /// If `flat` is not as long as the staged slot list, or `grad` is not
+    /// the staged sub-rows' shape.
     pub fn accumulate_grad_fields_pooled(
         &mut self,
         flat: &[u32],
@@ -312,32 +319,17 @@ impl HashedEmbedding {
         grad: &Matrix,
         pool: &Pool,
     ) {
-        assert!(
-            num_fields > 0,
-            "accumulate_grad_fields_pooled: need at least one field"
+        assert_eq!(
+            flat.len(),
+            self.idx1.len(),
+            "accumulate_grad_fields_pooled: ids differ from the staged lookup's"
         );
         assert_eq!(
-            flat.len() % num_fields,
-            0,
-            "accumulate_grad_fields_pooled: ragged batch"
+            grad.shape(),
+            self.rows1.shape(),
+            "accumulate_grad_fields_pooled: grad shape differs from the staged lookup's"
         );
-        let batch = flat.len() / num_fields;
-        let width = num_fields * self.dim;
-        assert_eq!(
-            grad.rows(),
-            batch,
-            "accumulate_grad_fields_pooled: batch mismatch"
-        );
-        assert_eq!(
-            grad.cols(),
-            width,
-            "accumulate_grad_fields_pooled: dim mismatch"
-        );
-        self.hash_into(flat);
-        self.t1
-            .lookup_fields_pooled_into(&self.idx1, num_fields, pool, &mut self.rows1);
-        self.t2
-            .lookup_fields_pooled_into(&self.idx2, num_fields, pool, &mut self.rows2);
+        let (batch, width) = grad.shape();
         self.g1.reshape_for_overwrite(batch, width);
         self.g2.reshape_for_overwrite(batch, width);
         {
@@ -752,6 +744,8 @@ mod tests {
         let flat = [7u32, 7, 13];
         // grad rows: batch=3, one field, dim=2.
         let grad = Matrix::from_fn(3, 2, |r, c| (r as f32 + 1.0) * 0.1 + c as f32 * 0.01);
+        let mut out = Matrix::zeros(0, 0);
+        h.lookup_fields_pooled_into(&flat, 1, &Pool::serial(), &mut out);
         h.accumulate_grad_fields_pooled(&flat, 1, &grad, &Pool::serial());
         // Expected t1-slot gradient for id 7 (appears twice: rows 0 and 1).
         let (s1, s2) = h.slots(7);

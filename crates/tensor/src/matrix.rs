@@ -418,29 +418,6 @@ impl Matrix {
         );
     }
 
-    /// Element-wise `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Element-wise `self += alpha * other` (AXPY).
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Element-wise `self *= alpha`.
-    pub fn scale(&mut self, alpha: f32) {
-        for a in self.data.iter_mut() {
-            *a *= alpha;
-        }
-    }
-
     /// Element-wise Hadamard product `self ⊙ other`, allocating.
     pub fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard: shape mismatch");
@@ -585,22 +562,6 @@ impl Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
-/// `y += alpha * x` over slices.
-#[inline]
-pub fn axpy_slice(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,14 +675,8 @@ mod tests {
 
     #[test]
     fn elementwise_ops() {
-        let mut a = Matrix::filled(2, 2, 1.0);
+        let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::filled(2, 2, 2.0);
-        a.add_assign(&b);
-        assert_eq!(a.as_slice(), &[3.0; 4]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[4.0; 4]);
-        a.scale(0.25);
-        assert_eq!(a.as_slice(), &[1.0; 4]);
         let h = a.hadamard(&b);
         assert_eq!(h.as_slice(), &[2.0; 4]);
     }
@@ -745,15 +700,6 @@ mod tests {
         assert_eq!(m.mean(), -0.5);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.frob_sq(), 30.0);
-    }
-
-    #[test]
-    fn dot_and_axpy_slice() {
-        let a = [1.0, 2.0, 3.0];
-        let mut b = [4.0, 5.0, 6.0];
-        assert_eq!(dot(&a, &b), 32.0);
-        axpy_slice(2.0, &a, &mut b);
-        assert_eq!(b, [6.0, 9.0, 12.0]);
     }
 
     #[test]

@@ -7,36 +7,6 @@
 //! chain of its row (seed, column order, division), so the results equal
 //! the one-row oracle [`row_mean_var`] bit for bit.
 
-use crate::Matrix;
-
-/// In-place row-wise softmax with temperature.
-///
-/// Each row `x` becomes `exp((x - max(x)) / tau) / sum(...)`. Subtracting the
-/// row max keeps the exponentials bounded for any input scale.
-///
-/// # Panics
-/// Panics if `tau <= 0`.
-pub fn softmax_rows_inplace(m: &mut Matrix, tau: f32) {
-    assert!(tau > 0.0, "softmax temperature must be positive, got {tau}");
-    let cols = m.cols();
-    if cols == 0 {
-        return;
-    }
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = ((*v - max) / tau).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
-
 /// Softmax over a plain slice, written into a caller-provided buffer —
 /// the allocation-free form of [`softmax_slice`] for hot paths.
 pub fn softmax_into(x: &[f32], tau: f32, out: &mut [f32]) {
@@ -199,16 +169,6 @@ mod tests {
 
     fn assert_close(a: f32, b: f32, tol: f32) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]);
-        softmax_rows_inplace(&mut m, 1.0);
-        for r in 0..m.rows() {
-            assert_close(m.row(r).iter().sum::<f32>(), 1.0, 1e-6);
-            assert!(m.row(r).iter().all(|&p| p > 0.0));
-        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! structs with named fields, plus `serde_json::to_string_pretty`. Instead
 //! of upstream's visitor-based `Serializer` machinery, [`Serialize`] here
 //! converts directly to an in-memory JSON [`json::Value`] that the
-//! `serde_json` shim renders. Deserialization is not implemented — nothing
-//! in this workspace reads JSON back.
+//! `serde_json` shim renders. There is no `Deserialize`: JSON is read back
+//! only as a [`json::Value`] (`serde_json::from_str`), walked with the
+//! accessors serde_json's `Value` has (`get`, `as_f64`, `as_str`,
+//! `as_array`).
 
 #[cfg(feature = "derive")]
 pub use serde_derive::Serialize;
@@ -39,6 +41,46 @@ pub mod json {
         Array(Vec<Value>),
         /// Object with insertion-ordered keys.
         Object(Vec<(String, Value)>),
+    }
+
+    impl Value {
+        /// The value under `key` if `self` is an object that has it
+        /// (serde_json's `Value::get` with a string index). A repeated key
+        /// reads its last value, as serde_json's map keeps.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            match self {
+                Value::Object(entries) => {
+                    entries.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+                }
+                _ => None,
+            }
+        }
+
+        /// The number as an `f64`, if `self` is a number.
+        pub fn as_f64(&self) -> Option<f64> {
+            match *self {
+                Value::Int(i) => Some(i as f64),
+                Value::UInt(u) => Some(u as f64),
+                Value::Float(f) => Some(f),
+                _ => None,
+            }
+        }
+
+        /// The string, if `self` is a string.
+        pub fn as_str(&self) -> Option<&str> {
+            match self {
+                Value::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// The elements, if `self` is an array.
+        pub fn as_array(&self) -> Option<&Vec<Value>> {
+            match self {
+                Value::Array(items) => Some(items),
+                _ => None,
+            }
+        }
     }
 }
 
@@ -143,6 +185,28 @@ mod tests {
         assert_eq!("hi".to_string().to_json_value(), Value::Str("hi".into()));
         assert_eq!(None::<f64>.to_json_value(), Value::Null);
         assert_eq!(Some(2u32).to_json_value(), Value::UInt(2));
+    }
+
+    #[test]
+    fn accessors_read_what_they_match() {
+        let v = Value::Object(vec![
+            ("n".into(), Value::UInt(3)),
+            ("x".into(), Value::Float(-1.5)),
+            ("s".into(), Value::Str("hi".into())),
+            ("a".into(), Value::Array(vec![Value::Int(-2)])),
+            ("n".into(), Value::Int(-4)),
+        ]);
+        assert_eq!(v.get("n").and_then(Value::as_f64), Some(-4.0));
+        assert_eq!(v.get("x").and_then(Value::as_f64), Some(-1.5));
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("hi"));
+        let a = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!(a[0].as_f64(), Some(-2.0));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.get("s").and_then(Value::as_f64), None);
+        assert_eq!(v.get("n").and_then(Value::as_str), None);
+        assert_eq!(v.get("x").and_then(Value::as_array), None);
+        assert_eq!(Value::Null.get("n"), None);
+        assert_eq!(a[0].get("n"), None);
     }
 
     #[test]
