@@ -12,17 +12,34 @@
 //!   pair's one embedding lands in the MLP input. `OptInterNet` and the
 //!   frozen scorer share it, so train/serve parity is one code path.
 //!
+//! # Widths
+//!
+//! Each pass picks its widths once per call with
+//! [`by_width!`](optinter_tensor::by_width): constants for `(s1, s2)` =
+//! (16, 8) and (16, 4), the widths the default configurations use, and
+//! the runtime widths for any other pair, through one generic fn per pass.
+//! Its per-pair kernel copies the slot's operands (`e_i`, `e_j`, the `e^m`
+//! row, the slot's gradient, a generalized weight row) into local arrays,
+//! computes into a local array and stores it once ([`Width`]). At a
+//! constant width the operands are a few vector registers that nothing
+//! else can write, so each kernel is straight-line vector code; at a
+//! runtime width the same source runs on the rows in place.
+//!
 //! # Bit-exactness
 //!
-//! Every kernel is straight-line slice arithmetic with the same float
-//! operations, in the same order, as the per-element scalar loops it
-//! replaced; `combine::reference` keeps those loops for the tests, which
-//! compare the two bit for bit. Three details carry that guarantee:
+//! Every kernel runs the same float operations, in the same order, as the
+//! per-element scalar loops it replaced; `combine::reference` keeps those
+//! loops for the tests, which compare the two bit for bit at every width.
+//! Four details carry that guarantee:
 //!
 //! - the mix keeps its `0.0 +` seed, because `0.0 + (-0.0)` is `+0.0`;
 //! - the `α`-gradient chains run rows-outer so that one job's pairs
 //!   interleave, but each pair's `dp_m` and `dp_f` still add their terms
-//!   in ascending `(r, c)` order;
+//!   in ascending `(r, c)` order: the products are formed first, as
+//!   vectors, and then added one by one;
+//! - each generalized-weight element adds its rows in ascending order;
+//!   that pass runs pairs-outer, so a pair's weight row stays in
+//!   registers;
 //! - each row of `d e^o` still receives its pairs in ascending order, the
 //!   nested `(i, j)` order of [`optinter_data::PairIndexer`].
 //!
@@ -35,6 +52,8 @@ use crate::config::FactFn;
 use crate::gumbel::GumbelSample;
 use crate::net::DataDims;
 use optinter_nn::Parameter;
+use optinter_tensor::by_width;
+use optinter_tensor::width::Width;
 use optinter_tensor::{Matrix, Pool};
 
 #[cfg(test)]
@@ -52,86 +71,91 @@ pub enum Fact<'a> {
     Generalized(&'a Matrix),
 }
 
+/// The per-pair kernels. Each takes the rows `a = e_i` and `b = e_j` (and
+/// any gradient) as the caller loaded them at width `w`, and loads the
+/// generalized weight row itself.
 impl Fact<'_> {
-    /// `dst = f(e_i, e_j)` for pair `p`.
-    #[inline]
-    pub fn factorize(self, p: usize, ei: &[f32], ej: &[f32], dst: &mut [f32]) {
+    /// `out = f(a, b)`, pair `p`'s `e^f`.
+    #[inline(always)]
+    fn factorize<W: Width>(self, w: W, p: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self {
             Fact::Hadamard => {
-                for ((d, &a), &b) in dst.iter_mut().zip(ei).zip(ej) {
-                    *d = a * b;
+                for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                    *o = a * b;
                 }
             }
             Fact::PointwiseAdd => {
-                for ((d, &a), &b) in dst.iter_mut().zip(ei).zip(ej) {
-                    *d = a + b;
+                for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                    *o = a + b;
                 }
             }
-            Fact::Generalized(w) => {
-                for (((d, &w), &a), &b) in dst.iter_mut().zip(w.row(p)).zip(ei).zip(ej) {
-                    *d = w * a * b;
+            Fact::Generalized(m) => {
+                let wp = w.load(m.row(p));
+                for (((o, &w), &a), &b) in out.iter_mut().zip(wp.as_ref()).zip(a).zip(b) {
+                    *o = w * a * b;
                 }
             }
         }
     }
 
-    /// `acc + Σ_c g[c]·f(e_i, e_j)[c]`, added in ascending `c`: the
-    /// inner product of a gradient with pair `p`'s `e^f`, recomputed
-    /// rather than stored (it is a pure function of `e^o`).
-    #[inline]
-    pub fn factorized_dot(self, p: usize, mut acc: f32, g: &[f32], ei: &[f32], ej: &[f32]) -> f32 {
+    /// `acc + Σ_c g[c]·f(a, b)[c]`, added in ascending `c`: the inner
+    /// product of a gradient with pair `p`'s `e^f`, recomputed rather than
+    /// stored (it is a pure function of `e^o`).
+    #[inline(always)]
+    fn factorized_dot<W: Width>(
+        self,
+        w: W,
+        p: usize,
+        acc: f32,
+        g: &[f32],
+        a: &[f32],
+        b: &[f32],
+    ) -> f32 {
         match self {
-            Fact::Hadamard => {
-                for ((&g, &a), &b) in g.iter().zip(ei).zip(ej) {
-                    acc += g * (a * b);
-                }
-            }
-            Fact::PointwiseAdd => {
-                for ((&g, &a), &b) in g.iter().zip(ei).zip(ej) {
-                    acc += g * (a + b);
-                }
-            }
-            Fact::Generalized(w) => {
-                for (((&g, &w), &a), &b) in g.iter().zip(w.row(p)).zip(ei).zip(ej) {
-                    acc += g * (w * a * b);
-                }
+            Fact::Hadamard => w.dot(acc, |c| g[c] * (a[c] * b[c])),
+            Fact::PointwiseAdd => w.dot(acc, |c| g[c] * (a[c] + b[c])),
+            Fact::Generalized(m) => {
+                let wp = w.load(m.row(p));
+                let wp = wp.as_ref();
+                w.dot(acc, |c| g[c] * (wp[c] * a[c] * b[c]))
             }
         }
-        acc
     }
 
     /// Pushes `scale · g`, the gradient on pair `p`'s `e^f`, into its two
-    /// fields: `d e_i += (∂f/∂e_i)·scale·g`, and likewise `d e_j`.
+    /// fields: `da += (∂f/∂e_i)·scale·g`, and likewise `db`.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn factorize_backward(
+    #[inline(always)]
+    fn factorize_backward<W: Width>(
         self,
+        w: W,
         p: usize,
         scale: f32,
         g: &[f32],
-        ei: &[f32],
-        ej: &[f32],
-        d_ei: &mut [f32],
-        d_ej: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        da: &mut [f32],
+        db: &mut [f32],
     ) {
         match self {
             Fact::Hadamard => {
-                for ((((&g, &a), &b), di), dj) in g.iter().zip(ei).zip(ej).zip(d_ei).zip(d_ej) {
+                for ((((&g, &a), &b), di), dj) in g.iter().zip(a).zip(b).zip(da).zip(db) {
                     let def = scale * g;
                     *di += def * b;
                     *dj += def * a;
                 }
             }
             Fact::PointwiseAdd => {
-                for ((&g, di), dj) in g.iter().zip(d_ei).zip(d_ej) {
+                for ((&g, di), dj) in g.iter().zip(da).zip(db) {
                     let def = scale * g;
                     *di += def;
                     *dj += def;
                 }
             }
-            Fact::Generalized(w) => {
-                let rows = g.iter().zip(w.row(p)).zip(ei).zip(ej);
-                for (((((&g, &w), &a), &b), di), dj) in rows.zip(d_ei).zip(d_ej) {
+            Fact::Generalized(m) => {
+                let wp = w.load(m.row(p));
+                let rows = g.iter().zip(wp.as_ref()).zip(a).zip(b);
+                for (((((&g, &w), &a), &b), di), dj) in rows.zip(da).zip(db) {
                     let dw = scale * g * w;
                     *di += dw * b;
                     *dj += dw * a;
@@ -195,48 +219,24 @@ impl Factorizer {
 
 /// `dw += (scale·g) ⊙ e_i ⊙ e_j`: one row's term of a pair's
 /// generalized-weight gradient.
-#[inline]
+#[inline(always)]
 fn weight_grad(scale: f32, g: &[f32], ei: &[f32], ej: &[f32], dw: &mut [f32]) {
     for (((d, &g), &a), &b) in dw.iter_mut().zip(g).zip(ei).zip(ej) {
         *d += scale * g * a * b;
     }
 }
 
-/// Eq. 18 for one pair, in place: `dst` holds `e^f` in its first `s1`
-/// columns on entry and `p_m·e^m + p_f·e^f` on return, each candidate
-/// zero-padded to `dst.len()` (`e^n` is empty and contributes nothing).
-#[inline]
-fn mix_in_place(pm: f32, pf: f32, em: &[f32], s1: usize, dst: &mut [f32]) {
-    let k = em.len().min(s1);
-    let (both, rest) = dst.split_at_mut(k);
-    for (d, &m) in both.iter_mut().zip(em) {
-        *d = 0.0 + pm * m + pf * *d;
-    }
-    // Past the shorter candidate only the longer one contributes.
-    if em.len() > k {
-        for (d, &m) in rest.iter_mut().zip(&em[k..]) {
-            *d = 0.0 + pm * m;
-        }
-    } else {
-        for d in rest {
-            *d = 0.0 + pf * *d;
-        }
-    }
-}
-
-/// `acc + Σ_c a[c]·b[c]`, added in ascending `c`.
-#[inline]
-fn dot_from(mut acc: f32, a: &[f32], b: &[f32]) -> f32 {
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
-}
-
 /// Field `f`'s `width` columns of a row.
 #[inline]
 fn field(row: &[f32], f: usize, width: usize) -> &[f32] {
     &row[f * width..(f + 1) * width]
+}
+
+/// Fields `i` and `j` of a row, loaded at width `w`.
+#[inline(always)]
+fn load_fields<W: Width>(w: W, row: &[f32], (i, j): (usize, usize)) -> (W::Row<'_>, W::Row<'_>) {
+    let n = w.get();
+    (w.load(field(row, i, n)), w.load(field(row, j, n)))
 }
 
 /// Fields `i < j` of a row as two disjoint mutable slices.
@@ -266,28 +266,57 @@ pub(crate) struct Mixed<'a> {
 }
 
 impl Mixed<'_> {
-    fn width(&self) -> usize {
-        self.s1.max(self.s2)
+    /// Fills `input`, the MLP input, from `eo` (`[B, M·s1]`) and `em`
+    /// (`[B, P·s2]`). Each pair's `e^f` is computed and mixed in a local
+    /// array and stored to its slot once.
+    pub fn mix_into(&self, pool: &Pool, eo: &Matrix, em: &Matrix, input: &mut Matrix) {
+        by_width!((self.s1, self.s2), (w1, w2) => self.mix_rows(w1, w2, pool, eo, em, input));
     }
 
-    /// Fills `input`, the MLP input, from `eo` (`[B, M·s1]`) and `em`
-    /// (`[B, P·s2]`). Each pair's `e^f` is computed into its slot and mixed
-    /// there.
-    pub fn mix_into(&self, pool: &Pool, eo: &Matrix, em: &Matrix, input: &mut Matrix) {
-        let (s1, s2, d) = (self.s1, self.s2, self.width());
+    /// [`mix_into`](Self::mix_into) at widths `w1 = s1` and `w2 = s2`.
+    fn mix_rows<W1: Width, W2: Width>(
+        &self,
+        w1: W1,
+        w2: W2,
+        pool: &Pool,
+        eo: &Matrix,
+        em: &Matrix,
+        input: &mut Matrix,
+    ) {
+        let (s1, s2) = (w1.get(), w2.get());
         let head = self.num_fields * s1;
-        let in_width = head + self.pairs.len() * d;
+        let in_width = head + self.pairs.len() * s1.max(s2);
         input.reshape_for_overwrite(eo.rows(), in_width);
         pool.for_rows(input.as_mut_slice(), in_width, |r, in_row| {
+            // Widths read from `w1` and `w2` inside each job: captured
+            // ones are loads there, and a constant width must stay one.
+            let (s1, s2) = (w1.get(), w2.get());
+            let (d, k) = (s1.max(s2), s1.min(s2));
             let (eo_row, em_row) = (eo.row(r), em.row(r));
             let (eo_dst, mixed) = in_row.split_at_mut(head);
             eo_dst.copy_from_slice(eo_row);
             let slots = self.pairs.iter().zip(mixed.chunks_exact_mut(d));
             for (p, (&(i, j), dst)) in slots.enumerate() {
-                let (ei, ej) = (field(eo_row, i, s1), field(eo_row, j, s1));
-                self.fact.factorize(p, ei, ej, &mut dst[..s1]);
-                let probs = &self.samples[p].probs;
-                mix_in_place(probs[0], probs[1], field(em_row, p, s2), s1, dst);
+                let (a, b) = load_fields(w1, eo_row, (i, j));
+                let m = w2.load(field(em_row, p, s2));
+                let m = m.as_ref();
+                let [pm, pf, _] = self.samples[p].probs;
+                // Eq. 18, each candidate zero-padded to the slot: `e^f`,
+                // then `0.0 + p_m·e^m + p_f·e^f` over it in place.
+                w1.store(dst, |out| {
+                    self.fact.factorize(w1, p, a.as_ref(), b.as_ref(), out);
+                    let (both, rest) = out.split_at_mut(k);
+                    for (o, &m) in both.iter_mut().zip(m) {
+                        *o = 0.0 + pm * m + pf * *o;
+                    }
+                    for o in rest {
+                        *o = 0.0 + pf * *o;
+                    }
+                });
+                // Past `e^f` (`s2 > s1`) only `e^m` contributes.
+                for (o, &m) in dst[s1..].iter_mut().zip(&m[k..]) {
+                    *o = 0.0 + pm * m;
+                }
             }
         });
     }
@@ -312,38 +341,9 @@ impl Mixed<'_> {
         arch_grad: &mut Matrix,
         fw_grad: Option<&mut Matrix>,
     ) {
-        let (s1, s2, d) = (self.s1, self.s2, self.width());
-        let head = self.num_fields * s1;
-        let rows = dinput.rows();
-        dp.reset(self.pairs.len(), 2);
-        pool.for_row_chunks(dp.as_mut_slice(), 2, |p0, acc| {
-            let p1 = p0 + acc.len() / 2;
-            let pairs = &self.pairs[p0..p1];
-            for r in 0..rows {
-                let g_rows = dinput.row(r)[head + p0 * d..head + p1 * d].chunks_exact(d);
-                let em_rows = em.row(r)[p0 * s2..p1 * s2].chunks_exact(s2);
-                let eo_row = eo.row(r);
-                let jobs = acc.chunks_exact_mut(2).zip(pairs).zip(g_rows.zip(em_rows));
-                for (p, ((a, &(i, j)), (g, em_p))) in (p0..).zip(jobs) {
-                    let (ei, ej) = (field(eo_row, i, s1), field(eo_row, j, s1));
-                    a[0] = dot_from(a[0], &g[..s2], em_p);
-                    a[1] = self.fact.factorized_dot(p, a[1], &g[..s1], ei, ej);
-                }
-            }
+        by_width!((self.s1, self.s2), (w1, w2) => {
+            self.arch_rows(w1, w2, pool, dinput, eo, em, dp, fw_grad)
         });
-        if let Some(fw_grad) = fw_grad {
-            pool.for_row_chunks(fw_grad.as_mut_slice(), s1, |p0, dws| {
-                for r in 0..rows {
-                    let (g_row, eo_row) = (&dinput.row(r)[head..], eo.row(r));
-                    for (p, dw) in (p0..).zip(dws.chunks_exact_mut(s1)) {
-                        let (i, j) = self.pairs[p];
-                        let pf = self.samples[p].probs[1];
-                        let g = &field(g_row, p, d)[..s1];
-                        weight_grad(pf, g, field(eo_row, i, s1), field(eo_row, j, s1), dw);
-                    }
-                }
-            });
-        }
         for (p, sample) in self.samples.iter().enumerate() {
             let dprobs = [dp.get(p, 0), dp.get(p, 1), 0.0];
             let mut dlogits = [0.0f32; 3];
@@ -351,6 +351,65 @@ impl Mixed<'_> {
             for (a, &g) in arch_grad.row_mut(p).iter_mut().zip(&dlogits) {
                 *a += g;
             }
+        }
+    }
+
+    /// [`backward_arch`](Self::backward_arch)'s `dp` and weight-gradient
+    /// passes at widths `w1 = s1` and `w2 = s2`.
+    #[allow(clippy::too_many_arguments)]
+    fn arch_rows<W1: Width, W2: Width>(
+        &self,
+        w1: W1,
+        w2: W2,
+        pool: &Pool,
+        dinput: &Matrix,
+        eo: &Matrix,
+        em: &Matrix,
+        dp: &mut Matrix,
+        fw_grad: Option<&mut Matrix>,
+    ) {
+        let s1 = w1.get();
+        let head = self.num_fields * s1;
+        let rows = dinput.rows();
+        dp.reset(self.pairs.len(), 2);
+        pool.for_row_chunks(dp.as_mut_slice(), 2, |p0, acc| {
+            let (s1, s2) = (w1.get(), w2.get());
+            let d = s1.max(s2);
+            let p1 = p0 + acc.len() / 2;
+            let pairs = &self.pairs[p0..p1];
+            for r in 0..rows {
+                let g_rows = dinput.row(r)[head + p0 * d..head + p1 * d].chunks_exact(d);
+                let em_rows = em.row(r)[p0 * s2..p1 * s2].chunks_exact(s2);
+                let eo_row = eo.row(r);
+                let jobs = acc.chunks_exact_mut(2).zip(pairs).zip(g_rows.zip(em_rows));
+                for (p, ((dp, &(i, j)), (g, em_p))) in (p0..).zip(jobs) {
+                    let (gm, m) = (w2.load(g), w2.load(em_p));
+                    let (gm, m) = (gm.as_ref(), m.as_ref());
+                    dp[0] = w2.dot(dp[0], |c| gm[c] * m[c]);
+                    let (a, b) = load_fields(w1, eo_row, (i, j));
+                    let gf = w1.load(g);
+                    let (gf, a, b) = (gf.as_ref(), a.as_ref(), b.as_ref());
+                    dp[1] = self.fact.factorized_dot(w1, p, dp[1], gf, a, b);
+                }
+            }
+        });
+        if let Some(fw_grad) = fw_grad {
+            pool.for_row_chunks(fw_grad.as_mut_slice(), s1, |p0, dws| {
+                let s1 = w1.get();
+                let d = s1.max(w2.get());
+                for (p, dw) in (p0..).zip(dws.chunks_exact_mut(s1)) {
+                    let (i, j) = self.pairs[p];
+                    let pf = self.samples[p].probs[1];
+                    w1.update(dw, |dw| {
+                        for r in 0..rows {
+                            let (g_row, eo_row) = (&dinput.row(r)[head..], eo.row(r));
+                            let g = w1.load(field(g_row, p, d));
+                            let (a, b) = load_fields(w1, eo_row, (i, j));
+                            weight_grad(pf, g.as_ref(), a.as_ref(), b.as_ref(), dw);
+                        }
+                    });
+                }
+            });
         }
     }
 
@@ -366,7 +425,25 @@ impl Mixed<'_> {
         d_eo: &mut Matrix,
         d_em: &mut Matrix,
     ) {
-        let (s1, s2, d) = (self.s1, self.s2, self.width());
+        by_width!((self.s1, self.s2), (w1, w2) => {
+            self.field_rows(w1, w2, pool, dinput, eo, d_eo, d_em)
+        });
+    }
+
+    /// [`backward_fields`](Self::backward_fields) at widths `w1 = s1` and
+    /// `w2 = s2`.
+    #[allow(clippy::too_many_arguments)]
+    fn field_rows<W1: Width, W2: Width>(
+        &self,
+        w1: W1,
+        w2: W2,
+        pool: &Pool,
+        dinput: &Matrix,
+        eo: &Matrix,
+        d_eo: &mut Matrix,
+        d_em: &mut Matrix,
+    ) {
+        let (s1, s2) = (w1.get(), w2.get());
         let head = self.num_fields * s1;
         let em_width = self.pairs.len() * s2;
         d_eo.reshape_for_overwrite(dinput.rows(), head);
@@ -377,19 +454,29 @@ impl Mixed<'_> {
             d_em.as_mut_slice(),
             em_width,
             |r, deo_row, dem_row| {
+                let (s1, s2) = (w1.get(), w2.get());
+                let d = s1.max(s2);
                 let (g_row, eo_row) = (dinput.row(r), eo.row(r));
                 let (g_eo, g_mixed) = g_row.split_at(head);
                 deo_row.copy_from_slice(g_eo);
                 let slots = g_mixed.chunks_exact(d).zip(dem_row.chunks_exact_mut(s2));
                 for (p, (&(i, j), (g, dem))) in self.pairs.iter().zip(slots).enumerate() {
-                    let probs = &self.samples[p].probs;
-                    for (dm, &g) in dem.iter_mut().zip(g) {
-                        *dm = 0.0 + probs[0] * g;
-                    }
+                    let [pm, pf, _] = self.samples[p].probs;
+                    let gm = w2.load(g);
+                    w2.store(dem, |dem| {
+                        for (dm, &g) in dem.iter_mut().zip(gm.as_ref()) {
+                            *dm = 0.0 + pm * g;
+                        }
+                    });
+                    let (a, b) = load_fields(w1, eo_row, (i, j));
+                    let gf = w1.load(g);
+                    let (gf, a, b) = (gf.as_ref(), a.as_ref(), b.as_ref());
                     let (d_ei, d_ej) = field_pair_mut(deo_row, i, j, s1);
-                    let (ei, ej) = (field(eo_row, i, s1), field(eo_row, j, s1));
-                    self.fact
-                        .factorize_backward(p, probs[1], &g[..s1], ei, ej, d_ei, d_ej);
+                    w1.update(d_ei, |da| {
+                        w1.update(d_ej, |db| {
+                            self.fact.factorize_backward(w1, p, pf, gf, a, b, da, db);
+                        });
+                    });
                 }
             },
         );
@@ -515,11 +602,31 @@ impl PairLayout {
         em: &Matrix,
         input: &mut Matrix,
     ) {
-        let (s1, s2) = (self.s1, self.s2);
-        let head = self.num_fields * s1;
+        by_width!((self.s1, self.s2), (w1, w2) => {
+            self.assemble_rows(w1, w2, pool, fact, eo, em, input)
+        });
+    }
+
+    /// [`assemble_into`](Self::assemble_into) at widths `w1 = s1` and
+    /// `w2 = s2`.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble_rows<W1: Width, W2: Width>(
+        &self,
+        w1: W1,
+        w2: W2,
+        pool: &Pool,
+        fact: Fact<'_>,
+        eo: &Matrix,
+        em: &Matrix,
+        input: &mut Matrix,
+    ) {
+        let head = self.num_fields * w1.get();
         // Slots tile the input, so every element is written.
         input.reshape_for_overwrite(eo.rows(), self.input_dim);
         pool.for_rows(input.as_mut_slice(), self.input_dim, |r, dst| {
+            // Widths read from `w1` and `w2` inside each job: captured
+            // ones are loads there, and a constant width must stay one.
+            let s2 = w2.get();
             let eo_row = eo.row(r);
             dst[..head].copy_from_slice(eo_row);
             for (p, slot) in self.slots.iter().enumerate() {
@@ -529,9 +636,10 @@ impl PairLayout {
                         out[..s2].copy_from_slice(field(em.row(r), slot.mem_slot, s2));
                     }
                     Method::Factorize => {
-                        let (i, j) = slot.fields;
-                        let (ei, ej) = (field(eo_row, i, s1), field(eo_row, j, s1));
-                        fact.factorize(p, ei, ej, &mut out[..s1]);
+                        let (a, b) = load_fields(w1, eo_row, slot.fields);
+                        w1.store(out, |out| {
+                            fact.factorize(w1, p, a.as_ref(), b.as_ref(), out)
+                        });
                     }
                     Method::Naive => {}
                 }
@@ -555,20 +663,44 @@ impl PairLayout {
         d_em: &mut Matrix,
         fw_grad: Option<&mut Matrix>,
     ) {
-        let (s1, s2) = (self.s1, self.s2);
+        by_width!((self.s1, self.s2), (w1, w2) => {
+            self.assemble_backward_rows(w1, w2, pool, fact, dinput, eo, d_eo, d_em, fw_grad)
+        });
+    }
+
+    /// [`assemble_backward_into`](Self::assemble_backward_into) at widths
+    /// `w1 = s1` and `w2 = s2`.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble_backward_rows<W1: Width, W2: Width>(
+        &self,
+        w1: W1,
+        w2: W2,
+        pool: &Pool,
+        fact: Fact<'_>,
+        dinput: &Matrix,
+        eo: &Matrix,
+        d_eo: &mut Matrix,
+        d_em: &mut Matrix,
+        fw_grad: Option<&mut Matrix>,
+    ) {
+        let (s1, s2) = (w1.get(), w2.get());
         let head = self.num_fields * s1;
         let rows = dinput.rows();
         if let Some(fw_grad) = fw_grad {
             pool.for_row_chunks(fw_grad.as_mut_slice(), s1, |p0, dws| {
-                for r in 0..rows {
-                    let (g_row, eo_row) = (dinput.row(r), eo.row(r));
-                    for (slot, dw) in self.slots[p0..].iter().zip(dws.chunks_exact_mut(s1)) {
-                        if slot.method == Method::Factorize {
-                            let (i, j) = slot.fields;
-                            let g = &g_row[slot.input_offset..slot.input_offset + s1];
-                            weight_grad(1.0, g, field(eo_row, i, s1), field(eo_row, j, s1), dw);
-                        }
+                let s1 = w1.get();
+                for (slot, dw) in self.slots[p0..].iter().zip(dws.chunks_exact_mut(s1)) {
+                    if slot.method != Method::Factorize {
+                        continue;
                     }
+                    w1.update(dw, |dw| {
+                        for r in 0..rows {
+                            let (g_row, eo_row) = (dinput.row(r), eo.row(r));
+                            let g = w1.load(&g_row[slot.input_offset..]);
+                            let (a, b) = load_fields(w1, eo_row, slot.fields);
+                            weight_grad(1.0, g.as_ref(), a.as_ref(), b.as_ref(), dw);
+                        }
+                    });
                 }
             });
         }
@@ -581,6 +713,7 @@ impl PairLayout {
             d_em.as_mut_slice(),
             em_width,
             |r, deo_row, dem_row| {
+                let (s1, s2) = (w1.get(), w2.get());
                 let (g_row, eo_row) = (dinput.row(r), eo.row(r));
                 deo_row.copy_from_slice(&g_row[..head]);
                 for (p, slot) in self.slots.iter().enumerate() {
@@ -592,9 +725,15 @@ impl PairLayout {
                         }
                         Method::Factorize => {
                             let (i, j) = slot.fields;
+                            let (a, b) = load_fields(w1, eo_row, (i, j));
+                            let gf = w1.load(g);
+                            let (gf, a, b) = (gf.as_ref(), a.as_ref(), b.as_ref());
                             let (d_ei, d_ej) = field_pair_mut(deo_row, i, j, s1);
-                            let (ei, ej) = (field(eo_row, i, s1), field(eo_row, j, s1));
-                            fact.factorize_backward(p, 1.0, &g[..s1], ei, ej, d_ei, d_ej);
+                            w1.update(d_ei, |da| {
+                                w1.update(d_ej, |db| {
+                                    fact.factorize_backward(w1, p, 1.0, gf, a, b, da, db);
+                                });
+                            });
                         }
                         Method::Naive => {}
                     }
@@ -613,7 +752,9 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const FIELDS: usize = 7;
-    const WIDTHS: [(usize, usize); 4] = [(16, 8), (8, 16), (12, 12), (6, 5)];
+    /// Every pair of constant widths `by_width!` runs, and runtime widths
+    /// with `s1 > s2`, `s1 < s2` and `s1 = s2`.
+    const WIDTHS: [(usize, usize); 5] = [(16, 8), (16, 4), (8, 16), (12, 12), (6, 5)];
     const BATCHES: [usize; 3] = [1, 7, 128];
     const FACT_FNS: [FactFn; 3] = [FactFn::Hadamard, FactFn::PointwiseAdd, FactFn::Generalized];
 
@@ -764,61 +905,82 @@ mod tests {
             pair_offsets: (0..p_count as u32).map(|p| 5 * p).collect(),
             pair_vocab_sizes: vec![5; p_count],
         };
-        // Every method, with memorized and factorized pairs interleaved.
-        let arch = Architecture::new(
-            (0..p_count)
-                .map(|p| Method::from_index((p * 7 + p / 3) % 3))
-                .collect(),
-        );
+        // Every method, with memorized and factorized pairs interleaved;
+        // then no memorized pair (an empty `e^m` block), and no factorized
+        // pair.
+        let mixed = |p: usize| Method::from_index((p * 7 + p / 3) % 3);
+        let without = |gone: Method| {
+            move |p: usize| match mixed(p) {
+                m if m == gone => Method::Naive,
+                m => m,
+            }
+        };
+        let archs = [
+            (
+                "all methods",
+                Architecture::new((0..p_count).map(mixed).collect()),
+            ),
+            (
+                "no memorized pair",
+                Architecture::new((0..p_count).map(without(Method::Memorize)).collect()),
+            ),
+            (
+                "no factorized pair",
+                Architecture::new((0..p_count).map(without(Method::Factorize)).collect()),
+            ),
+        ];
         for_each_case(|pool, fact_fn, s1, s2, b, case| {
-            let mut rng = StdRng::seed_from_u64((s1 * 100 + s2 * 10 + b) as u64 ^ 0xF1);
-            let layout = PairLayout::new(&arch, &dims, s1, s2);
-            let fw = random(&mut rng, p_count, s1);
-            let fw_val = (fact_fn == FactFn::Generalized).then_some(&fw);
-            let eo = random(&mut rng, b, FIELDS * s1);
-            let em = random(&mut rng, b, layout.num_memorized() * s2);
-            let dinput = random(&mut rng, b, layout.input_dim());
-            let fw_grad0 = random(&mut rng, p_count, s1);
+            for (arch_name, arch) in &archs {
+                let case = &format!("{case}, {arch_name}");
+                let mut rng = StdRng::seed_from_u64((s1 * 100 + s2 * 10 + b) as u64 ^ 0xF1);
+                let layout = PairLayout::new(arch, &dims, s1, s2);
+                let fw = random(&mut rng, p_count, s1);
+                let fw_val = (fact_fn == FactFn::Generalized).then_some(&fw);
+                let eo = random(&mut rng, b, FIELDS * s1);
+                let em = random(&mut rng, b, layout.num_memorized() * s2);
+                let dinput = random(&mut rng, b, layout.input_dim());
+                let fw_grad0 = random(&mut rng, p_count, s1);
 
-            let sh = NetShape {
-                slots: layout.slots(),
-                m: FIELDS,
-                s1,
-                s2,
-                input_dim: layout.input_dim(),
-                num_memorized: layout.num_memorized(),
-            };
-            let input_ref = reference::net_forward(pool, &sh, fact_fn, fw_val, &eo, &em);
-            let mut fw_grad_ref = fw_grad0.clone();
-            let (d_eo_ref, d_em_ref) = reference::net_backward(
-                pool,
-                &sh,
-                fact_fn,
-                fw_val,
-                &dinput,
-                &eo,
-                fw_val.map(|_| &mut fw_grad_ref),
-            );
+                let sh = NetShape {
+                    slots: layout.slots(),
+                    m: FIELDS,
+                    s1,
+                    s2,
+                    input_dim: layout.input_dim(),
+                    num_memorized: layout.num_memorized(),
+                };
+                let input_ref = reference::net_forward(pool, &sh, fact_fn, fw_val, &eo, &em);
+                let mut fw_grad_ref = fw_grad0.clone();
+                let (d_eo_ref, d_em_ref) = reference::net_backward(
+                    pool,
+                    &sh,
+                    fact_fn,
+                    fw_val,
+                    &dinput,
+                    &eo,
+                    fw_val.map(|_| &mut fw_grad_ref),
+                );
 
-            let fact = fact_of(fact_fn, &fw);
-            let mut input = stale(b, layout.input_dim());
-            layout.assemble_into(pool, fact, &eo, &em, &mut input);
-            let mut fw_grad = fw_grad0.clone();
-            let (mut d_eo, mut d_em) = (stale(b, eo.cols()), stale(b, em.cols()));
-            layout.assemble_backward_into(
-                pool,
-                fact,
-                &dinput,
-                &eo,
-                &mut d_eo,
-                &mut d_em,
-                fw_val.map(|_| &mut fw_grad),
-            );
+                let fact = fact_of(fact_fn, &fw);
+                let mut input = stale(b, layout.input_dim());
+                layout.assemble_into(pool, fact, &eo, &em, &mut input);
+                let mut fw_grad = fw_grad0.clone();
+                let (mut d_eo, mut d_em) = (stale(b, eo.cols()), stale(b, em.cols()));
+                layout.assemble_backward_into(
+                    pool,
+                    fact,
+                    &dinput,
+                    &eo,
+                    &mut d_eo,
+                    &mut d_em,
+                    fw_val.map(|_| &mut fw_grad),
+                );
 
-            assert_bits("MLP input", case, &input, &input_ref);
-            assert_bits("generalized-weight gradient", case, &fw_grad, &fw_grad_ref);
-            assert_bits("d e^o", case, &d_eo, &d_eo_ref);
-            assert_bits("d e^m", case, &d_em, &d_em_ref);
+                assert_bits("MLP input", case, &input, &input_ref);
+                assert_bits("generalized-weight gradient", case, &fw_grad, &fw_grad_ref);
+                assert_bits("d e^o", case, &d_eo, &d_eo_ref);
+                assert_bits("d e^m", case, &d_em, &d_em_ref);
+            }
         });
     }
 

@@ -13,7 +13,11 @@
 //! simultaneously by separate Adam instances (the paper's joint scheme).
 //!
 //! The combination block itself lives in [`crate::combine`]; this module
-//! owns the parameters, the Gumbel draws and the optimizer steps.
+//! owns the parameters, the Gumbel draws and the optimizer steps. The
+//! block's mix and both backward passes pick their widths once per call:
+//! constants for `(orig_dim, cross_dim)` = (16, 8) and (16, 4), where each
+//! pair's operands sit in local arrays and its slot is stored once, and
+//! the runtime widths for any other pair, through the same source.
 //!
 //! # Parallelism
 //!
@@ -25,13 +29,16 @@
 //! which owns those pairs' `dp_m`/`dp_f` accumulators (persistent
 //! scratch), generalized-weight rows and architecture-gradient rows; the
 //! job walks the batch rows-outer, so its pairs' reduction chains
-//! interleave. The field-gradient pass is parallel over *batch rows*, each
-//! owning its slices of `d e^o` and `d e^m`, and walks the pairs in their
-//! nested `(i, j)` order. Every floating-point accumulator still adds the
-//! same terms in the same order as the original serial loop — `dp_m` and
-//! `dp_f` in ascending `(r, c)`, each `d e^o` element in ascending pair
-//! order — so training is bit-identical to the single-threaded path for
-//! any thread count, and to the loops this pass order replaced.
+//! interleave, and then each pair's generalized-weight row over the
+//! batch, pairs-outer, so the row stays in registers. The field-gradient
+//! pass is parallel over *batch rows*, each owning its slices of `d e^o`
+//! and `d e^m`, and walks the pairs in their nested `(i, j)` order. Every
+//! floating-point accumulator still adds the same terms in the same order
+//! as the original serial loop — `dp_m` and `dp_f` in ascending `(r, c)`,
+//! each generalized-weight element in ascending `r`, each `d e^o` element
+//! in ascending pair order — so training is bit-identical to the
+//! single-threaded path for any thread count, and to the loops this pass
+//! order replaced.
 
 use crate::arch::{Architecture, Method};
 use crate::combine::{Factorizer, Mixed};

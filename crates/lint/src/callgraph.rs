@@ -22,6 +22,11 @@
 //! - `Type::m(...)` / `Self::m(...)` — methods of that indexed type, plus
 //!   free fns named `m` in modules whose last segment is `Type` (paths like
 //!   `channel::bounded`). An unindexed qualifier is external: no edge.
+//! - `self.field.m(...)` — methods named `m` of the field's declared type,
+//!   read from the enclosing type's `struct` item (the last plain segment
+//!   of the field's type: `pending: PendingGrads` and `fact: Fact<'a>`
+//!   resolve, `Option<T>`, `[T; N]` and generic parameters do not); when
+//!   that type has no `m`, the `recv.m(...)` fallback below.
 //! - `recv.m(...)` — every workspace method named `m` (the receiver's type
 //!   is beyond a token-level analysis).
 //! - bare `f(...)` — free fns named `f` in the caller's module if any exist
@@ -82,7 +87,8 @@ pub struct CallGraph {
     pub edges: Vec<Vec<usize>>,
     /// `precise[n]` ⊆ `edges[n]`: only edges whose resolution pinned the
     /// callee (own-impl `self.m()`, `Type::m()` on an indexed type,
-    /// same-module bare calls). The derived-hot-path rule traverses these —
+    /// `self.field.m()` on a field whose declared type has `m`, same-module
+    /// bare calls). The derived-hot-path rule traverses these —
     /// it is a perf ratchet backstopped by the counting allocator, and
     /// name-fallback edges would make every `.map()`/`.push()` collision
     /// "hot" (DESIGN.md §12).
@@ -95,6 +101,9 @@ pub struct CallGraph {
     /// Module-path last segment -> full module paths (for `mod::f()` calls).
     modules_by_last_seg: BTreeMap<String, Vec<String>>,
     type_names: BTreeSet<String>,
+    /// `(struct, field)` -> the last plain segment of the field's declared
+    /// type, one entry per same-named struct in the workspace.
+    field_types: BTreeMap<(String, String), BTreeSet<String>>,
 }
 
 /// Identifiers that look like calls (`if (x)`) or definitions (`fn f(`)
@@ -136,6 +145,8 @@ pub fn module_path(rel_path: &str, crate_key: &str) -> String {
 #[derive(Debug, Clone, PartialEq)]
 enum CallKind {
     SelfMethod,
+    /// `self.field.m(...)`, carrying the field's name.
+    FieldMethod(String),
     Method,
     Qualified(String),
     Bare,
@@ -192,6 +203,12 @@ impl CallGraph {
     fn index_file(&mut self, f: &FileSource<'_>) {
         let module = module_path(&f.meta.rel_path, &f.meta.crate_key);
         let containers = container_blocks(f.tokens, f.code, f.tree);
+        for (ty, field, field_ty) in struct_fields(f.tokens, f.code, f.tree) {
+            self.field_types
+                .entry((ty, field))
+                .or_default()
+                .insert(field_ty);
+        }
         // A fn is test code when it carries a test attribute itself or sits
         // inside a test item, such as a helper in a `#[cfg(test)] mod`.
         let in_test_item = test_mask_for(f.tokens, f.code, f.meta.is_test_file);
@@ -260,8 +277,14 @@ impl CallGraph {
                 continue;
             }
             let kind = if ci > 0 && *tok(ci - 1) == Tok::Punct('.') {
-                if ci >= 2 && *tok(ci - 2) == Tok::Ident("self".to_string()) {
+                let is_self = |k: usize| *tok(k) == Tok::Ident("self".to_string());
+                if ci >= 2 && is_self(ci - 2) {
                     CallKind::SelfMethod
+                } else if ci >= 4 && *tok(ci - 3) == Tok::Punct('.') && is_self(ci - 4) {
+                    match tok(ci - 2) {
+                        Tok::Ident(field) => CallKind::FieldMethod(field.clone()),
+                        _ => CallKind::Method,
+                    }
                 } else {
                     CallKind::Method
                 }
@@ -310,6 +333,24 @@ impl CallGraph {
         let c = &self.nodes[caller];
         match kind {
             CallKind::SelfMethod => self.resolve_self(c, name),
+            CallKind::FieldMethod(field) => {
+                let declared = c
+                    .self_type
+                    .as_ref()
+                    .and_then(|t| self.field_types.get(&(t.clone(), field.clone())));
+                let out: Vec<usize> = declared
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|ty| self.methods_by_type.get(&(ty.clone(), name.to_string())))
+                    .flatten()
+                    .copied()
+                    .collect();
+                if out.is_empty() {
+                    self.resolve(caller, &CallKind::Method, name)
+                } else {
+                    (out, true)
+                }
+            }
             // `recv.m(...)`: the receiver's type is beyond a token-level
             // analysis — every same-named method, never precise.
             CallKind::Method => (
@@ -442,6 +483,55 @@ fn path_qualifier(tokens: &[Token], code: &[usize], name_ci: usize) -> Option<St
         Tok::Ident(q) => Some(q.clone()),
         _ => None,
     }
+}
+
+/// Every named field of every braced `struct` item in a file, as
+/// `(struct, field, type)` with the type's last plain segment (see
+/// [`read_type_path`]); fields whose type has none (`[f32; 3]`, `(u8,
+/// u8)`) are left out. A field starts at an identifier followed by a lone
+/// `:` at the struct body's top level, right after the opening brace, a
+/// `,`, a visibility (`pub`, `pub(crate)`) or an attribute's `]`.
+fn struct_fields(tokens: &[Token], code: &[usize], tree: &Tree) -> Vec<(String, String, String)> {
+    let n = code.len();
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    let mut out = Vec::new();
+    for ci in 0..n.saturating_sub(1) {
+        if *tok(ci) != Tok::Ident("struct".to_string()) {
+            continue;
+        }
+        let Tok::Ident(name) = tok(ci + 1) else {
+            continue;
+        };
+        let Some(block) = body_block(tokens, code, tree, ci + 2) else {
+            continue; // unit and tuple structs
+        };
+        let (open, close) = (tree.blocks[block].open, tree.blocks[block].close);
+        let mut depth = 0usize;
+        let mut k = code.partition_point(|&raw| raw <= open);
+        while k + 1 < n && code[k] < close {
+            match tok(k) {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']' | '}') => depth = depth.saturating_sub(1),
+                Tok::Ident(field) if depth == 0 => {
+                    let lone_colon = *tok(k + 1) == Tok::Punct(':')
+                        && (k + 2 >= n || *tok(k + 2) != Tok::Punct(':'));
+                    let starts = match tok(k - 1) {
+                        Tok::Punct('{' | ',' | ')' | ']') => true,
+                        Tok::Ident(v) => v == "pub",
+                        _ => false,
+                    };
+                    if lone_colon && starts {
+                        if let (Some(ty), _) = read_type_path(tokens, code, k + 2) {
+                            out.push((name.clone(), field.clone(), ty));
+                        }
+                    }
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+    }
+    out
 }
 
 /// Maps block ids to the `impl`/`trait` container that owns them:
@@ -695,6 +785,56 @@ mod tests {
             quals_called_by(&g, "alpha::entry"),
             vec!["alpha::A::m", "alpha::B::m"]
         );
+    }
+
+    #[test]
+    fn field_receivers_resolve_through_the_declared_type() {
+        let (g, _) = graph_of(&[(
+            "crates/alpha/src/lib.rs",
+            "alpha",
+            r#"
+            pub struct A;
+            pub struct B;
+            impl A { pub fn m(&self) {} }
+            impl B { pub fn m(&self) {} pub fn only_b(&self) {} }
+            pub struct Holder<'a> {
+                #[doc(hidden)]
+                pub(crate) a: &'a A,
+                pub maybe: Option<B>,
+                pair: (A, B),
+                b: crate::B,
+            }
+            impl Holder<'_> {
+                pub fn typed(&self) { self.a.m(); self.b.m(); }
+                pub fn wrapped(&self) { self.maybe.m(); }
+                pub fn tuple(&self) { self.pair.m(); }
+                pub fn missing(&self) { self.a.only_b(); }
+            }
+            "#,
+        )]);
+        let precise_of = |qual: &str| {
+            let n = g.nodes.iter().position(|n| n.qual == qual).unwrap();
+            let mut out: Vec<&str> = g.precise[n]
+                .iter()
+                .map(|&t| g.nodes[t].qual.as_str())
+                .collect();
+            out.sort();
+            out
+        };
+        // A declared type pins the callee, on both tiers.
+        let typed = vec!["alpha::A::m", "alpha::B::m"];
+        assert_eq!(quals_called_by(&g, "alpha::Holder::typed"), typed);
+        assert_eq!(precise_of("alpha::Holder::typed"), typed);
+        // A wrapper, a tuple, or a type without the method: every
+        // same-named method, and no precise edge.
+        for (qual, by_name) in [
+            ("alpha::Holder::wrapped", typed.clone()),
+            ("alpha::Holder::tuple", typed.clone()),
+            ("alpha::Holder::missing", vec!["alpha::B::only_b"]),
+        ] {
+            assert_eq!(quals_called_by(&g, qual), by_name, "{qual}");
+            assert!(precise_of(qual).is_empty(), "{qual}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! The lookup's row copies, the apply's row sums and its Adam row steps
 //! are each one generic fn over a [`Width`], picked once per call from
-//! `dim` by `by_width!`: a constant for widths 4, 8 and 16, so a row is a
+//! `dim` by [`by_width!`]: a constant for widths 4, 8 and 16, so a row is a
 //! fixed number of vector registers and a row copy or add is a few vector
 //! moves with no loop and no `memcpy` call, and the runtime width for any
 //! other, through the same source. The lookup copies rows in `flat` order,
@@ -60,7 +60,9 @@
 //!   `lazy_catch_up_matches_dense_apply_bitwise` test and DESIGN.md §14.
 
 use crate::optim::Adam;
+use optinter_tensor::by_width;
 use optinter_tensor::pool::Pool;
+use optinter_tensor::width::{Runtime, Width};
 use optinter_tensor::{init, Matrix};
 use rand::Rng;
 
@@ -92,62 +94,6 @@ const RADIX_BITS: u32 = 11;
 /// Distinct ids a `Sparse` or `LazyCatchUp` Adam step gathers, steps and
 /// scatters together.
 const BLOCK_ROWS: usize = 16;
-
-/// A row width the row loops are compiled for: a constant the compiler
-/// sees ([`Fixed`]) or the table's width at run time ([`Runtime`]).
-trait Width: Copy {
-    /// Floats per row.
-    fn get(self) -> usize;
-}
-
-/// A width known at compile time, so a row is a fixed number of vector
-/// registers and a row copy or add needs no loop and no `memcpy` call.
-#[derive(Clone, Copy)]
-struct Fixed<const N: usize>;
-
-impl<const N: usize> Width for Fixed<N> {
-    #[inline(always)]
-    fn get(self) -> usize {
-        N
-    }
-}
-
-/// Any other width, read at run time.
-#[derive(Clone, Copy)]
-struct Runtime(usize);
-
-impl Width for Runtime {
-    #[inline(always)]
-    fn get(self) -> usize {
-        self.0
-    }
-}
-
-/// Evaluates `$body` with `$w` bound to `$dim` as a [`Width`]: [`Fixed`]
-/// for 4, 8 and 16, [`Runtime`] for every other width. Each row loop is
-/// one generic fn, so all widths run the same source.
-macro_rules! by_width {
-    ($dim:expr, $w:ident => $body:expr) => {
-        match $dim {
-            4 => {
-                let $w = Fixed::<4>;
-                $body
-            }
-            8 => {
-                let $w = Fixed::<8>;
-                $body
-            }
-            16 => {
-                let $w = Fixed::<16>;
-                $body
-            }
-            dim => {
-                let $w = Runtime(dim);
-                $body
-            }
-        }
-    };
-}
 
 /// Copies row `ids[k]` of the row-major `table` into the `k`th row of
 /// `out`, for every row `out` holds.

@@ -7,7 +7,8 @@
 //! [`Matrix::matmul_at_b_accumulate_pooled`] for `xᵀ·g`,
 //! [`Matrix::matmul_a_bt_into_pooled`] for `g·Wᵀ`), AXPY-style updates,
 //! numerically stable scalar functions ([`numerics`]), weight initialisation
-//! ([`init`]), and small statistics helpers ([`stats`]).
+//! ([`init`]), small statistics helpers ([`stats`]), and the row widths
+//! row kernels are compiled for ([`width`], [`by_width!`]).
 //!
 //! Everything is deliberately simple and allocation-conscious: the
 //! reproduction targets deterministic CPU training, and the hot loops are
@@ -48,6 +49,7 @@ pub mod pool;
 mod proptests;
 pub mod reference;
 pub mod stats;
+pub mod width;
 
 pub use matrix::Matrix;
 pub use numerics::{log1p_exp, sigmoid, stable_bce, stable_bce_grad};

@@ -4,7 +4,7 @@
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, FactFn, Method, OptInterConfig, OptInterNet};
-use optinter_data::{BatchIter, PairIndexer, Profile};
+use optinter_data::{BatchIter, DatasetBundle, PairIndexer, Profile};
 use optinter_nn::{Mlp, MlpConfig};
 use optinter_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -25,26 +25,49 @@ fn bits(m: &Matrix) -> Vec<u32> {
 /// - all-`Memorize`: `[e^o | e_cross row of each pair's cross id]`. With
 ///   every pair memorized, the compact cross table's pair offsets are the
 ///   dataset's `pair_offsets`, so a global cross id is its row.
+///
+/// Each architecture runs at `test_small`'s widths `(s1, s2)` = (6, 4),
+/// which the block runs at run time, and at (16, 8) and (16, 4), which it
+/// runs as constants.
 #[test]
 fn uniform_net_is_a_bare_mlp_over_its_combined_inputs() {
     let bundle = Profile::Tiny.bundle_with_rows(1_500, 31);
     let dims = DataDims::of(&bundle.data);
-    let (fields, pairs) = (dims.num_fields, dims.num_pairs);
-    let cfg = OptInterConfig {
+    let small = OptInterConfig {
         seed: 5,
         num_threads: 2,
         hidden: vec![64, 32],
         ..OptInterConfig::test_small()
     };
-    assert_eq!(cfg.fact_fn, FactFn::Hadamard);
-    let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
-    let pair_order = PairIndexer::new(fields);
+    assert_eq!(small.fact_fn, FactFn::Hadamard);
+    assert_eq!((small.orig_dim, small.cross_dim), (6, 4));
+    let pair_order = PairIndexer::new(dims.num_fields);
     let mut next_offset = 0;
     for (&offset, &size) in dims.pair_offsets.iter().zip(&dims.pair_vocab_sizes) {
         assert_eq!(offset, next_offset, "pair blocks sit back to back from 0");
         next_offset += size;
     }
 
+    for (s1, s2) in [(6, 4), (16, 8), (16, 4)] {
+        let cfg = OptInterConfig {
+            orig_dim: s1,
+            cross_dim: s2,
+            ..small.clone()
+        };
+        uniform_nets_at(&cfg, &bundle, &dims, &pair_order);
+    }
+}
+
+/// The three uniform architectures of
+/// [`uniform_net_is_a_bare_mlp_over_its_combined_inputs`] at `cfg`'s widths.
+fn uniform_nets_at(
+    cfg: &OptInterConfig,
+    bundle: &DatasetBundle,
+    dims: &DataDims,
+    pair_order: &PairIndexer,
+) {
+    let (fields, pairs) = (dims.num_fields, dims.num_pairs);
+    let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
     for method in [Method::Naive, Method::Factorize, Method::Memorize] {
         let slot = match method {
             Method::Naive => 0,
@@ -54,7 +77,8 @@ fn uniform_net_is_a_bare_mlp_over_its_combined_inputs() {
         let width = fields * s1 + pairs * slot;
         let arch = Architecture::new(vec![method; pairs]);
         let mut net = OptInterNet::new(cfg.clone(), dims.clone(), arch);
-        assert_eq!(net.input_dim(), width, "{method:?}");
+        let case = format!("{method:?}, s1={s1} s2={s2}");
+        assert_eq!(net.input_dim(), width, "{case}");
         for batch in BatchIter::new(&bundle.data, 0..1_000, 128, Some(0)) {
             assert!(net.train_batch(&batch).is_finite());
         }
@@ -126,7 +150,7 @@ fn uniform_net_is_a_bare_mlp_over_its_combined_inputs() {
             mlp.forward_into(&x, &mut want);
             let got = net.forward(&batch);
             assert_eq!(got.shape(), (rows, 1));
-            assert_eq!(bits(&got), bits(&want), "{method:?}, {rows}-row batch");
+            assert_eq!(bits(&got), bits(&want), "{case}, {rows}-row batch");
         }
     }
 }
