@@ -5,7 +5,7 @@
 //!   with the generalized-product weights resolved once per call. Its
 //!   per-pair kernels compute `e^f_(i,j)` and push a gradient on `e^f`
 //!   back into `e^o_i`, `e^o_j` and the pair's weights.
-//! - [`Mixed`] is the supernet's block: every pair's three candidates
+//! - `Mixed` is the supernet's block: every pair's three candidates
 //!   mixed by relaxed weights (Eq. 18), and the gradients on `α`, `E^o`,
 //!   `E^m` and the generalized weights.
 //! - [`PairLayout`] is the fixed-architecture block (Eq. 19): where each

@@ -25,8 +25,10 @@
 //!   embedding table holding only the memorized pairs;
 //! - [`search`] — joint (paper), bi-level and random search strategies
 //!   (the Table VIII ablation);
-//! - [`trainer`] — shared training/evaluation loops and the two-stage
-//!   search → re-train pipeline.
+//! - [`trainer`] — the one epoch pass, scoring pass and early-stopping
+//!   rule that every model trains and scores under (the baseline zoo's
+//!   too), and the two-stage search → re-train pipeline;
+//! - [`persist`] — architectures as strings and trained weights as files.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,7 @@ use crate::arch::{Architecture, Method};
 use crate::net::OptInterNet;
 use optinter_tensor::Matrix;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 /// Magic header of the weight file format.
@@ -74,10 +74,16 @@ pub fn write_weights(path: &Path, weights: &[(String, Matrix)]) -> io::Result<()
 
 /// Reads named matrices from a binary file written by [`write_weights`].
 ///
+/// Nothing is sized from the header before the file is known to hold it:
+/// each tensor's shape is checked against the bytes left in the file.
+///
 /// # Errors
-/// Fails on I/O errors or a malformed header.
+/// Fails on I/O errors, a malformed header, or a shape whose payload runs
+/// past the end of the file (`InvalidData`).
 pub fn read_weights(path: &Path) -> io::Result<Vec<(String, Matrix)>> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -86,8 +92,8 @@ pub fn read_weights(path: &Path) -> io::Result<Vec<(String, Matrix)>> {
             "not an OptInter weight file (bad magic)",
         ));
     }
-    let count = read_u32(&mut r)? as usize;
-    let mut out = Vec::with_capacity(count);
+    let count = read_u32(&mut r)?;
+    let mut out = Vec::new();
     for _ in 0..count {
         let name_len = read_u32(&mut r)? as usize;
         if name_len > 4096 {
@@ -102,6 +108,14 @@ pub fn read_weights(path: &Path) -> io::Result<Vec<(String, Matrix)>> {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let rows = read_u32(&mut r)? as usize;
         let cols = read_u32(&mut r)? as usize;
+        let left = len.saturating_sub(r.stream_position()?);
+        let bytes = rows.checked_mul(cols).and_then(|n| n.checked_mul(4));
+        if bytes.is_none_or(|b| b as u64 > left) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("tensor `{name}` of shape {rows} x {cols} runs past the end of the file"),
+            ));
+        }
         let mut data = vec![0.0f32; rows * cols];
         let mut buf = [0u8; 4];
         for v in data.iter_mut() {
@@ -190,6 +204,46 @@ mod tests {
         std::fs::write(&path, b"NOTMAGIC0000").expect("write");
         assert!(read_weights(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `bytes` to a scratch file and reads it back as weights.
+    fn read_bytes(name: &str, bytes: &[u8]) -> io::Result<Vec<(String, Matrix)>> {
+        let dir = std::env::temp_dir().join("optinter-persist-test");
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        let read = read_weights(&path);
+        std::fs::remove_file(&path).ok();
+        read
+    }
+
+    #[test]
+    fn corrupt_headers_are_errors_not_panics() {
+        let header = |count: u32| [MAGIC.as_slice(), &count.to_le_bytes()].concat();
+        // One tensor `a` of shape u32::MAX x u32::MAX, then one float: 29
+        // bytes whose header asks for 2^66 bytes of payload.
+        let mut huge = header(1);
+        huge.extend_from_slice(&1u32.to_le_bytes());
+        huge.push(b'a');
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge.extend_from_slice(&1.0f32.to_le_bytes());
+        assert_eq!(huge.len(), 29);
+        let err = read_bytes("huge-shape.bin", &huge).expect_err("huge shape");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A count of u32::MAX tensors with none behind it.
+        assert!(read_bytes("huge-count.bin", &header(u32::MAX)).is_err());
+        // A valid file cut inside its last tensor's payload.
+        let dir = std::env::temp_dir().join("optinter-persist-test");
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let path = dir.join("whole.bin");
+        let weights = vec![("w".to_string(), Matrix::filled(3, 5, 0.25))];
+        write_weights(&path, &weights).expect("write");
+        let whole = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        let cut = &whole[..whole.len() - 6];
+        let err = read_bytes("truncated.bin", cut).expect_err("truncated");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::arch::{Architecture, Method};
 use crate::config::OptInterConfig;
 use crate::net::DataDims;
 use crate::supernet::Supernet;
+use crate::trainer::epoch_pass;
 use optinter_data::{Batch, BatchIter, BatchStream, DatasetBundle};
 use optinter_nn::bce_with_logits;
 use rand::rngs::StdRng;
@@ -70,6 +71,13 @@ fn random_architecture(num_pairs: usize, seed: u64) -> SearchOutcome {
     }
 }
 
+/// Training batches over all search epochs: the steps τ anneals over.
+fn anneal_steps(bundle: &DatasetBundle, cfg: &OptInterConfig) -> usize {
+    let train = bundle.split.train.clone();
+    let per_epoch = BatchStream::new(&bundle.data, train, cfg.batch_size, None).num_batches();
+    (per_epoch * cfg.search_epochs.max(1)).max(1)
+}
+
 fn joint_search(bundle: &DatasetBundle, cfg: &OptInterConfig) -> SearchOutcome {
     let (_, outcome) = joint_search_supernet(bundle, cfg);
     outcome
@@ -84,36 +92,18 @@ pub fn joint_search_supernet(
 ) -> (Supernet, SearchOutcome) {
     let mut net = Supernet::new(cfg.clone(), DataDims::of(&bundle.data));
     let supernet_params = net.num_params();
-    let epochs = cfg.search_epochs.max(1);
-    let total_batches = {
-        let per_epoch = BatchIter::new(
-            &bundle.data,
-            bundle.split.train.clone(),
-            cfg.batch_size,
-            None,
-        )
-        .num_batches();
-        (per_epoch * epochs).max(1)
-    };
+    let total = anneal_steps(bundle, cfg);
     let mut seen = 0usize;
     let mut final_loss = 0.0f32;
-    for epoch in 0..epochs {
-        let mut epoch_loss = 0.0f32;
-        let mut count = 0usize;
-        BatchStream::new(
-            &bundle.data,
-            bundle.split.train.clone(),
-            cfg.batch_size,
-            Some(cfg.seed.wrapping_add(epoch as u64)),
-        )
-        .prefetch(cfg.prefetch)
-        .for_each(|batch| {
-            let tau = cfg.tau.at(seen as f32 / total_batches as f32);
-            epoch_loss += net.train_batch(batch, tau);
+    for epoch in 0..cfg.search_epochs.max(1) {
+        let seed = cfg.seed.wrapping_add(epoch as u64);
+        let train = bundle.split.train.clone();
+        let stream = BatchStream::new(&bundle.data, train, cfg.batch_size, Some(seed));
+        final_loss = epoch_pass(stream.prefetch(cfg.prefetch), |batch| {
+            let tau = cfg.tau.at(seen as f32 / total as f32);
             seen += 1;
-            count += 1;
+            net.train_batch(batch, tau)
         });
-        final_loss = epoch_loss / count.max(1) as f32;
     }
     let outcome = SearchOutcome {
         architecture: net.extract_architecture(),
@@ -126,22 +116,14 @@ pub fn joint_search_supernet(
 fn bilevel_search(bundle: &DatasetBundle, cfg: &OptInterConfig) -> SearchOutcome {
     let mut net = Supernet::new(cfg.clone(), DataDims::of(&bundle.data));
     let supernet_params = net.num_params();
-    let epochs = cfg.search_epochs.max(1);
-    let train_batches = BatchIter::new(
-        &bundle.data,
-        bundle.split.train.clone(),
-        cfg.batch_size,
-        None,
-    )
-    .num_batches();
-    let total = (train_batches * epochs).max(1);
+    let total = anneal_steps(bundle, cfg);
     let mut seen = 0usize;
     let mut final_loss = 0.0f32;
     // The α updates pull validation batches on demand (they interleave with
     // the Θ steps, so they cannot be prefetched); a single recycled buffer
     // keeps the pull path allocation-free.
     let mut val_buf = Batch::empty();
-    for epoch in 0..epochs {
+    for epoch in 0..cfg.search_epochs.max(1) {
         // A fresh (cycling) validation stream per epoch for the α updates.
         let mut val_iter = BatchIter::new(
             &bundle.data,
@@ -149,24 +131,17 @@ fn bilevel_search(bundle: &DatasetBundle, cfg: &OptInterConfig) -> SearchOutcome
             cfg.batch_size,
             Some(cfg.seed.wrapping_add(1000 + epoch as u64)),
         );
-        let mut epoch_loss = 0.0f32;
-        let mut count = 0usize;
-        BatchStream::new(
-            &bundle.data,
-            bundle.split.train.clone(),
-            cfg.batch_size,
-            Some(cfg.seed.wrapping_add(epoch as u64)),
-        )
-        .prefetch(cfg.prefetch)
-        .for_each(|batch| {
+        let seed = cfg.seed.wrapping_add(epoch as u64);
+        let train = bundle.split.train.clone();
+        let stream = BatchStream::new(&bundle.data, train, cfg.batch_size, Some(seed));
+        final_loss = epoch_pass(stream.prefetch(cfg.prefetch), |batch| {
             let tau = cfg.tau.at(seen as f32 / total as f32);
             // Θ step on the training batch.
             let logits = net.forward(batch, tau, true);
-            let (l, grad) = bce_with_logits(&logits, &batch.labels);
+            let (loss, grad) = bce_with_logits(&logits, &batch.labels);
             net.backward(batch, &grad);
             net.step_weights();
             net.zero_arch_grad();
-            epoch_loss += l;
             // α step on a validation batch.
             if !val_iter.next_into(&mut val_buf) {
                 val_iter = BatchIter::new(
@@ -176,7 +151,7 @@ fn bilevel_search(bundle: &DatasetBundle, cfg: &OptInterConfig) -> SearchOutcome
                     Some(cfg.seed.wrapping_add(2000 + seen as u64)),
                 );
                 if !val_iter.next_into(&mut val_buf) {
-                    return; // empty validation split
+                    return loss; // empty validation split
                 }
             }
             let logits = net.forward(&val_buf, tau, true);
@@ -185,9 +160,8 @@ fn bilevel_search(bundle: &DatasetBundle, cfg: &OptInterConfig) -> SearchOutcome
             net.step_arch();
             net.zero_weight_grads();
             seen += 1;
-            count += 1;
+            loss
         });
-        final_loss = epoch_loss / count.max(1) as f32;
     }
     SearchOutcome {
         architecture: net.extract_architecture(),

@@ -21,9 +21,9 @@
 //!
 //! # Buffer ownership protocol
 //!
-//! The producer owns [`NUM_BUFFERS`] `Batch` buffers. At any instant each
+//! The producer owns `NUM_BUFFERS` `Batch` buffers. At any instant each
 //! buffer is in exactly one place: being filled by the producer, queued in
-//! the bounded channel (capacity [`QUEUE_SLOTS`]), lent to the consumer
+//! the bounded channel (capacity `QUEUE_SLOTS`), lent to the consumer
 //! closure, or in transit back through the free-list channel. The producer
 //! blocks when the queue is full (compute-bound training) or when no free
 //! buffer is available yet; the consumer blocks in `recv` when the queue
@@ -101,6 +101,11 @@ impl<'a> BatchStream<'a> {
     /// Number of batches the stream will yield.
     pub fn num_batches(&self) -> usize {
         self.range.len().div_ceil(self.batch_size)
+    }
+
+    /// Number of rows the stream will yield, over all its batches.
+    pub fn num_rows(&self) -> usize {
+        self.range.len()
     }
 
     /// Runs `f` over every batch in order.
@@ -239,6 +244,7 @@ mod tests {
         let b = bundle(257);
         let stream = BatchStream::new(&b.data, 0..257, 10, Some(1));
         assert_eq!(stream.num_batches(), 26);
+        assert_eq!(stream.num_rows(), 257);
         let mut rows = 0usize;
         stream.for_each(|batch| rows += batch.len());
         assert_eq!(rows, 257);

@@ -10,7 +10,7 @@
 //!   over-approximating "block" is fine and keeps the parser trivial);
 //! - a list of **`fn` items** with their name, attributes, visibility and
 //!   body block, recognised the same way `fn_spans` in `rules.rs` does
-//!   (`fn` + identifier; [`body_open`] finds the body: the first `{`
+//!   (`fn` + identifier; `body_open` finds the body: the first `{`
 //!   outside brackets, unless a `;` outside brackets ends the signature
 //!   first; where-clauses cannot contain `{`, and bracket depth skips the
 //!   `;` of an array type such as `[u8; N]`).

@@ -248,7 +248,7 @@ pub struct FileCtx {
     pub diagnostics: Vec<Diagnostic>,
     pub unwrap_expect_count: usize,
     pub unsafe_count: usize,
-    /// Filled by [`hot_path_alloc_rule`], glob- or reachability-scoped.
+    /// Filled by `hot_path_alloc_rule`, glob- or reachability-scoped.
     pub hot_path_alloc: Vec<Diagnostic>,
 }
 

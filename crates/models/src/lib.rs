@@ -22,6 +22,14 @@
 //! (`Architecture::uniform` / the two-stage pipeline); [`zoo`] builds all
 //! of them behind the uniform [`CtrModel`] interface used by the
 //! experiment harness.
+//!
+//! One type serves each family: [`FmFamily`] is FM, FwFM or FmFM by
+//! [`FmVariant`], and [`Pnn`] is IPNN or OPNN by [`ProductKind`]. LR,
+//! Poly2, the FM family and DeepFM share one first-order term
+//! (`b + Σ_f w[x_f]` and its per-field gradient scatter), and FM and
+//! DeepFM share one Rendle pair term. [`runner`] trains and scores every
+//! model through `optinter_core::trainer`'s epoch pass, scoring pass and
+//! early-stopping rule, the ones the OptInter models use.
 
 #![forbid(unsafe_code)]
 
@@ -29,6 +37,7 @@ pub mod autofis;
 pub mod deepfm;
 pub mod fm;
 pub mod fnn;
+mod linear;
 pub mod lr;
 pub mod pin;
 pub mod pnn;
@@ -39,11 +48,11 @@ pub mod zoo;
 
 pub use autofis::AutoFis;
 pub use deepfm::DeepFm;
-pub use fm::{Fm, FmFm, FwFm};
+pub use fm::{FmFamily, FmVariant};
 pub use fnn::Fnn;
 pub use lr::Lr;
 pub use pin::Pin;
-pub use pnn::{Ipnn, Opnn};
+pub use pnn::{Pnn, ProductKind};
 pub use poly2::Poly2;
 pub use runner::{evaluate_model, run_model, train_model, RunReport};
 pub use traits::{BaselineConfig, Category, CtrModel, Taxonomy};

@@ -17,13 +17,16 @@ use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Which product features a PNN feeds its MLP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProductKind {
+pub enum ProductKind {
+    /// IPNN: one inner product per pair.
     Inner,
+    /// OPNN: the outer product of the pooled embedding.
     Outer,
 }
 
-/// Shared PNN implementation.
+/// A product-based neural network: IPNN or OPNN by [`ProductKind`].
 pub struct Pnn {
     kind: ProductKind,
     emb: EmbeddingTable,
@@ -47,7 +50,13 @@ pub struct Pnn {
 }
 
 impl Pnn {
-    fn new(kind: ProductKind, cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    /// Creates the given PNN for the dataset's vocabulary.
+    pub fn new(
+        kind: ProductKind,
+        cfg: &BaselineConfig,
+        orig_vocab: u32,
+        num_fields: usize,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x944);
         let k = cfg.embed_dim;
         let pairs = PairIndexer::new(num_fields);
@@ -237,57 +246,16 @@ impl CtrModel for Pnn {
     }
 }
 
-/// Inner-product neural network.
-pub struct Ipnn(Pnn);
-
-impl Ipnn {
-    /// Creates an IPNN.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
-        Self(Pnn::new(ProductKind::Inner, cfg, orig_vocab, num_fields))
-    }
-}
-
-/// Outer-product neural network.
-pub struct Opnn(Pnn);
-
-impl Opnn {
-    /// Creates an OPNN.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
-        Self(Pnn::new(ProductKind::Outer, cfg, orig_vocab, num_fields))
-    }
-}
-
-macro_rules! delegate_ctr {
-    ($t:ty) => {
-        impl CtrModel for $t {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-            fn taxonomy(&self) -> Taxonomy {
-                self.0.taxonomy()
-            }
-            fn train_batch(&mut self, batch: &Batch) -> f32 {
-                self.0.train_batch(batch)
-            }
-            fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-                self.0.predict(batch)
-            }
-            fn num_params(&mut self) -> usize {
-                self.0.num_params()
-            }
-        }
-    };
-}
-
-delegate_ctr!(Ipnn);
-delegate_ctr!(Opnn);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fnn::Fnn;
     use crate::runner::run_model;
-    use optinter_data::Profile;
+    use optinter_data::{DatasetBundle, Profile};
+
+    fn build(kind: ProductKind, cfg: &BaselineConfig, bundle: &DatasetBundle) -> Pnn {
+        Pnn::new(kind, cfg, bundle.data.orig_vocab, bundle.data.num_fields)
+    }
 
     #[test]
     fn ipnn_beats_fnn_on_factorized_structure() {
@@ -295,7 +263,7 @@ mod tests {
         let cfg = BaselineConfig::test_small();
         let mut fnn = Fnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let fnn_r = run_model(&mut fnn, &bundle, &cfg);
-        let mut ipnn = Ipnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
+        let mut ipnn = build(ProductKind::Inner, &cfg, &bundle);
         let ipnn_r = run_model(&mut ipnn, &bundle, &cfg);
         // Explicit products should not hurt on interaction-heavy data.
         assert!(
@@ -310,7 +278,7 @@ mod tests {
     fn opnn_trains() {
         let bundle = Profile::Tiny.bundle_with_rows(3000, 18);
         let cfg = BaselineConfig::test_small();
-        let mut opnn = Opnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
+        let mut opnn = build(ProductKind::Outer, &cfg, &bundle);
         let r = run_model(&mut opnn, &bundle, &cfg);
         assert!(r.auc > 0.55 && r.auc.is_finite(), "OPNN AUC {}", r.auc);
     }
@@ -319,14 +287,14 @@ mod tests {
     fn input_dims_differ_between_variants() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 19);
         let cfg = BaselineConfig::test_small();
-        let ipnn = Ipnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
-        let opnn = Opnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
+        let ipnn = build(ProductKind::Inner, &cfg, &bundle);
+        let opnn = build(ProductKind::Outer, &cfg, &bundle);
         assert_eq!(
-            ipnn.0.mlp.input_dim(),
+            ipnn.mlp.input_dim(),
             bundle.data.num_fields * cfg.embed_dim + bundle.data.num_pairs
         );
         assert_eq!(
-            opnn.0.mlp.input_dim(),
+            opnn.mlp.input_dim(),
             bundle.data.num_fields * cfg.embed_dim + cfg.embed_dim * cfg.embed_dim
         );
     }

@@ -2,22 +2,25 @@
 //! cross-product features memorized as explicit weights — the shallow
 //! memorized method (degree-2 polynomial mapping).
 
+use crate::linear::{add_weights, scatter, Linear};
 use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
 use optinter_data::Batch;
-use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Parameter};
-use optinter_tensor::{numerics, Matrix, Pool};
+use optinter_nn::{bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable};
+use optinter_tensor::Matrix;
 
 /// Degree-2 polynomial logistic regression.
 pub struct Poly2 {
-    linear: EmbeddingTable,
+    linear: Linear,
+    /// One weight per cross-feature value.
     cross: EmbeddingTable,
-    bias: Parameter,
     adam: Adam,
     l2: f32,
-    num_fields: usize,
     num_pairs: usize,
-    /// Scratch reused across train steps (zero-alloc steady state).
-    ids_scratch: Vec<u32>,
+    // Persistent step buffers: overwritten in full every batch so the
+    // steady-state train step reuses their capacity.
+    logits: Matrix,
+    grad: Matrix,
+    ids: Vec<u32>,
 }
 
 impl Poly2 {
@@ -30,36 +33,22 @@ impl Poly2 {
         num_pairs: usize,
     ) -> Self {
         Self {
-            linear: EmbeddingTable::zeros(orig_vocab as usize, 1),
+            linear: Linear::new(orig_vocab, num_fields),
             cross: EmbeddingTable::zeros(cross_vocab as usize, 1),
-            bias: Parameter::zeros(1, 1),
             adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
             l2: cfg.l2,
-            num_fields,
             num_pairs,
-            ids_scratch: Vec::new(),
+            logits: Matrix::zeros(0, 0),
+            grad: Matrix::zeros(0, 0),
+            ids: Vec::new(),
         }
     }
 
-    fn logits(&self, batch: &Batch) -> Vec<f32> {
-        let m = self.num_fields;
-        let p = self.num_pairs;
-        let b = batch.len();
+    /// Writes `b + Σ_f w[x_f] + Σ_p u[c_p]` into `self.logits`.
+    fn forward(&mut self, batch: &Batch) {
         assert!(!batch.cross.is_empty(), "Poly2 needs cross features");
-        let bias = self.bias.value.get(0, 0);
-        // lint: allow(hot-path-alloc, reason="offline baseline model: per-batch buffer beside the training loop's allocations; measured by the alloc-counter harness, not the serving path")
-        let mut out = Vec::with_capacity(b);
-        for r in 0..b {
-            let mut z = bias;
-            for f in 0..m {
-                z += self.linear.row(batch.fields[r * m + f])[0];
-            }
-            for k in 0..p {
-                z += self.cross.row(batch.cross[r * p + k])[0];
-            }
-            out.push(z);
-        }
-        out
+        self.linear.forward_into(&batch.fields, &mut self.logits);
+        add_weights(&self.cross, &batch.cross, self.num_pairs, &mut self.logits);
     }
 }
 
@@ -78,61 +67,24 @@ impl CtrModel for Poly2 {
     }
 
     fn train_batch(&mut self, batch: &Batch) -> f32 {
-        let m = self.num_fields;
+        self.forward(batch);
+        let loss_value = bce_with_logits_into(&self.logits, &batch.labels, &mut self.grad);
+        self.linear.backward(&batch.fields, &self.grad);
         let p = self.num_pairs;
-        let b = batch.len();
-        let logits = self.logits(batch);
-        let inv_b = 1.0 / b as f32;
-        let mut loss = 0.0f32;
-        let mut grad_rows = Matrix::zeros(b, 1);
-        let mut dbias = 0.0f32;
-        for (r, &z) in logits.iter().enumerate().take(b) {
-            let y = batch.labels[r];
-            loss += numerics::stable_bce(z, y);
-            let g = numerics::stable_bce_grad(z, y) * inv_b;
-            grad_rows.set(r, 0, g);
-            dbias += g;
-        }
-        for f in 0..m {
-            self.ids_scratch.clear();
-            self.ids_scratch
-                .extend((0..b).map(|r| batch.fields[r * m + f]));
-            self.linear.accumulate_grad_fields_pooled(
-                &self.ids_scratch,
-                1,
-                &grad_rows,
-                &Pool::serial(),
-            );
-        }
-        for k in 0..p {
-            self.ids_scratch.clear();
-            self.ids_scratch
-                .extend((0..b).map(|r| batch.cross[r * p + k]));
-            self.cross.accumulate_grad_fields_pooled(
-                &self.ids_scratch,
-                1,
-                &grad_rows,
-                &Pool::serial(),
-            );
-        }
-        self.bias.grad.set(0, 0, dbias);
+        scatter(&mut self.cross, &batch.cross, p, &self.grad, &mut self.ids);
         self.adam.begin_step();
-        self.linear.apply_adam(&self.adam, self.l2);
+        self.linear.step(&self.adam, self.l2);
         self.cross.apply_adam(&self.adam, self.l2);
-        let mut adam = self.adam;
-        adam.step(&mut self.bias, 0.0);
-        loss * inv_b
+        loss_value
     }
 
     fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.logits(batch)
-            .iter()
-            .map(|&z| numerics::sigmoid(z))
-            .collect()
+        self.forward(batch);
+        loss::probabilities(&self.logits)
     }
 
     fn num_params(&mut self) -> usize {
-        self.linear.num_params() + self.cross.num_params() + 1
+        self.linear.num_params() + self.cross.num_params()
     }
 
     fn needs_cross(&self) -> bool {

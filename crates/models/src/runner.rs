@@ -1,6 +1,8 @@
-//! Shared training / evaluation loops for the model zoo.
+//! The zoo's training and evaluation entry points, on `core::trainer`'s
+//! epoch pass, scoring pass and early-stopping rule.
 
 use crate::traits::{BaselineConfig, CtrModel};
+use optinter_core::trainer::{early_stopping, epoch_pass, score_pass};
 use optinter_data::{BatchStream, DatasetBundle};
 use optinter_metrics::{evaluate, EvalResult};
 use std::ops::Range;
@@ -20,27 +22,28 @@ pub struct RunReport {
     pub final_train_loss: f32,
 }
 
+/// One epoch over the training split, shuffled per epoch; returns the mean
+/// batch loss.
+fn train_epoch(
+    model: &mut dyn CtrModel,
+    bundle: &DatasetBundle,
+    cfg: &BaselineConfig,
+    epoch: usize,
+) -> f32 {
+    let seed = cfg.seed.wrapping_add(0xE90C + epoch as u64);
+    let train = bundle.split.train.clone();
+    let stream = BatchStream::new(&bundle.data, train, cfg.batch_size, Some(seed))
+        .with_cross(model.needs_cross())
+        .prefetch(cfg.prefetch);
+    epoch_pass(stream, |batch| model.train_batch(batch))
+}
+
 /// Trains a model on the bundle's training split. Returns the mean training
 /// loss of the final epoch.
 pub fn train_model(model: &mut dyn CtrModel, bundle: &DatasetBundle, cfg: &BaselineConfig) -> f32 {
     let mut final_loss = 0.0f32;
     for epoch in 0..cfg.epochs.max(1) {
-        let mut sum = 0.0f32;
-        let mut count = 0usize;
-        BatchStream::new(
-            &bundle.data,
-            bundle.split.train.clone(),
-            cfg.batch_size,
-            Some(cfg.seed.wrapping_add(0xE90C + epoch as u64)),
-        )
-        .with_cross(model.needs_cross())
-        .prefetch(cfg.prefetch)
-        .for_each(|batch| {
-            sum += model.train_batch(batch);
-            count += 1;
-        });
-        final_loss = sum / count.max(1) as f32;
-        model.end_epoch(epoch);
+        final_loss = train_epoch(model, bundle, cfg, epoch);
     }
     final_loss
 }
@@ -52,69 +55,29 @@ pub fn evaluate_model(
     range: Range<usize>,
     batch_size: usize,
 ) -> EvalResult {
-    let mut probs = Vec::with_capacity(range.len());
-    let mut labels = Vec::with_capacity(range.len());
     // No config reaches this signature, so evaluation stays on the caller
     // thread (the recycled-buffer serial path of the stream).
-    BatchStream::new(&bundle.data, range, batch_size, None)
+    let stream = BatchStream::new(&bundle.data, range, batch_size, None)
         .with_cross(model.needs_cross())
-        .prefetch(false)
-        .for_each(|batch| {
-            probs.extend(model.predict(batch));
-            labels.extend_from_slice(&batch.labels);
-        });
+        .prefetch(false);
+    let (probs, labels) = score_pass(stream, |batch| model.predict(batch));
     evaluate(&probs, &labels)
 }
 
-/// Trains on the training split with epoch-level early stopping on the
-/// validation split (patience 2), reporting the test metrics of the
-/// best-validation epoch. `cfg.epochs` is the epoch budget.
+/// Trains under `core::trainer::early_stopping` with `cfg.epochs` as the
+/// epoch budget, reporting the test metrics of the best-validation epoch.
 pub fn run_model(
     model: &mut dyn CtrModel,
     bundle: &DatasetBundle,
     cfg: &BaselineConfig,
 ) -> RunReport {
-    let mut final_train_loss = 0.0f32;
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = None;
-    let mut since_best = 0usize;
-    for epoch in 0..cfg.epochs.max(1) {
-        let mut sum = 0.0f32;
-        let mut count = 0usize;
-        BatchStream::new(
-            &bundle.data,
-            bundle.split.train.clone(),
-            cfg.batch_size,
-            Some(cfg.seed.wrapping_add(0xE90C + epoch as u64)),
-        )
-        .with_cross(model.needs_cross())
-        .prefetch(cfg.prefetch)
-        .for_each(|batch| {
-            sum += model.train_batch(batch);
-            count += 1;
-        });
-        final_train_loss = sum / count.max(1) as f32;
-        model.end_epoch(epoch);
-        let val = evaluate_model(model, bundle, bundle.split.val.clone(), cfg.batch_size);
-        if val.auc > best_val {
-            best_val = val.auc;
-            best_test = Some(evaluate_model(
-                model,
-                bundle,
-                bundle.split.test.clone(),
-                cfg.batch_size,
-            ));
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= 2 {
-                break;
-            }
-        }
-    }
-    let eval = best_test.unwrap_or_else(|| {
-        evaluate_model(model, bundle, bundle.split.test.clone(), cfg.batch_size)
-    });
+    let (final_train_loss, eval) = early_stopping(
+        model,
+        &bundle.split,
+        cfg.epochs,
+        |model, epoch| train_epoch(model, bundle, cfg, epoch),
+        |model, range| evaluate_model(model, bundle, range, cfg.batch_size),
+    );
     RunReport {
         model: model.name().to_string(),
         auc: eval.auc,

@@ -63,9 +63,6 @@ pub trait CtrModel {
     fn needs_cross(&self) -> bool {
         false
     }
-
-    /// Hook run once after each epoch (AutoFIS uses it for gate bookkeeping).
-    fn end_epoch(&mut self, _epoch: usize) {}
 }
 
 /// Hyper-parameters shared by the baseline zoo.

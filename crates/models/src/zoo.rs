@@ -2,11 +2,11 @@
 
 use crate::autofis::AutoFis;
 use crate::deepfm::DeepFm;
-use crate::fm::{Fm, FmFm, FwFm};
+use crate::fm::{FmFamily, FmVariant};
 use crate::fnn::Fnn;
 use crate::lr::Lr;
 use crate::pin::Pin;
-use crate::pnn::{Ipnn, Opnn};
+use crate::pnn::{Pnn, ProductKind};
 use crate::poly2::Poly2;
 use crate::traits::{BaselineConfig, CtrModel};
 use optinter_data::EncodedDataset;
@@ -101,11 +101,11 @@ pub fn build_model(
     match kind {
         ModelKind::Lr => Box::new(Lr::new(cfg, vocab, m)),
         ModelKind::Fnn => Box::new(Fnn::new(cfg, vocab, m)),
-        ModelKind::Fm => Box::new(Fm::new(cfg, vocab, m)),
-        ModelKind::FwFm => Box::new(FwFm::new(cfg, vocab, m)),
-        ModelKind::FmFm => Box::new(FmFm::new(cfg, vocab, m)),
-        ModelKind::Ipnn => Box::new(Ipnn::new(cfg, vocab, m)),
-        ModelKind::Opnn => Box::new(Opnn::new(cfg, vocab, m)),
+        ModelKind::Fm => Box::new(FmFamily::new(FmVariant::Plain, cfg, vocab, m)),
+        ModelKind::FwFm => Box::new(FmFamily::new(FmVariant::FieldWeighted, cfg, vocab, m)),
+        ModelKind::FmFm => Box::new(FmFamily::new(FmVariant::FieldMatrixed, cfg, vocab, m)),
+        ModelKind::Ipnn => Box::new(Pnn::new(ProductKind::Inner, cfg, vocab, m)),
+        ModelKind::Opnn => Box::new(Pnn::new(ProductKind::Outer, cfg, vocab, m)),
         ModelKind::DeepFm => Box::new(DeepFm::new(cfg, vocab, m)),
         ModelKind::Pin => Box::new(Pin::new(cfg, vocab, m)),
         ModelKind::Poly2 => Box::new(Poly2::new(cfg, vocab, data.cross_vocab, m, data.num_pairs)),

@@ -17,7 +17,7 @@
 //! the mode's row step. That sum is the chain a `[vocab, dim]` accumulator
 //! would build with `+=` in `(call, b, f)` order, and every row's step reads
 //! only its own sum, so grouping moves no bit. The radix digit is at most
-//! [`RADIX_BITS`] wide and the pass count follows from the row count: one
+//! `RADIX_BITS` wide and the pass count follows from the row count: one
 //! pass while every id fits in one digit. `clear_grads` empties the list.
 //!
 //! # Row width
@@ -29,7 +29,7 @@
 //! moves with no loop and no `memcpy` call, and the runtime width for any
 //! other, through the same source. The lookup copies rows in `flat` order,
 //! which is the row-major order of its output. `Sparse` and `LazyCatchUp`
-//! Adam take the distinct ids [`BLOCK_ROWS`] at a time: they gather the
+//! Adam take the distinct ids `BLOCK_ROWS` at a time: they gather the
 //! block's weight, `m` and `v` rows into scratch the table owns
 //! (`3 · BLOCK_ROWS · dim` floats), run each row's lazy replays there, take
 //! one `step_row` over the block against its ids' sums, which lie side by

@@ -3,7 +3,8 @@
 //! Every forward/backward pass needs a handful of temporaries — MLP
 //! activations, gradient ping-pong buffers, assembled model inputs. Heap
 //! allocating them per batch costs more than the arithmetic for small
-//! models, so models own a [`Workspace`] and [`take`](Workspace::take) /
+//! models, so models own a [`Workspace`] and
+//! [`take_for_overwrite`](Workspace::take_for_overwrite) /
 //! [`recycle`](Workspace::recycle) matrices around each step. A recycled
 //! matrix keeps its backing `Vec`, so once every slot has grown to the
 //! working-set maximum the steady-state training loop performs no heap

@@ -2,7 +2,7 @@
 //!
 //! Three pieces, mirroring how a CTR model leaves the training tier:
 //!
-//! - [`freeze`] / [`freeze_gated`] turn a trained
+//! - [`freeze()`] / [`freeze_gated`] turn a trained
 //!   [`optinter_core::OptInterNet`] into an immutable, versioned,
 //!   checksummed [`FrozenModel`] artifact — embedding rows reordered
 //!   hot-first, weights flattened into contiguous arenas, optional

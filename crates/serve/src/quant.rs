@@ -5,7 +5,7 @@
 //!
 //! Both codecs are *stored* formats: the scorer always works on
 //! dequantized f32 rows, so quantization costs accuracy (gated by the
-//! AUC-delta check in [`crate::freeze`]) but never changes the kernel
+//! AUC-delta check in [`crate::freeze`](mod@crate::freeze)) but never changes the kernel
 //! path.
 
 /// Converts an `f32` to IEEE 754 binary16 bits, round-to-nearest-even.

@@ -2,7 +2,7 @@
 //! needs.
 //!
 //! Each product has one entry point, `*_pooled`, that row-blocks the kernel
-//! across a [`Pool`](crate::pool::Pool) under the owner-computes discipline
+//! across a [`Pool`] under the owner-computes discipline
 //! described in the [`pool`](crate::pool) module docs: each output row is
 //! produced by exactly one job, so the result is bit-identical for any
 //! thread count. A serial pool, or a product below `POOL_MIN_FLOPS`, calls

@@ -171,7 +171,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Size specification for [`vec`]: a fixed length or a length range.
+    /// Size specification for [`vec()`]: a fixed length or a length range.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -195,7 +195,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,

@@ -16,10 +16,10 @@ use optinter::core::persist::{
     architecture_from_string, architecture_to_string, load_net_weights, save_net,
 };
 use optinter::core::{
-    net::DataDims, search_architecture, train_fixed, Architecture, Method, OptInterConfig,
-    OptInterNet, SearchStrategy,
+    net::DataDims, search_architecture, train_fixed, trainer::score_pass, Architecture, Method,
+    OptInterConfig, OptInterNet, SearchStrategy,
 };
-use optinter::data::{DatasetBundle, Profile};
+use optinter::data::{BatchStream, DatasetBundle, Profile};
 use optinter::metrics::expected_calibration_error;
 use optinter::tensor::kernels;
 
@@ -258,19 +258,9 @@ fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
     let cfg = opts.config(bundle.data.num_pairs)?;
     let mut net = load_trained_net(opts, &bundle)?;
-    let mut probs = Vec::new();
-    let mut labels = Vec::new();
-    optinter::data::BatchStream::new(
-        &bundle.data,
-        bundle.split.test.clone(),
-        cfg.batch_size,
-        None,
-    )
-    .prefetch(cfg.prefetch)
-    .for_each(|batch| {
-        probs.extend(net.predict(batch));
-        labels.extend_from_slice(&batch.labels);
-    });
+    let test = bundle.split.test.clone();
+    let stream = BatchStream::new(&bundle.data, test, cfg.batch_size, None).prefetch(cfg.prefetch);
+    let (probs, labels) = score_pass(stream, |batch| net.predict(batch));
     let eval = optinter::metrics::evaluate(&probs, &labels);
     let ece = expected_calibration_error(&probs, &labels, 10);
     println!(
