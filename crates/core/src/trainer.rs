@@ -315,6 +315,29 @@ mod tests {
         assert!(report.auc > 0.65, "oracle AUC {}", report.auc);
     }
 
+    /// [`setup`]'s config, and `Tiny.bundle_with_rows(2000, 3)` with no
+    /// validation rows.
+    fn setup_without_validation() -> (DatasetBundle, OptInterConfig) {
+        let mut bundle = Profile::Tiny.bundle_with_rows(2000, 3);
+        bundle.split.val = bundle.split.val.start..bundle.split.val.start;
+        (bundle, setup().1)
+    }
+
+    #[test]
+    fn fixed_training_without_validation_rows_scores_the_test_split() {
+        let (bundle, cfg) = setup_without_validation();
+        let arch = Architecture::uniform(Method::Memorize, bundle.data.num_pairs);
+        let (_, report) = train_fixed(&bundle, &cfg, arch);
+        assert!(report.auc.is_finite() && report.log_loss.is_finite());
+    }
+
+    #[test]
+    fn two_stage_without_validation_rows_scores_the_test_split() {
+        let (bundle, cfg) = setup_without_validation();
+        let report = run_two_stage(&bundle, &cfg, SearchStrategy::Joint);
+        assert!(report.auc.is_finite() && report.log_loss.is_finite());
+    }
+
     #[test]
     fn retraining_is_deterministic() {
         let (bundle, cfg) = setup();

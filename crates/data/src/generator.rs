@@ -9,9 +9,16 @@
 //! `p(click) = sigmoid(bias + Σ_f w_f(v_f) + Σ_planted pair effects + noise)`
 //!
 //! with every weight a deterministic hash of `(seed, identifiers)`, so the
-//! ground truth needs no storage and is reproducible. The bias is calibrated
-//! so that the marginal positive ratio matches the profile (Table II's
-//! `pos ratio` column).
+//! ground truth is reproducible and any part of it can be recomputed on
+//! demand. The bias is calibrated so that the marginal positive ratio
+//! matches the profile (Table II's `pos ratio` column).
+//!
+//! A value's own parts of the ground truth (its field weight, its three
+//! nonlinear projections and its latent vector) are read per row, so
+//! [`SyntheticGenerator::new`] tabulates them once for every field of at
+//! most 2¹⁶ values; larger fields and the per-combination memorized effects
+//! are hashed on demand. The public per-value fns hash every time and are
+//! the bit reference the tables are tested against (DESIGN.md §9).
 
 use crate::hash;
 use crate::schema::{PairIndexer, Schema};
@@ -207,6 +214,10 @@ pub struct SyntheticGenerator {
     spec: SyntheticSpec,
     samplers: Vec<Zipf>,
     pairs: PairIndexer,
+    /// Per field, its values' entries back to back (laid out as the
+    /// `ENTRY_*` offsets say), or `None` for a field of more than
+    /// `TABLE_MAX_VALUES` values, whose parts are hashed on demand.
+    tables: Vec<Option<Vec<f32>>>,
     bias: f32,
 }
 
@@ -216,9 +227,25 @@ const TAG_MEM: u64 = 2;
 const TAG_LATENT: u64 = 3;
 const TAG_NONLIN: u64 = 4;
 
+/// Fields with at most this many values get a table: 2¹⁶ values of a
+/// rank-4 profile take 2 MiB, and no paper profile's field is near it.
+const TABLE_MAX_VALUES: u32 = 1 << 16;
+
+/// Rows drawn to calibrate the bias, from the spec seed xor
+/// `CALIBRATION_SEED`.
+const CALIBRATION_ROWS: usize = 4000;
+const CALIBRATION_SEED: u64 = 0xCA11B;
+
+/// Layout of one table entry: the scaled field weight, then the three
+/// `TAG_NONLIN` projections, then the `latent_dim` latent coordinates.
+const ENTRY_WEIGHT: usize = 0;
+const ENTRY_NONLIN: usize = 1;
+const ENTRY_LATENT: usize = ENTRY_NONLIN + 3;
+
 impl SyntheticGenerator {
-    /// Builds a generator, calibrating the bias so the marginal positive
-    /// ratio approximates `spec.target_pos_ratio`.
+    /// Builds a generator: tabulates the per-value ground truth of every
+    /// field of at most 2¹⁶ values, then calibrates the bias so the
+    /// marginal positive ratio approximates `spec.target_pos_ratio`.
     pub fn new(spec: SyntheticSpec) -> Self {
         spec.validate();
         let samplers = spec
@@ -231,10 +258,35 @@ impl SyntheticGenerator {
             spec,
             samplers,
             pairs,
+            tables: Vec::new(),
             bias: 0.0,
         };
-        gen.bias = gen.calibrate_bias(4000);
+        gen.tables = (0..gen.spec.cardinalities.len())
+            .map(|f| gen.table(f))
+            .collect();
+        gen.bias = gen.calibrate_bias();
         gen
+    }
+
+    /// Field `f`'s table, built from the same hashes the public per-value
+    /// fns compute, or `None` past `TABLE_MAX_VALUES`.
+    fn table(&self, f: usize) -> Option<Vec<f32>> {
+        let card = self.spec.cardinalities[f];
+        if card > TABLE_MAX_VALUES {
+            return None;
+        }
+        let mut table = Vec::with_capacity(card as usize * self.entry_len());
+        for v in 0..card {
+            table.push(self.field_weight(f, v));
+            table.extend(self.hashed_projections(f, v));
+            table.extend((0..self.spec.latent_dim).map(|d| self.hashed_latent(f, v, d)));
+        }
+        Some(table)
+    }
+
+    /// Floats per table entry.
+    fn entry_len(&self) -> usize {
+        ENTRY_LATENT + self.spec.latent_dim
     }
 
     /// The spec this generator realises.
@@ -262,16 +314,16 @@ impl SyntheticGenerator {
     /// Latent vector of value `v` in field `f` (rank = `latent_dim`).
     pub fn latent(&self, f: usize, v: u32) -> Vec<f32> {
         (0..self.spec.latent_dim)
-            .map(|d| hash::hash_normal(self.spec.seed, &[TAG_LATENT, f as u64, v as u64, d as u64]))
+            .map(|d| self.hashed_latent(f, v, d))
             .collect()
     }
 
     /// Factorized pair effect: scaled inner product of the field latents.
     pub fn factorized_effect(&self, i: usize, j: usize, vi: u32, vj: u32) -> f32 {
-        let zi = self.latent(i, vi);
-        let zj = self.latent(j, vj);
-        let dot: f32 = zi.iter().zip(zj.iter()).map(|(a, b)| a * b).sum();
-        dot / (self.spec.latent_dim as f32).sqrt() * self.spec.factorized_std
+        self.factorized(
+            |d| self.hashed_latent(i, vi, d),
+            |d| self.hashed_latent(j, vj, d),
+        )
     }
 
     /// The higher-order nonlinear component: a product of three saturated
@@ -284,37 +336,36 @@ impl SyntheticGenerator {
     /// original embeddings can — this mirrors the higher-order structure of
     /// real click logs that gives deep CTR models their edge in Table V.
     pub fn nonlinear_effect(&self, values: &[u32]) -> f32 {
-        if self.spec.nonlinear_std == 0.0 {
-            return 0.0;
-        }
-        let m = (values.len() as f32).sqrt();
-        let mut abc = [0.0f32; 3];
-        for (f, &v) in values.iter().enumerate() {
-            for (t, acc) in abc.iter_mut().enumerate() {
-                *acc += hash::hash_normal(
-                    self.spec.seed,
-                    &[TAG_NONLIN, t as u64 + 1, f as u64, v as u64],
-                );
-            }
-        }
-        // lint: allow(float-reduction-order, reason="fixed-order slice of 3 per-field terms, iteration order is structural")
-        abc.iter().map(|&x| (1.5 * x / m).tanh()).product::<f32>() * self.spec.nonlinear_std
+        self.nonlinear(values, |f, v| self.hashed_projections(f, v))
     }
 
-    /// Ground-truth logit of a row (excluding noise and bias).
-    pub fn structural_logit(&self, row: &[f32], values: &[u32]) -> f32 {
-        let _ = row;
-        let mut logit = self.nonlinear_effect(values);
+    /// Ground-truth logit of a row (excluding noise and bias): the
+    /// nonlinear component, the field weights and the planted pair effects,
+    /// summed in that order. Bit for bit the sum of the public per-value
+    /// fns; a value of a field with a table is read from it.
+    pub fn structural_logit(&self, values: &[u32]) -> f32 {
+        let mut logit = self.nonlinear(values, |f, v| match self.entry(f, v) {
+            Some(e) => [e[ENTRY_NONLIN], e[ENTRY_NONLIN + 1], e[ENTRY_NONLIN + 2]],
+            None => self.hashed_projections(f, v),
+        });
         for (f, &v) in values.iter().enumerate() {
-            logit += self.field_weight(f, v);
+            logit += match self.entry(f, v) {
+                Some(e) => e[ENTRY_WEIGHT],
+                None => self.field_weight(f, v),
+            };
         }
         for (p, (i, j)) in self.pairs.iter().enumerate() {
+            let (vi, vj) = (values[i], values[j]);
             match self.spec.planted[p] {
                 PlantedKind::Memorized => {
-                    logit += self.memorized_effect(p, values[i], values[j]);
+                    logit += self.memorized_effect(p, vi, vj);
                 }
                 PlantedKind::Factorized => {
-                    logit += self.factorized_effect(i, j, values[i], values[j]);
+                    let (ei, ej) = (self.entry(i, vi), self.entry(j, vj));
+                    logit += self.factorized(
+                        |d| self.latent_at(ei, i, vi, d),
+                        |d| self.latent_at(ej, j, vj, d),
+                    );
                 }
                 PlantedKind::None => {}
             }
@@ -322,32 +373,79 @@ impl SyntheticGenerator {
         logit
     }
 
-    fn calibrate_bias(&self, n_calib: usize) -> f32 {
-        let mut rng = StdRng::seed_from_u64(self.spec.seed ^ 0xCA11B);
-        let m = self.spec.cardinalities.len();
-        let mut logits = Vec::with_capacity(n_calib);
-        let mut values = vec![0u32; m];
-        for _ in 0..n_calib {
-            for (f, v) in values.iter_mut().enumerate() {
-                *v = self.samplers[f].sample(&mut rng);
-            }
-            logits.push(self.structural_logit(&[], &values));
+    /// The table entry of value `v` in field `f`, or `None` when the field
+    /// has no table.
+    #[inline]
+    fn entry(&self, f: usize, v: u32) -> Option<&[f32]> {
+        let len = self.entry_len();
+        let table = self.tables[f].as_deref()?;
+        Some(&table[v as usize * len..][..len])
+    }
+
+    /// The three nonlinear projections of value `v` in field `f`.
+    fn hashed_projections(&self, f: usize, v: u32) -> [f32; 3] {
+        [1, 2, 3].map(|t| hash::hash_normal(self.spec.seed, &[TAG_NONLIN, t, f as u64, v as u64]))
+    }
+
+    /// Coordinate `d` of the latent vector of value `v` in field `f`, read
+    /// from `entry`, the value's table entry, when there is one.
+    #[inline]
+    fn latent_at(&self, entry: Option<&[f32]>, f: usize, v: u32, d: usize) -> f32 {
+        match entry {
+            Some(e) => e[ENTRY_LATENT + d],
+            None => self.hashed_latent(f, v, d),
         }
-        // Binary search the bias for the target mean click probability.
-        let target = self.spec.target_pos_ratio as f32;
-        let mut lo = -30.0f32;
-        let mut hi = 30.0f32;
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            // lint: allow(float-reduction-order, reason="sequential slice iteration; order fixed by the Vec layout")
-            let mean: f32 = logits.iter().map(|&z| sigmoid(z + mid)).sum::<f32>() / n_calib as f32;
-            if mean < target {
-                lo = mid;
-            } else {
-                hi = mid;
+    }
+
+    /// Coordinate `d` of the latent vector of value `v` in field `f`.
+    fn hashed_latent(&self, f: usize, v: u32, d: usize) -> f32 {
+        hash::hash_normal(self.spec.seed, &[TAG_LATENT, f as u64, v as u64, d as u64])
+    }
+
+    /// The nonlinear component of a row whose three projections of value
+    /// `v` in field `f` are `projections(f, v)`, summed per projection in
+    /// field order.
+    fn nonlinear(&self, values: &[u32], projections: impl Fn(usize, u32) -> [f32; 3]) -> f32 {
+        if self.spec.nonlinear_std == 0.0 {
+            return 0.0;
+        }
+        let m = (values.len() as f32).sqrt();
+        let mut abc = [0.0f32; 3];
+        for (f, &v) in values.iter().enumerate() {
+            for (acc, x) in abc.iter_mut().zip(projections(f, v)) {
+                *acc += x;
             }
         }
-        0.5 * (lo + hi)
+        // lint: allow(float-reduction-order, reason="fixed-order slice of 3 per-field terms, iteration order is structural")
+        abc.iter().map(|&x| (1.5 * x / m).tanh()).product::<f32>() * self.spec.nonlinear_std
+    }
+
+    /// The factorized effect of two latents given coordinate by coordinate:
+    /// the products in rank order, reduced by `Sum for f32`, then scaled.
+    fn factorized(&self, zi: impl Fn(usize) -> f32, zj: impl Fn(usize) -> f32) -> f32 {
+        let dot: f32 = (0..self.spec.latent_dim).map(|d| zi(d) * zj(d)).sum();
+        dot / (self.spec.latent_dim as f32).sqrt() * self.spec.factorized_std
+    }
+
+    /// Draws one row's values, field by field.
+    fn draw(&self, rng: &mut StdRng, values: &mut [u32]) {
+        for (f, v) in values.iter_mut().enumerate() {
+            *v = self.samplers[f].sample(rng);
+        }
+    }
+
+    /// The bias that brings the mean click probability of
+    /// `CALIBRATION_ROWS` drawn rows to the target positive ratio.
+    fn calibrate_bias(&self) -> f32 {
+        let mut rng = StdRng::seed_from_u64(self.spec.seed ^ CALIBRATION_SEED);
+        let mut values = vec![0u32; self.spec.cardinalities.len()];
+        let logits: Vec<f32> = (0..CALIBRATION_ROWS)
+            .map(|_| {
+                self.draw(&mut rng, &mut values);
+                self.structural_logit(&values)
+            })
+            .collect();
+        bias_for(&logits, self.spec.target_pos_ratio as f32)
     }
 
     /// Generates `n` i.i.d. samples using `sample_seed` for the data draw
@@ -362,10 +460,8 @@ impl SyntheticGenerator {
         let mut logits = Vec::with_capacity(n);
         let mut values = vec![0u32; m];
         for _ in 0..n {
-            for (f, v) in values.iter_mut().enumerate() {
-                *v = self.samplers[f].sample(&mut rng);
-            }
-            let mut logit = self.bias + self.structural_logit(&[], &values);
+            self.draw(&mut rng, &mut values);
+            let mut logit = self.bias + self.structural_logit(&values);
             if self.spec.noise_std > 0.0 {
                 let (z, _) = optinter_tensor::init::box_muller(&mut rng);
                 logit += z * self.spec.noise_std;
@@ -385,9 +481,28 @@ impl SyntheticGenerator {
     }
 }
 
+/// The intercept that brings the mean of `sigmoid(z + bias)` over `logits`
+/// to `target`, by 60 bisection steps over `[-30, 30]`.
+fn bias_for(logits: &[f32], target: f32) -> f32 {
+    let mut lo = -30.0f32;
+    let mut hi = 30.0f32;
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        // lint: allow(float-reduction-order, reason="sequential slice iteration; order fixed by the Vec layout")
+        let mean: f32 = logits.iter().map(|&z| sigmoid(z + mid)).sum::<f32>() / logits.len() as f32;
+        if mean < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::Profile;
 
     fn tiny_spec() -> SyntheticSpec {
         SyntheticSpec {
@@ -488,5 +603,188 @@ mod tests {
                 assert!(d.value(n, f) < 8);
             }
         }
+    }
+
+    const ALL_PROFILES: [Profile; 6] = [
+        Profile::CriteoLike,
+        Profile::AvazuLike,
+        Profile::IpinyouLike,
+        Profile::PrivateLike,
+        Profile::Tiny,
+        Profile::GiantVocab,
+    ];
+
+    /// `structural_logit` as the public per-value fns compute it, summed in
+    /// its order: the nonlinear component, the field weights, then the pair
+    /// effects in pair order.
+    fn reference_logit(g: &SyntheticGenerator, values: &[u32]) -> f32 {
+        let mut logit = g.nonlinear_effect(values);
+        for (f, &v) in values.iter().enumerate() {
+            logit += g.field_weight(f, v);
+        }
+        for (p, (i, j)) in g.pairs.iter().enumerate() {
+            let (vi, vj) = (values[i], values[j]);
+            match g.spec.planted[p] {
+                PlantedKind::Memorized => logit += g.memorized_effect(p, vi, vj),
+                PlantedKind::Factorized => logit += g.factorized_effect(i, j, vi, vj),
+                PlantedKind::None => {}
+            }
+        }
+        logit
+    }
+
+    /// Asserts that `g`'s bias, and the rows, labels and logits of
+    /// `g.generate(rows, seed)` for each seed, are bit for bit what the same
+    /// draws give on [`reference_logit`].
+    fn assert_matches_reference(g: &SyntheticGenerator, rows: usize, seeds: &[u64]) {
+        let name = &g.spec.name;
+        let m = g.spec.cardinalities.len();
+        let mut values = vec![0u32; m];
+        let mut rng = StdRng::seed_from_u64(g.spec.seed ^ CALIBRATION_SEED);
+        let calibration: Vec<f32> = (0..CALIBRATION_ROWS)
+            .map(|_| {
+                g.draw(&mut rng, &mut values);
+                reference_logit(g, &values)
+            })
+            .collect();
+        let bias = bias_for(&calibration, g.spec.target_pos_ratio as f32);
+        assert_eq!(g.bias().to_bits(), bias.to_bits(), "{name}: bias");
+        for &seed in seeds {
+            let data = g.generate(rows, seed);
+            assert_eq!(data.len(), rows);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in 0..rows {
+                g.draw(&mut rng, &mut values);
+                let mut logit = bias + reference_logit(g, &values);
+                if g.spec.noise_std > 0.0 {
+                    let (z, _) = optinter_tensor::init::box_muller(&mut rng);
+                    logit += z * g.spec.noise_std;
+                }
+                let label = u8::from(rng.gen::<f32>() < sigmoid(logit));
+                let at = format!("{name}, seed {seed}, row {n}");
+                assert_eq!(data.rows[n * m..][..m], values[..], "{at}: values");
+                assert_eq!(data.logits[n].to_bits(), logit.to_bits(), "{at}: logit");
+                assert_eq!(data.labels[n], label, "{at}: label");
+            }
+        }
+    }
+
+    /// Asserts that every field of at most `TABLE_MAX_VALUES` values has a
+    /// table whose entries equal the public fns' bits (the projections have
+    /// no public fn of their own, so they are hashed here), and that larger
+    /// fields have none. Returns the tables' size in bytes.
+    fn assert_tables_match(g: &SyntheticGenerator) -> usize {
+        let name = &g.spec.name;
+        let mut bytes = 0;
+        for (f, &card) in g.spec.cardinalities.iter().enumerate() {
+            let Some(table) = &g.tables[f] else {
+                assert!(card > TABLE_MAX_VALUES, "{name}: field {f} has no table");
+                continue;
+            };
+            assert!(card <= TABLE_MAX_VALUES, "{name}: field {f} has a table");
+            let len = g.entry_len();
+            assert_eq!(table.len(), card as usize * len, "{name}: field {f}");
+            bytes += std::mem::size_of_val(table.as_slice());
+            for (v, entry) in (0..card).zip(table.chunks_exact(len)) {
+                let projection =
+                    |t: u64| hash::hash_normal(g.spec.seed, &[TAG_NONLIN, t, f as u64, v as u64]);
+                let expected: Vec<f32> = [g.field_weight(f, v)]
+                    .into_iter()
+                    .chain([1, 2, 3].map(projection))
+                    .chain(g.latent(f, v))
+                    .collect();
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(entry), bits(&expected), "{name}: field {f} value {v}");
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn generator_bits_every_profile_matches_the_per_value_reference() {
+        // GiantVocab mixes table-backed (two small) and on-demand (four
+        // large) fields in one row.
+        for profile in ALL_PROFILES {
+            let g = SyntheticGenerator::new(profile.spec());
+            assert_matches_reference(&g, 300, &[7, 42]);
+        }
+    }
+
+    #[test]
+    fn generator_bits_table_entries_equal_the_public_fns() {
+        for profile in ALL_PROFILES {
+            let g = SyntheticGenerator::new(profile.spec());
+            let bytes = assert_tables_match(&g);
+            let tabled = g.tables.iter().filter(|t| t.is_some()).count();
+            if profile == Profile::GiantVocab {
+                assert_eq!(tabled, 2, "only the two small fields");
+            } else {
+                assert_eq!(tabled, g.spec.cardinalities.len(), "{}", profile.name());
+                assert!(bytes <= 130 << 10, "{}: {bytes} bytes", profile.name());
+            }
+            if profile == Profile::CriteoLike {
+                assert!(bytes <= 73 << 10, "criteo_like: {bytes} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn generator_bits_factorized_effect_is_the_dot_of_the_latents() {
+        // The on-demand effect forms the dot without collecting `latent`'s
+        // vectors; it must equal the dot of those vectors bit for bit.
+        for profile in [Profile::CriteoLike, Profile::Tiny, Profile::GiantVocab] {
+            let g = SyntheticGenerator::new(profile.spec());
+            let k = g.spec.latent_dim as f32;
+            for (p, (i, j)) in g.pairs.iter().enumerate() {
+                let (ci, cj) = (g.spec.cardinalities[i], g.spec.cardinalities[j]);
+                for (vi, vj) in [(0, 0), (1, cj - 1), (ci - 1, cj / 2), (ci / 3, 1)] {
+                    let (zi, zj) = (g.latent(i, vi), g.latent(j, vj));
+                    let dot: f32 = zi.iter().zip(&zj).map(|(a, b)| a * b).sum();
+                    let expected = dot / k.sqrt() * g.spec.factorized_std;
+                    let got = g.factorized_effect(i, j, vi, vj);
+                    assert_eq!(
+                        got.to_bits(),
+                        expected.to_bits(),
+                        "pair {p} at ({vi}, {vj})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generator_bits_hold_without_nonlinearity_and_at_latent_dims_3_and_4() {
+        for (nonlinear_std, latent_dim) in [(0.0, 3), (0.0, 4), (0.5, 3), (0.5, 4)] {
+            let spec = SyntheticSpec {
+                nonlinear_std,
+                latent_dim,
+                ..tiny_spec()
+            };
+            let g = SyntheticGenerator::new(spec);
+            assert_tables_match(&g);
+            assert_matches_reference(&g, 300, &[7, 42]);
+        }
+    }
+
+    #[test]
+    fn generator_bits_hold_at_the_table_bound_and_one_value_past_it() {
+        // Field 0 sits at the bound and gets a table, field 1 one value past
+        // it does not; the largest cross-cardinality, (0, 1), is factorized,
+        // so one pair reads a table entry against a hashed latent. Uniform
+        // draws reach values near the bound.
+        let cards = vec![TABLE_MAX_VALUES, TABLE_MAX_VALUES + 1, 8, 8];
+        let planted = PlantedKind::assign_by_cardinality(&cards, 2, 2);
+        assert_eq!(planted[0], PlantedKind::Factorized);
+        let spec = SyntheticSpec {
+            name: "bound".into(),
+            cardinalities: cards,
+            zipf_exponent: 0.0,
+            planted,
+            ..tiny_spec()
+        };
+        let g = SyntheticGenerator::new(spec);
+        assert!(g.tables[0].is_some() && g.tables[1].is_none());
+        assert_tables_match(&g);
+        assert_matches_reference(&g, 300, &[7, 42]);
     }
 }

@@ -35,11 +35,17 @@ pub struct EvalResult {
     pub log_loss: f64,
 }
 
-/// Evaluates predicted probabilities against binary labels.
+/// Evaluates predicted probabilities against binary labels. With no rows
+/// the AUC is [`auc()`]'s 0.5 and the log-loss is NaN, where [`log_loss`]
+/// itself would panic, so an empty split scores instead of aborting.
 pub fn evaluate(probs: &[f32], labels: &[f32]) -> EvalResult {
     EvalResult {
         auc: auc(probs, labels),
-        log_loss: log_loss(probs, labels),
+        log_loss: if probs.is_empty() {
+            f64::NAN
+        } else {
+            log_loss(probs, labels)
+        },
     }
 }
 
@@ -54,5 +60,12 @@ mod tests {
         let r = evaluate(&probs, &labels);
         assert!(r.auc > 0.99);
         assert!(r.log_loss < 0.3);
+    }
+
+    #[test]
+    fn evaluate_of_no_rows_is_half_auc_and_nan_log_loss() {
+        let r = evaluate(&[], &[]);
+        assert_eq!(r.auc, 0.5);
+        assert!(r.log_loss.is_nan());
     }
 }

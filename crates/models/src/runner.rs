@@ -86,3 +86,20 @@ pub fn run_model(
         final_train_loss,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::zoo::{build_model, ModelKind};
+    use optinter_data::Profile;
+
+    #[test]
+    fn run_model_without_validation_rows_scores_the_test_split() {
+        let mut bundle = Profile::Tiny.bundle_with_rows(2000, 3);
+        bundle.split.val = bundle.split.val.start..bundle.split.val.start;
+        let cfg = BaselineConfig::test_small();
+        let mut model = build_model(ModelKind::Fnn, &cfg, &bundle.data);
+        let report = run_model(model.as_mut(), &bundle, &cfg);
+        assert!(report.auc.is_finite() && report.log_loss.is_finite());
+    }
+}
