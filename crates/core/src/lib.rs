@@ -14,15 +14,21 @@
 //!
 //! - [`arch`] — [`arch::Method`] / [`arch::Architecture`]: one choice per pair;
 //! - [`gumbel`] — the Gumbel-softmax relaxation (Eqs. 16–18);
-//! - [`combine`] — the combination block itself, shared by the supernet,
-//!   the fixed-architecture net and the frozen scorer;
+//! - [`body`] — the one network body: `E^o`, the MLP classifier, the dense
+//!   Adam and the one train step, generic over a [`Block`]; the supernet,
+//!   the fixed-architecture net, the frozen scorer and the baseline zoo's
+//!   deep models all run on it;
+//! - [`combine`] — the combination block's kernels, shared by the
+//!   supernet, the fixed-architecture net and the frozen scorer;
 //! - [`config`] — hyper-parameters (Table IV analogue);
 //! - [`supernet`] — the search-stage model: all three candidates computed
 //!   per pair and mixed by relaxed architecture weights, trained jointly
-//!   with the architecture parameters `α` (Algorithm 1);
+//!   with the architecture parameters `α` (Algorithm 1); a body over
+//!   [`supernet::SearchBlock`];
 //! - [`net`] — the fixed-architecture model used by OptInter-M, OptInter-F
 //!   and the re-train stage (Algorithm 2 / Eq. 19), with a *compact* cross
-//!   embedding table holding only the memorized pairs;
+//!   embedding table holding only the memorized pairs; a body over
+//!   [`net::FixedBlock`];
 //! - [`search`] — joint (paper), bi-level and random search strategies
 //!   (the Table VIII ablation);
 //! - [`trainer`] — the one epoch pass, scoring pass and early-stopping
@@ -33,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arch;
+pub mod body;
 pub mod combine;
 pub mod config;
 pub mod gumbel;
@@ -43,6 +50,7 @@ pub mod supernet;
 pub mod trainer;
 
 pub use arch::{Architecture, Method};
+pub use body::{Block, Body, Inputs};
 pub use config::{FactFn, OptInterConfig};
 pub use net::OptInterNet;
 pub use search::{joint_search_supernet, search_architecture, SearchOutcome, SearchStrategy};

@@ -11,18 +11,18 @@
 //! all-memorize = **OptInter-M**, all-factorize = **OptInter-F**, and
 //! all-naïve is an FNN-style model.
 //!
-//! [`FixedForward`] holds the model's weights and runs its forward pass.
+//! [`FixedBlock`] is the architecture's combination block, and
+//! `Body<FixedBlock>` holds the model's weights and runs its forward pass.
 //! `OptInterNet` trains one; the frozen scorer in `optinter-serve` loads
-//! one from an artifact, so serving computes what training did.
+//! one from an artifact ([`Body::from_weights`]), so serving computes what
+//! training did.
 
 use crate::arch::{Architecture, Method};
+use crate::body::{Block, Body, Inputs};
 use crate::combine::{Factorizer, PairLayout};
 use crate::config::OptInterConfig;
 use optinter_data::{Batch, EncodedDataset, PairIndexer};
-use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Mlp, MlpConfig, WeightFetch,
-    Workspace,
-};
+use optinter_nn::{Adam, DenseOptimizer, EmbedStore, Mlp, MlpConfig, Parameter, WeightFetch};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,29 +68,122 @@ fn store_seeds(seed: u64) -> [u64; 2] {
     [seed ^ 0x0517_0E0A, seed ^ 0x0517_0ECA]
 }
 
-/// A fixed architecture's weights and its forward pass (Eq. 19): the
-/// original-feature lookup, the memorized pairs' compact cross lookup,
-/// the combination block and the MLP.
-pub struct FixedForward {
+/// A fixed architecture's combination block (Eq. 19): the memorized
+/// pairs' compact cross table `E^m` with its own Adam, the factorization
+/// function and the [`PairLayout`] that places each pair's one embedding
+/// in the MLP input.
+pub struct FixedBlock {
     dims: DataDims,
     layout: PairLayout,
-    e_orig: EmbedStore,
     /// Compact cross table: rows only for memorized pairs.
     e_cross: EmbedStore,
     fact: Factorizer,
-    mlp: Mlp,
-    // The last forward's activations. Each forward overwrites them in
-    // full, reusing their capacity; `OptInterNet::backward` reads them.
+    adam: Adam,
+    /// Weight decay on `E^m`.
+    l2: f32,
+    // The last forward's compact ids and cross rows, and the backward's
+    // cross gradient.
     mem_ids: Vec<u32>,
-    eo: Matrix,
     em: Matrix,
-    input: Matrix,
-    logits: Matrix,
+    d_em: Matrix,
 }
 
-impl FixedForward {
+impl FixedBlock {
+    /// Dataset dimensions the model was built for.
+    pub fn dims(&self) -> &DataDims {
+        &self.dims
+    }
+
+    /// Where each pair's embedding lands in the MLP input.
+    pub fn layout(&self) -> &PairLayout {
+        &self.layout
+    }
+
+    /// The compact cross table.
+    pub fn e_cross(&self) -> &EmbedStore {
+        &self.e_cross
+    }
+}
+
+impl Block for FixedBlock {
+    /// Looks up the memorized pairs' compact rows and assembles the MLP
+    /// input, sharded over batch rows, owner-computes, so any thread count
+    /// writes the same bytes.
+    fn forward(&mut self, x: &Inputs<'_>, input: &mut Matrix) {
+        let offsets = &self.dims.pair_offsets;
+        self.layout
+            .gather_mem_ids_into(x.cross, offsets, &mut self.mem_ids);
+        let num_memorized = self.layout.num_memorized();
+        if num_memorized > 0 {
+            let (ids, em) = (&self.mem_ids, &mut self.em);
+            self.e_cross
+                .lookup_fields_pooled_into(ids, num_memorized, x.pool, em);
+        } else {
+            self.em.reset(x.eo.rows(), 0);
+        }
+        let fact = self.fact.fact();
+        self.layout
+            .assemble_into(x.pool, fact, x.eo, &self.em, input);
+    }
+
+    /// Generalized-weight rows shard over contiguous pair ranges, the
+    /// field gradients over batch rows.
+    fn backward(&mut self, x: &Inputs<'_>, dinput: &Matrix, _: &Matrix, d_eo: &mut Matrix) {
+        let (fact, fw_grad) = self.fact.with_grad();
+        let d_em = &mut self.d_em;
+        self.layout
+            .assemble_backward_into(x.pool, fact, dinput, x.eo, d_eo, d_em, fw_grad);
+        let num_memorized = self.layout.num_memorized();
+        if num_memorized > 0 {
+            let (ids, d_em) = (&self.mem_ids, &self.d_em);
+            self.e_cross
+                .accumulate_grad_fields_pooled(ids, num_memorized, d_em, x.pool);
+        }
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        if let Some(w) = self.fact.weights_mut() {
+            f(w);
+        }
+    }
+
+    /// Steps `E^m` with its own Adam (learning rate `lr_cross`).
+    fn step(&mut self, _: &Adam) {
+        if self.layout.num_memorized() > 0 {
+            self.adam.begin_step();
+            self.e_cross.apply_adam(&self.adam, self.l2);
+        }
+    }
+
+    fn catch_up(&mut self) {
+        if self.layout.num_memorized() > 0 {
+            self.e_cross.catch_up_all(&self.adam, self.l2);
+        }
+    }
+
+    /// The compact table counts only when a pair is memorized, and the
+    /// generalized product only its factorized pairs' weight rows.
+    fn num_params(&mut self) -> usize {
+        let cross = if self.layout.num_memorized() == 0 {
+            0
+        } else {
+            self.e_cross.num_params()
+        };
+        let fact = match &self.fact {
+            Factorizer::Generalized(w) => {
+                let slots = self.layout.slots().iter();
+                let factorized = slots.filter(|s| s.method == Method::Factorize).count();
+                factorized * w.value.cols()
+            }
+            Factorizer::Hadamard | Factorizer::PointwiseAdd => 0,
+        };
+        cross + fact
+    }
+}
+
+impl Body<FixedBlock> {
     /// Freshly initialised weights for `arch`, drawn from `cfg.seed`.
-    fn new(cfg: &OptInterConfig, dims: DataDims, arch: &Architecture, pool: &Pool) -> Self {
+    fn fixed(cfg: &OptInterConfig, dims: DataDims, arch: &Architecture) -> Self {
         let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
         let layout = PairLayout::new(arch, &dims, s1, s2);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF17ED);
@@ -103,14 +196,15 @@ impl FixedForward {
         let e_cross = EmbedStore::new(cfg.cross_store, &mut rng, cross_rows, s2, cross_seed);
         let mlp = Mlp::new(&mut rng, &mlp_config(cfg, layout.input_dim()));
         let fact = Factorizer::new(cfg.fact_fn, dims.num_pairs, s1);
-        Self::from_parts(cfg, dims, layout, [e_orig, e_cross], fact, mlp, pool)
+        let pool = Pool::new(cfg.num_threads);
+        Self::fixed_from_parts(cfg, dims, layout, [e_orig, e_cross], fact, mlp, pool)
     }
 
     /// Loads the weights [`OptInterNet::export_weights`] names (`e_orig*`,
     /// `e_cross*`, `fact_weights`, `mlp.{i}`) through `fetch` into the
     /// model `cfg`'s widths, stores, factorization and classifier
-    /// describe, with the stores hashed by `hash_seeds`. The tables are
-    /// built from the fetched matrices, never drawn first.
+    /// describe, with the stores hashed by `hash_seeds`, running on `pool`.
+    /// The tables are built from the fetched matrices, never drawn first.
     ///
     /// # Errors
     /// Whatever `fetch` returns for a missing or misshapen weight, or why a
@@ -120,26 +214,20 @@ impl FixedForward {
         dims: DataDims,
         arch: &Architecture,
         hash_seeds: [u64; 2],
-        pool: &Pool,
+        pool: Pool,
         fetch: &mut WeightFetch<'_>,
     ) -> Result<Self, String> {
         let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
         let layout = PairLayout::new(arch, &dims, s1, s2);
-        let orig_rows = dims.orig_vocab as usize;
-        let e_orig = EmbedStore::from_weights(
-            cfg.orig_store,
-            orig_rows,
-            s1,
-            hash_seeds[0],
-            "e_orig",
-            fetch,
-        )?;
-        let cross_rows = layout.compact_rows();
+        let [orig_seed, cross_seed] = hash_seeds;
+        let (orig_rows, cross_rows) = (dims.orig_vocab as usize, layout.compact_rows());
+        let e_orig =
+            EmbedStore::from_weights(cfg.orig_store, orig_rows, s1, orig_seed, "e_orig", fetch)?;
         let e_cross = EmbedStore::from_weights(
             cfg.cross_store,
             cross_rows,
             s2,
-            hash_seeds[1],
+            cross_seed,
             "e_cross",
             fetch,
         )?;
@@ -162,103 +250,52 @@ impl FixedForward {
         });
         fetched?;
         let stores = [e_orig, e_cross];
-        Ok(Self::from_parts(cfg, dims, layout, stores, fact, mlp, pool))
+        Ok(Self::fixed_from_parts(
+            cfg, dims, layout, stores, fact, mlp, pool,
+        ))
     }
 
-    fn from_parts(
+    fn fixed_from_parts(
         cfg: &OptInterConfig,
         dims: DataDims,
         layout: PairLayout,
         [mut e_orig, mut e_cross]: [EmbedStore; 2],
         fact: Factorizer,
-        mut mlp: Mlp,
-        pool: &Pool,
+        mlp: Mlp,
+        pool: Pool,
     ) -> Self {
         e_orig.set_optimizer_mode(cfg.embed_opt);
         e_cross.set_optimizer_mode(cfg.embed_opt);
-        mlp.set_pool(pool);
-        Self {
+        let num_fields = dims.num_fields;
+        let block = FixedBlock {
             dims,
             layout,
-            e_orig,
             e_cross,
             fact,
-            mlp,
+            adam: Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps),
+            l2: cfg.l2_cross,
             mem_ids: Vec::new(),
-            eo: Matrix::zeros(0, 0),
             em: Matrix::zeros(0, 0),
-            input: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// Dataset dimensions the model was built for.
-    pub fn dims(&self) -> &DataDims {
-        &self.dims
-    }
-
-    /// Where each pair's embedding lands in the MLP input.
-    pub fn layout(&self) -> &PairLayout {
-        &self.layout
-    }
-
-    /// The forward pass over row-major ids: `fields` holds each row's
-    /// `dims().num_fields` original-feature ids as `E^o` indexes them,
-    /// `cross` each row's `num_pairs` global cross ids (it may be empty
-    /// when no pair is memorized). Returns the `[rows, 1]` logits.
-    /// Allocation-free at steady state.
-    pub fn forward_ids_into(&mut self, pool: &Pool, fields: &[u32], cross: &[u32]) -> &Matrix {
-        let m = self.dims.num_fields;
-        self.e_orig
-            .lookup_fields_pooled_into(fields, m, pool, &mut self.eo);
-        self.layout
-            .gather_mem_ids_into(cross, &self.dims.pair_offsets, &mut self.mem_ids);
-        let num_memorized = self.layout.num_memorized();
-        if num_memorized > 0 {
-            self.e_cross.lookup_fields_pooled_into(
-                &self.mem_ids,
-                num_memorized,
-                pool,
-                &mut self.em,
-            );
-        } else {
-            self.em.reset(self.eo.rows(), 0);
-        }
-        // Sharded over batch rows, owner-computes, so any thread count
-        // writes the same bytes.
-        let fact = self.fact.fact();
-        self.layout
-            .assemble_into(pool, fact, &self.eo, &self.em, &mut self.input);
-        self.mlp.forward_into(&self.input, &mut self.logits);
-        &self.logits
+            d_em: Matrix::zeros(0, 0),
+        };
+        let adam = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
+        Body::new(block, e_orig, mlp, adam, cfg.l2_orig, pool, num_fields)
     }
 }
 
 /// The classifier `cfg` names over an `input_dim`-wide input.
 pub(crate) fn mlp_config(cfg: &OptInterConfig, input_dim: usize) -> MlpConfig {
     MlpConfig {
-        input_dim,
-        hidden: cfg.hidden.clone(),
-        output_dim: 1,
         layer_norm: cfg.layer_norm,
-        ln_eps: 1e-5,
+        ..MlpConfig::classifier(input_dim, cfg.hidden.clone())
     }
 }
 
-/// Fixed-architecture OptInter model.
+/// Fixed-architecture OptInter model: a [`Body`] over a [`FixedBlock`].
 pub struct OptInterNet {
     cfg: OptInterConfig,
     architecture: Architecture,
-    fwd: FixedForward,
-    adam_net: Adam,
-    adam_cross: Adam,
-    pool: Pool,
-    // Backward buffers, reused across steps so a steady-state train step
-    // does not reallocate.
-    grad_logits: Matrix,
-    d_eo: Matrix,
-    d_em: Matrix,
-    ws: Workspace,
+    body: Body<FixedBlock>,
 }
 
 impl OptInterNet {
@@ -269,21 +306,11 @@ impl OptInterNet {
             dims.num_pairs,
             "architecture does not match dataset pair count"
         );
-        let pool = Pool::new(cfg.num_threads);
-        let fwd = FixedForward::new(&cfg, dims, &architecture, &pool);
-        let adam_net = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
-        let adam_cross = Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps);
+        let body = Body::fixed(&cfg, dims, &architecture);
         Self {
             cfg,
             architecture,
-            fwd,
-            adam_net,
-            adam_cross,
-            pool,
-            grad_logits: Matrix::zeros(0, 0),
-            d_eo: Matrix::zeros(0, 0),
-            d_em: Matrix::zeros(0, 0),
-            ws: Workspace::new(),
+            body,
         }
     }
 
@@ -301,124 +328,62 @@ impl OptInterNet {
     /// serving freezer reads their storage kind and hash seed to record
     /// matching store descriptors in the artifact).
     pub fn embedding_stores(&self) -> (&EmbedStore, &EmbedStore) {
-        (&self.fwd.e_orig, &self.fwd.e_cross)
+        (self.body.e_orig(), self.body.block().e_cross())
     }
 
     /// MLP input dimension.
     pub fn input_dim(&self) -> usize {
-        self.fwd.layout.input_dim()
+        self.body.block().layout().input_dim()
     }
 
     /// Number of memorized pairs.
     pub fn num_memorized(&self) -> usize {
-        self.fwd.layout.num_memorized()
+        self.body.block().layout().num_memorized()
     }
 
     /// Total trainable parameters. The compact cross table only holds rows
     /// for memorized pairs, so parameter counts track the architecture.
     pub fn num_params(&mut self) -> usize {
-        let cross = if self.num_memorized() == 0 {
-            0
-        } else {
-            self.fwd.e_cross.num_params()
-        };
-        // Generalized-product weights: only factorized pairs' rows are live.
-        let fact = if let Factorizer::Generalized(_) = self.fwd.fact {
-            let factorized = self.architecture.counts()[Method::Factorize.index()];
-            factorized * self.cfg.orig_dim
-        } else {
-            0
-        };
-        self.fwd.e_orig.num_params() + cross + fact + self.fwd.mlp.num_params()
+        self.body.num_params()
     }
 
     /// Forward pass producing `[B, 1]` logits.
     pub fn forward(&mut self, batch: &Batch) -> Matrix {
-        self.forward_step(batch);
-        self.fwd.logits.clone()
+        self.check(batch);
+        self.body.forward(&batch.fields, &batch.cross).clone()
     }
 
-    /// Forward pass into the persistent scratch buffers; `self.fwd.logits`
-    /// holds the `[B, 1]` logits afterwards. Allocation-free at steady state.
-    fn forward_step(&mut self, batch: &Batch) {
+    /// Checks that `batch` has the network's fields, and cross features
+    /// when a pair is memorized.
+    fn check(&self, batch: &Batch) {
         assert_eq!(
-            batch.num_fields, self.fwd.dims.num_fields,
+            batch.num_fields,
+            self.body.block().dims().num_fields,
             "OptInterNet: field count mismatch"
         );
         assert!(
             self.num_memorized() == 0 || !batch.cross.is_empty(),
             "architecture memorizes pairs but the batch has no cross features"
         );
-        self.fwd
-            .forward_ids_into(&self.pool, &batch.fields, &batch.cross);
     }
 
     /// Backward pass from logit gradients. `batch` must be the one the
     /// matching [`forward`](Self::forward) saw — the persistent scratch
     /// holds that forward's activations but not the batch itself.
     pub fn backward(&mut self, batch: &Batch, grad_logits: &Matrix) {
-        let fwd = &mut self.fwd;
-        let m = fwd.dims.num_fields;
-        let b = grad_logits.rows();
-        assert_eq!(fwd.input.rows(), b, "OptInterNet::backward before forward");
-        let mut dinput = self.ws.take_for_overwrite(b, fwd.layout.input_dim());
-        fwd.mlp.backward_into(&fwd.input, grad_logits, &mut dinput);
-        // Generalized-weight rows shard over contiguous pair ranges, the
-        // field gradients over batch rows.
-        let (fact, fw_grad) = fwd.fact.with_grad();
-        fwd.layout.assemble_backward_into(
-            &self.pool,
-            fact,
-            &dinput,
-            &fwd.eo,
-            &mut self.d_eo,
-            &mut self.d_em,
-            fw_grad,
-        );
-        fwd.e_orig
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_eo, &self.pool);
-        let num_memorized = fwd.layout.num_memorized();
-        if num_memorized > 0 {
-            fwd.e_cross.accumulate_grad_fields_pooled(
-                &fwd.mem_ids,
-                num_memorized,
-                &self.d_em,
-                &self.pool,
-            );
-        }
-        self.ws.recycle(dinput);
+        self.body.backward(&batch.fields, &batch.cross, grad_logits);
     }
 
     /// Applies one Adam step to all weights.
     pub fn step(&mut self) {
-        self.adam_net.begin_step();
-        let mut adam = self.adam_net;
-        self.fwd.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        if let Some(fw) = self.fwd.fact.weights_mut() {
-            adam.step(fw, 0.0);
-        }
-        self.adam_net = adam;
-        self.fwd.e_orig.apply_adam(&self.adam_net, self.cfg.l2_orig);
-        if self.num_memorized() > 0 {
-            self.adam_cross.begin_step();
-            self.fwd
-                .e_cross
-                .apply_adam(&self.adam_cross, self.cfg.l2_cross);
-        }
+        self.body.step();
     }
 
     /// Replays any optimizer updates the `LazyCatchUp` embedding mode
     /// deferred, bringing every row up to the current timestep. Call before
     /// exporting or freezing weights; a no-op for the other modes.
     pub fn catch_up_embeddings(&mut self) {
-        self.fwd
-            .e_orig
-            .catch_up_all(&self.adam_net, self.cfg.l2_orig);
-        if self.num_memorized() > 0 {
-            self.fwd
-                .e_cross
-                .catch_up_all(&self.adam_cross, self.cfg.l2_cross);
-        }
+        self.body.catch_up();
     }
 
     /// Exports every trainable weight as `(name, matrix)` pairs in a
@@ -429,13 +394,14 @@ impl OptInterNet {
     pub fn export_weights(&mut self) -> Vec<(String, Matrix)> {
         self.catch_up_embeddings();
         let mut out = Vec::new();
-        self.fwd.e_orig.push_weights("e_orig", &mut out);
-        self.fwd.e_cross.push_weights("e_cross", &mut out);
-        if let Factorizer::Generalized(fw) = &self.fwd.fact {
+        self.body.e_orig().push_weights("e_orig", &mut out);
+        let block = self.body.block();
+        block.e_cross.push_weights("e_cross", &mut out);
+        if let Factorizer::Generalized(fw) = &block.fact {
             out.push(("fact_weights".to_string(), fw.value.clone()));
         }
         let mut idx = 0usize;
-        self.fwd.mlp.visit_params(&mut |p| {
+        self.body.mlp_mut().visit_params(&mut |p| {
             out.push((format!("mlp.{idx}"), p.value.clone()));
             idx += 1;
         });
@@ -464,14 +430,14 @@ impl OptInterNet {
             }
             Ok((*m).clone())
         };
-        // The new forward holds no activations, so a stale backward cannot
+        // The new body holds no activations, so a stale backward cannot
         // pair old activations with the imported weights.
-        self.fwd = FixedForward::from_weights(
+        self.body = Body::from_weights(
             &self.cfg,
-            self.fwd.dims.clone(),
+            self.body.block().dims().clone(),
             &self.architecture,
             store_seeds(self.cfg.seed),
-            &self.pool,
+            self.body.pool().clone(),
             &mut fetch,
         )?;
         Ok(())
@@ -479,19 +445,14 @@ impl OptInterNet {
 
     /// One training step; returns the mean batch loss.
     pub fn train_batch(&mut self, batch: &Batch) -> f32 {
-        self.forward_step(batch);
-        let mut grad = std::mem::replace(&mut self.grad_logits, Matrix::zeros(0, 0));
-        let loss_value = bce_with_logits_into(&self.fwd.logits, &batch.labels, &mut grad);
-        self.backward(batch, &grad);
-        self.grad_logits = grad;
-        self.step();
-        loss_value
+        self.check(batch);
+        self.body.train_batch(batch)
     }
 
     /// Predicted probabilities.
     pub fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.forward_step(batch);
-        loss::probabilities(&self.fwd.logits)
+        self.check(batch);
+        self.body.predict(batch)
     }
 }
 
@@ -580,11 +541,12 @@ mod tests {
             .next()
             .unwrap();
         let mut ids = Vec::new();
-        net.fwd
+        let block = net.body.block();
+        block
             .layout
-            .gather_mem_ids_into(&batch.cross, &net.fwd.dims.pair_offsets, &mut ids);
+            .gather_mem_ids_into(&batch.cross, &block.dims.pair_offsets, &mut ids);
         assert_eq!(ids.len(), 64 * net.num_memorized());
-        let max = net.fwd.e_cross.key_space() as u32;
+        let max = block.e_cross.key_space() as u32;
         assert!(ids.iter().all(|&id| id < max));
     }
 

@@ -12,156 +12,204 @@
 //! network weights Θ *and* architecture logits α, which are updated
 //! simultaneously by separate Adam instances (the paper's joint scheme).
 //!
-//! The combination block itself lives in [`crate::combine`]; this module
-//! owns the parameters, the Gumbel draws and the optimizer steps. The
-//! block's mix and both backward passes pick their widths once per call:
-//! constants for `(orig_dim, cross_dim)` = (16, 8) and (16, 4), where each
-//! pair's operands sit in local arrays and its slot is stored once, and
-//! the runtime widths for any other pair, through the same source.
+//! [`SearchBlock`] is the supernet's combination block: it owns `α`, the
+//! Gumbel draws, the full cross table `E^m` and the Adams of `α` and
+//! `E^m`, and runs the mix and its two backward passes of
+//! [`crate::combine`]. The supernet is a [`Body`] over it.
 //!
 //! # Parallelism
 //!
 //! When `cfg.num_threads > 1` the per-batch work shards across a
 //! [`Pool`] under the owner-computes discipline (see
 //! `optinter_tensor::pool`): the forward pass row-shards input assembly,
-//! the MLP's matmuls row-block, and the backward pass runs as two passes.
-//! The `α`-gradient pass gives each job a contiguous range of *pairs*,
-//! which owns those pairs' `dp_m`/`dp_f` accumulators (persistent
-//! scratch), generalized-weight rows and architecture-gradient rows; the
-//! job walks the batch rows-outer, so its pairs' reduction chains
-//! interleave, and then each pair's generalized-weight row over the
-//! batch, pairs-outer, so the row stays in registers. The field-gradient
-//! pass is parallel over *batch rows*, each owning its slices of `d e^o`
-//! and `d e^m`, and walks the pairs in their nested `(i, j)` order. Every
-//! floating-point accumulator still adds the same terms in the same order
-//! as the original serial loop — `dp_m` and `dp_f` in ascending `(r, c)`,
-//! each generalized-weight element in ascending `r`, each `d e^o` element
-//! in ascending pair order — so training is bit-identical to the
-//! single-threaded path for any thread count, and to the loops this pass
-//! order replaced.
+//! the MLP's matmuls row-block, and the backward pass runs as two passes,
+//! one over contiguous ranges of *pairs* (the `α`- and generalized-weight
+//! gradients) and one over *batch rows* (the field gradients).
+//! `crate::combine` keeps every floating-point accumulator's terms in the
+//! order of the original serial loop, so training is bit-identical to the
+//! single-threaded path for any thread count.
 
 use crate::arch::{Architecture, Method};
+use crate::body::{Block, Body, Inputs};
 use crate::combine::{Factorizer, Mixed};
 use crate::config::OptInterConfig;
 use crate::gumbel::GumbelSample;
 use crate::net::{mlp_config, DataDims};
 use optinter_data::Batch;
-use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbedStore, Mlp, Parameter, Workspace,
-};
+use optinter_nn::{Adam, DenseOptimizer, EmbedStore, Mlp, Parameter};
 use optinter_tensor::{ops, Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The OptInter supernet: network weights plus relaxed architecture.
-pub struct Supernet {
-    cfg: OptInterConfig,
-    dims: DataDims,
-    e_orig: EmbedStore,
-    e_cross: EmbedStore,
-    mlp: Mlp,
+/// The supernet's combination block: the relaxed architecture `α` with its
+/// Gumbel draws, the full cross table `E^m`, the factorization function,
+/// and the Adams of `α` and `E^m`.
+pub struct SearchBlock {
     /// Architecture logits, one row per pair, columns `[mem, fac, naive]`.
     arch: Parameter,
     /// The factorization function, with the generalized product's
     /// per-pair weights.
     fact: Factorizer,
-    adam_net: Adam,
+    e_cross: EmbedStore,
     adam_cross: Adam,
     adam_arch: Adam,
+    /// Weight decay on `E^m`.
+    l2_cross: f32,
     noise_rng: StdRng,
-    pool: Pool,
     /// `(i, j)` field indices of every pair, precomputed once.
     pairs: Vec<(usize, usize)>,
-    scr: SupScratch,
-    ws: Workspace,
-}
-
-/// Persistent per-step buffers. Each forward overwrites them in full, so a
-/// steady-state train step reuses their capacity instead of reallocating;
-/// `backward` reads the activations the matching forward left behind.
-struct SupScratch {
-    eo: Matrix,
-    em: Matrix,
-    input: Matrix,
-    logits: Matrix,
-    grad_logits: Matrix,
+    s1: usize,
+    s2: usize,
+    num_fields: usize,
+    // Persistent per-step buffers. Each forward overwrites them in full, so
+    // a steady-state train step reuses their capacity instead of
+    // reallocating; `backward` reads what the matching forward left.
     samples: Vec<GumbelSample>,
+    em: Matrix,
     /// Each pair's `(dp_m, dp_f)` accumulators for the α gradient.
     dp: Matrix,
-    d_eo: Matrix,
     d_em: Matrix,
 }
 
-impl SupScratch {
-    fn new() -> Self {
-        Self {
-            eo: Matrix::zeros(0, 0),
-            em: Matrix::zeros(0, 0),
-            input: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-            grad_logits: Matrix::zeros(0, 0),
-            samples: Vec::new(),
-            dp: Matrix::zeros(0, 0),
-            d_eo: Matrix::zeros(0, 0),
-            d_em: Matrix::zeros(0, 0),
+impl SearchBlock {
+    /// Draws every pair's relaxed method weights for the next forward:
+    /// with fresh Gumbel noise at temperature `tau` when `train`, the
+    /// noiseless softmax otherwise. The noise comes off one stream in pair
+    /// order, so this stays serial.
+    fn draw(&mut self, tau: f32, train: bool) {
+        self.samples.clear();
+        for p in 0..self.pairs.len() {
+            let logits = self.arch.value.row(p);
+            self.samples.push(if train {
+                GumbelSample::draw(logits, tau, &mut self.noise_rng)
+            } else {
+                GumbelSample::deterministic(logits, tau)
+            });
         }
     }
+
+    /// Steps `E^m` with its own Adam (learning rate `lr_cross`).
+    fn step_cross(&mut self) {
+        self.adam_cross.begin_step();
+        self.e_cross.apply_adam(&self.adam_cross, self.l2_cross);
+    }
+
+    /// Steps `α` with its own Adam (learning rate `lr_arch`).
+    fn step_arch(&mut self) {
+        self.adam_arch.begin_step();
+        self.adam_arch.step(&mut self.arch, 0.0);
+    }
+}
+
+impl Block for SearchBlock {
+    /// Looks up every pair's cross row and writes the MLP input `[e^o |
+    /// mixed pair embeddings]`, sharded over batch rows.
+    fn forward(&mut self, x: &Inputs<'_>, input: &mut Matrix) {
+        let p_count = self.pairs.len();
+        self.e_cross
+            .lookup_fields_pooled_into(x.cross, p_count, x.pool, &mut self.em);
+        Mixed {
+            pairs: &self.pairs,
+            samples: &self.samples,
+            fact: self.fact.fact(),
+            s1: self.s1,
+            s2: self.s2,
+            num_fields: self.num_fields,
+        }
+        .mix_into(x.pool, x.eo, &self.em, input);
+    }
+
+    /// Two owner-computes passes: one over contiguous ranges of pairs
+    /// (each owns its dp_m/dp_f, α-gradient and generalized-weight rows),
+    /// one over batch rows (each owns its d e^o and d e^m rows).
+    fn backward(&mut self, x: &Inputs<'_>, dinput: &Matrix, _: &Matrix, d_eo: &mut Matrix) {
+        let (fact, fw_grad) = self.fact.with_grad();
+        let block = Mixed {
+            pairs: &self.pairs,
+            samples: &self.samples,
+            fact,
+            s1: self.s1,
+            s2: self.s2,
+            num_fields: self.num_fields,
+        };
+        let (em, dp, arch_grad) = (&self.em, &mut self.dp, &mut self.arch.grad);
+        block.backward_arch(x.pool, dinput, x.eo, em, dp, arch_grad, fw_grad);
+        block.backward_fields(x.pool, dinput, x.eo, d_eo, &mut self.d_em);
+        let p_count = self.pairs.len();
+        self.e_cross
+            .accumulate_grad_fields_pooled(x.cross, p_count, &self.d_em, x.pool);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        if let Some(w) = self.fact.weights_mut() {
+            f(w);
+        }
+    }
+
+    /// Steps `E^m`, then `α` (the joint update of Algorithm 1).
+    fn step(&mut self, _: &Adam) {
+        self.step_cross();
+        self.step_arch();
+    }
+
+    fn catch_up(&mut self) {
+        self.e_cross.catch_up_all(&self.adam_cross, self.l2_cross);
+    }
+
+    fn num_params(&mut self) -> usize {
+        let fact = match &self.fact {
+            Factorizer::Generalized(fw) => fw.len(),
+            Factorizer::Hadamard | Factorizer::PointwiseAdd => 0,
+        };
+        self.e_cross.num_params() + self.arch.len() + fact
+    }
+}
+
+/// The OptInter supernet: a [`Body`] over a [`SearchBlock`], the network
+/// weights plus the relaxed architecture.
+pub struct Supernet {
+    cfg: OptInterConfig,
+    dims: DataDims,
+    body: Body<SearchBlock>,
 }
 
 impl Supernet {
     /// Builds a supernet for a dataset's dimensions.
     pub fn new(cfg: OptInterConfig, dims: DataDims) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let s1 = cfg.orig_dim;
-        let s2 = cfg.cross_dim;
-        let d = cfg.mixed_dim();
-        let input_dim = dims.num_fields * s1 + dims.num_pairs * d;
-        let pool = Pool::new(cfg.num_threads);
-        let mut mlp = Mlp::new(&mut rng, &mlp_config(&cfg, input_dim));
-        mlp.set_pool(&pool);
+        let (s1, s2) = (cfg.orig_dim, cfg.cross_dim);
+        let input_dim = dims.num_fields * s1 + dims.num_pairs * cfg.mixed_dim();
+        let mlp = Mlp::new(&mut rng, &mlp_config(&cfg, input_dim));
         // Dense stores draw exactly what `EmbeddingTable::new` always drew
         // here, so `StoreKind::Dense` configs keep historical trajectories.
-        let mut e_orig = EmbedStore::new(
-            cfg.orig_store,
-            &mut rng,
-            dims.orig_vocab as usize,
-            s1,
-            cfg.seed ^ 0x5000_0E0A,
-        );
-        let mut e_cross = EmbedStore::new(
-            cfg.cross_store,
-            &mut rng,
-            dims.cross_vocab as usize,
-            s2,
-            cfg.seed ^ 0x5000_0ECA,
-        );
+        let [orig_seed, cross_seed] = [cfg.seed ^ 0x5000_0E0A, cfg.seed ^ 0x5000_0ECA];
+        let (orig_rows, cross_rows) = (dims.orig_vocab as usize, dims.cross_vocab as usize);
+        let mut e_orig = EmbedStore::new(cfg.orig_store, &mut rng, orig_rows, s1, orig_seed);
+        let mut e_cross = EmbedStore::new(cfg.cross_store, &mut rng, cross_rows, s2, cross_seed);
         e_orig.set_optimizer_mode(cfg.embed_opt);
         e_cross.set_optimizer_mode(cfg.embed_opt);
-        // Architecture logits start at zero: uniform prior over methods.
-        let arch = Parameter::zeros(dims.num_pairs, 3);
-        let fact = Factorizer::new(cfg.fact_fn, dims.num_pairs, s1);
-        let adam_net = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
-        let adam_cross = Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps);
-        let adam_arch = Adam::with_lr_eps(cfg.lr_arch, cfg.adam_eps);
-        let noise_rng = StdRng::seed_from_u64(cfg.seed ^ 0x6A3B);
-        let pairs: Vec<(usize, usize)> = dims.pairs().iter().collect();
-        Self {
-            cfg,
-            dims,
-            e_orig,
+        let block = SearchBlock {
+            // Architecture logits start at zero: uniform prior over methods.
+            arch: Parameter::zeros(dims.num_pairs, 3),
+            fact: Factorizer::new(cfg.fact_fn, dims.num_pairs, s1),
             e_cross,
-            mlp,
-            arch,
-            fact,
-            adam_net,
-            adam_cross,
-            adam_arch,
-            noise_rng,
-            pool,
-            pairs,
-            scr: SupScratch::new(),
-            ws: Workspace::new(),
-        }
+            adam_cross: Adam::with_lr_eps(cfg.lr_cross, cfg.adam_eps),
+            adam_arch: Adam::with_lr_eps(cfg.lr_arch, cfg.adam_eps),
+            l2_cross: cfg.l2_cross,
+            noise_rng: StdRng::seed_from_u64(cfg.seed ^ 0x6A3B),
+            pairs: dims.pairs().iter().collect(),
+            s1,
+            s2,
+            num_fields: dims.num_fields,
+            samples: Vec::with_capacity(dims.num_pairs),
+            em: Matrix::zeros(0, 0),
+            dp: Matrix::zeros(0, 0),
+            d_em: Matrix::zeros(0, 0),
+        };
+        let adam = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
+        let pool = Pool::new(cfg.num_threads);
+        let body = Body::new(block, e_orig, mlp, adam, cfg.l2_orig, pool, dims.num_fields);
+        Self { cfg, dims, body }
     }
 
     /// The configuration in use.
@@ -176,38 +224,34 @@ impl Supernet {
 
     /// Total trainable parameters (embeddings + MLP + architecture).
     pub fn num_params(&mut self) -> usize {
-        let fact = match &self.fact {
-            Factorizer::Generalized(fw) => fw.len(),
-            Factorizer::Hadamard | Factorizer::PointwiseAdd => 0,
-        };
-        self.e_orig.num_params()
-            + self.e_cross.num_params()
-            + self.mlp.num_params()
-            + self.arch.len()
-            + fact
+        self.body.num_params()
+    }
+
+    fn arch(&self) -> &Parameter {
+        &self.body.block().arch
     }
 
     /// Current architecture logits (rows = pairs).
     pub fn arch_logits(&self) -> &Matrix {
-        &self.arch.value
+        &self.arch().value
     }
 
     /// Mutable architecture logits (bi-level search updates these
     /// through a separate pass; tests use this to force selections).
     pub fn arch_logits_mut(&mut self) -> &mut Matrix {
-        &mut self.arch.value
+        &mut self.body.block_mut().arch.value
     }
 
     /// Accumulated architecture gradient (diagnostics / gradient checks).
     pub fn arch_grad(&self) -> &Matrix {
-        &self.arch.grad
+        &self.arch().grad
     }
 
     /// Softmax probabilities of each pair's method (temperature 1, no noise).
     pub fn arch_probs(&self) -> Vec<[f32; 3]> {
         (0..self.dims.num_pairs)
             .map(|p| {
-                let probs = ops::softmax_slice(self.arch.value.row(p), 1.0);
+                let probs = ops::softmax_slice(self.arch_logits().row(p), 1.0);
                 [probs[0], probs[1], probs[2]]
             })
             .collect()
@@ -216,7 +260,7 @@ impl Supernet {
     /// Extracts the discrete architecture by per-pair argmax (Eq. 19).
     pub fn extract_architecture(&self) -> Architecture {
         let methods = (0..self.dims.num_pairs)
-            .map(|p| Method::from_index(ops::argmax(self.arch.value.row(p))))
+            .map(|p| Method::from_index(ops::argmax(self.arch_logits().row(p))))
             .collect();
         Architecture::new(methods)
     }
@@ -227,55 +271,22 @@ impl Supernet {
     /// Gumbel noise at temperature `tau`; otherwise the noiseless softmax at
     /// the same temperature is used.
     pub fn forward(&mut self, batch: &Batch, tau: f32, train: bool) -> Matrix {
-        self.forward_step(batch, tau, train);
-        self.scr.logits.clone()
+        self.prepare(batch, tau, train);
+        self.body.forward(&batch.fields, &batch.cross).clone()
     }
 
-    /// Forward pass into the persistent scratch buffers; `self.scr.logits`
-    /// holds the `[B, 1]` logits afterwards. Allocation-free at steady state.
-    fn forward_step(&mut self, batch: &Batch, tau: f32, train: bool) {
-        let m = self.dims.num_fields;
-        let p_count = self.dims.num_pairs;
-        assert_eq!(batch.num_fields, m, "supernet: field count mismatch");
+    /// Checks `batch` against the supernet's dimensions and draws the
+    /// relaxed method weights its forward mixes with.
+    fn prepare(&mut self, batch: &Batch, tau: f32, train: bool) {
+        assert_eq!(
+            batch.num_fields, self.dims.num_fields,
+            "supernet: field count mismatch"
+        );
         assert!(
             !batch.cross.is_empty(),
             "supernet needs cross features in the batch"
         );
-
-        self.e_orig
-            .lookup_fields_pooled_into(&batch.fields, m, &self.pool, &mut self.scr.eo);
-        self.e_cross
-            .lookup_fields_pooled_into(&batch.cross, p_count, &self.pool, &mut self.scr.em);
-
-        // Relaxed method weights per pair. Gumbel noise must come off the
-        // shared stream in pair order, so this stays serial.
-        let mut samples = std::mem::take(&mut self.scr.samples);
-        samples.clear();
-        samples.reserve(p_count);
-        for p in 0..p_count {
-            let logits = self.arch.value.row(p);
-            samples.push(if train {
-                GumbelSample::draw(logits, tau, &mut self.noise_rng)
-            } else {
-                GumbelSample::deterministic(logits, tau)
-            });
-        }
-        self.scr.samples = samples;
-
-        // The MLP input [e^o | mixed pair embeddings], sharded over batch
-        // rows.
-        Mixed {
-            pairs: &self.pairs,
-            samples: &self.scr.samples,
-            fact: self.fact.fact(),
-            s1: self.cfg.orig_dim,
-            s2: self.cfg.cross_dim,
-            num_fields: m,
-        }
-        .mix_into(&self.pool, &self.scr.eo, &self.scr.em, &mut self.scr.input);
-
-        let (input, logits) = (&self.scr.input, &mut self.scr.logits);
-        self.mlp.forward_into(input, logits);
+        SearchBlock::draw(self.body.block_mut(), tau, train);
     }
 
     /// Backward pass from logit gradients; accumulates gradients on network
@@ -284,85 +295,26 @@ impl Supernet {
     /// persistent scratch holds that forward's activations but not the batch
     /// itself.
     pub fn backward(&mut self, batch: &Batch, grad_logits: &Matrix) {
-        let m = self.dims.num_fields;
-        let p_count = self.dims.num_pairs;
-        let b = grad_logits.rows();
-        assert_eq!(
-            self.scr.input.rows(),
-            b,
-            "Supernet::backward before forward"
-        );
-
-        let mut dinput = self.ws.take_for_overwrite(b, self.scr.input.cols());
-        {
-            let input = &self.scr.input;
-            self.mlp.backward_into(input, grad_logits, &mut dinput);
-        }
-
-        // Two owner-computes passes: one over contiguous ranges of pairs
-        // (each owns its dp_m/dp_f, α-gradient and generalized-weight
-        // rows), one over batch rows (each owns its d e^o and d e^m rows).
-        let (fact, fw_grad) = self.fact.with_grad();
-        let block = Mixed {
-            pairs: &self.pairs,
-            samples: &self.scr.samples,
-            fact,
-            s1: self.cfg.orig_dim,
-            s2: self.cfg.cross_dim,
-            num_fields: m,
-        };
-        block.backward_arch(
-            &self.pool,
-            &dinput,
-            &self.scr.eo,
-            &self.scr.em,
-            &mut self.scr.dp,
-            &mut self.arch.grad,
-            fw_grad,
-        );
-        let (d_eo, d_em) = (&mut self.scr.d_eo, &mut self.scr.d_em);
-        block.backward_fields(&self.pool, &dinput, &self.scr.eo, d_eo, d_em);
-
-        self.e_orig
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.scr.d_eo, &self.pool);
-        self.e_cross.accumulate_grad_fields_pooled(
-            &batch.cross,
-            p_count,
-            &self.scr.d_em,
-            &self.pool,
-        );
-        self.ws.recycle(dinput);
+        self.body.backward(&batch.fields, &batch.cross, grad_logits);
     }
 
     /// Applies one simultaneous optimizer step to Θ and α (Algorithm 1).
     pub fn step(&mut self) {
-        self.step_weights();
-        self.step_arch();
+        self.body.step();
     }
 
     /// Updates only the network weights Θ (bi-level search uses this on
     /// training batches).
     pub fn step_weights(&mut self) {
-        self.adam_net.begin_step();
-        let l2 = self.cfg.l2_orig;
-        let mut adam = self.adam_net;
-        self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        if let Some(fw) = self.fact.weights_mut() {
-            adam.step(fw, 0.0);
-        }
-        self.adam_net = adam;
-        self.e_orig.apply_adam(&self.adam_net, l2);
-        self.adam_cross.begin_step();
-        self.e_cross.apply_adam(&self.adam_cross, self.cfg.l2_cross);
+        self.body.step_shared();
+        self.body.block_mut().step_cross();
     }
 
     /// Replays any optimizer updates the `LazyCatchUp` embedding mode
     /// deferred, bringing every row up to the current timestep. Call before
     /// reading out weights; a no-op for the other modes.
     pub fn catch_up_embeddings(&mut self) {
-        self.e_orig.catch_up_all(&self.adam_net, self.cfg.l2_orig);
-        self.e_cross
-            .catch_up_all(&self.adam_cross, self.cfg.l2_cross);
+        self.body.catch_up();
     }
 
     /// Updates only the architecture parameters α (bi-level search uses
@@ -370,56 +322,39 @@ impl Supernet {
     /// gradients stay where they are; bi-level search drops them with
     /// [`zero_weight_grads`](Self::zero_weight_grads) after this call.
     pub fn step_arch(&mut self) {
-        self.adam_arch.begin_step();
-        let mut adam = self.adam_arch;
-        adam.step(&mut self.arch, 0.0);
-        self.adam_arch = adam;
+        self.body.block_mut().step_arch();
     }
 
     /// Zeroes only the architecture gradient (bi-level: after a Θ step the
     /// training batch's α gradient must not leak into the next α step).
     pub fn zero_arch_grad(&mut self) {
-        self.arch.grad.fill_zero();
+        self.body.block_mut().arch.grad.fill_zero();
     }
 
     /// Zeroes network-weight and embedding gradients (bi-level: after an α
     /// step the validation batch's Θ gradients must be dropped).
     pub fn zero_weight_grads(&mut self) {
-        self.mlp.zero_grads();
-        if let Some(fw) = self.fact.weights_mut() {
-            fw.grad.fill_zero();
-        }
-        self.e_orig.clear_grads();
-        self.e_cross.clear_grads();
+        self.body.zero_grads();
+        self.body.block_mut().e_cross.clear_grads();
     }
 
     /// Discards all pending gradients without applying them.
     pub fn discard_grads(&mut self) {
-        self.mlp.zero_grads();
-        self.arch.grad.fill_zero();
-        if let Some(fw) = self.fact.weights_mut() {
-            fw.grad.fill_zero();
-        }
-        self.e_orig.clear_grads();
-        self.e_cross.clear_grads();
+        self.zero_weight_grads();
+        self.zero_arch_grad();
     }
 
     /// One full training step (forward, loss, backward, joint update).
     /// Returns the mean batch loss.
     pub fn train_batch(&mut self, batch: &Batch, tau: f32) -> f32 {
-        self.forward_step(batch, tau, true);
-        let mut grad = std::mem::replace(&mut self.scr.grad_logits, Matrix::zeros(0, 0));
-        let loss_value = bce_with_logits_into(&self.scr.logits, &batch.labels, &mut grad);
-        self.backward(batch, &grad);
-        self.scr.grad_logits = grad;
-        self.step();
-        loss_value
+        self.prepare(batch, tau, true);
+        self.body.train_batch(batch)
     }
 
     /// Predicted probabilities with the current (soft) architecture.
     pub fn predict(&mut self, batch: &Batch, tau: f32) -> Vec<f32> {
-        self.forward_step(batch, tau, false);
-        loss::probabilities(&self.scr.logits)
+        self.prepare(batch, tau, false);
+        self.body.predict(batch)
     }
 }
 
@@ -499,8 +434,7 @@ mod tests {
         for p in 0..net.dims.num_pairs {
             let target = p % 3;
             for c in 0..3 {
-                net.arch
-                    .value
+                net.arch_logits_mut()
                     .set(p, c, if c == target { 5.0 } else { -5.0 });
             }
         }
@@ -553,15 +487,14 @@ mod tests {
         // Move logits off the uniform point so gradients are non-trivial.
         for p in 0..net.dims.num_pairs {
             for c in 0..3 {
-                net.arch
-                    .value
+                net.arch_logits_mut()
                     .set(p, c, ((p * 3 + c) as f32 * 0.37).sin() * 0.5);
             }
         }
         let logits = net.forward(&batch, tau, false);
         let (_, grad) = bce_with_logits(&logits, &batch.labels);
         net.backward(&batch, &grad);
-        let analytic = net.arch.grad.clone();
+        let analytic = net.arch_grad().clone();
         net.discard_grads();
         let entries: Vec<(usize, usize)> = (0..net.dims.num_pairs.min(4))
             .flat_map(|p| (0..3).map(move |c| (p, c)))
@@ -571,8 +504,8 @@ mod tests {
             &entries,
             1e-2,
             |p, c| analytic.get(p, c),
-            |p, c| cell.borrow().arch.value.get(p, c),
-            |p, c, v| cell.borrow_mut().arch.value.set(p, c, v),
+            |p, c| cell.borrow().arch_logits().get(p, c),
+            |p, c, v| cell.borrow_mut().arch_logits_mut().set(p, c, v),
             || {
                 let mut n = cell.borrow_mut();
                 let logits = n.forward(&batch, tau, false);
@@ -607,9 +540,9 @@ mod tests {
         let (_, grad) = bce_with_logits(&logits, &batch.labels);
         net.backward(&batch, &grad);
         net.discard_grads();
-        let before = net.arch.value.clone();
+        let before = net.arch_logits().clone();
         net.step_arch();
         // With zero gradients Adam still divides 0/sqrt(0)+eps = 0: no move.
-        assert_eq!(net.arch.value, before);
+        assert_eq!(net.arch_logits(), &before);
     }
 }

@@ -25,8 +25,16 @@
 //! - `self.field.m(...)` — methods named `m` of the field's declared type,
 //!   read from the enclosing type's `struct` item (the last plain segment
 //!   of the field's type: `pending: PendingGrads` and `fact: Fact<'a>`
-//!   resolve, `Option<T>`, `[T; N]` and generic parameters do not); when
-//!   that type has no `m`, the `recv.m(...)` fallback below.
+//!   resolve, `Option<T>` and `[T; N]` do not). A field typed by a generic
+//!   parameter with inline trait bounds (`struct S<B: Tr>` or `impl<B: Tr>
+//!   S<B>`) resolves to each bound trait's `m` and every `impl Tr for ..`
+//!   method named `m`. When neither gives an `m`, the `recv.m(...)`
+//!   fallback below.
+//! - `x.m(...)` on a typed fn parameter `x: &T` — the `recv.m(...)`
+//!   candidates, of which the methods named `m` of `T` (or, for a bounded
+//!   generic `T`, of its traits and their implementors, as above) are
+//!   precise. A local binding that shadows the parameter can change its
+//!   type, so the other candidates stay as conservative edges.
 //! - `recv.m(...)` — every workspace method named `m` (the receiver's type
 //!   is beyond a token-level analysis).
 //! - bare `f(...)` — free fns named `f` in the caller's module if any exist
@@ -104,6 +112,19 @@ pub struct CallGraph {
     /// `(struct, field)` -> the last plain segment of the field's declared
     /// type, one entry per same-named struct in the workspace.
     field_types: BTreeMap<(String, String), BTreeSet<String>>,
+    /// `(type, generic parameter)` -> the parameter's inline trait bounds,
+    /// from `struct` and `impl` headers.
+    type_bounds: BTreeMap<(String, String), BTreeSet<String>>,
+    /// Per node: each plainly named fn parameter's declared type (last
+    /// plain segment), and the fn's own generic parameters' bounds.
+    signatures: Vec<Signature>,
+}
+
+/// What a fn's header declares about the names its body calls through.
+#[derive(Debug, Clone, Default)]
+struct Signature {
+    param_types: BTreeMap<String, String>,
+    bounds: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Identifiers that look like calls (`if (x)`) or definitions (`fn f(`)
@@ -147,6 +168,8 @@ enum CallKind {
     SelfMethod,
     /// `self.field.m(...)`, carrying the field's name.
     FieldMethod(String),
+    /// `x.m(...)` on a plain identifier `x` other than `self`.
+    LocalMethod(String),
     Method,
     Qualified(String),
     Bare,
@@ -202,12 +225,21 @@ impl CallGraph {
 
     fn index_file(&mut self, f: &FileSource<'_>) {
         let module = module_path(&f.meta.rel_path, &f.meta.crate_key);
-        let containers = container_blocks(f.tokens, f.code, f.tree);
+        let (containers, impl_bounds) = container_blocks(f.tokens, f.code, f.tree);
         for (ty, field, field_ty) in struct_fields(f.tokens, f.code, f.tree) {
             self.field_types
                 .entry((ty, field))
                 .or_default()
                 .insert(field_ty);
+        }
+        for (ty, param, bounds) in impl_bounds
+            .into_iter()
+            .chain(struct_bounds(f.tokens, f.code))
+        {
+            self.type_bounds
+                .entry((ty, param))
+                .or_default()
+                .extend(bounds);
         }
         // A fn is test code when it carries a test attribute itself or sits
         // inside a test item, such as a helper in a `#[cfg(test)] mod`.
@@ -223,6 +255,8 @@ impl CallGraph {
             };
             let id = self.nodes.len();
             self.node_of.insert((f.file, fn_idx), id);
+            self.signatures
+                .push(signature(f.tokens, f.code, item.fn_tok));
             let node = FnNode {
                 file: f.file,
                 fn_idx,
@@ -278,12 +312,19 @@ impl CallGraph {
             }
             let kind = if ci > 0 && *tok(ci - 1) == Tok::Punct('.') {
                 let is_self = |k: usize| *tok(k) == Tok::Ident("self".to_string());
+                let path_or_field = |k: usize| matches!(tok(k), Tok::Punct('.' | ':'));
                 if ci >= 2 && is_self(ci - 2) {
                     CallKind::SelfMethod
                 } else if ci >= 4 && *tok(ci - 3) == Tok::Punct('.') && is_self(ci - 4) {
                     match tok(ci - 2) {
                         Tok::Ident(field) => CallKind::FieldMethod(field.clone()),
                         _ => CallKind::Method,
+                    }
+                } else if let (true, Tok::Ident(x)) = (ci >= 2, tok(ci.saturating_sub(2))) {
+                    if ci >= 3 && path_or_field(ci - 3) {
+                        CallKind::Method
+                    } else {
+                        CallKind::LocalMethod(x.clone())
                     }
                 } else {
                     CallKind::Method
@@ -309,30 +350,34 @@ impl CallGraph {
             if self.nodes[caller].is_test {
                 continue;
             }
-            let (targets, is_precise) = self.resolve(caller, &kind, name);
+            let (targets, precise) = self.resolve(caller, &kind, name);
             let targets = self.expand_trait_decls(targets, name);
+            let precise = self.expand_trait_decls(precise, name);
             for t in targets {
-                if t == caller {
-                    continue;
-                }
-                if !self.edges[caller].contains(&t) {
+                if t != caller && !self.edges[caller].contains(&t) {
                     self.edges[caller].push(t);
                 }
-                if is_precise && !self.precise[caller].contains(&t) {
+            }
+            for t in precise {
+                if t != caller && !self.precise[caller].contains(&t) {
                     self.precise[caller].push(t);
                 }
             }
         }
     }
 
-    /// Resolves one call to candidate callees. The `bool` says whether the
-    /// resolution pinned the callee (a *precise* edge) or fell back to
-    /// name matching (conservative: right for reachability soundness,
-    /// excluded from the hot-path perf closure).
-    fn resolve(&self, caller: usize, kind: &CallKind, name: &str) -> (Vec<usize>, bool) {
+    /// Resolves one call to its candidate callees and, of those, the ones
+    /// the resolution pinned (the *precise* edges); a call resolved by
+    /// name only (conservative: right for reachability soundness,
+    /// excluded from the hot-path perf closure) pins none.
+    fn resolve(&self, caller: usize, kind: &CallKind, name: &str) -> (Vec<usize>, Vec<usize>) {
+        let pinned = |(targets, precise): (Vec<usize>, bool)| {
+            let pinned = if precise { targets.clone() } else { Vec::new() };
+            (targets, pinned)
+        };
         let c = &self.nodes[caller];
         match kind {
-            CallKind::SelfMethod => self.resolve_self(c, name),
+            CallKind::SelfMethod => pinned(self.resolve_self(c, name)),
             CallKind::FieldMethod(field) => {
                 let declared = c
                     .self_type
@@ -341,23 +386,29 @@ impl CallGraph {
                 let out: Vec<usize> = declared
                     .into_iter()
                     .flatten()
-                    .filter_map(|ty| self.methods_by_type.get(&(ty.clone(), name.to_string())))
-                    .flatten()
-                    .copied()
+                    .flat_map(|ty| self.methods_of(caller, ty, name))
                     .collect();
                 if out.is_empty() {
                     self.resolve(caller, &CallKind::Method, name)
                 } else {
-                    (out, true)
+                    (out.clone(), out)
                 }
+            }
+            CallKind::LocalMethod(x) => {
+                let (targets, _) = self.resolve(caller, &CallKind::Method, name);
+                let typed = match self.signatures[caller].param_types.get(x) {
+                    Some(ty) => self.methods_of(caller, ty, name),
+                    None => Vec::new(),
+                };
+                (targets, typed)
             }
             // `recv.m(...)`: the receiver's type is beyond a token-level
             // analysis — every same-named method, never precise.
             CallKind::Method => (
                 self.methods_by_name.get(name).cloned().unwrap_or_default(),
-                false,
+                Vec::new(),
             ),
-            CallKind::Qualified(q) if q == "Self" => self.resolve_self(c, name),
+            CallKind::Qualified(q) if q == "Self" => pinned(self.resolve_self(c, name)),
             CallKind::Qualified(q) => {
                 let mut out = self
                     .methods_by_type
@@ -373,7 +424,7 @@ impl CallGraph {
                         }
                     }
                 }
-                (out, true)
+                (out.clone(), out)
             }
             CallKind::Bare => {
                 if let Some(fs) = self
@@ -382,14 +433,44 @@ impl CallGraph {
                 {
                     // A local item shadowing an import is a compile error
                     // in Rust, so same-module-first is exact.
-                    return (fs.clone(), true);
+                    return (fs.clone(), fs.clone());
                 }
                 (
                     self.free_by_name.get(name).cloned().unwrap_or_default(),
-                    false,
+                    Vec::new(),
                 )
             }
         }
+    }
+
+    /// Methods named `name` of type `ty` as seen from `caller`: the type's
+    /// own, or, when `ty` is a generic parameter of the caller's fn or of
+    /// its impl's type, those of each bound trait and of every `impl` of
+    /// that trait.
+    fn methods_of(&self, caller: usize, ty: &str, name: &str) -> Vec<usize> {
+        if let Some(ms) = self
+            .methods_by_type
+            .get(&(ty.to_string(), name.to_string()))
+        {
+            return ms.clone();
+        }
+        let c = &self.nodes[caller];
+        let own = self.signatures[caller].bounds.get(ty);
+        let of_type = c
+            .self_type
+            .as_ref()
+            .and_then(|t| self.type_bounds.get(&(t.clone(), ty.to_string())));
+        let mut out = Vec::new();
+        for tr in own.into_iter().chain(of_type).flatten() {
+            let decls = self.methods_by_type.get(&(tr.clone(), name.to_string()));
+            out.extend(decls.into_iter().flatten().copied());
+            for &m in self.methods_by_name.get(name).into_iter().flatten() {
+                if self.nodes[m].impl_trait.as_deref() == Some(tr.as_str()) && !out.contains(&m) {
+                    out.push(m);
+                }
+            }
+        }
+        out
     }
 
     fn resolve_self(&self, c: &FnNode, name: &str) -> (Vec<usize>, bool) {
@@ -534,39 +615,27 @@ fn struct_fields(tokens: &[Token], code: &[usize], tree: &Tree) -> Vec<(String, 
     out
 }
 
+/// A type's generic parameters and their inline trait bounds, as
+/// `(type, parameter, bounds)`.
+type TypeBounds = Vec<(String, String, Vec<String>)>;
+
 /// Maps block ids to the `impl`/`trait` container that owns them:
-/// `(type_or_trait_name, Some(trait_name) for trait impls)`.
+/// `(type_or_trait_name, Some(trait_name) for trait impls)`, and lists
+/// each `impl<B: Tr> Type<B>` header's bounded parameters.
 fn container_blocks(
     tokens: &[Token],
     code: &[usize],
     tree: &Tree,
-) -> BTreeMap<usize, (String, Option<String>)> {
+) -> (BTreeMap<usize, (String, Option<String>)>, TypeBounds) {
     let n = code.len();
     let tok = |ci: usize| &tokens[code[ci]].tok;
     let mut out = BTreeMap::new();
+    let mut bounds = Vec::new();
     for ci in 0..n {
         let Tok::Ident(kw) = tok(ci) else { continue };
         match kw.as_str() {
             "impl" => {
-                let mut j = ci + 1;
-                // Skip the generic parameter list of `impl<T: Bound> ...`.
-                if j < n && *tok(j) == Tok::Punct('<') {
-                    let mut depth = 0i32;
-                    while j < n {
-                        match tok(j) {
-                            Tok::Punct('<') => depth += 1,
-                            Tok::Punct('>') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    j += 1;
-                }
+                let (params, j) = generic_params(tokens, code, ci + 1);
                 let (first, after) = read_type_path(tokens, code, j);
                 let (ty, tr, open_from) = match after {
                     Some(k) if matches!(tok(k), Tok::Ident(s) if s == "for") => {
@@ -580,6 +649,9 @@ fn container_blocks(
                     None => (None, None, j),
                 };
                 let Some(ty) = ty else { continue };
+                for (param, b) in params {
+                    bounds.push((ty.clone(), param, b));
+                }
                 if let Some(block) = body_block(tokens, code, tree, open_from) {
                     out.insert(block, (ty, tr));
                 }
@@ -596,7 +668,141 @@ fn container_blocks(
             _ => {}
         }
     }
+    (out, bounds)
+}
+
+/// Each `struct Type<B: Tr>` header's bounded parameters.
+fn struct_bounds(tokens: &[Token], code: &[usize]) -> TypeBounds {
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    let mut out = Vec::new();
+    for ci in 0..code.len().saturating_sub(2) {
+        if *tok(ci) != Tok::Ident("struct".to_string()) {
+            continue;
+        }
+        let Tok::Ident(name) = tok(ci + 1) else {
+            continue;
+        };
+        for (param, bounds) in generic_params(tokens, code, ci + 2).0 {
+            out.push((name.clone(), param, bounds));
+        }
+    }
     out
+}
+
+/// The generic parameter list that opens at code index `j`, if a `<` is
+/// there: each type parameter with the last plain segment of each of its
+/// inline bounds (`B: Block + Send` gives `("B", ["Block", "Send"])`;
+/// lifetimes and `const` parameters are left out), and the code index
+/// after the list (`j` itself when there is none).
+fn generic_params(
+    tokens: &[Token],
+    code: &[usize],
+    j: usize,
+) -> (Vec<(String, Vec<String>)>, usize) {
+    let n = code.len();
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    if j >= n || *tok(j) != Tok::Punct('<') {
+        return (Vec::new(), j);
+    }
+    let mut params = Vec::new();
+    let (mut depth, mut k, mut start) = (0i32, j, j + 1);
+    while k < n {
+        depth += nesting(tokens, code, k);
+        let ends = depth == 0 || (depth == 1 && *tok(k) == Tok::Punct(','));
+        if ends {
+            if let Some(param) = bounded_param(tokens, code, start, k) {
+                params.push(param);
+            }
+            start = k + 1;
+            if depth == 0 {
+                return (params, k + 1);
+            }
+        }
+        k += 1;
+    }
+    (params, n)
+}
+
+/// How the token at code index `k` changes the bracket depth of a
+/// header: `<`, `(` and `[` open, their closers close, and the `>` of a
+/// `->` does neither.
+fn nesting(tokens: &[Token], code: &[usize], k: usize) -> i32 {
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    match tok(k) {
+        Tok::Punct('<' | '(' | '[') => 1,
+        Tok::Punct('>') if k > 0 && *tok(k - 1) == Tok::Punct('-') => 0,
+        Tok::Punct('>' | ')' | ']') => -1,
+        _ => 0,
+    }
+}
+
+/// One generic parameter `B: Tr1 + Tr2` between code indexes `a` and `b`,
+/// when it names a type and has bounds.
+fn bounded_param(
+    tokens: &[Token],
+    code: &[usize],
+    a: usize,
+    b: usize,
+) -> Option<(String, Vec<String>)> {
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    let Tok::Ident(name) = tok(a) else {
+        return None; // a lifetime
+    };
+    if name == "const" || a + 2 >= b || *tok(a + 1) != Tok::Punct(':') {
+        return None;
+    }
+    let mut bounds = Vec::new();
+    let (mut depth, mut from) = (0i32, a + 2);
+    for k in a + 2..=b {
+        if k < b {
+            depth += nesting(tokens, code, k);
+        }
+        if k == b || (depth == 0 && *tok(k) == Tok::Punct('+')) {
+            if let (Some(tr), _) = read_type_path(tokens, code, from) {
+                bounds.push(tr);
+            }
+            from = k + 1;
+        }
+    }
+    Some((name.clone(), bounds))
+}
+
+/// The header of the fn whose `fn` keyword is raw token `fn_tok`: its
+/// parameters named by a plain identifier (`x: &T`, `mut x: T`) with
+/// their types' last plain segments, and its own bounded generics.
+fn signature(tokens: &[Token], code: &[usize], fn_tok: usize) -> Signature {
+    let n = code.len();
+    let tok = |ci: usize| &tokens[code[ci]].tok;
+    let mut sig = Signature::default();
+    let fn_ci = code.partition_point(|&raw| raw < fn_tok);
+    let (generics, open) = generic_params(tokens, code, fn_ci + 2);
+    sig.bounds = generics
+        .into_iter()
+        .map(|(p, b)| (p, b.into_iter().collect()))
+        .collect();
+    if open >= n || *tok(open) != Tok::Punct('(') {
+        return sig;
+    }
+    let (mut depth, mut start) = (0i32, open + 1);
+    for k in open..n {
+        depth += nesting(tokens, code, k);
+        if depth == 0 || (depth == 1 && *tok(k) == Tok::Punct(',')) {
+            let mut a = start;
+            if a < k && *tok(a) == Tok::Ident("mut".to_string()) {
+                a += 1;
+            }
+            if let (Tok::Ident(x), true) = (tok(a), a + 1 < k && *tok(a + 1) == Tok::Punct(':')) {
+                if let (Some(ty), _) = read_type_path(tokens, code, a + 2) {
+                    sig.param_types.insert(x.clone(), ty);
+                }
+            }
+            start = k + 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    sig
 }
 
 /// Reads a type path starting at code index `j` (`&'a mut a::B<T>`),
@@ -778,13 +984,106 @@ mod tests {
             pub struct B;
             impl A { pub fn m(&self) {} }
             impl B { pub fn m(&self) {} }
-            pub fn entry(x: &A) { x.m(); }
+            pub fn entry(xs: &[A]) { xs[0].m(); }
             "#,
         )]);
         assert_eq!(
             quals_called_by(&g, "alpha::entry"),
             vec!["alpha::A::m", "alpha::B::m"]
         );
+    }
+
+    /// The precise callees of `qual`, sorted.
+    fn precise_called_by(g: &CallGraph, qual: &str) -> Vec<String> {
+        let n = g.nodes.iter().position(|n| n.qual == qual).unwrap();
+        let mut out: Vec<String> = g.precise[n]
+            .iter()
+            .map(|&t| g.nodes[t].qual.clone())
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn typed_parameters_pin_their_type_and_keep_the_name_edges() {
+        let (g, _) = graph_of(&[(
+            "crates/alpha/src/lib.rs",
+            "alpha",
+            r#"
+            pub struct A;
+            pub struct B;
+            pub struct Y;
+            pub trait Tr { fn m(&self); }
+            impl A { pub fn m(&self) {} }
+            impl B { pub fn m(&self) {} }
+            pub fn typed(mut a: &A, n: usize, f: impl Fn(u32) -> u32, b: &mut B) { a.m(); b.m(); }
+            pub fn generic<T: Tr>(t: &T) { t.m(); }
+            pub fn local(n: usize) { let a = A; a.m(); }
+            impl Tr for Y { fn m(&self) {} }
+            "#,
+        )]);
+        let all = vec!["alpha::A::m", "alpha::B::m", "alpha::Tr::m", "alpha::Y::m"];
+        // Every same-named method stays a (conservative) edge, since a
+        // local binding may shadow the parameter; the declared type's
+        // method is the precise one.
+        assert_eq!(quals_called_by(&g, "alpha::typed"), all);
+        assert_eq!(
+            precise_called_by(&g, "alpha::typed"),
+            vec!["alpha::A::m", "alpha::B::m"]
+        );
+        // A bounded generic parameter pins the trait and its implementors.
+        assert_eq!(
+            precise_called_by(&g, "alpha::generic"),
+            vec!["alpha::Tr::m", "alpha::Y::m"]
+        );
+        // A local binding is not a parameter: name edges only.
+        assert_eq!(quals_called_by(&g, "alpha::local"), all);
+        assert!(precise_called_by(&g, "alpha::local").is_empty());
+    }
+
+    #[test]
+    fn generic_fields_resolve_through_their_bounds() {
+        let (g, _) = graph_of(&[(
+            "crates/alpha/src/lib.rs",
+            "alpha",
+            r#"
+            pub trait Block { fn forward(&mut self); fn step(&mut self) {} }
+            pub trait Other { fn forward(&mut self); }
+            pub struct X;
+            pub struct Y;
+            pub struct Z;
+            impl Block for X { fn forward(&mut self) {} }
+            impl Block for Y { fn forward(&mut self) {} fn step(&mut self) {} }
+            impl Other for Z { fn forward(&mut self) {} }
+            pub struct Body<B> { block: B, plain: Vec<B> }
+            impl<'a, B: Block + 'a> Body<B> {
+                pub fn run(&mut self) { self.block.forward(); self.block.step(); }
+                pub fn wrapped(&mut self) { self.plain.forward(); }
+            }
+            pub struct Held<C: Other> { c: C }
+            impl<C: Other> Held<C> {
+                pub fn run(&mut self) { self.c.forward(); }
+            }
+            "#,
+        )]);
+        // The trait's own methods and every implementor's, on both tiers;
+        // `Z` implements another trait and stays out.
+        let run = vec![
+            "alpha::Block::forward",
+            "alpha::Block::step",
+            "alpha::X::forward",
+            "alpha::Y::forward",
+            "alpha::Y::step",
+        ];
+        assert_eq!(quals_called_by(&g, "alpha::Body::run"), run);
+        assert_eq!(precise_called_by(&g, "alpha::Body::run"), run);
+        // A bound on the struct itself works the same way.
+        assert_eq!(
+            precise_called_by(&g, "alpha::Held::run"),
+            vec!["alpha::Other::forward", "alpha::Z::forward"]
+        );
+        // A field whose type is no bare parameter falls back by name.
+        assert!(precise_called_by(&g, "alpha::Body::wrapped").is_empty());
     }
 
     #[test]

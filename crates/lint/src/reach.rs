@@ -166,16 +166,16 @@ mod tests {
 
     #[test]
     fn precise_traversal_skips_name_fallback_edges() {
-        // `x.m()` on an unknown receiver is a fallback edge to every `m`;
-        // `A::m()` is precise. Panic-free reachability must cross both,
-        // the hot-path closure only the latter.
+        // `xs[0].m()` on an untyped receiver is a fallback edge to every
+        // `m`; `A::m()` is precise. Panic-free reachability must cross
+        // both, the hot-path closure only the latter.
         let g = graph(
             r#"
             pub struct A;
             pub struct B;
             impl A { pub fn m(&self) {} }
             impl B { pub fn m(&self) {} }
-            pub fn by_name(x: &A) { x.m(); }
+            pub fn by_name(xs: &[A]) { xs[0].m(); }
             pub fn by_type() { A::m(&A); }
             "#,
         );

@@ -285,10 +285,10 @@ fn injected_clock_two_hops_under_train_batch_fails_the_determinism_cone() {
 #[test]
 fn injected_lock_under_score_into_fails_the_no_blocking_cone() {
     let (mut files, baseline) = load();
-    // Inside FixedForward::forward_ids_into, one hop below score_into.
+    // Inside Body::forward, one hop below score_into.
     inject(
         &mut files,
-        "crates/core/src/net.rs",
+        "crates/core/src/body.rs",
         "        self.mlp.forward_into(&self.input, &mut self.logits);",
         "        let _injected = std::sync::Mutex::new(0u32).lock();\n        self.mlp.forward_into(&self.input, &mut self.logits);",
     );
@@ -297,11 +297,11 @@ fn injected_lock_under_score_into_fails_the_no_blocking_cone() {
     let hits: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule == Rule::NoBlockingCone && d.path.ends_with("net.rs"))
+        .filter(|d| d.rule == Rule::NoBlockingCone && d.path.ends_with("body.rs"))
         .collect();
     assert!(
         !hits.is_empty(),
-        "expected a no-blocking-cone diagnostic in net.rs, got:\n{:#?}",
+        "expected a no-blocking-cone diagnostic in body.rs, got:\n{:#?}",
         report.diagnostics
     );
     assert!(

@@ -10,40 +10,30 @@
 //! [`run_autofis`] performs the full two-phase procedure: gate search with
 //! GRDA, then re-training from scratch with the selected pairs only.
 
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
-use optinter_data::{Batch, DatasetBundle, PairIndexer};
-use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Grda, GrdaConfig, Mlp,
-    MlpConfig, Parameter,
-};
+use crate::deep::{classifier, Deep, DeepBlock};
+use crate::traits::{BaselineConfig, Category, Taxonomy};
+use optinter_core::{Block, Inputs};
+use optinter_data::{DatasetBundle, PairIndexer};
+use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Grda, GrdaConfig, Mlp, Parameter};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// AutoFIS model. In search mode the gates are GRDA-trained; in re-train
 /// mode they are frozen to the 0/1 selection mask.
-pub struct AutoFis {
-    emb: EmbeddingTable,
-    mlp: Mlp,
+pub type AutoFis = Deep<Gates>;
+
+/// AutoFIS's block: `e^o` followed by every pair's gated inner product.
+pub struct Gates {
     /// Interaction gates `α`, shape `[P, 1]`.
     gates: Parameter,
     /// `None` while searching; `Some(mask)` when re-training with a fixed
     /// selection.
     fixed_mask: Option<Vec<bool>>,
-    adam: Adam,
     grda: Grda,
-    l2: f32,
     num_fields: usize,
     dim: usize,
     pairs: PairIndexer,
-    // Persistent step buffers: overwritten in full every batch so the
-    // steady-state train step reuses their capacity.
-    emb_buf: Matrix,
-    input: Matrix,
-    logits: Matrix,
-    grad: Matrix,
-    dinput: Matrix,
-    d_emb: Matrix,
     /// Raw (ungated) inner products, cached for the gate gradient.
     raw_ips: Vec<f32>,
 }
@@ -77,94 +67,37 @@ impl AutoFis {
             assert_eq!(mask.len(), pairs.num_pairs(), "mask must cover every pair");
         }
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
-        let mut mlp = Mlp::new(
+        let mlp = Mlp::new(
             &mut rng,
-            &MlpConfig {
-                input_dim: num_fields * k + pairs.num_pairs(),
-                hidden: cfg.hidden.clone(),
-                output_dim: 1,
-                layer_norm: cfg.layer_norm,
-                ln_eps: 1e-5,
-            },
+            &classifier(cfg, num_fields * k + pairs.num_pairs()),
         );
-        mlp.set_pool(&Pool::new(cfg.num_threads));
         // Search mode: gates start at 0 so GRDA's dual accumulator starts
         // at the pruning threshold — gates that receive consistent signal
         // escape it, idle gates stay exactly zero (directional pruning).
         // Re-train mode never reads the trainable gates.
-        let gates = Parameter::new(Matrix::zeros(pairs.num_pairs(), 1));
-        Self {
-            emb,
-            mlp,
-            gates,
+        let block = Gates {
+            gates: Parameter::new(Matrix::zeros(pairs.num_pairs(), 1)),
             fixed_mask,
-            adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
             grda: Grda::new(GrdaConfig {
                 lr: cfg.lr,
                 c: cfg.grda_c,
                 mu: cfg.grda_mu,
             }),
-            l2: cfg.l2,
             num_fields,
             dim: k,
             pairs,
-            emb_buf: Matrix::zeros(0, 0),
-            input: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-            grad: Matrix::zeros(0, 0),
-            dinput: Matrix::zeros(0, 0),
-            d_emb: Matrix::zeros(0, 0),
             raw_ips: Vec::new(),
-        }
-    }
-
-    /// Forward pass into the persistent scratch buffers; `self.logits`
-    /// holds the `[B, 1]` logits afterwards.
-    fn forward_step(&mut self, batch: &Batch) {
-        let m = self.num_fields;
-        let k = self.dim;
-        let np = self.pairs.num_pairs();
-        let b = batch.len();
-        self.emb
-            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
-        self.input.reset(b, m * k + np);
-        self.input.copy_block_from(&self.emb_buf, 0);
-        self.raw_ips.clear();
-        self.raw_ips.resize(b * np, 0.0);
-        let fixed_mask = self.fixed_mask.as_deref();
-        let gates_val = &self.gates.value;
-        for r in 0..b {
-            let row = self.emb_buf.row(r);
-            let dst = self.input.row_mut(r);
-            for (p, (i, j)) in self.pairs.iter().enumerate() {
-                let mut dot = 0.0f32;
-                for c in 0..k {
-                    dot += row[i * k + c] * row[j * k + c];
-                }
-                self.raw_ips[r * np + p] = dot;
-                let gate = match fixed_mask {
-                    Some(mask) => {
-                        if mask[p] {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    None => gates_val.get(p, 0),
-                };
-                dst[m * k + p] = gate * dot;
-            }
-        }
-        let (input, logits) = (&self.input, &mut self.logits);
-        self.mlp.forward_into(input, logits);
+        };
+        Deep::with_parts(block, emb, mlp, cfg, num_fields, Pool::new(cfg.num_threads))
     }
 
     /// Current selection: `true` where the gate is non-zero.
     pub fn selection(&self) -> Vec<bool> {
-        match &self.fixed_mask {
+        let gates = self.block();
+        match &gates.fixed_mask {
             Some(mask) => mask.clone(),
-            None => (0..self.pairs.num_pairs())
-                .map(|p| self.gates.value.get(p, 0) != 0.0)
+            None => (0..gates.pairs.num_pairs())
+                .map(|p| gates.gates.value.get(p, 0) != 0.0)
                 .collect(),
         }
     }
@@ -178,53 +111,63 @@ impl AutoFis {
     }
 }
 
-impl CtrModel for AutoFis {
-    fn name(&self) -> &'static str {
-        "AutoFIS"
-    }
-
-    fn taxonomy(&self) -> Taxonomy {
-        Taxonomy {
-            category: Category::Hybrid,
-            methods: "{n,f}",
-            factorization_fn: "flexible",
-            classifier: "Deep",
+impl Gates {
+    /// Pair `p`'s gate: its 0/1 mask entry when re-training, its trainable
+    /// value while searching.
+    fn gate(&self, p: usize) -> f32 {
+        match self.fixed_mask.as_deref() {
+            Some(mask) => {
+                if mask[p] {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            None => self.gates.value.get(p, 0),
         }
     }
+}
 
-    fn train_batch(&mut self, batch: &Batch) -> f32 {
+impl Block for Gates {
+    fn forward(&mut self, x: &Inputs<'_>, input: &mut Matrix) {
         let m = self.num_fields;
         let k = self.dim;
         let np = self.pairs.num_pairs();
-        self.forward_step(batch);
-        let loss_value = bce_with_logits_into(&self.logits, &batch.labels, &mut self.grad);
-        {
-            let (input, grad) = (&self.input, &self.grad);
-            self.mlp.backward_into(input, grad, &mut self.dinput);
+        let b = x.eo.rows();
+        input.reset(b, m * k + np);
+        input.copy_block_from(x.eo, 0);
+        self.raw_ips.clear();
+        self.raw_ips.resize(b * np, 0.0);
+        for r in 0..b {
+            let row = x.eo.row(r);
+            let dst = input.row_mut(r);
+            for (p, (i, j)) in self.pairs.iter().enumerate() {
+                let mut dot = 0.0f32;
+                for c in 0..k {
+                    dot += row[i * k + c] * row[j * k + c];
+                }
+                self.raw_ips[r * np + p] = dot;
+                dst[m * k + p] = self.gate(p) * dot;
+            }
         }
-        self.dinput.block_into(0, m * k, &mut self.d_emb);
-        let fixed_mask = self.fixed_mask.as_deref();
-        let gates_val = &self.gates.value;
-        let gates_grad = &mut self.gates.grad;
-        for r in 0..self.dinput.rows() {
-            let row = self.emb_buf.row(r);
-            let g_row = self.dinput.row(r);
-            let d_row = self.d_emb.row_mut(r);
+    }
+
+    fn backward(&mut self, x: &Inputs<'_>, dinput: &Matrix, _: &Matrix, d_eo: &mut Matrix) {
+        let m = self.num_fields;
+        let k = self.dim;
+        let np = self.pairs.num_pairs();
+        dinput.block_into(0, m * k, d_eo);
+        let searching = self.fixed_mask.is_none();
+        for r in 0..dinput.rows() {
+            let row = x.eo.row(r);
+            let g_row = dinput.row(r);
+            let d_row = d_eo.row_mut(r);
             for (p, (i, j)) in self.pairs.iter().enumerate() {
                 let g_ip = g_row[m * k + p];
-                let gate = match fixed_mask {
-                    Some(mask) => {
-                        if mask[p] {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    None => gates_val.get(p, 0),
-                };
+                let gate = self.gate(p);
                 // Gate gradient (search mode only).
-                if fixed_mask.is_none() {
-                    gates_grad.row_mut(p)[0] += g_ip * self.raw_ips[r * np + p];
+                if searching {
+                    self.gates.grad.row_mut(p)[0] += g_ip * self.raw_ips[r * np + p];
                 }
                 // Embedding gradient through the gated inner product.
                 let scaled = g_ip * gate;
@@ -236,31 +179,36 @@ impl CtrModel for AutoFis {
                 }
             }
         }
-        self.emb
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
-        self.adam.begin_step();
-        let mut adam = self.adam;
-        self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        self.adam = adam;
-        self.emb.apply_adam(&self.adam, self.l2);
+    }
+
+    /// The gates take a GRDA step while searching; re-training drops
+    /// their (unused) gradient.
+    fn step(&mut self, _: &Adam) {
         if self.fixed_mask.is_none() {
             self.grda.begin_step();
-            let mut grda = self.grda;
-            grda.step(&mut self.gates, 0.0);
-            self.grda = grda;
+            self.grda.step(&mut self.gates, 0.0);
         } else {
             self.gates.grad.fill_zero();
         }
-        loss_value
-    }
-
-    fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.forward_step(batch);
-        loss::probabilities(&self.logits)
     }
 
     fn num_params(&mut self) -> usize {
-        self.emb.num_params() + self.mlp.num_params() + self.gates.len()
+        self.gates.len()
+    }
+}
+
+impl DeepBlock for Gates {
+    fn name(&self) -> &'static str {
+        "AutoFIS"
+    }
+
+    fn taxonomy(&self) -> Taxonomy {
+        Taxonomy {
+            category: Category::Hybrid,
+            methods: "{n,f}",
+            factorization_fn: "flexible",
+            classifier: "Deep",
+        }
     }
 }
 

@@ -2,34 +2,27 @@
 //! embedding table; the two logits are summed (paper Table III: factorized,
 //! `<e_i, e_j>`, deep classifier).
 
+use crate::deep::{classifier, copy_into, Deep, DeepBlock};
 use crate::fm::{add_fm_term, fm_term_backward};
 use crate::linear::Linear;
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
-use optinter_data::Batch;
-use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig,
-};
+use crate::traits::{BaselineConfig, Category, Taxonomy};
+use optinter_core::{Block, Inputs};
+use optinter_nn::{Adam, EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// DeepFM: shared-embedding FM + MLP.
-pub struct DeepFm {
+pub type DeepFm = Deep<FmTerm>;
+
+/// DeepFM's block: the MLP reads `e^o` as it is, and the FM component's
+/// logit, first-order term plus Rendle's pair term, is added to the MLP's.
+pub struct FmTerm {
     linear: Linear,
-    emb: EmbeddingTable,
-    mlp: Mlp,
-    adam: Adam,
-    l2: f32,
     num_fields: usize,
     dim: usize,
-    // Persistent step buffers: overwritten in full every batch so the
-    // steady-state train step reuses their capacity.
-    emb_buf: Matrix,
-    /// The summed logits (the MLP's, plus the FM component's).
-    logits: Matrix,
+    /// The FM component's logits.
     fm_logits: Matrix,
-    grad: Matrix,
-    d_emb: Matrix,
 }
 
 impl DeepFm {
@@ -38,44 +31,26 @@ impl DeepFm {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDEEF);
         let k = cfg.embed_dim;
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
-        let mut mlp = Mlp::new(
-            &mut rng,
-            &MlpConfig {
-                input_dim: num_fields * k,
-                hidden: cfg.hidden.clone(),
-                output_dim: 1,
-                layer_norm: cfg.layer_norm,
-                ln_eps: 1e-5,
-            },
-        );
-        mlp.set_pool(&Pool::new(cfg.num_threads));
-        Self {
+        let mlp = Mlp::new(&mut rng, &classifier(cfg, num_fields * k));
+        let block = FmTerm {
             linear: Linear::new(orig_vocab, num_fields),
-            emb,
-            mlp,
-            adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
-            l2: cfg.l2,
             num_fields,
             dim: k,
-            emb_buf: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
             fm_logits: Matrix::zeros(0, 0),
-            grad: Matrix::zeros(0, 0),
-            d_emb: Matrix::zeros(0, 0),
-        }
+        };
+        Deep::with_parts(block, emb, mlp, cfg, num_fields, Pool::new(cfg.num_threads))
+    }
+}
+
+impl Block for FmTerm {
+    fn forward(&mut self, x: &Inputs<'_>, input: &mut Matrix) {
+        copy_into(x.eo, input);
     }
 
-    /// Writes the summed logits into `self.logits`, leaving the batch's
-    /// embeddings in `self.emb_buf` (shared by the MLP and the FM term).
-    fn forward(&mut self, batch: &Batch) {
-        let m = self.num_fields;
-        self.emb
-            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
-        self.mlp.forward_into(&self.emb_buf, &mut self.logits);
-        self.linear.forward_into(&batch.fields, &mut self.fm_logits);
-        add_fm_term(&self.emb_buf, m, self.dim, &mut self.fm_logits);
-        for (z, &fm) in self
-            .logits
+    fn add_logits(&mut self, x: &Inputs<'_>, logits: &mut Matrix) {
+        self.linear.forward_into(x.fields, &mut self.fm_logits);
+        add_fm_term(x.eo, self.num_fields, self.dim, &mut self.fm_logits);
+        for (z, &fm) in logits
             .as_mut_slice()
             .iter_mut()
             .zip(self.fm_logits.as_slice())
@@ -83,9 +58,24 @@ impl DeepFm {
             *z += fm;
         }
     }
+
+    fn backward(&mut self, x: &Inputs<'_>, dinput: &Matrix, dlogits: &Matrix, d_eo: &mut Matrix) {
+        copy_into(dinput, d_eo);
+        fm_term_backward(x.eo, self.num_fields, self.dim, dlogits, d_eo);
+        self.linear.backward(x.fields, dlogits);
+    }
+
+    /// The first-order term, with the body's Adam and no weight decay.
+    fn step(&mut self, adam: &Adam) {
+        self.linear.step(adam, 0.0);
+    }
+
+    fn num_params(&mut self) -> usize {
+        self.linear.num_params()
+    }
 }
 
-impl CtrModel for DeepFm {
+impl DeepBlock for FmTerm {
     fn name(&self) -> &'static str {
         "DeepFM"
     }
@@ -98,39 +88,13 @@ impl CtrModel for DeepFm {
             classifier: "Deep",
         }
     }
-
-    fn train_batch(&mut self, batch: &Batch) -> f32 {
-        let m = self.num_fields;
-        self.forward(batch);
-        let loss_value = bce_with_logits_into(&self.logits, &batch.labels, &mut self.grad);
-        self.mlp
-            .backward_into(&self.emb_buf, &self.grad, &mut self.d_emb);
-        fm_term_backward(&self.emb_buf, m, self.dim, &self.grad, &mut self.d_emb);
-        self.linear.backward(&batch.fields, &self.grad);
-        self.emb
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
-        self.adam.begin_step();
-        let mut adam = self.adam;
-        self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        self.linear.step(&self.adam, 0.0);
-        self.emb.apply_adam(&self.adam, self.l2);
-        loss_value
-    }
-
-    fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.forward(batch);
-        loss::probabilities(&self.logits)
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.linear.num_params() + self.emb.num_params() + self.mlp.num_params()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_model;
+    use crate::traits::CtrModel;
     use optinter_data::Profile;
 
     #[test]

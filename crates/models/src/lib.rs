@@ -24,9 +24,12 @@
 //! experiment harness.
 //!
 //! One type serves each family: [`FmFamily`] is FM, FwFM or FmFM by
-//! [`FmVariant`], and [`Pnn`] is IPNN or OPNN by [`ProductKind`]. LR,
-//! Poly2, the FM family and DeepFM share one first-order term
-//! (`b + Σ_f w[x_f]` and its per-field gradient scatter), and FM and
+//! [`FmVariant`], and [`Pnn`] is IPNN or OPNN by [`ProductKind`]. The six
+//! deep models are one type too: [`Deep`] runs `optinter_core`'s network
+//! body, the one the OptInter models train on, over the model's
+//! combination block ([`DeepBlock`]), so each deep model's file holds only
+//! its block. LR, Poly2, the FM family and DeepFM share one first-order
+//! term (`b + Σ_f w[x_f]` and its per-field gradient scatter), and FM and
 //! DeepFM share one Rendle pair term. [`runner`] trains and scores every
 //! model through `optinter_core::trainer`'s epoch pass, scoring pass and
 //! early-stopping rule, the ones the OptInter models use.
@@ -34,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod autofis;
+pub mod deep;
 pub mod deepfm;
 pub mod fm;
 pub mod fnn;
@@ -47,6 +51,7 @@ pub mod traits;
 pub mod zoo;
 
 pub use autofis::AutoFis;
+pub use deep::{Deep, DeepBlock};
 pub use deepfm::DeepFm;
 pub use fm::{FmFamily, FmVariant};
 pub use fnn::Fnn;

@@ -8,11 +8,11 @@
 //!   sum-pooling approximation, the outer product is taken on the pooled
 //!   embedding `f_Σ = Σ_i e_i`, giving `vec(f_Σ f_Σ^T)` (`k²` features).
 
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
-use optinter_data::{Batch, PairIndexer};
-use optinter_nn::{
-    bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Mlp, MlpConfig,
-};
+use crate::deep::{classifier, Deep, DeepBlock};
+use crate::traits::{BaselineConfig, Category, Taxonomy};
+use optinter_core::{Block, Inputs};
+use optinter_data::PairIndexer;
+use optinter_nn::{EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,25 +27,16 @@ pub enum ProductKind {
 }
 
 /// A product-based neural network: IPNN or OPNN by [`ProductKind`].
-pub struct Pnn {
+pub type Pnn = Deep<Products>;
+
+/// A PNN's block: the MLP input is `e^o` followed by the product features.
+pub struct Products {
     kind: ProductKind,
-    emb: EmbeddingTable,
-    mlp: Mlp,
-    adam: Adam,
-    l2: f32,
     num_fields: usize,
     dim: usize,
     pairs: PairIndexer,
-    // Persistent step buffers: overwritten in full every batch so the
-    // steady-state train step reuses their capacity.
-    emb_buf: Matrix,
-    /// OPNN: pooled embedding per row.
+    /// OPNN: pooled embedding per row, held from forward to backward.
     pooled: Matrix,
-    input: Matrix,
-    logits: Matrix,
-    grad: Matrix,
-    dinput: Matrix,
-    d_emb: Matrix,
     d_pool: Vec<f32>,
 }
 
@@ -65,45 +56,26 @@ impl Pnn {
             ProductKind::Outer => k * k,
         };
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
-        let mut mlp = Mlp::new(
-            &mut rng,
-            &MlpConfig {
-                input_dim: num_fields * k + product_dim,
-                hidden: cfg.hidden.clone(),
-                output_dim: 1,
-                layer_norm: cfg.layer_norm,
-                ln_eps: 1e-5,
-            },
-        );
-        mlp.set_pool(&Pool::new(cfg.num_threads));
-        Self {
+        let mlp = Mlp::new(&mut rng, &classifier(cfg, num_fields * k + product_dim));
+        let block = Products {
             kind,
-            emb,
-            mlp,
-            adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
-            l2: cfg.l2,
             num_fields,
             dim: k,
             pairs,
-            emb_buf: Matrix::zeros(0, 0),
             pooled: Matrix::zeros(0, 0),
-            input: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-            grad: Matrix::zeros(0, 0),
-            dinput: Matrix::zeros(0, 0),
-            d_emb: Matrix::zeros(0, 0),
             d_pool: Vec::new(),
-        }
+        };
+        Deep::with_parts(block, emb, mlp, cfg, num_fields, Pool::new(cfg.num_threads))
     }
+}
 
-    /// Fills `self.input` (and the `emb_buf`/`pooled` activations the
-    /// backward pass reads) from the batch.
-    fn build_input(&mut self, batch: &Batch) {
+impl Block for Products {
+    /// Fills `input` (and the `pooled` activations the backward pass
+    /// reads) from the batch's embeddings.
+    fn forward(&mut self, x: &Inputs<'_>, input: &mut Matrix) {
         let m = self.num_fields;
         let k = self.dim;
-        let b = batch.len();
-        self.emb
-            .lookup_fields_pooled_into(&batch.fields, m, &Pool::serial(), &mut self.emb_buf);
+        let b = x.eo.rows();
         let product_dim = match self.kind {
             ProductKind::Inner => {
                 self.pooled.reset(0, 0);
@@ -114,13 +86,13 @@ impl Pnn {
                 k * k
             }
         };
-        self.input.reset(b, m * k + product_dim);
-        self.input.copy_block_from(&self.emb_buf, 0);
+        input.reset(b, m * k + product_dim);
+        input.copy_block_from(x.eo, 0);
         for r in 0..b {
-            let row = self.emb_buf.row(r);
+            let row = x.eo.row(r);
             match self.kind {
                 ProductKind::Inner => {
-                    let dst = self.input.row_mut(r);
+                    let dst = input.row_mut(r);
                     for (p, (i, j)) in self.pairs.iter().enumerate() {
                         let mut dot = 0.0f32;
                         for c in 0..k {
@@ -136,7 +108,7 @@ impl Pnn {
                             pool[c] += row[f * k + c];
                         }
                     }
-                    let dst = self.input.row_mut(r);
+                    let dst = input.row_mut(r);
                     let pool = self.pooled.row(r);
                     for a in 0..k {
                         for c in 0..k {
@@ -148,19 +120,17 @@ impl Pnn {
         }
     }
 
-    /// Propagates `self.dinput` through the product features into
-    /// `self.d_emb` (the gradient of the raw embedding block).
-    fn backward_products(&mut self, batch: &Batch) {
+    /// Propagates `dinput` through the product features into `d_eo`.
+    fn backward(&mut self, x: &Inputs<'_>, dinput: &Matrix, _: &Matrix, d_eo: &mut Matrix) {
         let m = self.num_fields;
         let k = self.dim;
-        let b = batch.len();
-        self.dinput.block_into(0, m * k, &mut self.d_emb);
-        for r in 0..b {
-            let g_row = self.dinput.row(r);
+        dinput.block_into(0, m * k, d_eo);
+        for r in 0..dinput.rows() {
+            let g_row = dinput.row(r);
             match self.kind {
                 ProductKind::Inner => {
-                    let row = self.emb_buf.row(r);
-                    let d_row = self.d_emb.row_mut(r);
+                    let row = x.eo.row(r);
+                    let d_row = d_eo.row_mut(r);
                     for (p, (i, j)) in self.pairs.iter().enumerate() {
                         let g = g_row[m * k + p];
                         for c in 0..k {
@@ -182,7 +152,7 @@ impl Pnn {
                         }
                     }
                     // pool = sum of all field embeddings: broadcast back.
-                    let d_row = self.d_emb.row_mut(r);
+                    let d_row = d_eo.row_mut(r);
                     for f in 0..m {
                         for c in 0..k {
                             d_row[f * k + c] += self.d_pool[c];
@@ -194,7 +164,7 @@ impl Pnn {
     }
 }
 
-impl CtrModel for Pnn {
+impl DeepBlock for Products {
     fn name(&self) -> &'static str {
         match self.kind {
             ProductKind::Inner => "IPNN",
@@ -212,37 +182,6 @@ impl CtrModel for Pnn {
             },
             classifier: "Deep",
         }
-    }
-
-    fn train_batch(&mut self, batch: &Batch) -> f32 {
-        self.build_input(batch);
-        self.mlp.forward_into(&self.input, &mut self.logits);
-        let loss_value = bce_with_logits_into(&self.logits, &batch.labels, &mut self.grad);
-        self.mlp
-            .backward_into(&self.input, &self.grad, &mut self.dinput);
-        self.backward_products(batch);
-        self.emb.accumulate_grad_fields_pooled(
-            &batch.fields,
-            self.num_fields,
-            &self.d_emb,
-            &Pool::serial(),
-        );
-        self.adam.begin_step();
-        let mut adam = self.adam;
-        self.mlp.visit_params(&mut |p| adam.step(p, 0.0));
-        self.adam = adam;
-        self.emb.apply_adam(&self.adam, self.l2);
-        loss_value
-    }
-
-    fn predict(&mut self, batch: &Batch) -> Vec<f32> {
-        self.build_input(batch);
-        self.mlp.forward_into(&self.input, &mut self.logits);
-        loss::probabilities(&self.logits)
-    }
-
-    fn num_params(&mut self) -> usize {
-        self.emb.num_params() + self.mlp.num_params()
     }
 }
 
@@ -287,14 +226,14 @@ mod tests {
     fn input_dims_differ_between_variants() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 19);
         let cfg = BaselineConfig::test_small();
-        let ipnn = build(ProductKind::Inner, &cfg, &bundle);
-        let opnn = build(ProductKind::Outer, &cfg, &bundle);
+        let mut ipnn = build(ProductKind::Inner, &cfg, &bundle);
+        let mut opnn = build(ProductKind::Outer, &cfg, &bundle);
         assert_eq!(
-            ipnn.mlp.input_dim(),
+            ipnn.body.mlp_mut().input_dim(),
             bundle.data.num_fields * cfg.embed_dim + bundle.data.num_pairs
         );
         assert_eq!(
-            opnn.mlp.input_dim(),
+            opnn.body.mlp_mut().input_dim(),
             bundle.data.num_fields * cfg.embed_dim + cfg.embed_dim * cfg.embed_dim
         );
     }

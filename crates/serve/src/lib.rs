@@ -8,8 +8,8 @@
 //!   hot-first, weights flattened into contiguous arenas, optional
 //!   f16/int8 row quantization accepted only behind an AUC-delta gate.
 //! - [`FrozenScorer`] is the zero-alloc single-request/small-batch
-//!   scorer: it loads the frozen weights into the training forward
-//!   (`optinter_core::net::FixedForward`) and runs it, so its scores are
+//!   scorer: it loads the frozen weights into the training forward (a
+//!   `Body` over `optinter_core::net::FixedBlock`) and runs it, so its scores are
 //!   training's bit for bit (parity proved by `tests/serve_parity.rs`).
 //! - [`serve`] is the micro-batching front door: a bounded request queue
 //!   with deadline flush on the prefetch ring idiom, driven by the

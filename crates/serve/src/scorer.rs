@@ -5,21 +5,21 @@
 //! [`FrozenScorer::score_into`] produces probabilities bitwise-identical
 //! to `OptInterNet::predict` on the same batch at any thread count. That
 //! holds because the scorer runs the training forward itself: it loads
-//! the artifact into a [`FixedForward`], the type `OptInterNet` trains,
-//! and calls its `forward_ids_into` — the same embedding stores and
-//! lookups, the same combination block and the same [`Mlp`](optinter_nn::Mlp)
-//! kernels — then the same `sigmoid`. The one serving-side step is the
-//! hot-first permutation of a dense original table: validation maps each
-//! field id to its arena row through `row_map`, so identical bytes land in
-//! identical scratch positions.
+//! the artifact into a [`Body`] over a [`FixedBlock`], the type
+//! `OptInterNet` trains, and calls its `forward` — the same embedding
+//! stores and lookups, the same combination block and the same
+//! [`Mlp`](optinter_nn::Mlp) kernels — then the same `sigmoid`. The one
+//! serving-side step is the hot-first permutation of a dense original
+//! table: validation maps each field id to its arena row through
+//! `row_map`, so identical bytes land in identical scratch positions.
 //!
 //! Steady-state scoring performs zero heap allocations (proved by
 //! `tests/alloc_steady_state.rs`): all scratch lives in the scorer and is
 //! `reset` in place per request.
 
 use crate::artifact::{ArtifactError, FrozenModel, Quant};
-use optinter_core::net::{DataDims, FixedForward};
-use optinter_core::{Method, OptInterConfig};
+use optinter_core::net::{DataDims, FixedBlock};
+use optinter_core::{Body, Method, OptInterConfig};
 use optinter_data::Batch;
 use optinter_nn::loss::probabilities_into;
 use optinter_tensor::kernels::{self, Backend};
@@ -132,8 +132,7 @@ pub struct FrozenScorer {
     /// Empty when the original store is hashed: its ids index it directly.
     row_map: Vec<u32>,
     /// The training forward over the frozen weights.
-    fwd: FixedForward,
-    pool: Pool,
+    fwd: Body<FixedBlock>,
     /// The request's field ids as the original store indexes them.
     ids: Vec<u32>,
 }
@@ -168,14 +167,13 @@ impl FrozenScorer {
             cross_store: model.cross_store.kind,
             ..OptInterConfig::default()
         };
-        let pool = Pool::new(num_threads);
         let mut fetched = 0usize;
-        let fwd = FixedForward::from_weights(
+        let fwd = Body::from_weights(
             &cfg,
             dims.clone(),
             &model.arch,
             [model.orig_store.seed, model.cross_store.seed],
-            &pool,
+            Pool::new(num_threads),
             &mut |name, (rows, cols)| {
                 let t = model
                     .tensor(name)
@@ -204,14 +202,13 @@ impl FrozenScorer {
             frozen_backend: model.backend,
             row_map,
             fwd,
-            pool,
             ids: Vec::new(),
         })
     }
 
     /// MLP input dimension (diagnostics).
     pub fn input_dim(&self) -> usize {
-        self.fwd.layout().input_dim()
+        self.fwd.block().layout().input_dim()
     }
 
     /// Quantization mode of the loaded artifact.
@@ -233,14 +230,14 @@ impl FrozenScorer {
 
     /// Dataset dimensions baked into the artifact.
     pub fn dims(&self) -> &DataDims {
-        self.fwd.dims()
+        self.fwd.block().dims()
     }
 
     /// Whether scoring needs cross features in the batch (the frozen
     /// architecture memorizes at least one pair). The micro-batch front
     /// door uses this to validate requests before they are queued.
     pub fn requires_cross(&self) -> bool {
-        self.fwd.layout().num_memorized() > 0
+        self.fwd.block().layout().num_memorized() > 0
     }
 
     /// Scores a batch of requests into `out` (cleared first): `out[i]` is
@@ -254,9 +251,7 @@ impl FrozenScorer {
     pub fn score_into(&mut self, batch: &Batch, out: &mut Vec<f32>) -> Result<(), ScoreError> {
         out.clear();
         self.validate(batch)?;
-        let logits = self
-            .fwd
-            .forward_ids_into(&self.pool, &self.ids, &batch.cross);
+        let logits = self.fwd.forward(&self.ids, &batch.cross);
         probabilities_into(logits, out);
         Ok(())
     }
@@ -267,7 +262,7 @@ impl FrozenScorer {
     /// Allocation-free at steady state: every [`ScoreError`] is plain
     /// fields.
     fn validate(&mut self, batch: &Batch) -> Result<(), ScoreError> {
-        let dims = self.fwd.dims();
+        let dims = self.fwd.block().dims();
         let m = dims.num_fields;
         if batch.num_fields != m {
             return Err(ScoreError::FieldCountMismatch {
@@ -297,7 +292,7 @@ impl FrozenScorer {
                     .push(self.row_map.get(id as usize).copied().unwrap_or(id));
             }
         }
-        let layout = self.fwd.layout();
+        let layout = self.fwd.block().layout();
         if layout.num_memorized() == 0 {
             return Ok(());
         }

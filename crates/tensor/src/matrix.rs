@@ -473,7 +473,9 @@ impl Matrix {
     /// # Panics
     /// Panics if the block does not fit.
     pub fn copy_block_from(&mut self, src: &Matrix, col_offset: usize) {
+        // lint: allow(panic-free, reason="serving reaches this only through Body::forward's generic Block dispatch to the deep zoo's blocks; the scorer's block is FixedBlock, which never calls it")
         assert_eq!(self.rows, src.rows, "copy_block_from: row count mismatch");
+        // lint: allow(panic-free, reason="serving reaches this only through Body::forward's generic Block dispatch to the deep zoo's blocks; the scorer's block is FixedBlock, which never calls it")
         assert!(
             col_offset + src.cols <= self.cols,
             "copy_block_from: block [{}, {}) exceeds {} cols",

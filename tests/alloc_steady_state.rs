@@ -1,8 +1,8 @@
 //! Runtime cross-check of the `hot-path-alloc` lint rule: a counting
 //! global allocator proves that steady-state training performs **zero**
 //! heap allocations per batch — for the fixed-architecture OptInterNet,
-//! the search-stage Supernet, and the LR baseline, with the prefetching
-//! pipeline on and off.
+//! the search-stage Supernet, and every baseline of the zoo (AutoFIS in
+//! search and re-train mode), with the prefetching pipeline on and off.
 //!
 //! The static rule (`optinter-lint`, DESIGN.md §10) can only flag
 //! allocation *tokens* it can see; this test closes the loop by counting
@@ -16,7 +16,7 @@
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, FactFn, Method, OptInterConfig, OptInterNet, Supernet};
 use optinter_data::{Batch, BatchStream, DatasetBundle, Profile};
-use optinter_models::{BaselineConfig, CtrModel, Lr};
+use optinter_models::{build_model, AutoFis, BaselineConfig, CtrModel, ModelKind};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
 use optinter_serve::{freeze, serve, FrozenScorer, ManualClock, MicroBatchOptions, Quant};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -230,14 +230,24 @@ fn steady_state_training_performs_zero_heap_allocations() {
         });
         assert!(loss_sum.is_finite(), "Supernet loss diverged");
 
-        // A paper baseline: logistic regression through the CtrModel trait.
-        let cfg = BaselineConfig::test_small();
-        let mut lr = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
-        let mut loss_sum = 0.0f32;
-        assert_zero_alloc_epoch("LR", &bundle, prefetch, &mut |b| {
-            loss_sum += lr.train_batch(b);
-        });
-        assert!(loss_sum.is_finite(), "LR loss diverged");
+        // Every baseline through the CtrModel trait, the deep ones on the
+        // 2-thread pool; AutoFIS is built in search mode, and once more
+        // re-training a fixed selection.
+        let cfg = BaselineConfig::test_small().with_threads(2);
+        let (vocab, fields) = (bundle.data.orig_vocab, bundle.data.num_fields);
+        let mask: Vec<bool> = (0..dims.num_pairs).map(|p| p % 2 == 0).collect();
+        let retrain: Box<dyn CtrModel> = Box::new(AutoFis::retrain(&cfg, vocab, fields, mask));
+        let models = ModelKind::all()
+            .into_iter()
+            .map(|kind| (kind.name(), build_model(kind, &cfg, &bundle.data)))
+            .chain([("AutoFIS(retrain)", retrain)]);
+        for (name, mut model) in models {
+            let mut loss_sum = 0.0f32;
+            assert_zero_alloc_epoch(name, &bundle, prefetch, &mut |b| {
+                loss_sum += model.train_batch(b);
+            });
+            assert!(loss_sum.is_finite(), "{name} loss diverged");
+        }
     }
 
     // ------------------------------------------------------------------
