@@ -347,7 +347,7 @@ fn bench_embedding(quick: bool) -> Vec<EmbeddingRow> {
     });
     let adam = Adam::with_lr_eps(1e-3, 1e-8);
     let acc_ns = time_ns(samples, || {
-        table.accumulate_grad_fields_pooled(&ids, fields, &grad, &Pool::serial());
+        table.accumulate_grad_fields_pooled(&ids, fields, &grad);
         table.apply_adam(&adam, 1e-4);
     });
     rows.push(EmbeddingRow {
@@ -450,7 +450,7 @@ fn bench_embedding_scale(quick: bool) -> Vec<EmbedScaleRow> {
         let ns = time_ns(apply_samples, || {
             adam.begin_step();
             table.lookup_fields_pooled_into(&ids, fields, &Pool::serial(), &mut out);
-            table.accumulate_grad_fields_pooled(&ids, fields, &grad, &Pool::serial());
+            table.accumulate_grad_fields_pooled(&ids, fields, &grad);
             table.apply_adam(&adam, 1e-4);
         });
         std::hint::black_box(out.as_slice());

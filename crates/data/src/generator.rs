@@ -14,11 +14,12 @@
 //! matches the profile (Table II's `pos ratio` column).
 //!
 //! A value's own parts of the ground truth (its field weight, its three
-//! nonlinear projections and its latent vector) are read per row, so
-//! [`SyntheticGenerator::new`] tabulates them once for every field of at
-//! most 2¹⁶ values; larger fields and the per-combination memorized effects
-//! are hashed on demand. The public per-value fns hash every time and are
-//! the bit reference the tables are tested against (DESIGN.md §9).
+//! nonlinear projections and its latent vector) form one entry, read per
+//! row. [`SyntheticGenerator::new`] tabulates the entries of every field of
+//! at most 2¹⁶ values; a larger field's entry is hashed once per row into a
+//! scratch entry, and the per-combination memorized effects are hashed on
+//! demand. The public per-value fns hash every time and are the bit
+//! reference the entries are tested against (DESIGN.md §9).
 
 use crate::hash;
 use crate::schema::{PairIndexer, Schema};
@@ -216,7 +217,7 @@ pub struct SyntheticGenerator {
     pairs: PairIndexer,
     /// Per field, its values' entries back to back (laid out as the
     /// `ENTRY_*` offsets say), or `None` for a field of more than
-    /// `TABLE_MAX_VALUES` values, whose parts are hashed on demand.
+    /// `TABLE_MAX_VALUES` values, whose entry is hashed once per row.
     tables: Vec<Option<Vec<f32>>>,
     bias: f32,
 }
@@ -236,23 +237,20 @@ const TABLE_MAX_VALUES: u32 = 1 << 16;
 const CALIBRATION_ROWS: usize = 4000;
 const CALIBRATION_SEED: u64 = 0xCA11B;
 
-/// Layout of one table entry: the scaled field weight, then the three
+/// Layout of one entry: the scaled field weight, then the three
 /// `TAG_NONLIN` projections, then the `latent_dim` latent coordinates.
 const ENTRY_WEIGHT: usize = 0;
 const ENTRY_NONLIN: usize = 1;
 const ENTRY_LATENT: usize = ENTRY_NONLIN + 3;
 
 impl SyntheticGenerator {
-    /// Builds a generator: tabulates the per-value ground truth of every
-    /// field of at most 2¹⁶ values, then calibrates the bias so the
-    /// marginal positive ratio approximates `spec.target_pos_ratio`.
+    /// Builds a generator: one value sampler per field from one running
+    /// sum, the per-value ground truth of every field of at most 2¹⁶ values
+    /// as a table, then the bias calibrated so the marginal positive ratio
+    /// approximates `spec.target_pos_ratio`.
     pub fn new(spec: SyntheticSpec) -> Self {
         spec.validate();
-        let samplers = spec
-            .cardinalities
-            .iter()
-            .map(|&c| Zipf::new(c, spec.zipf_exponent))
-            .collect();
+        let samplers = Zipf::for_supports(&spec.cardinalities, spec.zipf_exponent);
         let pairs = PairIndexer::new(spec.cardinalities.len());
         let mut gen = Self {
             spec,
@@ -268,23 +266,31 @@ impl SyntheticGenerator {
         gen
     }
 
-    /// Field `f`'s table, built from the same hashes the public per-value
-    /// fns compute, or `None` past `TABLE_MAX_VALUES`.
+    /// Field `f`'s table, or `None` past `TABLE_MAX_VALUES`.
     fn table(&self, f: usize) -> Option<Vec<f32>> {
         let card = self.spec.cardinalities[f];
         if card > TABLE_MAX_VALUES {
             return None;
         }
-        let mut table = Vec::with_capacity(card as usize * self.entry_len());
-        for v in 0..card {
-            table.push(self.field_weight(f, v));
-            table.extend(self.hashed_projections(f, v));
-            table.extend((0..self.spec.latent_dim).map(|d| self.hashed_latent(f, v, d)));
+        let len = self.entry_len();
+        let mut table = vec![0.0; card as usize * len];
+        for (v, entry) in (0..card).zip(table.chunks_exact_mut(len)) {
+            self.hash_entry(f, v, entry);
         }
         Some(table)
     }
 
-    /// Floats per table entry.
+    /// Writes the entry of value `v` in field `f`, from the same hashes the
+    /// public per-value fns compute.
+    fn hash_entry(&self, f: usize, v: u32, entry: &mut [f32]) {
+        entry[ENTRY_WEIGHT] = self.field_weight(f, v);
+        entry[ENTRY_NONLIN..ENTRY_LATENT].copy_from_slice(&self.hashed_projections(f, v));
+        for (d, z) in entry[ENTRY_LATENT..].iter_mut().enumerate() {
+            *z = self.hashed_latent(f, v, d);
+        }
+    }
+
+    /// Floats per entry.
     fn entry_len(&self) -> usize {
         ENTRY_LATENT + self.spec.latent_dim
     }
@@ -342,17 +348,28 @@ impl SyntheticGenerator {
     /// Ground-truth logit of a row (excluding noise and bias): the
     /// nonlinear component, the field weights and the planted pair effects,
     /// summed in that order. Bit for bit the sum of the public per-value
-    /// fns; a value of a field with a table is read from it.
+    /// fns.
     pub fn structural_logit(&self, values: &[u32]) -> f32 {
-        let mut logit = self.nonlinear(values, |f, v| match self.entry(f, v) {
-            Some(e) => [e[ENTRY_NONLIN], e[ENTRY_NONLIN + 1], e[ENTRY_NONLIN + 2]],
-            None => self.hashed_projections(f, v),
+        self.row_logit(values, &mut vec![0.0; values.len() * self.entry_len()])
+    }
+
+    /// [`Self::structural_logit`] with each field's entry read through
+    /// [`Self::entry`]: a field without a table first has its value's entry
+    /// hashed into its slot of `scratch`, one entry per field.
+    fn row_logit(&self, values: &[u32], scratch: &mut [f32]) -> f32 {
+        let len = self.entry_len();
+        for ((f, &v), slot) in values.iter().enumerate().zip(scratch.chunks_exact_mut(len)) {
+            if self.tables[f].is_none() {
+                self.hash_entry(f, v, slot);
+            }
+        }
+        let scratch = &*scratch;
+        let mut logit = self.nonlinear(values, |f, v| {
+            let e = self.entry(f, v, scratch);
+            [e[ENTRY_NONLIN], e[ENTRY_NONLIN + 1], e[ENTRY_NONLIN + 2]]
         });
         for (f, &v) in values.iter().enumerate() {
-            logit += match self.entry(f, v) {
-                Some(e) => e[ENTRY_WEIGHT],
-                None => self.field_weight(f, v),
-            };
+            logit += self.entry(f, v, scratch)[ENTRY_WEIGHT];
         }
         for (p, (i, j)) in self.pairs.iter().enumerate() {
             let (vi, vj) = (values[i], values[j]);
@@ -361,11 +378,8 @@ impl SyntheticGenerator {
                     logit += self.memorized_effect(p, vi, vj);
                 }
                 PlantedKind::Factorized => {
-                    let (ei, ej) = (self.entry(i, vi), self.entry(j, vj));
-                    logit += self.factorized(
-                        |d| self.latent_at(ei, i, vi, d),
-                        |d| self.latent_at(ej, j, vj, d),
-                    );
+                    let (ei, ej) = (self.entry(i, vi, scratch), self.entry(j, vj, scratch));
+                    logit += self.factorized(|d| ei[ENTRY_LATENT + d], |d| ej[ENTRY_LATENT + d]);
                 }
                 PlantedKind::None => {}
             }
@@ -373,28 +387,20 @@ impl SyntheticGenerator {
         logit
     }
 
-    /// The table entry of value `v` in field `f`, or `None` when the field
-    /// has no table.
+    /// The entry of value `v` in field `f`: from the field's table, or from
+    /// the field's slot of `scratch` when it has none.
     #[inline]
-    fn entry(&self, f: usize, v: u32) -> Option<&[f32]> {
+    fn entry<'a>(&'a self, f: usize, v: u32, scratch: &'a [f32]) -> &'a [f32] {
         let len = self.entry_len();
-        let table = self.tables[f].as_deref()?;
-        Some(&table[v as usize * len..][..len])
+        match &self.tables[f] {
+            Some(table) => &table[v as usize * len..][..len],
+            None => &scratch[f * len..][..len],
+        }
     }
 
     /// The three nonlinear projections of value `v` in field `f`.
     fn hashed_projections(&self, f: usize, v: u32) -> [f32; 3] {
         [1, 2, 3].map(|t| hash::hash_normal(self.spec.seed, &[TAG_NONLIN, t, f as u64, v as u64]))
-    }
-
-    /// Coordinate `d` of the latent vector of value `v` in field `f`, read
-    /// from `entry`, the value's table entry, when there is one.
-    #[inline]
-    fn latent_at(&self, entry: Option<&[f32]>, f: usize, v: u32, d: usize) -> f32 {
-        match entry {
-            Some(e) => e[ENTRY_LATENT + d],
-            None => self.hashed_latent(f, v, d),
-        }
     }
 
     /// Coordinate `d` of the latent vector of value `v` in field `f`.
@@ -438,11 +444,13 @@ impl SyntheticGenerator {
     /// `CALIBRATION_ROWS` drawn rows to the target positive ratio.
     fn calibrate_bias(&self) -> f32 {
         let mut rng = StdRng::seed_from_u64(self.spec.seed ^ CALIBRATION_SEED);
-        let mut values = vec![0u32; self.spec.cardinalities.len()];
+        let m = self.spec.cardinalities.len();
+        let mut values = vec![0u32; m];
+        let mut scratch = vec![0.0; m * self.entry_len()];
         let logits: Vec<f32> = (0..CALIBRATION_ROWS)
             .map(|_| {
                 self.draw(&mut rng, &mut values);
-                self.structural_logit(&values)
+                self.row_logit(&values, &mut scratch)
             })
             .collect();
         bias_for(&logits, self.spec.target_pos_ratio as f32)
@@ -459,9 +467,10 @@ impl SyntheticGenerator {
         let mut labels = Vec::with_capacity(n);
         let mut logits = Vec::with_capacity(n);
         let mut values = vec![0u32; m];
+        let mut scratch = vec![0.0; m * self.entry_len()];
         for _ in 0..n {
             self.draw(&mut rng, &mut values);
-            let mut logit = self.bias + self.structural_logit(&values);
+            let mut logit = self.bias + self.row_logit(&values, &mut scratch);
             if self.spec.noise_std > 0.0 {
                 let (z, _) = optinter_tensor::init::box_muller(&mut rng);
                 logit += z * self.spec.noise_std;

@@ -259,7 +259,7 @@ impl CtrModel for FmFamily {
         }
         self.linear.backward(&batch.fields, &self.grad);
         self.emb
-            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb, &Pool::serial());
+            .accumulate_grad_fields_pooled(&batch.fields, m, &self.d_emb);
         self.adam.begin_step();
         self.linear.step(&self.adam, 0.0);
         self.emb.apply_adam(&self.adam, self.l2);

@@ -2,7 +2,7 @@
 //! `b + Σ_f w[x_f]`, a bias plus one scalar weight per feature value.
 
 use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Parameter};
-use optinter_tensor::{Matrix, Pool};
+use optinter_tensor::Matrix;
 
 /// A bias plus one weight per original-feature value. The weights are a
 /// dim-1 embedding table, so sparse Adam applies to them.
@@ -86,6 +86,6 @@ pub(crate) fn scatter(
     for f in 0..width {
         column.clear();
         column.extend((0..grad.rows()).map(|r| ids[r * width + f]));
-        weights.accumulate_grad_fields_pooled(column, 1, grad, &Pool::serial());
+        weights.accumulate_grad_fields_pooled(column, 1, grad);
     }
 }

@@ -430,9 +430,8 @@ impl EmbeddingTable {
     /// `grad` has shape `[B, num_fields*dim]`.
     ///
     /// Appends the ids and their gradient rows to the pending list in
-    /// `(b, f)` order, one sequential copy; the next apply sums each id's
-    /// rows (see the module doc). The copy needs no threads, so `_pool` is
-    /// unused.
+    /// `(b, f)` order, one sequential copy that needs no threads; the next
+    /// apply sums each id's rows (see the module doc).
     ///
     /// # Panics
     /// Panics on a ragged batch, a `grad` of the wrong shape, or an id
@@ -442,7 +441,6 @@ impl EmbeddingTable {
         flat: &[u32],
         num_fields: usize,
         grad: &Matrix,
-        _pool: &Pool,
     ) {
         let dim = self.dim();
         assert_eq!(
@@ -674,9 +672,9 @@ mod tests {
         out
     }
 
-    /// Scatters row `r` of `grad` onto `ids[r]` on a serial pool.
+    /// Scatters row `r` of `grad` onto `ids[r]`.
     fn scatter(t: &mut EmbeddingTable, ids: &[u32], grad: &Matrix) {
-        t.accumulate_grad_fields_pooled(ids, 1, grad, &Pool::serial());
+        t.accumulate_grad_fields_pooled(ids, 1, grad);
     }
 
     fn small_table() -> EmbeddingTable {
@@ -740,7 +738,7 @@ mod tests {
         let mut t = small_table();
         let flat = [0u32, 1];
         let grad = Matrix::from_rows(&[&[0.5, 0.5, 1.5, 1.5]]);
-        t.accumulate_grad_fields_pooled(&flat, 2, &grad, &Pool::serial());
+        t.accumulate_grad_fields_pooled(&flat, 2, &grad);
         t.apply_sgd(1.0, 0.0);
         assert_eq!(t.row(0), &[-0.5, 0.5]);
         assert_eq!(t.row(1), &[0.5, 1.5]);
@@ -830,8 +828,8 @@ mod tests {
         let mut lookup_pooled = Matrix::zeros(0, 0);
         pooled_t.lookup_fields_pooled_into(&flat, fields, &pool, &mut lookup_pooled);
         assert_eq!(lookup_serial.as_slice(), lookup_pooled.as_slice());
-        serial_t.accumulate_grad_fields_pooled(&flat, fields, &grad, &Pool::serial());
-        pooled_t.accumulate_grad_fields_pooled(&flat, fields, &grad, &pool);
+        serial_t.accumulate_grad_fields_pooled(&flat, fields, &grad);
+        pooled_t.accumulate_grad_fields_pooled(&flat, fields, &grad);
         serial_t.apply_sgd(1.0, 0.0);
         pooled_t.apply_sgd(1.0, 0.0);
         for (a, b) in serial_t
@@ -1086,9 +1084,8 @@ mod tests {
         }
 
         fn accumulate(&mut self, flat: &[u32], num_fields: usize, grad: &Matrix) {
-            let serial = Pool::serial();
             self.list
-                .accumulate_grad_fields_pooled(flat, num_fields, grad, &serial);
+                .accumulate_grad_fields_pooled(flat, num_fields, grad);
             self.arena.accumulate(flat, num_fields, grad);
         }
 
@@ -1482,6 +1479,6 @@ mod tests {
     fn list_bits_id_past_vocab_panics_in_accumulate() {
         let mut t = EmbeddingTable::zeros(2049, 2);
         let grad = Matrix::zeros(2, 4);
-        t.accumulate_grad_fields_pooled(&[0, 5, 2048, 2049], 2, &grad, &Pool::serial());
+        t.accumulate_grad_fields_pooled(&[0, 5, 2048, 2049], 2, &grad);
     }
 }

@@ -353,9 +353,9 @@ impl HashedEmbedding {
             }
         }
         self.t1
-            .accumulate_grad_fields_pooled(&self.idx1, num_fields, &self.g1, pool);
+            .accumulate_grad_fields_pooled(&self.idx1, num_fields, &self.g1);
         self.t2
-            .accumulate_grad_fields_pooled(&self.idx2, num_fields, &self.g2, pool);
+            .accumulate_grad_fields_pooled(&self.idx2, num_fields, &self.g2);
     }
 
     /// Applies one Adam step to both sub-tables (shared timestep).
@@ -525,7 +525,7 @@ impl EmbedStore {
         pool: &Pool,
     ) {
         match self {
-            EmbedStore::Dense(t) => t.accumulate_grad_fields_pooled(flat, num_fields, grad, pool),
+            EmbedStore::Dense(t) => t.accumulate_grad_fields_pooled(flat, num_fields, grad),
             EmbedStore::Hashed(h) => h.accumulate_grad_fields_pooled(flat, num_fields, grad, pool),
         }
     }

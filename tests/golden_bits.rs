@@ -1,8 +1,10 @@
 //! Golden bits: a small run of every training, search and serving surface
 //! prints its results as bit patterns, and the lines must equal
 //! `tests/golden_bits.txt` byte for byte, at 1 and 2 threads and on both
-//! kernel backends. A change that means to move no bit leaves the file
-//! as it is; one that means to move bits regenerates it and says why.
+//! kernel backends. The file ends with one line per data profile: its
+//! generator's bias and the digests of 2,000 generated rows. A change that
+//! means to move no bit leaves the file as it is; one that means to move
+//! bits regenerates it and says why.
 //!
 //! Regenerate with
 //! `cargo test --release --test golden_bits -- --ignored`.
@@ -22,7 +24,7 @@ use optinter_core::{
     joint_search_supernet, run_two_stage, search_architecture, train_fixed, Architecture, FactFn,
     Method, OptInterConfig, SearchStrategy, TrainReport,
 };
-use optinter_data::{BatchIter, DatasetBundle, Profile};
+use optinter_data::{BatchIter, DatasetBundle, Profile, SyntheticGenerator};
 use optinter_models::autofis::run_autofis;
 use optinter_models::{build_model, run_model, BaselineConfig, ModelKind, RunReport};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
@@ -195,6 +197,37 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
     out
 }
 
+/// One line per profile: the calibrated bias and the digests of the rows,
+/// labels and logits of `generate(2_000, 7)`. Generation takes no pool
+/// and no kernel backend, so these lines are computed once per run.
+fn data_lines() -> String {
+    let mut out = String::new();
+    for profile in [
+        Profile::CriteoLike,
+        Profile::AvazuLike,
+        Profile::IpinyouLike,
+        Profile::PrivateLike,
+        Profile::Tiny,
+        Profile::GiantVocab,
+    ] {
+        let gen = SyntheticGenerator::new(profile.spec());
+        let data = gen.generate(2_000, 7);
+        let rows = data
+            .rows
+            .iter()
+            .fold(FNV_START, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let _ = writeln!(
+            out,
+            "data {} bias={:08x} rows={rows:016x} labels={:016x} logits={:016x}",
+            profile.name(),
+            gen.bias().to_bits(),
+            fnv1a(FNV_START, &data.labels),
+            digest_f32(&data.logits)
+        );
+    }
+    out
+}
+
 fn bundle() -> DatasetBundle {
     Profile::Tiny.bundle_with_rows(1_200, 7)
 }
@@ -212,6 +245,7 @@ fn every_surface_reproduces_the_golden_bits() {
         return;
     }
     let bundle = bundle();
+    let data = data_lines();
     let default = kernels::active();
     let mut backends = vec![default];
     if default != Backend::Scalar {
@@ -220,7 +254,7 @@ fn every_surface_reproduces_the_golden_bits() {
     for &backend in &backends {
         kernels::set_active(backend);
         for threads in [1, 2] {
-            let got = golden_lines(&bundle, threads);
+            let got = golden_lines(&bundle, threads) + &data;
             print!("{}", got);
             let diff: Vec<String> = want
                 .lines()
@@ -246,6 +280,6 @@ fn every_surface_reproduces_the_golden_bits() {
 #[test]
 #[ignore = "rewrites tests/golden_bits.txt; run with --ignored"]
 fn regenerate_golden_bits() {
-    let lines = golden_lines(&bundle(), 1);
+    let lines = golden_lines(&bundle(), 1) + &data_lines();
     std::fs::write(GOLDEN, lines).expect("tests/golden_bits.txt is writable");
 }
