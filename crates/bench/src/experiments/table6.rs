@@ -3,7 +3,7 @@
 //! profiles, plus the planted ground truth for reference (something the
 //! paper cannot show on real data, but our synthetic substrate can).
 
-use crate::configs::{baseline_config, optinter_config, ExpOptions};
+use crate::configs::{optinter_config, ExpOptions};
 use crate::report::{save_json, Table};
 use optinter_core::{search_architecture, Method, SearchStrategy};
 use optinter_data::{PlantedKind, Profile};
@@ -65,7 +65,7 @@ pub fn run(opts: &ExpOptions) {
     let mut cells = vec!["AutoFIS".to_string()];
     for profile in profiles {
         let bundle = opts.bundle(profile);
-        let cfg = baseline_config(profile, opts.seed, opts.threads);
+        let cfg = optinter_config(profile, opts.seed, opts.threads);
         let mut model = AutoFis::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         train_model(&mut model, &bundle, &cfg);
         let counts = model.selection_counts();

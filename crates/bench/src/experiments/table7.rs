@@ -3,9 +3,9 @@
 //! embedding sizes until their parameter counts match, and shows that the
 //! extra capacity does not close the gap.
 
-use crate::configs::{baseline_config, optinter_config, ExpOptions};
+use crate::configs::{optinter_config, ExpOptions};
 use crate::report::{format_params, save_json, Table};
-use optinter_core::{run_two_stage, SearchStrategy};
+use optinter_core::{run_two_stage, OptInterConfig, SearchStrategy};
 use optinter_data::Profile;
 use optinter_models::{build_model, run_model, ModelKind};
 use serde::Serialize;
@@ -40,12 +40,14 @@ pub fn run(opts: &ExpOptions) {
             ModelKind::Ipnn,
             ModelKind::DeepFm,
         ] {
-            let mut cfg = baseline_config(profile, opts.seed, opts.threads);
-            cfg.embed_dim = enlarged_dim;
+            let cfg = OptInterConfig {
+                orig_dim: enlarged_dim,
+                ..ocfg.clone()
+            };
             let mut model = build_model(kind, &cfg, &bundle.data);
             let r = run_model(model.as_mut(), &bundle, &cfg);
             table.push(vec![
-                r.model.clone(),
+                kind.name().into(),
                 format!("{:.4}", r.auc),
                 format!("{:.4}", r.log_loss),
                 enlarged_dim.to_string(),
@@ -54,7 +56,7 @@ pub fn run(opts: &ExpOptions) {
             ]);
             json.push(JsonRow {
                 dataset: profile.name().into(),
-                model: r.model,
+                model: kind.name().into(),
                 embed_dim: enlarged_dim,
                 auc: r.auc,
                 log_loss: r.log_loss,

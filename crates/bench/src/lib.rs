@@ -16,9 +16,12 @@
 //! | `figure6` | Fig. 6     | MI heat-map and selection map |
 //! | `all`     | everything | runs the full suite sequentially |
 //!
-//! Each binary accepts `--rows N` (dataset size), `--seed S` and `--quick`
-//! (shrink everything for a smoke run). Results are printed as markdown and
-//! appended as JSON to `results/` for EXPERIMENTS.md bookkeeping.
+//! Each binary accepts `--rows N` (dataset size), `--seed S`, `--repeats
+//! R`, `--threads T` and `--quick` (shrink everything for a smoke run),
+//! and exits with the usage on anything else ([`ExpOptions::parse`]).
+//! OptInter and the baseline zoo take one config per profile,
+//! [`optinter_config`]. Results are printed as markdown and appended as
+//! JSON to `results/` for EXPERIMENTS.md bookkeeping.
 
 #![forbid(unsafe_code)]
 
@@ -28,6 +31,6 @@ pub mod perf;
 pub mod report;
 pub mod runner;
 
-pub use configs::{baseline_config, optinter_config, ExpOptions};
+pub use configs::{optinter_config, ExpOptions};
 pub use report::{render_table, save_json, Table};
 pub use runner::{run_baseline_row, run_optinter_rows, Row};

@@ -1,6 +1,6 @@
 //! Shared experiment execution: one row of Table V per call.
 
-use crate::configs::{baseline_config, optinter_config};
+use crate::configs::optinter_config;
 use optinter_core::{
     run_two_stage, train_fixed, Architecture, Method, SearchStrategy, TrainReport,
 };
@@ -36,53 +36,36 @@ pub fn run_baseline_row(
     seed: u64,
     threads: usize,
 ) -> Row {
-    let cfg = baseline_config(profile, seed, threads);
+    let cfg = optinter_config(profile, seed, threads);
     if kind == ModelKind::AutoFis {
         let (report, counts) = run_autofis(bundle, &cfg);
         return Row {
-            dataset: profile.name().into(),
-            model: report.model,
-            auc: report.auc,
-            log_loss: report.log_loss,
-            params: report.num_params,
             arch_counts: Some(counts),
-            planted_agreement: None,
+            ..report_to_row(profile, kind.name(), &report, bundle)
         };
     }
     let mut model = build_model(kind, &cfg, &bundle.data);
     let report = run_model(model.as_mut(), bundle, &cfg);
-    Row {
-        dataset: profile.name().into(),
-        model: report.model,
-        auc: report.auc,
-        log_loss: report.log_loss,
-        params: report.num_params,
-        arch_counts: None,
-        planted_agreement: None,
-    }
+    report_to_row(profile, kind.name(), &report, bundle)
 }
 
+/// The row of `name`'s report on `profile`, with the architecture's
+/// counts and planted agreement when the report has one.
 fn report_to_row(
     profile: Profile,
     name: &str,
     report: &TrainReport,
     bundle: &DatasetBundle,
 ) -> Row {
-    let (counts, agreement) = match &report.architecture {
-        Some(arch) => (
-            Some(arch.counts()),
-            Some(arch.agreement_with(&bundle.planted)),
-        ),
-        None => (None, None),
-    };
+    let arch = report.architecture.as_ref();
     Row {
         dataset: profile.name().into(),
         model: name.into(),
         auc: report.auc,
         log_loss: report.log_loss,
         params: report.num_params,
-        arch_counts: counts,
-        planted_agreement: agreement,
+        arch_counts: arch.map(Architecture::counts),
+        planted_agreement: arch.map(|a| a.agreement_with(&bundle.planted)),
     }
 }
 

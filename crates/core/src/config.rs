@@ -1,5 +1,5 @@
-//! OptInter hyper-parameters — the Table IV analogue, scaled to the
-//! single-core synthetic substrate.
+//! Hyper-parameters of OptInter and the baseline zoo — the Table IV
+//! analogue, scaled to the single-core synthetic substrate.
 
 use crate::gumbel::TauSchedule;
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
@@ -31,10 +31,14 @@ impl FactFn {
     }
 }
 
-/// Hyper-parameters for OptInter training (search and re-train stages).
+/// Hyper-parameters for OptInter training (search and re-train stages)
+/// and for the baseline zoo (`optinter-models`), which reads the fields
+/// it shares with OptInter plus [`subnet`](Self::subnet),
+/// [`grda_c`](Self::grda_c) and [`grda_mu`](Self::grda_mu).
 #[derive(Debug, Clone)]
 pub struct OptInterConfig {
-    /// Embedding size for original features (Table IV: `s1`).
+    /// Embedding size for original features (Table IV: `s1`), every zoo
+    /// model's embedding size too.
     pub orig_dim: usize,
     /// Embedding size for cross-product features (Table IV: `s2`).
     pub cross_dim: usize,
@@ -52,13 +56,15 @@ pub struct OptInterConfig {
     pub lr_arch: f32,
     /// Adam epsilon (Table IV: `eps`).
     pub adam_eps: f32,
-    /// L2 on original embeddings (Table IV: `l2_o`).
+    /// L2 on original embeddings (Table IV: `l2_o`), and the weight decay
+    /// every zoo model puts on its tables (LR's and Poly2's weights too).
     pub l2_orig: f32,
     /// L2 on cross-product embeddings (Table IV: `l2_c`).
     pub l2_cross: f32,
     /// Epochs for the search stage.
     pub search_epochs: usize,
-    /// Epochs for the re-train stage.
+    /// Epochs for the re-train stage, and every zoo model's epoch budget
+    /// (AutoFIS's gate search and re-train alike).
     pub retrain_epochs: usize,
     /// Factorization function for the factorized branch.
     pub fact_fn: FactFn,
@@ -87,6 +93,13 @@ pub struct OptInterConfig {
     /// bitwise-equivalent on touched rows; `LazyCatchUp` defers
     /// weight-decay-only updates until rows are next touched.
     pub embed_opt: EmbedOptimizerMode,
+    /// PIN's micro-network widths: hidden widths, then the output width
+    /// (Table IV: `sub-net`).
+    pub subnet: Vec<usize>,
+    /// AutoFIS's GRDA `c` (Table IV).
+    pub grda_c: f32,
+    /// AutoFIS's GRDA `μ` (Table IV).
+    pub grda_mu: f32,
 }
 
 impl Default for OptInterConfig {
@@ -119,6 +132,9 @@ impl Default for OptInterConfig {
             orig_store: StoreKind::Dense,
             cross_store: StoreKind::Dense,
             embed_opt: EmbedOptimizerMode::Sparse,
+            subnet: vec![16, 4],
+            grda_c: 5e-4,
+            grda_mu: 0.8,
         }
     }
 }
@@ -138,6 +154,7 @@ impl OptInterConfig {
             lr_arch: 5e-2,
             search_epochs: 2,
             retrain_epochs: 8,
+            subnet: vec![8, 3],
             ..Self::default()
         }
     }

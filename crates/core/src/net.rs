@@ -283,8 +283,9 @@ impl Body<FixedBlock> {
     }
 }
 
-/// The classifier `cfg` names over an `input_dim`-wide input.
-pub(crate) fn mlp_config(cfg: &OptInterConfig, input_dim: usize) -> MlpConfig {
+/// The classifier `cfg` names over an `input_dim`-wide input: every
+/// network body's MLP, OptInter's and the deep zoo's.
+pub fn mlp_config(cfg: &OptInterConfig, input_dim: usize) -> MlpConfig {
     MlpConfig {
         layer_norm: cfg.layer_norm,
         ..MlpConfig::classifier(input_dim, cfg.hidden.clone())

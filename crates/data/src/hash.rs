@@ -6,20 +6,14 @@
 //! through SplitMix64, so any weight can be recomputed on demand and the
 //! ground truth is fully deterministic.
 
-/// One round of the SplitMix64 mixing function.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use optinter_tensor::hash::splitmix64;
+use optinter_tensor::hash::MULT;
 
 /// Combines a seed with up to four identifiers into one well-mixed u64.
 pub fn combine(seed: u64, parts: &[u64]) -> u64 {
     let mut h = splitmix64(seed ^ 0xD1B5_4A32_D192_ED03);
     for &p in parts {
-        h = splitmix64(h ^ p.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        h = splitmix64(h ^ p.wrapping_mul(MULT));
     }
     h
 }
@@ -73,9 +67,6 @@ pub struct OpenTable {
     shift: u32,
     len: usize,
 }
-
-/// Fibonacci multiplier (2^64 / φ), the classic multiply-shift constant.
-const MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl OpenTable {
     /// Initial capacity (slots). Must be a power of two.
@@ -220,15 +211,6 @@ impl Default for OpenTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_mixing() {
-        assert_eq!(splitmix64(42), splitmix64(42));
-        assert_ne!(splitmix64(42), splitmix64(43));
-        // Single-bit input changes should flip many output bits.
-        let diff = (splitmix64(1) ^ splitmix64(0)).count_ones();
-        assert!(diff > 16, "poor avalanche: {diff} bits");
-    }
 
     #[test]
     fn combine_depends_on_all_parts() {

@@ -10,9 +10,11 @@
 //! [`run_autofis`] performs the full two-phase procedure: gate search with
 //! GRDA, then re-training from scratch with the selected pairs only.
 
-use crate::deep::{classifier, Deep, DeepBlock};
-use crate::traits::{BaselineConfig, Category, Taxonomy};
-use optinter_core::{Block, Inputs};
+use crate::deep::{Deep, DeepBlock};
+use crate::runner::{run_model, train_model};
+use crate::traits::{Category, Taxonomy};
+use optinter_core::net::mlp_config;
+use optinter_core::{Block, Inputs, OptInterConfig, TrainReport};
 use optinter_data::{DatasetBundle, PairIndexer};
 use optinter_nn::{Adam, DenseOptimizer, EmbeddingTable, Grda, GrdaConfig, Mlp, Parameter};
 use optinter_tensor::{Matrix, Pool};
@@ -40,13 +42,13 @@ pub struct Gates {
 
 impl AutoFis {
     /// Creates an AutoFIS model in search mode.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    pub fn new(cfg: &OptInterConfig, orig_vocab: u32, num_fields: usize) -> Self {
         Self::build(cfg, orig_vocab, num_fields, None)
     }
 
     /// Creates an AutoFIS model in re-train mode with a fixed selection.
     pub fn retrain(
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         orig_vocab: u32,
         num_fields: usize,
         mask: Vec<bool>,
@@ -55,13 +57,13 @@ impl AutoFis {
     }
 
     fn build(
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         orig_vocab: u32,
         num_fields: usize,
         fixed_mask: Option<Vec<bool>>,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xAF15);
-        let k = cfg.embed_dim;
+        let k = cfg.orig_dim;
         let pairs = PairIndexer::new(num_fields);
         if let Some(mask) = &fixed_mask {
             assert_eq!(mask.len(), pairs.num_pairs(), "mask must cover every pair");
@@ -69,7 +71,7 @@ impl AutoFis {
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
         let mlp = Mlp::new(
             &mut rng,
-            &classifier(cfg, num_fields * k + pairs.num_pairs()),
+            &mlp_config(cfg, num_fields * k + pairs.num_pairs()),
         );
         // Search mode: gates start at 0 so GRDA's dual accumulator starts
         // at the pruning threshold — gates that receive consistent signal
@@ -212,33 +214,31 @@ impl DeepBlock for Gates {
     }
 }
 
-/// The full AutoFIS pipeline: gate search with GRDA, then re-train from
-/// scratch with the selected interactions. Returns the re-trained report
-/// and the Table VI selection counts.
-pub fn run_autofis(
-    bundle: &DatasetBundle,
-    cfg: &BaselineConfig,
-) -> (crate::runner::RunReport, [usize; 3]) {
+/// The full AutoFIS pipeline: gate search with GRDA for
+/// `cfg.retrain_epochs` epochs, then re-train from scratch with the
+/// selected interactions under early stopping. Returns the re-trained
+/// report and the Table VI selection counts.
+pub fn run_autofis(bundle: &DatasetBundle, cfg: &OptInterConfig) -> (TrainReport, [usize; 3]) {
     let mut search = AutoFis::new(cfg, bundle.data.orig_vocab, bundle.data.num_fields);
-    crate::runner::train_model(&mut search, bundle, cfg);
+    train_model(&mut search, bundle, cfg);
     let mask = search.selection();
     let counts = search.selection_counts();
     let mut final_model =
         AutoFis::retrain(cfg, bundle.data.orig_vocab, bundle.data.num_fields, mask);
-    let report = crate::runner::run_model(&mut final_model, bundle, cfg);
+    let report = run_model(&mut final_model, bundle, cfg);
     (report, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_model, train_model};
+    use crate::runner::test_config;
     use optinter_data::Profile;
 
     #[test]
     fn search_trains_and_predicts() {
         let bundle = Profile::Tiny.bundle_with_rows(3000, 27);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = AutoFis::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let r = run_model(&mut model, &bundle, &cfg);
         assert!(r.auc > 0.58, "AutoFIS AUC {}", r.auc);
@@ -247,10 +247,10 @@ mod tests {
     #[test]
     fn grda_prunes_some_gates_with_strong_threshold() {
         let bundle = Profile::Tiny.bundle_with_rows(2500, 28);
-        let cfg = BaselineConfig {
+        let cfg = OptInterConfig {
             grda_c: 5e-2, // aggressive threshold to force pruning in 2 epochs
             grda_mu: 0.8,
-            ..BaselineConfig::test_small()
+            ..test_config()
         };
         let mut model = AutoFis::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         train_model(&mut model, &bundle, &cfg);
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn retrain_mode_has_frozen_gates() {
         let bundle = Profile::Tiny.bundle_with_rows(1000, 29);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mask: Vec<bool> = (0..bundle.data.num_pairs).map(|p| p % 2 == 0).collect();
         let mut model = AutoFis::retrain(
             &cfg,
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn full_pipeline_runs() {
         let bundle = Profile::Tiny.bundle_with_rows(2000, 30);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let (report, counts) = run_autofis(&bundle, &cfg);
         assert!(report.auc > 0.55);
         assert_eq!(counts[0], 0);

@@ -4,10 +4,10 @@
 //! backward and the optimizer step with OptInter's own networks. Each
 //! model's file holds only its block.
 
-use crate::traits::{BaselineConfig, CtrModel, Taxonomy};
-use optinter_core::{Block, Body};
+use crate::traits::{CtrModel, Taxonomy};
+use optinter_core::{Block, Body, OptInterConfig};
 use optinter_data::Batch;
-use optinter_nn::{Adam, EmbedStore, EmbeddingTable, Mlp, MlpConfig};
+use optinter_nn::{Adam, EmbedStore, EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
 
 /// A deep baseline's combination block, with its row of Table III.
@@ -27,18 +27,18 @@ pub struct Deep<B> {
 impl<B: DeepBlock> Deep<B> {
     /// A model over `block`, the dense table `emb` read `num_fields` ids
     /// per row, and `mlp`, on `pool`, stepped by `cfg`'s Adam with weight
-    /// decay `cfg.l2` on the table.
+    /// decay `cfg.l2_orig` on the table.
     pub(crate) fn with_parts(
         block: B,
         emb: EmbeddingTable,
         mlp: Mlp,
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         num_fields: usize,
         pool: Pool,
     ) -> Self {
         let e_orig = EmbedStore::Dense(Box::new(emb));
         let adam = Adam::with_lr_eps(cfg.lr, cfg.adam_eps);
-        let body = Body::new(block, e_orig, mlp, adam, cfg.l2, pool, num_fields);
+        let body = Body::new(block, e_orig, mlp, adam, cfg.l2_orig, pool, num_fields);
         Self { body }
     }
 
@@ -67,14 +67,6 @@ impl<B: DeepBlock> CtrModel for Deep<B> {
 
     fn num_params(&mut self) -> usize {
         self.body.num_params()
-    }
-}
-
-/// The classifier `cfg` names over an `input_dim`-wide input.
-pub(crate) fn classifier(cfg: &BaselineConfig, input_dim: usize) -> MlpConfig {
-    MlpConfig {
-        layer_norm: cfg.layer_norm,
-        ..MlpConfig::classifier(input_dim, cfg.hidden.clone())
     }
 }
 

@@ -2,11 +2,12 @@
 //! embedding table; the two logits are summed (paper Table III: factorized,
 //! `<e_i, e_j>`, deep classifier).
 
-use crate::deep::{classifier, copy_into, Deep, DeepBlock};
+use crate::deep::{copy_into, Deep, DeepBlock};
 use crate::fm::{add_fm_term, fm_term_backward};
 use crate::linear::Linear;
-use crate::traits::{BaselineConfig, Category, Taxonomy};
-use optinter_core::{Block, Inputs};
+use crate::traits::{Category, Taxonomy};
+use optinter_core::net::mlp_config;
+use optinter_core::{Block, Inputs, OptInterConfig};
 use optinter_nn::{Adam, EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
@@ -27,11 +28,11 @@ pub struct FmTerm {
 
 impl DeepFm {
     /// Creates a DeepFM for the dataset's vocabulary.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    pub fn new(cfg: &OptInterConfig, orig_vocab: u32, num_fields: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDEEF);
-        let k = cfg.embed_dim;
+        let k = cfg.orig_dim;
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
-        let mlp = Mlp::new(&mut rng, &classifier(cfg, num_fields * k));
+        let mlp = Mlp::new(&mut rng, &mlp_config(cfg, num_fields * k));
         let block = FmTerm {
             linear: Linear::new(orig_vocab, num_fields),
             num_fields,
@@ -93,14 +94,14 @@ impl DeepBlock for FmTerm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_model;
+    use crate::runner::{run_model, test_config};
     use crate::traits::CtrModel;
     use optinter_data::Profile;
 
     #[test]
     fn deepfm_trains_and_beats_chance() {
         let bundle = Profile::Tiny.bundle_with_rows(4000, 21);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = DeepFm::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let r = run_model(&mut model, &bundle, &cfg);
         assert!(r.auc > 0.6, "DeepFM AUC {}", r.auc);
@@ -109,12 +110,12 @@ mod tests {
     #[test]
     fn shares_one_embedding_table() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 22);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = DeepFm::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let vocab = bundle.data.orig_vocab as usize;
         // One dense table + one linear table, no duplicate embeddings.
-        let expected_emb = vocab * cfg.embed_dim + vocab + 1;
+        let expected_emb = vocab * cfg.orig_dim + vocab + 1;
         assert!(model.num_params() > expected_emb);
-        assert!(model.num_params() < expected_emb + 2 * vocab * cfg.embed_dim);
+        assert!(model.num_params() < expected_emb + 2 * vocab * cfg.orig_dim);
     }
 }

@@ -10,7 +10,8 @@
 //! - **FmFM**: `e_i W_(i,j) e_j^T` with a learnable matrix per pair.
 
 use crate::linear::Linear;
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
+use crate::traits::{Category, CtrModel, Taxonomy};
+use optinter_core::OptInterConfig;
 use optinter_data::{Batch, PairIndexer};
 use optinter_nn::{bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable, Parameter};
 use optinter_tensor::{Matrix, Pool};
@@ -99,12 +100,12 @@ impl FmFamily {
     /// Creates the given member of the family for the dataset's vocabulary.
     pub fn new(
         variant: FmVariant,
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         orig_vocab: u32,
         num_fields: usize,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF2);
-        let k = cfg.embed_dim;
+        let k = cfg.orig_dim;
         let pairs = PairIndexer::new(num_fields);
         let pair_params = match variant {
             FmVariant::Plain => Parameter::zeros(1, 1),
@@ -127,7 +128,7 @@ impl FmFamily {
             emb: EmbeddingTable::new(&mut rng, orig_vocab as usize, k),
             pair_params,
             adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
-            l2: cfg.l2,
+            l2: cfg.l2_orig,
             num_fields,
             dim: k,
             pairs,
@@ -287,10 +288,10 @@ impl CtrModel for FmFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{evaluate_model, run_model, train_model};
+    use crate::runner::{evaluate_model, run_model, test_config, train_model};
     use optinter_data::{DatasetBundle, Profile};
 
-    fn build(variant: FmVariant, cfg: &BaselineConfig, bundle: &DatasetBundle) -> FmFamily {
+    fn build(variant: FmVariant, cfg: &OptInterConfig, bundle: &DatasetBundle) -> FmFamily {
         FmFamily::new(variant, cfg, bundle.data.orig_vocab, bundle.data.num_fields)
     }
 
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn fm_learns_factorized_structure() {
         let bundle = Profile::Tiny.bundle_with_rows(4000, 7);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fm = build(FmVariant::Plain, &cfg, &bundle);
         let report = run_model(&mut fm, &bundle, &cfg);
         assert!(report.auc > 0.6, "FM AUC {}", report.auc);
@@ -346,7 +347,7 @@ mod tests {
         // With pair weights at 1, FwFM's prediction equals FM's given the
         // same seed (identical embeddings).
         let bundle = Profile::Tiny.bundle_with_rows(300, 8);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fm = build(FmVariant::Plain, &cfg, &bundle);
         let mut fwfm = build(FmVariant::FieldWeighted, &cfg, &bundle);
         let batch = optinter_data::BatchIter::new(&bundle.data, 0..16, 16, None)
@@ -362,7 +363,7 @@ mod tests {
     #[test]
     fn fmfm_initialises_to_fm() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 8);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fm = build(FmVariant::Plain, &cfg, &bundle);
         let mut fmfm = build(FmVariant::FieldMatrixed, &cfg, &bundle);
         let batch = optinter_data::BatchIter::new(&bundle.data, 0..16, 16, None)
@@ -378,7 +379,7 @@ mod tests {
     #[test]
     fn param_counts_ordered_by_expressiveness() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 9);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fm = build(FmVariant::Plain, &cfg, &bundle);
         let mut fwfm = build(FmVariant::FieldWeighted, &cfg, &bundle);
         let mut fmfm = build(FmVariant::FieldMatrixed, &cfg, &bundle);
@@ -389,7 +390,7 @@ mod tests {
     #[test]
     fn fwfm_trains_without_nan() {
         let bundle = Profile::Tiny.bundle_with_rows(2000, 10);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = build(FmVariant::FieldWeighted, &cfg, &bundle);
         let report = run_model(&mut model, &bundle, &cfg);
         assert!(report.auc.is_finite() && report.log_loss.is_finite());
@@ -399,7 +400,7 @@ mod tests {
     #[test]
     fn fmfm_trains_without_nan() {
         let bundle = Profile::Tiny.bundle_with_rows(2000, 10);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = build(FmVariant::FieldMatrixed, &cfg, &bundle);
         train_model(&mut model, &bundle, &cfg);
         let eval = evaluate_model(

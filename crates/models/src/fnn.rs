@@ -1,9 +1,10 @@
 //! FNN (Zhang et al. 2016): original-feature embeddings fed directly into
 //! an MLP — the deep naïve method (paper Fig. 1a).
 
-use crate::deep::{classifier, copy_into, Deep, DeepBlock};
-use crate::traits::{BaselineConfig, Category, Taxonomy};
-use optinter_core::{Block, Inputs};
+use crate::deep::{copy_into, Deep, DeepBlock};
+use crate::traits::{Category, Taxonomy};
+use optinter_core::net::mlp_config;
+use optinter_core::{Block, Inputs, OptInterConfig};
 use optinter_nn::{EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
 use rand::rngs::StdRng;
@@ -18,10 +19,10 @@ pub struct Concat;
 
 impl Fnn {
     /// Creates an FNN for the dataset's vocabulary.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    pub fn new(cfg: &OptInterConfig, orig_vocab: u32, num_fields: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF44);
-        let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, cfg.embed_dim);
-        let mlp = Mlp::new(&mut rng, &classifier(cfg, num_fields * cfg.embed_dim));
+        let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, cfg.orig_dim);
+        let mlp = Mlp::new(&mut rng, &mlp_config(cfg, num_fields * cfg.orig_dim));
         Deep::with_parts(
             Concat,
             emb,
@@ -62,14 +63,14 @@ impl DeepBlock for Concat {
 mod tests {
     use super::*;
     use crate::lr::Lr;
-    use crate::runner::run_model;
+    use crate::runner::{run_model, test_config};
     use crate::traits::CtrModel;
     use optinter_data::Profile;
 
     #[test]
     fn fnn_beats_lr() {
         let bundle = Profile::Tiny.bundle_with_rows(6000, 13);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut lr = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let lr_report = run_model(&mut lr, &bundle, &cfg);
         let mut fnn = Fnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
@@ -88,7 +89,7 @@ mod tests {
     #[test]
     fn does_not_need_cross_features() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 14);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let fnn = Fnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         assert!(!fnn.needs_cross());
     }
@@ -96,9 +97,9 @@ mod tests {
     #[test]
     fn param_count_embeddings_plus_mlp() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 15);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fnn = Fnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
-        let emb = bundle.data.orig_vocab as usize * cfg.embed_dim;
+        let emb = bundle.data.orig_vocab as usize * cfg.orig_dim;
         assert!(fnn.num_params() > emb);
     }
 }

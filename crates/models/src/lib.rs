@@ -32,7 +32,10 @@
 //! term (`b + Σ_f w[x_f]` and its per-field gradient scatter), and FM and
 //! DeepFM share one Rendle pair term. [`runner`] trains and scores every
 //! model through `optinter_core::trainer`'s epoch pass, scoring pass and
-//! early-stopping rule, the ones the OptInter models use.
+//! early-stopping rule, the ones the OptInter models use. Every model is
+//! built from the OptInter models' config, `optinter_core::OptInterConfig`,
+//! which holds the zoo's own Table IV values too (PIN's `subnet`,
+//! AutoFIS's `grda_c` and `grda_mu`).
 
 #![forbid(unsafe_code)]
 
@@ -59,6 +62,6 @@ pub use lr::Lr;
 pub use pin::Pin;
 pub use pnn::{Pnn, ProductKind};
 pub use poly2::Poly2;
-pub use runner::{evaluate_model, run_model, train_model, RunReport};
-pub use traits::{BaselineConfig, Category, CtrModel, Taxonomy};
+pub use runner::{evaluate_model, run_model, train_model};
+pub use traits::{Category, CtrModel, Taxonomy};
 pub use zoo::{build_model, ModelKind};

@@ -2,7 +2,8 @@
 //! `logit = b + Σ_f w[x_f]` over one-hot original features.
 
 use crate::linear::Linear;
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
+use crate::traits::{Category, CtrModel, Taxonomy};
+use optinter_core::OptInterConfig;
 use optinter_data::Batch;
 use optinter_nn::{bce_with_logits_into, loss, Adam, DenseOptimizer};
 use optinter_tensor::Matrix;
@@ -20,11 +21,11 @@ pub struct Lr {
 
 impl Lr {
     /// Creates an LR model for a global vocabulary size.
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    pub fn new(cfg: &OptInterConfig, orig_vocab: u32, num_fields: usize) -> Self {
         Self {
             linear: Linear::new(orig_vocab, num_fields),
             adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
-            l2: cfg.l2,
+            l2: cfg.l2_orig,
             logits: Matrix::zeros(0, 0),
             grad: Matrix::zeros(0, 0),
         }
@@ -67,13 +68,13 @@ impl CtrModel for Lr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{evaluate_model, train_model};
+    use crate::runner::{evaluate_model, test_config, train_model};
     use optinter_data::Profile;
 
     #[test]
     fn lr_learns_main_effects() {
         let bundle = Profile::Tiny.bundle_with_rows(3000, 2);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         train_model(&mut model, &bundle, &cfg);
         let eval = evaluate_model(
@@ -88,7 +89,7 @@ mod tests {
     #[test]
     fn param_count_is_vocab_plus_bias() {
         let bundle = Profile::Tiny.bundle_with_rows(500, 3);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         assert_eq!(model.num_params(), bundle.data.orig_vocab as usize + 1);
     }
@@ -96,7 +97,7 @@ mod tests {
     #[test]
     fn initial_prediction_is_half() {
         let bundle = Profile::Tiny.bundle_with_rows(200, 4);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let batch = optinter_data::BatchIter::new(&bundle.data, 0..8, 8, None)
             .next()

@@ -4,9 +4,10 @@
 //! fed to the top MLP. The micro network is the paper's "net(e_i, e_j)"
 //! learnable factorization function (Table III).
 
-use crate::deep::{classifier, Deep, DeepBlock};
-use crate::traits::{BaselineConfig, Category, Taxonomy};
-use optinter_core::{Block, Inputs};
+use crate::deep::{Deep, DeepBlock};
+use crate::traits::{Category, Taxonomy};
+use optinter_core::net::mlp_config;
+use optinter_core::{Block, Inputs, OptInterConfig};
 use optinter_data::PairIndexer;
 use optinter_nn::{EmbeddingTable, Mlp, MlpConfig, Parameter};
 use optinter_tensor::{Matrix, Pool};
@@ -38,19 +39,19 @@ impl Pin {
     /// Creates a PIN. `cfg.subnet` gives the micro-network shape: all but
     /// the last entry are hidden widths, the last is the output width
     /// (Table IV: `sub-net=[40,5]`).
-    pub fn new(cfg: &BaselineConfig, orig_vocab: u32, num_fields: usize) -> Self {
+    pub fn new(cfg: &OptInterConfig, orig_vocab: u32, num_fields: usize) -> Self {
         assert!(
             cfg.subnet.len() >= 2,
             "PIN subnet needs at least [hidden, out]"
         );
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x914);
-        let k = cfg.embed_dim;
+        let k = cfg.orig_dim;
         let pairs = PairIndexer::new(num_fields);
         let sub_out = *cfg.subnet.last().expect("subnet non-empty");
         let sub_cfg = MlpConfig {
             hidden: cfg.subnet[..cfg.subnet.len() - 1].to_vec(),
             output_dim: sub_out,
-            ..classifier(cfg, 3 * k)
+            ..mlp_config(cfg, 3 * k)
         };
         let pool = Pool::new(cfg.num_threads);
         let subnets: Vec<Mlp> = (0..pairs.num_pairs())
@@ -61,7 +62,7 @@ impl Pin {
             })
             .collect();
         let top_dim = num_fields * k + pairs.num_pairs() * sub_out;
-        let top = Mlp::new(&mut rng, &classifier(cfg, top_dim));
+        let top = Mlp::new(&mut rng, &mlp_config(cfg, top_dim));
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
         let block = MicroNets {
             subnets,
@@ -154,13 +155,13 @@ impl DeepBlock for MicroNets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_model;
+    use crate::runner::{run_model, test_config};
     use optinter_data::Profile;
 
     #[test]
     fn pin_trains_and_beats_chance() {
         let bundle = Profile::Tiny.bundle_with_rows(3000, 25);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = Pin::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let r = run_model(&mut model, &bundle, &cfg);
         assert!(r.auc > 0.58, "PIN AUC {}", r.auc);
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn has_one_subnet_per_pair() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 26);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let pin = Pin::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         assert_eq!(pin.block().subnets.len(), bundle.data.num_pairs);
     }
@@ -177,9 +178,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "subnet needs at least")]
     fn rejects_degenerate_subnet() {
-        let cfg = BaselineConfig {
+        let cfg = OptInterConfig {
             subnet: vec![5],
-            ..BaselineConfig::test_small()
+            ..test_config()
         };
         let _ = Pin::new(&cfg, 100, 4);
     }

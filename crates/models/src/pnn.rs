@@ -8,9 +8,10 @@
 //!   sum-pooling approximation, the outer product is taken on the pooled
 //!   embedding `f_Σ = Σ_i e_i`, giving `vec(f_Σ f_Σ^T)` (`k²` features).
 
-use crate::deep::{classifier, Deep, DeepBlock};
-use crate::traits::{BaselineConfig, Category, Taxonomy};
-use optinter_core::{Block, Inputs};
+use crate::deep::{Deep, DeepBlock};
+use crate::traits::{Category, Taxonomy};
+use optinter_core::net::mlp_config;
+use optinter_core::{Block, Inputs, OptInterConfig};
 use optinter_data::PairIndexer;
 use optinter_nn::{EmbeddingTable, Mlp};
 use optinter_tensor::{Matrix, Pool};
@@ -44,19 +45,19 @@ impl Pnn {
     /// Creates the given PNN for the dataset's vocabulary.
     pub fn new(
         kind: ProductKind,
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         orig_vocab: u32,
         num_fields: usize,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x944);
-        let k = cfg.embed_dim;
+        let k = cfg.orig_dim;
         let pairs = PairIndexer::new(num_fields);
         let product_dim = match kind {
             ProductKind::Inner => pairs.num_pairs(),
             ProductKind::Outer => k * k,
         };
         let emb = EmbeddingTable::new(&mut rng, orig_vocab as usize, k);
-        let mlp = Mlp::new(&mut rng, &classifier(cfg, num_fields * k + product_dim));
+        let mlp = Mlp::new(&mut rng, &mlp_config(cfg, num_fields * k + product_dim));
         let block = Products {
             kind,
             num_fields,
@@ -189,17 +190,17 @@ impl DeepBlock for Products {
 mod tests {
     use super::*;
     use crate::fnn::Fnn;
-    use crate::runner::run_model;
+    use crate::runner::{run_model, test_config};
     use optinter_data::{DatasetBundle, Profile};
 
-    fn build(kind: ProductKind, cfg: &BaselineConfig, bundle: &DatasetBundle) -> Pnn {
+    fn build(kind: ProductKind, cfg: &OptInterConfig, bundle: &DatasetBundle) -> Pnn {
         Pnn::new(kind, cfg, bundle.data.orig_vocab, bundle.data.num_fields)
     }
 
     #[test]
     fn ipnn_beats_fnn_on_factorized_structure() {
         let bundle = Profile::Tiny.bundle_with_rows(6000, 17);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut fnn = Fnn::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         let fnn_r = run_model(&mut fnn, &bundle, &cfg);
         let mut ipnn = build(ProductKind::Inner, &cfg, &bundle);
@@ -216,7 +217,7 @@ mod tests {
     #[test]
     fn opnn_trains() {
         let bundle = Profile::Tiny.bundle_with_rows(3000, 18);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut opnn = build(ProductKind::Outer, &cfg, &bundle);
         let r = run_model(&mut opnn, &bundle, &cfg);
         assert!(r.auc > 0.55 && r.auc.is_finite(), "OPNN AUC {}", r.auc);
@@ -225,16 +226,16 @@ mod tests {
     #[test]
     fn input_dims_differ_between_variants() {
         let bundle = Profile::Tiny.bundle_with_rows(300, 19);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut ipnn = build(ProductKind::Inner, &cfg, &bundle);
         let mut opnn = build(ProductKind::Outer, &cfg, &bundle);
         assert_eq!(
             ipnn.body.mlp_mut().input_dim(),
-            bundle.data.num_fields * cfg.embed_dim + bundle.data.num_pairs
+            bundle.data.num_fields * cfg.orig_dim + bundle.data.num_pairs
         );
         assert_eq!(
             opnn.body.mlp_mut().input_dim(),
-            bundle.data.num_fields * cfg.embed_dim + cfg.embed_dim * cfg.embed_dim
+            bundle.data.num_fields * cfg.orig_dim + cfg.orig_dim * cfg.orig_dim
         );
     }
 }

@@ -3,7 +3,8 @@
 //! memorized method (degree-2 polynomial mapping).
 
 use crate::linear::{add_weights, scatter, Linear};
-use crate::traits::{BaselineConfig, Category, CtrModel, Taxonomy};
+use crate::traits::{Category, CtrModel, Taxonomy};
+use optinter_core::OptInterConfig;
 use optinter_data::Batch;
 use optinter_nn::{bce_with_logits_into, loss, Adam, DenseOptimizer, EmbeddingTable};
 use optinter_tensor::Matrix;
@@ -26,7 +27,7 @@ pub struct Poly2 {
 impl Poly2 {
     /// Creates a Poly2 model for the dataset's vocab sizes.
     pub fn new(
-        cfg: &BaselineConfig,
+        cfg: &OptInterConfig,
         orig_vocab: u32,
         cross_vocab: u32,
         num_fields: usize,
@@ -36,7 +37,7 @@ impl Poly2 {
             linear: Linear::new(orig_vocab, num_fields),
             cross: EmbeddingTable::zeros(cross_vocab as usize, 1),
             adam: Adam::with_lr_eps(cfg.lr, cfg.adam_eps),
-            l2: cfg.l2,
+            l2: cfg.l2_orig,
             num_pairs,
             logits: Matrix::zeros(0, 0),
             grad: Matrix::zeros(0, 0),
@@ -96,13 +97,13 @@ impl CtrModel for Poly2 {
 mod tests {
     use super::*;
     use crate::lr::Lr;
-    use crate::runner::{evaluate_model, train_model};
+    use crate::runner::{evaluate_model, test_config, train_model};
     use optinter_data::Profile;
 
     #[test]
     fn poly2_beats_lr_on_interaction_heavy_data() {
         let bundle = Profile::Tiny.bundle_with_rows(4000, 5);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut lr = Lr::new(&cfg, bundle.data.orig_vocab, bundle.data.num_fields);
         train_model(&mut lr, &bundle, &cfg);
         let lr_eval = evaluate_model(&mut lr, &bundle, bundle.split.test.clone(), cfg.batch_size);
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn param_count_includes_cross_table() {
         let bundle = Profile::Tiny.bundle_with_rows(500, 6);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = Poly2::new(
             &cfg,
             bundle.data.orig_vocab,

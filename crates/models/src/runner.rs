@@ -1,33 +1,19 @@
 //! The zoo's training and evaluation entry points, on `core::trainer`'s
 //! epoch pass, scoring pass and early-stopping rule.
 
-use crate::traits::{BaselineConfig, CtrModel};
+use crate::traits::CtrModel;
 use optinter_core::trainer::{early_stopping, epoch_pass, score_pass};
+use optinter_core::{OptInterConfig, TrainReport};
 use optinter_data::{BatchStream, DatasetBundle};
 use optinter_metrics::{evaluate, EvalResult};
 use std::ops::Range;
-
-/// Result of a full train-and-evaluate run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Model name.
-    pub model: String,
-    /// Test AUC.
-    pub auc: f64,
-    /// Test log-loss.
-    pub log_loss: f64,
-    /// Trainable parameter count.
-    pub num_params: usize,
-    /// Mean training loss of the final epoch.
-    pub final_train_loss: f32,
-}
 
 /// One epoch over the training split, shuffled per epoch; returns the mean
 /// batch loss.
 fn train_epoch(
     model: &mut dyn CtrModel,
     bundle: &DatasetBundle,
-    cfg: &BaselineConfig,
+    cfg: &OptInterConfig,
     epoch: usize,
 ) -> f32 {
     let seed = cfg.seed.wrapping_add(0xE90C + epoch as u64);
@@ -38,11 +24,12 @@ fn train_epoch(
     epoch_pass(stream, |batch| model.train_batch(batch))
 }
 
-/// Trains a model on the bundle's training split. Returns the mean training
-/// loss of the final epoch.
-pub fn train_model(model: &mut dyn CtrModel, bundle: &DatasetBundle, cfg: &BaselineConfig) -> f32 {
+/// Trains a model on the bundle's training split for `cfg.retrain_epochs`
+/// epochs (at least one). Returns the mean training loss of the final
+/// epoch.
+pub fn train_model(model: &mut dyn CtrModel, bundle: &DatasetBundle, cfg: &OptInterConfig) -> f32 {
     let mut final_loss = 0.0f32;
-    for epoch in 0..cfg.epochs.max(1) {
+    for epoch in 0..cfg.retrain_epochs.max(1) {
         final_loss = train_epoch(model, bundle, cfg, epoch);
     }
     final_loss
@@ -64,26 +51,37 @@ pub fn evaluate_model(
     evaluate(&probs, &labels)
 }
 
-/// Trains under `core::trainer::early_stopping` with `cfg.epochs` as the
-/// epoch budget, reporting the test metrics of the best-validation epoch.
+/// Trains under `core::trainer::early_stopping` with `cfg.retrain_epochs`
+/// as the epoch budget, reporting the test metrics of the best-validation
+/// epoch. A zoo model has no [`Architecture`](optinter_core::Architecture),
+/// so the report's is `None`.
 pub fn run_model(
     model: &mut dyn CtrModel,
     bundle: &DatasetBundle,
-    cfg: &BaselineConfig,
-) -> RunReport {
+    cfg: &OptInterConfig,
+) -> TrainReport {
     let (final_train_loss, eval) = early_stopping(
         model,
         &bundle.split,
-        cfg.epochs,
+        cfg.retrain_epochs,
         |model, epoch| train_epoch(model, bundle, cfg, epoch),
         |model, range| evaluate_model(model, bundle, range, cfg.batch_size),
     );
-    RunReport {
-        model: model.name().to_string(),
+    TrainReport {
         auc: eval.auc,
         log_loss: eval.log_loss,
         num_params: model.num_params(),
         final_train_loss,
+        architecture: None,
+    }
+}
+
+/// `OptInterConfig::test_small` with the zoo's 2-epoch test budget.
+#[cfg(test)]
+pub(crate) fn test_config() -> OptInterConfig {
+    OptInterConfig {
+        retrain_epochs: 2,
+        ..OptInterConfig::test_small()
     }
 }
 
@@ -97,7 +95,7 @@ mod tests {
     fn run_model_without_validation_rows_scores_the_test_split() {
         let mut bundle = Profile::Tiny.bundle_with_rows(2000, 3);
         bundle.split.val = bundle.split.val.start..bundle.split.val.start;
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut model = build_model(ModelKind::Fnn, &cfg, &bundle.data);
         let report = run_model(model.as_mut(), &bundle, &cfg);
         assert!(report.auc.is_finite() && report.log_loss.is_finite());

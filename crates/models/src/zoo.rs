@@ -8,7 +8,8 @@ use crate::lr::Lr;
 use crate::pin::Pin;
 use crate::pnn::{Pnn, ProductKind};
 use crate::poly2::Poly2;
-use crate::traits::{BaselineConfig, CtrModel};
+use crate::traits::CtrModel;
+use optinter_core::OptInterConfig;
 use optinter_data::EncodedDataset;
 
 /// Identifier for every baseline the harness can build.
@@ -93,7 +94,7 @@ impl ModelKind {
 /// Builds a model of the given kind sized for a dataset.
 pub fn build_model(
     kind: ModelKind,
-    cfg: &BaselineConfig,
+    cfg: &OptInterConfig,
     data: &EncodedDataset,
 ) -> Box<dyn CtrModel> {
     let vocab = data.orig_vocab;
@@ -116,12 +117,13 @@ pub fn build_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::test_config;
     use optinter_data::Profile;
 
     #[test]
     fn every_model_builds_and_predicts() {
         let bundle = Profile::Tiny.bundle_with_rows(400, 33);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let batch = optinter_data::BatchIter::new(&bundle.data, 0..16, 16, None)
             .next()
             .unwrap();
@@ -144,7 +146,7 @@ mod tests {
     #[test]
     fn every_model_takes_a_training_step() {
         let bundle = Profile::Tiny.bundle_with_rows(400, 34);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let batch = optinter_data::BatchIter::new(&bundle.data, 0..64, 64, None)
             .next()
             .unwrap();
@@ -163,7 +165,7 @@ mod tests {
     fn taxonomy_covers_all_categories() {
         use crate::traits::Category;
         let bundle = Profile::Tiny.bundle_with_rows(300, 35);
-        let cfg = BaselineConfig::test_small();
+        let cfg = test_config();
         let mut seen = std::collections::HashSet::new();
         for kind in ModelKind::all() {
             let model = build_model(kind, &cfg, &bundle.data);

@@ -46,7 +46,6 @@ pub use mlp::{Mlp, MlpConfig};
 pub use optim::{Adam, AdamConfig, DenseOptimizer, Grda, GrdaConfig};
 pub use param::Parameter;
 pub use store::{
-    double_hash_slots, qr_slots, splitmix64, EmbedStore, HashScheme, HashedEmbedding, StoreKind,
-    WeightFetch,
+    double_hash_slots, qr_slots, EmbedStore, HashScheme, HashedEmbedding, StoreKind, WeightFetch,
 };
 pub use workspace::Workspace;

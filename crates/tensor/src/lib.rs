@@ -7,8 +7,10 @@
 //! [`Matrix::matmul_at_b_accumulate_pooled`] for `xᵀ·g`,
 //! [`Matrix::matmul_a_bt_into_pooled`] for `g·Wᵀ`), AXPY-style updates,
 //! numerically stable scalar functions ([`numerics`]), weight initialisation
-//! ([`init`]), small statistics helpers ([`stats`]), and the row widths
-//! row kernels are compiled for ([`width`], [`by_width!`]).
+//! ([`init`]), small statistics helpers ([`stats`]), the row widths
+//! row kernels are compiled for ([`width`], [`by_width!`]), and the
+//! SplitMix64 hash the data generator and the hashed embedding stores
+//! share ([`hash`]).
 //!
 //! Everything is deliberately simple and allocation-conscious: the
 //! reproduction targets deterministic CPU training, and the hot loops are
@@ -39,6 +41,7 @@
 // block with a SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod hash;
 pub mod init;
 pub mod kernels;
 pub mod matrix;

@@ -5,17 +5,18 @@
 //! cargo run --release --example model_zoo
 //! ```
 
+use optinter::core::OptInterConfig;
 use optinter::data::Profile;
-use optinter::models::{build_model, run_model, BaselineConfig, ModelKind};
+use optinter::models::{build_model, run_model, ModelKind};
 
 fn main() {
     let bundle = Profile::Tiny.bundle_with_rows(10_000, 7);
-    let cfg = BaselineConfig {
-        embed_dim: 8,
+    let cfg = OptInterConfig {
+        orig_dim: 8,
         hidden: vec![32, 16],
-        epochs: 3,
+        retrain_epochs: 3,
         lr: 5e-3,
-        ..BaselineConfig::default()
+        ..OptInterConfig::default()
     };
 
     println!(
@@ -29,7 +30,7 @@ fn main() {
         let report = run_model(model.as_mut(), &bundle, &cfg);
         println!(
             "{:<8} {:<11} {:<7} {:<22} {:<8} {:>7.4} {:>9.4} {:>9}",
-            report.model,
+            kind.name(),
             taxonomy.category.name(),
             taxonomy.methods,
             taxonomy.factorization_fn,
@@ -38,7 +39,7 @@ fn main() {
             report.log_loss,
             report.num_params
         );
-        results.push((report.model.clone(), report.auc));
+        results.push((kind.name(), report.auc));
     }
 
     results.sort_by(|a, b| b.1.total_cmp(&a.1));

@@ -141,8 +141,7 @@ impl Options {
         Ok(profile.bundle_with_rows(rows, self.seed()?))
     }
 
-    fn config(&self, num_pairs_hint: usize) -> Result<OptInterConfig, String> {
-        let _ = num_pairs_hint;
+    fn config(&self) -> Result<OptInterConfig, String> {
         Ok(OptInterConfig {
             seed: self.seed()?,
             ..OptInterConfig::default()
@@ -193,7 +192,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
 
 fn cmd_search(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let cfg = opts.config(bundle.data.num_pairs)?;
+    let cfg = opts.config()?;
     let strategy = match opts.get("strategy").unwrap_or("joint") {
         "joint" => SearchStrategy::Joint,
         "bilevel" => SearchStrategy::BiLevel,
@@ -218,7 +217,7 @@ fn cmd_search(opts: &Options) -> Result<(), String> {
 
 fn cmd_train(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let cfg = opts.config(bundle.data.num_pairs)?;
+    let cfg = opts.config()?;
     let arch = opts.architecture(bundle.data.num_pairs)?;
     eprintln!("training architecture {}...", arch.counts_string());
     let (mut net, report) = train_fixed(&bundle, &cfg, arch);
@@ -238,7 +237,7 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
 /// (or the `.arch` side-file written by `train --save`) — shared by
 /// `evaluate` and `freeze`.
 fn load_trained_net(opts: &Options, bundle: &DatasetBundle) -> Result<OptInterNet, String> {
-    let cfg = opts.config(bundle.data.num_pairs)?;
+    let cfg = opts.config()?;
     let path = PathBuf::from(opts.get("load").ok_or("missing --load")?);
     // Architecture: explicit flag, or the side-file written by `train --save`.
     let arch = if opts.get("arch").is_some() || opts.get("arch-file").is_some() {
@@ -256,7 +255,7 @@ fn load_trained_net(opts: &Options, bundle: &DatasetBundle) -> Result<OptInterNe
 
 fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let cfg = opts.config(bundle.data.num_pairs)?;
+    let cfg = opts.config()?;
     let mut net = load_trained_net(opts, &bundle)?;
     let test = bundle.split.test.clone();
     let stream = BatchStream::new(&bundle.data, test, cfg.batch_size, None).prefetch(cfg.prefetch);

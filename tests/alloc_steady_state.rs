@@ -16,7 +16,7 @@
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, FactFn, Method, OptInterConfig, OptInterNet, Supernet};
 use optinter_data::{Batch, BatchStream, DatasetBundle, Profile};
-use optinter_models::{build_model, AutoFis, BaselineConfig, CtrModel, ModelKind};
+use optinter_models::{build_model, AutoFis, CtrModel, ModelKind};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
 use optinter_serve::{freeze, serve, FrozenScorer, ManualClock, MicroBatchOptions, Quant};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -233,7 +233,7 @@ fn steady_state_training_performs_zero_heap_allocations() {
         // Every baseline through the CtrModel trait, the deep ones on the
         // 2-thread pool; AutoFIS is built in search mode, and once more
         // re-training a fixed selection.
-        let cfg = BaselineConfig::test_small().with_threads(2);
+        let cfg = OptInterConfig::test_small().with_threads(2);
         let (vocab, fields) = (bundle.data.orig_vocab, bundle.data.num_fields);
         let mask: Vec<bool> = (0..dims.num_pairs).map(|p| p % 2 == 0).collect();
         let retrain: Box<dyn CtrModel> = Box::new(AutoFis::retrain(&cfg, vocab, fields, mask));

@@ -3,17 +3,17 @@
 
 use optinter::core::{train_fixed, Architecture, Method, OptInterConfig};
 use optinter::data::{PlantedKind, Profile};
-use optinter::models::{build_model, run_model, BaselineConfig, ModelKind};
+use optinter::models::{build_model, run_model, ModelKind};
 
 fn bundle() -> optinter::data::DatasetBundle {
     Profile::Tiny.bundle_with_rows(5_000, 123)
 }
 
-fn bcfg() -> BaselineConfig {
-    BaselineConfig {
+fn bcfg() -> OptInterConfig {
+    OptInterConfig {
         seed: 3,
-        epochs: 4,
-        ..BaselineConfig::test_small()
+        retrain_epochs: 4,
+        ..OptInterConfig::test_small()
     }
 }
 
@@ -27,7 +27,7 @@ fn every_baseline_beats_chance() {
         assert!(
             report.auc > 0.55,
             "{} AUC {} does not beat chance",
-            report.model,
+            kind.name(),
             report.auc
         );
         assert!(report.log_loss.is_finite());

@@ -26,7 +26,7 @@ use optinter_core::{
 };
 use optinter_data::{BatchIter, DatasetBundle, Profile, SyntheticGenerator};
 use optinter_models::autofis::run_autofis;
-use optinter_models::{build_model, run_model, BaselineConfig, ModelKind, RunReport};
+use optinter_models::{build_model, run_model, ModelKind};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
 use optinter_serve::{freeze, FrozenScorer, Quant};
 use optinter_tensor::kernels::{self, Backend};
@@ -84,24 +84,14 @@ fn eval_cols(auc: f64, log_loss: f64) -> String {
     format!("auc={:016x} ll={:016x}", auc.to_bits(), log_loss.to_bits())
 }
 
-fn zoo_line(out: &mut String, tag: &str, r: &RunReport) {
+/// A report's line, ending in ` arch=..` when it has an architecture.
+fn report_line(out: &mut String, tag: &str, r: &TrainReport) {
+    let arch = r.architecture.as_ref().map_or(String::new(), |a| {
+        format!(" arch={}", architecture_to_string(a))
+    });
     let _ = writeln!(
         out,
-        "{tag} {} loss={:08x} params={}",
-        eval_cols(r.auc, r.log_loss),
-        r.final_train_loss.to_bits(),
-        r.num_params
-    );
-}
-
-fn train_line(out: &mut String, tag: &str, r: &TrainReport) {
-    let arch = r
-        .architecture
-        .as_ref()
-        .map_or(String::new(), architecture_to_string);
-    let _ = writeln!(
-        out,
-        "{tag} {} loss={:08x} params={} arch={arch}",
+        "{tag} {} loss={:08x} params={}{arch}",
         eval_cols(r.auc, r.log_loss),
         r.final_train_loss.to_bits(),
         r.num_params
@@ -118,14 +108,18 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
     let mut out = libm_line();
     out.push('\n');
 
-    let base = BaselineConfig::test_small().with_threads(threads);
+    let base = OptInterConfig {
+        num_threads: threads,
+        retrain_epochs: 2,
+        ..OptInterConfig::test_small()
+    };
     for kind in ModelKind::all() {
         let mut model = build_model(kind, &base, &bundle.data);
         let report = run_model(model.as_mut(), bundle, &base);
-        zoo_line(&mut out, &format!("zoo {}", kind.name()), &report);
+        report_line(&mut out, &format!("zoo {}", kind.name()), &report);
     }
     let (report, [m, f, n]) = run_autofis(bundle, &base);
-    zoo_line(&mut out, &format!("autofis m{m}/f{f}/n{n}"), &report);
+    report_line(&mut out, &format!("autofis m{m}/f{f}/n{n}"), &report);
 
     let cfg = OptInterConfig {
         seed: 9,
@@ -136,7 +130,7 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
     let generalized = cfg.with_fact_fn(FactFn::Generalized);
     let arch = mixed_arch(bundle.data.num_pairs);
     let (mut net, report) = train_fixed(bundle, &generalized, arch.clone());
-    train_line(&mut out, "fixed generalized", &report);
+    report_line(&mut out, "fixed generalized", &report);
     let hashed = generalized
         .with_stores(
             StoreKind::HashedQr { bucket: 13 },
@@ -144,7 +138,7 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
         )
         .with_embed_opt(EmbedOptimizerMode::LazyCatchUp);
     let (_, report) = train_fixed(bundle, &hashed, arch);
-    train_line(&mut out, "fixed hashed-lazy", &report);
+    report_line(&mut out, "fixed hashed-lazy", &report);
 
     for (tag, strategy) in [
         ("joint", SearchStrategy::Joint),
@@ -172,7 +166,7 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
         architecture_to_string(&outcome.architecture)
     );
     let report = run_two_stage(bundle, &cfg, SearchStrategy::Joint);
-    train_line(&mut out, "two-stage", &report);
+    report_line(&mut out, "two-stage", &report);
 
     for (tag, quant) in [("f32", Quant::F32), ("int8", Quant::Int8)] {
         let mut frozen = freeze(&mut net, &bundle.data, quant);
