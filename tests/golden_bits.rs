@@ -2,9 +2,9 @@
 //! prints its results as bit patterns, and the lines must equal
 //! `tests/golden_bits.txt` byte for byte, at 1 and 2 threads and on both
 //! kernel backends. The file ends with one line per data profile: its
-//! generator's bias and the digests of 2,000 generated rows. A change that
-//! means to move no bit leaves the file as it is; one that means to move
-//! bits regenerates it and says why.
+//! generator's bias and the digests of 2,000 generated rows and of their
+//! encoding. A change that means to move no bit leaves the file as it is;
+//! one that means to move bits regenerates it and says why.
 //!
 //! Regenerate with
 //! `cargo test --release --test golden_bits -- --ignored`.
@@ -24,7 +24,7 @@ use optinter_core::{
     joint_search_supernet, run_two_stage, search_architecture, train_fixed, Architecture, FactFn,
     Method, OptInterConfig, SearchStrategy, TrainReport,
 };
-use optinter_data::{BatchIter, DatasetBundle, Profile, SyntheticGenerator};
+use optinter_data::{BatchIter, DatasetBundle, EncodedDataset, Profile, Split, SyntheticGenerator};
 use optinter_models::autofis::run_autofis;
 use optinter_models::{build_model, run_model, ModelKind};
 use optinter_nn::{EmbedOptimizerMode, StoreKind};
@@ -44,6 +44,12 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn digest_u32(values: &[u32]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_START, |h, v| fnv1a(h, &v.to_le_bytes()))
+}
 
 fn digest_f32(values: &[f32]) -> u64 {
     values
@@ -192,8 +198,11 @@ fn golden_lines(bundle: &DatasetBundle, threads: usize) -> String {
 }
 
 /// One line per profile: the calibrated bias and the digests of the rows,
-/// labels and logits of `generate(2_000, 7)`. Generation takes no pool
-/// and no kernel backend, so these lines are computed once per run.
+/// labels and logits of `generate(2_000, 7)`, then of those rows encoded
+/// (`fields`, `cross`, and the field and pair vocabulary sizes) with the
+/// vocabularies built on the 70 % training split at the profile's
+/// `min_count`. Generation and encoding take no pool and no kernel
+/// backend, so these lines are computed once per run.
 fn data_lines() -> String {
     let mut out = String::new();
     for profile in [
@@ -206,17 +215,21 @@ fn data_lines() -> String {
     ] {
         let gen = SyntheticGenerator::new(profile.spec());
         let data = gen.generate(2_000, 7);
-        let rows = data
-            .rows
-            .iter()
-            .fold(FNV_START, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let train = Split::fractions(2_000, 0.7, 0.1).train;
+        let encoded = EncodedDataset::encode(&data, train, profile.min_count());
         let _ = writeln!(
             out,
-            "data {} bias={:08x} rows={rows:016x} labels={:016x} logits={:016x}",
+            "data {} bias={:08x} rows={:016x} labels={:016x} logits={:016x} \
+             fields={:016x} cross={:016x} field_sizes={:016x} pair_sizes={:016x}",
             profile.name(),
             gen.bias().to_bits(),
+            digest_u32(&data.rows),
             fnv1a(FNV_START, &data.labels),
-            digest_f32(&data.logits)
+            digest_f32(&data.logits),
+            digest_u32(&encoded.fields),
+            digest_u32(&encoded.cross),
+            digest_u32(&encoded.field_vocab_sizes),
+            digest_u32(&encoded.pair_vocab_sizes)
         );
     }
     out
