@@ -11,8 +11,8 @@
 //! train-step AUC on the giant_vocab profile), one full training step of
 //! the search-stage supernet and the fixed-architecture OptInterNet at 1,
 //! 2 and 4 threads, and the input pipeline on the AvazuLike profile
-//! (cross-vocabulary build, row encoding, batch assembly, and full epochs
-//! with/without the prefetching stream).
+//! (the whole encode against the historical HashMap encoder, batch
+//! assembly, and full epochs with/without the prefetching stream).
 //!
 //! Usage: `cargo run --release -p optinter-bench --bin perf -- [--quick]
 //! [--label NAME] [--out PATH] [--no-prefetch] [--check-against PATH]

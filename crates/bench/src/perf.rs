@@ -7,8 +7,10 @@
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, Method, OptInterConfig, OptInterNet, Supernet};
-use optinter_data::cross::{raw_cross, CrossVocab};
-use optinter_data::{Batch, BatchIter, BatchStream, Profile, Schema, SyntheticGenerator};
+use optinter_data::cross::raw_cross;
+use optinter_data::{
+    Batch, BatchIter, BatchStream, EncodedDataset, Profile, RawDataset, SyntheticGenerator,
+};
 use optinter_nn::{
     Adam, DenseOptimizer, EmbedOptimizerMode, EmbedStore, EmbeddingTable, StoreKind,
 };
@@ -156,14 +158,14 @@ pub struct TrainRow {
 }
 
 /// Input-pipeline measurement on the AvazuLike profile (10 fields, 45
-/// pairs): cross-vocabulary build, row encoding, batch assembly, and full
-/// training epochs with and without the prefetching stream.
+/// pairs): the whole encode (vocabularies and ids), batch assembly, and
+/// full training epochs with and without the prefetching stream.
 #[derive(Debug, Clone, Serialize)]
 pub struct InputRow {
-    /// Measured operation (`cross_vocab_build`, `encode_rows`,
-    /// `batch_assembly`, `epoch_optinternet`, `epoch_supernet`).
+    /// Measured operation (`encode`, `batch_assembly`,
+    /// `epoch_optinternet`, `epoch_supernet`).
     pub op: String,
-    /// Variant (`hashmap_reference`/`open_addressing`, `serial`/`pooled`,
+    /// Variant (`hashmap_reference`/`local_ids`,
     /// `alloc_per_batch`/`recycled`, `batchiter`/`prefetch`).
     pub variant: String,
     /// Worker threads (1 = serial).
@@ -595,73 +597,63 @@ fn bench_train_steps(quick: bool) -> Vec<TrainRow> {
     rows
 }
 
-/// The pre-open-addressing cross-vocabulary build (per-pair SipHash
-/// `HashMap` counting, sorted id assignment into a second `HashMap`), kept
-/// here as the before-side of the `cross_vocab_build` and `encode_rows`
-/// comparisons. Returns the per-pair id maps and the total vocabulary size
-/// (the latter feeds a divergence check against the production path).
-#[allow(clippy::type_complexity)]
-fn reference_cross_vocab(
-    schema: &Schema,
-    rows: &[u32],
-    min_count: u32,
-) -> (Vec<std::collections::HashMap<u64, u32>>, u32) {
+/// The historical encoder, kept here as the before-side of the `encode`
+/// comparison: per-field SipHash `HashMap` counts numbered
+/// frequency-then-value, per-pair counts keyed by the raw cross value and
+/// numbered in raw order, and every row looked up by its raw values.
+/// Returns the field ids and the cross ids, which feed a divergence check
+/// against the library encoder.
+fn reference_encode(raw: &RawDataset, min_count: u32) -> (Vec<u32>, Vec<u32>) {
     use std::collections::HashMap;
-    let indexer = schema.pairs();
-    let m = schema.num_fields();
-    let n = rows.len() / m;
-    let mut maps = Vec::with_capacity(indexer.num_pairs());
-    let mut total = 0u32;
-    for (i, j) in indexer.iter() {
+    let m = raw.schema.num_fields();
+    let pairs: Vec<(usize, usize)> = raw.schema.pairs().iter().collect();
+    let mut field_ids: Vec<HashMap<u32, u32>> = Vec::with_capacity(m);
+    let mut field_offsets = Vec::with_capacity(m);
+    let mut offset = 0u32;
+    for f in 0..m {
+        let mut counts: HashMap<u32, u32> = HashMap::new();
+        for row in raw.rows.chunks_exact(m) {
+            *counts.entry(row[f]).or_insert(0) += 1;
+        }
+        let mut kept: Vec<(u32, u32)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= min_count)
+            .collect();
+        kept.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        field_offsets.push(offset);
+        offset += kept.len() as u32 + 1; // +1 for the OOV bucket
+        field_ids.push(kept.into_iter().map(|(v, _)| v).zip(1..).collect());
+    }
+    let mut pair_ids: Vec<HashMap<u64, u32>> = Vec::with_capacity(pairs.len());
+    let mut pair_offsets = Vec::with_capacity(pairs.len());
+    let mut offset = 0u32;
+    for &(i, j) in &pairs {
         let mut counts: HashMap<u64, u32> = HashMap::new();
-        for r in 0..n {
-            *counts
-                .entry(raw_cross(rows[r * m + i], rows[r * m + j]))
-                .or_insert(0) += 1;
+        for row in raw.rows.chunks_exact(m) {
+            *counts.entry(raw_cross(row[i], row[j])).or_insert(0) += 1;
         }
         let mut kept: Vec<u64> = counts
-            .iter()
-            .filter(|&(_, &c)| c >= min_count)
-            .map(|(&v, _)| v)
+            .into_iter()
+            .filter(|&(_, c)| c >= min_count)
+            .map(|(v, _)| v)
             .collect();
         kept.sort_unstable();
-        let ids: HashMap<u64, u32> = kept
-            .iter()
-            .enumerate()
-            .map(|(idx, &v)| (v, idx as u32 + 1))
-            .collect();
-        total += kept.len() as u32 + 1; // +1 for the OOV bucket
-        maps.push(ids);
+        pair_offsets.push(offset);
+        offset += kept.len() as u32 + 1;
+        pair_ids.push(kept.into_iter().zip(1..).collect());
     }
-    (maps, total)
-}
-
-/// The pre-open-addressing row encoder: per-pair global offset plus a
-/// SipHash `HashMap` lookup per cross value.
-fn reference_encode_rows(
-    schema: &Schema,
-    maps: &[std::collections::HashMap<u64, u32>],
-    rows: &[u32],
-) -> Vec<u32> {
-    let indexer = schema.pairs();
-    let m = schema.num_fields();
-    let np = indexer.num_pairs();
-    let n = rows.len() / m;
-    let mut offsets = Vec::with_capacity(np);
-    let mut offset = 0u32;
-    for ids in maps {
-        offsets.push(offset);
-        offset += ids.len() as u32 + 1;
-    }
-    let mut out = vec![0u32; n * np];
-    for r in 0..n {
-        let row = &rows[r * m..(r + 1) * m];
-        for (p, (i, j)) in indexer.iter().enumerate() {
-            let raw = raw_cross(row[i], row[j]);
-            out[r * np + p] = offsets[p] + maps[p].get(&raw).copied().unwrap_or(0);
+    let mut fields = Vec::with_capacity(raw.rows.len());
+    let mut cross = Vec::with_capacity(raw.len() * pairs.len());
+    for row in raw.rows.chunks_exact(m) {
+        for (f, ids) in field_ids.iter().enumerate() {
+            fields.push(field_offsets[f] + ids.get(&row[f]).copied().unwrap_or(0));
+        }
+        for (p, &(i, j)) in pairs.iter().enumerate() {
+            let id = pair_ids[p].get(&raw_cross(row[i], row[j])).copied();
+            cross.push(pair_offsets[p] + id.unwrap_or(0));
         }
     }
-    out
+    (fields, cross)
 }
 
 /// Input-pipeline measurements on the AvazuLike profile. The epoch ops use
@@ -675,75 +667,34 @@ fn bench_input(quick: bool, prefetch: bool) -> Vec<InputRow> {
     let raw = SyntheticGenerator::new(Profile::AvazuLike.spec()).generate(n_raw, 11);
     let mut rows = Vec::new();
 
-    // Cross-vocabulary build: historical HashMap path vs the open-addressing
-    // table, serial and pair-sharded.
-    let (ref_maps, expected_total) = reference_cross_vocab(&raw.schema, &raw.rows, min_count);
-    let built_total = CrossVocab::build(&raw.schema, &raw.rows, min_count).total();
-    assert_eq!(
-        built_total, expected_total,
-        "open-addressing cross vocabulary diverges from the HashMap reference"
+    // The whole encode (vocabularies built on every row, then every row
+    // encoded): the historical HashMap path vs the library's local-id
+    // encoder.
+    let encoded = EncodedDataset::encode(&raw, 0..n_raw, min_count);
+    assert!(
+        (encoded.fields, encoded.cross) == reference_encode(&raw, min_count),
+        "the encoder diverges from the HashMap reference"
     );
     let ns = time_ns(samples, || {
-        std::hint::black_box(reference_cross_vocab(&raw.schema, &raw.rows, min_count).1);
+        std::hint::black_box(reference_encode(&raw, min_count).1.len());
     });
     rows.push(InputRow {
-        op: "cross_vocab_build".to_string(),
+        op: "encode".to_string(),
         variant: "hashmap_reference".to_string(),
         threads: 1,
         ns_per_call: ns,
         rows_per_sec: n_raw as f64 / (ns * 1e-9),
     });
-    for threads in [1usize, 2, 4] {
-        let pool = Pool::new(threads);
-        let ns = time_ns(samples, || {
-            std::hint::black_box(
-                CrossVocab::build_with_pool(&raw.schema, &raw.rows, min_count, &pool).total(),
-            );
-        });
-        rows.push(InputRow {
-            op: "cross_vocab_build".to_string(),
-            variant: "open_addressing".to_string(),
-            threads,
-            ns_per_call: ns,
-            rows_per_sec: n_raw as f64 / (ns * 1e-9),
-        });
-    }
-
-    // Row encoding through the built vocabulary: historical HashMap lookup
-    // path, then the production encoder serial and row-sharded.
-    let vocab = CrossVocab::build(&raw.schema, &raw.rows, min_count);
-    assert_eq!(
-        vocab.encode_rows(&raw.schema, &raw.rows),
-        reference_encode_rows(&raw.schema, &ref_maps, &raw.rows),
-        "open-addressing encode diverges from the HashMap reference"
-    );
     let ns = time_ns(samples, || {
-        std::hint::black_box(reference_encode_rows(&raw.schema, &ref_maps, &raw.rows).len());
+        std::hint::black_box(EncodedDataset::encode(&raw, 0..n_raw, min_count).cross_vocab);
     });
     rows.push(InputRow {
-        op: "encode_rows".to_string(),
-        variant: "hashmap_reference".to_string(),
+        op: "encode".to_string(),
+        variant: "local_ids".to_string(),
         threads: 1,
         ns_per_call: ns,
         rows_per_sec: n_raw as f64 / (ns * 1e-9),
     });
-    for threads in [1usize, 2, 4] {
-        let pool = Pool::new(threads);
-        let ns = time_ns(samples, || {
-            std::hint::black_box(
-                vocab
-                    .encode_rows_with_pool(&raw.schema, &raw.rows, &pool)
-                    .len(),
-            );
-        });
-        rows.push(InputRow {
-            op: "encode_rows".to_string(),
-            variant: if threads == 1 { "serial" } else { "pooled" }.to_string(),
-            threads,
-            ns_per_call: ns,
-            rows_per_sec: n_raw as f64 / (ns * 1e-9),
-        });
-    }
 
     // Batch assembly over the encoded dataset: the allocating iterator vs
     // the recycled-buffer stream (both on the caller thread).

@@ -9,17 +9,33 @@
 //!
 //! Building these vocabularies is the "#cross values" blow-up the paper
 //! flags as the cost of memorization: every row contributes `M(M-1)/2`
-//! pair combinations. [`CrossVocab::build_with_pool`] shards that loop over
-//! *pairs* — each worker owns a disjoint pair subset and builds its
-//! [`PairVocab`]s alone, so there is no cross-thread merge and the result
-//! is bit-identical to the serial build for any thread count. Hashing uses
-//! the seed-free open-addressing [`OpenTable`] instead of SipHash
-//! `HashMap`s; id assignment still sorts kept raw values, so encoded
-//! datasets are byte-identical to the historical `HashMap` path.
+//! pair combinations. The transform therefore works on the rows' encoded
+//! field ids, not their raw values. A row's *cell* in pair `(i, j)` is
+//! `li·s_j + lj`, with `li`, `lj` its local ids in the two fields and `s_j`
+//! field `j`'s vocabulary size (OOV included). A combination seen at least
+//! `min_count` times joins two values each seen at least that often, since
+//! `count(vi, vj) ≤ count(vi)`, so both are in their fields' vocabularies:
+//! rows with an OOV side are skipped when counting, and they always encode
+//! as the pair's OOV. Counting by cell is then counting by raw combination.
+//!
+//! A pair of at most `TABLE_MAX_VALUES` (2¹⁶, the bound of every dense
+//! table in the crate) cells counts into a dense buffer
+//! and keeps a dense `u16` id per cell (ids never exceed the number of kept
+//! combinations, which is below the cell count); a larger pair counts into
+//! an [`OpenTable`] keyed by cell and keeps its ids in another. Either way
+//! the ids number the kept combinations in ascending raw cross value
+//! [`raw_cross`], recovered through the fields' local-to-raw lists, which is
+//! the order the raw-keyed build numbered them in.
 
-use crate::hash::OpenTable;
-use crate::schema::{PairIndexer, Schema};
-use optinter_tensor::Pool;
+use crate::hash::{OpenTable, TABLE_MAX_VALUES};
+use crate::schema::PairIndexer;
+use crate::vocab::Vocabulary;
+
+/// Rows per block of [`CrossVocab::encode_rows`]: every pair encodes a
+/// block's rows before the next block is read, so a block's local ids and
+/// cross ids stay in cache while one pair's table is read 256 times in a
+/// row.
+const BLOCK_ROWS: usize = 256;
 
 /// Raw cross value of a pair: a single u64 combining both raw field values.
 #[inline]
@@ -27,119 +43,172 @@ pub fn raw_cross(vi: u32, vj: u32) -> u64 {
     ((vi as u64) << 32) | vj as u64
 }
 
-/// Calls `f(p, raw)` for every pair `p` of `row` in flat pair order, with
-/// `raw` the pair's raw cross value.
-///
-/// This is the single definition of the pair-iteration pattern shared by
-/// vocabulary counting and both encode paths, so the hash and gather sides
-/// can never drift apart.
-#[inline]
-pub fn for_pair_crosses(indexer: PairIndexer, row: &[u32], mut f: impl FnMut(usize, u64)) {
-    debug_assert_eq!(row.len(), indexer.num_fields());
-    for (p, (i, j)) in indexer.iter().enumerate() {
-        f(p, raw_cross(row[i], row[j]));
+/// Writes the local ids of `fields` (global ids, row-major `[N * M]`)
+/// into `cols` field-major: field `f`'s column is `cols[f * N..][..N]`.
+fn local_columns(fields: &[u32], offsets: &[u32], cols: &mut Vec<u32>) {
+    let m = offsets.len();
+    cols.clear();
+    for (f, &offset) in offsets.iter().enumerate() {
+        cols.extend(fields.chunks_exact(m).map(|row| row[f] - offset));
     }
 }
 
-/// Vocabulary of one pair's cross-product values.
+/// A pair `(i, j)` and the vocabulary sizes (OOV included) of its fields.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    i: usize,
+    j: usize,
+    sizes: (u32, u32),
+}
+
+impl Pair {
+    /// The cell of local ids `(li, lj)`.
+    #[inline]
+    fn cell(&self, li: u32, lj: u32) -> usize {
+        li as usize * self.sizes.1 as usize + lj as usize
+    }
+
+    /// The pair's number of cells, `s_i·s_j`.
+    fn cells(&self) -> u64 {
+        u64::from(self.sizes.0) * u64::from(self.sizes.1)
+    }
+
+    /// The local ids `(li, lj)` of `n` rows whose local ids are `cols`
+    /// (field-major), in row order.
+    fn locals<'a>(&self, cols: &'a [u32], n: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let (i, j) = (&cols[self.i * n..][..n], &cols[self.j * n..][..n]);
+        i.iter().copied().zip(j.iter().copied())
+    }
+}
+
+/// Ids of one pair's kept combinations, by cell; 0 is the OOV bucket.
 #[derive(Debug, Clone)]
-pub struct PairVocab {
-    /// Raw cross value -> local id (1-based; 0 is the OOV bucket, which is
-    /// exactly what [`OpenTable::get`] returns for absent keys).
-    map: OpenTable,
-    size: u32,
-}
-
-impl PairVocab {
-    /// The empty vocabulary: every value is OOV.
-    fn empty() -> Self {
-        Self {
-            map: OpenTable::new(),
-            size: 1,
-        }
-    }
-
-    fn from_counts(counts: &OpenTable, min_count: u32) -> Self {
-        // Sorted ascending: ids are a pure function of the counts,
-        // independent of insertion order, matching the historical
-        // sort-then-assign HashMap path byte for byte.
-        let kept = counts.keys_with_at_least(min_count);
-        let mut map = OpenTable::with_capacity(kept.len());
-        for (i, &v) in kept.iter().enumerate() {
-            map.insert(v, i as u32 + 1);
-        }
-        let size = kept.len() as u32 + 1;
-        Self { map, size }
-    }
-
-    /// Local id of a raw cross value (0 = OOV).
-    pub fn encode(&self, raw: u64) -> u32 {
-        self.map.get(raw)
-    }
-
-    /// Vocabulary size including OOV.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
+enum PairIds {
+    /// One id per cell.
+    Dense(Vec<u16>),
+    /// Kept cells only: absent cells read 0.
+    Hashed(OpenTable),
 }
 
 /// Cross-product vocabularies for all pairs plus the global id layout.
 #[derive(Debug, Clone)]
 pub struct CrossVocab {
-    pairs: Vec<PairVocab>,
+    /// Global offset of each field in the rows' ids.
+    field_offsets: Vec<u32>,
+    pairs: Vec<Pair>,
+    ids: Vec<PairIds>,
+    sizes: Vec<u32>,
     offsets: Vec<u32>,
     total: u32,
-    indexer: PairIndexer,
 }
 
 impl CrossVocab {
     /// Builds cross vocabularies by counting pair combinations over the
-    /// given (training) rows. `rows` is row-major `[N * M]` of raw values.
-    ///
-    /// Serial convenience wrapper around [`CrossVocab::build_with_pool`].
-    pub fn build(schema: &Schema, rows: &[u32], min_count: u32) -> Self {
-        Self::build_with_pool(schema, rows, min_count, &Pool::serial())
-    }
-
-    /// Builds cross vocabularies with the pair-count loop sharded across
-    /// `pool` (owner computes: each pair's count table and vocabulary are
-    /// built entirely by one worker, so the result is bit-identical to the
-    /// serial build for any thread count).
-    pub fn build_with_pool(schema: &Schema, rows: &[u32], min_count: u32, pool: &Pool) -> Self {
-        let m = schema.num_fields();
-        assert_eq!(rows.len() % m, 0, "cross vocab: ragged rows");
-        let n = rows.len() / m;
-        let indexer = schema.pairs();
-        let np = indexer.num_pairs();
-        let mut pairs: Vec<PairVocab> = (0..np).map(|_| PairVocab::empty()).collect();
-        pool.for_each_mut(&mut pairs, |p, pv| {
-            let (i, j) = indexer.pair_at(p);
-            // Distinct combinations are bounded by the row count; pre-sizing
-            // to it (capped so giant datasets don't over-allocate) makes the
-            // counting pass rehash-free.
-            let mut counts = OpenTable::with_capacity(n.min(1 << 20));
-            for r in 0..n {
-                counts.add(raw_cross(rows[r * m + i], rows[r * m + j]), 1);
+    /// given (training) rows. `fields` is row-major `[N * M]` of the rows'
+    /// global ids under `vocab`, which was built with the same `min_count`.
+    /// A `min_count` of 0 keeps what 1 keeps: every combination seen.
+    pub fn build(vocab: &Vocabulary, fields: &[u32], min_count: u32) -> Self {
+        let m = vocab.num_fields();
+        assert_eq!(fields.len() % m, 0, "cross vocab: ragged rows");
+        let n = fields.len() / m;
+        let min_count = min_count.max(1);
+        let field_offsets: Vec<u32> = (0..m).map(|f| vocab.offset(f)).collect();
+        let pairs: Vec<Pair> = PairIndexer::new(m)
+            .iter()
+            .map(|(i, j)| Pair {
+                i,
+                j,
+                sizes: (vocab.field(i).size(), vocab.field(j).size()),
+            })
+            .collect();
+        let mut cols = Vec::new();
+        local_columns(fields, &field_offsets, &mut cols);
+        let mut counts: Vec<u32> = Vec::new();
+        let mut ids = Vec::with_capacity(pairs.len());
+        let mut sizes = Vec::with_capacity(pairs.len());
+        for at in &pairs {
+            // A cell with local id 0 on either side is never counted, so
+            // it is never kept.
+            let seen = at
+                .locals(&cols, n)
+                .filter(|&(li, lj)| li != 0 && lj != 0)
+                .map(|(li, lj)| at.cell(li, lj));
+            // Kept cells with their raw cross values, in raw order.
+            let sj = at.sizes.1 as usize;
+            let raw = |cell: usize| {
+                raw_cross(
+                    vocab.field(at.i).raw((cell / sj) as u32),
+                    vocab.field(at.j).raw((cell % sj) as u32),
+                )
+            };
+            let mut kept: Vec<(u64, usize)>;
+            if at.cells() <= u64::from(TABLE_MAX_VALUES) {
+                counts.clear();
+                counts.resize(at.cells() as usize, 0);
+                for cell in seen {
+                    counts[cell] += 1;
+                }
+                kept = (0..counts.len())
+                    .filter(|&cell| counts[cell] >= min_count)
+                    .map(|cell| (raw(cell), cell))
+                    .collect();
+                kept.sort_unstable();
+                let mut dense = vec![0u16; counts.len()];
+                for (id, &(_, cell)) in (1..).zip(&kept) {
+                    dense[cell] = id;
+                }
+                ids.push(PairIds::Dense(dense));
+            } else {
+                // Distinct combinations are bounded by the row count;
+                // pre-sizing to it (capped so giant datasets don't
+                // over-allocate) makes the counting pass rehash-free.
+                let mut table = OpenTable::with_capacity(n.min(1 << 20));
+                for cell in seen {
+                    table.add(cell as u64, 1);
+                }
+                kept = table
+                    .iter()
+                    .filter(|&(_, count)| count >= min_count)
+                    .map(|(cell, _)| (raw(cell as usize), cell as usize))
+                    .collect();
+                kept.sort_unstable();
+                let mut hashed = OpenTable::with_capacity(kept.len());
+                for (id, &(_, cell)) in (1..).zip(&kept) {
+                    hashed.insert(cell as u64, id);
+                }
+                ids.push(PairIds::Hashed(hashed));
             }
-            *pv = PairVocab::from_counts(&counts, min_count);
-        });
-        let mut offsets = Vec::with_capacity(np);
+            sizes.push(kept.len() as u32 + 1);
+        }
+        let mut offsets = Vec::with_capacity(sizes.len());
         let mut total = 0u32;
-        for pv in &pairs {
+        for &size in &sizes {
             offsets.push(total);
-            total += pv.size();
+            total += size;
         }
         Self {
+            field_offsets,
             pairs,
+            ids,
+            sizes,
             offsets,
             total,
-            indexer,
         }
     }
 
     /// Number of pairs.
     pub fn num_pairs(&self) -> usize {
         self.pairs.len()
+    }
+
+    /// Number of pairs whose ids live in a hashed table; the rest are
+    /// dense.
+    #[cfg(test)]
+    pub(crate) fn hashed_pairs(&self) -> usize {
+        self.ids
+            .iter()
+            .filter(|ids| matches!(ids, PairIds::Hashed(_)))
+            .count()
     }
 
     /// Total global cross vocabulary size (the paper's "#cross value").
@@ -149,7 +218,7 @@ impl CrossVocab {
 
     /// Per-pair vocabulary sizes (OOV included).
     pub fn sizes(&self) -> Vec<u32> {
-        self.pairs.iter().map(|p| p.size()).collect()
+        self.sizes.clone()
     }
 
     /// Global offset of pair `p`.
@@ -157,40 +226,40 @@ impl CrossVocab {
         self.offsets[p]
     }
 
-    /// Global cross id of pair `p` for raw values `(vi, vj)`.
-    pub fn encode(&self, p: usize, vi: u32, vj: u32) -> u32 {
-        self.offsets[p] + self.pairs[p].encode(raw_cross(vi, vj))
-    }
-
-    /// Encodes one row's cross features into `out` (length `P`).
-    #[inline]
-    fn encode_row_into(&self, row: &[u32], out: &mut [u32]) {
-        debug_assert_eq!(out.len(), self.num_pairs());
-        for_pair_crosses(self.indexer, row, |p, raw| {
-            out[p] = self.offsets[p] + self.pairs[p].encode(raw);
-        });
-    }
-
-    /// Encodes every row's cross features: output is row-major `[N * P]`.
-    ///
-    /// Serial convenience wrapper around
-    /// [`CrossVocab::encode_rows_with_pool`].
-    pub fn encode_rows(&self, schema: &Schema, rows: &[u32]) -> Vec<u32> {
-        self.encode_rows_with_pool(schema, rows, &Pool::serial())
-    }
-
-    /// Encodes every row's cross features with output rows sharded across
-    /// `pool`. Each output row is written by exactly one worker, so the
-    /// result is byte-identical to the serial encode.
-    pub fn encode_rows_with_pool(&self, schema: &Schema, rows: &[u32], pool: &Pool) -> Vec<u32> {
-        let m = schema.num_fields();
-        assert_eq!(rows.len() % m, 0, "encode_rows: ragged rows");
-        let n = rows.len() / m;
+    /// Encodes every row's cross features from its global field ids (as
+    /// [`Vocabulary::encode_rows`] gives them): output is row-major
+    /// `[N * P]`. Works pair by pair over blocks of rows, matching each
+    /// pair's table kind once per block.
+    pub fn encode_rows(&self, fields: &[u32]) -> Vec<u32> {
+        let m = self.field_offsets.len();
         let np = self.num_pairs();
-        let mut out = vec![0u32; n * np];
-        pool.for_rows(&mut out, np.max(1), |r, out_row| {
-            self.encode_row_into(&rows[r * m..(r + 1) * m], out_row);
-        });
+        assert_eq!(fields.len() % m, 0, "encode_rows: ragged rows");
+        let mut out = vec![0u32; fields.len() / m * np];
+        let mut cols = Vec::with_capacity(BLOCK_ROWS * m);
+        for (rows, out) in fields
+            .chunks(BLOCK_ROWS * m)
+            .zip(out.chunks_mut(BLOCK_ROWS * np))
+        {
+            let n = rows.len() / m;
+            local_columns(rows, &self.field_offsets, &mut cols);
+            for (p, (at, ids)) in self.pairs.iter().zip(&self.ids).enumerate() {
+                let offset = self.offsets[p];
+                let slots = out[p..].iter_mut().step_by(np);
+                let cells = at.locals(&cols, n).map(|(li, lj)| at.cell(li, lj));
+                match ids {
+                    PairIds::Dense(ids) => {
+                        for (slot, cell) in slots.zip(cells) {
+                            *slot = offset + u32::from(ids[cell]);
+                        }
+                    }
+                    PairIds::Hashed(ids) => {
+                        for (slot, cell) in slots.zip(cells) {
+                            *slot = offset + ids.get(cell as u64);
+                        }
+                    }
+                }
+            }
+        }
         out
     }
 }
@@ -198,9 +267,15 @@ impl CrossVocab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
 
-    fn schema3() -> Schema {
-        Schema::new(vec![4, 4, 4])
+    /// Builds both vocabularies on `rows` and encodes them.
+    fn encode(cards: Vec<u32>, rows: &[u32], min_count: u32) -> (CrossVocab, Vec<u32>) {
+        let vocab = Vocabulary::build(&Schema::new(cards), rows, min_count);
+        let fields = vocab.encode_rows(rows);
+        let cv = CrossVocab::build(&vocab, &fields, min_count);
+        let cross = cv.encode_rows(&fields);
+        (cv, cross)
     }
 
     #[test]
@@ -211,146 +286,22 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_threshold() {
-        let schema = schema3();
-        // Rows: (1,2,3) twice, (1,2,0) once.
-        let rows = vec![1, 2, 3, 1, 2, 3, 1, 2, 0];
-        let cv = CrossVocab::build(&schema, &rows, 2);
-        // Pair (0,1) = (1,2) appears 3x -> kept.
-        assert_ne!(cv.encode(0, 1, 2), cv.offset(0));
-        // Pair (1,2) = (2,3) appears twice -> kept; (2,0) once -> OOV.
-        assert_ne!(cv.encode(2, 2, 3), cv.offset(2));
-        assert_eq!(cv.encode(2, 2, 0), cv.offset(2));
+    fn ids_follow_raw_order_not_local_order() {
+        // Field 0's value 5 is the more frequent, so it gets local id 1 and
+        // value 2 local id 2; the crosses are still numbered by raw value,
+        // so (2, 7) gets pair id 1 and (5, 7) pair id 2.
+        let (cv, cross) = encode(vec![8, 8], &[5, 7, 5, 7, 2, 7], 1);
+        assert_eq!(cv.sizes(), [3]);
+        assert_eq!(cross, [2, 2, 1]);
     }
 
     #[test]
-    fn encode_rows_shape_and_values() {
-        let schema = schema3();
-        let rows = vec![1, 2, 3, 1, 2, 3];
-        let cv = CrossVocab::build(&schema, &rows, 1);
-        let encoded = cv.encode_rows(&schema, &rows);
-        assert_eq!(encoded.len(), 2 * 3);
-        // Both rows identical -> identical encodings.
-        assert_eq!(&encoded[0..3], &encoded[3..6]);
-        // Ids fall inside each pair's bucket.
-        for (p, &id) in encoded[0..3].iter().enumerate() {
-            assert!(id >= cv.offset(p));
-            assert!(id < cv.offset(p) + cv.sizes()[p]);
-        }
-    }
-
-    #[test]
-    fn total_is_sum_of_sizes() {
-        let schema = schema3();
-        let rows = vec![0, 1, 2, 3, 0, 1, 2, 3, 0];
-        let cv = CrossVocab::build(&schema, &rows, 1);
-        assert_eq!(cv.total(), cv.sizes().iter().sum::<u32>());
-    }
-
-    #[test]
-    fn unseen_combination_is_oov() {
-        let schema = schema3();
-        let rows = vec![1, 1, 1];
-        let cv = CrossVocab::build(&schema, &rows, 1);
-        assert_eq!(cv.encode(0, 3, 3), cv.offset(0));
-    }
-
-    /// Reference build matching the historical `HashMap` implementation:
-    /// per-pair SipHash counting, sort kept values, assign ids 1..=K.
-    fn reference_build_sizes_and_encode(
-        schema: &Schema,
-        rows: &[u32],
-        min_count: u32,
-    ) -> (Vec<u32>, Vec<u32>) {
-        use std::collections::HashMap;
-        let m = schema.num_fields();
-        let n = rows.len() / m;
-        let indexer = schema.pairs();
-        let np = indexer.num_pairs();
-        let mut counts: Vec<HashMap<u64, u32>> = vec![HashMap::new(); np];
-        for r in 0..n {
-            let row = &rows[r * m..(r + 1) * m];
-            for (p, (i, j)) in indexer.iter().enumerate() {
-                *counts[p].entry(raw_cross(row[i], row[j])).or_insert(0) += 1;
-            }
-        }
-        let maps: Vec<HashMap<u64, u32>> = counts
-            .iter()
-            .map(|c| {
-                let mut kept: Vec<u64> = c
-                    .iter()
-                    .filter(|&(_, &cnt)| cnt >= min_count)
-                    .map(|(&v, _)| v)
-                    .collect();
-                kept.sort_unstable();
-                kept.iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, i as u32 + 1))
-                    .collect()
-            })
-            .collect();
-        let sizes: Vec<u32> = maps.iter().map(|m| m.len() as u32 + 1).collect();
-        let mut offsets = vec![0u32; np];
-        let mut total = 0u32;
-        for (p, &s) in sizes.iter().enumerate() {
-            offsets[p] = total;
-            total += s;
-        }
-        let mut encoded = Vec::with_capacity(n * np);
-        for r in 0..n {
-            let row = &rows[r * m..(r + 1) * m];
-            for (p, (i, j)) in indexer.iter().enumerate() {
-                let raw = raw_cross(row[i], row[j]);
-                encoded.push(offsets[p] + maps[p].get(&raw).copied().unwrap_or(0));
-            }
-        }
-        (sizes, encoded)
-    }
-
-    #[test]
-    fn open_addressing_build_matches_hashmap_reference() {
-        let schema = Schema::new(vec![7, 5, 9, 3]);
-        // Deterministic pseudo-random rows with plenty of repeats.
-        let rows: Vec<u32> = (0..400 * 4)
-            .map(|i| {
-                let h = crate::hash::splitmix64(i as u64 ^ 0xC0FFEE);
-                (h % [7, 5, 9, 3][i % 4]) as u32
-            })
-            .collect();
-        for min_count in [1, 2, 4] {
-            let cv = CrossVocab::build(&schema, &rows, min_count);
-            let (ref_sizes, ref_encoded) =
-                reference_build_sizes_and_encode(&schema, &rows, min_count);
-            assert_eq!(cv.sizes(), ref_sizes, "min_count={min_count}");
-            assert_eq!(
-                cv.encode_rows(&schema, &rows),
-                ref_encoded,
-                "min_count={min_count}"
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_build_and_encode_are_byte_identical_to_serial() {
-        let schema = Schema::new(vec![11, 6, 4, 8, 5]);
-        let rows: Vec<u32> = (0..300 * 5)
-            .map(|i| {
-                let h = crate::hash::splitmix64(i as u64 ^ 0xFEED);
-                (h % [11, 6, 4, 8, 5][i % 5]) as u32
-            })
-            .collect();
-        let serial = CrossVocab::build(&schema, &rows, 2);
-        let serial_encoded = serial.encode_rows(&schema, &rows);
-        for threads in [2usize, 4] {
-            let pool = Pool::new(threads);
-            let cv = CrossVocab::build_with_pool(&schema, &rows, 2, &pool);
-            assert_eq!(cv.sizes(), serial.sizes(), "threads={threads}");
-            assert_eq!(cv.total(), serial.total(), "threads={threads}");
-            assert_eq!(
-                cv.encode_rows_with_pool(&schema, &rows, &pool),
-                serial_encoded,
-                "threads={threads}"
-            );
-        }
+    fn an_oov_side_gives_an_oov_cross() {
+        // At min_count 2, value 3 of field 0 (seen once) is OOV, so its
+        // row's cross is OOV too; (1, 4) is seen twice and kept.
+        let (cv, cross) = encode(vec![8, 8], &[1, 4, 1, 4, 3, 4], 2);
+        assert_eq!(cv.sizes(), [2]);
+        assert_eq!(cross, [1, 1, 0]);
+        assert_eq!(cv.total(), 2);
     }
 }

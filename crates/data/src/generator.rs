@@ -16,12 +16,13 @@
 //! A value's own parts of the ground truth (its field weight, its three
 //! nonlinear projections and its latent vector) form one entry, read per
 //! row. [`SyntheticGenerator::new`] tabulates the entries of every field of
-//! at most 2¹⁶ values; a larger field's entry is hashed once per row into a
-//! scratch entry, and the per-combination memorized effects are hashed on
-//! demand. The public per-value fns hash every time and are the bit
-//! reference the entries are tested against (DESIGN.md §9).
+//! at most 2¹⁶ values, and the effects of every memorized pair of at most
+//! 2¹⁶ value combinations; a larger field's entry is hashed once per row
+//! into a scratch entry, and a larger memorized pair's effect on demand.
+//! The public per-value fns hash every time and are the bit reference the
+//! tables are tested against (DESIGN.md §9).
 
-use crate::hash;
+use crate::hash::{self, TABLE_MAX_VALUES};
 use crate::schema::{PairIndexer, Schema};
 use crate::zipf::Zipf;
 use optinter_tensor::numerics::sigmoid;
@@ -219,6 +220,11 @@ pub struct SyntheticGenerator {
     /// `ENTRY_*` offsets say), or `None` for a field of more than
     /// `TABLE_MAX_VALUES` values, whose entry is hashed once per row.
     tables: Vec<Option<Vec<f32>>>,
+    /// Per pair `(i, j)`, the memorized effect of `(vi, vj)` at
+    /// `vi·c_j + vj` (`c_j` field `j`'s cardinality), or `None` for a pair
+    /// that is not memorized or has more than `TABLE_MAX_VALUES` value
+    /// combinations, whose effect is hashed on demand.
+    effects: Vec<Option<Vec<f32>>>,
     bias: f32,
 }
 
@@ -227,10 +233,6 @@ const TAG_FIELD: u64 = 1;
 const TAG_MEM: u64 = 2;
 const TAG_LATENT: u64 = 3;
 const TAG_NONLIN: u64 = 4;
-
-/// Fields with at most this many values get a table: 2¹⁶ values of a
-/// rank-4 profile take 2 MiB, and no paper profile's field is near it.
-const TABLE_MAX_VALUES: u32 = 1 << 16;
 
 /// Rows drawn to calibrate the bias, from the spec seed xor
 /// `CALIBRATION_SEED`.
@@ -246,8 +248,9 @@ const ENTRY_LATENT: usize = ENTRY_NONLIN + 3;
 impl SyntheticGenerator {
     /// Builds a generator: one value sampler per field from one running
     /// sum, the per-value ground truth of every field of at most 2¹⁶ values
-    /// as a table, then the bias calibrated so the marginal positive ratio
-    /// approximates `spec.target_pos_ratio`.
+    /// and the effects of every memorized pair of at most 2¹⁶ value
+    /// combinations as tables, then the bias calibrated so the marginal
+    /// positive ratio approximates `spec.target_pos_ratio`.
     pub fn new(spec: SyntheticSpec) -> Self {
         spec.validate();
         let samplers = Zipf::for_supports(&spec.cardinalities, spec.zipf_exponent);
@@ -257,10 +260,17 @@ impl SyntheticGenerator {
             samplers,
             pairs,
             tables: Vec::new(),
+            effects: Vec::new(),
             bias: 0.0,
         };
         gen.tables = (0..gen.spec.cardinalities.len())
             .map(|f| gen.table(f))
+            .collect();
+        gen.effects = gen
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(p, (i, j))| gen.effect_table(p, i, j))
             .collect();
         gen.bias = gen.calibrate_bias();
         gen
@@ -278,6 +288,23 @@ impl SyntheticGenerator {
             self.hash_entry(f, v, entry);
         }
         Some(table)
+    }
+
+    /// Pair `p = (i, j)`'s memorized effects, or `None` when it is not
+    /// memorized or has more than `TABLE_MAX_VALUES` value combinations.
+    fn effect_table(&self, p: usize, i: usize, j: usize) -> Option<Vec<f32>> {
+        let (ci, cj) = (self.spec.cardinalities[i], self.spec.cardinalities[j]);
+        if self.spec.planted[p] != PlantedKind::Memorized
+            || u64::from(ci) * u64::from(cj) > u64::from(TABLE_MAX_VALUES)
+        {
+            return None;
+        }
+        let effects = (0..ci).flat_map(|vi| (0..cj).map(move |vj| (vi, vj)));
+        Some(
+            effects
+                .map(|(vi, vj)| self.memorized_effect(p, vi, vj))
+                .collect(),
+        )
     }
 
     /// Writes the entry of value `v` in field `f`, from the same hashes the
@@ -375,7 +402,12 @@ impl SyntheticGenerator {
             let (vi, vj) = (values[i], values[j]);
             match self.spec.planted[p] {
                 PlantedKind::Memorized => {
-                    logit += self.memorized_effect(p, vi, vj);
+                    logit += match &self.effects[p] {
+                        Some(effects) => {
+                            effects[vi as usize * self.spec.cardinalities[j] as usize + vj as usize]
+                        }
+                        None => self.memorized_effect(p, vi, vj),
+                    };
                 }
                 PlantedKind::Factorized => {
                     let (ei, ej) = (self.entry(i, vi, scratch), self.entry(j, vj, scratch));
@@ -709,6 +741,39 @@ mod tests {
         bytes
     }
 
+    /// Asserts that every memorized pair of at most `TABLE_MAX_VALUES`
+    /// value combinations has a table whose entries equal
+    /// `memorized_effect`'s bits, and that no other pair has one. Returns
+    /// the number of tables and their size in bytes.
+    fn assert_effects_match(g: &SyntheticGenerator) -> (usize, usize) {
+        let name = &g.spec.name;
+        let (mut tables, mut bytes) = (0, 0);
+        for (p, (i, j)) in g.pairs.iter().enumerate() {
+            let (ci, cj) = (g.spec.cardinalities[i], g.spec.cardinalities[j]);
+            let combinations = u64::from(ci) * u64::from(cj);
+            let tabled = g.spec.planted[p] == PlantedKind::Memorized
+                && combinations <= u64::from(TABLE_MAX_VALUES);
+            let Some(effects) = &g.effects[p] else {
+                assert!(!tabled, "{name}: pair {p} has no table");
+                continue;
+            };
+            assert!(tabled, "{name}: pair {p} has a table");
+            assert_eq!(effects.len() as u64, combinations, "{name}: pair {p}");
+            tables += 1;
+            bytes += std::mem::size_of_val(effects.as_slice());
+            let cells = (0..ci).flat_map(|vi| (0..cj).map(move |vj| (vi, vj)));
+            for (&effect, (vi, vj)) in effects.iter().zip(cells) {
+                let expected = g.memorized_effect(p, vi, vj);
+                assert_eq!(
+                    effect.to_bits(),
+                    expected.to_bits(),
+                    "{name}: pair {p} at ({vi}, {vj})"
+                );
+            }
+        }
+        (tables, bytes)
+    }
+
     #[test]
     fn generator_bits_every_profile_matches_the_per_value_reference() {
         // GiantVocab mixes table-backed (two small) and on-demand (four
@@ -734,6 +799,27 @@ mod tests {
             if profile == Profile::CriteoLike {
                 assert!(bytes <= 73 << 10, "criteo_like: {bytes} bytes");
             }
+        }
+    }
+
+    #[test]
+    fn generator_bits_memorized_tables_equal_memorized_effect() {
+        for profile in ALL_PROFILES {
+            let g = SyntheticGenerator::new(profile.spec());
+            let memorized = g
+                .spec
+                .planted
+                .iter()
+                .filter(|&&k| k == PlantedKind::Memorized);
+            let (tables, bytes) = assert_effects_match(&g);
+            let want = match profile {
+                // GiantVocab memorizes one pair of its two small fields and
+                // four that join a field of 6x10^5 values or more.
+                Profile::GiantVocab => 1,
+                _ => memorized.count(),
+            };
+            assert_eq!(tables, want, "{}: tabled pairs", profile.name());
+            assert!(bytes <= 150 << 10, "{}: {bytes} bytes", profile.name());
         }
     }
 
@@ -793,6 +879,30 @@ mod tests {
         };
         let g = SyntheticGenerator::new(spec);
         assert!(g.tables[0].is_some() && g.tables[1].is_none());
+        assert_tables_match(&g);
+        assert_matches_reference(&g, 300, &[7, 42]);
+    }
+
+    #[test]
+    fn generator_bits_hold_for_memorized_pairs_at_the_table_bound_and_one_past_it() {
+        // Pair (0, 1) has exactly 2^16 value combinations and gets a
+        // table, pair (2, 3) one more (1 x 65,537, a prime) and does not;
+        // (0, 2) is a small memorized pair. Uniform draws reach the far
+        // corners of both.
+        use PlantedKind::{Factorized as Fac, Memorized as Mem, None as Non};
+        let spec = SyntheticSpec {
+            name: "memorized bound".into(),
+            cardinalities: vec![256, 256, 1, TABLE_MAX_VALUES + 1],
+            zipf_exponent: 0.0,
+            planted: vec![Mem, Mem, Fac, Non, Fac, Mem],
+            ..tiny_spec()
+        };
+        let g = SyntheticGenerator::new(spec);
+        assert_eq!(
+            assert_effects_match(&g),
+            (2, (TABLE_MAX_VALUES as usize + 256) * 4)
+        );
+        assert!(g.effects[0].is_some() && g.effects[5].is_none());
         assert_tables_match(&g);
         assert_matches_reference(&g, 300, &[7, 42]);
     }

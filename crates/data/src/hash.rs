@@ -9,6 +9,14 @@
 pub use optinter_tensor::hash::splitmix64;
 use optinter_tensor::hash::MULT;
 
+/// The largest dense table in the crate, in entries. The generator
+/// tabulates a field's per-value ground truth, and a memorized pair's
+/// per-combination effect, when it has at most this many; the encoder
+/// counts and numbers a pair's crosses in dense buffers when the pair has
+/// at most this many cells. Past it, values are hashed: on demand in the
+/// generator, through an [`OpenTable`] in the encoder.
+pub(crate) const TABLE_MAX_VALUES: u32 = 1 << 16;
+
 /// Combines a seed with up to four identifiers into one well-mixed u64.
 pub fn combine(seed: u64, parts: &[u64]) -> u64 {
     let mut h = splitmix64(seed ^ 0xD1B5_4A32_D192_ED03);
@@ -43,18 +51,17 @@ pub fn hash_normal(seed: u64, parts: &[u64]) -> f32 {
 /// Deterministic open-addressing map from `u64` keys to **non-zero** `u32`
 /// values.
 ///
-/// This replaces `std::collections::HashMap` on the cross-vocabulary hot
-/// path. `std`'s map is doubly unsuitable there: SipHash burns ~2ns per
-/// probe on a workload that does hundreds of millions of them, and its
-/// per-process random seed makes iteration order nondeterministic (which is
-/// why the old code had to collect-and-sort behind a lint waiver). This
-/// table uses a fixed, seed-free multiply-shift hash, so both lookups and
-/// slot layout are pure functions of the inserted data — byte-identical
+/// The vocabularies count and look up values in it instead of
+/// `std::collections::HashMap`. `std`'s map is doubly unsuitable there:
+/// SipHash burns ~2ns per probe on a workload that does millions of them,
+/// and its per-process random seed makes iteration order nondeterministic.
+/// This table uses a fixed, seed-free multiply-shift hash, so both lookups
+/// and slot layout are pure functions of the inserted data — byte-identical
 /// across runs, machines and thread counts.
 ///
 /// The value 0 is reserved as the empty-slot marker. That restriction is
-/// free for both users: pair-combination *counts* are at least 1, and
-/// cross-value *ids* start at 1 because local id 0 is the OOV bucket — so
+/// free for every user: *counts* of seen values are at least 1, and *ids*
+/// start at 1 because local id 0 is the OOV bucket — so
 /// [`OpenTable::get`] returning 0 for an absent key is exactly the OOV
 /// encoding.
 #[derive(Debug, Clone)]
@@ -187,18 +194,15 @@ impl OpenTable {
         }
     }
 
-    /// All keys whose value is at least `min`, **sorted ascending** — the
-    /// deterministic order downstream id assignment relies on.
-    pub fn keys_with_at_least(&self, min: u32) -> Vec<u64> {
-        let mut kept: Vec<u64> = self
-            .keys
+    /// Every stored `(key, value)`, in slot order: a pure function of the
+    /// inserted keys and their insertion order. Empty slots are skipped, so
+    /// every value is non-zero.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.keys
             .iter()
             .zip(&self.vals)
-            .filter(|&(_, &v)| v >= min)
-            .map(|(&k, _)| k)
-            .collect();
-        kept.sort_unstable();
-        kept
+            .filter(|&(_, &v)| v != 0)
+            .map(|(&k, &v)| (k, v))
     }
 }
 
@@ -291,14 +295,12 @@ mod tests {
         for (&k, &v) in &reference {
             assert_eq!(t.get(k), v, "key {k}");
         }
-        // Threshold + sort must agree with the sorted HashMap view.
-        let mut expect: Vec<u64> = reference
-            .iter()
-            .filter(|&(_, &v)| v >= 8)
-            .map(|(&k, _)| k)
-            .collect();
+        // The stored entries, sorted, are the sorted HashMap view.
+        let mut expect: Vec<(u64, u32)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
         expect.sort_unstable();
-        assert_eq!(t.keys_with_at_least(8), expect);
+        let mut got: Vec<(u64, u32)> = t.iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -320,14 +322,15 @@ mod tests {
     }
 
     #[test]
-    fn open_table_keys_with_at_least_handles_zero_key() {
-        // Key 0 is a valid raw cross value (both field values 0) and must
-        // not be confused with the empty-slot marker.
+    fn open_table_iter_holds_key_zero_and_skips_empty_slots() {
+        // Key 0 is a valid key (raw value 0, or a pair's cell 0) and must
+        // not be confused with the empty-slot marker; the empty slots, whose
+        // keys also read 0, must not show up at all.
         let mut t = OpenTable::new();
+        assert_eq!(t.iter().count(), 0);
         t.add(0, 5);
         assert_eq!(t.get(0), 5);
-        assert_eq!(t.keys_with_at_least(1), vec![0]);
-        assert_eq!(t.keys_with_at_least(6), Vec::<u64>::new());
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0, 5)]);
     }
 
     #[test]

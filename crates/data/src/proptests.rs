@@ -4,13 +4,25 @@
 #![cfg(test)]
 
 use crate::batch::BatchIter;
-use crate::cross::CrossVocab;
-use crate::dataset::{DatasetBundle, Split};
-use crate::generator::{PlantedKind, SyntheticSpec};
+use crate::dataset::{reference, DatasetBundle, EncodedDataset, Split};
+use crate::generator::{PlantedKind, RawDataset, SyntheticSpec};
 use crate::schema::Schema;
-use crate::vocab::Vocabulary;
 use crate::zipf::Zipf;
 use proptest::prelude::*;
+
+/// Raw rows over `cardinalities`, the ragged tail dropped, with all-zero
+/// labels and logits.
+fn raw_dataset(cardinalities: Vec<u32>, mut rows: Vec<u32>) -> RawDataset {
+    let m = cardinalities.len();
+    let n = rows.len() / m;
+    rows.truncate(n * m);
+    RawDataset {
+        schema: Schema::new(cardinalities),
+        rows,
+        labels: vec![0; n],
+        logits: vec![0.0; n],
+    }
+}
 
 fn arb_spec() -> impl Strategy<Value = SyntheticSpec> {
     (2usize..5, 3u32..12, 0.0f64..1.5, 0.05f64..0.5, 0u64..50).prop_map(
@@ -72,66 +84,24 @@ proptest! {
     fn higher_min_count_never_grows_vocab(
         rows in proptest::collection::vec(0u32..6, 30..120),
     ) {
-        let n = rows.len() / 2 * 2;
-        let rows = &rows[..n];
-        let schema = Schema::new(vec![6, 6]);
-        let v1 = Vocabulary::build(&schema, rows, 1);
-        let v2 = Vocabulary::build(&schema, rows, 3);
-        prop_assert!(v2.total() <= v1.total());
-        let c1 = CrossVocab::build(&schema, rows, 1);
-        let c2 = CrossVocab::build(&schema, rows, 3);
-        prop_assert!(c2.total() <= c1.total());
+        let raw = raw_dataset(vec![6, 6], rows);
+        let n = raw.len();
+        let low = EncodedDataset::encode(&raw, 0..n, 1);
+        let high = EncodedDataset::encode(&raw, 0..n, 3);
+        prop_assert!(high.orig_vocab <= low.orig_vocab);
+        prop_assert!(high.cross_vocab <= low.cross_vocab);
     }
 
     #[test]
-    fn open_addressing_cross_vocab_matches_hashmap_reference(
+    fn encoder_matches_the_historical_hashmap_path(
         rows in proptest::collection::vec(0u32..9, 40..160),
-        min_count in 1u32..4,
+        vocab_end in 0usize..60,
+        min_count in 0u32..4,
     ) {
-        use std::collections::HashMap;
-        let m = 3usize;
-        let n = rows.len() / m;
-        let rows = &rows[..n * m];
-        let schema = Schema::new(vec![9, 9, 9]);
-        let cv = CrossVocab::build(&schema, rows, min_count);
-        // Reference: the historical per-pair SipHash HashMap build with
-        // sorted id assignment.
-        let indexer = schema.pairs();
-        let mut counts: Vec<HashMap<u64, u32>> = vec![HashMap::new(); indexer.num_pairs()];
-        for r in 0..n {
-            let row = &rows[r * m..(r + 1) * m];
-            for (p, (i, j)) in indexer.iter().enumerate() {
-                *counts[p]
-                    .entry(crate::cross::raw_cross(row[i], row[j]))
-                    .or_insert(0) += 1;
-            }
-        }
-        let mut expected_encoded = vec![0u32; n * indexer.num_pairs()];
-        let mut offset = 0u32;
-        for (p, c) in counts.iter().enumerate() {
-            let mut kept: Vec<u64> = c
-                .iter()
-                .filter(|&(_, &cnt)| cnt >= min_count)
-                .map(|(&v, _)| v)
-                .collect();
-            kept.sort_unstable();
-            let ids: HashMap<u64, u32> = kept
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, i as u32 + 1))
-                .collect();
-            prop_assert_eq!(cv.sizes()[p], kept.len() as u32 + 1, "pair {} size", p);
-            prop_assert_eq!(cv.offset(p), offset, "pair {} offset", p);
-            let (fi, fj) = indexer.pair_at(p);
-            for r in 0..n {
-                let row = &rows[r * m..(r + 1) * m];
-                let raw = crate::cross::raw_cross(row[fi], row[fj]);
-                expected_encoded[r * indexer.num_pairs() + p] =
-                    offset + ids.get(&raw).copied().unwrap_or(0);
-            }
-            offset += kept.len() as u32 + 1;
-        }
-        prop_assert_eq!(cv.encode_rows(&schema, rows), expected_encoded);
+        let raw = raw_dataset(vec![9, 9, 9], rows);
+        let vocab_rows = 0..vocab_end.min(raw.len());
+        let got = EncodedDataset::encode(&raw, vocab_rows.clone(), min_count);
+        prop_assert_eq!(got, reference::encode(&raw, vocab_rows, min_count));
     }
 
     #[test]

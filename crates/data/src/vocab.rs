@@ -7,56 +7,60 @@
 //! at 1. Local ids are laid out into one global id space (field offsets),
 //! so a single embedding table serves all fields.
 
+use crate::hash::OpenTable;
 use crate::schema::Schema;
-use std::collections::HashMap;
 
 /// Vocabulary of a single field.
 #[derive(Debug, Clone)]
 pub struct FieldVocab {
-    map: HashMap<u32, u32>,
-    size: u32,
+    /// Raw value -> local id; absent values read 0, the OOV bucket.
+    ids: OpenTable,
+    /// Raw value of local id `l` at `raws[l - 1]`.
+    raws: Vec<u32>,
 }
 
 impl FieldVocab {
-    /// Builds from raw-value counts, keeping values with `count >= min_count`.
+    /// Builds from raw-value counts, keeping values with `count >=
+    /// min_count`. A `min_count` of 0 keeps what 1 keeps: every value that
+    /// was counted.
     ///
     /// Local ids are assigned frequency-then-key: most frequent value gets
     /// id 1, ties broken by ascending raw value. The ordering is a total
     /// order over the retained values, so the assignment is a pure function
-    /// of the counts — independent of the `HashMap`'s seed and of the order
-    /// rows were counted in. (Frequency-descending also means the hottest
-    /// embedding rows cluster at the front of each field's id range, which
-    /// keeps frequent lookups cache-friendly.)
-    pub fn from_counts(counts: &HashMap<u32, u32>, min_count: u32) -> Self {
-        // lint: allow(hash-iter, reason="collected into a Vec and fully sorted before id assignment")
-        let mut kept: Vec<(u32, u32)> = counts
-            .iter()
-            .filter(|&(_, &c)| c >= min_count)
-            .map(|(&v, &c)| (v, c))
-            .collect();
+    /// of the counts, independent of the order rows were counted in.
+    /// (Frequency-descending also means the hottest embedding rows cluster
+    /// at the front of each field's id range, which keeps frequent lookups
+    /// cache-friendly.)
+    pub fn from_counts(counts: &OpenTable, min_count: u32) -> Self {
+        let mut kept: Vec<(u64, u32)> = counts.iter().filter(|&(_, c)| c >= min_count).collect();
         kept.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let map: HashMap<u32, u32> = kept
-            .iter()
-            .enumerate()
-            .map(|(i, &(v, _))| (v, i as u32 + 1))
-            .collect();
-        let size = map.len() as u32 + 1; // +1 for OOV slot 0
-        Self { map, size }
+        let mut ids = OpenTable::with_capacity(kept.len());
+        for (id, &(v, _)) in (1..).zip(&kept) {
+            ids.insert(v, id);
+        }
+        let raws = kept.iter().map(|&(v, _)| v as u32).collect();
+        Self { ids, raws }
     }
 
     /// Local id of a raw value (0 = OOV).
+    #[inline]
     pub fn encode(&self, raw: u32) -> u32 {
-        self.map.get(&raw).copied().unwrap_or(0)
+        self.ids.get(u64::from(raw))
+    }
+
+    /// Raw value of a retained local id (`1..size()`).
+    pub fn raw(&self, local: u32) -> u32 {
+        self.raws[local as usize - 1]
     }
 
     /// Vocabulary size including the OOV slot.
     pub fn size(&self) -> u32 {
-        self.size
+        self.raws.len() as u32 + 1
     }
 
     /// Number of retained (non-OOV) values.
     pub fn retained(&self) -> u32 {
-        self.size - 1
+        self.raws.len() as u32
     }
 }
 
@@ -74,11 +78,10 @@ impl Vocabulary {
     pub fn build(schema: &Schema, rows: &[u32], min_count: u32) -> Self {
         let m = schema.num_fields();
         assert_eq!(rows.len() % m, 0, "vocab build: ragged rows");
-        let n = rows.len() / m;
-        let mut counts: Vec<HashMap<u32, u32>> = vec![HashMap::new(); m];
-        for i in 0..n {
-            for (f, count) in counts.iter_mut().enumerate() {
-                *count.entry(rows[i * m + f]).or_insert(0) += 1;
+        let mut counts: Vec<OpenTable> = (0..m).map(|_| OpenTable::new()).collect();
+        for row in rows.chunks_exact(m) {
+            for (count, &v) in counts.iter_mut().zip(row) {
+                count.add(u64::from(v), 1);
             }
         }
         let fields: Vec<FieldVocab> = counts
@@ -111,6 +114,11 @@ impl Vocabulary {
     /// Per-field vocabulary sizes (OOV included).
     pub fn sizes(&self) -> Vec<u32> {
         self.fields.iter().map(|f| f.size()).collect()
+    }
+
+    /// Vocabulary of field `f`.
+    pub fn field(&self, f: usize) -> &FieldVocab {
+        &self.fields[f]
     }
 
     /// Global offset of field `f`.
@@ -160,6 +168,8 @@ mod tests {
         assert_eq!(v.encode_local(0, 2), 0); // pruned -> OOV
         assert_eq!(v.encode_local(0, 99), 0); // unseen -> OOV
         assert_eq!(v.encode_local(1, 5), 1);
+        assert_eq!(v.field(0).raw(1), 1);
+        assert_eq!(v.field(1).raw(1), 5);
     }
 
     #[test]
@@ -185,17 +195,19 @@ mod tests {
         let rows = vec![0, 1, 2, 3, 4, 0];
         let v = Vocabulary::build(&schema, &rows, 1);
         assert_eq!(v.sizes(), vec![4, 4]); // 3 distinct + OOV each
+        let v0 = Vocabulary::build(&schema, &rows, 0);
+        assert_eq!(v0.sizes(), v.sizes(), "min_count 0 keeps what 1 keeps");
     }
 
     #[test]
     fn ids_are_assigned_frequency_then_key() {
-        let mut counts: HashMap<u32, u32> = HashMap::new();
+        let mut counts = OpenTable::new();
         // Frequencies: 9 -> 5x, {3, 7} -> 3x (tie), 1 -> 2x, 4 -> 1x (pruned).
-        counts.insert(9, 5);
-        counts.insert(3, 3);
-        counts.insert(7, 3);
-        counts.insert(1, 2);
-        counts.insert(4, 1);
+        counts.add(9, 5);
+        counts.add(3, 3);
+        counts.add(7, 3);
+        counts.add(1, 2);
+        counts.add(4, 1);
         let v = FieldVocab::from_counts(&counts, 2);
         assert_eq!(v.encode(9), 1); // most frequent first
         assert_eq!(v.encode(3), 2); // tie broken by ascending raw value
@@ -203,6 +215,7 @@ mod tests {
         assert_eq!(v.encode(1), 4);
         assert_eq!(v.encode(4), 0); // below min_count -> OOV
         assert_eq!(v.size(), 5);
+        assert_eq!((1..5).map(|l| v.raw(l)).collect::<Vec<_>>(), [9, 3, 7, 1]);
     }
 
     #[test]
