@@ -9,23 +9,22 @@
 //!
 //! Building these vocabularies is the "#cross values" blow-up the paper
 //! flags as the cost of memorization: every row contributes `M(M-1)/2`
-//! pair combinations. The transform therefore works on the rows' encoded
-//! field ids, not their raw values. A row's *cell* in pair `(i, j)` is
-//! `li·s_j + lj`, with `li`, `lj` its local ids in the two fields and `s_j`
-//! field `j`'s vocabulary size (OOV included). A combination seen at least
-//! `min_count` times joins two values each seen at least that often, since
-//! `count(vi, vj) ≤ count(vi)`, so both are in their fields' vocabularies:
-//! rows with an OOV side are skipped when counting, and they always encode
-//! as the pair's OOV. Counting by cell is then counting by raw combination.
+//! pair combinations. So the transform works on the rows' encoded field
+//! ids, not their raw values. A row's *cell* in pair `(i, j)` is
+//! `li·s_j + lj`, with `li`, `lj` its local ids and `s_j` field `j`'s
+//! vocabulary size (OOV included). A combination seen `min_count` times
+//! joins two values seen at least that often (`count(vi, vj) ≤
+//! count(vi)`), so rows with an OOV side are skipped when counting and
+//! always encode as the pair's OOV, and counting cells is counting raw
+//! combinations.
 //!
-//! A pair of at most `TABLE_MAX_VALUES` (2¹⁶, the bound of every dense
-//! table in the crate) cells counts into a dense buffer
-//! and keeps a dense `u16` id per cell (ids never exceed the number of kept
-//! combinations, which is below the cell count); a larger pair counts into
-//! an [`OpenTable`] keyed by cell and keeps its ids in another. Either way
-//! the ids number the kept combinations in ascending raw cross value
-//! [`raw_cross`], recovered through the fields' local-to-raw lists, which is
-//! the order the raw-keyed build numbered them in.
+//! A pair of at most `TABLE_MAX_VALUES` = 2¹⁶ cells counts into a dense
+//! buffer and keeps a dense `u16` id per cell (the kept cells, and so the
+//! ids, number fewer than the cells); a larger pair counts and keeps its
+//! ids in [`OpenTable`]s keyed by cell. Either way the ids number the kept
+//! combinations in ascending [`raw_cross`] value, recovered through the
+//! fields' local-to-raw lists, so they do not depend on the local ids'
+//! frequency order.
 
 use crate::hash::{OpenTable, TABLE_MAX_VALUES};
 use crate::schema::PairIndexer;
@@ -45,6 +44,9 @@ pub fn raw_cross(vi: u32, vj: u32) -> u64 {
 
 /// Writes the local ids of `fields` (global ids, row-major `[N * M]`)
 /// into `cols` field-major: field `f`'s column is `cols[f * N..][..N]`.
+/// The encoder transposes one block of rows at a time; the whole training
+/// range transposed would add 4 bytes per field and row to the set-up's
+/// peak memory.
 fn local_columns(fields: &[u32], offsets: &[u32], cols: &mut Vec<u32>) {
     let m = offsets.len();
     cols.clear();
@@ -121,19 +123,18 @@ impl CrossVocab {
                 sizes: (vocab.field(i).size(), vocab.field(j).size()),
             })
             .collect();
-        let mut cols = Vec::new();
-        local_columns(fields, &field_offsets, &mut cols);
         let mut counts: Vec<u32> = Vec::new();
         let mut ids = Vec::with_capacity(pairs.len());
         let mut sizes = Vec::with_capacity(pairs.len());
         for at in &pairs {
             // A cell with local id 0 on either side is never counted, so
             // it is never kept.
-            let seen = at
-                .locals(&cols, n)
+            let (oi, oj) = (field_offsets[at.i], field_offsets[at.j]);
+            let seen = fields
+                .chunks_exact(m)
+                .map(|row| (row[at.i] - oi, row[at.j] - oj))
                 .filter(|&(li, lj)| li != 0 && lj != 0)
                 .map(|(li, lj)| at.cell(li, lj));
-            // Kept cells with their raw cross values, in raw order.
             let sj = at.sizes.1 as usize;
             let raw = |cell: usize| {
                 raw_cross(
@@ -141,23 +142,20 @@ impl CrossVocab {
                     vocab.field(at.j).raw((cell % sj) as u32),
                 )
             };
-            let mut kept: Vec<(u64, usize)>;
-            if at.cells() <= u64::from(TABLE_MAX_VALUES) {
+            let dense = at.cells() <= u64::from(TABLE_MAX_VALUES);
+            // Kept cells with their raw cross values, then in raw order.
+            let mut kept: Vec<(u64, usize)> = if dense {
                 counts.clear();
                 counts.resize(at.cells() as usize, 0);
                 for cell in seen {
                     counts[cell] += 1;
                 }
-                kept = (0..counts.len())
-                    .filter(|&cell| counts[cell] >= min_count)
-                    .map(|cell| (raw(cell), cell))
-                    .collect();
-                kept.sort_unstable();
-                let mut dense = vec![0u16; counts.len()];
-                for (id, &(_, cell)) in (1..).zip(&kept) {
-                    dense[cell] = id;
-                }
-                ids.push(PairIds::Dense(dense));
+                counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &count)| count >= min_count)
+                    .map(|(cell, _)| (raw(cell), cell))
+                    .collect()
             } else {
                 // Distinct combinations are bounded by the row count;
                 // pre-sizing to it (capped so giant datasets don't
@@ -166,18 +164,27 @@ impl CrossVocab {
                 for cell in seen {
                     table.add(cell as u64, 1);
                 }
-                kept = table
+                table
                     .iter()
                     .filter(|&(_, count)| count >= min_count)
                     .map(|(cell, _)| (raw(cell as usize), cell as usize))
-                    .collect();
-                kept.sort_unstable();
+                    .collect()
+            };
+            kept.sort_unstable();
+            let cells = kept.iter().map(|&(_, cell)| cell);
+            ids.push(if dense {
+                let mut dense = vec![0u16; at.cells() as usize];
+                for (id, cell) in (1..).zip(cells) {
+                    dense[cell] = id;
+                }
+                PairIds::Dense(dense)
+            } else {
                 let mut hashed = OpenTable::with_capacity(kept.len());
-                for (id, &(_, cell)) in (1..).zip(&kept) {
+                for (id, cell) in (1..).zip(cells) {
                     hashed.insert(cell as u64, id);
                 }
-                ids.push(PairIds::Hashed(hashed));
-            }
+                PairIds::Hashed(hashed)
+            });
             sizes.push(kept.len() as u32 + 1);
         }
         let mut offsets = Vec::with_capacity(sizes.len());

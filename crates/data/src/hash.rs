@@ -197,7 +197,7 @@ impl OpenTable {
     /// Every stored `(key, value)`, in slot order: a pure function of the
     /// inserted keys and their insertion order. Empty slots are skipped, so
     /// every value is non-zero.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.keys
             .iter()
             .zip(&self.vals)

@@ -49,7 +49,7 @@ impl FieldVocab {
     }
 
     /// Raw value of a retained local id (`1..size()`).
-    pub fn raw(&self, local: u32) -> u32 {
+    pub(crate) fn raw(&self, local: u32) -> u32 {
         self.raws[local as usize - 1]
     }
 
@@ -78,15 +78,15 @@ impl Vocabulary {
     pub fn build(schema: &Schema, rows: &[u32], min_count: u32) -> Self {
         let m = schema.num_fields();
         assert_eq!(rows.len() % m, 0, "vocab build: ragged rows");
-        let mut counts: Vec<OpenTable> = (0..m).map(|_| OpenTable::new()).collect();
-        for row in rows.chunks_exact(m) {
-            for (count, &v) in counts.iter_mut().zip(row) {
-                count.add(u64::from(v), 1);
-            }
-        }
-        let fields: Vec<FieldVocab> = counts
-            .iter()
-            .map(|c| FieldVocab::from_counts(c, min_count))
+        // One field at a time, so one count table is alive at a time.
+        let fields: Vec<FieldVocab> = (0..m)
+            .map(|f| {
+                let mut counts = OpenTable::new();
+                for row in rows.chunks_exact(m) {
+                    counts.add(u64::from(row[f]), 1);
+                }
+                FieldVocab::from_counts(&counts, min_count)
+            })
             .collect();
         let mut offsets = Vec::with_capacity(m);
         let mut total = 0u32;
@@ -117,7 +117,7 @@ impl Vocabulary {
     }
 
     /// Vocabulary of field `f`.
-    pub fn field(&self, f: usize) -> &FieldVocab {
+    pub(crate) fn field(&self, f: usize) -> &FieldVocab {
         &self.fields[f]
     }
 
