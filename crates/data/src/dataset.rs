@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn encode_bits_every_profile_matches_the_historical_path_at_20000_rows() {
-        // Both table kinds: at 20,000 rows the largest pairs of three
+        // Both table kinds: at 20,000 rows the largest pairs of four
         // profiles pass 2^16 cells.
         for (profile, hashed) in assert_profiles_match_reference(20_000) {
             let want = match profile {
