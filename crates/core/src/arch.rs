@@ -52,6 +52,32 @@ impl Method {
     }
 }
 
+/// Serializes an architecture as one [`Method::tag`] per pair, e.g. `"MFNM"`:
+/// the form `search --out` writes and the serving artifact stores.
+pub fn architecture_to_string(arch: &Architecture) -> String {
+    arch.methods().iter().map(|m| m.tag()).collect()
+}
+
+/// Parses an architecture from its string form.
+///
+/// # Errors
+/// Returns an error for empty input or unknown tag characters.
+pub fn architecture_from_string(s: &str) -> Result<Architecture, String> {
+    if s.is_empty() {
+        return Err("empty architecture string".to_string());
+    }
+    let methods = s
+        .chars()
+        .map(|c| match c {
+            'M' => Ok(Method::Memorize),
+            'F' => Ok(Method::Factorize),
+            'N' => Ok(Method::Naive),
+            other => Err(format!("unknown method tag `{other}`")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Architecture::new(methods))
+}
+
 /// A full architecture: one [`Method`] per feature pair, in
 /// [`PairIndexer`](optinter_data::PairIndexer) flat order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,6 +201,25 @@ mod tests {
         let planted = vec![PlantedKind::Memorized, PlantedKind::Factorized];
         let a = Architecture::new(vec![Method::Memorize, Method::Naive]);
         assert_eq!(a.agreement_with(&planted), 0.5);
+    }
+
+    #[test]
+    fn architecture_string_roundtrip() {
+        let arch = Architecture::new(vec![
+            Method::Memorize,
+            Method::Factorize,
+            Method::Naive,
+            Method::Memorize,
+        ]);
+        let s = architecture_to_string(&arch);
+        assert_eq!(s, "MFNM");
+        assert_eq!(architecture_from_string(&s).expect("parse"), arch);
+    }
+
+    #[test]
+    fn architecture_string_rejects_garbage() {
+        assert!(architecture_from_string("").is_err());
+        assert!(architecture_from_string("MFX").is_err());
     }
 
     #[test]

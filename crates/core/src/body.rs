@@ -133,11 +133,6 @@ impl<B: Block> Body<B> {
         &mut self.mlp
     }
 
-    /// The pool the body runs on.
-    pub(crate) fn pool(&self) -> &Pool {
-        &self.pool
-    }
-
     /// Trainable scalars: `E^o`, the classifier and the block.
     pub fn num_params(&mut self) -> usize {
         self.e_orig.num_params() + self.mlp.num_params() + self.block.num_params()

@@ -12,7 +12,9 @@
 //!
 //! and an MLP classifier. Crate layout:
 //!
-//! - [`arch`] — [`arch::Method`] / [`arch::Architecture`]: one choice per pair;
+//! - [`arch`] — [`arch::Method`] / [`arch::Architecture`]: one choice per
+//!   pair, and the architecture's string form (one `M`/`F`/`N` tag per
+//!   pair);
 //! - [`gumbel`] — the Gumbel-softmax relaxation (Eqs. 16–18);
 //! - [`body`] — the one network body: `E^o`, the MLP classifier, the dense
 //!   Adam and the one train step, generic over a [`Block`]; the supernet,
@@ -33,8 +35,10 @@
 //!   (the Table VIII ablation);
 //! - [`trainer`] — the one epoch pass, scoring pass and early-stopping
 //!   rule that every model trains and scores under (the baseline zoo's
-//!   too), and the two-stage search → re-train pipeline;
-//! - [`persist`] — architectures as strings and trained weights as files.
+//!   too), and the two-stage search → re-train pipeline.
+//!
+//! A trained model leaves this crate through `optinter-serve`'s frozen
+//! artifact, the one model file.
 
 #![forbid(unsafe_code)]
 
@@ -44,7 +48,6 @@ pub mod combine;
 pub mod config;
 pub mod gumbel;
 pub mod net;
-pub mod persist;
 pub mod search;
 pub mod supernet;
 pub mod trainer;

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The dataset dimensions a model needs to size its tables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataDims {
     /// Number of original fields `M`.
     pub num_fields: usize,
@@ -388,7 +388,7 @@ impl OptInterNet {
     }
 
     /// Exports every trainable weight as `(name, matrix)` pairs in a
-    /// stable order (used by [`crate::persist`]). Dense stores export one
+    /// stable order (the serving freezer's input). Dense stores export one
     /// tensor (`e_orig` / `e_cross`); hashed stores export their two
     /// sub-tables (`e_orig.t1` / `e_orig.t2`, etc.). Lazy optimizer tails
     /// are flushed first so the export reflects the full trajectory.
@@ -407,41 +407,6 @@ impl OptInterNet {
             idx += 1;
         });
         out
-    }
-
-    /// Imports weights previously produced by
-    /// [`export_weights`](Self::export_weights). Optimizer state is reset.
-    ///
-    /// # Errors
-    /// Returns an error when a name is missing or a shape mismatches; the
-    /// network is then unchanged.
-    pub fn import_weights(&mut self, weights: &[(String, Matrix)]) -> Result<(), String> {
-        use std::collections::HashMap;
-        let map: HashMap<&str, &Matrix> = weights.iter().map(|(n, m)| (n.as_str(), m)).collect();
-        let mut fetch = |name: &str, expect: (usize, usize)| -> Result<Matrix, String> {
-            let m = map
-                .get(name)
-                .ok_or_else(|| format!("missing weight `{name}`"))?;
-            if m.shape() != expect {
-                return Err(format!(
-                    "weight `{name}` shape {:?} does not match expected {:?}",
-                    m.shape(),
-                    expect
-                ));
-            }
-            Ok((*m).clone())
-        };
-        // The new body holds no activations, so a stale backward cannot
-        // pair old activations with the imported weights.
-        self.body = Body::from_weights(
-            &self.cfg,
-            self.body.block().dims().clone(),
-            &self.architecture,
-            store_seeds(self.cfg.seed),
-            self.body.pool().clone(),
-            &mut fetch,
-        )?;
-        Ok(())
     }
 
     /// One training step; returns the mean batch loss.

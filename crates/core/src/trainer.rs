@@ -2,7 +2,8 @@
 //! (search → re-train, paper Algorithms 1–2).
 //!
 //! Three pieces carry every epoch loop, scoring loop and stopping rule in
-//! this crate, the baseline zoo and the CLI:
+//! this crate and the baseline zoo (a frozen model scores through
+//! `optinter-serve`'s scorer):
 //!
 //! - [`epoch_pass`] — one pass of a training closure over a
 //!   [`BatchStream`], returning the mean batch loss;
@@ -140,7 +141,8 @@ pub fn evaluate_supernet(
 /// Trains a fixed architecture from scratch (Algorithm 2) under
 /// [`early_stopping`], with `cfg.retrain_epochs` as the epoch budget, and
 /// reports the test metrics of the best-validation epoch. Returns the
-/// trained network and its report.
+/// network as it stands after the last epoch run, which can be up to two
+/// epochs past that best one, and the report.
 ///
 /// Deep CTR models at this data scale overfit quickly, so every model —
 /// baseline or OptInter — is trained under the same rule.

@@ -39,8 +39,8 @@
 //! holds without re-quantizing.
 
 use crate::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8};
+use optinter_core::arch::{architecture_from_string, architecture_to_string};
 use optinter_core::net::DataDims;
-use optinter_core::persist::{architecture_from_string, architecture_to_string};
 use optinter_core::{Architecture, FactFn};
 use optinter_nn::StoreKind;
 use optinter_tensor::kernels::Backend;
@@ -61,7 +61,9 @@ pub const MAGIC: [u8; 8] = *b"OPTSRVA\0";
 /// mismatched inputs would turn bit flips into misparses.
 pub const VERSION: u32 = 3;
 
-/// Hard cap on tensor-name length (matches `optinter_core::persist`).
+/// Hard cap on tensor-name length: far above every name a model exports
+/// (`e_orig.t1`, `fact_weights`, `mlp.{i}`), so a corrupt length is caught
+/// before it sizes a read.
 const MAX_NAME_LEN: usize = 4096;
 /// Hard cap on the MLP depth recorded in an artifact.
 const MAX_HIDDEN: usize = 64;

@@ -12,28 +12,34 @@
 //!   arena row) and undone at lookup time, so scoring reads identical
 //!   bytes.
 //! - **Contiguous arena.** Each table is one dense `Matrix`; rows are
-//!   copied verbatim (f32) or quantized ([`Quant::F16`] / [`Quant::Int8`]).
-//! - **AUC-delta gate.** Quantization is only accepted when the frozen
-//!   scorer's AUC on a held-out synthetic eval set moves by at most
-//!   `max_auc_delta` from the training-path AUC ([`freeze_gated`]).
+//!   moved verbatim into the f32 model, and `quantize` re-encodes the
+//!   embedding tables at [`Quant::F16`] / [`Quant::Int8`].
+//! - **AUC-delta gate.** [`freeze_gated`] re-quantizes an f32 model and
+//!   accepts the result only when its scorer's AUC on a held-out
+//!   synthetic eval set moves by at most `max_auc_delta` from the f32
+//!   scorer's, which is the training path's bit for bit.
 
 use crate::artifact::{FrozenModel, Quant, StoreDesc, TensorData};
 use crate::scorer::FrozenScorer;
 use optinter_core::net::DataDims;
 use optinter_core::OptInterNet;
-use optinter_data::{Batch, BatchIter, EncodedDataset};
+use optinter_data::EncodedDataset;
 use optinter_metrics::auc;
 use optinter_tensor::kernels;
 use optinter_tensor::Matrix;
 use std::fmt;
 use std::ops::Range;
 
+/// Rows per batch when [`freeze_gated`] scores its eval rows: the default
+/// training batch.
+const GATE_BATCH: usize = 128;
+
 /// Why a gated freeze was rejected.
 #[derive(Debug)]
 pub enum FreezeError {
     /// Quantization moved eval AUC beyond the allowed delta.
     AucGate {
-        /// Training-path AUC on the eval set.
+        /// The f32 scorer's AUC on the eval set.
         base_auc: f64,
         /// Frozen (quantized) scorer AUC on the eval set.
         frozen_auc: f64,
@@ -42,8 +48,12 @@ pub enum FreezeError {
         /// The configured ceiling.
         max_delta: f64,
     },
-    /// The frozen artifact failed to load back into a scorer — indicates
-    /// a freezer bug, surfaced as an error instead of a panic.
+    /// The model handed to [`freeze_gated`] is already quantized, and
+    /// re-quantizing dequantized values drifts (int8's `(127·s)/127` is
+    /// not an f32 fixed point).
+    Quantized(Quant),
+    /// The model failed to load into a scorer or to score the eval rows:
+    /// a corrupt model, or eval rows from other data.
     Model(String),
 }
 
@@ -59,6 +69,11 @@ impl fmt::Display for FreezeError {
                 f,
                 "quantization rejected: eval AUC {base_auc:.6} -> {frozen_auc:.6} \
                  (delta {delta:.6} > allowed {max_delta:.6})"
+            ),
+            FreezeError::Quantized(quant) => write!(
+                f,
+                "the model is already {}-quantized: freeze re-quantizes only an f32 model",
+                quant.name()
             ),
             FreezeError::Model(e) => write!(f, "frozen model rejected: {e}"),
         }
@@ -112,8 +127,8 @@ fn permute_rows(weights: &Matrix, map: &[u32]) -> Matrix {
     out
 }
 
-/// Freezes a trained network into serving layout, without an accuracy
-/// gate. Use [`freeze_gated`] when quantizing.
+/// Freezes a trained network into serving layout at `quant`, without an
+/// accuracy gate. Use [`freeze_gated`] on the f32 model when quantizing.
 ///
 /// `data` must be the dataset the network was trained against — its
 /// `field_offsets` drive the hot-first reorder and its dimensions are
@@ -143,76 +158,84 @@ pub fn freeze(net: &mut OptInterNet, data: &EncodedDataset, quant: Quant) -> Fro
     } else {
         Vec::new()
     };
-    let weights = net.export_weights();
-    let mut tensors = Vec::with_capacity(weights.len());
-    for (name, matrix) in &weights {
-        let data = match name.as_str() {
-            // Embedding tables are the memory giants: reorder (dense
-            // e_orig) and quantize (all). Everything else stays f32.
-            "e_orig" => TensorData::encode(&permute_rows(matrix, &row_map), quant),
-            "e_orig.t1" | "e_orig.t2" | "e_cross" | "e_cross.t1" | "e_cross.t2" => {
-                TensorData::encode(matrix, quant)
-            }
-            _ => TensorData::F32(matrix.clone()),
-        };
-        tensors.push((name.clone(), data));
-    }
+    // The exported matrices move into the model; only the dense original
+    // table is rebuilt, in arena order.
+    let tensors = net
+        .export_weights()
+        .into_iter()
+        .map(|(name, matrix)| {
+            let matrix = match name.as_str() {
+                "e_orig" => permute_rows(&matrix, &row_map),
+                _ => matrix,
+            };
+            (name, TensorData::F32(matrix))
+        })
+        .collect();
 
-    FrozenModel {
+    let model = FrozenModel {
         orig_dim: cfg.orig_dim,
         cross_dim: cfg.cross_dim,
         hidden: cfg.hidden.clone(),
         layer_norm: cfg.layer_norm,
         fact_fn: cfg.fact_fn,
         backend: kernels::active(),
-        quant,
+        quant: Quant::F32,
         dims,
         arch,
         orig_store,
         cross_store,
         row_map,
         tensors,
-    }
+    };
+    quantize(model, quant)
 }
 
-/// [`freeze`] plus the AUC-delta acceptance gate: scores `eval_rows` of
-/// `data` through both the training path and the frozen scorer and
-/// rejects the artifact when the AUCs differ by more than `max_auc_delta`.
+/// Re-encodes an f32 model's embedding tables at `quant`. The tables are
+/// the memory giants, so they are the only tensors quantization touches;
+/// the factorization weights and the MLP stay f32. Consumes the model, so
+/// [`Quant::F32`] copies nothing.
+fn quantize(mut model: FrozenModel, quant: Quant) -> FrozenModel {
+    if quant != Quant::F32 {
+        for (name, data) in &mut model.tensors {
+            let table = matches!(
+                name.as_str(),
+                "e_orig" | "e_orig.t1" | "e_orig.t2" | "e_cross" | "e_cross.t1" | "e_cross.t2"
+            );
+            if let (true, TensorData::F32(matrix)) = (table, &*data) {
+                *data = TensorData::encode(matrix, quant);
+            }
+        }
+    }
+    model.quant = quant;
+    model
+}
+
+/// Re-quantizes an f32 `model` at `quant` behind the AUC-delta
+/// acceptance gate: scores `eval_rows` of `data` through the f32 model's
+/// scorer and through the quantized one, and rejects the result when the
+/// AUCs differ by more than `max_auc_delta`. The f32 scorer is the
+/// training path bit for bit (`tests/serve_parity.rs`), so the gate
+/// measures what quantization costs the trained model.
 ///
-/// Returns the artifact together with the measured delta.
+/// Returns the quantized model together with the measured delta.
 ///
 /// # Errors
+/// [`FreezeError::Quantized`] when `model` is not f32;
 /// [`FreezeError::AucGate`] when the gate fires; [`FreezeError::Model`]
-/// if the freshly-frozen artifact cannot be loaded (freezer bug).
+/// when either model fails to load or to score `eval_rows` of `data`.
 pub fn freeze_gated(
-    net: &mut OptInterNet,
+    model: FrozenModel,
     data: &EncodedDataset,
     eval_rows: Range<usize>,
     quant: Quant,
     max_auc_delta: f64,
 ) -> Result<(FrozenModel, f64), FreezeError> {
-    let frozen = freeze(net, data, quant);
-    let mut scorer =
-        FrozenScorer::new(&frozen, 1).map_err(|e| FreezeError::Model(e.to_string()))?;
-
-    let batch_size = net.config().batch_size;
-    let mut base_probs = Vec::new();
-    let mut frozen_probs = Vec::new();
-    let mut labels = Vec::new();
-    let mut batch = Batch::empty();
-    let mut scored = Vec::new();
-    let mut iter = BatchIter::new(data, eval_rows, batch_size, None).with_cross(true);
-    while iter.next_into(&mut batch) {
-        base_probs.extend(net.predict(&batch));
-        scorer
-            .score_into(&batch, &mut scored)
-            .map_err(|e| FreezeError::Model(e.to_string()))?;
-        frozen_probs.extend_from_slice(&scored);
-        labels.extend_from_slice(&batch.labels);
+    if model.quant != Quant::F32 {
+        return Err(FreezeError::Quantized(model.quant));
     }
-
-    let base_auc = auc(&base_probs, &labels);
-    let frozen_auc = auc(&frozen_probs, &labels);
+    let base_auc = eval_auc(&model, data, eval_rows.clone())?;
+    let frozen = quantize(model, quant);
+    let frozen_auc = eval_auc(&frozen, data, eval_rows)?;
     let delta = (base_auc - frozen_auc).abs();
     if delta > max_auc_delta {
         return Err(FreezeError::AucGate {
@@ -223,6 +246,19 @@ pub fn freeze_gated(
         });
     }
     Ok((frozen, delta))
+}
+
+/// The AUC of `model`'s scores on `rows` of `data`.
+fn eval_auc(
+    model: &FrozenModel,
+    data: &EncodedDataset,
+    rows: Range<usize>,
+) -> Result<f64, FreezeError> {
+    let mut scorer = FrozenScorer::new(model, 1).map_err(|e| FreezeError::Model(e.to_string()))?;
+    let (probs, labels) = scorer
+        .score_rows(data, rows, GATE_BATCH)
+        .map_err(|e| FreezeError::Model(e.to_string()))?;
+    Ok(auc(&probs, &labels))
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //!
 //! Three pieces, mirroring how a CTR model leaves the training tier:
 //!
-//! - [`freeze()`] / [`freeze_gated`] turn a trained
-//!   [`optinter_core::OptInterNet`] into an immutable, versioned,
-//!   checksummed [`FrozenModel`] artifact — embedding rows reordered
-//!   hot-first, weights flattened into contiguous arenas, optional
-//!   f16/int8 row quantization accepted only behind an AUC-delta gate.
+//! - [`freeze()`] turns a trained [`optinter_core::OptInterNet`] into an
+//!   immutable, versioned, checksummed [`FrozenModel`] artifact —
+//!   embedding rows reordered hot-first, weights flattened into
+//!   contiguous arenas. The f32 artifact is the one model file training
+//!   saves; [`freeze_gated`] re-quantizes it (f16/int8 rows) and accepts
+//!   the result only behind an AUC-delta gate.
 //! - [`FrozenScorer`] is the zero-alloc single-request/small-batch
 //!   scorer: it loads the frozen weights into the training forward (a
 //!   `Body` over `optinter_core::net::FixedBlock`) and runs it, so its scores are

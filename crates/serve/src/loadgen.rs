@@ -34,8 +34,12 @@ pub struct LoadSpec {
 /// Everything the generator observed.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Per-response latency (submit → batch scored), response order.
+    /// Per-response latency (submit → batch scored) of every scored
+    /// request, response order.
     pub latencies_ns: Vec<u64>,
+    /// Requests the front door answered with NaN: it could not score them
+    /// (ids outside the model's key spaces, a malformed row).
+    pub failed: usize,
     /// Earliest submit timestamp.
     pub first_submit_ns: u64,
     /// Latest completion timestamp.
@@ -46,20 +50,23 @@ pub struct LoadReport {
 /// `results/BENCH_substrate.json` records.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencySummary {
-    /// Number of responses.
+    /// Number of scored requests.
     pub count: usize,
+    /// Number of requests answered with NaN.
+    pub failed: usize,
     /// Median latency in nanoseconds.
     pub p50_ns: f64,
     /// 99th-percentile latency.
     pub p99_ns: f64,
     /// 99.9th-percentile latency.
     pub p999_ns: f64,
-    /// Responses per second over the whole run.
+    /// Scored requests per second over the whole run.
     pub rows_per_sec: f64,
 }
 
 impl LoadReport {
-    /// Summarizes the run (nearest-rank percentiles).
+    /// Summarizes the run (nearest-rank percentiles, NaN when no request
+    /// was scored).
     pub fn summary(&self) -> LatencySummary {
         let mut xs: Vec<f64> = self.latencies_ns.iter().map(|&v| v as f64).collect();
         xs.sort_by(f64::total_cmp);
@@ -69,6 +76,7 @@ impl LoadReport {
             .max(1);
         LatencySummary {
             count: xs.len(),
+            failed: self.failed,
             p50_ns: percentile_sorted(&xs, 0.50),
             p99_ns: percentile_sorted(&xs, 0.99),
             p999_ns: percentile_sorted(&xs, 0.999),
@@ -78,7 +86,7 @@ impl LoadReport {
 }
 
 /// Drives the micro-batching front door with Zipf-hot rows of `data` and
-/// collects per-request latency.
+/// collects per-request latency, counting a NaN answer as a failure.
 pub fn run_zipf_load<C: Clock>(
     scorer: &mut FrozenScorer,
     data: &EncodedDataset,
@@ -96,6 +104,7 @@ pub fn run_zipf_load<C: Clock>(
     let interarrival_ns = spec.interarrival_ns;
 
     let mut latencies = Vec::with_capacity(spec.requests);
+    let mut failed = 0usize;
     let mut first_submit = u64::MAX;
     let mut last_done = 0u64;
     serve(
@@ -117,13 +126,18 @@ pub fn run_zipf_load<C: Clock>(
             }
         },
         |resp| {
-            latencies.push(resp.done_ns.saturating_sub(resp.submit_ns));
+            if resp.prob.is_nan() {
+                failed += 1;
+            } else {
+                latencies.push(resp.done_ns.saturating_sub(resp.submit_ns));
+            }
             first_submit = first_submit.min(resp.submit_ns);
             last_done = last_done.max(resp.done_ns);
         },
     );
     LoadReport {
         latencies_ns: latencies,
+        failed,
         first_submit_ns: first_submit,
         last_done_ns: last_done,
     }

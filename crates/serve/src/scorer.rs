@@ -20,11 +20,12 @@
 use crate::artifact::{ArtifactError, FrozenModel, Quant};
 use optinter_core::net::{DataDims, FixedBlock};
 use optinter_core::{Body, Method, OptInterConfig};
-use optinter_data::Batch;
+use optinter_data::{Batch, BatchIter, EncodedDataset};
 use optinter_nn::loss::probabilities_into;
 use optinter_tensor::kernels::{self, Backend};
 use optinter_tensor::Pool;
 use std::fmt;
+use std::ops::Range;
 
 /// A malformed scoring request, surfaced as a typed error instead of a
 /// panic: the serving tier scores ids it did not mint, so out-of-range
@@ -254,6 +255,30 @@ impl FrozenScorer {
         let logits = self.fwd.forward(&self.ids, &batch.cross);
         probabilities_into(logits, out);
         Ok(())
+    }
+
+    /// Scores `rows` of `data` in batches of `batch_size` and returns the
+    /// probabilities with the rows' labels, in row order: how a model is
+    /// evaluated on a held-out split.
+    ///
+    /// # Errors
+    /// The first batch's [`ScoreError`], as [`Self::score_into`] gives it.
+    pub fn score_rows(
+        &mut self,
+        data: &EncodedDataset,
+        rows: Range<usize>,
+        batch_size: usize,
+    ) -> Result<(Vec<f32>, Vec<f32>), ScoreError> {
+        let mut probs = Vec::with_capacity(rows.len());
+        let mut labels = Vec::with_capacity(rows.len());
+        let (mut batch, mut scored) = (Batch::empty(), Vec::new());
+        let mut iter = BatchIter::new(data, rows, batch_size, None).with_cross(true);
+        while iter.next_into(&mut batch) {
+            self.score_into(&batch, &mut scored)?;
+            probs.extend_from_slice(&scored);
+            labels.extend_from_slice(&batch.labels);
+        }
+        Ok((probs, labels))
     }
 
     /// Checks a batch against the frozen schema and key spaces *before*

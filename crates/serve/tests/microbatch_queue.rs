@@ -7,14 +7,16 @@
 //! no request waits past its deadline (except the shutdown drain, which
 //! flushes immediately). Threaded tests then check the live [`serve`]
 //! loop: ordered delivery, whole-queue flushes once a deadline has
-//! passed, clean mid-flight drain on submitter drop, and panic
-//! propagation out of the scope (nothing hangs).
+//! passed, clean mid-flight drain on submitter drop, panic propagation
+//! out of the scope (nothing hangs), and the load generator's count of
+//! the requests the door answers with NaN.
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, Method, OptInterConfig, OptInterNet};
 use optinter_data::{DatasetBundle, Profile};
 use optinter_serve::{
-    freeze, serve, simulate, BatchPolicy, FrozenScorer, ManualClock, MicroBatchOptions, Quant,
+    freeze, run_zipf_load, serve, simulate, BatchPolicy, FrozenScorer, LoadSpec, ManualClock,
+    MicroBatchOptions, Quant,
 };
 use proptest::prelude::*;
 
@@ -121,6 +123,35 @@ fn tiny_scorer() -> (FrozenScorer, DatasetBundle) {
     let frozen = freeze(&mut net, &bundle.data, Quant::F32);
     let scorer = FrozenScorer::new(&frozen, 1).expect("frozen model loads");
     (scorer, bundle)
+}
+
+#[test]
+fn load_report_counts_nan_answers_as_failures() {
+    let (mut scorer, own) = tiny_scorer();
+    // Another dataset's cross ids fall outside the frozen pair blocks, so
+    // the front door answers some of its rows with NaN.
+    let other = Profile::Tiny.bundle_with_rows(1_200, 7);
+    let clock = ManualClock::new();
+    let opts = MicroBatchOptions {
+        queue_slots: 8,
+        max_batch: 8,
+        deadline_ns: u64::MAX / 2,
+    };
+    let spec = LoadSpec {
+        requests: 400,
+        zipf_s: 0.0,
+        seed: 1,
+        interarrival_ns: 0,
+    };
+    let report = run_zipf_load(&mut scorer, &other.data, &clock, &opts, &spec);
+    let s = report.summary();
+    assert!(s.failed > 0, "no request of the other dataset failed");
+    assert_eq!(s.failed, report.failed);
+    assert_eq!(s.count, report.latencies_ns.len());
+    assert_eq!(s.count + s.failed, spec.requests);
+    // The model's own rows all score.
+    let s = run_zipf_load(&mut scorer, &own.data, &clock, &opts, &spec).summary();
+    assert_eq!((s.count, s.failed), (spec.requests, 0));
 }
 
 #[test]

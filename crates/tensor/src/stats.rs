@@ -37,16 +37,14 @@ pub fn min_max(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice, `q` in `[0, 1]`.
-/// `q = 0` yields the minimum, `q = 1` the maximum.
-///
-/// # Panics
-/// Panics on empty input.
+/// `q = 0` yields the minimum, `q = 1` the maximum, an empty slice NaN.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
     debug_assert!((0.0..=1.0).contains(&q), "percentile rank out of range");
     let n = sorted.len();
     let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
+    sorted
+        .get(rank.clamp(1, n.max(1)) - 1)
+        .map_or(f64::NAN, |&x| x)
 }
 
 /// Pearson correlation coefficient of two equal-length slices.
@@ -123,6 +121,7 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(sample_variance(&[1.0]), 0.0);
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
+        assert!(percentile_sorted(&[], 0.5).is_nan());
     }
 
     #[test]

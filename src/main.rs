@@ -4,32 +4,74 @@
 //! optinter stats    --profile criteo_like
 //! optinter search   --profile tiny [--rows N] [--seed S] [--strategy joint|bilevel|random] [--out arch.txt]
 //! optinter train    --profile tiny [--arch MMFN.. | --arch-file arch.txt | --uniform memorize] [--save model.bin]
-//! optinter evaluate --profile tiny --load model.bin [--arch-file arch.txt]
+//! optinter evaluate --profile tiny --load model.bin
+//! optinter freeze   --profile tiny --load model.bin --out model.osa --quant int8
+//! optinter serve    --profile tiny --load model.osa
 //! ```
 //!
 //! Everything runs on synthetic profile data (deterministic per seed), so
 //! the commands compose: `search` writes an architecture file, `train`
-//! re-trains it from scratch and saves the weights, `evaluate` reloads and
-//! scores the held-out split.
+//! re-trains it from scratch and saves the model as an f32 serving
+//! artifact, `evaluate` scores the held-out split through it, `freeze`
+//! re-quantizes it behind an AUC gate, and `serve` load-tests any of
+//! them. Each command takes the data flags and only the others
+//! `COMMANDS` lists for it.
 
-use optinter::core::persist::{
-    architecture_from_string, architecture_to_string, load_net_weights, save_net,
-};
+use optinter::core::arch::{architecture_from_string, architecture_to_string};
 use optinter::core::{
-    net::DataDims, search_architecture, train_fixed, trainer::score_pass, Architecture, Method,
-    OptInterConfig, OptInterNet, SearchStrategy,
+    net::DataDims, search_architecture, train_fixed, Architecture, Method, OptInterConfig,
+    SearchStrategy,
 };
-use optinter::data::{BatchStream, DatasetBundle, Profile};
+use optinter::data::{DatasetBundle, Profile};
 use optinter::metrics::expected_calibration_error;
 use optinter::tensor::kernels;
 
 use optinter::serve::{
-    freeze_gated, run_zipf_load, FrozenModel, FrozenScorer, LoadSpec, MicroBatchOptions,
+    freeze, freeze_gated, run_zipf_load, FrozenModel, FrozenScorer, LoadSpec, MicroBatchOptions,
     MonotonicClock, Quant,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
+
+/// A command's name, the flags it takes besides [`DATA_FLAGS`] (without
+/// their `--`), and what it runs.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Options) -> Result<(), String>,
+);
+
+/// The flags every command takes: they pick its dataset.
+const DATA_FLAGS: [&str; 3] = ["profile", "rows", "seed"];
+
+const COMMANDS: [Command; 6] = [
+    ("stats", &[], cmd_stats),
+    ("search", &["strategy", "out"], cmd_search),
+    (
+        "train",
+        &["arch", "arch-file", "uniform", "save"],
+        cmd_train,
+    ),
+    ("evaluate", &["load"], cmd_evaluate),
+    (
+        "freeze",
+        &["load", "out", "quant", "max-auc-delta"],
+        cmd_freeze,
+    ),
+    (
+        "serve",
+        &[
+            "load",
+            "threads",
+            "requests",
+            "zipf",
+            "max-batch",
+            "deadline-us",
+        ],
+        cmd_serve,
+    ),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,27 +79,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Options::parse(rest) {
-        Ok(o) => o,
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let parsed = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some(&(name, flags, run)) => Options::parse(name, flags, rest).map(|opts| (opts, run)),
+        None => Err(format!("unknown command `{command}`")),
+    };
+    let (opts, run) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    let result = match command.as_str() {
-        "stats" => cmd_stats(&opts),
-        "search" => cmd_search(&opts),
-        "train" => cmd_train(&opts),
-        "evaluate" => cmd_evaluate(&opts),
-        "freeze" => cmd_freeze(&opts),
-        "serve" => cmd_serve(&opts),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -70,20 +107,24 @@ const USAGE: &str = "\
 optinter — Memorize, Factorize, or be Naive (ICDE 2022) reproduction
 
 USAGE:
-  optinter stats    --profile <name>
+  optinter stats    --profile <name> [--rows N] [--seed S]
   optinter search   --profile <name> [--rows N] [--seed S]
                     [--strategy joint|bilevel|random] [--out arch.txt]
   optinter train    --profile <name> [--rows N] [--seed S]
                     [--arch MFN.. | --arch-file f | --uniform memorize|factorize|naive]
                     [--save model.bin]
-  optinter evaluate --profile <name> [--rows N] [--seed S]
-                    --load model.bin [--arch-file f | --arch MFN..]
-  optinter freeze   --profile <name> [--rows N] [--seed S]
-                    --load model.bin [--arch-file f | --arch MFN..]
+  optinter evaluate --profile <name> [--rows N] [--seed S] --load model.bin
+  optinter freeze   --profile <name> [--rows N] [--seed S] --load model.bin
                     --out model.osa [--quant f32|f16|int8] [--max-auc-delta 0.001]
-  optinter serve    --profile <name> [--rows N] [--seed S]
-                    --load-artifact model.osa [--threads N] [--requests N]
-                    [--zipf S] [--max-batch N] [--deadline-us U]
+  optinter serve    --profile <name> [--rows N] [--seed S] --load model.bin
+                    [--threads N] [--requests N] [--zipf S] [--max-batch N]
+                    [--deadline-us U]
+
+`train --save` writes an f32 serving artifact of the net after its last
+epoch; `train` prints its best-validation epoch, up to two epochs earlier.
+`evaluate`, `freeze` and `serve` read that file, and `evaluate` and `serve`
+what `freeze` writes, under the data flags it was trained with. An unknown,
+repeated or value-less flag, or one the command does not take, exits 2.
 
 PROFILES: criteo_like, avazu_like, ipinyou_like, private_like, tiny";
 
@@ -92,18 +133,28 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Reads `--flag value` pairs, each a flag `command` takes, at most
+    /// once.
+    fn parse(command: &str, takes: &[&str], args: &[String]) -> Result<Self, String> {
         let mut flags = HashMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let key = arg
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
+                .ok_or_else(|| format!("expected a --flag, got `{arg}`"))?;
+            if !DATA_FLAGS.contains(&key) && !takes.contains(&key) {
+                if COMMANDS.iter().any(|(_, flags, _)| flags.contains(&key)) {
+                    return Err(format!("`{command}` does not take --{key}"));
+                }
+                return Err(format!("unknown flag --{key}"));
+            }
             let value = args
-                .get(i + 1)
+                .next()
+                .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            flags.insert(key.to_string(), value.clone());
-            i += 2;
+            if flags.insert(key.to_string(), value.clone()).is_some() {
+                return Err(format!("flag --{key} given twice"));
+            }
         }
         Ok(Self { flags })
     }
@@ -149,34 +200,51 @@ impl Options {
     }
 
     fn architecture(&self, num_pairs: usize) -> Result<Architecture, String> {
-        if let Some(s) = self.get("arch") {
-            let arch = architecture_from_string(s)?;
-            if arch.num_pairs() != num_pairs {
-                return Err(format!(
-                    "--arch has {} pairs, dataset has {num_pairs}",
-                    arch.num_pairs()
-                ));
+        let (source, text) = match (self.get("arch"), self.get("arch-file")) {
+            (Some(s), _) => ("--arch", s.to_string()),
+            (None, Some(path)) => (
+                path,
+                std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
+            ),
+            (None, None) => {
+                let method = match self.get("uniform").unwrap_or("memorize") {
+                    "memorize" => Method::Memorize,
+                    "factorize" => Method::Factorize,
+                    "naive" => Method::Naive,
+                    other => return Err(format!("unknown --uniform method `{other}`")),
+                };
+                return Ok(Architecture::uniform(method, num_pairs));
             }
-            return Ok(arch);
-        }
-        if let Some(path) = self.get("arch-file") {
-            let s = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let arch = architecture_from_string(s.trim())?;
-            if arch.num_pairs() != num_pairs {
-                return Err(format!(
-                    "{path} has {} pairs, dataset has {num_pairs}",
-                    arch.num_pairs()
-                ));
-            }
-            return Ok(arch);
-        }
-        let method = match self.get("uniform").unwrap_or("memorize") {
-            "memorize" => Method::Memorize,
-            "factorize" => Method::Factorize,
-            "naive" => Method::Naive,
-            other => return Err(format!("unknown --uniform method `{other}`")),
         };
-        Ok(Architecture::uniform(method, num_pairs))
+        let arch = architecture_from_string(text.trim())?;
+        if arch.num_pairs() != num_pairs {
+            return Err(format!(
+                "{source} has {} pairs, dataset has {num_pairs}",
+                arch.num_pairs()
+            ));
+        }
+        Ok(arch)
+    }
+
+    /// Reads the model file `--load` names, refuses it unless it was
+    /// trained on data of `bundle`'s dimensions, and builds its scorer on
+    /// `threads` threads: the one loader of `evaluate`, `freeze` and
+    /// `serve`.
+    fn model(
+        &self,
+        bundle: &DatasetBundle,
+        threads: usize,
+    ) -> Result<(FrozenModel, FrozenScorer), String> {
+        let path = self.get("load").ok_or("missing --load")?;
+        let model = FrozenModel::read_file(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+        if model.dims != DataDims::of(&bundle.data) {
+            return Err(format!(
+                "{path} was trained on data of other dimensions: \
+                 give the --profile, --rows and --seed it was trained with"
+            ));
+        }
+        let scorer = FrozenScorer::new(&model, threads).map_err(|e| format!("{path}: {e}"))?;
+        Ok((model, scorer))
     }
 }
 
@@ -226,40 +294,21 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
         report.auc, report.log_loss, report.num_params
     );
     if let Some(path) = opts.get("save") {
-        let path = PathBuf::from(path);
-        save_net(&mut net, &path).map_err(|e| format!("{}: {e}", path.display()))?;
-        eprintln!("wrote {} (+ .arch)", path.display());
+        freeze(&mut net, &bundle.data, Quant::F32)
+            .write_file(Path::new(path))
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
     Ok(())
 }
 
-/// Builds a network from `--load model.bin` plus the architecture flags
-/// (or the `.arch` side-file written by `train --save`) — shared by
-/// `evaluate` and `freeze`.
-fn load_trained_net(opts: &Options, bundle: &DatasetBundle) -> Result<OptInterNet, String> {
-    let cfg = opts.config()?;
-    let path = PathBuf::from(opts.get("load").ok_or("missing --load")?);
-    // Architecture: explicit flag, or the side-file written by `train --save`.
-    let arch = if opts.get("arch").is_some() || opts.get("arch-file").is_some() {
-        opts.architecture(bundle.data.num_pairs)?
-    } else {
-        let arch_path = path.with_extension("arch");
-        let s = std::fs::read_to_string(&arch_path)
-            .map_err(|e| format!("{}: {e}", arch_path.display()))?;
-        architecture_from_string(s.trim())?
-    };
-    let mut net = OptInterNet::new(cfg, DataDims::of(&bundle.data), arch);
-    load_net_weights(&mut net, &path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(net)
-}
-
 fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let cfg = opts.config()?;
-    let mut net = load_trained_net(opts, &bundle)?;
-    let test = bundle.split.test.clone();
-    let stream = BatchStream::new(&bundle.data, test, cfg.batch_size, None).prefetch(cfg.prefetch);
-    let (probs, labels) = score_pass(stream, |batch| net.predict(batch));
+    let (_, mut scorer) = opts.model(&bundle, 1)?;
+    let batch_size = OptInterConfig::default().batch_size;
+    let (probs, labels) = scorer
+        .score_rows(&bundle.data, bundle.split.test.clone(), batch_size)
+        .map_err(|e| e.to_string())?;
     let eval = optinter::metrics::evaluate(&probs, &labels);
     let ece = expected_calibration_error(&probs, &labels, 10);
     println!(
@@ -274,8 +323,7 @@ fn cmd_evaluate(opts: &Options) -> Result<(), String> {
 
 fn cmd_freeze(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let mut net = load_trained_net(opts, &bundle)?;
-    let out = PathBuf::from(opts.get("out").ok_or("missing --out")?);
+    let out = Path::new(opts.get("out").ok_or("missing --out")?);
     let quant = match opts.get("quant").unwrap_or("f32") {
         "f32" => Quant::F32,
         "f16" => Quant::F16,
@@ -288,13 +336,14 @@ fn cmd_freeze(opts: &Options) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("bad --max-auc-delta `{s}`"))?,
     };
+    let (model, _) = opts.model(&bundle, 1)?;
     eprintln!(
         "freezing ({} rows of held-out eval data, {} kernels)...",
         bundle.split.test.len(),
         kernels::active().name()
     );
     let (frozen, delta) = freeze_gated(
-        &mut net,
+        model,
         &bundle.data,
         bundle.split.test.clone(),
         quant,
@@ -302,7 +351,7 @@ fn cmd_freeze(opts: &Options) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     frozen
-        .write_file(&out)
+        .write_file(out)
         .map_err(|e| format!("{}: {e}", out.display()))?;
     let bytes = frozen.to_bytes().len();
     println!(
@@ -319,19 +368,6 @@ fn cmd_freeze(opts: &Options) -> Result<(), String> {
 
 fn cmd_serve(opts: &Options) -> Result<(), String> {
     let bundle = opts.bundle()?;
-    let path = PathBuf::from(opts.get("load-artifact").ok_or("missing --load-artifact")?);
-    let frozen = FrozenModel::read_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if frozen.dims.num_fields != bundle.data.num_fields
-        || frozen.dims.num_pairs != bundle.data.num_pairs
-    {
-        return Err(format!(
-            "artifact was frozen for {} fields / {} pairs, dataset has {} / {}",
-            frozen.dims.num_fields,
-            frozen.dims.num_pairs,
-            bundle.data.num_fields,
-            bundle.data.num_pairs
-        ));
-    }
     let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
         match opts.get(key) {
             None => Ok(default),
@@ -346,7 +382,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         None => 1.05,
         Some(s) => s.parse().map_err(|_| format!("bad --zipf `{s}`"))?,
     };
-    let mut scorer = FrozenScorer::new(&frozen, threads).map_err(|e| e.to_string())?;
+    let (_, mut scorer) = opts.model(&bundle, threads)?;
     let clock = MonotonicClock::new();
     let mb = MicroBatchOptions {
         queue_slots: 2 * max_batch.max(1),
@@ -369,12 +405,19 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let report = run_zipf_load(&mut scorer, &bundle.data, &clock, &mb, &spec);
     let s = report.summary();
     println!(
-        "scored {} requests: p50 {:.1}us  p99 {:.1}us  p999 {:.1}us  {:.0} rows/s",
+        "scored {} requests, {} failed: p50 {:.1}us  p99 {:.1}us  p999 {:.1}us  {:.0} rows/s",
         s.count,
+        s.failed,
         s.p50_ns / 1_000.0,
         s.p99_ns / 1_000.0,
         s.p999_ns / 1_000.0,
         s.rows_per_sec
     );
+    if s.failed > 0 {
+        return Err(format!(
+            "{} of {requests} requests failed (answered NaN)",
+            s.failed
+        ));
+    }
     Ok(())
 }

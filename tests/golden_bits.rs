@@ -18,7 +18,7 @@
 //! Every surface runs inside one `#[test]`, because the kernel backend is
 //! a process-wide switch.
 
-use optinter_core::persist::architecture_to_string;
+use optinter_core::arch::architecture_to_string;
 use optinter_core::trainer::evaluate_supernet;
 use optinter_core::{
     joint_search_supernet, run_two_stage, search_architecture, train_fixed, Architecture, FactFn,

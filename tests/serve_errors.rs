@@ -149,6 +149,58 @@ fn hashed_store_over_an_empty_key_space_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn missing_misshapen_and_surplus_tensors_are_corrupt_artifacts() {
+    // Decode checks each tensor's bytes, not the set of tensors; loading
+    // checks the set against the model the metadata describes.
+    let bundle = bundle();
+    let frozen = frozen_for(&bundle, StoreKind::Dense, StoreKind::Dense);
+    let load = |model: &FrozenModel| {
+        let model = FrozenModel::from_bytes(&model.to_bytes()).expect("the artifact decodes");
+        match FrozenScorer::new(&model, 1) {
+            Err(ArtifactError::Corrupt(why)) => why,
+            Err(other) => panic!("expected a corrupt-artifact error, got {other}"),
+            Ok(_) => panic!("a model with a wrong tensor set loaded"),
+        }
+    };
+
+    let mut missing = frozen.clone();
+    let (last, _) = missing.tensors.pop().expect("the model has tensors");
+    let why = load(&missing);
+    assert_eq!(why, format!("missing tensor `{last}`"));
+
+    let mut misshapen = frozen.clone();
+    let (_, e_cross) = misshapen
+        .tensors
+        .iter_mut()
+        .find(|(name, _)| name == "e_cross")
+        .expect("a dense cross table");
+    let (rows, cols) = (e_cross.rows(), e_cross.cols());
+    *e_cross = TensorData::F32(Matrix::zeros(rows - 1, cols));
+    let why = load(&misshapen);
+    assert_eq!(
+        why,
+        format!(
+            "tensor `e_cross` is {}x{cols}, expected {rows}x{cols}",
+            rows - 1
+        )
+    );
+
+    let mut surplus = frozen.clone();
+    let count = surplus.tensors.len();
+    surplus
+        .tensors
+        .push(("mlp.99".to_string(), TensorData::F32(Matrix::zeros(1, 1))));
+    let why = load(&surplus);
+    assert_eq!(
+        why,
+        format!(
+            "artifact has {} tensors, model shape needs {count}",
+            count + 1
+        )
+    );
+}
+
+#[test]
 fn pair_block_past_the_cross_id_space_is_a_corrupt_artifact() {
     // A pair block at offset u32::MAX - 1 wraps `offset + size`; decode
     // must reject it rather than hand the scorer a block it cannot check

@@ -162,7 +162,8 @@ fn parity_holds_for_hadamard_and_pointwise_add_factorization() {
 fn f16_artifact_passes_the_default_auc_gate() {
     let bundle = bundle();
     let mut net = trained_net(&bundle, FactFn::Generalized);
-    let (frozen, delta) = freeze_gated(&mut net, &bundle.data, 1_000..1_400, Quant::F16, 0.001)
+    let f32_model = freeze(&mut net, &bundle.data, Quant::F32);
+    let (frozen, delta) = freeze_gated(f32_model, &bundle.data, 1_000..1_400, Quant::F16, 0.001)
         .expect("f16 quantization within the default AUC gate");
     assert_eq!(frozen.quant, Quant::F16);
     assert!((0.0..=0.001).contains(&delta), "reported delta {delta}");
@@ -183,14 +184,21 @@ fn f16_artifact_passes_the_default_auc_gate() {
 fn int8_artifact_is_gated_by_auc_delta() {
     let bundle = bundle();
     let mut net = trained_net(&bundle, FactFn::Generalized);
+    let f32_model = freeze(&mut net, &bundle.data, Quant::F32);
     // A generous ceiling accepts the artifact and reports the true delta.
-    let (frozen, delta) = freeze_gated(&mut net, &bundle.data, 1_000..1_400, Quant::Int8, 1.0)
-        .expect("int8 freeze under a permissive gate");
+    let (frozen, delta) = freeze_gated(
+        f32_model.clone(),
+        &bundle.data,
+        1_000..1_400,
+        Quant::Int8,
+        1.0,
+    )
+    .expect("int8 freeze under a permissive gate");
     assert_eq!(frozen.quant, Quant::Int8);
     assert!(delta >= 0.0);
     // An impossible ceiling must reject with the typed gate error carrying
     // both AUCs — delta is never negative, so -1.0 always fires.
-    match freeze_gated(&mut net, &bundle.data, 1_000..1_400, Quant::Int8, -1.0) {
+    match freeze_gated(f32_model, &bundle.data, 1_000..1_400, Quant::Int8, -1.0) {
         Err(FreezeError::AucGate {
             base_auc,
             frozen_auc,
@@ -211,9 +219,41 @@ fn unquantized_gate_reports_zero_delta() {
     // Bit parity implies the F32 gate sees *exactly* equal AUCs.
     let bundle = bundle();
     let mut net = trained_net(&bundle, FactFn::Generalized);
-    let (_, delta) = freeze_gated(&mut net, &bundle.data, 1_000..1_400, Quant::F32, 0.0)
+    let f32_model = freeze(&mut net, &bundle.data, Quant::F32);
+    let (_, delta) = freeze_gated(f32_model, &bundle.data, 1_000..1_400, Quant::F32, 0.0)
         .expect("f32 freeze is lossless");
     assert_eq!(delta, 0.0);
+}
+
+/// The CLI quantizes a decoded f32 artifact, its model file. That must
+/// give a direct freeze's bytes, with dense and with hashed stores, and a
+/// quantized model must not be re-quantized at all.
+#[test]
+fn gated_requantization_of_the_f32_file_matches_a_direct_freeze() {
+    let bundle = bundle();
+    let dense = trained_net(&bundle, FactFn::Generalized);
+    let hashed = trained_hashed_net(
+        &bundle,
+        StoreKind::HashedQr { bucket: 13 },
+        StoreKind::HashedDouble { rows: 29 },
+    );
+    for mut net in [dense, hashed] {
+        let file = freeze(&mut net, &bundle.data, Quant::F32).to_bytes();
+        for quant in [Quant::F16, Quant::Int8] {
+            let model = FrozenModel::from_bytes(&file).expect("the f32 file decodes");
+            let (gated, _) = freeze_gated(model, &bundle.data, 1_000..1_400, quant, 1.0)
+                .expect("a permissive gate accepts");
+            let direct = freeze(&mut net, &bundle.data, quant);
+            assert!(
+                gated.to_bytes() == direct.to_bytes(),
+                "{quant:?}: re-quantized bytes differ from a direct freeze"
+            );
+            match freeze_gated(gated, &bundle.data, 1_000..1_400, Quant::F16, 1.0) {
+                Err(FreezeError::Quantized(q)) => assert_eq!(q, quant),
+                other => panic!("a {quant:?} model was re-quantized: {other:?}"),
+            }
+        }
+    }
 }
 
 /// A short training run over hashed embedding stores.
